@@ -24,7 +24,9 @@ std::vector<DividedRegion> divide_once(
 
 StreamingDivider::StreamingDivider(double threshold,
                                    std::vector<CvSample>* trajectory)
-    : threshold_(threshold), trajectory_(trajectory) {
+    : threshold_(threshold),
+      trajectory_(trajectory),
+      trajectory_base_(trajectory != nullptr ? trajectory->size() : 0) {
   if (threshold <= 0.0) {
     throw std::invalid_argument("divider threshold must be positive");
   }
@@ -98,6 +100,28 @@ std::vector<DividedRegion> StreamingDivider::finish() {
     }
     regions_.back().end = max_end_;
   }
+  // Several requests at one offset can close a region and open the next at
+  // that same offset, leaving an empty [X, X) region.  Fold each empty region
+  // into its successor, which starts at the same byte, and withdraw the split
+  // that closed it from the trajectory.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < regions_.size(); ++i) {
+    DividedRegion reg = regions_[i];
+    if (kept > 0 && regions_[kept - 1].offset == regions_[kept - 1].end) {
+      const DividedRegion& empty = regions_[--kept];
+      const auto n_empty = static_cast<double>(empty.request_count());
+      const auto n_reg = static_cast<double>(reg.request_count());
+      reg.avg_request = (empty.avg_request * n_empty + reg.avg_request * n_reg) /
+                        (n_empty + n_reg);
+      reg.offset = empty.offset;
+      reg.first_request = empty.first_request;
+      if (trajectory_ != nullptr) {
+        (*trajectory_)[trajectory_base_ + empty.last_request - 1].split = false;
+      }
+    }
+    regions_[kept++] = reg;
+  }
+  regions_.resize(kept);
   return std::move(regions_);
 }
 

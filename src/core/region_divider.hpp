@@ -97,11 +97,14 @@ class StreamingDivider {
   }
 
   /// Closes the open region and tiles the touched extent ([0, max end)).
+  /// Every returned region is non-empty (offset < end) except possibly a
+  /// last region of zero-size requests.
   std::vector<DividedRegion> finish();
 
  private:
   double threshold_;
   std::vector<CvSample>* trajectory_;
+  std::size_t trajectory_base_;  ///< trajectory size before this pass
   std::vector<DividedRegion> regions_;
   RunningStats window_;
   double cv_prev_ = 0.0;

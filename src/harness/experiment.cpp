@@ -8,39 +8,11 @@
 #include "src/core/tiered_cost_model.hpp"
 #include "src/middleware/mpi_world.hpp"
 #include "src/pfs/region_layout.hpp"
-#include "src/sim/pdes.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace harl::harness {
 
 namespace {
-
-/// Builds (and attaches) the conservative PDES runtime for one simulated run
-/// when ExperimentOptions::sim_threads asks for it.  The lookahead is the
-/// minimum cross-LP delivery delay of the PFS model: every cross-LP event
-/// crosses a network link (>= message latency) or a storage queue (>= the
-/// per-stripe overhead).  Returns nullptr — the sequential engine — when
-/// parallel execution is off or the config erases the lookahead.
-std::unique_ptr<sim::pdes::Runtime> make_pdes_runtime(
-    const ExperimentOptions& options, sim::Simulator& sim) {
-  if (options.sim_threads == 0) return nullptr;
-  // A device faster than its tier profile (factor < 1.0) shrinks the
-  // storage-queue delivery floor, so the overhead term scales by the
-  // cluster's fastest device.
-  const Seconds lookahead =
-      std::min(options.cluster.network.message_latency,
-               options.cluster.server_per_stripe_overhead *
-                   options.cluster.min_device_factor());
-  if (!(lookahead > 0.0)) return nullptr;
-  sim::pdes::Runtime::Options ro;
-  ro.threads = options.sim_threads;
-  ro.lookahead = lookahead;
-  auto rt = std::make_unique<sim::pdes::Runtime>(
-      static_cast<std::uint32_t>(pfs::Cluster::pdes_lp_count(options.cluster)),
-      ro);
-  sim.attach_pdes(rt.get());
-  return rt;
-}
 
 /// Builds the recorder's cost-model predictor for `layout`: the analytic
 /// tiered request cost with the stripe vector of the region the request
@@ -227,9 +199,7 @@ std::vector<trace::TraceRecord> Experiment::collect_trace(
   // Tracing Phase: first execution on the default fixed-stripe layout with
   // the IOSIG-like collector attached.
   sim::Simulator sim;
-  const auto pdes_rt = make_pdes_runtime(options_, sim);
   pfs::Cluster cluster(sim, options_.cluster);
-  if (pdes_rt != nullptr) cluster.attach_pdes(*pdes_rt);
   mw::MpiWorld world(cluster, bundle.processes);
   trace::TraceCollector collector;
   auto layout = pfs::make_fixed_layout(cluster.num_servers(),
@@ -283,21 +253,14 @@ SchemeResult Experiment::run_with_trace(
   // feed its advisor, and its epoched facade replaces the epoch-0 layout.
   const bool adaptive = scheme.kind == SchemeKind::kHarlAdaptive;
   sim::Simulator sim;
-  const auto pdes_rt = make_pdes_runtime(options_, sim);
   std::unique_ptr<mw::AdaptiveLayoutManager> manager;
   if (options_.observe) {
     result.obs = std::make_shared<obs::Recorder>(options_.recorder);
   }
-  // Under PDES the order-sensitive recorder sits behind the runtime's
-  // ObsSequencer, which replays data-path calls in deterministic global
-  // order at each window barrier; the adaptive manager (whose data-path
-  // hooks are stateless forwards) stays in front as the simulator-facing
-  // sink so completed requests still feed its advisor synchronously.
+  // Observer chain: sim -> [manager] -> [health] -> recorder.  The adaptive
+  // manager stays in front as the simulator-facing sink so completed
+  // requests feed its advisor; the telemetry plane wraps the recorder.
   obs::Sink* tail = result.obs.get();
-  // The telemetry plane wraps the recorder first, so under PDES it sits
-  // *behind* the sequencer (chain: sim -> [manager] -> [sequencer] ->
-  // [health] -> recorder) and only ever sees replayed, deterministic call
-  // order — its window watermark stays monotone at every width.
   if (options_.telemetry.enabled() && tail != nullptr) {
     obs::HealthMonitor::Options hm;
     hm.interval = options_.telemetry.interval;
@@ -310,10 +273,6 @@ SchemeResult Experiment::run_with_trace(
     hm.min_window_jobs = options_.telemetry.min_window_jobs;
     result.health = std::make_shared<obs::HealthMonitor>(hm, tail);
     tail = result.health.get();
-  }
-  if (pdes_rt != nullptr && tail != nullptr) {
-    pdes_rt->sequencer().set_target(tail);
-    tail = &pdes_rt->sequencer();
   }
   // Devices the measured run's cache covers: the plan's reservation when the
   // Analysis Phase was cache-aware, the configured count for blind and
@@ -342,7 +301,6 @@ SchemeResult Experiment::run_with_trace(
     sim.set_observer(tail);
   }
   pfs::Cluster cluster(sim, options_.cluster);
-  if (pdes_rt != nullptr) cluster.attach_pdes(*pdes_rt);
   if (adaptive) layout = manager->install(cluster, bundle.name);
   std::unique_ptr<pfs::CacheManager> cache_manager;
   if (cache_devices > 0) {

@@ -132,8 +132,8 @@ struct ExperimentOptions {
   };
   CacheOptions cache;
   /// Telemetry plane (DESIGN.md §15): interval > 0 arms an
-  /// obs::HealthMonitor (which owns the run's TimeSeries) behind the
-  /// ObsSequencer of every measured run.  Requires `observe`; the runner
+  /// obs::HealthMonitor (which owns the run's TimeSeries) in front of the
+  /// recorder of every measured run.  Requires `observe`; the runner
   /// forces it on when telemetry is enabled.
   struct TelemetryOptions {
     Seconds interval = 0.0;            ///< window width; 0 = disabled
@@ -148,13 +148,6 @@ struct ExperimentOptions {
     bool enabled() const { return interval > 0.0; }
   };
   TelemetryOptions telemetry;
-  /// Worker threads for the event engine of each simulated run (tracing and
-  /// measured): 0 = the sequential engine, >= 1 = the conservative PDES
-  /// runtime (src/sim/pdes.hpp) at that width.  Every output — metrics,
-  /// traces, plans, adaptive summaries — is byte-identical across widths,
-  /// including the sequential engine.  Independent of `pool`, which
-  /// parallelizes across runs; sim_threads parallelizes within one run.
-  unsigned sim_threads = 0;
 };
 
 class Experiment {

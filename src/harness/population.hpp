@@ -22,9 +22,9 @@
 //
 // Determinism: the generator is a pure function of its spec; the measured
 // run inherits the simulator's guarantees, so every output is byte-identical
-// across PDES widths.  A population of one file with no replication and no
-// failure is the degenerate case — it produces exactly the single-file run's
-// traffic.
+// across runs and pool widths.  A population of one file with no
+// replication and no failure is the degenerate case — it produces exactly the
+// single-file run's traffic.
 #pragma once
 
 #include <cstdint>

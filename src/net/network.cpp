@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/obs/sink.hpp"
-#include "src/sim/pdes.hpp"
 
 namespace harl::net {
 
@@ -52,60 +51,6 @@ void Network::attach_observer() {
   }
 }
 
-void Network::attach_pdes(const std::vector<std::uint32_t>& client_lps,
-                          const std::vector<std::uint32_t>& server_lps) {
-  if (client_lps.size() != client_links_.size() ||
-      server_lps.size() != server_links_.size()) {
-    throw std::invalid_argument("network attach_pdes: one LP per link");
-  }
-  for (std::size_t i = 0; i < client_links_.size(); ++i) {
-    client_links_[i]->set_lp(client_lps[i]);
-  }
-  for (std::size_t i = 0; i < server_links_.size(); ++i) {
-    server_links_[i]->set_lp(server_lps[i]);
-  }
-  pdes_ = true;
-}
-
-void Network::two_hop_pdes(sim::FifoResource& src, sim::FifoResource& dst,
-                           Seconds hop, std::uint32_t final_lp,
-                           sim::InlineTask on_done) {
-  // Parallel store-and-forward: the first-hop completion is an event on the
-  // destination link's LP, and the chained completion lands on `final_lp`
-  // (the server LP for client->server payloads — the disk submit that
-  // follows is then LP-local — and the app LP for everything arriving back
-  // at client-side logic).  The continuation rides inside the chain closure
-  // instead of the sequential engine's parked-task arena, which is
-  // single-threaded; the closures spill to the heap, a cost only the PDES
-  // path pays.
-  sim::pdes::Runtime* rt = sim_.pdes();
-  const std::uint32_t dst_lp = dst.lp();
-  if (rt->current_lp() == src.lp()) {
-    // Already on the source link's LP (the server->client read path starts
-    // from the disk completion on the server LP): chain in place.
-    src.submit_to(dst_lp, hop,
-                  [&dst, hop, final_lp, cb = std::move(on_done)]() mutable {
-                    dst.submit_to(final_lp, hop, std::move(cb));
-                  });
-    return;
-  }
-  // Issued off the source LP (client-side logic on the app LP): relay the
-  // first hop onto it at the same simulated time, carrying the issuing
-  // dispatch's observability anchor so the source link's trace event
-  // replays at exactly the position the sequential engine emitted it.
-  const sim::pdes::ObsAnchor anchor = rt->take_obs_anchor();
-  sim_.schedule_on(
-      src.lp(), sim_.now(),
-      [this, &src, &dst, hop, dst_lp, final_lp, anchor,
-       cb = std::move(on_done)]() mutable {
-        sim_.pdes()->adopt_obs_anchor(anchor);
-        src.submit_to(dst_lp, hop,
-                      [&dst, hop, final_lp, cb2 = std::move(cb)]() mutable {
-                        dst.submit_to(final_lp, hop, std::move(cb2));
-                      });
-      });
-}
-
 void Network::two_hop(sim::FifoResource& src, sim::FifoResource& dst,
                       Seconds hop, sim::InlineTask on_done) {
   // Store-and-forward: the payload serializes on the source link, then on
@@ -128,36 +73,13 @@ void Network::transfer(std::size_t client, std::size_t server, Bytes size,
   sim::FifoResource& dst = dir == Direction::kClientToServer
                                ? server_link(server)
                                : client_link(client);
-  if (pdes_) {
-    const std::uint32_t final_lp = dir == Direction::kClientToServer
-                                       ? dst.lp()
-                                       : sim::pdes::kAppLp;
-    two_hop_pdes(src, dst, wire_time(size), final_lp, std::move(on_done));
-    return;
-  }
   two_hop(src, dst, wire_time(size), std::move(on_done));
-}
-
-void Network::push_transfer(std::size_t client, std::size_t server, Bytes size,
-                            sim::InlineTask on_done) {
-  if (pdes_) {
-    two_hop_pdes(client_link(client), server_link(server), wire_time(size),
-                 sim::pdes::kAppLp, std::move(on_done));
-    return;
-  }
-  two_hop(client_link(client), server_link(server), wire_time(size),
-          std::move(on_done));
 }
 
 void Network::client_transfer(std::size_t from, std::size_t to, Bytes size,
                               sim::InlineTask on_done) {
   if (from == to) {
     sim_.schedule_after(0.0, std::move(on_done));
-    return;
-  }
-  if (pdes_) {
-    two_hop_pdes(client_link(from), client_link(to), wire_time(size),
-                 sim::pdes::kAppLp, std::move(on_done));
     return;
   }
   two_hop(client_link(from), client_link(to), wire_time(size),

@@ -48,17 +48,6 @@ class Network {
   void client_transfer(std::size_t from, std::size_t to, Bytes size,
                        sim::InlineTask on_done);
 
-  /// Client-to-server transfer whose completion runs with client-side logic
-  /// (under PDES: on the app LP, not the destination server's LP).  For
-  /// client-driven background pushes — cache fills — where the completion
-  /// submits device work: issuing that submit from the app LP makes
-  /// same-time arrivals at the device sort in client dispatch order, which
-  /// is exactly the order the sequential engine produces when it runs the
-  /// completion synchronously inside a client-side dispatch.  Sequentially
-  /// this is identical to transfer(kClientToServer).
-  void push_transfer(std::size_t client, std::size_t server, Bytes size,
-                     sim::InlineTask on_done);
-
   const NetworkParams& params() const { return params_; }
   std::size_t num_clients() const { return client_links_.size(); }
   std::size_t num_servers() const { return server_links_.size(); }
@@ -77,15 +66,6 @@ class Network {
   /// links to them.  Call once, before any traffic.
   void attach_observer();
 
-  /// Assigns every link to its PDES logical process (client link i to
-  /// client_lps[i], server link j to server_lps[j]) and switches transfers
-  /// to the parallel store-and-forward chain: each hop completion is an
-  /// event on the next link's LP, so link state is only touched in LP time
-  /// order and every hop costs at least the message latency the PDES
-  /// lookahead is derived from.  Call once, before any traffic.
-  void attach_pdes(const std::vector<std::uint32_t>& client_lps,
-                   const std::vector<std::uint32_t>& server_lps);
-
  private:
   Seconds wire_time(Bytes size) const {
     return params_.message_latency + static_cast<double>(size) * params_.per_byte;
@@ -93,15 +73,11 @@ class Network {
 
   void two_hop(sim::FifoResource& src, sim::FifoResource& dst, Seconds hop,
                sim::InlineTask on_done);
-  void two_hop_pdes(sim::FifoResource& src, sim::FifoResource& dst,
-                    Seconds hop, std::uint32_t final_lp,
-                    sim::InlineTask on_done);
 
   sim::Simulator& sim_;
   NetworkParams params_;
   std::vector<std::unique_ptr<sim::FifoResource>> client_links_;
   std::vector<std::unique_ptr<sim::FifoResource>> server_links_;
-  bool pdes_ = false;  ///< attach_pdes() called: route via two_hop_pdes
 };
 
 /// Estimates the unit transfer time `t` the way the paper does: repeated

@@ -1,12 +1,11 @@
 // Straggler/SLO health monitor (DESIGN.md §15).
 //
 // A HealthMonitor sits on the observer seat as a transparent obs::Sink
-// forwarder (the AdaptiveLayoutManager pattern), placed *behind* the
-// ObsSequencer so PDES replay feeds it the same deterministic call order the
-// serial engine would.  It owns the run's TimeSeries: every server storage
-// queue job (resource_event on a registered server-disk track) becomes a
-// latency/busy/depth sample, and cache_event feeds the fleet hit-rate
-// timeline.
+// forwarder (the AdaptiveLayoutManager pattern), placed in front of the
+// recorder, so it sees the engine's deterministic call order.  It owns the
+// run's TimeSeries: every server storage queue job (resource_event on a
+// registered server-disk track) becomes a latency/busy/depth sample, and
+// cache_event feeds the fleet hit-rate timeline.
 //
 // When a window closes (the monotone time watermark passes its end), each
 // server with enough jobs is scored as

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/obs/sink.hpp"
-#include "src/sim/pdes.hpp"
 
 namespace harl::sim {
 
@@ -13,18 +12,7 @@ FifoResource::FifoResource(Simulator& sim, std::string name)
     : sim_(sim), name_(std::move(name)) {}
 
 void FifoResource::submit(Seconds service, InlineTask on_complete) {
-  submit_to(lp_, service, std::move(on_complete));
-}
-
-void FifoResource::submit_to(std::uint32_t done_lp, Seconds service,
-                             InlineTask on_complete) {
   if (service < 0.0) throw std::invalid_argument("negative service time");
-  if (pdes::Runtime* rt = sim_.pdes();
-      rt != nullptr && rt->current_lp() != lp_) [[unlikely]] {
-    // Off-owner submission: next_free_ would be read/written outside the
-    // owner LP's time order.  Counted into lookahead_violations (must be 0).
-    rt->note_off_lp_submit();
-  }
   const Time arrival = sim_.now();
   const Time start = std::max(arrival, next_free_);
   const Time finish = start + service;
@@ -36,7 +24,7 @@ void FifoResource::submit_to(std::uint32_t done_lp, Seconds service,
       obs != nullptr && obs_track_ != obs::kNoId) [[unlikely]] {
     obs->resource_event(obs_track_, arrival, start, finish);
   }
-  sim_.schedule_on(done_lp, finish, std::move(on_complete));
+  sim_.schedule_at(finish, std::move(on_complete));
 }
 
 Time FifoResource::next_free() const { return next_free_; }

@@ -3,29 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/sim/pdes.hpp"
-
 namespace harl::sim {
-
-Time Simulator::pdes_now() const { return pdes_->now(); }
-
-bool Simulator::pdes_idle() const { return pdes_->idle(); }
-
-std::uint64_t Simulator::pdes_events_dispatched() const {
-  return pdes_->events_dispatched();
-}
-
-std::uint32_t Simulator::current_lp() const {
-  return pdes_ != nullptr ? pdes_->current_lp() : 0;
-}
-
-void Simulator::schedule_on(std::uint32_t lp, Time t, InlineTask fn) {
-  if (pdes_ != nullptr) {
-    pdes_->schedule_on(lp, t, std::move(fn));
-    return;
-  }
-  schedule_at(t, std::move(fn));
-}
 
 std::uint32_t Simulator::alloc_slot(InlineTask&& fn) {
   const bool stored_inline = fn.stored_inline();
@@ -83,13 +61,11 @@ void Simulator::heap_remove_min() {
 #if defined(__GNUC__)
     // The next hole is one of the four children; start pulling their child
     // groups (4 x 16 B each) in now so the level-by-level dependent walk
-    // overlaps its cache misses.
+    // overlaps its cache misses.  Only in-range slots: indexing past the end
+    // is undefined even for a prefetch.
     const std::size_t grand = 4 * first + 1;
-    if (grand < n) {
-      __builtin_prefetch(&heap_[grand], 0, 1);
-      __builtin_prefetch(&heap_[grand + 4], 0, 1);
-      __builtin_prefetch(&heap_[grand + 8], 0, 1);
-      __builtin_prefetch(&heap_[grand + 12], 0, 1);
+    for (std::size_t g = grand; g < grand + 16 && g < n; g += 4) {
+      __builtin_prefetch(&heap_[g], 0, 1);
     }
 #endif
     const std::size_t end = first + 4 < n ? first + 4 : n;
@@ -126,10 +102,6 @@ void Simulator::note_depth() {
 }
 
 void Simulator::schedule_at(Time t, InlineTask fn) {
-  if (pdes_ != nullptr) {
-    pdes_->schedule(t, std::move(fn));
-    return;
-  }
   // `!(t >= now_)` rather than `t < now_` so NaN times are rejected too —
   // a NaN would otherwise corrupt the bit-pattern ordering.
   if (!(t >= now_)) {
@@ -159,17 +131,10 @@ void Simulator::schedule_at(Time t, InlineTask fn) {
 
 void Simulator::schedule_after(Time delay, InlineTask fn) {
   if (!(delay >= 0.0)) throw std::invalid_argument("negative event delay");
-  // now() (not now_) so the delay is relative to the PDES LP clock too.
-  schedule_at(now() + delay, std::move(fn));
+  schedule_at(now_ + delay, std::move(fn));
 }
 
 Simulator::TaskHandle Simulator::park(InlineTask fn) {
-  // A parked slot lives in the sequential arena and may be fired from any
-  // LP — unsound under PDES, where the parallel network path moves the
-  // continuation through the chain closures instead.
-  if (pdes_ != nullptr) {
-    throw std::logic_error("Simulator::park is not supported under PDES");
-  }
   return alloc_slot(std::move(fn));
 }
 
@@ -228,20 +193,17 @@ void Simulator::dispatch_next() {
 }
 
 Time Simulator::run() {
-  if (pdes_ != nullptr) return pdes_->run();
   while (!idle()) dispatch_next();
   return now_;
 }
 
 Time Simulator::run_until(Time limit) {
-  if (pdes_ != nullptr) return pdes_->run_until(limit);
   EventKey next;
   while (peek_next(next) && key_time(next) <= limit) dispatch_next();
   return now_;
 }
 
 Simulator::Stats Simulator::stats() const {
-  if (pdes_ != nullptr) return pdes_->stats();
   Stats s;
   s.events_dispatched = dispatched_;
   s.peak_queue_depth = peak_depth_;

@@ -47,10 +47,6 @@ class Sink;
 
 namespace harl::sim {
 
-namespace pdes {
-class Runtime;
-}  // namespace pdes
-
 /// Simulated time in seconds from simulation start.
 using Time = Seconds;
 
@@ -61,7 +57,7 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   /// Current simulated time.  0 before the first event fires.
-  Time now() const { return pdes_ != nullptr ? pdes_now() : now_; }
+  Time now() const { return now_; }
 
   /// Schedules `fn` at absolute simulated time `t`; requires t >= now().
   void schedule_at(Time t, InlineTask fn);
@@ -78,30 +74,11 @@ class Simulator {
 
   /// True when no events are pending.
   bool idle() const {
-    if (pdes_ != nullptr) return pdes_idle();
     return heap_.empty() && now_lane_.count == 0 && asc_lane_.count == 0;
   }
 
   /// Total events dispatched since construction (for micro-benchmarks).
-  std::uint64_t events_dispatched() const {
-    return pdes_ != nullptr ? pdes_events_dispatched() : dispatched_;
-  }
-
-  // --- conservative PDES (src/sim/pdes.hpp) --------------------------------
-
-  /// Attaches a parallel runtime: now()/schedule/run/stats forward to it and
-  /// the sequential queue goes unused.  Attach before any event is
-  /// scheduled; the runtime must outlive every run.  nullptr detaches.
-  void attach_pdes(pdes::Runtime* runtime) { pdes_ = runtime; }
-  pdes::Runtime* pdes() const { return pdes_; }
-
-  /// Logical process of the currently running dispatch; 0 (the client-side
-  /// LP, also the answer for purely sequential runs) outside any dispatch.
-  std::uint32_t current_lp() const;
-
-  /// Schedules onto logical process `lp` under PDES; plain schedule_at
-  /// without a runtime (the `lp` is then only a routing annotation).
-  void schedule_on(std::uint32_t lp, Time t, InlineTask fn);
+  std::uint64_t events_dispatched() const { return dispatched_; }
 
   // --- parked continuations ------------------------------------------------
 
@@ -135,15 +112,6 @@ class Simulator {
                                          ///< steady-state-amortized allocation)
     std::uint64_t inline_callbacks = 0;  ///< tasks stored in-place
     std::uint64_t heap_callbacks = 0;    ///< tasks that spilled to the heap
-    // PDES counters (all 0 for sequential runs; deterministic — identical
-    // at every worker count — under a pdes::Runtime):
-    std::uint64_t mailbox_enqueues = 0;  ///< cross-LP sends buffered in
-                                         ///< per-worker mailboxes (stage B)
-    std::uint64_t window_stalls = 0;     ///< (LP, window) pairs with pending
-                                         ///< work but nothing executable
-    std::uint64_t lookahead_violations = 0;  ///< deliveries inside the window
-                                             ///< or off-owner-LP submissions
-                                             ///< — must be 0
   };
   Stats stats() const;
 
@@ -239,12 +207,6 @@ class Simulator {
   void dispatch_next();
   void note_depth();
 
-  // Out-of-line PDES forwards so this header needs only the forward
-  // declaration of pdes::Runtime.
-  Time pdes_now() const;
-  bool pdes_idle() const;
-  std::uint64_t pdes_events_dispatched() const;
-
   std::vector<EventKey> heap_;
   Ring now_lane_;  ///< events scheduled at exactly now()
   Ring asc_lane_;  ///< events appended in ascending key order
@@ -253,7 +215,6 @@ class Simulator {
   std::vector<std::uint32_t> free_slots_;
 
   obs::Sink* observer_ = nullptr;
-  pdes::Runtime* pdes_ = nullptr;
 
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;

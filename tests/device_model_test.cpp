@@ -1,12 +1,10 @@
 // Per-server device model: scaled profiles, canonical factor vectors, the
 // device-aware cost kernel, member-prefix candidates, fingerprint coverage,
 // cluster assembly, calibration, plan stamping, install-time validation, and
-// the homogeneous byte-identity + PDES width-invariance guarantees.
+// the homogeneous byte-identity guarantee.
 //
-// The load-bearing claims: (1) a homogeneous configuration — no factors, or
-// all factors exactly 1.0 — takes the pre-device-model code paths bit for
-// bit, and (2) every device-aware output is byte-identical across event-
-// engine widths (sequential and PDES at any sim-threads).
+// The load-bearing claim: a homogeneous configuration — no factors, or all
+// factors exactly 1.0 — takes the pre-device-model code paths bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -324,19 +322,6 @@ TEST(DeviceCluster, EffectiveTiersCanonicalizeFactors) {
   EXPECT_THROW(cfg.effective_tiers(), std::invalid_argument);
 }
 
-TEST(DeviceCluster, MinDeviceFactorSpansAllTiers) {
-  pfs::ClusterConfig cfg;
-  cfg.num_sservers = 2;
-  EXPECT_DOUBLE_EQ(cfg.min_device_factor(), 1.0);
-  cfg.ssd_factors = {1.0, 2.0};
-  EXPECT_DOUBLE_EQ(cfg.min_device_factor(), 1.0);
-  cfg.ssd_factors = {0.5, 2.0};
-  EXPECT_DOUBLE_EQ(cfg.min_device_factor(), 0.5);
-  cfg.ssd_factors = {};
-  cfg.hdd_factors = {0.75, 1.0, 1.0, 1.0, 1.0, 1.0};
-  EXPECT_DOUBLE_EQ(cfg.min_device_factor(), 0.75);
-}
-
 TEST(DeviceCluster, ServersCarryTheirCanonicalSlotFactor) {
   pfs::ClusterConfig cfg;
   cfg.num_hservers = 2;
@@ -536,40 +521,6 @@ TEST(DeviceGolden, AllOnesFactorsAreByteIdenticalToNoFactors) {
   // And the plan stays a pre-device-model plan: no device table at all.
   ASSERT_TRUE(got[1].plan.has_value());
   EXPECT_TRUE(got[1].plan->device_factors.empty());
-}
-
-TEST(DeviceGolden, PdesWidthsAreByteIdenticalUnderDeviceSpread) {
-  // Acceptance gate: with an aged fleet, sequential vs PDES at sim-threads
-  // 1/2/4 must produce byte-identical outputs (the lookahead floor derives
-  // from the slowest device, so window edges stay deterministic).
-  const harness::WorkloadBundle bundle = small_bundle();
-  const std::vector<harness::LayoutScheme> schemes{
-      harness::LayoutScheme::fixed(64 * KiB), harness::LayoutScheme::harl()};
-
-  harness::ExperimentOptions base = small_options();
-  base.cluster.ssd_factors = {1.0, 2.0};
-  harness::Experiment seq(base);
-  const auto want = seq.run_all(bundle, schemes);
-
-  // The aged run is genuinely heterogeneous: the HARL plan carries the
-  // device table the planner saw.
-  ASSERT_TRUE(want[1].plan.has_value());
-  ASSERT_EQ(want[1].plan->device_factors.size(), 2u);
-  EXPECT_EQ(want[1].plan->device_factors[1], (std::vector<double>{1.0, 2.0}));
-
-  for (const unsigned width : {1u, 2u, 4u}) {
-    harness::ExperimentOptions opts = base;
-    opts.sim_threads = width;
-    harness::Experiment exp(opts);
-    const auto got = exp.run_all(bundle, schemes);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(fingerprint(want[i]), fingerprint(got[i]))
-          << "sim-threads " << width << " scheme " << schemes[i].label();
-      EXPECT_EQ(got[i].sim_stats.lookahead_violations, 0u)
-          << "sim-threads " << width << " scheme " << schemes[i].label();
-    }
-  }
 }
 
 }  // namespace

@@ -271,6 +271,50 @@ TEST(StreamingDivider, TracedDivisionMatchesPlainAndExplainsItself) {
   EXPECT_EQ(splits, plain.regions.size() - 1);
 }
 
+TEST(Divider, RequestsSharingOneOffsetNeverLeaveAnEmptyRegion) {
+  // A lone 16K request after a 512K run closes the first region, so the
+  // next window opens at X.  Three requests at X whose sizes jump (16K, 16K,
+  // 128K) split on the last of them, and the next request at that same
+  // offset opens another region at X — which left [X, X) empty.  The empty
+  // region folds into its successor, in batch and streaming alike.
+  const Bytes x = 4 * MiB + 16 * KiB;
+  std::vector<std::pair<Bytes, Bytes>> v;
+  append_run(v, 0, 8, 512 * KiB);
+  v.emplace_back(4 * MiB, 16 * KiB);
+  v.emplace_back(x, 16 * KiB);
+  v.emplace_back(x, 16 * KiB);
+  v.emplace_back(x, 128 * KiB);
+  v.emplace_back(x, 16 * KiB);
+  v.emplace_back(x, 16 * KiB);
+  v.emplace_back(x, 128 * KiB);
+  append_run(v, x + 128 * KiB, 8, 16 * KiB);
+  const auto records = trace_of_sizes(v);
+  DividerOptions opts;
+  opts.fixed_region_size = 0;  // no tuning: divide at the paper's threshold
+
+  std::vector<StreamingDivider::CvSample> trajectory;
+  const auto division = divide_regions_traced(records, opts, &trajectory,
+                                              nullptr);
+  ASSERT_FALSE(division.regions.empty());
+  for (std::size_t i = 0; i < division.regions.size(); ++i) {
+    EXPECT_LT(division.regions[i].offset, division.regions[i].end)
+        << "region " << i;
+    if (i > 0) {
+      EXPECT_EQ(division.regions[i].offset, division.regions[i - 1].end);
+      EXPECT_EQ(division.regions[i].first_request,
+                division.regions[i - 1].last_request);
+    }
+  }
+  EXPECT_EQ(division.regions.back().last_request, records.size());
+  std::size_t splits = 0;
+  for (const auto& s : trajectory) splits += s.split ? 1 : 0;
+  EXPECT_EQ(splits, division.regions.size() - 1);
+
+  StreamingDivider stream(division.threshold_used);
+  for (const auto& r : records) stream.add(r);
+  EXPECT_TRUE(regions_equal(division.regions, stream.finish()));
+}
+
 TEST(Divider, DeterministicForIdenticalInput) {
   std::vector<std::pair<Bytes, Bytes>> v;
   append_run(v, 0, 64, 128 * KiB);

@@ -25,7 +25,7 @@ set(known_keys
   hservers sservers clients device-spread aging device-blind
   schemes adapt adapt-window adapt-min-gain
   migrate-bw cache-budget cache-devices cache-chunk cache-policy cache-blind
-  seed threads sim-threads stats
+  seed threads stats
   save-plan load-plan metrics-out trace-out trace-events
   timeseries-out timeseries-interval health slo-ms
   gc-pause-ms gc-period gc-factor gc-server
@@ -70,6 +70,33 @@ endif()
 foreach(key IN LISTS known_keys)
   if(NOT typo_all MATCHES "${key}")
     message(FATAL_ERROR "valid-keys list is missing '${key}':\n${typo_all}")
+  endif()
+endforeach()
+
+# Configs the model cannot honour must fail and name the offending key:
+# a failure without replicas (the dead server would keep serving), more
+# tenants than files, and a GC pause with no cycle.  Each entry is
+# "<expected key>|<args...>" with args separated by spaces.
+set(bad_configs
+  "replicas|files=4 replicas=0 fail-server=2 fail-at=0.01"
+  "tenants|files=2 tenants=4"
+  "gc-period|gc-pause-ms=60 gc-period=0")
+foreach(entry IN LISTS bad_configs)
+  string(REPLACE "|" ";" parts "${entry}")
+  list(GET parts 0 bad_key)
+  list(GET parts 1 bad_args)
+  separate_arguments(bad_args)
+  execute_process(
+    COMMAND ${HARL_SIM} ${bad_args} schemes=64K requests=8
+    OUTPUT_VARIABLE bad_out
+    ERROR_VARIABLE bad_err
+    RESULT_VARIABLE bad_rc)
+  if(bad_rc EQUAL 0)
+    message(FATAL_ERROR "harl_sim accepted the bad config '${entry}'")
+  endif()
+  if(NOT bad_err MATCHES "${bad_key}")
+    message(FATAL_ERROR "error for '${entry}' does not name '${bad_key}':\n"
+                        "${bad_out}${bad_err}")
   endif()
 endforeach()
 

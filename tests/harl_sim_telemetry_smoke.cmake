@@ -1,7 +1,7 @@
 # CTest script: telemetry-plane smoke through the real harl_sim binary.
-# A GC-pause straggler run with `health=1 timeseries-out=` at sim-threads=2
+# A GC-pause straggler run with `health=1 timeseries-out=` at threads=4
 # must (a) write the windowed time-series/health JSON, (b) be byte-identical
-# to the same run on the sequential engine, and (c) pass
+# to the same run with threads=0 (serial), and (c) pass
 # `obs_report.py --timeseries --check --require-health` — i.e. at least one
 # server is flagged and the SLO regression localizes to the injected server.
 # The Python validation and the HTML dashboard are skipped (with a notice)
@@ -11,10 +11,10 @@ if(NOT DEFINED HARL_SIM OR NOT DEFINED WORK_DIR OR NOT DEFINED OBS_REPORT)
           "pass -DHARL_SIM=<binary> -DWORK_DIR=<dir> -DOBS_REPORT=<script>")
 endif()
 
-set(ts_pdes ${WORK_DIR}/telemetry_smoke_pdes.json)
-set(ts_seq ${WORK_DIR}/telemetry_smoke_seq.json)
+set(ts_pool ${WORK_DIR}/telemetry_smoke_pool.json)
+set(ts_serial ${WORK_DIR}/telemetry_smoke_serial.json)
 set(dashboard ${WORK_DIR}/telemetry_smoke_dashboard.html)
-file(REMOVE ${ts_pdes} ${ts_seq} ${dashboard})
+file(REMOVE ${ts_pool} ${ts_serial} ${dashboard})
 
 # Deterministic straggler: server 0 spends 60ms of every 100ms in GC at 8x
 # service time, the 5ms SLO separates its submissions from the fleet's.
@@ -24,19 +24,19 @@ set(run_args
   slo-ms=5 health=1)
 
 execute_process(
-  COMMAND ${HARL_SIM} ${run_args} sim-threads=2 timeseries-out=${ts_pdes}
+  COMMAND ${HARL_SIM} ${run_args} threads=4 timeseries-out=${ts_pool}
   OUTPUT_VARIABLE run_out
   ERROR_VARIABLE run_err
   RESULT_VARIABLE run_rc)
 if(NOT run_rc EQUAL 0)
   message(FATAL_ERROR "telemetry run failed (${run_rc}): ${run_err}")
 endif()
-if(NOT EXISTS ${ts_pdes})
-  message(FATAL_ERROR "run did not write ${ts_pdes}")
+if(NOT EXISTS ${ts_pool})
+  message(FATAL_ERROR "run did not write ${ts_pool}")
 endif()
-file(SIZE ${ts_pdes} ts_size)
+file(SIZE ${ts_pool} ts_size)
 if(ts_size EQUAL 0)
-  message(FATAL_ERROR "${ts_pdes} is empty")
+  message(FATAL_ERROR "${ts_pool} is empty")
 endif()
 
 # The summary table must still appear on stdout: telemetry is additive.
@@ -44,32 +44,33 @@ if(NOT run_out MATCHES "HARL")
   message(FATAL_ERROR "telemetry run lost its normal output:\n${run_out}")
 endif()
 
-# Same run on the sequential engine: the telemetry export must not depend on
-# the event engine, so the two files must be byte-identical.
+# Same run serially: the telemetry export must not depend on the pool that
+# runs the planner and the measured runs, so the two files must be
+# byte-identical.
 execute_process(
-  COMMAND ${HARL_SIM} ${run_args} sim-threads=0 timeseries-out=${ts_seq}
-  OUTPUT_VARIABLE seq_out
-  ERROR_VARIABLE seq_err
-  RESULT_VARIABLE seq_rc)
-if(NOT seq_rc EQUAL 0)
-  message(FATAL_ERROR "sequential telemetry run failed (${seq_rc}): ${seq_err}")
+  COMMAND ${HARL_SIM} ${run_args} threads=0 timeseries-out=${ts_serial}
+  OUTPUT_VARIABLE serial_out
+  ERROR_VARIABLE serial_err
+  RESULT_VARIABLE serial_rc)
+if(NOT serial_rc EQUAL 0)
+  message(FATAL_ERROR "serial telemetry run failed (${serial_rc}): ${serial_err}")
 endif()
-file(SHA256 ${ts_pdes} pdes_hash)
-file(SHA256 ${ts_seq} seq_hash)
-if(NOT pdes_hash STREQUAL seq_hash)
-  message(FATAL_ERROR "timeseries output differs between sim-threads=2 and "
-                      "the sequential engine:\n  ${ts_pdes}\n  ${ts_seq}")
+file(SHA256 ${ts_pool} pool_hash)
+file(SHA256 ${ts_serial} serial_hash)
+if(NOT pool_hash STREQUAL serial_hash)
+  message(FATAL_ERROR "timeseries output differs between threads=4 and "
+                      "the serial run:\n  ${ts_pool}\n  ${ts_serial}")
 endif()
 
 find_program(PYTHON3 NAMES python3 python)
 if(NOT PYTHON3)
   message(STATUS "python3 not found; wrote, size-checked and byte-compared "
-                 "${ts_pdes} only")
+                 "${ts_pool} only")
   return()
 endif()
 
 execute_process(
-  COMMAND ${PYTHON3} ${OBS_REPORT} --timeseries ${ts_pdes} --require-health
+  COMMAND ${PYTHON3} ${OBS_REPORT} --timeseries ${ts_pool} --require-health
           --html ${dashboard} --check
   OUTPUT_VARIABLE check_out
   ERROR_VARIABLE check_err

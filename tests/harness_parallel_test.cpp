@@ -128,29 +128,6 @@ TEST(HarnessParallel, RunReplicatedMatchesSerialExactly) {
   EXPECT_EQ(serial_out.max_total, parallel_out.max_total);
 }
 
-/// Engine-stat-free fingerprint: everything the simulation *produced*,
-/// without the event-engine counters.  The PDES path adds relay events
-/// (read-path server submits, transfer first hops become events on the
-/// owning LP), so engine counters legitimately differ between the
-/// sequential engine and the PDES runtime — but never between PDES widths.
-std::string fingerprint_core(const SchemeResult& r) {
-  std::ostringstream os;
-  os.precision(17);
-  os << r.label << '|' << r.layout_description << '|' << r.region_count << '|'
-     << r.write.makespan << '|' << r.write.bytes << '|' << r.read.makespan
-     << '|' << r.read.bytes << '|' << r.total.makespan << '|' << r.total.bytes;
-  for (const Seconds io_time : r.server_io_time) os << '|' << io_time;
-  if (r.adaptive.has_value()) {
-    const auto& a = *r.adaptive;
-    os << '|' << a.epochs_installed << '|' << a.windows_analyzed << '|'
-       << a.recommendations << '|' << a.recommendations_deferred << '|'
-       << a.migrated_bytes << '|' << a.migration_chunks << '|'
-       << a.migration_interference << '|' << a.cost_evals << '|'
-       << a.cost_evals_saved;
-  }
-  return os.str();
-}
-
 /// The full flight-recorder output as one string: metrics JSON plus the
 /// Chrome trace events.  Byte equality here is the strongest observability
 /// claim — every trace event, async id, histogram bucket and metric sample
@@ -173,14 +150,13 @@ std::string obs_fingerprint(const SchemeResult& r) {
   return os.str();
 }
 
-ExperimentOptions observed_options(unsigned sim_threads) {
-  ExperimentOptions options = small_options(nullptr);
+ExperimentOptions observed_options(ThreadPool* pool) {
+  ExperimentOptions options = small_options(pool);
   options.observe = true;
   options.recorder.trace = true;
-  options.sim_threads = sim_threads;
   // Arm the telemetry plane with a deterministic GC-pause straggler so the
   // byte-equality fingerprints cover windowed rollups, sketch quantiles,
-  // health scoring and SLO attainment across engines and widths.
+  // health scoring and SLO attainment.
   options.telemetry.interval = 0.01;
   options.telemetry.slo = 0.002;
   options.cluster.gc_pause.period = 0.05;
@@ -189,78 +165,26 @@ ExperimentOptions observed_options(unsigned sim_threads) {
   return options;
 }
 
-TEST(HarnessParallel, PdesMatchesSequentialEngineByteForByte) {
+TEST(HarnessParallel, ObservedRunAllMatchesSerialByteForByte) {
+  // Every measured run owns its recorder and health monitor, so a pool may
+  // run the observed schemes concurrently without moving one byte of the
+  // metrics, trace or telemetry output.
   const WorkloadBundle bundle = small_bundle();
   const auto schemes = scheme_lineup();
 
-  Experiment seq(observed_options(0));
-  const auto want = seq.run_all(bundle, schemes);
+  Experiment serial(observed_options(nullptr));
+  const auto want = serial.run_all(bundle, schemes);
 
-  Experiment pdes(observed_options(1));
-  const auto got = pdes.run_all(bundle, schemes);
+  ThreadPool pool(4);
+  Experiment parallel(observed_options(&pool));
+  const auto got = parallel.run_all(bundle, schemes);
 
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(fingerprint_core(want[i]), fingerprint_core(got[i]))
+    EXPECT_EQ(fingerprint(want[i]), fingerprint(got[i]))
         << "scheme " << schemes[i].label();
     EXPECT_EQ(obs_fingerprint(want[i]), obs_fingerprint(got[i]))
         << "scheme " << schemes[i].label();
-    EXPECT_EQ(got[i].sim_stats.lookahead_violations, 0u)
-        << "scheme " << schemes[i].label();
-    // Sequential runs never touch the PDES machinery.
-    EXPECT_EQ(want[i].sim_stats.mailbox_enqueues, 0u);
-    EXPECT_EQ(want[i].sim_stats.window_stalls, 0u);
-    EXPECT_EQ(want[i].sim_stats.lookahead_violations, 0u);
-  }
-}
-
-TEST(HarnessParallel, PdesWidthsAreByteIdentical) {
-  const WorkloadBundle bundle = small_bundle();
-  const auto schemes = scheme_lineup();
-
-  Experiment base(observed_options(1));
-  const auto want = base.run_all(bundle, schemes);
-
-  for (const unsigned width : {2u, 4u, 7u}) {
-    Experiment exp(observed_options(width));
-    const auto got = exp.run_all(bundle, schemes);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      // Between PDES widths even the engine counters must match — the full
-      // fingerprint, the observability output, and the PDES health counters.
-      EXPECT_EQ(fingerprint(want[i]), fingerprint(got[i]))
-          << "sim-threads " << width << " scheme " << schemes[i].label();
-      EXPECT_EQ(obs_fingerprint(want[i]), obs_fingerprint(got[i]))
-          << "sim-threads " << width << " scheme " << schemes[i].label();
-      EXPECT_EQ(want[i].sim_stats.mailbox_enqueues,
-                got[i].sim_stats.mailbox_enqueues);
-      EXPECT_EQ(want[i].sim_stats.window_stalls,
-                got[i].sim_stats.window_stalls);
-      EXPECT_EQ(got[i].sim_stats.lookahead_violations, 0u);
-    }
-  }
-}
-
-TEST(HarnessParallel, PdesComposesWithSchemePool) {
-  // Across-run (pool) and within-run (sim-threads) parallelism at once:
-  // every simulated run gets its own pdes::Runtime, so the combination must
-  // still reproduce the serial sequential results.
-  const WorkloadBundle bundle = small_bundle();
-  const auto schemes = scheme_lineup();
-  Experiment serial(small_options(nullptr));
-  const auto want = serial.run_all(bundle, schemes);
-
-  ThreadPool pool(3);
-  ExperimentOptions options = small_options(&pool);
-  options.sim_threads = 2;
-  Experiment exp(options);
-  const auto got = exp.run_all(bundle, schemes);
-
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(fingerprint_core(want[i]), fingerprint_core(got[i]))
-        << "scheme " << schemes[i].label();
-    EXPECT_EQ(got[i].sim_stats.lookahead_violations, 0u);
   }
 }
 

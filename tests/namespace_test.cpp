@@ -2,7 +2,7 @@
 // placement, namespace capacity accounting, MDS lifecycle under concurrent
 // open/unlink and open storms, the shared (file, chunk) read cache, and the
 // population runner — including the failure/rebuild storm and its
-// determinism across PDES widths.
+// determinism across ThreadPool widths.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +10,7 @@
 #include <sstream>
 #include <vector>
 
+#include "src/common/thread_pool.hpp"
 #include "src/harness/population.hpp"
 #include "src/middleware/rebuild.hpp"
 #include "src/obs/recorder.hpp"
@@ -324,15 +325,28 @@ TEST(Population, DegenerateSingleFileMovesTheSameBytes) {
   EXPECT_EQ(pr.files[0].region_count, sr.region_count);
 }
 
-TEST(Population, ByteIdenticalAcrossPdesWidths) {
+/// Runs `scheme` over `pop` serially (width 0) or with a ThreadPool of
+/// `width` workers driving the per-file pipelines and the planner.
+harness::PopulationResult run_at_pool_width(
+    harness::ExperimentOptions options,
+    const std::vector<harness::PopulationFile>& pop,
+    const harness::LayoutScheme& scheme, std::size_t width) {
+  std::unique_ptr<ThreadPool> pool;
+  if (width > 0) {
+    pool = std::make_unique<ThreadPool>(width);
+    options.pool = pool.get();
+    options.planner.pool = pool.get();
+  }
+  harness::Experiment experiment(options);
+  return harness::run_population(experiment, pop, scheme);
+}
+
+TEST(Population, ByteIdenticalAcrossPoolWidths) {
   const auto pop = harness::make_population(small_spec(3));
   std::vector<harness::PopulationResult> results;
-  for (unsigned width : {0u, 2u}) {
-    harness::ExperimentOptions options = small_options();
-    options.sim_threads = width;
-    harness::Experiment experiment(options);
-    results.push_back(harness::run_population(experiment, pop,
-                                              harness::LayoutScheme::harl()));
+  for (std::size_t width : {0u, 4u}) {
+    results.push_back(run_at_pool_width(small_options(), pop,
+                                        harness::LayoutScheme::harl(), width));
   }
   ASSERT_EQ(results[0].files.size(), results[1].files.size());
   EXPECT_EQ(results[0].total.makespan, results[1].total.makespan);
@@ -341,6 +355,8 @@ TEST(Population, ByteIdenticalAcrossPdesWidths) {
     EXPECT_EQ(results[0].files[i].total.makespan,
               results[1].files[i].total.makespan);
     EXPECT_EQ(results[0].files[i].total.bytes, results[1].files[i].total.bytes);
+    EXPECT_EQ(results[0].files[i].layout_description,
+              results[1].files[i].layout_description);
   }
 }
 
@@ -399,14 +415,12 @@ TEST(Population, FailureStormServesDegradedReadsAndRebuilds) {
 TEST(Population, FailureStormIsDeterministicAcrossWidths) {
   const auto pop = harness::make_population(small_spec(2));
   std::vector<harness::PopulationResult> results;
-  for (unsigned width : {0u, 2u}) {
+  for (std::size_t width : {0u, 4u}) {
     harness::ExperimentOptions options = small_options();
-    options.sim_threads = width;
     options.cluster.fail_server = 3;
     options.cluster.fail_at = 0.001;
-    harness::Experiment experiment(options);
-    results.push_back(harness::run_population(
-        experiment, pop, harness::LayoutScheme::harl_adaptive()));
+    results.push_back(run_at_pool_width(
+        options, pop, harness::LayoutScheme::harl_adaptive(), width));
   }
   EXPECT_EQ(results[0].total.makespan, results[1].total.makespan);
   EXPECT_EQ(results[0].degraded_reads, results[1].degraded_reads);

@@ -45,6 +45,7 @@
 //
 // `harl_sim help` prints this key table — generated from the same option
 // table that validates arguments, so help and parser cannot drift.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -138,13 +139,6 @@ constexpr OptionSpec kOptions[] = {
      "worker threads, 0 = serial          (0)\n"
      "parallelizes the planner's analysis AND the per-scheme\n"
      "measured runs; tables are bit-identical at any width"},
-    {"sim-threads",
-     "PDES workers per simulated run, 0 = sequential engine (0)\n"
-     "shards one run's event loop across server/NIC logical\n"
-     "processes (conservative windows, lookahead = min network\n"
-     "latency / per-stripe overhead); every output is\n"
-     "byte-identical at any width, including 0.  Composes with\n"
-     "threads= (across-run x within-run parallelism)"},
     {"stats", "1 = print per-scheme event-engine counters (0)"},
     {"save-plan",
      "path; write the first analysis-based scheme's Plan\n"
@@ -193,7 +187,8 @@ constexpr OptionSpec kOptions[] = {
      "placed independently, all launched concurrently on ONE\n"
      "shared cluster (file= and request= default to 32M / 256K\n"
      "per file in this mode)"},
-    {"tenants", "tenant count for population runs       (2)"},
+    {"tenants",
+     "tenant count for population runs, at most files (2)"},
     {"zipf-tenant-theta",
      "Zipf skew of files-per-tenant shares, 0 = uniform (0.8);\n"
      "tenant 0 is the hot tenant and owns proportionally more\n"
@@ -433,12 +428,6 @@ int main(int argc, char** argv) {
       options.pool = pool.get();
     }
 
-    const long long sim_threads = cfg.get_int("sim-threads", 0);
-    if (sim_threads < 0 || sim_threads > 1024) {
-      throw std::invalid_argument("sim-threads must be in [0, 1024]");
-    }
-    options.sim_threads = static_cast<unsigned>(sim_threads);
-
     // Adaptive (harl-adaptive scheme) tuning.  The advisor reuses the
     // planner options — including the shared pool — so per-window
     // re-optimizations are as fast as the offline Analysis Phase.
@@ -492,6 +481,11 @@ int main(int argc, char** argv) {
     }
     options.cluster.gc_pause.duration = gc_pause_ms / 1000.0;
     options.cluster.gc_pause.period = cfg.get_double("gc-period", 0.5);
+    if (gc_pause_ms > 0.0 && !(options.cluster.gc_pause.period > 0.0)) {
+      throw std::invalid_argument(
+          "gc-period must be > 0 when gc-pause-ms is set (a pause needs a "
+          "cycle to repeat in)");
+    }
     options.cluster.gc_pause.factor = cfg.get_double("gc-factor", 8.0);
     options.cluster.gc_pause.server = cfg.get_int("gc-server", -1);
 
@@ -506,6 +500,12 @@ int main(int argc, char** argv) {
     if (options.cluster.fail_server >= 0 && n_files == 0) {
       throw std::invalid_argument(
           "fail-server needs a population run (files >= 1)");
+    }
+    if (options.cluster.fail_server >= 0 && cfg.get_int("replicas", 1) == 0) {
+      // Failure is modelled on the replicated path only: without a replica
+      // the dead server would silently keep serving.
+      throw std::invalid_argument(
+          "fail-server needs replicas=1 (degraded reads need a live copy)");
     }
 
     std::vector<harness::LayoutScheme> schemes;
@@ -534,7 +534,13 @@ int main(int argc, char** argv) {
       }
       harness::PopulationSpec spec;
       spec.files = static_cast<std::size_t>(n_files);
-      spec.tenants = static_cast<std::size_t>(cfg.get_int("tenants", 2));
+      // Default 2 tenants, capped at the file count so files=1 stays valid.
+      spec.tenants = static_cast<std::size_t>(
+          cfg.get_int("tenants", std::min<long long>(2, n_files)));
+      if (spec.tenants < 1 || spec.tenants > spec.files) {
+        throw std::invalid_argument("tenants must be in [1, files=" +
+                                    std::to_string(spec.files) + "]");
+      }
       spec.tenant_theta = cfg.get_double("zipf-tenant-theta", 0.8);
       spec.processes = static_cast<std::size_t>(cfg.get_int("procs", 8));
       spec.file_size = cfg.get_size("file", 32 * MiB);
@@ -818,15 +824,6 @@ int main(int argc, char** argv) {
               << ", \"resplits\": " << c.resplits
               << ", \"clears\": " << c.clears << "}";
         }
-        if (options.sim_threads > 0) {
-          // PDES health of the measured run (obs_report.py --check asserts
-          // lookahead_violations == 0).
-          out << ", \"engine\": {\"sim_threads\": " << options.sim_threads
-              << ", \"mailbox_enqueues\": " << r.sim_stats.mailbox_enqueues
-              << ", \"window_stalls\": " << r.sim_stats.window_stalls
-              << ", \"lookahead_violations\": "
-              << r.sim_stats.lookahead_violations << "}";
-        }
         out << ", \"report\": ";
         r.obs->write_metrics_json(out, 4);
         out << "}";
@@ -941,8 +938,7 @@ int main(int argc, char** argv) {
       std::cout << "\n== event engine (measured runs) ==\n";
       harness::Table stats_table({"layout", "events", "peak queue", "now-lane",
                                   "ascending", "pool hit%", "chunks",
-                                  "inline", "spilled", "mailbox", "stalls",
-                                  "la-viol"});
+                                  "inline", "spilled"});
       for (const auto& r : results) {
         const auto& s = r.sim_stats;
         const std::uint64_t slots = s.pool_hits + s.pool_misses;
@@ -960,9 +956,6 @@ int main(int argc, char** argv) {
             std::to_string(s.pool_chunks),
             std::to_string(s.inline_callbacks),
             std::to_string(s.heap_callbacks),
-            std::to_string(s.mailbox_enqueues),
-            std::to_string(s.window_stalls),
-            std::to_string(s.lookahead_violations),
         });
       }
       stats_table.print(std::cout);

@@ -312,23 +312,6 @@ def check_metrics(doc, path="metrics"):
                         or qs[-1] > series.get("max", 0.0) + 1e-12):
                     fail(f"metrics[{label}]/{series.get('name')}: sketch "
                          f"quantiles outside [min, max]")
-        engine = scheme.get("engine")
-        if engine is not None:
-            # PDES health block (present when the run used sim-threads>0):
-            # a conservative executor must never deliver an event into a
-            # closed window, on any machine, at any worker count.
-            if not isinstance(engine, dict):
-                fail(f"metrics[{label}]: engine block is not an object")
-            if engine.get("sim_threads", 0) < 1:
-                fail(f"metrics[{label}]: engine block with sim_threads < 1")
-            for key in ("mailbox_enqueues", "window_stalls",
-                        "lookahead_violations"):
-                if engine.get(key, 0) < 0:
-                    fail(f"metrics[{label}]: negative engine counter {key}")
-            if engine.get("lookahead_violations", 0) != 0:
-                fail(f"metrics[{label}]: {engine['lookahead_violations']} "
-                     f"lookahead violations — PDES delivered into a closed "
-                     f"window")
         if check_adaptive(label, report):
             adaptive_schemes += 1
         if check_cache(label, report):
