@@ -1,5 +1,6 @@
 // Micro-benchmarks of Algorithm 2 (region stripe-size determination):
-// runtime vs grid step, request count, and thread-pool sharding.  The paper
+// runtime vs grid step, request count, thread-pool sharding of the bounds,
+// and the 1 MiB IOR region that dominates a single-file HARL run.  The paper
 // notes the search runs offline and "the computational overhead ... is
 // acceptable"; these benches quantify that.
 #include <benchmark/benchmark.h>
@@ -101,6 +102,25 @@ BENCHMARK(BM_OptimizeRegion_Sampling)
     ->Arg(1024)
     ->Arg(0)  // unsampled
     ->Unit(benchmark::kMillisecond);
+
+// The ior-plan shape on its own: one region of 1 MiB requests, all 4,096
+// scored, on a calibrated 6 + 2 cluster.  The counters show how much of the
+// 32,897-candidate grid the lower bound leaves to score.
+void BM_OptimizeRegion_Ior1M(benchmark::State& state) {
+  const CostParams p = bench_params();
+  const auto reqs = requests(4096, 1 * MiB);
+  RegionStripes result;
+  for (auto _ : state) {
+    result = optimize_region(p, reqs, 1.0 * MiB);
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["candidates"] =
+      static_cast<double>(result.candidates_evaluated);
+  state.counters["candidates_pruned"] =
+      static_cast<double>(result.candidates_pruned);
+  state.counters["cost_evals"] = static_cast<double>(result.cost_evals);
+}
+BENCHMARK(BM_OptimizeRegion_Ior1M)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace harl::core

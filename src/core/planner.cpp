@@ -61,6 +61,7 @@ PlannedRegion planned_from(const DividedRegion& region,
   planned.avg_request = region.avg_request;
   planned.request_count = region.request_count();
   planned.candidates_evaluated = opt.candidates_evaluated;
+  planned.candidates_pruned = opt.candidates_pruned;
   planned.cost_evals = opt.cost_evals;
   planned.cost_evals_saved = opt.cost_evals_saved;
   return planned;
@@ -152,6 +153,13 @@ std::uint64_t Plan::total_cost_evals_saved() const {
   return std::accumulate(regions.begin(), regions.end(), std::uint64_t{0},
                          [](std::uint64_t acc, const PlannedRegion& r) {
                            return acc + r.cost_evals_saved;
+                         });
+}
+
+std::uint64_t Plan::total_candidates_pruned() const {
+  return std::accumulate(regions.begin(), regions.end(), std::uint64_t{0},
+                         [](std::uint64_t acc, const PlannedRegion& r) {
+                           return acc + r.candidates_pruned;
                          });
 }
 
@@ -607,6 +615,8 @@ Plan analyze_carl(std::span<const trace::TraceRecord> records,
     // Both single-tier searches count toward the region's analysis effort.
     planned.candidates_evaluated = carl[i].hdd_only.candidates_evaluated +
                                    carl[i].ssd_only.candidates_evaluated;
+    planned.candidates_pruned = carl[i].hdd_only.candidates_pruned +
+                                carl[i].ssd_only.candidates_pruned;
     planned.cost_evals =
         carl[i].hdd_only.cost_evals + carl[i].ssd_only.cost_evals;
     planned.cost_evals_saved = carl[i].hdd_only.cost_evals_saved +
@@ -664,6 +674,7 @@ Plan analyze_tiered(std::span<const trace::TraceRecord> records,
     planned.avg_request = region.avg_request;
     planned.request_count = region.request_count();
     planned.candidates_evaluated = optimized[i].candidates_evaluated;
+    planned.candidates_pruned = optimized[i].candidates_pruned;
     planned.cost_evals = optimized[i].cost_evals;
     planned.cost_evals_saved = optimized[i].cost_evals_saved;
     plan.regions.push_back(std::move(planned));

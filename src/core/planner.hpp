@@ -74,6 +74,7 @@ struct PlannedRegion {
   double avg_request = 0.0;
   std::size_t request_count = 0;
   std::size_t candidates_evaluated = 0;  ///< Algorithm 2 grid size
+  std::size_t candidates_pruned = 0;     ///< grid candidates never scored
   std::uint64_t cost_evals = 0;          ///< cost-kernel calls made
   std::uint64_t cost_evals_saved = 0;    ///< calls avoided by coalescing
   /// Estimated read chunk hit rate under the planned cache reservation
@@ -109,6 +110,7 @@ struct Plan {
   /// Aggregated Algorithm 2 effort across regions, for perf diagnostics.
   std::uint64_t total_cost_evals() const;
   std::uint64_t total_cost_evals_saved() const;
+  std::uint64_t total_candidates_pruned() const;
 };
 
 /// Runs the Analysis Phase over `records` (any order; input already in

@@ -115,6 +115,45 @@ Seconds tiered_cost_kernel_devices(
     int net_hops, Seconds per_stripe_overhead, Bytes offset, Bytes size,
     std::span<const Bytes> stripes, std::span<TierGeometry> scratch);
 
+/// Reusable buffers for tiered_cost_offset_min, so a caller that bounds
+/// many candidates allocates only once.
+struct OffsetMinScratch {
+  std::vector<TierGeometry> geometry;
+  std::vector<Bytes> cells;              ///< cell boundaries of the period
+  std::vector<std::size_t> cell_tier;    ///< tier of each cell
+  std::vector<std::size_t> first_cell;   ///< first cell of each tier
+  std::vector<Bytes> ends;               ///< end breakpoints, ascending
+  std::vector<Bytes> points;             ///< all breakpoints, ascending
+  std::vector<char> covered;             ///< breakpoint bounded by a neighbour
+};
+
+/// Lower bound on min over x in [0, S) of the kernel for a request of `size`
+/// bytes at offset x (S = sum counts[j] * stripes[j]): the cheapest place a
+/// request of this size can land under the layout.  `tier_factors` empty
+/// selects tiered_cost_kernel, otherwise tiered_cost_kernel_devices; the
+/// other arguments are the kernel's.
+///
+/// Breakpoints are the offsets where x or x + (size mod S) meets a cell
+/// boundary (at most 2 * cells of them).  Between two breakpoints the
+/// touched counts are constant and every server's bytes are affine in x, so
+/// the kernel with the per-stripe piece count relaxed from
+/// ceil(bytes / stripe) to bytes / stripe is convex and piecewise linear;
+/// its minimum lies at an end of the interval or where the start cell's or
+/// end cell's line crosses another line, and those points are evaluated.
+/// The same affine bytes are exact at the interval's ends, so they also
+/// bound the kernel at each breakpoint once a line cell left empty there is
+/// no longer counted as touched; the exact kernel is evaluated only at
+/// breakpoints no such interval reaches, and inside intervals whose
+/// geometry does not move.  The smallest value, less a 1e-12 relative slack
+/// for rounding, is returned, so it never exceeds the kernel at any offset.
+/// Throws std::invalid_argument on a zero period.
+Seconds tiered_cost_offset_min(
+    std::span<const std::size_t> counts,
+    std::span<const storage::OpProfile* const> profiles,
+    std::span<const double> tier_factors, Seconds t, Seconds net_latency,
+    int net_hops, Seconds per_stripe_overhead, Bytes size,
+    std::span<const Bytes> stripes, OffsetMinScratch& scratch);
+
 /// Cost of one request with per-tier stripe sizes (generalized Eq. 7/8).
 /// Heterogeneous tiers (non-empty device_factors) are charged at the worst
 /// factor over the full tier membership.

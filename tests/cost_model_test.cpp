@@ -6,6 +6,8 @@
 //  * equivalence of the two-tier model with the generalized multi-tier one.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -437,6 +439,108 @@ TEST(CostMemo, MixedMemberPrefixCountersStayPerCandidate) {
   EXPECT_EQ(computes, 2);   // one per candidate
   EXPECT_EQ(memo.misses(), 2u);
   EXPECT_EQ(memo.hits(), 6u);  // 2 + 4 within the owning candidates
+}
+
+// ---------------------------------------------------------------------------
+// The offset-minimum bound behind Algorithm 2's branch-and-bound: on
+// randomized layouts it must never exceed the kernel at any residue of the
+// period, which the small stripes let the test check exhaustively.
+// ---------------------------------------------------------------------------
+
+storage::OpProfile random_profile(Rng& rng) {
+  storage::OpProfile p;
+  p.startup_min = rng.uniform(0.0, 1e-3);
+  p.startup_max = p.startup_min + rng.uniform(0.0, 1e-3);
+  p.per_byte = rng.uniform(1e-7, 1e-4);
+  return p;
+}
+
+TEST(OffsetMinBound, NeverExceedsTheKernelAtAnyResidue) {
+  Rng rng(2015);
+  int checked = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::size_t k = rng.uniform_u64(1, 3);
+    std::vector<std::size_t> counts(k);
+    std::vector<Bytes> stripes(k);
+    std::vector<double> factors;
+    std::vector<storage::OpProfile> profiles(k);
+    std::vector<const storage::OpProfile*> profile_ptrs(k);
+    const bool devices = rng.uniform01() < 0.5;
+    Bytes S = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      // Member prefixes of a tier: any count, including none.
+      counts[j] = rng.uniform_u64(0, 4);
+      stripes[j] = rng.uniform01() < 0.2 ? 0 : rng.uniform_u64(1, 40);
+      profiles[j] = random_profile(rng);
+      profile_ptrs[j] = &profiles[j];
+      if (devices) factors.push_back(rng.uniform(1.0, 4.0));
+      S += counts[j] * stripes[j];
+    }
+    if (S == 0) continue;
+    const Seconds t = rng.uniform(0.0, 1e-5);
+    const Seconds latency = rng.uniform01() < 0.5 ? 0.0 : rng.uniform(0.0, 1e-4);
+    const int hops = static_cast<int>(rng.uniform_u64(1, 2));
+    const Seconds per_stripe =
+        rng.uniform01() < 0.5 ? 0.0 : rng.uniform(0.0, 1e-3);
+    // Unaligned sizes, whole periods, and sizes below one stripe.
+    const Bytes size = rng.uniform01() < 0.2 ? S * rng.uniform_u64(1, 3)
+                                             : rng.uniform_u64(1, 3 * S);
+    OffsetMinScratch scratch;
+    const Seconds bound = tiered_cost_offset_min(
+        counts, profile_ptrs, factors, t, latency, hops, per_stripe, size,
+        stripes, scratch);
+    std::vector<TierGeometry> geometry(k);
+    Seconds min_cost = std::numeric_limits<Seconds>::infinity();
+    for (Bytes x = 0; x < S; ++x) {
+      const Seconds cost =
+          devices ? tiered_cost_kernel_devices(counts, profile_ptrs, factors,
+                                               t, latency, hops, per_stripe,
+                                               x, size, stripes, geometry)
+                  : tiered_cost_kernel(counts, profile_ptrs, t, latency, hops,
+                                       per_stripe, x, size, stripes,
+                                       geometry);
+      ASSERT_LE(bound, cost) << "trial " << trial << " k=" << k
+                             << " S=" << S << " size=" << size << " x=" << x;
+      min_cost = std::min(min_cost, cost);
+    }
+    // Without the piece-count relaxation the bound is the minimum over
+    // real offsets, so it stays within the kernel's range.
+    if (per_stripe == 0.0) {
+      EXPECT_GT(bound, 0.5 * min_cost);
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 3000);
+}
+
+TEST(OffsetMinBound, IsTheKernelForWholePeriods) {
+  // size mod S == 0: every offset sees the same geometry.
+  const CostParams p = make_cost_params(6, 2, storage::hdd_profile(),
+                                        storage::pcie_ssd_profile(), 1e-9);
+  const TieredCostParams tp = to_tiered(p);
+  const std::size_t counts[2] = {6, 2};
+  const Bytes stripes[2] = {56 * KiB, 344 * KiB};
+  const storage::OpProfile* profiles[2] = {&tp.tiers[0].profile.read,
+                                           &tp.tiers[1].profile.read};
+  OffsetMinScratch scratch;
+  const Seconds bound = tiered_cost_offset_min(
+      counts, profiles, {}, tp.t, tp.net_latency, tp.net_hops,
+      tp.per_stripe_overhead, 1 * MiB, stripes, scratch);
+  const Seconds kernel =
+      request_cost(p, IoOp::kRead, 3 * MiB, 1 * MiB, {56 * KiB, 344 * KiB});
+  EXPECT_LE(bound, kernel);
+  EXPECT_NEAR(bound, kernel, kernel * 1e-11);
+}
+
+TEST(OffsetMinBound, RejectsAZeroPeriod) {
+  const std::size_t counts[2] = {0, 2};
+  const Bytes stripes[2] = {4 * KiB, 0};
+  const storage::OpProfile profile;
+  const storage::OpProfile* profiles[2] = {&profile, &profile};
+  OffsetMinScratch scratch;
+  EXPECT_THROW(tiered_cost_offset_min(counts, profiles, {}, 0.0, 0.0, 1, 0.0,
+                                      64 * KiB, stripes, scratch),
+               std::invalid_argument);
 }
 
 }  // namespace

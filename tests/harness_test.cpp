@@ -235,17 +235,22 @@ TEST(Experiment, ObservedHarlRunExportsPlannerMetrics) {
 
   // The per-region Analysis Phase counters must sum to the Plan's own
   // aggregates: the registry mirrors the planner, it does not re-measure it.
-  double evals = 0.0, saved = 0.0, candidates = 0.0;
+  double evals = 0.0, saved = 0.0, candidates = 0.0, pruned = 0.0;
   for (std::size_t i = 0; i < result.plan->regions.size(); ++i) {
     const auto labels = obs::LabelSet{}.region(static_cast<std::uint32_t>(i));
     evals += m.value("planner.region.cost_evals", labels);
     saved += m.value("planner.region.cost_evals_saved", labels);
     candidates += m.value("planner.region.candidates", labels);
+    pruned += m.value("planner.region.candidates_pruned", labels);
   }
   EXPECT_EQ(evals, static_cast<double>(result.plan->total_cost_evals()));
   EXPECT_EQ(saved,
             static_cast<double>(result.plan->total_cost_evals_saved()));
+  EXPECT_EQ(pruned,
+            static_cast<double>(result.plan->total_candidates_pruned()));
   EXPECT_GT(candidates, 0.0);
+  EXPECT_GT(pruned, 0.0);
+  EXPECT_LT(pruned, candidates);
   EXPECT_DOUBLE_EQ(m.value("planner.total_model_cost_s"),
                    result.plan->total_model_cost());
   EXPECT_EQ(m.value("planner.regions_after_merge"),
@@ -255,6 +260,8 @@ TEST(Experiment, ObservedHarlRunExportsPlannerMetrics) {
   // from the PFS layer), so one JSON dump carries both sides.
   std::ostringstream json;
   m.write_json(json);
+  EXPECT_NE(json.str().find("planner.region.candidates_pruned"),
+            std::string::npos);
   EXPECT_NE(json.str().find("planner.region.cost_evals"), std::string::npos);
   EXPECT_NE(json.str().find("pfs.server.bytes"), std::string::npos);
 }

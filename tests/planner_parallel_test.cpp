@@ -238,6 +238,33 @@ TEST(PlannerParallel, RepeatedParallelRunsAreStable) {
   }
 }
 
+TEST(PlannerParallel, SingleRegionSearchCountersMatchAtEveryPoolWidth) {
+  // One region leaves the pool to the optimizer: candidate bounds are
+  // sharded over it while the scan stays serial, so the search counters,
+  // not just the plan, are the same at every width.
+  const auto records = ior_trace();
+  const CostParams params = calibrated_params();
+  const Plan want = analyze(records, params);
+  ASSERT_EQ(want.regions.size(), 1u);
+  const PlannedRegion& serial = want.regions[0];
+  EXPECT_GT(serial.candidates_pruned, 0u);
+  EXPECT_LT(serial.candidates_pruned, serial.candidates_evaluated);
+  EXPECT_EQ(want.total_candidates_pruned(), serial.candidates_pruned);
+  for (const std::size_t width : {1, 2, 4}) {
+    SCOPED_TRACE("pool width " + std::to_string(width));
+    ThreadPool pool(width);
+    PlannerOptions opts;
+    opts.pool = &pool;
+    opts.optimizer.pool = &pool;
+    const Plan got = analyze(records, params, opts);
+    expect_identical(got, want);
+    ASSERT_EQ(got.regions.size(), 1u);
+    EXPECT_EQ(got.regions[0].candidates_pruned, serial.candidates_pruned);
+    EXPECT_EQ(got.regions[0].cost_evals, serial.cost_evals);
+    EXPECT_EQ(got.regions[0].cost_evals_saved, serial.cost_evals_saved);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Pinned golden plans, captured from the dedicated two-tier planning path
 // before the optimizer and planner generalized to tier vectors.  The generic
