@@ -49,7 +49,7 @@ double run_with_plan(const core::Plan& plan,
 
 void run_tables() {
   pfs::ClusterConfig cluster;
-  const core::CostParams params = harness::calibrate(cluster);
+  const core::TieredCostParams params = harness::calibrate(cluster);
   const auto records = misaligned_trace();
 
   std::cout << "\n== Ablation: Algorithm 1 vs fixed-chunk region division ==\n";

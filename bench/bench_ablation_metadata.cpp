@@ -61,7 +61,7 @@ double run_with_plan(const core::Plan& plan,
 void run_tables() {
   pfs::ClusterConfig cluster;
   harness::CalibrationOptions copts;
-  const core::CostParams params = harness::calibrate(cluster, copts);
+  const core::TieredCostParams params = harness::calibrate(cluster, copts);
   const auto records = bursty_trace();
 
   std::cout << "\n== Ablation: RST size vs throughput with per-request "

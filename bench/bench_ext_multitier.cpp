@@ -5,10 +5,11 @@
 // ways and measured end-to-end in the simulator:
 //   * uniform 64K      — the conventional fixed layout;
 //   * 2-tier collapsed — SATA and NVMe blended into one "SSD" profile, the
-//     paper's two-profile model optimizes (h, s), and the pair is applied
-//     to both SSD tiers;
-//   * 3-tier aware     — core::optimize_region_tiered searches per-tier
-//     stripes with the generalized cost model.
+//     paper's two-profile model optimizes (h, s) over Algorithm 2's grid
+//     (two tiers select it: s >= h + step), and the pair is applied to both
+//     SSD tiers;
+//   * 3-tier aware     — core::optimize_region searches per-tier stripes
+//     with the generalized cost model over the monotone k-tier grid.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
@@ -47,7 +48,7 @@ core::TieredCostParams tier_params() {
     prof->startup_max *= 0.55;
   }
   p.tiers = {
-      core::TierSpec{kCounts[0], hdd},
+             core::TierSpec{kCounts[0], hdd},
       core::TierSpec{kCounts[1], storage::sata_ssd_profile()},
       core::TierSpec{kCounts[2], storage::nvme_ssd_profile()},
   };
@@ -111,13 +112,13 @@ void run_tables() {
                         "3-tier aware", "aware stripes", "aware vs 64K"});
   for (Bytes req : {256 * KiB, 1 * MiB, 4 * MiB}) {
     const auto reqs = workload(req, 96);
-    core::TieredOptimizerOptions opts;
+    core::OptimizerOptions opts;
     opts.step = req >= 4 * MiB ? 64 * KiB : 16 * KiB;
 
     const auto aware =
-        core::optimize_region_tiered(p3, reqs, static_cast<double>(req), opts);
+        core::optimize_region(p3, reqs, static_cast<double>(req), opts);
     const auto blind =
-        core::optimize_region_tiered(p2, reqs, static_cast<double>(req), opts);
+        core::optimize_region(p2, reqs, static_cast<double>(req), opts);
     const std::vector<Bytes> blind_expanded = {blind.stripes[0],
                                                blind.stripes[1],
                                                blind.stripes[1]};
@@ -146,11 +147,11 @@ void run_tables() {
 void BM_ThreeTierOptimize(benchmark::State& state) {
   const auto p3 = tier_params();
   const auto reqs = workload(1 * MiB, 64);
-  core::TieredOptimizerOptions opts;
+  core::OptimizerOptions opts;
   opts.step = 64 * KiB;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::optimize_region_tiered(p3, reqs, 1.0 * MiB, opts));
+        core::optimize_region(p3, reqs, 1.0 * MiB, opts));
   }
 }
 BENCHMARK(BM_ThreeTierOptimize)->Unit(benchmark::kMillisecond);

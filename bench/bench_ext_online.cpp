@@ -58,7 +58,7 @@ double simulate(const std::vector<trace::TraceRecord>& reqs,
 
 void run_tables() {
   pfs::ClusterConfig cluster;
-  const core::CostParams params = harness::calibrate(cluster);
+  const core::TieredCostParams params = harness::calibrate(cluster);
 
   const auto phase_a = phase_requests(128 * KiB, 512, 31);
   const auto phase_b = phase_requests(2 * MiB, 256, 32);
@@ -110,7 +110,7 @@ void BM_AdvisorObserve(benchmark::State& state) {
   harness::CalibrationOptions copts;
   copts.samples_per_size = 300;
   copts.beta_samples = 300;
-  const core::CostParams params = harness::calibrate(cluster, copts);
+  const core::TieredCostParams params = harness::calibrate(cluster, copts);
   core::RegionStripeTable rst;
   rst.add(0, {28 * KiB, 172 * KiB});
   core::OnlineAdvisor::Options opts;

@@ -4,29 +4,32 @@
 #include <benchmark/benchmark.h>
 
 #include "src/common/rng.hpp"
-#include "src/core/cost_model.hpp"
+#include "src/core/closed_form.hpp"
 #include "src/core/tiered_cost_model.hpp"
 #include "src/storage/profiles.hpp"
 
 namespace harl::core {
 namespace {
 
-CostParams bench_params() {
-  CostParams p = make_cost_params(6, 2, storage::hdd_profile(),
-                                  storage::pcie_ssd_profile(),
-                                  1.0 / (117.0 * 1024 * 1024));
+TieredCostParams bench_params() {
+  TieredCostParams p;
+  p.tiers = {TierSpec{6, storage::hdd_profile(), {}},
+             TierSpec{2, storage::pcie_ssd_profile(), {}}};
+  p.t = 1.0 / (117.0 * 1024 * 1024);
   p.per_stripe_overhead = 50e-6;
   return p;
 }
 
 void BM_RequestGeometry(benchmark::State& state) {
-  const StripePair hs{static_cast<Bytes>(state.range(0)),
-                      static_cast<Bytes>(state.range(1))};
-  Rng rng(1);
+  const std::size_t counts[2] = {6, 2};
+  const Bytes stripes[2] = {static_cast<Bytes>(state.range(0)),
+                            static_cast<Bytes>(state.range(1))};
+  TierGeometry geometry[2];
   Bytes offset = 0;
   for (auto _ : state) {
     offset = (offset + 1315423911u) & ((1u << 30) - 1);
-    benchmark::DoNotOptimize(request_geometry(offset, 512 * KiB, hs, 6, 2));
+    tiered_geometry_into(offset, 512 * KiB, counts, stripes, geometry);
+    benchmark::DoNotOptimize(geometry);
   }
 }
 BENCHMARK(BM_RequestGeometry)
@@ -35,30 +38,19 @@ BENCHMARK(BM_RequestGeometry)
     ->Args({0, 64 * KiB});
 
 void BM_RequestCost(benchmark::State& state) {
-  const CostParams p = bench_params();
-  const StripePair hs{static_cast<Bytes>(state.range(0)),
-                      static_cast<Bytes>(state.range(1))};
+  const TieredCostParams p = bench_params();
+  const Bytes stripes[2] = {static_cast<Bytes>(state.range(0)),
+                            static_cast<Bytes>(state.range(1))};
   Bytes offset = 0;
   for (auto _ : state) {
     offset = (offset + 2654435761u) & ((1u << 30) - 1);
     benchmark::DoNotOptimize(
-        request_cost(p, IoOp::kRead, offset, 512 * KiB, hs));
+        request_cost(p, IoOp::kRead, offset, 512 * KiB, stripes));
   }
 }
 BENCHMARK(BM_RequestCost)
     ->Args({64 * KiB, 64 * KiB})
     ->Args({32 * KiB, 160 * KiB});
-
-void BM_RequestCostBreakdown(benchmark::State& state) {
-  const CostParams p = bench_params();
-  Bytes offset = 0;
-  for (auto _ : state) {
-    offset = (offset + 40503u * 4096u) & ((1u << 30) - 1);
-    benchmark::DoNotOptimize(request_cost_breakdown(
-        p, IoOp::kWrite, offset, 512 * KiB, {36 * KiB, 148 * KiB}));
-  }
-}
-BENCHMARK(BM_RequestCostBreakdown);
 
 void BM_TieredRequestCost(benchmark::State& state) {
   TieredCostParams p;
@@ -72,7 +64,7 @@ void BM_TieredRequestCost(benchmark::State& state) {
   for (auto _ : state) {
     offset = (offset + 97u * 4096u) & ((1u << 30) - 1);
     benchmark::DoNotOptimize(
-        tiered_request_cost(p, IoOp::kRead, offset, 1 * MiB, stripes));
+        request_cost(p, IoOp::kRead, offset, 1 * MiB, stripes));
   }
 }
 BENCHMARK(BM_TieredRequestCost);

@@ -21,7 +21,7 @@ namespace {
 
 /// Mean simulated completion latency of single requests at random aligned
 /// offsets (no queueing: one request at a time).
-Seconds simulated_latency(core::StripePair hs, IoOp op, Bytes size,
+Seconds simulated_latency(const std::vector<Bytes>& hs, IoOp op, Bytes size,
                           int samples) {
   Rng rng(77);
   Seconds total = 0.0;
@@ -30,7 +30,7 @@ Seconds simulated_latency(core::StripePair hs, IoOp op, Bytes size,
     pfs::ClusterConfig cfg;
     cfg.seed = 1000 + static_cast<std::uint64_t>(i);
     pfs::Cluster cluster(sim, cfg);
-    auto layout = pfs::make_two_tier_layout(6, hs.h, 2, hs.s);
+    auto layout = pfs::make_two_tier_layout(6, hs[0], 2, hs[1]);
     const Bytes offset = rng.uniform_u64(0, 4096) * size;
     Seconds start = 0.0;
     Seconds end = 0.0;
@@ -43,7 +43,7 @@ Seconds simulated_latency(core::StripePair hs, IoOp op, Bytes size,
 
 void run_tables() {
   pfs::ClusterConfig cluster;
-  const core::CostParams params = harness::calibrate(cluster);
+  const core::TieredCostParams params = harness::calibrate(cluster);
 
   std::cout << "\n== Model accuracy: predicted vs simulated single-request "
                "latency ==\n";
@@ -51,10 +51,10 @@ void run_tables() {
                         "rel. error"});
   double worst = 0.0;
   for (Bytes size : {128 * KiB, 512 * KiB, 2 * MiB}) {
-    for (core::StripePair hs :
-         {core::StripePair{64 * KiB, 64 * KiB},
-          core::StripePair{32 * KiB, 160 * KiB},
-          core::StripePair{0, 64 * KiB}}) {
+    for (const std::vector<Bytes>& hs :
+         {std::vector<Bytes>{64 * KiB, 64 * KiB},
+          std::vector<Bytes>{32 * KiB, 160 * KiB},
+          std::vector<Bytes>{0, 64 * KiB}}) {
       for (IoOp op : {IoOp::kRead, IoOp::kWrite}) {
         // Model cost averaged over the same offset distribution.
         Rng rng(77);
@@ -70,7 +70,7 @@ void run_tables() {
         worst = std::max(worst, rel);
         table.add_row({
             format_size(size),
-            "{" + format_size(hs.h) + "," + format_size(hs.s) + "}",
+            "{" + format_size(hs[0]) + "," + format_size(hs[1]) + "}",
             std::string(to_string(op)),
             harness::cell(model * 1e3, 2),
             harness::cell(sim_latency * 1e3, 2),
@@ -88,7 +88,7 @@ void run_tables() {
 void BM_SingleRequestSim(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(simulated_latency(
-        core::StripePair{32 * KiB, 160 * KiB}, IoOp::kRead, 512 * KiB, 4));
+        {32 * KiB, 160 * KiB}, IoOp::kRead, 512 * KiB, 4));
   }
 }
 BENCHMARK(BM_SingleRequestSim)->Unit(benchmark::kMillisecond);

@@ -13,11 +13,13 @@
 namespace harl::core {
 namespace {
 
-CostParams bench_params() {
-  CostParams p = make_cost_params(6, 2, storage::hdd_profile(),
-                                  storage::pcie_ssd_profile(),
-                                  1.0 / (117.0 * 1024 * 1024));
-  for (storage::OpProfile* prof : {&p.hserver_read, &p.hserver_write}) {
+TieredCostParams bench_params() {
+  TieredCostParams p;
+  p.tiers = {TierSpec{6, storage::hdd_profile(), {}},
+             TierSpec{2, storage::pcie_ssd_profile(), {}}};
+  p.t = 1.0 / (117.0 * 1024 * 1024);
+  for (storage::OpProfile* prof :
+       {&p.tiers[0].profile.read, &p.tiers[0].profile.write}) {
     prof->per_byte += prof->startup_mean() / static_cast<double>(64 * KiB);
     prof->startup_min *= 0.4;
     prof->startup_max *= 0.4;
@@ -37,7 +39,7 @@ std::vector<FileRequest> requests(std::size_t n, Bytes size) {
 }
 
 void BM_OptimizeRegion_StepSweep(benchmark::State& state) {
-  const CostParams p = bench_params();
+  const TieredCostParams p = bench_params();
   const auto reqs = requests(256, 512 * KiB);
   OptimizerOptions opts;
   opts.step = static_cast<Bytes>(state.range(0));
@@ -56,7 +58,7 @@ BENCHMARK(BM_OptimizeRegion_StepSweep)
     ->Unit(benchmark::kMillisecond);
 
 void BM_OptimizeRegion_RequestSweep(benchmark::State& state) {
-  const CostParams p = bench_params();
+  const TieredCostParams p = bench_params();
   const auto reqs = requests(static_cast<std::size_t>(state.range(0)), 512 * KiB);
   OptimizerOptions opts;
   opts.step = 16 * KiB;
@@ -72,7 +74,7 @@ BENCHMARK(BM_OptimizeRegion_RequestSweep)
     ->Unit(benchmark::kMillisecond);
 
 void BM_OptimizeRegion_Parallel(benchmark::State& state) {
-  const CostParams p = bench_params();
+  const TieredCostParams p = bench_params();
   const auto reqs = requests(512, 512 * KiB);
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   OptimizerOptions opts;
@@ -88,7 +90,7 @@ BENCHMARK(BM_OptimizeRegion_Parallel)
     ->Unit(benchmark::kMillisecond);
 
 void BM_OptimizeRegion_Sampling(benchmark::State& state) {
-  const CostParams p = bench_params();
+  const TieredCostParams p = bench_params();
   const auto reqs = requests(8192, 512 * KiB);
   OptimizerOptions opts;
   opts.step = 16 * KiB;
@@ -107,7 +109,7 @@ BENCHMARK(BM_OptimizeRegion_Sampling)
 // scored, on a calibrated 6 + 2 cluster.  The counters show how much of the
 // 32,897-candidate grid the lower bound leaves to score.
 void BM_OptimizeRegion_Ior1M(benchmark::State& state) {
-  const CostParams p = bench_params();
+  const TieredCostParams p = bench_params();
   const auto reqs = requests(4096, 1 * MiB);
   RegionStripes result;
   for (auto _ : state) {

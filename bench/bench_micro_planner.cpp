@@ -19,11 +19,13 @@
 namespace harl::core {
 namespace {
 
-CostParams bench_params() {
-  CostParams p = make_cost_params(6, 2, storage::hdd_profile(),
-                                  storage::pcie_ssd_profile(),
-                                  1.0 / (117.0 * 1024 * 1024));
-  for (storage::OpProfile* prof : {&p.hserver_read, &p.hserver_write}) {
+TieredCostParams bench_params() {
+  TieredCostParams p;
+  p.tiers = {TierSpec{6, storage::hdd_profile(), {}},
+             TierSpec{2, storage::pcie_ssd_profile(), {}}};
+  p.t = 1.0 / (117.0 * 1024 * 1024);
+  for (storage::OpProfile* prof :
+       {&p.tiers[0].profile.read, &p.tiers[0].profile.write}) {
     prof->per_byte += prof->startup_mean() / static_cast<double>(64 * KiB);
     prof->startup_min *= 0.4;
     prof->startup_max *= 0.4;
@@ -72,7 +74,7 @@ void BM_ScoreRegion_Coalescing(benchmark::State& state) {
   // The headline A/B: one uniform region, brute-force scorer (coalesce off,
   // range(1) == 0) vs memoized scorer (range(1) == 1).  Plans are
   // bit-identical (tests/planner_parallel_test.cpp); only the work differs.
-  const CostParams p = bench_params();
+  const TieredCostParams p = bench_params();
   const auto reqs =
       uniform_region(static_cast<std::size_t>(state.range(0)), 512 * KiB);
   OptimizerOptions opts;
@@ -99,7 +101,7 @@ BENCHMARK(BM_ScoreRegion_Coalescing)
 void BM_ScoreRegion_CoalescingMixedSizes(benchmark::State& state) {
   // Non-uniform region (two request sizes, read/write mix): more classes
   // per candidate, smaller but still real savings.
-  const CostParams p = bench_params();
+  const TieredCostParams p = bench_params();
   Rng rng(13);
   std::vector<FileRequest> reqs;
   for (std::size_t i = 0; i < 2048; ++i) {
@@ -130,7 +132,7 @@ void BM_Analyze_RegionParallel(benchmark::State& state) {
   // Full analyze() over a multi-region trace with the planner pool at 0
   // (serial), 2 and 4 threads.  Scaling is near-linear in hardware threads;
   // the plan is bit-identical at every width.
-  const CostParams p = bench_params();
+  const TieredCostParams p = bench_params();
   const auto records = multi_region_trace(8, 64);
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
   ThreadPool pool(threads == 0 ? 1 : threads);
@@ -157,7 +159,7 @@ BENCHMARK(BM_Analyze_RegionParallel)
 void BM_AnalyzeCarl_RegionParallel(benchmark::State& state) {
   // CARL runs two single-tier searches per region; the parallel grain is
   // (region, tier).
-  const CostParams p = bench_params();
+  const TieredCostParams p = bench_params();
   const auto records = multi_region_trace(8, 64);
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
   ThreadPool pool(threads == 0 ? 1 : threads);
@@ -219,7 +221,7 @@ void BM_AdvisorWindow(benchmark::State& state) {
   // window re-runs the Analysis Phase with the persistent cost memo.  This
   // is the budget the adaptive manager spends per request while deciding
   // whether to re-layout.
-  const CostParams p = bench_params();
+  const TieredCostParams p = bench_params();
   RegionStripeTable current;
   current.add(0, {28 * KiB, 172 * KiB});
   OnlineAdvisor::Options opts;
@@ -264,7 +266,7 @@ BENCHMARK(BM_AdvisorWindow)
 void BM_Analyze_PresortedTrace(benchmark::State& state) {
   // The harness hands the planner traces already in ByOffset order; the
   // planner now detects that and skips the copy + sort.
-  const CostParams p = bench_params();
+  const TieredCostParams p = bench_params();
   auto records = multi_region_trace(8, 256);
   if (state.range(0) == 0) {
     // Reversed input forces the sorted-copy path for comparison.

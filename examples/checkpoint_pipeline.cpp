@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   // ---------------------------------------------------------------------
   // Analysis Phase (offline): calibrate, divide, optimize, persist RST+R2F.
   // ---------------------------------------------------------------------
-  const core::CostParams params = harness::calibrate(cluster_config);
+  const core::TieredCostParams params = harness::calibrate(cluster_config);
   const auto loaded = trace::load_trace(trace_path);
   const core::Plan plan = core::analyze(loaded, params);
   mw::HarlDriver::save(workdir, kFileName, plan);

@@ -54,7 +54,7 @@ double throughput(const std::vector<trace::TraceRecord>& reqs,
 
 int main() {
   pfs::ClusterConfig cluster;
-  const core::CostParams params = harness::calibrate(cluster);
+  const core::TieredCostParams params = harness::calibrate(cluster);
 
   // Offline pipeline on the service's historical (small-request) profile.
   const auto history = phase(128 * KiB, 600, 51);

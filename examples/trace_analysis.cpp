@@ -61,17 +61,19 @@ int main(int argc, char** argv) {
 
   // --- calibrated model + analysis -----------------------------------
   pfs::ClusterConfig cluster;  // paper-shaped 6 HDD + 2 SSD hybrid PFS
-  const core::CostParams params = harness::calibrate(cluster);
+  const core::TieredCostParams params = harness::calibrate(cluster);
+  const storage::OpProfile& hserver = params.tiers[0].profile.read;
+  const storage::OpProfile& sserver = params.tiers[1].profile.read;
   std::cout << "\n--- calibrated model ---\n"
-            << "HServer: alpha [" << params.hserver_read.startup_min * 1e6
-            << ", " << params.hserver_read.startup_max * 1e6
+            << "HServer: alpha [" << hserver.startup_min * 1e6
+            << ", " << hserver.startup_max * 1e6
             << "] us, effective rate "
-            << harness::cell(1.0 / params.hserver_read.per_byte / (1024 * 1024), 1)
+            << harness::cell(1.0 / hserver.per_byte / (1024 * 1024), 1)
             << " MB/s\n"
-            << "SServer: alpha [" << params.sserver_read.startup_min * 1e6
-            << ", " << params.sserver_read.startup_max * 1e6
+            << "SServer: alpha [" << sserver.startup_min * 1e6
+            << ", " << sserver.startup_max * 1e6
             << "] us, effective rate "
-            << harness::cell(1.0 / params.sserver_read.per_byte / (1024 * 1024), 1)
+            << harness::cell(1.0 / sserver.per_byte / (1024 * 1024), 1)
             << " MB/s\n";
 
   const core::Plan plan = core::analyze(records, params);

@@ -1,7 +1,9 @@
 #include "src/core/closed_form.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 namespace harl::core {
 
@@ -33,7 +35,7 @@ void validate(Bytes r, StripePair hs, std::size_t M, std::size_t N) {
   if (hs.h == 0 || hs.s == 0 || M == 0 || N == 0) {
     throw std::invalid_argument(
         "closed form needs both tiers present (h, s, M, N > 0); use "
-        "request_geometry for single-tier layouts");
+        "tiered_geometry for single-tier layouts");
   }
 }
 
@@ -214,6 +216,104 @@ SubreqGeometry closed_form_geometry(Bytes o, Bytes r, StripePair hs,
   SubreqGeometry g;
   tier_closed_form(h_access, M, h, g.s_m, g.m);
   tier_closed_form(s_access, N, s, g.s_n, g.n);
+  return g;
+}
+
+SubreqGeometry request_geometry_reference(Bytes o, Bytes r, StripePair hs,
+                                          std::size_t M, std::size_t N) {
+  const Bytes S = static_cast<Bytes>(M) * hs.h + static_cast<Bytes>(N) * hs.s;
+  if (S == 0) throw std::invalid_argument("zero striping period");
+  std::vector<Bytes> per_server(M + N, 0);
+  Bytes pos = o;
+  const Bytes end = o + r;
+  while (pos < end) {
+    const Bytes within = pos % S;
+    // Find the server cell containing `within` by linear scan.
+    Bytes cell_base = 0;
+    std::size_t server = 0;
+    for (std::size_t i = 0; i < M + N; ++i) {
+      const Bytes st = i < M ? hs.h : hs.s;
+      if (within < cell_base + st) {
+        server = i;
+        break;
+      }
+      cell_base += st;
+    }
+    const Bytes st = server < M ? hs.h : hs.s;
+    const Bytes take = std::min(end - pos, cell_base + st - within);
+    per_server[server] += take;
+    pos += take;
+  }
+  SubreqGeometry g;
+  for (std::size_t i = 0; i < M + N; ++i) {
+    if (per_server[i] == 0) continue;
+    if (i < M) {
+      ++g.m;
+      g.s_m = std::max(g.s_m, per_server[i]);
+    } else {
+      ++g.n;
+      g.s_n = std::max(g.s_n, per_server[i]);
+    }
+  }
+  return g;
+}
+
+SubreqGeometry fig5_case_a_geometry(Bytes o, Bytes r, StripePair hs,
+                                    std::size_t M, std::size_t N) {
+  const Bytes h = hs.h;
+  const Bytes s = hs.s;
+  if (h == 0 || s == 0 || M == 0 || r == 0) {
+    throw std::domain_error("fig5 case (a) needs nonzero stripes and M > 0");
+  }
+  const Bytes S = static_cast<Bytes>(M) * h + static_cast<Bytes>(N) * s;
+  const Bytes r_b = o / S;
+  const Bytes r_e = (o + r) / S;
+  const Bytes l_b = o - r_b * S;
+  const Bytes l_e = (o + r) - r_e * S;
+  if (l_b >= M * h || l_e >= M * h) {
+    throw std::domain_error("request does not begin and end on HServers");
+  }
+  const Bytes n_b = l_b / h;
+  const Bytes n_e = l_e / h;
+  // Fragment sizes (the paper prints l_e where l_b is meant in s_b; and we
+  // take s_e as the bytes *into* the ending stripe, which is what makes the
+  // dr >= 1 rows exact).
+  const Bytes s_b = h - l_b % h;
+  const Bytes s_e = l_e % h;
+  const std::int64_t dr =
+      static_cast<std::int64_t>(r_e) - static_cast<std::int64_t>(r_b);
+  const std::int64_t dc =
+      static_cast<std::int64_t>(n_e) - static_cast<std::int64_t>(n_b);
+
+  SubreqGeometry g;
+  if (dr == 0) {
+    g.s_n = 0;
+    g.n = 0;
+    g.m = static_cast<std::size_t>(dc + 1);
+    if (dc == 0) {
+      g.s_m = s_b;  // paper's value; exact is r (upper bound, see header)
+    } else if (dc == 1) {
+      g.s_m = std::max(s_b, s_e);
+    } else {
+      g.s_m = h;
+    }
+  } else {
+    const Bytes drb = static_cast<Bytes>(dr);
+    g.s_n = drb * s;
+    g.n = N;
+    if (dc == 0) {
+      g.s_m = std::max(drb * h - h + s_b + s_e, drb * h);
+      g.m = M;
+    } else if (n_b + 1 == M && n_e == 0) {
+      g.s_m = std::max(drb * h - h + s_b, drb * h - h + s_e);
+      g.m = dr == 1 ? 2 : M;
+    } else {
+      g.s_m = drb * h;
+      g.m = dc < -1 ? static_cast<std::size_t>(
+                          static_cast<std::int64_t>(M) + 1 + dc)
+                    : M;
+    }
+  }
   return g;
 }
 

@@ -5,7 +5,7 @@
 
 namespace harl::core {
 
-OnlineAdvisor::OnlineAdvisor(CostParams params, RegionStripeTable current,
+OnlineAdvisor::OnlineAdvisor(TieredCostParams params, RegionStripeTable current,
                              Options options)
     : params_(std::move(params)),
       current_(std::move(current)),
@@ -22,13 +22,14 @@ OnlineAdvisor::OnlineAdvisor(CostParams params, RegionStripeTable current,
   window_.reserve(options_.window);
 }
 
-Seconds OnlineAdvisor::cost_under(const CostParams& params,
+Seconds OnlineAdvisor::cost_under(const TieredCostParams& params,
                                   const RegionStripeTable& rst,
                                   std::span<const trace::TraceRecord> records) {
   Seconds total = 0.0;
   for (const auto& r : records) {
     const RstEntry& entry = rst.lookup(r.offset);
-    total += request_cost(params, r.op, r.offset, r.size, entry.pair());
+    total += request_cost(params, r.op, r.offset, r.size, entry.stripes,
+                          entry.members);
   }
   return total;
 }

@@ -46,7 +46,8 @@ class OnlineAdvisor {
 
   /// `current` is the RST installed by the offline Analysis Phase (or a
   /// single-region default).  Must be non-empty.
-  OnlineAdvisor(CostParams params, RegionStripeTable current, Options options);
+  OnlineAdvisor(TieredCostParams params, RegionStripeTable current,
+                Options options);
 
   /// Feeds one completed request.  Returns a recommendation when this
   /// request completes a window whose re-optimization clears `min_gain`.
@@ -67,14 +68,16 @@ class OnlineAdvisor {
   std::uint64_t cost_evals_saved() const { return cost_evals_saved_; }
 
   /// Model cost of `records` when each request is striped per `rst`'s
-  /// governing region (requests spanning a boundary are costed with the
-  /// stripes of their starting region — the dominant share of their bytes).
-  static Seconds cost_under(const CostParams& params,
+  /// governing region — its stripes and member restriction, priced by the
+  /// device-aware request_cost (requests spanning a boundary are costed with
+  /// the layout of their starting region, the dominant share of their
+  /// bytes).
+  static Seconds cost_under(const TieredCostParams& params,
                             const RegionStripeTable& rst,
                             std::span<const trace::TraceRecord> records);
 
  private:
-  CostParams params_;
+  TieredCostParams params_;
   RegionStripeTable current_;
   Options options_;
   /// Kept in ByOffset order by insertion, so each full window is already the

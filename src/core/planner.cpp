@@ -4,6 +4,7 @@
 #include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace harl::core {
 
@@ -55,7 +56,7 @@ PlannedRegion planned_from(const DividedRegion& region,
   PlannedRegion planned;
   planned.offset = region.offset;
   planned.end = region.end;
-  planned.stripes = {opt.stripes.h, opt.stripes.s};
+  planned.stripes = opt.stripes;
   planned.members = opt.members;
   planned.model_cost = opt.model_cost;
   planned.avg_request = region.avg_request;
@@ -93,14 +94,29 @@ OptimizerOptions region_grain_optimizer(const PlannerOptions& options,
   return opt;
 }
 
+/// The plan fields that describe the calibration: per-tier server counts,
+/// the device table and the fingerprint.
+void stamp_calibration(Plan& plan, const TieredCostParams& params) {
+  plan.tier_counts.clear();
+  for (const auto& tier : params.tiers) plan.tier_counts.push_back(tier.count);
+  plan.device_factors = plan_device_factors(params);
+  plan.calibration_fingerprint = params_fingerprint(params);
+}
+
+/// Tiers 0 and 1 by name: the cache sweep and CARL are two-tier schemes.
+void require_two_tiers(const TieredCostParams& params, const char* who) {
+  if (params.tiers.size() != 2) {
+    throw std::invalid_argument(std::string(who) +
+                                " needs a two-tier calibration");
+  }
+}
+
 Plan plan_from_division(std::span<const trace::TraceRecord> sorted,
                         const RegionDivision& division,
-                        const CostParams& params,
+                        const TieredCostParams& params,
                         const PlannerOptions& options, bool homogeneous) {
   Plan plan;
-  plan.tier_counts = {params.M, params.N};
-  plan.device_factors = plan_device_factors(to_tiered(params));
-  plan.calibration_fingerprint = params_fingerprint(params);
+  stamp_calibration(plan, params);
   plan.threshold_used = division.threshold_used;
   plan.tuning_rounds = division.tuning_rounds;
 
@@ -122,8 +138,7 @@ Plan plan_from_division(std::span<const trace::TraceRecord> sorted,
   plan.regions.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     plan.regions.push_back(planned_from(division.regions[i], optimized[i]));
-    plan.rst.add(division.regions[i].offset,
-                 {optimized[i].stripes.h, optimized[i].stripes.s},
+    plan.rst.add(division.regions[i].offset, optimized[i].stripes,
                  optimized[i].members);
   }
 
@@ -164,7 +179,7 @@ std::uint64_t Plan::total_candidates_pruned() const {
 }
 
 Plan analyze(std::span<const trace::TraceRecord> records,
-             const CostParams& params, const PlannerOptions& options) {
+             const TieredCostParams& params, const PlannerOptions& options) {
   if (records.empty()) throw std::invalid_argument("cannot analyze empty trace");
   std::vector<trace::TraceRecord> storage;
   const auto sorted = ensure_sorted(records, storage);
@@ -173,11 +188,14 @@ Plan analyze(std::span<const trace::TraceRecord> records,
 }
 
 Plan analyze_cached(std::span<const trace::TraceRecord> records,
-                    const CostParams& params, const CachePlannerOptions& cache,
+                    const TieredCostParams& params,
+                    const CachePlannerOptions& cache,
                     const PlannerOptions& options) {
+  require_two_tiers(params, "analyze_cached");
+  const TierSpec& ssd = params.tiers[1];
   // Disabled cache planning (or no SSD tier to reserve from) degenerates to
   // the plain Analysis Phase, bit for bit.
-  if (!cache.enabled() || params.N == 0) {
+  if (!cache.enabled() || ssd.count == 0) {
     return analyze(records, params, options);
   }
   if (records.empty()) throw std::invalid_argument("cannot analyze empty trace");
@@ -267,7 +285,7 @@ Plan analyze_cached(std::span<const trace::TraceRecord> records,
   // that gain belongs to striping, not caching.  A reservation is kept only
   // when its cached wall beats the best idle wall of every candidate —
   // otherwise the plain analyze() plan stands.
-  const std::size_t r_max = std::min(cache.max_devices, params.N - 1);
+  const std::size_t r_max = std::min(cache.max_devices, ssd.count - 1);
   // Distinct issuing ranks: the latency sum divided by this is the
   // pipeline-parallel completion proxy the bandwidth floor is compared to.
   double processes = 1.0;
@@ -308,7 +326,7 @@ Plan analyze_cached(std::span<const trace::TraceRecord> records,
     std::vector<double> busy(tiered.tiers.size(), 0.0);
     std::vector<double> busy_nic(tiered.tiers.size(), 0.0);
     const double cache_mean =
-        live_cache ? storage::mean_device_factor(params.sserver_factors, r)
+        live_cache ? storage::mean_device_factor(ssd.device_factors, r)
                    : 1.0;
     for (std::size_t i = 0; i < count; ++i) {
       const DividedRegion& region = division.regions[i];
@@ -324,12 +342,9 @@ Plan analyze_cached(std::span<const trace::TraceRecord> records,
         } else {
           region_write += static_cast<double>(rec.size);
         }
-        const Seconds home =
-            planned.members.empty()
-                ? tiered_request_cost(tiered, rec.op, rec.offset, rec.size,
-                                      planned.stripes)
-                : tiered_request_cost(tiered, rec.op, rec.offset, rec.size,
-                                      planned.stripes, planned.members);
+        const Seconds home = request_cost(tiered, rec.op, rec.offset,
+                                          rec.size, planned.stripes,
+                                          planned.members);
         if (rec.op == IoOp::kRead && h > 0.0) {
           cost += expected_read_cost(
               home, cached_read_cost(tiered, spec, rec.offset, rec.size), h);
@@ -380,12 +395,12 @@ Plan analyze_cached(std::span<const trace::TraceRecord> records,
       if (live_cache) {
         const double cache_bytes = h * region_read + fill_bytes;
         const double chunkf = static_cast<double>(cache.chunk);
-        busy_cache += (h * region_read * params.sserver_read.per_byte +
-                       fill_bytes * params.sserver_write.per_byte +
+        busy_cache += (h * region_read * ssd.profile.read.per_byte +
+                       fill_bytes * ssd.profile.write.per_byte +
                        (h * region_read / chunkf) *
-                           params.sserver_read.startup_mean() +
+                           ssd.profile.read.startup_mean() +
                        (fill_bytes / chunkf) *
-                           params.sserver_write.startup_mean()) *
+                           ssd.profile.write.startup_mean()) *
                       cache_mean / static_cast<double>(r);
         busy_cache_nic += cache_bytes * tiered.t / static_cast<double>(r);
       }
@@ -404,34 +419,34 @@ Plan analyze_cached(std::span<const trace::TraceRecord> records,
   double best_wall = 0.0;
   std::size_t best_r = 0;
   for (std::size_t r = 0; r <= r_max; ++r) {
-    CostParams reduced = params;
-    reduced.N = params.N - r;
-    if (!reduced.sserver_factors.empty()) {
+    TieredCostParams reduced = params;
+    TierSpec& reduced_ssd = reduced.tiers[1];
+    reduced_ssd.count = ssd.count - r;
+    if (!reduced_ssd.device_factors.empty()) {
       // The reserved prefix is the canonical vector's fastest r members;
       // the remainder re-canonicalizes (it may collapse to homogeneous).
-      reduced.sserver_factors.erase(
-          reduced.sserver_factors.begin(),
-          reduced.sserver_factors.begin() + static_cast<std::ptrdiff_t>(r));
-      storage::canonicalize_device_factors(reduced.sserver_factors);
+      reduced_ssd.device_factors.erase(
+          reduced_ssd.device_factors.begin(),
+          reduced_ssd.device_factors.begin() + static_cast<std::ptrdiff_t>(r));
+      storage::canonicalize_device_factors(reduced_ssd.device_factors);
     }
     Plan plan_r = plan_from_division(sorted, division, reduced, options, false);
 
-    const TieredCostParams tiered = to_tiered(reduced);
     CacheReadSpec spec;
     if (r > 0) {
       spec.devices = r;
       spec.chunk = cache.chunk;
-      spec.profile = params.sserver_read;
-      spec.worst_factor = storage::worst_device_factor(params.sserver_factors, r);
+      spec.profile = ssd.profile.read;
+      spec.worst_factor = storage::worst_device_factor(ssd.device_factors, r);
     }
-    const CandidateEval idle = evaluate(plan_r, tiered, r, spec, false);
+    const CandidateEval idle = evaluate(plan_r, reduced, r, spec, false);
     if (r == 0) {
       best_idle_wall = idle.wall;
       base_plan = std::move(plan_r);
       continue;
     }
     best_idle_wall = std::min(best_idle_wall, idle.wall);
-    CandidateEval live = evaluate(plan_r, tiered, r, spec, true);
+    CandidateEval live = evaluate(plan_r, reduced, r, spec, true);
     if (best_r == 0 || live.wall < best_wall) {
       best_plan = std::move(plan_r);
       best_region_cost = std::move(live.region_cost);
@@ -451,9 +466,7 @@ Plan analyze_cached(std::span<const trace::TraceRecord> records,
   // The plan describes the *physical* cluster: full tier counts, full device
   // table, and the fingerprint of the calibration in force.  The reduced
   // view it was optimized under is implied by the cache reservation.
-  plan.tier_counts = {params.M, params.N};
-  plan.device_factors = plan_device_factors(to_tiered(params));
-  plan.calibration_fingerprint = params_fingerprint(params);
+  stamp_calibration(plan, params);
   for (std::size_t i = 0; i < count; ++i) {
     plan.regions[i].expected_hit_rate = hit_rate[i];
     plan.regions[i].model_cost = best_region_cost[i];
@@ -473,7 +486,7 @@ Plan analyze_cached(std::span<const trace::TraceRecord> records,
 }
 
 Plan analyze_file_level(std::span<const trace::TraceRecord> records,
-                        const CostParams& params,
+                        const TieredCostParams& params,
                         const PlannerOptions& options) {
   if (records.empty()) throw std::invalid_argument("cannot analyze empty trace");
   std::vector<trace::TraceRecord> storage;
@@ -499,7 +512,7 @@ Plan analyze_file_level(std::span<const trace::TraceRecord> records,
 }
 
 Plan analyze_segment_level(std::span<const trace::TraceRecord> records,
-                           const CostParams& params,
+                           const TieredCostParams& params,
                            const PlannerOptions& options) {
   if (records.empty()) throw std::invalid_argument("cannot analyze empty trace");
   std::vector<trace::TraceRecord> storage;
@@ -509,7 +522,7 @@ Plan analyze_segment_level(std::span<const trace::TraceRecord> records,
 }
 
 Plan analyze_fixed_regions(std::span<const trace::TraceRecord> records,
-                           const CostParams& params, Bytes chunk_size,
+                           const TieredCostParams& params, Bytes chunk_size,
                            const PlannerOptions& options) {
   if (records.empty()) throw std::invalid_argument("cannot analyze empty trace");
   std::vector<trace::TraceRecord> storage;
@@ -519,8 +532,9 @@ Plan analyze_fixed_regions(std::span<const trace::TraceRecord> records,
 }
 
 Plan analyze_carl(std::span<const trace::TraceRecord> records,
-                  const CostParams& params, Bytes ssd_capacity,
+                  const TieredCostParams& params, Bytes ssd_capacity,
                   const PlannerOptions& options) {
+  require_two_tiers(params, "analyze_carl");
   if (records.empty()) throw std::invalid_argument("cannot analyze empty trace");
   std::vector<trace::TraceRecord> storage;
   const auto sorted = ensure_sorted(records, storage);
@@ -538,11 +552,16 @@ Plan analyze_carl(std::span<const trace::TraceRecord> records,
   std::vector<CarlRegion> carl(count);
 
   // HServer-only: force s = 0 by restricting the search to N = 0;
-  // SServer-only: force h = 0 via M = 0.
-  CostParams hdd_params = params;
-  hdd_params.N = 0;
-  CostParams ssd_params = params;
-  ssd_params.M = 0;
+  // SServer-only: force h = 0 via M = 0.  The grid gives a tier without
+  // servers only stripe 0; its device factors describe no member and go too.
+  auto without_tier = [&](std::size_t tier) {
+    TieredCostParams half = params;
+    half.tiers[tier].count = 0;
+    half.tiers[tier].device_factors.clear();
+    return half;
+  };
+  const TieredCostParams hdd_params = without_tier(1);
+  const TieredCostParams ssd_params = without_tier(0);
 
   // The two single-tier searches per region are independent of each other,
   // so the parallel grain is (region, tier): 2 * count tasks.
@@ -554,11 +573,9 @@ Plan analyze_carl(std::span<const trace::TraceRecord> records,
     if (task % 2 == 0) {
       carl[r].hdd_only =
           optimize_region(hdd_params, reqs, region.avg_request, opt_options);
-      carl[r].hdd_only.stripes.s = 0;
     } else {
       carl[r].ssd_only =
           optimize_region(ssd_params, reqs, region.avg_request, opt_options);
-      carl[r].ssd_only.stripes.h = 0;
     }
   };
   if (options.pool != nullptr && count > 0) {
@@ -597,9 +614,7 @@ Plan analyze_carl(std::span<const trace::TraceRecord> records,
   }
 
   Plan plan;
-  plan.tier_counts = {params.M, params.N};
-  plan.device_factors = plan_device_factors(to_tiered(params));
-  plan.calibration_fingerprint = params_fingerprint(params);
+  stamp_calibration(plan, params);
   plan.threshold_used = division.threshold_used;
   plan.tuning_rounds = division.tuning_rounds;
   for (std::size_t i = 0; i < carl.size(); ++i) {
@@ -607,7 +622,7 @@ Plan analyze_carl(std::span<const trace::TraceRecord> records,
     PlannedRegion planned;
     planned.offset = carl[i].region.offset;
     planned.end = carl[i].region.end;
-    planned.stripes = {choice.stripes.h, choice.stripes.s};
+    planned.stripes = choice.stripes;
     planned.members = choice.members;
     planned.model_cost = choice.model_cost;
     planned.avg_request = carl[i].region.avg_request;
@@ -624,63 +639,6 @@ Plan analyze_carl(std::span<const trace::TraceRecord> records,
     plan.regions.push_back(planned);
     plan.rst.add(planned.offset, planned.stripes, planned.members);
   }
-  plan.regions_before_merge = plan.rst.size();
-  if (options.merge_adjacent) plan.rst.merge_adjacent();
-  plan.regions_after_merge = plan.rst.size();
-  return plan;
-}
-
-Plan analyze_tiered(std::span<const trace::TraceRecord> records,
-                    const TieredCostParams& params,
-                    const TieredPlannerOptions& options) {
-  if (records.empty()) throw std::invalid_argument("cannot analyze empty trace");
-  std::vector<trace::TraceRecord> storage;
-  const auto sorted = ensure_sorted(records, storage);
-  const RegionDivision division = divide_regions(sorted, options.divider);
-
-  Plan plan;
-  plan.tier_counts.reserve(params.tiers.size());
-  for (const auto& tier : params.tiers) plan.tier_counts.push_back(tier.count);
-  plan.device_factors = plan_device_factors(params);
-  plan.calibration_fingerprint = params_fingerprint(params);
-  plan.threshold_used = division.threshold_used;
-  plan.tuning_rounds = division.tuning_rounds;
-
-  const std::size_t count = division.regions.size();
-  TieredOptimizerOptions opt_options = options.optimizer;
-  if (options.pool != nullptr && count > 1) opt_options.pool = nullptr;
-  std::vector<TieredRegionStripes> optimized(count);
-  auto optimize_one = [&](std::size_t i) {
-    const DividedRegion& region = division.regions[i];
-    const auto reqs = region_requests(sorted, region);
-    optimized[i] =
-        optimize_region_tiered(params, reqs, region.avg_request, opt_options);
-  };
-  if (options.pool != nullptr && count > 1) {
-    options.pool->parallel_for(count, optimize_one);
-  } else {
-    for (std::size_t i = 0; i < count; ++i) optimize_one(i);
-  }
-
-  plan.regions.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const DividedRegion& region = division.regions[i];
-    PlannedRegion planned;
-    planned.offset = region.offset;
-    planned.end = region.end;
-    planned.stripes = optimized[i].stripes;
-    planned.members = optimized[i].members;
-    planned.model_cost = optimized[i].model_cost;
-    planned.avg_request = region.avg_request;
-    planned.request_count = region.request_count();
-    planned.candidates_evaluated = optimized[i].candidates_evaluated;
-    planned.candidates_pruned = optimized[i].candidates_pruned;
-    planned.cost_evals = optimized[i].cost_evals;
-    planned.cost_evals_saved = optimized[i].cost_evals_saved;
-    plan.regions.push_back(std::move(planned));
-    plan.rst.add(region.offset, optimized[i].stripes, optimized[i].members);
-  }
-
   plan.regions_before_merge = plan.rst.size();
   if (options.merge_adjacent) plan.rst.merge_adjacent();
   plan.regions_after_merge = plan.rst.size();

@@ -13,10 +13,10 @@
 #include <span>
 #include <vector>
 
-#include "src/core/cost_model.hpp"
 #include "src/core/region_divider.hpp"
 #include "src/core/rst.hpp"
 #include "src/core/stripe_optimizer.hpp"
+#include "src/core/tiered_cost_model.hpp"
 #include "src/storage/cache_tier.hpp"
 
 namespace harl::core {
@@ -116,9 +116,12 @@ struct Plan {
 /// Runs the Analysis Phase over `records` (any order; input already in
 /// ByOffset order — e.g. TraceCollector::sorted_by_offset() — is used in
 /// place, so multi-scheme experiments sort the trace once).
-/// Throws std::invalid_argument on an empty trace.
+/// The calibration may have any number of tiers; the optimizer's grid
+/// follows from it (stripe_optimizer.hpp).  Throws std::invalid_argument on
+/// an empty trace.
 Plan analyze(std::span<const trace::TraceRecord> records,
-             const CostParams& params, const PlannerOptions& options = {});
+             const TieredCostParams& params,
+             const PlannerOptions& options = {});
 
 /// Cache-aware Analysis Phase: enumerates reserving the fastest r devices of
 /// the SSD tier (tier 1) as a read cache, r = 0..cache.max_devices, as
@@ -131,28 +134,29 @@ Plan analyze(std::span<const trace::TraceRecord> records,
 /// replay of the trace, in time order, through a storage::CacheTier over
 /// logical file chunks — the same policy structure the runtime CacheManager
 /// drives.  Ties go to the smaller r, so when caching cannot help the result
-/// is bit-identical to analyze().
+/// is bit-identical to analyze().  Requires a two-tier calibration.
 Plan analyze_cached(std::span<const trace::TraceRecord> records,
-                    const CostParams& params, const CachePlannerOptions& cache,
+                    const TieredCostParams& params,
+                    const CachePlannerOptions& cache,
                     const PlannerOptions& options = {});
 
 /// File-level ablation: one region spanning the whole trace (heterogeneity-
 /// aware stripes but no region division).
 Plan analyze_file_level(std::span<const trace::TraceRecord> records,
-                        const CostParams& params,
+                        const TieredCostParams& params,
                         const PlannerOptions& options = {});
 
 /// Segment-level ablation (scheme [10]): Algorithm 1 region division but
 /// homogeneous (h == s) stripes per region.
 Plan analyze_segment_level(std::span<const trace::TraceRecord> records,
-                           const CostParams& params,
+                           const TieredCostParams& params,
                            const PlannerOptions& options = {});
 
 /// Fixed-chunk ablation: the paper's rejected strawman (Section III-C) —
 /// regions at fixed `chunk_size` boundaries instead of Algorithm 1, with
 /// heterogeneity-aware stripes per chunk.
 Plan analyze_fixed_regions(std::span<const trace::TraceRecord> records,
-                           const CostParams& params, Bytes chunk_size,
+                           const TieredCostParams& params, Bytes chunk_size,
                            const PlannerOptions& options = {});
 
 /// CARL baseline (the paper's reference [31], its closest prior work): the
@@ -162,24 +166,9 @@ Plan analyze_fixed_regions(std::span<const trace::TraceRecord> records,
 /// byte until `ssd_capacity` is exhausted; stripe sizes within each tier are
 /// optimized as usual.  HARL's advantage over CARL is exactly the ability to
 /// split one region across heterogeneous tiers (paper Section II).
+/// Requires a two-tier calibration.
 Plan analyze_carl(std::span<const trace::TraceRecord> records,
-                  const CostParams& params, Bytes ssd_capacity,
+                  const TieredCostParams& params, Bytes ssd_capacity,
                   const PlannerOptions& options = {});
-
-/// Options for the k-tier Analysis Phase (same pipeline, tiered optimizer).
-struct TieredPlannerOptions {
-  DividerOptions divider;
-  TieredOptimizerOptions optimizer;
-  bool merge_adjacent = true;  ///< merge equal-stripe neighbours (Sec. III-E)
-  ThreadPool* pool = nullptr;  ///< region-level parallelism, as PlannerOptions
-};
-
-/// Runs the Analysis Phase against a k-tier calibration: Algorithm 1 region
-/// division, then the tiered grid search per region.  For a two-tier
-/// calibration this differs from analyze() only in the candidate grid (the
-/// monotone tier-vector enumeration instead of the paper's (h, s) grid).
-Plan analyze_tiered(std::span<const trace::TraceRecord> records,
-                    const TieredCostParams& params,
-                    const TieredPlannerOptions& options = {});
 
 }  // namespace harl::core

@@ -14,13 +14,6 @@ constexpr char kHeaderV2[] = "harl-rst-v2";  ///< k inferred from columns
 constexpr char kHeaderV3[] = "harl-rst-v3";  ///< stripes + member columns
 }  // namespace
 
-StripePair RstEntry::pair() const {
-  if (stripes.size() != 2) {
-    throw std::logic_error("RST entry is not two-tier");
-  }
-  return StripePair{stripes[0], stripes[1]};
-}
-
 void RegionStripeTable::add(Bytes offset, std::vector<Bytes> stripes) {
   add(offset, std::move(stripes), {});
 }

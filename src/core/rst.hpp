@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/cost_model.hpp"
+#include "src/common/units.hpp"
 #include "src/pfs/region_layout.hpp"
 
 namespace harl::core {
@@ -38,9 +38,6 @@ struct RstEntry {
   /// membership; device-aware plans may restrict a tier to its fastest
   /// devices.
   std::vector<std::size_t> members;
-
-  /// Two-tier view; requires exactly two tiers.
-  StripePair pair() const;
 
   friend bool operator==(const RstEntry&, const RstEntry&) = default;
 };

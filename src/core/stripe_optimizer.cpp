@@ -32,40 +32,21 @@ struct Candidate {
   /// (e.g. every s <= r/N gives the same per-SServer bytes for aligned
   /// requests); the largest of them minimizes per-stripe overheads the model
   /// does not price, and matches the paper's reported optima ({0K, 64K} for
-  /// 128 KiB requests rather than {0K, 4K}).  The order is deterministic, so
+  /// 128 KiB requests rather than {0K, 4K}).  Vectors compare
+  /// lexicographically from tier 0; member counts break remaining ties the
+  /// same way with larger (wider) membership winning — cost-equivalent
+  /// layouts keep the most devices in play.  The order is deterministic, so
   /// results are independent of evaluation order and parallel sharding.
-  /// `tie_from_front` selects the lexicographic scan direction: the two-tier
-  /// API compares (h, s) from the front; the k-tier API compares from the
-  /// last (fastest) tier.  Member counts break remaining ties in the same
-  /// direction with larger (wider) membership winning — cost-equivalent
-  /// layouts keep the most devices in play.
-  bool better_than(const Candidate& other, bool tie_from_front) const {
+  bool better_than(const Candidate& other) const {
     if (cost != other.cost) return cost < other.cost;
     if (stripes.size() != other.stripes.size()) {
       return stripes.size() > other.stripes.size();  // beats the empty sentinel
     }
-    if (tie_from_front) {
-      for (std::size_t i = 0; i < stripes.size(); ++i) {
-        if (stripes[i] != other.stripes[i]) return stripes[i] > other.stripes[i];
-      }
-    } else {
-      for (std::size_t i = stripes.size(); i-- > 0;) {
-        if (stripes[i] != other.stripes[i]) return stripes[i] > other.stripes[i];
-      }
-    }
+    if (stripes != other.stripes) return stripes > other.stripes;
     if (members.size() != other.members.size()) {
       return members.size() > other.members.size();
     }
-    if (tie_from_front) {
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        if (members[i] != other.members[i]) return members[i] > other.members[i];
-      }
-    } else {
-      for (std::size_t i = members.size(); i-- > 0;) {
-        if (members[i] != other.members[i]) return members[i] > other.members[i];
-      }
-    }
-    return false;
+    return members > other.members;
   }
 };
 
@@ -96,9 +77,14 @@ std::uint64_t members_context(std::span<const std::size_t> members) {
   return h;
 }
 
-/// Recursively enumerates k-tier stripe vectors; calls `visit` on each.
-void enumerate(std::vector<Bytes>& stripes, std::size_t tier, Bytes R,
-               Bytes step, bool monotone,
+/// Recursively enumerates the candidate stripe vectors from `tier` on, tier
+/// 0 varying slowest; calls `visit` on each.  Tier j > 0 starts at tier
+/// j - 1's stripe (plus one step on the `paper` grid) and runs to R, or to
+/// that start when it exceeds R (the k = 2 h = R extreme); a zero lower
+/// bound admits 0 itself, i.e. "skip this tier".  On the `paper` grid a tier
+/// without servers takes only stripe 0.
+void enumerate(const TieredCostParams& params, std::vector<Bytes>& stripes,
+               std::size_t tier, Bytes R, Bytes step, bool paper,
                const std::function<void(const std::vector<Bytes>&)>& visit) {
   if (tier == stripes.size()) {
     for (Bytes s : stripes) {
@@ -109,14 +95,36 @@ void enumerate(std::vector<Bytes>& stripes, std::size_t tier, Bytes R,
     }
     return;  // all-zero is not a layout
   }
-  const Bytes lo = monotone && tier > 0 ? stripes[tier - 1] : 0;
-  // Candidate sizes for this tier: lo, then grid points up to R (a zero
-  // lower bound admits 0 itself, i.e. "skip this tier").
-  for (Bytes s = lo; s <= R; s = (s == 0 ? step : s + step)) {
+  if (paper && params.tiers[tier].count == 0) {
+    stripes[tier] = 0;
+    enumerate(params, stripes, tier + 1, R, step, paper, visit);
+    return;
+  }
+  const Bytes lo = tier > 0 ? stripes[tier - 1] + (paper ? step : 0) : 0;
+  for (Bytes s = lo; s <= std::max(R, lo); s = (s == 0 ? step : s + step)) {
     stripes[tier] = s;
-    enumerate(stripes, tier + 1, R, step, monotone, visit);
+    enumerate(params, stripes, tier + 1, R, step, paper, visit);
   }
   stripes[tier] = 0;
+}
+
+/// The candidate grid of Algorithm 2, chosen by the number of tiers k (see
+/// stripe_optimizer.hpp): for k = 2 the paper's (h, s) pairs with s >= h +
+/// step, for any other k the non-strict monotone vectors.  `homogeneous`
+/// replaces either with the equal-stripe vectors (v, ..., v), v = step..R.
+void for_each_candidate(
+    const TieredCostParams& params, Bytes R, Bytes step, bool homogeneous,
+    const std::function<void(const std::vector<Bytes>&)>& visit) {
+  const std::size_t k = params.tiers.size();
+  std::vector<Bytes> stripes(k, 0);
+  if (homogeneous) {
+    for (Bytes v = step; v <= R; v += step) {
+      std::fill(stripes.begin(), stripes.end(), v);
+      visit(stripes);
+    }
+    return;
+  }
+  enumerate(params, stripes, 0, R, step, /*paper=*/k == 2, visit);
 }
 
 /// The candidate grid as flat arrays indexed by candidate number, k entries
@@ -210,18 +218,7 @@ RequestClasses request_classes(std::span<const FileRequest> requests,
   return out;
 }
 
-struct EngineResult {
-  std::vector<Bytes> stripes;
-  std::vector<std::size_t> members;  ///< empty = full membership
-  Seconds model_cost = 0.0;
-  std::size_t candidates_evaluated = 0;
-  std::size_t candidates_pruned = 0;
-  std::uint64_t cost_evals = 0;
-  std::uint64_t cost_evals_saved = 0;
-};
-
-/// The one search engine every public API feeds: an exact branch-and-bound
-/// over the candidate grid.
+/// The search engine: an exact branch-and-bound over the candidate grid.
 ///
 /// Bound: a candidate's sampled cost is at least the sum, over the (op,
 /// size) classes of the sampled requests, of count times the kernel's
@@ -241,11 +238,10 @@ struct EngineResult {
 /// scratch so it never allocates.  Heterogeneous params route through the
 /// device-aware kernel with each candidate's worst-member factors;
 /// homogeneous params take the original kernel, bit for bit.
-EngineResult search_engine(const TieredCostParams& params,
-                           std::span<const FileRequest> requests,
-                           const CandidateGrid& grid, std::size_t max_requests,
-                           ThreadPool* pool, bool coalesce, bool tie_from_front,
-                           CostMemo* scratch = nullptr) {
+RegionStripes search_engine(const TieredCostParams& params,
+                            std::span<const FileRequest> requests,
+                            const CandidateGrid& grid,
+                            const OptimizerOptions& options) {
   const std::size_t k = params.tiers.size();
   const bool heterogeneous = grid.heterogeneous();
   std::vector<std::size_t> counts(k);
@@ -257,7 +253,8 @@ EngineResult search_engine(const TieredCostParams& params,
     write_profiles[j] = &params.tiers[j].profile.write;
   }
 
-  const std::size_t stride = sample_stride(requests.size(), max_requests);
+  const std::size_t stride =
+      sample_stride(requests.size(), options.max_requests);
   const std::size_t sampled = (requests.size() + stride - 1) / stride;
   // Sampled sums are scaled back to the full region so reported costs are
   // comparable regardless of sampling.
@@ -374,7 +371,7 @@ EngineResult search_engine(const TieredCostParams& params,
       bounds[i] = Bound{scale(sum), i};
     }
   };
-  if (pool != nullptr && grid.size() > 1) {
+  if (ThreadPool* pool = options.pool; pool != nullptr && grid.size() > 1) {
     const std::size_t shards = std::min(pool->thread_count() * 4, grid.size());
     pool->parallel_for(shards, [&](std::size_t shard) {
       bound_range(grid.size() * shard / shards,
@@ -391,7 +388,7 @@ EngineResult search_engine(const TieredCostParams& params,
   // calls; its counters are cumulative, so report this call's work as
   // deltas.
   CostMemo local;
-  CostMemo& memo = scratch != nullptr ? *scratch : local;
+  CostMemo& memo = options.scratch != nullptr ? *options.scratch : local;
   const std::uint64_t misses_before = memo.misses();
   const std::uint64_t hits_before = memo.hits();
   View view = make_view();
@@ -401,30 +398,30 @@ EngineResult search_engine(const TieredCostParams& params,
   for (const Bound& bound : bounds) {
     if (bound.value * (1.0 - 1e-9) > best.cost) break;
     load(bound.index, view);
-    Candidate c{score(view, coalesce ? &memo : nullptr, geometry),
+    Candidate c{score(view, options.coalesce ? &memo : nullptr, geometry),
                 {view.stripes.begin(), view.stripes.end()},
                 heterogeneous ? std::vector<std::size_t>(view.use.begin(),
                                                          view.use.end())
                               : std::vector<std::size_t>{}};
     ++scored;
-    if (c.better_than(best, tie_from_front)) best = std::move(c);
+    if (c.better_than(best)) best = std::move(c);
   }
 
-  EngineResult result;
+  RegionStripes result;
   result.stripes = std::move(best.stripes);
   result.members = std::move(best.members);
   result.model_cost = best.cost;
   result.candidates_evaluated = grid.size();
   result.candidates_pruned = grid.size() - scored;
-  result.cost_evals = coalesce ? memo.misses() - misses_before
+  result.cost_evals = options.coalesce ? memo.misses() - misses_before
                                : static_cast<std::uint64_t>(scored) * sampled;
   result.cost_evals_saved = memo.hits() - hits_before;
   return result;
 }
 
-/// Two-tier front end: the legacy (h, s) grid and space-aware filter, fed
-/// through the shared engine with from-front tie-breaking.
-RegionStripes search(const CostParams& params,
+/// Validates the inputs, builds the candidate grid (applying the space-aware
+/// filter) and runs the engine.
+RegionStripes search(const TieredCostParams& params,
                      std::span<const FileRequest> requests,
                      double avg_request_size, const OptimizerOptions& options,
                      bool homogeneous) {
@@ -435,100 +432,78 @@ RegionStripes search(const CostParams& params,
   if (avg_request_size <= 0.0) {
     throw std::invalid_argument("average request size must be positive");
   }
-  if (params.M + params.N == 0) {
+  std::size_t total_servers = 0;
+  for (const auto& tier : params.tiers) total_servers += tier.count;
+  if (total_servers == 0) {
     throw std::invalid_argument("cost params describe no servers");
   }
   if (options.max_sserver_share <= 0.0 || options.max_sserver_share > 1.0) {
     throw std::invalid_argument("max_sserver_share must be in (0, 1]");
   }
+  const bool filter = options.max_sserver_share < 1.0;
+  if (filter && params.tiers.size() != 2) {
+    throw std::invalid_argument("max_sserver_share needs exactly two tiers");
+  }
 
   const Bytes step = options.step;
   const Bytes R = std::max(step, round_up(static_cast<Bytes>(avg_request_size), step));
 
-  auto for_each_pair = [&](auto&& visit) {
-    if (homogeneous) {
-      for (Bytes v = step; v <= R; v += step) visit(v, v);
-      return;
-    }
-    for (Bytes h = 0; h <= R; h += step) {
-      if (params.M == 0 && h > 0) break;  // no HServers to stripe over
-      Bytes first_s = h + step;
-      // s exceeds h for load balance; when h == R the inner range would be
-      // empty, so the single-HServer extreme keeps one candidate.
-      for (Bytes s = first_s; s <= std::max(R, first_s); s += step) {
-        if (params.N == 0 && s > 0) {
-          if (h > 0) visit(h, Bytes{0});
-          break;
-        }
-        visit(h, s);
-      }
-    }
-  };
-
-  // Space-aware filter: drop candidates whose SServer byte share exceeds
+  // Space-aware filter: drop candidates whose last-tier byte share exceeds
   // the bound.  If that empties the grid, fall back to the minimum-share
   // candidates so the search still returns the most space-frugal layout.
-  auto share = [&](Bytes h, Bytes s) {
-    const double S = static_cast<double>(params.M) * h +
-                     static_cast<double>(params.N) * s;
-    return static_cast<double>(params.N) * s / S;
+  auto share = [&](const std::vector<Bytes>& stripes) {
+    const double M = static_cast<double>(params.tiers[0].count);
+    const double N = static_cast<double>(params.tiers[1].count);
+    return N * stripes[1] / (M * stripes[0] + N * stripes[1]);
   };
-  const bool filter = options.max_sserver_share < 1.0;
   double share_bound = 1.0;
   if (filter) {
     double min_share = 2.0;
-    for_each_pair(
-        [&](Bytes h, Bytes s) { min_share = std::min(min_share, share(h, s)); });
+    for_each_candidate(params, R, step, homogeneous,
+                       [&](const std::vector<Bytes>& s) {
+                         min_share = std::min(min_share, share(s));
+                       });
     share_bound = std::max(options.max_sserver_share, min_share + 1e-12);
   }
 
-  const TieredCostParams tiered = to_tiered(params);
-  CandidateGrid grid(tiered);
-  for_each_pair([&](Bytes h, Bytes s) {
-    if (!filter || share(h, s) <= share_bound) {
-      const Bytes row[2] = {h, s};
-      grid.add(row);
-    }
-  });
+  CandidateGrid grid(params);
+  for_each_candidate(params, R, step, homogeneous,
+                     [&](const std::vector<Bytes>& s) {
+                       if (!filter || share(s) <= share_bound) grid.add(s);
+                     });
   if (grid.size() == 0) {
     throw std::logic_error("optimizer produced no candidates");
   }
-  EngineResult engine = search_engine(
-      tiered, requests, grid, options.max_requests, options.pool,
-      options.coalesce, /*tie_from_front=*/true, options.scratch);
-
-  RegionStripes result;
-  result.stripes = StripePair{engine.stripes[0], engine.stripes[1]};
-  result.members = std::move(engine.members);
-  result.model_cost = engine.model_cost;
-  result.candidates_evaluated = engine.candidates_evaluated;
-  result.candidates_pruned = engine.candidates_pruned;
-  result.cost_evals = engine.cost_evals;
-  result.cost_evals_saved = engine.cost_evals_saved;
-  return result;
+  return search_engine(params, requests, grid, options);
 }
 
 }  // namespace
 
-RegionStripes optimize_region(const CostParams& params,
+RegionStripes optimize_region(const TieredCostParams& params,
                               std::span<const FileRequest> requests,
                               double avg_request_size,
                               const OptimizerOptions& options) {
   return search(params, requests, avg_request_size, options, false);
 }
 
-RegionStripes optimize_region_homogeneous(const CostParams& params,
+RegionStripes optimize_region_homogeneous(const TieredCostParams& params,
                                           std::span<const FileRequest> requests,
                                           double avg_request_size,
                                           const OptimizerOptions& options) {
   return search(params, requests, avg_request_size, options, true);
 }
 
-Seconds region_cost(const CostParams& params,
-                    std::span<const FileRequest> requests, StripePair hs,
-                    std::size_t max_requests, bool coalesce) {
-  const Bytes S = static_cast<Bytes>(params.M) * hs.h +
-                  static_cast<Bytes>(params.N) * hs.s;
+Seconds region_cost(const TieredCostParams& params,
+                    std::span<const FileRequest> requests,
+                    std::span<const Bytes> stripes, std::size_t max_requests,
+                    bool coalesce) {
+  if (stripes.size() != params.tiers.size()) {
+    throw std::invalid_argument("tiers/stripes size mismatch");
+  }
+  Bytes S = 0;
+  for (std::size_t j = 0; j < stripes.size(); ++j) {
+    S += static_cast<Bytes>(params.tiers[j].count) * stripes[j];
+  }
   if (S == 0) throw std::invalid_argument("zero striping period");
   const std::size_t stride = sample_stride(requests.size(), max_requests);
   Seconds total = 0.0;
@@ -539,77 +514,16 @@ Seconds region_cost(const CostParams& params,
     for (std::size_t i = 0; i < requests.size(); i += stride) {
       const FileRequest& req = requests[i];
       total += memo.cost(req.op, req.size, req.offset % S, [&](Bytes residue) {
-        return request_cost(params, req.op, residue, req.size, hs);
+        return request_cost(params, req.op, residue, req.size, stripes);
       });
       ++scored;
     }
   } else {
     for (std::size_t i = 0; i < requests.size(); i += stride) {
       total += request_cost(params, requests[i].op, requests[i].offset,
-                            requests[i].size, hs);
+                            requests[i].size, stripes);
       ++scored;
     }
-  }
-  if (scored == 0) return 0.0;
-  return total * static_cast<double>(requests.size()) /
-         static_cast<double>(scored);
-}
-
-TieredRegionStripes optimize_region_tiered(
-    const TieredCostParams& params, std::span<const FileRequest> requests,
-    double avg_request_size, const TieredOptimizerOptions& options) {
-  if (requests.empty()) {
-    throw std::invalid_argument("optimizer needs at least one request");
-  }
-  if (options.step == 0) throw std::invalid_argument("step must be > 0");
-  if (avg_request_size <= 0.0) {
-    throw std::invalid_argument("average request size must be positive");
-  }
-  std::size_t total_servers = 0;
-  for (const auto& t : params.tiers) total_servers += t.count;
-  if (total_servers == 0) {
-    throw std::invalid_argument("no servers in tiered params");
-  }
-
-  const Bytes step = options.step;
-  const Bytes R =
-      std::max(step, round_up(static_cast<Bytes>(avg_request_size), step));
-  const std::size_t k = params.tiers.size();
-
-  CandidateGrid grid(params);
-  {
-    std::vector<Bytes> stripes(k, 0);
-    enumerate(stripes, 0, R, step, options.monotone,
-              [&](const std::vector<Bytes>& s) { grid.add(s); });
-  }
-  if (grid.size() == 0) throw std::logic_error("no tiered candidates");
-
-  EngineResult engine =
-      search_engine(params, requests, grid, options.max_requests,
-                    options.pool, options.coalesce, /*tie_from_front=*/false);
-
-  TieredRegionStripes result;
-  result.stripes = std::move(engine.stripes);
-  result.members = std::move(engine.members);
-  result.model_cost = engine.model_cost;
-  result.candidates_evaluated = engine.candidates_evaluated;
-  result.candidates_pruned = engine.candidates_pruned;
-  result.cost_evals = engine.cost_evals;
-  result.cost_evals_saved = engine.cost_evals_saved;
-  return result;
-}
-
-Seconds tiered_region_cost(const TieredCostParams& params,
-                           std::span<const FileRequest> requests,
-                           std::span<const Bytes> stripes,
-                           std::size_t max_requests) {
-  const std::size_t stride = sample_stride(requests.size(), max_requests);
-  Seconds total = 0.0;
-  std::size_t scored = 0;
-  for (std::size_t i = 0; i < requests.size(); i += stride) {
-    total += tiered_request_cost(params, requests[i].op, requests[i].offset,
-                                 requests[i].size, stripes);
-    ++scored;
   }
   if (scored == 0) return 0.0;
   return total * static_cast<double>(requests.size()) /

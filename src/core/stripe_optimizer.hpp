@@ -1,25 +1,26 @@
 // Region stripe-size determination (paper Section III-E, Algorithm 2), for
 // any number of storage tiers.
 //
-// Since the tier-vector refactor this is the ONE grid search: a region's
-// candidate layout is a per-tier stripe vector (s_0, ..., s_{k-1}) with
-// striping period S = sum_j count_j * s_j, and a single engine finds the
-// candidate with the least summed cost-model time over the region's
-// requests (reads via Eq. 7, writes via Eq. 8).  The two-tier API below is
-// a k = 2 front end over that engine and reproduces the dedicated two-tier
-// optimizer bit-for-bit (pinned by optimizer_test).
+// A region's candidate layout is a per-tier stripe vector (s_0, ..., s_{k-1})
+// with striping period S = sum_j count_j * s_j; the search finds the
+// candidate with the least summed cost-model time over the region's requests
+// (reads via Eq. 7, writes via Eq. 8).  There is one parameter type and one
+// search; the number of tiers k chooses the candidate grid, on `step`
+// multiples up to R, the region's average request size rounded up:
 //
-// Two-tier candidate grid (the paper's Algorithm 2): pairs (h, s) in `step`
-// increments, h in {0, step, ..., R} and s in {h + step, ..., R} where R is
-// the region's average request size — s starts above h because SServers are
-// faster and should carry more bytes per period (load balance), and h may
-// be 0 so a region can live entirely on SServers ({0K, 64K} in paper
-// Section IV-B.3).
+//  * k = 2 is the paper's Algorithm 2 grid: pairs (h, s) with h in
+//    {0, step, ..., R} and s in {h + step, ..., R}.  s starts above h because
+//    SServers are faster and should carry more bytes per period (load
+//    balance), and h may be 0 so a region can live entirely on SServers
+//    ({0K, 64K} in paper Section IV-B.3).  The h = R extreme keeps the single
+//    candidate s = R + step, and a tier without servers only takes stripe 0.
+//  * Any other k (the paper's stated future work) uses stripe vectors on the
+//    same grid subject to s_0 <= ... <= s_{k-1} with tiers ordered
+//    slowest-first — the non-strict k-tier analogue of "s starts from a size
+//    larger than h".  Not all stripes may be zero.
 //
-// k-tier candidate grid (the paper's stated future work): stripe vectors on
-// the same grid subject to the monotonicity constraint s_0 <= ... <= s_{k-1}
-// when tiers are ordered slowest-first — the k-tier analogue of "s starts
-// from a size larger than h".  Not all stripes may be zero.
+// Ties in cost go to the lexicographically larger stripe vector, then to the
+// larger member counts (see below), both compared from tier 0.
 //
 // Device-aware search: when a tier carries per-member speed factors
 // (TierSpec::device_factors), every stripe candidate is additionally crossed
@@ -55,7 +56,6 @@
 
 #include "src/common/io.hpp"
 #include "src/common/thread_pool.hpp"
-#include "src/core/cost_model.hpp"
 #include "src/core/tiered_cost_model.hpp"
 
 namespace harl::core {
@@ -84,15 +84,16 @@ struct OptimizerOptions {
   bool coalesce = true;
   /// Space-aware constraint (PSA, the authors' companion work [33], and the
   /// paper's Discussion): bound the fraction of each region's bytes stored
-  /// on SServers to N*s / (M*h + N*s) <= max_sserver_share.  1.0 = no bound
-  /// (paper-pure Algorithm 2).  If no candidate satisfies the bound, the
-  /// feasible candidate with the smallest SServer share wins instead.
+  /// on the last tier (SServers) to N*s / (M*h + N*s) <= max_sserver_share.
+  /// 1.0 = no bound (paper-pure Algorithm 2); a bound below 1.0 requires two
+  /// tiers.  If no candidate satisfies the bound, the feasible candidate
+  /// with the smallest SServer share wins instead.
   double max_sserver_share = 1.0;
 };
 
-/// Result of optimizing one region (two-tier view).
+/// Result of optimizing one region.
 struct RegionStripes {
-  StripePair stripes;       ///< the winning (H, S)
+  std::vector<Bytes> stripes;  ///< winning per-tier sizes ({h, s} for k = 2)
   /// Winning per-tier member counts: stripe over only the `members[j]`
   /// fastest devices of tier j.  Empty = full tier membership (always the
   /// case for homogeneous params; the device-aware search may shrink a tier
@@ -112,16 +113,18 @@ struct RegionStripes {
 };
 
 /// Runs Algorithm 2.  `requests` are the region's file requests (any order);
-/// `avg_request_size` is the region's A value from Algorithm 1.
-/// Requires at least one request, M + N > 0, and avg_request_size > 0.
-RegionStripes optimize_region(const CostParams& params,
+/// `avg_request_size` is the region's A value from Algorithm 1.  Requires at
+/// least one request, at least one server, and avg_request_size > 0.  Grid
+/// cost grows as (R/step)^k — use coarser steps for k >= 3 (candidates are
+/// reported for tuning).
+RegionStripes optimize_region(const TieredCostParams& params,
                               std::span<const FileRequest> requests,
                               double avg_request_size,
                               const OptimizerOptions& options = {});
 
 /// Baseline for the segment-level ablation: best *homogeneous* stripe
-/// (h == s) for the region, searched over the same grid.
-RegionStripes optimize_region_homogeneous(const CostParams& params,
+/// (every tier's stripe equal) for the region, searched over the same grid.
+RegionStripes optimize_region_homogeneous(const TieredCostParams& params,
                                           std::span<const FileRequest> requests,
                                           double avg_request_size,
                                           const OptimizerOptions& options = {});
@@ -130,50 +133,9 @@ RegionStripes optimize_region_homogeneous(const CostParams& params,
 /// `coalesce` memoizes per request class exactly as the search does; the
 /// result is bit-identical either way (the default is the plain loop, kept
 /// as the A/B reference).  Throws std::invalid_argument on a zero period.
-Seconds region_cost(const CostParams& params,
-                    std::span<const FileRequest> requests, StripePair hs,
+Seconds region_cost(const TieredCostParams& params,
+                    std::span<const FileRequest> requests,
+                    std::span<const Bytes> stripes,
                     std::size_t max_requests = 0, bool coalesce = false);
-
-struct TieredOptimizerOptions {
-  Bytes step = 4 * KiB;
-  std::size_t max_requests = 4096;  ///< request-sampling cap (0 = no cap)
-  ThreadPool* pool = nullptr;       ///< shard the candidate bounds
-  /// Require stripes to be non-decreasing across tiers (slowest-first
-  /// ordering).  Disable for clusters whose tier order is not by speed.
-  bool monotone = true;
-  /// Request-class coalescing, as in OptimizerOptions: the k-tier cost is
-  /// also exactly periodic in the offset (period = sum count_j * stripe_j),
-  /// so per-candidate memoization is bit-identical to brute force.
-  bool coalesce = true;
-};
-
-/// Result of optimizing one region (general tier-vector view).
-struct TieredRegionStripes {
-  std::vector<Bytes> stripes;   ///< winning per-tier sizes
-  /// Winning per-tier member counts (see RegionStripes::members); empty =
-  /// full membership.
-  std::vector<std::size_t> members;
-  Seconds model_cost = 0.0;
-  std::size_t candidates_evaluated = 0;  ///< grid size
-  std::size_t candidates_pruned = 0;     ///< never scored (bound too high)
-  std::uint64_t cost_evals = 0;        ///< cost-kernel calls made
-  std::uint64_t cost_evals_saved = 0;  ///< calls avoided by coalescing
-};
-
-/// Grid search over per-tier stripes for one region (exact; see above).
-/// Requires at least one request, at least one tier with servers, and
-/// avg_request_size > 0.  Grid cost grows as (R/step)^k — use coarser
-/// steps for k >= 3 (candidates are reported for tuning).
-/// Tie-break: lower cost, then the lexicographically larger vector compared
-/// from the last (fastest) tier.
-TieredRegionStripes optimize_region_tiered(
-    const TieredCostParams& params, std::span<const FileRequest> requests,
-    double avg_request_size, const TieredOptimizerOptions& options = {});
-
-/// Scores one candidate: summed tiered model cost over (sampled) requests.
-Seconds tiered_region_cost(const TieredCostParams& params,
-                           std::span<const FileRequest> requests,
-                           std::span<const Bytes> stripes,
-                           std::size_t max_requests = 0);
 
 }  // namespace harl::core

@@ -6,7 +6,6 @@
 
 #include "src/common/interval.hpp"
 #include "src/core/closed_form.hpp"
-#include "src/core/cost_model.hpp"
 
 namespace harl::core {
 
@@ -117,7 +116,7 @@ Seconds tiered_cost_kernel(std::span<const std::size_t> counts,
     transfer = std::max(transfer,
                         static_cast<double>(g.max_bytes) * p.per_byte);
     // Stripe units in the maximal per-server extent (the per-stripe request
-    // protocol charge of CostParams::per_stripe_overhead, tier-generalized).
+    // protocol charge of TieredCostParams::per_stripe_overhead).
     if (per_stripe_overhead > 0.0 && stripes[j] > 0 && g.max_bytes > 0) {
       max_pieces =
           std::max(max_pieces, (g.max_bytes + stripes[j] - 1) / stripes[j]);
@@ -373,69 +372,40 @@ Seconds tiered_cost_offset_min(
   return best * kSlack;
 }
 
-namespace {
-
-/// Shared body of the two tiered_request_cost overloads.  `use_counts` is
-/// the per-tier participating-server vector (full counts or a member
-/// restriction); the worst-factor charge is taken over that many members of
-/// each tier's canonical (ascending) factor vector.
-Seconds tiered_request_cost_impl(const TieredCostParams& params, IoOp op,
-                                 Bytes offset, Bytes size,
-                                 std::span<const Bytes> stripes,
-                                 std::span<const std::size_t> use_counts) {
+Seconds request_cost(const TieredCostParams& params, IoOp op, Bytes offset,
+                     Bytes size, std::span<const Bytes> stripes,
+                     std::span<const std::size_t> members) {
   const std::size_t k = params.tiers.size();
+  if (stripes.size() != k || (!members.empty() && members.size() != k)) {
+    throw std::invalid_argument("tiers/stripes/members size mismatch");
+  }
+  std::vector<std::size_t> use(k);
   std::vector<const storage::OpProfile*> profiles(k);
   bool heterogeneous = false;
   for (std::size_t j = 0; j < k; ++j) {
+    use[j] = members.empty() ? params.tiers[j].count : members[j];
+    if (use[j] > params.tiers[j].count) {
+      throw std::invalid_argument("members exceed tier count");
+    }
     profiles[j] = &params.tiers[j].profile.op(op);
     if (!params.tiers[j].device_factors.empty()) heterogeneous = true;
   }
   std::vector<TierGeometry> scratch(k);
   if (!heterogeneous) {
-    return tiered_cost_kernel(use_counts, profiles, params.t,
-                              params.net_latency, params.net_hops,
-                              params.per_stripe_overhead, offset, size,
-                              stripes, scratch);
+    return tiered_cost_kernel(use, profiles, params.t, params.net_latency,
+                              params.net_hops, params.per_stripe_overhead,
+                              offset, size, stripes, scratch);
   }
+  // Each tier is charged at the worst factor among the members in use.
   std::vector<double> factors(k);
   for (std::size_t j = 0; j < k; ++j) {
     factors[j] = storage::worst_device_factor(params.tiers[j].device_factors,
-                                              use_counts[j]);
+                                              use[j]);
   }
-  return tiered_cost_kernel_devices(
-      use_counts, profiles, factors, params.t, params.net_latency,
-      params.net_hops, params.per_stripe_overhead, offset, size, stripes,
-      scratch);
-}
-
-}  // namespace
-
-Seconds tiered_request_cost(const TieredCostParams& params, IoOp op,
-                            Bytes offset, Bytes size,
-                            std::span<const Bytes> stripes) {
-  if (params.tiers.size() != stripes.size()) {
-    throw std::invalid_argument("tiers/stripes size mismatch");
-  }
-  const std::size_t k = params.tiers.size();
-  std::vector<std::size_t> counts(k);
-  for (std::size_t j = 0; j < k; ++j) counts[j] = params.tiers[j].count;
-  return tiered_request_cost_impl(params, op, offset, size, stripes, counts);
-}
-
-Seconds tiered_request_cost(const TieredCostParams& params, IoOp op,
-                            Bytes offset, Bytes size,
-                            std::span<const Bytes> stripes,
-                            std::span<const std::size_t> members) {
-  if (params.tiers.size() != stripes.size() ||
-      params.tiers.size() != members.size()) {
-    throw std::invalid_argument("tiers/stripes/members size mismatch");
-  }
-  for (std::size_t j = 0; j < members.size(); ++j) {
-    if (members[j] > params.tiers[j].count) {
-      throw std::invalid_argument("members exceed tier count");
-    }
-  }
-  return tiered_request_cost_impl(params, op, offset, size, stripes, members);
+  return tiered_cost_kernel_devices(use, profiles, factors, params.t,
+                                    params.net_latency, params.net_hops,
+                                    params.per_stripe_overhead, offset, size,
+                                    stripes, scratch);
 }
 
 Seconds cached_read_cost(const TieredCostParams& params,

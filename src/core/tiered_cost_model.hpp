@@ -1,11 +1,23 @@
-// The cost model, in its general k-tier form (the ONLY cost engine).
+// HARL's analytic data-access cost model (paper Section III-D), in its
+// general k-tier form.
 //
-// The paper's model is written for two server classes; its conclusion names
-// "extend our cost model to accommodate more than two server performance
-// profiles" as future work.  This module is that extension — and, since the
-// tier-vector refactor, also the implementation the paper's two-tier API in
-// cost_model.hpp adapts to (k = 2): one geometry routine, one cost kernel,
-// one set of calibration parameters per tier.
+// The cost of one file request in a hybrid PFS is
+//
+//     T = T_X + T_S + T_T                                   (Eq. 7/8)
+//
+// with T_X the network time of the maximal sub-request (Eq. 1), T_S the
+// expected maximum startup over the touched servers of each tier (Eq. 3-5)
+// and T_T the slowest tier's transfer of its maximal sub-request (Eq. 6).
+// Because striping is round-robin, all stripes of one request on one server
+// form a single contiguous server-local extent, so "maximal sub-request
+// size" equals "maximal per-server byte count" — the quantity paper Fig. 5
+// tabulates.
+//
+// The paper writes the model for two server classes and names "more than
+// two server performance profiles" as future work.  Here the paper's model
+// is the k = 2 case of one parameter type (TieredCostParams, tier 0 =
+// HServers, tier 1 = SServers): one geometry routine, one cost kernel, one
+// set of calibration parameters per tier.
 //
 // Geometry convention: servers are ordered tier 0 first, then tier 1, ...,
 // and striping is round-robin across all servers in that order (the same
@@ -74,7 +86,8 @@ struct TieredCostParams {
   Seconds net_latency = 0.0;  ///< fixed per-request overhead (0 = paper-pure)
   int net_hops = 1;           ///< link traversals charged
   /// Server-side processing charged per stripe unit of the largest
-  /// sub-request (0 = paper-pure); see CostParams::per_stripe_overhead.
+  /// sub-request (0 = paper-pure).  Calibrated from the PFS request
+  /// protocol; prices the small-stripe penalty of paper Fig. 1b.
   Seconds per_stripe_overhead = 0.0;
 };
 
@@ -155,19 +168,15 @@ Seconds tiered_cost_offset_min(
     std::span<const Bytes> stripes, OffsetMinScratch& scratch);
 
 /// Cost of one request with per-tier stripe sizes (generalized Eq. 7/8).
-/// Heterogeneous tiers (non-empty device_factors) are charged at the worst
-/// factor over the full tier membership.
-Seconds tiered_request_cost(const TieredCostParams& params, IoOp op, Bytes offset,
-                            Bytes size, std::span<const Bytes> stripes);
-
-/// Member-restricted cost: `members[j]` servers of tier j participate in
-/// the round-robin (the j-th tier's *fastest* members — slot prefix of the
-/// canonical factor order); members[j] == 0 skips the tier regardless of
-/// stripes[j].  Requires members[j] <= tiers[j].count.  With
-/// members[j] == count for every tier this equals the base overload.
-Seconds tiered_request_cost(const TieredCostParams& params, IoOp op, Bytes offset,
-                            Bytes size, std::span<const Bytes> stripes,
-                            std::span<const std::size_t> members);
+/// `members[j]` restricts tier j to its members[j] fastest servers (the slot
+/// prefix of the canonical factor order); members[j] == 0 skips the tier
+/// regardless of stripes[j], and an empty `members` is full membership.
+/// A heterogeneous tier is charged at the worst factor over the members in
+/// use.  Requires one stripe (and, if given, one member count no larger than
+/// the tier) per tier.
+Seconds request_cost(const TieredCostParams& params, IoOp op, Bytes offset,
+                     Bytes size, std::span<const Bytes> stripes,
+                     std::span<const std::size_t> members = {});
 
 /// Geometry of the read-cache tier, for the expected-hit-rate cost term
 /// (HACache direction): the fastest `devices` members of one tier are

@@ -107,18 +107,23 @@ std::vector<double> measured_device_factors(
 
 }  // namespace
 
-core::CostParams calibrate(const pfs::ClusterConfig& config,
-                           const CalibrationOptions& options) {
+core::TieredCostParams calibrate(const pfs::ClusterConfig& config,
+                                 const CalibrationOptions& options) {
   storage::HddDevice hdd(config.hdd, options.seed,
                          config.hdd_sequential_factor);
   storage::SsdDevice ssd(config.ssd, options.seed + 1, config.ssd_gc);
 
-  const storage::TierProfile hdd_fit = measured_or_nominal(hdd, options);
-  const storage::TierProfile ssd_fit = measured_or_nominal(ssd, options);
-
-  core::CostParams params = core::make_cost_params(
-      config.num_hservers, config.num_sservers, hdd_fit, ssd_fit,
-      config.network.per_byte);
+  core::TieredCostParams params;
+  params.tiers.resize(2);
+  core::TierSpec& hserver = params.tiers[0];
+  core::TierSpec& sserver = params.tiers[1];
+  hserver.count = config.num_hservers;
+  hserver.profile = measured_or_nominal(hdd, options);
+  hserver.profile.name = "hserver";
+  sserver.count = config.num_sservers;
+  sserver.profile = measured_or_nominal(ssd, options);
+  sserver.profile.name = "sserver";
+  params.t = config.network.per_byte;
   // Paper-pure Eq. 1 (one t per byte of the maximal sub-request); the fixed
   // per-request message overhead is a constant that never changes argmins.
   params.net_hops = 1;
@@ -128,22 +133,15 @@ core::CostParams calibrate(const pfs::ClusterConfig& config,
   params.per_stripe_overhead = config.server_per_stripe_overhead;
   // Per-device aging (tentatively beyond the paper): one probe per distinct
   // configured factor, aligned with the cluster's canonical slot order.
-  params.hserver_factors = measured_device_factors(
+  hserver.device_factors = measured_device_factors(
       config.hdd, false, config,
       canonical_factors(config.hdd_factors, config.num_hservers, "hserver"),
       options);
-  params.sserver_factors = measured_device_factors(
+  sserver.device_factors = measured_device_factors(
       config.ssd, true, config,
       canonical_factors(config.ssd_factors, config.num_sservers, "sserver"),
       options);
   return params;
-}
-
-core::TieredCostParams calibrate_tiered(const pfs::ClusterConfig& config,
-                                        const CalibrationOptions& options) {
-  // The k=2 view of the same calibration: carries every field (including
-  // per_stripe_overhead) so params_fingerprint() matches calibrate()'s.
-  return core::to_tiered(calibrate(config, options));
 }
 
 }  // namespace harl::harness

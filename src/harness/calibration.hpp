@@ -5,12 +5,12 @@
 // one client/server pair for the network unit time.  This module does the
 // same against the simulated devices: it instantiates one HDD and one SSD
 // device from the cluster config, fits their OpProfiles with the storage
-// profiler, fits the network, and assembles core::CostParams.  The network
+// profiler, fits the network, and assembles the two-tier
+// core::TieredCostParams (tier 0 "hserver", tier 1 "sserver").  The network
 // terms use two hops plus two message latencies because the simulated data
 // path crosses the server NIC and the client NIC (store-and-forward).
 #pragma once
 
-#include "src/core/cost_model.hpp"
 #include "src/core/tiered_cost_model.hpp"
 #include "src/pfs/cluster.hpp"
 
@@ -39,12 +39,9 @@ struct CalibrationOptions {
   bool device_blind = false;
 };
 
-/// CostParams for the given cluster shape, measured or nominal.
-core::CostParams calibrate(const pfs::ClusterConfig& config,
-                           const CalibrationOptions& options = {});
-
-/// The multi-tier equivalent (tier 0 = HServers, tier 1 = SServers).
-core::TieredCostParams calibrate_tiered(const pfs::ClusterConfig& config,
-                                        const CalibrationOptions& options = {});
+/// Cost-model parameters for the given cluster shape, measured or nominal:
+/// tier 0 = HServers, tier 1 = SServers.
+core::TieredCostParams calibrate(const pfs::ClusterConfig& config,
+                                 const CalibrationOptions& options = {});
 
 }  // namespace harl::harness

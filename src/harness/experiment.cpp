@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/core/cost_model.hpp"
 #include "src/core/tiered_cost_model.hpp"
 #include "src/middleware/mpi_world.hpp"
 #include "src/pfs/region_layout.hpp"
@@ -33,12 +32,8 @@ obs::Recorder::Predictor make_predictor(
         const pfs::RegionSpec& spec = rl->region(ri);
         const Bytes seg_end = std::min(end, rl->region_end(ri));
         const Seconds cost =
-            spec.members.empty()
-                ? core::tiered_request_cost(params, op, pos - spec.offset,
-                                            seg_end - pos, spec.stripes)
-                : core::tiered_request_cost(params, op, pos - spec.offset,
-                                            seg_end - pos, spec.stripes,
-                                            spec.members);
+            core::request_cost(params, op, pos - spec.offset, seg_end - pos,
+                               spec.stripes, spec.members);
         worst = std::max(worst, cost);
         pos = seg_end;
       }
@@ -59,7 +54,7 @@ obs::Recorder::Predictor make_predictor(
     }
     return [params = std::move(params), stripes = std::move(stripes)](
                IoOp op, Bytes offset, Bytes size) -> Seconds {
-      return core::tiered_request_cost(params, op, offset, size, stripes);
+      return core::request_cost(params, op, offset, size, stripes);
     };
   }
   return {};
@@ -190,7 +185,7 @@ Experiment::Experiment(ExperimentOptions options)
   if (options_.telemetry.enabled()) options_.observe = true;
 }
 
-const core::CostParams& Experiment::cost_params() {
+const core::TieredCostParams& Experiment::cost_params() {
   if (!cached_params_) {
     cached_params_ = calibrate(options_.cluster, options_.calibration);
   }
@@ -324,7 +319,7 @@ SchemeResult Experiment::run_with_trace(
   }
   if (result.obs) {
     result.obs->set_predictor(
-        make_predictor(layout, core::to_tiered(cost_params())));
+        make_predictor(layout, cost_params()));
     if (result.plan) record_plan_metrics(result.obs->metrics(), *result.plan);
   }
   mw::MpiWorld world(cluster, bundle.processes);

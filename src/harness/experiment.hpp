@@ -187,7 +187,7 @@ class Experiment {
                                   std::size_t replicas);
 
   /// The calibrated cost-model parameters (lazily computed, cached).
-  const core::CostParams& cost_params();
+  const core::TieredCostParams& cost_params();
 
   const ExperimentOptions& options() const { return options_; }
 
@@ -200,7 +200,7 @@ class Experiment {
                           const std::function<void(std::size_t)>& fn);
 
   ExperimentOptions options_;
-  std::optional<core::CostParams> cached_params_;
+  std::optional<core::TieredCostParams> cached_params_;
 };
 
 }  // namespace harl::harness

@@ -104,6 +104,9 @@ std::vector<PopulationFile> make_population(const PopulationSpec& spec) {
   if (spec.file_size == 0 || spec.request_size == 0) {
     throw std::invalid_argument("needs nonzero file and request sizes");
   }
+  if (spec.tenants > spec.files) {
+    throw std::invalid_argument("tenants must not exceed files");
+  }
   const auto tenants =
       assign_tenants(spec.files, spec.tenants, spec.tenant_theta);
   std::vector<PopulationFile> population;
@@ -181,7 +184,7 @@ PopulationResult run_population(Experiment& experiment,
     }
   }
   const bool adaptive = scheme.kind == SchemeKind::kHarlAdaptive;
-  const core::CostParams& params = experiment.cost_params();
+  const core::TieredCostParams& params = experiment.cost_params();
 
   // --- Phase A: per-file offline pipeline on private clusters -------------
   struct Prep {

@@ -43,7 +43,7 @@ namespace harl::harness {
 
 struct PopulationSpec {
   std::size_t files = 4;
-  std::size_t tenants = 2;
+  std::size_t tenants = 2;  ///< at most `files`; make_population throws
   /// Zipf exponent over tenants: tenant t's weight is 1/(t+1)^theta, so the
   /// low-numbered tenants own more files (0 = uniform).
   double tenant_theta = 0.8;

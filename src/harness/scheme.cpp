@@ -124,7 +124,7 @@ std::string LayoutScheme::label() const {
 std::shared_ptr<const pfs::Layout> build_layout(
     const LayoutScheme& scheme, const pfs::ClusterConfig& cluster,
     std::span<const trace::TraceRecord> trace_records,
-    const core::CostParams& params,
+    const core::TieredCostParams& params,
     const core::PlannerOptions& planner_options, core::Plan* plan_out,
     const core::CachePlannerOptions& cache_options) {
   const std::size_t M = cluster.num_hservers;

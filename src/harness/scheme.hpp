@@ -92,8 +92,8 @@ struct LayoutScheme {
 std::shared_ptr<const pfs::Layout> build_layout(
     const LayoutScheme& scheme, const pfs::ClusterConfig& cluster,
     std::span<const trace::TraceRecord> trace_records,
-    const core::CostParams& params, const core::PlannerOptions& planner_options,
-    core::Plan* plan_out = nullptr,
+    const core::TieredCostParams& params,
+    const core::PlannerOptions& planner_options, core::Plan* plan_out = nullptr,
     const core::CachePlannerOptions& cache_options = {});
 
 }  // namespace harl::harness

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "src/core/cost_model.hpp"
 #include "src/middleware/harl_driver.hpp"
 #include "src/storage/profiles.hpp"
 #include "src/middleware/r2f.hpp"
@@ -26,19 +25,20 @@ std::vector<pfs::DataServer*> server_ptrs(pfs::Cluster& cluster) {
 /// SSD-tier prefix belongs to the CacheManager, so per-window re-optimization
 /// plans over the remaining servers (mirroring analyze_cached's reduced
 /// sweep).  Without a reservation this is the identity.
-core::CostParams advisor_params(core::CostParams params,
-                                const std::vector<std::size_t>& reserved) {
+core::TieredCostParams advisor_params(
+    core::TieredCostParams params, const std::vector<std::size_t>& reserved) {
   const std::size_t r = reserved.size() > 1 ? reserved[1] : 0;
   if (r == 0) return params;
-  if (r >= params.N) {
+  core::TierSpec& sserver = params.tiers.at(1);
+  if (r >= sserver.count) {
     throw std::invalid_argument("cache reservation consumes every SServer");
   }
-  params.N -= r;
-  if (!params.sserver_factors.empty()) {
-    params.sserver_factors.erase(
-        params.sserver_factors.begin(),
-        params.sserver_factors.begin() + static_cast<std::ptrdiff_t>(r));
-    storage::canonicalize_device_factors(params.sserver_factors);
+  sserver.count -= r;
+  if (!sserver.device_factors.empty()) {
+    sserver.device_factors.erase(
+        sserver.device_factors.begin(),
+        sserver.device_factors.begin() + static_cast<std::ptrdiff_t>(r));
+    storage::canonicalize_device_factors(sserver.device_factors);
   }
   return params;
 }
@@ -51,10 +51,10 @@ constexpr double kFailedDeviceFactor = 1e6;
 /// The advisor's view of the fleet after a server failure: the failed tier's
 /// trailing slot (device factors are canonical ascending, so only the tail
 /// can be prefix-excluded) carries kFailedDeviceFactor.
-core::CostParams degraded_params(core::CostParams params, std::size_t tier) {
-  auto& factors =
-      tier == 0 ? params.hserver_factors : params.sserver_factors;
-  const std::size_t count = tier == 0 ? params.M : params.N;
+core::TieredCostParams degraded_params(core::TieredCostParams params,
+                                       std::size_t tier) {
+  std::vector<double>& factors = params.tiers.at(tier).device_factors;
+  const std::size_t count = params.tiers[tier].count;
   if (count < 2) {
     throw std::invalid_argument(
         "cannot degrade a tier with fewer than two servers");
@@ -155,7 +155,7 @@ void MigrationEngine::next_chunk() {
 
 // --- AdaptiveLayoutManager --------------------------------------------------
 
-AdaptiveLayoutManager::AdaptiveLayoutManager(core::CostParams params,
+AdaptiveLayoutManager::AdaptiveLayoutManager(core::TieredCostParams params,
                                              core::RegionStripeTable epoch0,
                                              AdaptiveOptions options,
                                              obs::Sink* downstream)

@@ -150,7 +150,7 @@ class AdaptiveLayoutManager final : public obs::Sink {
   /// `downstream` (optional, not owned) receives every Sink call unchanged.
   /// Construct *before* the Cluster and pass to Simulator::set_observer so
   /// components register through the manager.
-  AdaptiveLayoutManager(core::CostParams params,
+  AdaptiveLayoutManager(core::TieredCostParams params,
                         core::RegionStripeTable epoch0, AdaptiveOptions options,
                         obs::Sink* downstream = nullptr);
 
@@ -225,7 +225,7 @@ class AdaptiveLayoutManager final : public obs::Sink {
             Seconds issue, Seconds now);
   void handle(const core::OnlineAdvisor::Recommendation& rec, Seconds now);
 
-  core::CostParams params_;
+  core::TieredCostParams params_;
   AdaptiveOptions options_;
   obs::Sink* downstream_;
   core::OnlineAdvisor advisor_;

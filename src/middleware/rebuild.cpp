@@ -28,20 +28,19 @@ double mean_factor(const std::vector<double>& factors) {
 }  // namespace
 
 std::vector<std::uint32_t> choose_replica_tiers(
-    const core::Plan& plan, const core::CostParams& params) {
-  const std::vector<std::size_t> counts =
-      !plan.tier_counts.empty() ? plan.tier_counts
-                                : std::vector<std::size_t>{params.M, params.N};
-  if (counts.size() != 2) {
+    const core::Plan& plan, const core::TieredCostParams& params) {
+  std::vector<std::size_t> counts = plan.tier_counts;
+  if (counts.empty()) {
+    for (const auto& tier : params.tiers) counts.push_back(tier.count);
+  }
+  if (counts.size() != 2 || params.tiers.size() != 2) {
     throw std::invalid_argument("replica tier choice needs a two-tier plan");
   }
   // Modeled read cost of `probe` bytes on each tier, scaled by the tier's
   // mean device factor (a slower fleet serves the degraded read slower).
   const auto tier_cost = [&](std::size_t tier, Bytes probe) {
-    const storage::OpProfile& profile =
-        tier == 0 ? params.hserver_read : params.sserver_read;
-    const double factor = mean_factor(tier == 0 ? params.hserver_factors
-                                                : params.sserver_factors);
+    const storage::OpProfile& profile = params.tiers[tier].profile.read;
+    const double factor = mean_factor(params.tiers[tier].device_factors);
     return factor * (profile.startup_mean() +
                      static_cast<double>(probe) * profile.per_byte);
   };

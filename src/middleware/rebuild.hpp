@@ -38,7 +38,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/core/cost_model.hpp"
 #include "src/core/planner.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/pfs/cluster.hpp"
@@ -55,8 +54,8 @@ namespace harl::mw {
 /// tier qualifies the region falls back to tier 0 (ReplicaMap then chains
 /// over the whole cluster).  Index = post-merge region id, ready for
 /// pfs::ReplicaMap::tiered().
-std::vector<std::uint32_t> choose_replica_tiers(const core::Plan& plan,
-                                                const core::CostParams& params);
+std::vector<std::uint32_t> choose_replica_tiers(
+    const core::Plan& plan, const core::TieredCostParams& params);
 
 class RebuildManager {
  public:

@@ -87,7 +87,11 @@ Cluster::Cluster(sim::Simulator& sim, const ClusterConfig& config)
     }
   }
 
-  if (config.gc_pause.period > 0.0 && config.gc_pause.duration > 0.0) {
+  if (config.gc_pause.duration > 0.0) {
+    if (!(config.gc_pause.period > 0.0)) {
+      throw std::invalid_argument(
+          "gc_pause.period must be > 0 when gc_pause.duration is set");
+    }
     if (!(config.gc_pause.factor >= 1.0)) {
       throw std::invalid_argument(
           "gc_pause.factor must be >= 1");

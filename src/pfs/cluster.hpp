@@ -77,9 +77,11 @@ struct ClusterConfig {
   std::map<std::size_t, storage::FaultyDevice::Faults> server_faults;
 
   /// Periodic GC-pause service-time inflation on one server — the telemetry
-  /// plane's canonical straggler (DESIGN.md §15).  Disabled while period or
-  /// duration is 0.  `server` < 0 targets the first SSD server (first member
-  /// of the first is_ssd tier; server 0 when there is none).
+  /// plane's canonical straggler (DESIGN.md §15).  Disabled while duration
+  /// is 0; a positive duration needs a positive period (the Cluster
+  /// constructor throws otherwise).  `server` < 0 targets the first SSD
+  /// server (first member of the first is_ssd tier; server 0 when there is
+  /// none).
   struct GcPause {
     Seconds period = 0.0;    ///< pause cycle length (sim seconds)
     Seconds duration = 0.0;  ///< inflated prefix of each cycle

@@ -4,7 +4,7 @@
 // into a service time.  Implementations may be stateful (HDD head position,
 // SSD garbage-collection debt) and stochastic (seeded per device), which is
 // what distinguishes the *simulated* service time from the cost model's
-// *expected* service time in src/core/cost_model.hpp.
+// *expected* service time in src/core/tiered_cost_model.hpp.
 #pragma once
 
 #include "src/common/io.hpp"

@@ -270,11 +270,12 @@ TEST(CacheManager, ZeroBudgetIsDisabled) {
 // ---------------------------------------------------------------------------
 // Cache-aware Analysis Phase.
 
-core::CostParams cached_planner_params() {
-  core::CostParams p = core::make_cost_params(
-      6, 3, storage::hdd_profile(), storage::pcie_ssd_profile(),
-      1.0 / (117.0 * 1024 * 1024));
-  p.sserver_factors = {1.0, 4.0, 4.0};
+core::TieredCostParams cached_planner_params() {
+  core::TieredCostParams p;
+  p.tiers = {core::TierSpec{6, storage::hdd_profile(), {}},
+             core::TierSpec{3, storage::pcie_ssd_profile(), {}}};
+  p.t = 1.0 / (117.0 * 1024 * 1024);
+  p.tiers[1].device_factors = {1.0, 4.0, 4.0};
   return p;
 }
 
@@ -308,7 +309,7 @@ std::vector<trace::TraceRecord> skewed_read_trace(std::uint32_t ranks,
 
 TEST(AnalyzeCached, DisabledOptionsEqualAnalyze) {
   const auto records = skewed_read_trace(8, 2);
-  const core::CostParams params = cached_planner_params();
+  const core::TieredCostParams params = cached_planner_params();
   const auto plain = core::analyze(records, params);
   const auto cached =
       core::analyze_cached(records, params, core::CachePlannerOptions{});

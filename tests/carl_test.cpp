@@ -17,11 +17,13 @@ PlannerOptions fine_regions() {
   return opts;
 }
 
-CostParams calibrated_params() {
-  CostParams p = make_cost_params(6, 2, storage::hdd_profile(),
-                                  storage::pcie_ssd_profile(),
-                                  1.0 / (117.0 * 1024 * 1024));
-  for (storage::OpProfile* prof : {&p.hserver_read, &p.hserver_write}) {
+TieredCostParams calibrated_params() {
+  TieredCostParams p;
+  p.tiers = {TierSpec{6, storage::hdd_profile(), {}},
+             TierSpec{2, storage::pcie_ssd_profile(), {}}};
+  p.t = 1.0 / (117.0 * 1024 * 1024);
+  for (storage::OpProfile* prof :
+       {&p.tiers[0].profile.read, &p.tiers[0].profile.write}) {
     prof->per_byte += prof->startup_mean() / static_cast<double>(64 * KiB);
     prof->startup_min *= 0.55;
     prof->startup_max *= 0.55;
@@ -67,7 +69,7 @@ TEST(Carl, EveryRegionLivesOnExactlyOneTier) {
 TEST(Carl, UnlimitedCapacityMovesBeneficialRegionsToSsd) {
   // With ample capacity every region whose SSD placement is cheaper on the
   // model goes to SServers.
-  const CostParams params = calibrated_params();
+  const TieredCostParams params = calibrated_params();
   const auto plan = analyze_carl(two_region_trace(), params, 1000 * GiB, fine_regions());
   std::size_t on_ssd = 0;
   for (const auto& region : plan.regions) on_ssd += region.stripes[0] == 0;
@@ -98,10 +100,41 @@ TEST(Carl, HarlModelCostIsNeverWorse) {
   // HARL can always reproduce CARL's single-tier placements (h=0 or s=0 are
   // in its candidate grid), so its model cost is a lower bound.
   const auto records = two_region_trace();
-  const CostParams params = calibrated_params();
+  const TieredCostParams params = calibrated_params();
   const auto carl = analyze_carl(records, params, 1000 * GiB, fine_regions());
   const auto harl = analyze(records, params, fine_regions());
   EXPECT_LE(harl.total_model_cost(), carl.total_model_cost() + 1e-12);
+}
+
+TEST(Carl, AgedFleetHalvesKeepOnlyTheirTiersFactors) {
+  // Each single-tier half zeroes one tier and drops that tier's device
+  // factors, so the HDD half is homogeneous and the SSD half keeps its
+  // member choices.  Every region's winner is that half's own optimum; the
+  // plan is stamped with the full fleet's device table.
+  TieredCostParams params = calibrated_params();
+  params.tiers[1].device_factors = {1.0, 4.0};
+  const auto records = two_region_trace();
+  const auto plan = analyze_carl(records, params, 1000 * GiB, fine_regions());
+  EXPECT_EQ(plan.device_factors,
+            (std::vector<std::vector<double>>{{}, {1.0, 4.0}}));
+  ASSERT_FALSE(plan.regions.empty());
+  for (const auto& region : plan.regions) {
+    const std::size_t empty = region.stripes[0] == 0 ? 0 : 1;
+    EXPECT_EQ(region.stripes[empty], 0u);
+    TieredCostParams half = params;
+    half.tiers[empty].count = 0;
+    half.tiers[empty].device_factors.clear();
+    std::vector<FileRequest> reqs;
+    for (const auto& r : records) {
+      if (r.offset >= region.offset && r.offset < region.end) {
+        reqs.push_back(FileRequest{r.op, r.offset, r.size});
+      }
+    }
+    const auto best = optimize_region(half, reqs, region.avg_request);
+    EXPECT_EQ(region.stripes, best.stripes);
+    EXPECT_EQ(region.members, best.members);
+    EXPECT_EQ(region.model_cost, best.model_cost);
+  }
 }
 
 TEST(Carl, SchemeIntegration) {

@@ -1,5 +1,5 @@
 // Property tests for the completed Fig. 4/5 closed forms: for every case
-// (a)-(d), the O(1) geometry must equal the exact O(M+N) computation on
+// (a)-(d), the O(1) geometry must equal the brute-force stripe walk on
 // randomized request sweeps, including all alignment corners.
 #include <gtest/gtest.h>
 
@@ -44,22 +44,22 @@ TEST(ClosedForm, HandPickedCorners) {
 
   // Whole request inside one HServer stripe.
   EXPECT_EQ(closed_form_geometry(10, 50, hs, M, N),
-            request_geometry(10, 50, hs, M, N));
+            request_geometry_reference(10, 50, hs, M, N));
   // Exactly one full period.
   EXPECT_EQ(closed_form_geometry(0, 900, hs, M, N),
-            request_geometry(0, 900, hs, M, N));
+            request_geometry_reference(0, 900, hs, M, N));
   // Stripe-aligned end (the corner the printed case-(a) table mishandles).
   EXPECT_EQ(closed_form_geometry(0, 200, hs, M, N),
-            request_geometry(0, 200, hs, M, N));
+            request_geometry_reference(0, 200, hs, M, N));
   // Period-aligned end.
   EXPECT_EQ(closed_form_geometry(450, 450, hs, M, N),
-            request_geometry(450, 450, hs, M, N));
+            request_geometry_reference(450, 450, hs, M, N));
   // Backwards wrap (begin column after end column).
   EXPECT_EQ(closed_form_geometry(250, 800, hs, M, N),
-            request_geometry(250, 800, hs, M, N));
+            request_geometry_reference(250, 800, hs, M, N));
   // S-only span inside one period.
   EXPECT_EQ(closed_form_geometry(300, 600, hs, M, N),
-            request_geometry(300, 600, hs, M, N));
+            request_geometry_reference(300, 600, hs, M, N));
 }
 
 struct ClosedFormCase {
@@ -82,7 +82,7 @@ TEST_P(ClosedFormMatchesExact, OnRandomRequestsOfEveryCase) {
     const Bytes offset = rng.uniform_u64(0, 6 * S);
     const Bytes size = rng.uniform_u64(1, 4 * S);
     const auto closed = closed_form_geometry(offset, size, hs, c.M, c.N);
-    const auto exact = request_geometry(offset, size, hs, c.M, c.N);
+    const auto exact = request_geometry_reference(offset, size, hs, c.M, c.N);
     ASSERT_EQ(closed, exact)
         << "o=" << offset << " r=" << size << " M=" << c.M << " N=" << c.N
         << " h=" << c.h << " s=" << c.s;
@@ -114,7 +114,7 @@ TEST(ClosedForm, AlignedBoundariesSweep) {
   for (Bytes offset = 0; offset < 2 * S; ++offset) {
     for (Bytes size = 1; size <= 3 * S; ++size) {
       ASSERT_EQ(closed_form_geometry(offset, size, hs, M, N),
-                request_geometry(offset, size, hs, M, N))
+                request_geometry_reference(offset, size, hs, M, N))
           << "o=" << offset << " r=" << size;
     }
   }

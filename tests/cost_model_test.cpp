@@ -3,7 +3,8 @@
 //  * the paper's Fig. 5 closed form for case (a);
 //  * Eq. 3/4 expected-maximum startup;
 //  * Eq. 7/8 cost structure and read/write asymmetry;
-//  * equivalence of the two-tier model with the generalized multi-tier one.
+//  * the k = 2 closed-form fast path against Eq. 7/8 over the brute-force
+//    geometry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,22 +12,33 @@
 #include <vector>
 
 #include "src/common/rng.hpp"
+#include "src/core/closed_form.hpp"
 #include "src/core/cost_memo.hpp"
-#include "src/core/cost_model.hpp"
 #include "src/core/tiered_cost_model.hpp"
 #include "src/storage/profiles.hpp"
 
 namespace harl::core {
 namespace {
 
+using Stripes = std::vector<Bytes>;
+
+/// The exact geometry of a two-tier layout, in paper Fig. 5's terms.
+SubreqGeometry two_tier_geometry(Bytes o, Bytes r, StripePair hs, std::size_t M,
+                                std::size_t N) {
+  const std::vector<std::size_t> counts{M, N};
+  const auto g = tiered_geometry(o, r, counts, Stripes{hs.h, hs.s});
+  return SubreqGeometry{g[0].max_bytes, g[1].max_bytes, g[0].touched,
+                        g[1].touched};
+}
+
 TEST(Geometry, ZeroRequestTouchesNothing) {
-  const auto g = request_geometry(123, 0, {64 * KiB, 64 * KiB}, 6, 2);
+  const auto g = two_tier_geometry(123, 0, {64 * KiB, 64 * KiB}, 6, 2);
   EXPECT_EQ(g, (SubreqGeometry{0, 0, 0, 0}));
 }
 
 TEST(Geometry, SmallRequestLandsOnOneServer) {
   // 4 KiB at offset 0 with 64 KiB stripes: one HServer only.
-  const auto g = request_geometry(0, 4 * KiB, {64 * KiB, 64 * KiB}, 6, 2);
+  const auto g = two_tier_geometry(0, 4 * KiB, {64 * KiB, 64 * KiB}, 6, 2);
   EXPECT_EQ(g.m, 1u);
   EXPECT_EQ(g.n, 0u);
   EXPECT_EQ(g.s_m, 4 * KiB);
@@ -36,7 +48,7 @@ TEST(Geometry, SmallRequestLandsOnOneServer) {
 TEST(Geometry, FullPeriodTouchesEveryServerOnce) {
   const StripePair hs{64 * KiB, 256 * KiB};
   const Bytes S = 6 * hs.h + 2 * hs.s;
-  const auto g = request_geometry(0, S, hs, 6, 2);
+  const auto g = two_tier_geometry(0, S, hs, 6, 2);
   EXPECT_EQ(g.m, 6u);
   EXPECT_EQ(g.n, 2u);
   EXPECT_EQ(g.s_m, hs.h);
@@ -45,7 +57,7 @@ TEST(Geometry, FullPeriodTouchesEveryServerOnce) {
 
 TEST(Geometry, SserverOnlyLayout) {
   // h = 0: the {0K, 64K} layout of paper Section IV-B.3.
-  const auto g = request_geometry(0, 128 * KiB, {0, 64 * KiB}, 6, 2);
+  const auto g = two_tier_geometry(0, 128 * KiB, {0, 64 * KiB}, 6, 2);
   EXPECT_EQ(g.m, 0u);
   EXPECT_EQ(g.n, 2u);
   EXPECT_EQ(g.s_m, 0u);
@@ -54,13 +66,13 @@ TEST(Geometry, SserverOnlyLayout) {
 
 TEST(Geometry, MultiPeriodAggregatesPerServer) {
   // 2 servers, stripe 100 each, request of 3 full periods: 300 bytes/server.
-  const auto g = request_geometry(0, 600, {100, 100}, 1, 1);
+  const auto g = two_tier_geometry(0, 600, {100, 100}, 1, 1);
   EXPECT_EQ(g.s_m, 300u);
   EXPECT_EQ(g.s_n, 300u);
 }
 
 TEST(Geometry, RejectsZeroPeriod) {
-  EXPECT_THROW(request_geometry(0, 10, {0, 0}, 6, 2), std::invalid_argument);
+  EXPECT_THROW(two_tier_geometry(0, 10, {0, 0}, 6, 2), std::invalid_argument);
 }
 
 struct GeometryCase {
@@ -79,7 +91,7 @@ TEST_P(GeometryMatchesBruteForce, OnRandomRequests) {
   for (int i = 0; i < 400; ++i) {
     const Bytes offset = rng.uniform_u64(0, 20 * S);
     const Bytes size = rng.uniform_u64(1, 8 * S);
-    const auto exact = request_geometry(offset, size, {c.h, c.s}, c.M, c.N);
+    const auto exact = two_tier_geometry(offset, size, {c.h, c.s}, c.M, c.N);
     const auto brute =
         request_geometry_reference(offset, size, {c.h, c.s}, c.M, c.N);
     ASSERT_EQ(exact, brute) << "o=" << offset << " r=" << size << " M=" << c.M
@@ -107,7 +119,7 @@ TEST(Fig5CaseA, SingleStripeRowIsAnUpperBound) {
   const Bytes offset = 10 * KiB;  // within HServer 0's stripe
   const Bytes size = 4 * KiB;
   const auto closed = fig5_case_a_geometry(offset, size, hs, 6, 2);
-  const auto exact = request_geometry(offset, size, hs, 6, 2);
+  const auto exact = two_tier_geometry(offset, size, hs, 6, 2);
   EXPECT_EQ(closed.m, exact.m);
   EXPECT_EQ(closed.n, 0u);
   EXPECT_GE(closed.s_m, exact.s_m);  // upper bound, not exact
@@ -153,7 +165,7 @@ TEST_P(Fig5CaseAExactRows, AgreesWithExactGeometryOnExactRows) {
     if (l_b >= M * hs.h || l_e >= M * hs.h) continue;  // not case (a)
     if (!fig5_row_is_exact(offset, size, hs, M)) continue;
     const auto closed = fig5_case_a_geometry(offset, size, hs, M, N);
-    const auto exact = request_geometry(offset, size, hs, M, N);
+    const auto exact = two_tier_geometry(offset, size, hs, M, N);
     EXPECT_EQ(closed.s_m, exact.s_m) << "o=" << offset << " r=" << size;
     EXPECT_EQ(closed.m, exact.m) << "o=" << offset << " r=" << size;
     EXPECT_EQ(closed.s_n, exact.s_n) << "o=" << offset << " r=" << size;
@@ -190,66 +202,81 @@ TEST(Startup, ExpectedMaxOfUniforms) {
 
 // ------------------------------------------------------------- request ----
 
-CostParams test_params() {
-  CostParams p = make_cost_params(6, 2, storage::hdd_profile(),
-                                  storage::pcie_ssd_profile(),
-                                  1.0 / (117.0 * 1024 * 1024));
+TieredCostParams test_params() {
+  TieredCostParams p;
+  p.tiers = {TierSpec{6, storage::hdd_profile(), {}},
+             TierSpec{2, storage::pcie_ssd_profile(), {}}};
+  p.t = 1.0 / (117.0 * 1024 * 1024);
   return p;
 }
 
 TEST(RequestCost, DecomposesIntoThreeTerms) {
-  const CostParams p = test_params();
-  const auto b =
-      request_cost_breakdown(p, IoOp::kRead, 0, 512 * KiB, {64 * KiB, 64 * KiB});
-  EXPECT_GT(b.network, 0.0);
-  EXPECT_GT(b.startup, 0.0);
-  EXPECT_GT(b.transfer, 0.0);
-  EXPECT_DOUBLE_EQ(b.total, b.network + b.startup + b.transfer);
+  // T = T_X + T_S + T_T, each term priced from the exact geometry.
+  const TieredCostParams p = test_params();
+  const storage::OpProfile& h = p.tiers[0].profile.read;
+  const storage::OpProfile& s = p.tiers[1].profile.read;
+  const auto g = two_tier_geometry(0, 512 * KiB, {64 * KiB, 64 * KiB}, 6, 2);
+  const Seconds network =
+      p.net_latency + static_cast<double>(p.net_hops) * p.t *
+                          static_cast<double>(std::max(g.s_m, g.s_n));
+  const Seconds startup = std::max(startup_expected_max(h, g.m),
+                                   startup_expected_max(s, g.n));
+  const Seconds transfer =
+      std::max(static_cast<double>(g.s_m) * h.per_byte,
+               static_cast<double>(g.s_n) * s.per_byte);
+  EXPECT_GT(network, 0.0);
+  EXPECT_GT(startup, 0.0);
+  EXPECT_GT(transfer, 0.0);
   EXPECT_DOUBLE_EQ(
-      request_cost(p, IoOp::kRead, 0, 512 * KiB, {64 * KiB, 64 * KiB}), b.total);
+      request_cost(p, IoOp::kRead, 0, 512 * KiB, Stripes{64 * KiB, 64 * KiB}),
+      network + startup + transfer);
 }
 
 TEST(RequestCost, WritesCostMoreThanReadsOnSsdOnlyLayout) {
-  const CostParams p = test_params();
-  const StripePair ssd_only{0, 64 * KiB};
+  const TieredCostParams p = test_params();
+  const Stripes ssd_only{0, 64 * KiB};
   EXPECT_GT(request_cost(p, IoOp::kWrite, 0, 128 * KiB, ssd_only),
             request_cost(p, IoOp::kRead, 0, 128 * KiB, ssd_only));
 }
 
 TEST(RequestCost, StartupTermUsesTheSlowerTier) {
-  const CostParams p = test_params();
-  const auto mixed = request_cost_breakdown(p, IoOp::kRead, 0,
-                                            6 * 64 * KiB + 2 * 64 * KiB,
-                                            {64 * KiB, 64 * KiB});
+  // With a free network and free transfers the cost is T_S alone.
+  TieredCostParams p = test_params();
+  p.t = 0.0;
+  for (TierSpec& tier : p.tiers) tier.profile.read.per_byte = 0.0;
+  const Bytes size = 6 * 64 * KiB + 2 * 64 * KiB;
+  const auto g = two_tier_geometry(0, size, {64 * KiB, 64 * KiB}, 6, 2);
   // HServers dominate startup (their window is milliseconds vs microseconds).
-  const Seconds h_startup = startup_expected_max(p.hserver_read, mixed.geometry.m);
-  EXPECT_DOUBLE_EQ(mixed.startup, h_startup);
+  EXPECT_DOUBLE_EQ(
+      request_cost(p, IoOp::kRead, 0, size, Stripes{64 * KiB, 64 * KiB}),
+      startup_expected_max(p.tiers[0].profile.read, g.m));
 }
 
 TEST(RequestCost, SsdOnlyAvoidsHddStartup) {
-  const CostParams p = test_params();
+  const TieredCostParams p = test_params();
   // Same 128 KiB request: hybrid layout pays HDD startup, SSD-only does not.
   const Seconds hybrid =
-      request_cost(p, IoOp::kRead, 0, 128 * KiB, {16 * KiB, 16 * KiB});
+      request_cost(p, IoOp::kRead, 0, 128 * KiB, Stripes{16 * KiB, 16 * KiB});
   const Seconds ssd_only =
-      request_cost(p, IoOp::kRead, 0, 128 * KiB, {0, 64 * KiB});
+      request_cost(p, IoOp::kRead, 0, 128 * KiB, Stripes{0, 64 * KiB});
   EXPECT_LT(ssd_only, hybrid);
 }
 
 TEST(RequestCost, NetworkTermScalesWithMaxSubrequest) {
-  CostParams p = test_params();
+  // With free devices the cost is T_X alone.
+  TieredCostParams p = test_params();
+  for (TierSpec& tier : p.tiers) tier.profile.read = storage::OpProfile{};
   p.net_latency = 0.0;
   p.net_hops = 1;
-  const auto b1 =
-      request_cost_breakdown(p, IoOp::kRead, 0, 512 * KiB, {32 * KiB, 160 * KiB});
-  EXPECT_DOUBLE_EQ(
-      b1.network,
-      p.t * static_cast<double>(std::max(b1.geometry.s_m, b1.geometry.s_n)));
+  const Stripes hs{32 * KiB, 160 * KiB};
+  const auto g = two_tier_geometry(0, 512 * KiB, {32 * KiB, 160 * KiB}, 6, 2);
+  const Seconds one_hop = request_cost(p, IoOp::kRead, 0, 512 * KiB, hs);
+  EXPECT_DOUBLE_EQ(one_hop,
+                   p.t * static_cast<double>(std::max(g.s_m, g.s_n)));
   // Two hops double the term.
   p.net_hops = 2;
-  const auto b2 =
-      request_cost_breakdown(p, IoOp::kRead, 0, 512 * KiB, {32 * KiB, 160 * KiB});
-  EXPECT_DOUBLE_EQ(b2.network, 2.0 * b1.network);
+  EXPECT_DOUBLE_EQ(request_cost(p, IoOp::kRead, 0, 512 * KiB, hs),
+                   2.0 * one_hop);
 }
 
 TEST(RequestCost, BiggerSserverStripeShiftsLoadOffHdds) {
@@ -259,28 +286,29 @@ TEST(RequestCost, BiggerSserverStripeShiftsLoadOffHdds) {
   // folds into the rate, ~25 MB/s effective vs ~90 MB/s media.  Under those
   // parameters the paper's optimized read layout {32K, 160K} beats the
   // default equal-stripe layout for 512 KiB requests (Fig. 7).
-  CostParams p = test_params();
-  for (storage::OpProfile* prof : {&p.hserver_read, &p.hserver_write}) {
+  TieredCostParams p = test_params();
+  for (storage::OpProfile* prof :
+       {&p.tiers[0].profile.read, &p.tiers[0].profile.write}) {
     const Seconds mean_startup = prof->startup_mean();
     prof->per_byte += mean_startup / static_cast<double>(64 * KiB);
     prof->startup_min *= 0.55;
     prof->startup_max *= 0.55;
   }
   const Seconds equal =
-      request_cost(p, IoOp::kRead, 0, 512 * KiB, {64 * KiB, 64 * KiB});
+      request_cost(p, IoOp::kRead, 0, 512 * KiB, Stripes{64 * KiB, 64 * KiB});
   const Seconds optimized =
-      request_cost(p, IoOp::kRead, 0, 512 * KiB, {32 * KiB, 160 * KiB});
+      request_cost(p, IoOp::kRead, 0, 512 * KiB, Stripes{32 * KiB, 160 * KiB});
   EXPECT_LT(optimized, equal);
 }
 
 TEST(RequestCost, PerStripeOverheadChargesStripeUnits) {
-  CostParams p = test_params();
+  TieredCostParams p = test_params();
   p.per_stripe_overhead = 1e-3;
-  CostParams base = p;
+  TieredCostParams base = p;
   base.per_stripe_overhead = 0.0;
 
   // One full period: each server holds exactly one stripe unit.
-  const StripePair hs{64 * KiB, 64 * KiB};
+  const Stripes hs{64 * KiB, 64 * KiB};
   const Bytes S = 8 * 64 * KiB;
   EXPECT_NEAR(request_cost(p, IoOp::kRead, 0, S, hs) -
                   request_cost(base, IoOp::kRead, 0, S, hs),
@@ -292,44 +320,44 @@ TEST(RequestCost, PerStripeOverheadChargesStripeUnits) {
 }
 
 TEST(RequestCost, PerStripeOverheadPenalizesTinyStripes) {
-  CostParams p = test_params();
+  TieredCostParams p = test_params();
   p.per_stripe_overhead = 50e-6;
   // Same byte distribution per server (4K and 64K stripes at a 1:1 tier
   // ratio aggregate identically over whole periods), but the 4K layout
   // merges 16x more stripe units.
   const Seconds tiny =
-      request_cost(p, IoOp::kRead, 0, 1 * MiB, {4 * KiB, 4 * KiB});
+      request_cost(p, IoOp::kRead, 0, 1 * MiB, Stripes{4 * KiB, 4 * KiB});
   const Seconds coarse =
-      request_cost(p, IoOp::kRead, 0, 1 * MiB, {64 * KiB, 64 * KiB});
+      request_cost(p, IoOp::kRead, 0, 1 * MiB, Stripes{64 * KiB, 64 * KiB});
   EXPECT_GT(tiny, coarse);
 }
 
 // ------------------------------------------------------------ multi-tier ----
 
 TEST(TieredModel, TwoTierSpecialCaseMatchesDedicatedModel) {
-  const CostParams p2 = test_params();
-  core::TieredCostParams pk;
-  pk.t = p2.t;
-  pk.net_latency = p2.net_latency;
-  pk.net_hops = p2.net_hops;
-  core::TierSpec h;
-  h.count = 6;
-  h.profile = storage::hdd_profile();
-  core::TierSpec s;
-  s.count = 2;
-  s.profile = storage::pcie_ssd_profile();
-  pk.tiers = {h, s};
-
+  // Two tiers take the O(1) closed form of paper Fig. 4/5; the paper's
+  // Eq. 7/8 over the brute-force geometry must price the same cost.
+  const TieredCostParams p = test_params();
   Rng rng(5);
   for (int i = 0; i < 200; ++i) {
     const Bytes offset = rng.uniform_u64(0, 64 * MiB);
     const Bytes size = rng.uniform_u64(1, 4 * MiB);
     const StripePair hs{(rng.uniform_u64(0, 16)) * 4 * KiB,
                         (rng.uniform_u64(1, 64)) * 4 * KiB};
-    const std::vector<Bytes> stripes = {hs.h, hs.s};
+    const auto g = request_geometry_reference(offset, size, hs, 6, 2);
     for (IoOp op : {IoOp::kRead, IoOp::kWrite}) {
-      const Seconds dedicated = request_cost(p2, op, offset, size, hs);
-      const Seconds generic = tiered_request_cost(pk, op, offset, size, stripes);
+      const storage::OpProfile& h = p.tiers[0].profile.op(op);
+      const storage::OpProfile& s = p.tiers[1].profile.op(op);
+      const Seconds dedicated =
+          p.net_latency +
+          static_cast<double>(p.net_hops) * p.t *
+              static_cast<double>(std::max(g.s_m, g.s_n)) +
+          std::max(startup_expected_max(h, g.m),
+                   startup_expected_max(s, g.n)) +
+          std::max(static_cast<double>(g.s_m) * h.per_byte,
+                   static_cast<double>(g.s_n) * s.per_byte);
+      const Seconds generic =
+          request_cost(p, op, offset, size, Stripes{hs.h, hs.s});
       ASSERT_NEAR(dedicated, generic, 1e-15);
     }
   }
@@ -363,7 +391,7 @@ TEST(TieredModel, ValidatesInputs) {
   pk.tiers[0].count = 1;
   pk.tiers[1].count = 1;
   const std::vector<Bytes> wrong = {4 * KiB};
-  EXPECT_THROW(tiered_request_cost(pk, IoOp::kRead, 0, 1, wrong),
+  EXPECT_THROW(request_cost(pk, IoOp::kRead, 0, 1, wrong),
                std::invalid_argument);
   const std::vector<std::size_t> counts = {1};
   const std::vector<Bytes> stripes = {0};
@@ -515,9 +543,8 @@ TEST(OffsetMinBound, NeverExceedsTheKernelAtAnyResidue) {
 
 TEST(OffsetMinBound, IsTheKernelForWholePeriods) {
   // size mod S == 0: every offset sees the same geometry.
-  const CostParams p = make_cost_params(6, 2, storage::hdd_profile(),
-                                        storage::pcie_ssd_profile(), 1e-9);
-  const TieredCostParams tp = to_tiered(p);
+  TieredCostParams tp = test_params();
+  tp.t = 1e-9;
   const std::size_t counts[2] = {6, 2};
   const Bytes stripes[2] = {56 * KiB, 344 * KiB};
   const storage::OpProfile* profiles[2] = {&tp.tiers[0].profile.read,
@@ -527,7 +554,7 @@ TEST(OffsetMinBound, IsTheKernelForWholePeriods) {
       counts, profiles, {}, tp.t, tp.net_latency, tp.net_hops,
       tp.per_stripe_overhead, 1 * MiB, stripes, scratch);
   const Seconds kernel =
-      request_cost(p, IoOp::kRead, 3 * MiB, 1 * MiB, {56 * KiB, 344 * KiB});
+      request_cost(tp, IoOp::kRead, 3 * MiB, 1 * MiB, stripes);
   EXPECT_LE(bound, kernel);
   EXPECT_NEAR(bound, kernel, kernel * 1e-11);
 }

@@ -25,7 +25,7 @@
 namespace harl {
 namespace {
 
-using core::CostParams;
+using core::TieredCostParams;
 using core::TieredCostParams;
 using core::TierSpec;
 
@@ -170,19 +170,17 @@ TEST(DeviceKernel, RequestCostChargesWorstFactorOverFullMembership) {
   TieredCostParams params = two_tier_params();
   const std::vector<Bytes> stripes{64 * KiB, 128 * KiB};
   const Seconds fresh =
-      core::tiered_request_cost(params, IoOp::kRead, 0, 1 * MiB, stripes);
+      core::request_cost(params, IoOp::kRead, 0, 1 * MiB, stripes);
   params.tiers[1].device_factors = {1.0, 1.0, 2.0, 2.0};
   const Seconds aged =
-      core::tiered_request_cost(params, IoOp::kRead, 0, 1 * MiB, stripes);
+      core::request_cost(params, IoOp::kRead, 0, 1 * MiB, stripes);
   // Full membership touches the aged half, so the tier is charged at its
   // worst factor: strictly more expensive than the fresh fleet.
   EXPECT_GT(aged, fresh);
 
-  // The member overload at full membership must agree with the base
-  // overload bit for bit.
+  // Explicit full membership must agree with the default bit for bit.
   const std::vector<std::size_t> full{2, 4};
-  EXPECT_EQ(core::tiered_request_cost(params, IoOp::kRead, 0, 1 * MiB, stripes,
-                                      full),
+  EXPECT_EQ(core::request_cost(params, IoOp::kRead, 0, 1 * MiB, stripes, full),
             aged);
 }
 
@@ -197,11 +195,10 @@ TEST(DeviceKernel, MemberRestrictionAvoidsTheAgedStraggler) {
   const std::vector<Bytes> stripes{0, 128 * KiB};
   const std::vector<std::size_t> all{0, 4};
   const std::vector<std::size_t> fresh_only{0, 2};
-  const Seconds wide = core::tiered_request_cost(params, IoOp::kRead, 0,
-                                                 1 * MiB, stripes, all);
-  const Seconds narrow = core::tiered_request_cost(params, IoOp::kRead, 0,
-                                                   1 * MiB, stripes,
-                                                   fresh_only);
+  const Seconds wide =
+      core::request_cost(params, IoOp::kRead, 0, 1 * MiB, stripes, all);
+  const Seconds narrow = core::request_cost(params, IoOp::kRead, 0, 1 * MiB,
+                                            stripes, fresh_only);
   // Wide: ~256 KiB per server at factor 8; narrow: ~512 KiB per server at
   // factor 1.  The straggler charge dominates the halved width.
   EXPECT_LT(narrow, wide);
@@ -210,34 +207,33 @@ TEST(DeviceKernel, MemberRestrictionAvoidsTheAgedStraggler) {
 // ------------------------------------------------------------ fingerprint --
 
 TEST(DeviceFingerprint, EmptyFactorsHashExactlyAsPreDeviceModel) {
-  // params_fingerprint(CostParams) routes through the tiered fingerprint;
-  // leaving the factor vectors empty must reproduce the pre-device-model
-  // fingerprint — i.e. the fingerprint only depends on fields that existed
+  // Empty factor vectors must reproduce the pre-device-model fingerprint
+  // (pinned) — i.e. the fingerprint only depends on fields that existed
   // before the device model (regression guard for every fingerprint caller:
   // plan artifacts, cost memos, adaptive caches).
-  CostParams p = core::make_cost_params(6, 2, storage::hdd_profile(),
-                                        storage::pcie_ssd_profile(), 1e-8);
-  const std::uint64_t before = core::params_fingerprint(p);
-  p.hserver_factors = {};
-  p.sserver_factors = {};
-  EXPECT_EQ(core::params_fingerprint(p), before);
-  EXPECT_EQ(core::params_fingerprint(core::to_tiered(p)), before);
+  TieredCostParams p;
+  p.tiers = {TierSpec{6, storage::hdd_profile(), {}},
+             TierSpec{2, storage::pcie_ssd_profile(), {}}};
+  p.t = 1e-8;
+  EXPECT_EQ(core::params_fingerprint(p), 0x34c292752537c2bbULL);
 }
 
 TEST(DeviceFingerprint, DeviceFactorsChangeTheFingerprint) {
-  CostParams p = core::make_cost_params(6, 2, storage::hdd_profile(),
-                                        storage::pcie_ssd_profile(), 1e-8);
+  TieredCostParams p;
+  p.tiers = {TierSpec{6, storage::hdd_profile(), {}},
+             TierSpec{2, storage::pcie_ssd_profile(), {}}};
+  p.t = 1e-8;
   const std::uint64_t fresh = core::params_fingerprint(p);
-  p.sserver_factors = {1.0, 2.0};
+  p.tiers[1].device_factors = {1.0, 2.0};
   const std::uint64_t aged2 = core::params_fingerprint(p);
   EXPECT_NE(aged2, fresh);
-  p.sserver_factors = {1.0, 4.0};
+  p.tiers[1].device_factors = {1.0, 4.0};
   const std::uint64_t aged4 = core::params_fingerprint(p);
   EXPECT_NE(aged4, fresh);
   EXPECT_NE(aged4, aged2);
   // The HServer tier's vector is hashed independently of the SServer one.
-  p.sserver_factors = {};
-  p.hserver_factors = {1.0, 1.0, 1.0, 1.0, 1.0, 2.0};
+  p.tiers[1].device_factors = {};
+  p.tiers[0].device_factors = {1.0, 1.0, 1.0, 1.0, 1.0, 2.0};
   EXPECT_NE(core::params_fingerprint(p), fresh);
   EXPECT_NE(core::params_fingerprint(p), aged2);
 }
@@ -258,7 +254,7 @@ TEST(DeviceOptimizer, HomogeneousSearchReportsNoMemberRestriction) {
   const TieredCostParams params = two_tier_params();
   const auto requests = uniform_requests(512 * KiB, 16);
   const auto result =
-      core::optimize_region_tiered(params, requests, 512.0 * KiB);
+      core::optimize_region(params, requests, 512.0 * KiB);
   EXPECT_TRUE(result.members.empty());
 }
 
@@ -268,9 +264,9 @@ TEST(DeviceOptimizer, HeterogeneousSearchCrossesMemberPrefixes) {
   aged.tiers[1].device_factors = {1.0, 1.0, 4.0, 4.0};
   const auto requests = uniform_requests(512 * KiB, 16);
   const auto fresh_result =
-      core::optimize_region_tiered(fresh, requests, 512.0 * KiB);
+      core::optimize_region(fresh, requests, 512.0 * KiB);
   const auto aged_result =
-      core::optimize_region_tiered(aged, requests, 512.0 * KiB);
+      core::optimize_region(aged, requests, 512.0 * KiB);
   // Factor groups {1, 1} and {4, 4} contribute prefix choices {2, 4} for
   // tier 1, so the aged grid is strictly larger than the fresh one.
   EXPECT_GT(aged_result.candidates_evaluated,
@@ -298,7 +294,7 @@ TEST(DeviceOptimizer, TransferBoundRegionRestrictsToTheFreshPrefix) {
   params.t = 1e-12;
   const auto requests = uniform_requests(512 * KiB, 8);
   const auto result =
-      core::optimize_region_tiered(params, requests, 512.0 * KiB);
+      core::optimize_region(params, requests, 512.0 * KiB);
   ASSERT_EQ(result.members.size(), 1u);
   EXPECT_EQ(result.members[0], 2u);
 }
@@ -349,14 +345,14 @@ TEST(DeviceCalibration, MeasuredFactorsTrackTheConfiguredAging) {
   harness::CalibrationOptions opts;
   opts.samples_per_size = 200;
   opts.beta_samples = 200;
-  const CostParams params = harness::calibrate(cfg, opts);
-  EXPECT_TRUE(params.hserver_factors.empty());
-  ASSERT_EQ(params.sserver_factors.size(), 2u);
-  EXPECT_NEAR(params.sserver_factors[0], 1.0, 1e-9);
+  const TieredCostParams params = harness::calibrate(cfg, opts);
+  EXPECT_TRUE(params.tiers[0].device_factors.empty());
+  ASSERT_EQ(params.tiers[1].device_factors.size(), 2u);
+  EXPECT_NEAR(params.tiers[1].device_factors[0], 1.0, 1e-9);
   // The probe measures the aged device's effective unit time against the
   // fresh one; the simulated device scales every time parameter, so the
   // ratio lands on the configured factor.
-  EXPECT_NEAR(params.sserver_factors[1], 2.0, 0.05);
+  EXPECT_NEAR(params.tiers[1].device_factors[1], 2.0, 0.05);
 }
 
 TEST(DeviceCalibration, DeviceBlindLeavesFactorsEmpty) {
@@ -368,9 +364,9 @@ TEST(DeviceCalibration, DeviceBlindLeavesFactorsEmpty) {
   opts.samples_per_size = 100;
   opts.beta_samples = 100;
   opts.device_blind = true;
-  const CostParams params = harness::calibrate(cfg, opts);
-  EXPECT_TRUE(params.hserver_factors.empty());
-  EXPECT_TRUE(params.sserver_factors.empty());
+  const TieredCostParams params = harness::calibrate(cfg, opts);
+  EXPECT_TRUE(params.tiers[0].device_factors.empty());
+  EXPECT_TRUE(params.tiers[1].device_factors.empty());
 }
 
 // --------------------------------------------------- plan + install guard --
@@ -389,11 +385,12 @@ std::vector<trace::TraceRecord> small_trace() {
   return records;
 }
 
-CostParams aged_params() {
-  CostParams p = core::make_cost_params(2, 2, storage::hdd_profile(),
-                                        storage::pcie_ssd_profile(),
-                                        1.0 / (117.0 * 1024 * 1024));
-  p.sserver_factors = {1.0, 2.0};
+TieredCostParams aged_params() {
+  TieredCostParams p;
+  p.tiers = {TierSpec{2, storage::hdd_profile(), {}},
+             TierSpec{2, storage::pcie_ssd_profile(), {}}};
+  p.t = 1.0 / (117.0 * 1024 * 1024);
+  p.tiers[1].device_factors = {1.0, 2.0};
   return p;
 }
 
@@ -403,14 +400,14 @@ TEST(DevicePlan, AnalyzeStampsTheDeviceTableIntoThePlan) {
   EXPECT_TRUE(plan.device_factors[0].empty());
   EXPECT_EQ(plan.device_factors[1], (std::vector<double>{1.0, 2.0}));
 
-  CostParams fresh = aged_params();
-  fresh.sserver_factors = {};
+  TieredCostParams fresh = aged_params();
+  fresh.tiers[1].device_factors = {};
   const core::Plan fresh_plan = core::analyze(small_trace(), fresh);
   EXPECT_TRUE(fresh_plan.device_factors.empty());
 }
 
 TEST(DevicePlan, InstallRejectsAMismatchedFleet) {
-  const CostParams params = aged_params();
+  const TieredCostParams params = aged_params();
   const core::Plan plan = core::analyze(small_trace(), params);
   const std::string path =
       ::testing::TempDir() + "/device_model_install_test.plan";
@@ -440,8 +437,8 @@ TEST(DevicePlan, InstallRejectsAMismatchedFleet) {
                std::runtime_error);
 
   // ...and the converse: a homogeneous plan on an aged fleet.
-  CostParams fresh = params;
-  fresh.sserver_factors = {};
+  TieredCostParams fresh = params;
+  fresh.tiers[1].device_factors = {};
   const core::Plan fresh_plan = core::analyze(small_trace(), fresh);
   const std::string fresh_path =
       ::testing::TempDir() + "/device_model_install_fresh.plan";

@@ -84,9 +84,10 @@ TEST(FixedDivision, PlannerIntegration) {
     records.push_back(request(base, 512 * KiB));
     base += 512 * KiB;
   }
-  core::CostParams params = core::make_cost_params(
-      6, 2, storage::hdd_profile(), storage::pcie_ssd_profile(),
-      1.0 / (117.0 * 1024 * 1024));
+  core::TieredCostParams params;
+  params.tiers = {core::TierSpec{6, storage::hdd_profile(), {}},
+                  core::TierSpec{2, storage::pcie_ssd_profile(), {}}};
+  params.t = 1.0 / (117.0 * 1024 * 1024);
   const auto plan = core::analyze_fixed_regions(records, params, 16 * MiB);
   EXPECT_GE(plan.regions.size(), 2u);
   EXPECT_FALSE(plan.rst.empty());

@@ -18,48 +18,55 @@ TEST(Calibration, FitsEffectiveParameters) {
   CalibrationOptions opts;
   opts.samples_per_size = 500;
   opts.beta_samples = 500;
-  const core::CostParams params = calibrate(cfg, opts);
+  const core::TieredCostParams params = calibrate(cfg, opts);
 
-  EXPECT_EQ(params.M, cfg.num_hservers);
-  EXPECT_EQ(params.N, cfg.num_sservers);
+  EXPECT_EQ(params.tiers[0].count, cfg.num_hservers);
+  EXPECT_EQ(params.tiers[1].count, cfg.num_sservers);
   EXPECT_DOUBLE_EQ(params.t, cfg.network.per_byte);
   EXPECT_EQ(params.net_hops, 1);
 
   // Effective HDD rate includes positioning amortized over the reference
   // access size: strictly slower than the media rate.
-  EXPECT_GT(params.hserver_read.per_byte, cfg.hdd.read.per_byte * 1.15);
+  EXPECT_GT(params.tiers[0].profile.read.per_byte,
+            cfg.hdd.read.per_byte * 1.15);
   // Sequential-stream startup fit: far below the full positioning window.
-  EXPECT_LT(params.hserver_read.startup_max, cfg.hdd.read.startup_max * 0.7);
+  EXPECT_LT(params.tiers[0].profile.read.startup_max,
+            cfg.hdd.read.startup_max * 0.7);
   // SSD effective rate stays near its media rate (only its microsecond
   // startups amortize in, roughly doubling the 64 KiB unit time at most).
-  EXPECT_LT(params.sserver_read.per_byte, cfg.ssd.read.per_byte * 2.0);
+  EXPECT_LT(params.tiers[1].profile.read.per_byte, cfg.ssd.read.per_byte * 2.0);
   // SSD writes remain slower than reads.
-  EXPECT_GT(params.sserver_write.per_byte, params.sserver_read.per_byte);
+  EXPECT_GT(params.tiers[1].profile.write.per_byte,
+            params.tiers[1].profile.read.per_byte);
 }
 
 TEST(Calibration, NominalModeCopiesProfiles) {
   pfs::ClusterConfig cfg;
   CalibrationOptions opts;
   opts.measure_devices = false;
-  const core::CostParams params = calibrate(cfg, opts);
-  EXPECT_DOUBLE_EQ(params.hserver_read.per_byte, cfg.hdd.read.per_byte);
-  EXPECT_DOUBLE_EQ(params.hserver_read.startup_max, cfg.hdd.read.startup_max);
+  const core::TieredCostParams params = calibrate(cfg, opts);
+  EXPECT_DOUBLE_EQ(params.tiers[0].profile.read.per_byte,
+                   cfg.hdd.read.per_byte);
+  EXPECT_DOUBLE_EQ(params.tiers[0].profile.read.startup_max,
+                   cfg.hdd.read.startup_max);
 }
 
 TEST(Calibration, TieredParamsMirrorTwoTier) {
+  // The calibration is the paper's two-tier view: tier 0 the HServers,
+  // tier 1 the SServers, each named after its role.
   pfs::ClusterConfig cfg;
+  cfg.num_hservers = 5;
+  cfg.num_sservers = 3;
   CalibrationOptions opts;
-  opts.samples_per_size = 300;
-  opts.beta_samples = 300;
-  const auto two = calibrate(cfg, opts);
-  const auto tiered = calibrate_tiered(cfg, opts);
-  ASSERT_EQ(tiered.tiers.size(), 2u);
-  EXPECT_EQ(tiered.tiers[0].count, cfg.num_hservers);
-  EXPECT_EQ(tiered.tiers[1].count, cfg.num_sservers);
-  EXPECT_DOUBLE_EQ(tiered.tiers[0].profile.read.per_byte,
-                   two.hserver_read.per_byte);
-  EXPECT_DOUBLE_EQ(tiered.tiers[1].profile.write.per_byte,
-                   two.sserver_write.per_byte);
+  opts.measure_devices = false;
+  const core::TieredCostParams params = calibrate(cfg, opts);
+  ASSERT_EQ(params.tiers.size(), 2u);
+  EXPECT_EQ(params.tiers[0].count, 5u);
+  EXPECT_EQ(params.tiers[1].count, 3u);
+  EXPECT_EQ(params.tiers[0].profile.name, "hserver");
+  EXPECT_EQ(params.tiers[1].profile.name, "sserver");
+  EXPECT_DOUBLE_EQ(params.tiers[1].profile.write.per_byte,
+                   cfg.ssd.write.per_byte);
 }
 
 TEST(Scheme, LabelsMatchFigureLegends) {

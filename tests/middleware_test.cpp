@@ -463,7 +463,7 @@ TEST(HarlDriver, SaveLoadInstallRoundTrip) {
 
   const auto rst = HarlDriver::load_rst(dir, "app.dat");
   ASSERT_EQ(rst.size(), 2u);
-  EXPECT_EQ(rst.entry(1).pair(), (core::StripePair{36 * KiB, 144 * KiB}));
+  EXPECT_EQ(rst.entry(1).stripes, (std::vector<Bytes>{36 * KiB, 144 * KiB}));
 
   const auto r2f = HarlDriver::load_r2f(dir, "app.dat");
   EXPECT_EQ(r2f.region_count(), 2u);

@@ -3,6 +3,9 @@
 // stripe optimizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "src/common/rng.hpp"
 #include "src/core/plan_artifact.hpp"
 #include "src/core/planner.hpp"
@@ -31,7 +34,7 @@ core::TieredCostParams three_tier_params() {
   core::TieredCostParams p;
   p.t = 1.0 / (117.0 * 1024 * 1024);
   p.tiers = {
-      core::TierSpec{4, storage::hdd_profile()},
+             core::TierSpec{4, storage::hdd_profile()},
       core::TierSpec{2, storage::sata_ssd_profile()},
       core::TierSpec{2, storage::nvme_ssd_profile()},
   };
@@ -121,9 +124,9 @@ TEST(TieredLayout, ValidatesShapes) {
 TEST(TieredOptimizer, StripesAreMonotoneAcrossTiers) {
   const auto p = three_tier_params();
   const auto reqs = uniform_requests(1 * MiB, 48);
-  core::TieredOptimizerOptions opts;
+  core::OptimizerOptions opts;
   opts.step = 32 * KiB;
-  const auto result = core::optimize_region_tiered(p, reqs, 1.0 * MiB, opts);
+  const auto result = core::optimize_region(p, reqs, 1.0 * MiB, opts);
   ASSERT_EQ(result.stripes.size(), 3u);
   EXPECT_LE(result.stripes[0], result.stripes[1]);
   EXPECT_LE(result.stripes[1], result.stripes[2]);
@@ -132,8 +135,9 @@ TEST(TieredOptimizer, StripesAreMonotoneAcrossTiers) {
 }
 
 TEST(TieredOptimizer, TwoTierAgreesWithDedicatedAlgorithm2) {
-  // On a two-tier cluster the generalized search must find the same optimum
-  // as the paper's Algorithm 2 (same grid, same model).
+  // Two tiers select the paper's Algorithm 2 grid: (h, s) with s >= h + step
+  // and h = 0 allowed, the h = R extreme keeping s = R + step.  The search
+  // must score exactly that grid and return its cheapest pair.
   core::TieredCostParams p2;
   p2.t = 1.0 / (117.0 * 1024 * 1024);
   auto hdd = storage::hdd_profile();
@@ -145,34 +149,33 @@ TEST(TieredOptimizer, TwoTierAgreesWithDedicatedAlgorithm2) {
   p2.tiers = {core::TierSpec{6, hdd},
               core::TierSpec{2, storage::pcie_ssd_profile()}};
 
-  core::CostParams dedicated;
-  dedicated = core::make_cost_params(6, 2, hdd, storage::pcie_ssd_profile(),
-                                     p2.t);
-
   const auto reqs = uniform_requests(512 * KiB, 64);
-  core::TieredOptimizerOptions topts;
-  topts.step = 8 * KiB;
-  const auto tiered = core::optimize_region_tiered(p2, reqs, 512.0 * KiB, topts);
+  core::OptimizerOptions opts;
+  opts.step = 8 * KiB;
+  const auto found = core::optimize_region(p2, reqs, 512.0 * KiB, opts);
 
-  core::OptimizerOptions opts2;
-  opts2.step = 8 * KiB;
-  const auto two = core::optimize_region(dedicated, reqs, 512.0 * KiB, opts2);
-
-  // Same model cost; the stripe pair may differ only within cost ties.
-  EXPECT_NEAR(tiered.model_cost, two.model_cost,
-              two.model_cost * 1e-9);
-  // Note: Algorithm 2's grid requires s > h strictly while the generalized
-  // grid allows s == h; equal-cost ties can therefore differ, but the
-  // h < s shape must match.
-  EXPECT_LE(tiered.stripes[0], tiered.stripes[1]);
+  const Bytes R = 512 * KiB;
+  std::size_t pairs = 0;
+  Seconds best = std::numeric_limits<Seconds>::infinity();
+  for (Bytes h = 0; h <= R; h += opts.step) {
+    for (Bytes s = h + opts.step; s <= std::max(R, h + opts.step);
+         s += opts.step) {
+      ++pairs;
+      best = std::min(best,
+                      core::region_cost(p2, reqs, std::vector<Bytes>{h, s}));
+    }
+  }
+  EXPECT_EQ(found.candidates_evaluated, pairs);
+  EXPECT_EQ(found.model_cost, best);
+  EXPECT_LT(found.stripes[0], found.stripes[1]);
 }
 
 TEST(TieredOptimizer, FastTierGetsTheLargestStripes) {
   const auto p = three_tier_params();
   const auto reqs = uniform_requests(2 * MiB, 32);
-  core::TieredOptimizerOptions opts;
+  core::OptimizerOptions opts;
   opts.step = 64 * KiB;
-  const auto result = core::optimize_region_tiered(p, reqs, 2.0 * MiB, opts);
+  const auto result = core::optimize_region(p, reqs, 2.0 * MiB, opts);
   // NVMe strictly outranks the HDD tier for big hybrid spreads.
   EXPECT_GT(result.stripes[2], result.stripes[0]);
 }
@@ -182,9 +185,9 @@ TEST(TieredOptimizer, BeatsCollapsedTwoTierOnTheModel) {
   // compare model costs: tier awareness can only help.
   const auto p3 = three_tier_params();
   const auto reqs = uniform_requests(2 * MiB, 32);
-  core::TieredOptimizerOptions opts;
+  core::OptimizerOptions opts;
   opts.step = 64 * KiB;
-  const auto aware = core::optimize_region_tiered(p3, reqs, 2.0 * MiB, opts);
+  const auto aware = core::optimize_region(p3, reqs, 2.0 * MiB, opts);
 
   core::TieredCostParams collapsed = p3;
   storage::TierProfile blended = storage::sata_ssd_profile();
@@ -196,25 +199,25 @@ TEST(TieredOptimizer, BeatsCollapsedTwoTierOnTheModel) {
     out.per_byte = 0.5 * (out.per_byte + nvme.op(op).per_byte);
   }
   collapsed.tiers = {p3.tiers[0], core::TierSpec{4, blended}};
-  const auto blind = core::optimize_region_tiered(collapsed, reqs, 2.0 * MiB, opts);
+  const auto blind = core::optimize_region(collapsed, reqs, 2.0 * MiB, opts);
   // Evaluate the blind choice on the *real* three-tier cluster.
   const std::vector<Bytes> expanded = {blind.stripes[0], blind.stripes[1],
                                        blind.stripes[1]};
-  const Seconds blind_cost = core::tiered_region_cost(p3, reqs, expanded);
+  const Seconds blind_cost = core::region_cost(p3, reqs, expanded);
   EXPECT_LE(aware.model_cost, blind_cost + 1e-12);
 }
 
 TEST(TieredOptimizer, ParallelMatchesSerial) {
   const auto p = three_tier_params();
   const auto reqs = uniform_requests(1 * MiB, 32);
-  core::TieredOptimizerOptions serial;
+  core::OptimizerOptions serial;
   serial.step = 64 * KiB;
-  const auto a = core::optimize_region_tiered(p, reqs, 1.0 * MiB, serial);
+  const auto a = core::optimize_region(p, reqs, 1.0 * MiB, serial);
 
   ThreadPool pool(3);
-  core::TieredOptimizerOptions parallel = serial;
+  core::OptimizerOptions parallel = serial;
   parallel.pool = &pool;
-  const auto b = core::optimize_region_tiered(p, reqs, 1.0 * MiB, parallel);
+  const auto b = core::optimize_region(p, reqs, 1.0 * MiB, parallel);
   EXPECT_EQ(a.stripes, b.stripes);
   EXPECT_DOUBLE_EQ(a.model_cost, b.model_cost);
 }
@@ -225,13 +228,13 @@ TEST(TieredOptimizer, CoalescedSearchIsBitIdenticalToBruteForce) {
   // original order, so the result matches brute force bit for bit.
   const auto p = three_tier_params();
   const auto reqs = uniform_requests(1 * MiB, 48);
-  core::TieredOptimizerOptions brute;
+  core::OptimizerOptions brute;
   brute.step = 64 * KiB;
   brute.coalesce = false;
-  core::TieredOptimizerOptions coalesced = brute;
+  core::OptimizerOptions coalesced = brute;
   coalesced.coalesce = true;
-  const auto a = core::optimize_region_tiered(p, reqs, 1.0 * MiB, brute);
-  const auto b = core::optimize_region_tiered(p, reqs, 1.0 * MiB, coalesced);
+  const auto a = core::optimize_region(p, reqs, 1.0 * MiB, brute);
+  const auto b = core::optimize_region(p, reqs, 1.0 * MiB, coalesced);
   EXPECT_EQ(a.stripes, b.stripes);
   EXPECT_EQ(a.model_cost, b.model_cost);
   EXPECT_EQ(a.cost_evals_saved, 0u);
@@ -239,28 +242,20 @@ TEST(TieredOptimizer, CoalescedSearchIsBitIdenticalToBruteForce) {
   EXPECT_EQ(b.cost_evals + b.cost_evals_saved, a.cost_evals);
 }
 
-TEST(TieredOptimizer, NonMonotoneModeWidensTheGrid) {
-  const auto p = three_tier_params();
-  const auto reqs = uniform_requests(512 * KiB, 16);
-  core::TieredOptimizerOptions mono;
-  mono.step = 64 * KiB;
-  core::TieredOptimizerOptions free = mono;
-  free.monotone = false;
-  const auto a = core::optimize_region_tiered(p, reqs, 512.0 * KiB, mono);
-  const auto b = core::optimize_region_tiered(p, reqs, 512.0 * KiB, free);
-  EXPECT_GT(b.candidates_evaluated, a.candidates_evaluated);
-  EXPECT_LE(b.model_cost, a.model_cost + 1e-12);  // superset of candidates
-}
-
 TEST(TieredOptimizer, ValidatesInputs) {
   const auto p = three_tier_params();
   const auto reqs = uniform_requests(64 * KiB, 4);
-  EXPECT_THROW(core::optimize_region_tiered(p, {}, 64.0 * KiB),
+  EXPECT_THROW(core::optimize_region(p, {}, 64.0 * KiB),
                std::invalid_argument);
-  EXPECT_THROW(core::optimize_region_tiered(p, reqs, 0.0),
+  EXPECT_THROW(core::optimize_region(p, reqs, 0.0),
                std::invalid_argument);
   core::TieredCostParams empty;
-  EXPECT_THROW(core::optimize_region_tiered(empty, reqs, 64.0 * KiB),
+  EXPECT_THROW(core::optimize_region(empty, reqs, 64.0 * KiB),
+               std::invalid_argument);
+  // The SServer share bound names the last of exactly two tiers.
+  core::OptimizerOptions bounded;
+  bounded.max_sserver_share = 0.5;
+  EXPECT_THROW(core::optimize_region(p, reqs, 64.0 * KiB, bounded),
                std::invalid_argument);
 }
 
@@ -271,9 +266,9 @@ TEST(TieredIntegration, AwareLayoutBeatsUniformInSimulation) {
   // uniform 64K layout and under the tier-aware optimum.
   const auto p = three_tier_params();
   const auto reqs = uniform_requests(1 * MiB, 64);
-  core::TieredOptimizerOptions opts;
+  core::OptimizerOptions opts;
   opts.step = 32 * KiB;
-  const auto aware = core::optimize_region_tiered(p, reqs, 1.0 * MiB, opts);
+  const auto aware = core::optimize_region(p, reqs, 1.0 * MiB, opts);
 
   auto run_layout = [&](std::shared_ptr<const pfs::Layout> layout) {
     sim::Simulator sim;
@@ -295,7 +290,7 @@ TEST(TieredIntegration, AwareLayoutBeatsUniformInSimulation) {
 
 TEST(TieredIntegration, PlannerToPlacementUsesOnePath) {
   // Full three-tier pipeline on the generic tier-vector representation:
-  // trace -> analyze_tiered -> Plan artifact round trip -> HarlDriver
+  // trace -> analyze -> Plan artifact round trip -> HarlDriver
   // install on a three-tier cluster -> simulated I/O.  Exactly the same
   // placement code the two-tier path uses.
   const auto p = three_tier_params();
@@ -318,10 +313,10 @@ TEST(TieredIntegration, PlannerToPlacementUsesOnePath) {
       records.push_back(rec);
     }
   }
-  core::TieredPlannerOptions opts;
+  core::PlannerOptions opts;
   opts.optimizer.step = 32 * KiB;
   opts.divider.fixed_region_size = 16 * MiB;
-  const core::Plan plan = core::analyze_tiered(records, p, opts);
+  const core::Plan plan = core::analyze(records, p, opts);
   ASSERT_GE(plan.rst.size(), 1u);
   EXPECT_EQ(plan.rst.num_tiers(), 3u);
   EXPECT_EQ(plan.tier_counts, (std::vector<std::size_t>{4, 2, 2}));

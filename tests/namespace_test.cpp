@@ -5,6 +5,7 @@
 // determinism across ThreadPool widths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
 #include <sstream>
@@ -65,6 +66,16 @@ TEST(MakePopulation, ShapesRotateAndNamesEncodeTenancy) {
   }
   // id % 3 == 2 is the multi-region shape: its regions sum to the file size.
   EXPECT_EQ(pop[2].size, spec.file_size);
+}
+
+TEST(MakePopulation, RejectsMoreTenantsThanFiles) {
+  // Every tenant must own at least one file.
+  harness::PopulationSpec spec;
+  spec.files = 2;
+  spec.tenants = 3;
+  EXPECT_THROW(harness::make_population(spec), std::invalid_argument);
+  spec.tenants = 2;
+  EXPECT_NO_THROW(harness::make_population(spec));
 }
 
 // --------------------------------------------------------------- replicas --
@@ -302,7 +313,7 @@ harness::ExperimentOptions small_options() {
 harness::PopulationSpec small_spec(std::size_t files) {
   harness::PopulationSpec spec;
   spec.files = files;
-  spec.tenants = 2;
+  spec.tenants = std::min<std::size_t>(2, files);  // every tenant owns a file
   spec.processes = 2;
   spec.file_size = 2 * MiB;
   spec.request_size = 128 * KiB;

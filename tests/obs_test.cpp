@@ -499,7 +499,7 @@ TEST(Recorder, ReconcilesMeasuredDecompositionAgainstCostModel) {
     sim::Simulator sim;
     obs::Recorder rec;
     rec.set_predictor([&](IoOp o, Bytes offset, Bytes size) {
-      return core::tiered_request_cost(params, o, offset, size, stripes);
+      return core::request_cost(params, o, offset, size, stripes);
     });
     sim.set_observer(&rec);
     pfs::Cluster cluster(sim, cfg);

@@ -9,11 +9,15 @@
 namespace harl::core {
 namespace {
 
-CostParams calibrated_params() {
-  CostParams p = make_cost_params(6, 2, storage::hdd_profile(),
-                                  storage::pcie_ssd_profile(),
-                                  1.0 / (117.0 * 1024 * 1024));
-  for (storage::OpProfile* prof : {&p.hserver_read, &p.hserver_write}) {
+using Stripes = std::vector<Bytes>;
+
+TieredCostParams calibrated_params() {
+  TieredCostParams p;
+  p.tiers = {TierSpec{6, storage::hdd_profile(), {}},
+             TierSpec{2, storage::pcie_ssd_profile(), {}}};
+  p.t = 1.0 / (117.0 * 1024 * 1024);
+  for (storage::OpProfile* prof :
+       {&p.tiers[0].profile.read, &p.tiers[0].profile.write}) {
     prof->per_byte += prof->startup_mean() / static_cast<double>(64 * KiB);
     prof->startup_min *= 0.55;
     prof->startup_max *= 0.55;
@@ -108,7 +112,7 @@ TEST(OnlineAdvisor, MinGainGatesRecommendations) {
 }
 
 TEST(OnlineAdvisor, CostUnderUsesGoverningRegions) {
-  const CostParams params = calibrated_params();
+  const TieredCostParams params = calibrated_params();
   RegionStripeTable rst;
   rst.add(0, {0, 64 * KiB});
   rst.add(1 * GiB, {28 * KiB, 172 * KiB});
@@ -118,16 +122,35 @@ TEST(OnlineAdvisor, CostUnderUsesGoverningRegions) {
   };
   const Seconds total = OnlineAdvisor::cost_under(params, rst, records);
   const Seconds expect =
-      request_cost(params, IoOp::kRead, 0, 128 * KiB, {0, 64 * KiB}) +
+      request_cost(params, IoOp::kRead, 0, 128 * KiB, Stripes{0, 64 * KiB}) +
       request_cost(params, IoOp::kRead, 2 * GiB, 512 * KiB,
-                   {28 * KiB, 172 * KiB});
+                   Stripes{28 * KiB, 172 * KiB});
   EXPECT_DOUBLE_EQ(total, expect);
+}
+
+TEST(OnlineAdvisor, CostUnderPricesMembersAndDeviceFactors) {
+  // An aged fleet and a member-restricted entry: the advisor must price the
+  // governing entry's stripes and members through the same device-aware
+  // cost the planner optimizes.
+  TieredCostParams params = calibrated_params();
+  params.tiers[1].device_factors = {1.0, 4.0};
+  RegionStripeTable rst;
+  rst.add(0, {28 * KiB, 172 * KiB}, {6, 1});
+  const std::vector<std::size_t> members{6, 1};
+  std::vector<trace::TraceRecord> records;
+  Seconds expect = 0.0;
+  for (Bytes i = 0; i < 16; ++i) {
+    records.push_back(request(i * 512 * KiB, 512 * KiB));
+    expect += request_cost(params, IoOp::kRead, i * 512 * KiB, 512 * KiB,
+                           Stripes{28 * KiB, 172 * KiB}, members);
+  }
+  EXPECT_DOUBLE_EQ(OnlineAdvisor::cost_under(params, rst, records), expect);
 }
 
 TEST(OnlineAdvisor, BoundarySpanningRequestCostedByStartingRegion) {
   // Pin the convention: a request crossing a region boundary is costed with
   // the stripes of the region its *first byte* falls in, for its full size.
-  const CostParams params = calibrated_params();
+  const TieredCostParams params = calibrated_params();
   RegionStripeTable rst;
   rst.add(0, {0, 64 * KiB});
   rst.add(1 * GiB, {28 * KiB, 172 * KiB});
@@ -138,10 +161,10 @@ TEST(OnlineAdvisor, BoundarySpanningRequestCostedByStartingRegion) {
       request(offset, 128 * KiB, IoOp::kWrite)};
   const Seconds got = OnlineAdvisor::cost_under(params, rst, records);
   EXPECT_DOUBLE_EQ(got, request_cost(params, IoOp::kWrite, offset, 128 * KiB,
-                                     {0, 64 * KiB}));
+                                     Stripes{0, 64 * KiB}));
   // And NOT the crossed region's stripes.
   EXPECT_NE(got, request_cost(params, IoOp::kWrite, offset, 128 * KiB,
-                              {28 * KiB, 172 * KiB}));
+                              Stripes{28 * KiB, 172 * KiB}));
 }
 
 TEST(OnlineAdvisor, BoundarySpanApproximationErrorIsBounded) {
@@ -153,7 +176,7 @@ TEST(OnlineAdvisor, BoundarySpanApproximationErrorIsBounded) {
   // within 4x below it (the split's double-paid startups on small pieces
   // account for the gap), keeping a window's gain estimate the right order
   // of magnitude even when every request straddled a boundary.
-  const CostParams params = calibrated_params();
+  const TieredCostParams params = calibrated_params();
   RegionStripeTable rst;
   rst.add(0, {0, 64 * KiB});
   rst.add(1 * GiB, {28 * KiB, 172 * KiB});
@@ -165,9 +188,9 @@ TEST(OnlineAdvisor, BoundarySpanApproximationErrorIsBounded) {
         request(offset, size, IoOp::kRead)};
     const Seconds approx = OnlineAdvisor::cost_under(params, rst, records);
     const Seconds split =
-        request_cost(params, IoOp::kRead, offset, head, {0, 64 * KiB}) +
+        request_cost(params, IoOp::kRead, offset, head, Stripes{0, 64 * KiB}) +
         request_cost(params, IoOp::kRead, 1 * GiB, size - head,
-                     {28 * KiB, 172 * KiB});
+                     Stripes{28 * KiB, 172 * KiB});
     ASSERT_GT(split, 0.0);
     EXPECT_LE(approx, split)
         << "head " << head << ": approx " << approx << " vs split " << split;
@@ -177,7 +200,7 @@ TEST(OnlineAdvisor, BoundarySpanApproximationErrorIsBounded) {
 }
 
 TEST(OnlineAdvisor, ValidatesConstruction) {
-  const CostParams params = calibrated_params();
+  const TieredCostParams params = calibrated_params();
   EXPECT_THROW(OnlineAdvisor(params, RegionStripeTable{}, {}),
                std::invalid_argument);
   OnlineAdvisor::Options bad_window;
@@ -192,7 +215,7 @@ TEST(OnlineAdvisor, ValidatesConstruction) {
 
 TEST(OnlineAdvisor, AffectedExtentTracksChangedSpanOnly) {
   // Current table has two regions; the shift only invalidates the first.
-  const CostParams params = calibrated_params();
+  const TieredCostParams params = calibrated_params();
   RegionStripeTable rst;
   rst.add(0, {28 * KiB, 172 * KiB});
   rst.add(1 * GiB, {0, 64 * KiB});

@@ -13,13 +13,17 @@
 namespace harl::core {
 namespace {
 
+using Stripes = std::vector<Bytes>;
+
 /// Calibrated-style parameters (sequential-fit alpha, effective beta) — what
 /// harness::calibrate produces; see tests/cost_model_test.cpp for rationale.
-CostParams calibrated_params(std::size_t M = 6, std::size_t N = 2) {
-  CostParams p = make_cost_params(M, N, storage::hdd_profile(),
-                                  storage::pcie_ssd_profile(),
-                                  1.0 / (117.0 * 1024 * 1024));
-  for (storage::OpProfile* prof : {&p.hserver_read, &p.hserver_write}) {
+TieredCostParams calibrated_params(std::size_t M = 6, std::size_t N = 2) {
+  TieredCostParams p;
+  p.tiers = {TierSpec{M, storage::hdd_profile(), {}},
+             TierSpec{N, storage::pcie_ssd_profile(), {}}};
+  p.t = 1.0 / (117.0 * 1024 * 1024);
+  for (storage::OpProfile* prof :
+       {&p.tiers[0].profile.read, &p.tiers[0].profile.write}) {
     prof->per_byte += prof->startup_mean() / static_cast<double>(64 * KiB);
     prof->startup_min *= 0.55;
     prof->startup_max *= 0.55;
@@ -39,58 +43,58 @@ std::vector<FileRequest> uniform_requests(Bytes size, std::size_t count,
 }
 
 TEST(Optimizer, PicksLargerSserverStripe) {
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   const auto reqs = uniform_requests(512 * KiB, 64);
   const auto result = optimize_region(p, reqs, 512.0 * KiB);
   // Heterogeneity-aware: SServers get strictly larger stripes (or all data).
-  EXPECT_GT(result.stripes.s, result.stripes.h);
+  EXPECT_GT(result.stripes[1], result.stripes[0]);
   EXPECT_GT(result.candidates_evaluated, 100u);
   EXPECT_GT(result.model_cost, 0.0);
 }
 
 TEST(Optimizer, HybridWinsForLargeRequests) {
   // Paper Fig. 7: at 512 KiB both tiers carry data ({32K, 160K}-shaped).
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   const auto reqs = uniform_requests(512 * KiB, 64);
   const auto result = optimize_region(p, reqs, 512.0 * KiB);
-  EXPECT_GT(result.stripes.h, 0u);
+  EXPECT_GT(result.stripes[0], 0u);
   // The winning ratio is strongly SServer-biased (paper: 160/32 = 5).
-  EXPECT_GE(result.stripes.s / std::max<Bytes>(result.stripes.h, 1), 2u);
+  EXPECT_GE(result.stripes[1] / std::max<Bytes>(result.stripes[0], 1), 2u);
 }
 
 TEST(Optimizer, SmallRequestsGoSsdOnly) {
   // Paper Fig. 9: at 128 KiB the optimal pair is {0K, 64K} — SServers only.
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   const auto reqs = uniform_requests(128 * KiB, 64);
   const auto result = optimize_region(p, reqs, 128.0 * KiB);
-  EXPECT_EQ(result.stripes.h, 0u);
-  EXPECT_GT(result.stripes.s, 0u);
+  EXPECT_EQ(result.stripes[0], 0u);
+  EXPECT_GT(result.stripes[1], 0u);
 }
 
 TEST(Optimizer, ChosenPairBeatsEveryFixedStripeOnTheModel) {
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   const auto reqs = uniform_requests(512 * KiB, 48);
   const auto result = optimize_region(p, reqs, 512.0 * KiB);
   for (Bytes stripe = 4 * KiB; stripe <= 512 * KiB; stripe += 4 * KiB) {
-    const Seconds fixed = region_cost(p, reqs, {stripe, stripe});
+    const Seconds fixed = region_cost(p, reqs, Stripes{stripe, stripe});
     EXPECT_LE(result.model_cost, fixed + 1e-12) << "stripe=" << stripe;
   }
 }
 
 TEST(Optimizer, HomogeneousSearchNeverBeatsFullSearch) {
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   for (Bytes req : {128 * KiB, 512 * KiB, 1 * MiB}) {
     const auto reqs = uniform_requests(req, 32);
     const auto full = optimize_region(p, reqs, static_cast<double>(req));
     const auto homo =
         optimize_region_homogeneous(p, reqs, static_cast<double>(req));
     EXPECT_LE(full.model_cost, homo.model_cost + 1e-12) << "req=" << req;
-    EXPECT_EQ(homo.stripes.h, homo.stripes.s);
+    EXPECT_EQ(homo.stripes[0], homo.stripes[1]);
   }
 }
 
 TEST(Optimizer, ParallelSearchMatchesSerial) {
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   const auto reqs = uniform_requests(512 * KiB, 40);
   const auto serial = optimize_region(p, reqs, 512.0 * KiB);
 
@@ -107,7 +111,7 @@ TEST(Optimizer, CoalescedSearchIsBitIdenticalToBruteForce) {
   // offset mod S) but accumulates in original order, so every output —
   // stripes, tie-breaks, the cost double itself — matches brute force
   // exactly.  Mixed ops and sizes to exercise multiple classes.
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   Rng rng(19);
   std::vector<FileRequest> reqs;
   for (std::size_t i = 0; i < 300; ++i) {
@@ -132,7 +136,7 @@ TEST(Optimizer, CoalescedSearchIsBitIdenticalToBruteForce) {
 }
 
 TEST(Optimizer, CoalescedShardedSearchMatchesBruteForce) {
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   const auto reqs = uniform_requests(512 * KiB, 64);
   OptimizerOptions brute;
   brute.coalesce = false;
@@ -147,9 +151,9 @@ TEST(Optimizer, CoalescedShardedSearchMatchesBruteForce) {
 }
 
 TEST(RegionCost, CoalescedScoreMatchesPlainLoop) {
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   const auto reqs = uniform_requests(256 * KiB, 128, IoOp::kWrite);
-  const StripePair hs{32 * KiB, 160 * KiB};
+  const Stripes hs{32 * KiB, 160 * KiB};
   EXPECT_EQ(region_cost(p, reqs, hs, 0, false),
             region_cost(p, reqs, hs, 0, true));
   // Sampling composes with coalescing.
@@ -158,7 +162,7 @@ TEST(RegionCost, CoalescedScoreMatchesPlainLoop) {
 }
 
 TEST(Optimizer, SamplingPreservesTheArgmin) {
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   // All requests identical: sampling cannot change anything.
   std::vector<FileRequest> reqs(500, FileRequest{IoOp::kRead, 0, 512 * KiB});
   OptimizerOptions sampled;
@@ -170,7 +174,7 @@ TEST(Optimizer, SamplingPreservesTheArgmin) {
 }
 
 TEST(Optimizer, StepControlsGridResolution) {
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   const auto reqs = uniform_requests(256 * KiB, 16);
   OptimizerOptions coarse;
   coarse.step = 64 * KiB;
@@ -182,12 +186,12 @@ TEST(Optimizer, StepControlsGridResolution) {
   // Finer grids can only improve (the coarse grid is a subset).
   EXPECT_LE(f.model_cost, c.model_cost + 1e-12);
   // Results land on their grids.
-  EXPECT_EQ(c.stripes.h % (64 * KiB), 0u);
-  EXPECT_EQ(f.stripes.h % (4 * KiB), 0u);
+  EXPECT_EQ(c.stripes[0] % (64 * KiB), 0u);
+  EXPECT_EQ(f.stripes[0] % (4 * KiB), 0u);
 }
 
 TEST(Optimizer, WriteRegionsUseWriteCosts) {
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   const auto reads = uniform_requests(512 * KiB, 32, IoOp::kRead);
   const auto writes = uniform_requests(512 * KiB, 32, IoOp::kWrite);
   const auto r = optimize_region(p, reads, 512.0 * KiB);
@@ -198,29 +202,29 @@ TEST(Optimizer, WriteRegionsUseWriteCosts) {
 }
 
 TEST(Optimizer, HserverOnlyClusterStaysOnHservers) {
-  const CostParams p = calibrated_params(4, 0);
+  const TieredCostParams p = calibrated_params(4, 0);
   const auto reqs = uniform_requests(256 * KiB, 16);
   const auto result = optimize_region(p, reqs, 256.0 * KiB);
-  EXPECT_GT(result.stripes.h, 0u);
-  EXPECT_EQ(result.stripes.s, 0u);
+  EXPECT_GT(result.stripes[0], 0u);
+  EXPECT_EQ(result.stripes[1], 0u);
 }
 
 TEST(Optimizer, SserverOnlyClusterStaysOnSservers) {
-  const CostParams p = calibrated_params(0, 4);
+  const TieredCostParams p = calibrated_params(0, 4);
   const auto reqs = uniform_requests(256 * KiB, 16);
   const auto result = optimize_region(p, reqs, 256.0 * KiB);
-  EXPECT_EQ(result.stripes.h, 0u);
-  EXPECT_GT(result.stripes.s, 0u);
+  EXPECT_EQ(result.stripes[0], 0u);
+  EXPECT_GT(result.stripes[1], 0u);
 }
 
 TEST(Optimizer, SserverShareBoundIsRespected) {
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   const auto reqs = uniform_requests(512 * KiB, 32);
   OptimizerOptions opts;
   opts.max_sserver_share = 0.4;
   const auto result = optimize_region(p, reqs, 512.0 * KiB, opts);
-  const double S = 6.0 * result.stripes.h + 2.0 * result.stripes.s;
-  EXPECT_LE(2.0 * result.stripes.s / S, 0.4 + 1e-9);
+  const double S = 6.0 * result.stripes[0] + 2.0 * result.stripes[1];
+  EXPECT_LE(2.0 * result.stripes[1] / S, 0.4 + 1e-9);
   // Constraining the search can only cost model time.
   const auto unconstrained = optimize_region(p, reqs, 512.0 * KiB);
   EXPECT_GE(result.model_cost, unconstrained.model_cost - 1e-12);
@@ -229,16 +233,16 @@ TEST(Optimizer, SserverShareBoundIsRespected) {
 TEST(Optimizer, ImpossibleShareBoundFallsBackToFrugalest) {
   // On an SServer-only cluster every candidate has share 1; the bound is
   // infeasible, so the minimum-share candidates must still be searched.
-  const CostParams p = calibrated_params(0, 4);
+  const TieredCostParams p = calibrated_params(0, 4);
   const auto reqs = uniform_requests(256 * KiB, 8);
   OptimizerOptions opts;
   opts.max_sserver_share = 0.1;
   const auto result = optimize_region(p, reqs, 256.0 * KiB, opts);
-  EXPECT_GT(result.stripes.s, 0u);
+  EXPECT_GT(result.stripes[1], 0u);
 }
 
 TEST(Optimizer, RejectsBadShareBound) {
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   const auto reqs = uniform_requests(64 * KiB, 4);
   OptimizerOptions opts;
   opts.max_sserver_share = 0.0;
@@ -250,7 +254,7 @@ TEST(Optimizer, RejectsBadShareBound) {
 }
 
 TEST(Optimizer, ValidatesInputs) {
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   const auto reqs = uniform_requests(64 * KiB, 4);
   EXPECT_THROW(optimize_region(p, {}, 64.0 * KiB), std::invalid_argument);
   EXPECT_THROW(optimize_region(p, reqs, 0.0), std::invalid_argument);
@@ -269,53 +273,32 @@ TEST(Optimizer, ValidatesInputs) {
 
 TEST(Optimizer, PinnedHybridOptimumAt512K) {
   // The paper's {32K, 160K}-class hybrid regime (Fig. 7, large requests).
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   const auto reqs = uniform_requests(512 * KiB, 64);
   const auto result = optimize_region(p, reqs, 512.0 * KiB);
-  EXPECT_EQ(result.stripes.h, 12288u);
-  EXPECT_EQ(result.stripes.s, 225280u);
+  EXPECT_EQ(result.stripes[0], 12288u);
+  EXPECT_EQ(result.stripes[1], 225280u);
   EXPECT_EQ(result.model_cost, 0x1.62a0edd8cc586p-3);
   EXPECT_EQ(result.candidates_evaluated, 8257u);
 }
 
 TEST(Optimizer, PinnedSsdOnlyOptimumAt128K) {
   // The paper's {0K, 64K} SServer-only regime (Fig. 9, small requests).
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   const auto reqs = uniform_requests(128 * KiB, 64);
   const auto result = optimize_region(p, reqs, 128.0 * KiB);
-  EXPECT_EQ(result.stripes.h, 0u);
-  EXPECT_EQ(result.stripes.s, 65536u);
+  EXPECT_EQ(result.stripes[0], 0u);
+  EXPECT_EQ(result.stripes[1], 65536u);
   EXPECT_EQ(result.model_cost, 0x1.856557900ba3fp-5);
   EXPECT_EQ(result.candidates_evaluated, 529u);
-}
-
-TEST(Optimizer, TieredSearchAgreesWithTwoTierPathOnK2) {
-  // The k-tier enumeration covers a different grid (monotone tier vectors),
-  // but when the two-tier optimum lies inside both grids the winning stripes
-  // and cost must agree exactly — same kernel, same accumulation order.
-  const CostParams p = calibrated_params();
-  const TieredCostParams tp = to_tiered(p);
-  for (const Bytes size : {128 * KiB, 512 * KiB}) {
-    SCOPED_TRACE("request size " + std::to_string(size));
-    const auto reqs = uniform_requests(size, 64);
-    const auto two_tier =
-        optimize_region(p, reqs, static_cast<double>(size));
-    const auto tiered =
-        optimize_region_tiered(tp, reqs, static_cast<double>(size));
-    ASSERT_EQ(tiered.stripes.size(), 2u);
-    EXPECT_EQ(tiered.stripes[0], two_tier.stripes.h);
-    EXPECT_EQ(tiered.stripes[1], two_tier.stripes.s);
-    EXPECT_EQ(tiered.model_cost, two_tier.model_cost);
-  }
 }
 
 // ---------------------------------------------------------------------------
 // The branch-and-bound against an exhaustive oracle: every grid candidate
 // scored through the public cost functions, the winner chosen by the
 // documented order (lower cost, then lexicographically larger stripes, then
-// larger member counts; from the front for the two-tier API, from the last
-// tier for the k-tier API).  Stripes, members and cost bits must match, and
-// the bound must actually prune.
+// larger member counts, both compared from tier 0).  Stripes, members and
+// cost bits must match, and the bound must actually prune.
 // ---------------------------------------------------------------------------
 
 struct OracleBest {
@@ -325,21 +308,10 @@ struct OracleBest {
   std::size_t candidates = 0;
 
   void offer(Seconds c, const std::vector<Bytes>& st,
-             const std::vector<std::size_t>& mem, bool from_front) {
+             const std::vector<std::size_t>& mem) {
     ++candidates;
-    auto compare = [&](const auto& a, const auto& b) {
-      for (std::size_t n = 0; n < a.size(); ++n) {
-        const std::size_t i = from_front ? n : a.size() - 1 - n;
-        if (a[i] != b[i]) return a[i] > b[i] ? 1 : -1;
-      }
-      return 0;
-    };
-    bool wins = c < cost;
-    if (c == cost) {
-      const int by_stripes = compare(st, stripes);
-      wins = by_stripes > 0 || (by_stripes == 0 && compare(mem, members) > 0);
-    }
-    if (wins) {
+    if (c < cost ||
+        (c == cost && (st > stripes || (st == stripes && mem > members)))) {
       cost = c;
       stripes = st;
       members = mem;
@@ -372,24 +344,40 @@ void for_each_two_tier_pair(Bytes R, Bytes step, Visit&& visit) {
   }
 }
 
+/// Sampled member-aware cost of one candidate, scaled to the full region as
+/// the optimizer reports it.
+Seconds sampled_cost(const TieredCostParams& p,
+                     const std::vector<FileRequest>& reqs,
+                     const Stripes& stripes,
+                     const std::vector<std::size_t>& members,
+                     std::size_t stride) {
+  Seconds total = 0.0;
+  std::size_t sampled = 0;
+  for (std::size_t i = 0; i < reqs.size(); i += stride, ++sampled) {
+    total += request_cost(p, reqs[i].op, reqs[i].offset, reqs[i].size,
+                          stripes, members);
+  }
+  return total * static_cast<double>(reqs.size()) /
+         static_cast<double>(sampled);
+}
+
 constexpr Bytes kOracleStep = 16 * KiB;
 constexpr double kOracleAvg = 208.0 * KiB;
 constexpr Bytes kOracleR = 208 * KiB;  // avg rounded up to the step
 
 TEST(OptimizerOracle, MixedOpsSizesAndSamplingMatchFullScan) {
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   const auto reqs = mixed_requests(960, 41);
   OptimizerOptions opts;
   opts.step = kOracleStep;
   opts.max_requests = 240;  // stride 4
   OracleBest want;
   for_each_two_tier_pair(kOracleR, kOracleStep, [&](Bytes h, Bytes s) {
-    want.offer(region_cost(p, reqs, {h, s}, opts.max_requests), {h, s}, {},
-               true);
+    want.offer(region_cost(p, reqs, Stripes{h, s}, opts.max_requests), {h, s},
+               {});
   });
   const auto got = optimize_region(p, reqs, kOracleAvg, opts);
-  EXPECT_EQ(got.stripes.h, want.stripes[0]);
-  EXPECT_EQ(got.stripes.s, want.stripes[1]);
+  EXPECT_EQ(got.stripes, want.stripes);
   EXPECT_TRUE(got.members.empty());
   EXPECT_EQ(got.model_cost, want.cost);
   EXPECT_EQ(got.candidates_evaluated, want.candidates);
@@ -410,7 +398,7 @@ TEST(OptimizerOracle, MixedOpsSizesAndSamplingMatchFullScan) {
 TEST(OptimizerOracle, DistinctSizesMatchFullScan) {
   // One request per (op, size) class: the bound prices such small classes
   // exactly instead of by their offset minimum.
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   Rng rng(61);
   std::vector<FileRequest> reqs;
   for (Bytes i = 0; i < 48; ++i) {
@@ -422,18 +410,17 @@ TEST(OptimizerOracle, DistinctSizesMatchFullScan) {
   opts.step = kOracleStep;
   OracleBest want;
   for_each_two_tier_pair(kOracleR, kOracleStep, [&](Bytes h, Bytes s) {
-    want.offer(region_cost(p, reqs, {h, s}), {h, s}, {}, true);
+    want.offer(region_cost(p, reqs, Stripes{h, s}), {h, s}, {});
   });
   const auto got = optimize_region(p, reqs, kOracleAvg, opts);
-  EXPECT_EQ(got.stripes.h, want.stripes[0]);
-  EXPECT_EQ(got.stripes.s, want.stripes[1]);
+  EXPECT_EQ(got.stripes, want.stripes);
   EXPECT_EQ(got.model_cost, want.cost);
   EXPECT_EQ(got.candidates_evaluated, want.candidates);
   EXPECT_GT(got.candidates_pruned, 0u);
 }
 
 TEST(OptimizerOracle, SserverShareBoundMatchesFilteredScan) {
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   const auto reqs = mixed_requests(120, 43);
   OptimizerOptions opts;
   opts.step = kOracleStep;
@@ -445,74 +432,93 @@ TEST(OptimizerOracle, SserverShareBoundMatchesFilteredScan) {
   OracleBest want;
   for_each_two_tier_pair(kOracleR, kOracleStep, [&](Bytes h, Bytes s) {
     if (share(h, s) <= 0.5) {
-      want.offer(region_cost(p, reqs, {h, s}), {h, s}, {}, true);
+      want.offer(region_cost(p, reqs, Stripes{h, s}), {h, s}, {});
     }
   });
   const auto got = optimize_region(p, reqs, kOracleAvg, opts);
-  EXPECT_EQ(got.stripes.h, want.stripes[0]);
-  EXPECT_EQ(got.stripes.s, want.stripes[1]);
+  EXPECT_EQ(got.stripes, want.stripes);
   EXPECT_EQ(got.model_cost, want.cost);
   EXPECT_EQ(got.candidates_evaluated, want.candidates);
   EXPECT_GT(got.candidates_pruned, 0u);
 }
 
 TEST(OptimizerOracle, HomogeneousSearchMatchesFullScan) {
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   const auto reqs = mixed_requests(120, 47);
   OptimizerOptions opts;
   opts.step = 4 * KiB;
   OracleBest want;
   for (Bytes v = opts.step; v <= kOracleR; v += opts.step) {
-    want.offer(region_cost(p, reqs, {v, v}), {v, v}, {}, true);
+    want.offer(region_cost(p, reqs, Stripes{v, v}), {v, v}, {});
   }
   const auto got = optimize_region_homogeneous(p, reqs, kOracleAvg, opts);
-  EXPECT_EQ(got.stripes.h, want.stripes[0]);
-  EXPECT_EQ(got.stripes.s, want.stripes[1]);
+  EXPECT_EQ(got.stripes, want.stripes);
   EXPECT_EQ(got.model_cost, want.cost);
   EXPECT_EQ(got.candidates_evaluated, want.candidates);
   EXPECT_GT(got.candidates_pruned, 0u);
 }
 
 TEST(OptimizerOracle, HeterogeneousMemberChoicesMatchFullScan) {
-  CostParams p = calibrated_params();
-  p.hserver_factors = {1.0, 1.0, 1.0, 1.0, 2.5, 2.5};  // choices {4, 6}
-  p.sserver_factors = {1.0, 3.0};                      // choices {1, 2}
-  const TieredCostParams tp = to_tiered(p);
+  TieredCostParams p = calibrated_params();
+  p.tiers[0].device_factors = {1.0, 1.0, 1.0, 1.0, 2.5, 2.5};  // choices {4, 6}
+  p.tiers[1].device_factors = {1.0, 3.0};                      // choices {1, 2}
   const auto reqs = mixed_requests(160, 53);
   OptimizerOptions opts;
   opts.step = kOracleStep;
   opts.max_requests = 80;  // stride 2
-  const std::size_t stride = 2;
-  const std::size_t sampled = 80;
   OracleBest want;
   for_each_two_tier_pair(kOracleR, kOracleStep, [&](Bytes h, Bytes s) {
-    const std::vector<Bytes> stripes{h, s};
     const std::vector<std::size_t> h_choices =
         h == 0 ? std::vector<std::size_t>{0} : std::vector<std::size_t>{4, 6};
     for (std::size_t hm : h_choices) {
       for (std::size_t sm : {std::size_t{1}, std::size_t{2}}) {
-        const std::vector<std::size_t> members{hm, sm};
-        Seconds total = 0.0;
-        for (std::size_t i = 0; i < reqs.size(); i += stride) {
-          total += tiered_request_cost(tp, reqs[i].op, reqs[i].offset,
-                                       reqs[i].size, stripes, members);
-        }
-        want.offer(total * static_cast<double>(reqs.size()) /
-                       static_cast<double>(sampled),
-                   stripes, members, true);
+        want.offer(sampled_cost(p, reqs, {h, s}, {hm, sm}, 2), {h, s},
+                   {hm, sm});
       }
     }
   });
   const auto got = optimize_region(p, reqs, kOracleAvg, opts);
-  EXPECT_EQ(got.stripes.h, want.stripes[0]);
-  EXPECT_EQ(got.stripes.s, want.stripes[1]);
+  EXPECT_EQ(got.stripes, want.stripes);
   EXPECT_EQ(got.members, want.members);
   EXPECT_EQ(got.model_cost, want.cost);
   EXPECT_EQ(got.candidates_evaluated, want.candidates);
   EXPECT_GT(got.candidates_pruned, 0u);
 }
 
-TEST(OptimizerOracle, ThreeTierNonMonotoneMatchesFullScan) {
+TEST(OptimizerOracle, SingleTierHalvesWithFactorsMatchPaperGrid) {
+  // CARL's single-tier halves: one tier without servers (and without device
+  // factors), the other aged {1, 4}.  The paper grid gives the empty tier
+  // only stripe 0 and member count 0; the aged tier crosses every stripe
+  // with its member choices {1, 2}.
+  const auto reqs = mixed_requests(120, 67);
+  OptimizerOptions opts;
+  opts.step = kOracleStep;
+  for (const std::size_t empty : {std::size_t{0}, std::size_t{1}}) {
+    SCOPED_TRACE("empty tier " + std::to_string(empty));
+    const std::size_t aged = 1 - empty;
+    TieredCostParams p = empty == 0 ? calibrated_params(0, 2)
+                                    : calibrated_params(2, 0);
+    p.tiers[aged].device_factors = {1.0, 4.0};
+    OracleBest want;
+    for (Bytes v = kOracleStep; v <= kOracleR; v += kOracleStep) {
+      for (std::size_t m : {std::size_t{1}, std::size_t{2}}) {
+        Stripes stripes(2, 0);
+        std::vector<std::size_t> members(2, 0);
+        stripes[aged] = v;
+        members[aged] = m;
+        want.offer(sampled_cost(p, reqs, stripes, members, 1), stripes,
+                   members);
+      }
+    }
+    const auto got = optimize_region(p, reqs, kOracleAvg, opts);
+    EXPECT_EQ(got.stripes, want.stripes);
+    EXPECT_EQ(got.members, want.members);
+    EXPECT_EQ(got.model_cost, want.cost);
+    EXPECT_EQ(got.candidates_evaluated, want.candidates);
+  }
+}
+
+TEST(OptimizerOracle, ThreeTierMonotoneMatchesFullScan) {
   TieredCostParams tp;
   tp.t = 1.0 / (117.0 * 1024 * 1024);
   tp.tiers = {TierSpec{4, storage::hdd_profile(), {}},
@@ -520,21 +526,20 @@ TEST(OptimizerOracle, ThreeTierNonMonotoneMatchesFullScan) {
               TierSpec{2, storage::pcie_ssd_profile(), {}}};
   tp.per_stripe_overhead = 20e-6;
   const auto reqs = mixed_requests(240, 59);
-  TieredOptimizerOptions opts;
+  OptimizerOptions opts;
   opts.step = 32 * KiB;
-  opts.monotone = false;
   const Bytes R = 224 * KiB;
   OracleBest want;
-  std::vector<Bytes> st(3);
+  Stripes st(3);
   for (st[0] = 0; st[0] <= R; st[0] += opts.step) {
-    for (st[1] = 0; st[1] <= R; st[1] += opts.step) {
-      for (st[2] = 0; st[2] <= R; st[2] += opts.step) {
-        if (st[0] + st[1] + st[2] == 0) continue;
-        want.offer(tiered_region_cost(tp, reqs, st), st, {}, false);
+    for (st[1] = st[0]; st[1] <= R; st[1] += opts.step) {
+      for (st[2] = st[1]; st[2] <= R; st[2] += opts.step) {
+        if (st[2] == 0) continue;
+        want.offer(region_cost(tp, reqs, st), st, {});
       }
     }
   }
-  const auto got = optimize_region_tiered(tp, reqs, kOracleAvg, opts);
+  const auto got = optimize_region(tp, reqs, kOracleAvg, opts);
   EXPECT_EQ(got.stripes, want.stripes);
   EXPECT_TRUE(got.members.empty());
   EXPECT_EQ(got.model_cost, want.cost);
@@ -543,27 +548,27 @@ TEST(OptimizerOracle, ThreeTierNonMonotoneMatchesFullScan) {
 }
 
 TEST(RegionCost, ZeroPeriodThrowsInBothModes) {
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   const auto reqs = uniform_requests(64 * KiB, 4);
   for (const bool coalesce : {false, true}) {
-    EXPECT_THROW(region_cost(p, reqs, {0, 0}, 0, coalesce),
+    EXPECT_THROW(region_cost(p, reqs, Stripes{0, 0}, 0, coalesce),
                  std::invalid_argument);
-    EXPECT_THROW(region_cost(calibrated_params(0, 2), reqs, {64 * KiB, 0}, 0,
-                             coalesce),
+    EXPECT_THROW(region_cost(calibrated_params(0, 2), reqs,
+                             Stripes{64 * KiB, 0}, 0, coalesce),
                  std::invalid_argument);
   }
 }
 
 TEST(RegionCost, SumsPerRequestCosts) {
-  const CostParams p = calibrated_params();
+  const TieredCostParams p = calibrated_params();
   std::vector<FileRequest> reqs = {
       FileRequest{IoOp::kRead, 0, 512 * KiB},
       FileRequest{IoOp::kWrite, 1 * MiB, 512 * KiB},
   };
-  const Seconds total = region_cost(p, reqs, {64 * KiB, 64 * KiB});
-  const Seconds expect =
-      request_cost(p, IoOp::kRead, 0, 512 * KiB, {64 * KiB, 64 * KiB}) +
-      request_cost(p, IoOp::kWrite, 1 * MiB, 512 * KiB, {64 * KiB, 64 * KiB});
+  const Stripes hs{64 * KiB, 64 * KiB};
+  const Seconds total = region_cost(p, reqs, hs);
+  const Seconds expect = request_cost(p, IoOp::kRead, 0, 512 * KiB, hs) +
+                         request_cost(p, IoOp::kWrite, 1 * MiB, 512 * KiB, hs);
   EXPECT_DOUBLE_EQ(total, expect);
 }
 

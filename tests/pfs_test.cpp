@@ -184,6 +184,19 @@ TEST(Cluster, RejectsEmptyConfigs) {
   EXPECT_THROW(Cluster(sim, no_clients), std::invalid_argument);
 }
 
+TEST(Cluster, RejectsGcPauseWithoutPeriod) {
+  // A pause duration with no cycle to repeat it in is a configuration error,
+  // not a silently disabled straggler.
+  sim::Simulator sim;
+  ClusterConfig cfg;
+  cfg.gc_pause.duration = 0.01;
+  EXPECT_THROW(Cluster(sim, cfg), std::invalid_argument);
+  cfg.gc_pause.period = -1.0;
+  EXPECT_THROW(Cluster(sim, cfg), std::invalid_argument);
+  cfg.gc_pause.period = 0.5;
+  EXPECT_NO_THROW(Cluster(sim, cfg));
+}
+
 TEST(Client, ReadCompletesAfterDiskAndNetwork) {
   sim::Simulator sim;
   Cluster cluster(sim, small_cluster_config());

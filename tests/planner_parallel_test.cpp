@@ -24,11 +24,13 @@
 namespace harl::core {
 namespace {
 
-CostParams calibrated_params() {
-  CostParams p = make_cost_params(6, 2, storage::hdd_profile(),
-                                  storage::pcie_ssd_profile(),
-                                  1.0 / (117.0 * 1024 * 1024));
-  for (storage::OpProfile* prof : {&p.hserver_read, &p.hserver_write}) {
+TieredCostParams calibrated_params() {
+  TieredCostParams p;
+  p.tiers = {TierSpec{6, storage::hdd_profile(), {}},
+             TierSpec{2, storage::pcie_ssd_profile(), {}}};
+  p.t = 1.0 / (117.0 * 1024 * 1024);
+  for (storage::OpProfile* prof :
+       {&p.tiers[0].profile.read, &p.tiers[0].profile.write}) {
     prof->per_byte += prof->startup_mean() / static_cast<double>(64 * KiB);
     prof->startup_min *= 0.55;
     prof->startup_max *= 0.55;
@@ -157,7 +159,7 @@ OptionPair option_pair(ThreadPool* pool) {
 
 TEST(PlannerParallel, IorTraceMatchesSerialBruteForce) {
   const auto records = ior_trace();
-  const CostParams params = calibrated_params();
+  const TieredCostParams params = calibrated_params();
   ThreadPool pool(4);
   const OptionPair opts = option_pair(&pool);
   const Plan want = analyze(records, params, opts.baseline);
@@ -170,7 +172,7 @@ TEST(PlannerParallel, IorTraceMatchesSerialBruteForce) {
 
 TEST(PlannerParallel, BtioTraceMatchesSerialBruteForce) {
   const auto records = btio_trace();
-  const CostParams params = calibrated_params();
+  const TieredCostParams params = calibrated_params();
   ThreadPool pool(4);
   const OptionPair opts = option_pair(&pool);
   expect_identical(analyze(records, params, opts.fast),
@@ -178,7 +180,7 @@ TEST(PlannerParallel, BtioTraceMatchesSerialBruteForce) {
 }
 
 TEST(PlannerParallel, RandomTracesMatchSerialBruteForce) {
-  const CostParams params = calibrated_params();
+  const TieredCostParams params = calibrated_params();
   ThreadPool pool(4);
   const OptionPair opts = option_pair(&pool);
   bool saw_multi_region = false;
@@ -196,7 +198,7 @@ TEST(PlannerParallel, RandomTracesMatchSerialBruteForce) {
 TEST(PlannerParallel, PresortedInputMatchesUnsorted) {
   // ensure_sorted() uses a ByOffset-ordered input in place; the plan must
   // not depend on which path ran.
-  const CostParams params = calibrated_params();
+  const TieredCostParams params = calibrated_params();
   auto records = random_trace(7);
   const Plan from_unsorted = analyze(records, params);
   std::sort(records.begin(), records.end(), trace::ByOffset{});
@@ -207,7 +209,7 @@ TEST(PlannerParallel, CarlMatchesSerialBruteForce) {
   // CARL's parallel grain is (region, tier): two single-tier searches per
   // region, all concurrent, reassembled by index.
   const auto records = random_trace(11);
-  const CostParams params = calibrated_params();
+  const TieredCostParams params = calibrated_params();
   ThreadPool pool(4);
   const OptionPair opts = option_pair(&pool);
   expect_identical(analyze_carl(records, params, 1 * GiB, opts.fast),
@@ -216,7 +218,7 @@ TEST(PlannerParallel, CarlMatchesSerialBruteForce) {
 
 TEST(PlannerParallel, SegmentLevelMatchesSerialBruteForce) {
   const auto records = random_trace(13);
-  const CostParams params = calibrated_params();
+  const TieredCostParams params = calibrated_params();
   ThreadPool pool(4);
   const OptionPair opts = option_pair(&pool);
   expect_identical(analyze_segment_level(records, params, opts.fast),
@@ -227,7 +229,7 @@ TEST(PlannerParallel, RepeatedParallelRunsAreStable) {
   // Flush out schedule-dependent nondeterminism: many parallel runs over
   // the same trace must agree exactly.
   const auto records = random_trace(29);
-  const CostParams params = calibrated_params();
+  const TieredCostParams params = calibrated_params();
   ThreadPool pool(4);
   PlannerOptions opts;
   opts.pool = &pool;
@@ -243,7 +245,7 @@ TEST(PlannerParallel, SingleRegionSearchCountersMatchAtEveryPoolWidth) {
   // sharded over it while the scan stays serial, so the search counters,
   // not just the plan, are the same at every width.
   const auto records = ior_trace();
-  const CostParams params = calibrated_params();
+  const TieredCostParams params = calibrated_params();
   const Plan want = analyze(records, params);
   ASSERT_EQ(want.regions.size(), 1u);
   const PlannedRegion& serial = want.regions[0];

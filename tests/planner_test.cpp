@@ -8,11 +8,13 @@
 namespace harl::core {
 namespace {
 
-CostParams calibrated_params() {
-  CostParams p = make_cost_params(6, 2, storage::hdd_profile(),
-                                  storage::pcie_ssd_profile(),
-                                  1.0 / (117.0 * 1024 * 1024));
-  for (storage::OpProfile* prof : {&p.hserver_read, &p.hserver_write}) {
+TieredCostParams calibrated_params() {
+  TieredCostParams p;
+  p.tiers = {TierSpec{6, storage::hdd_profile(), {}},
+             TierSpec{2, storage::pcie_ssd_profile(), {}}};
+  p.t = 1.0 / (117.0 * 1024 * 1024);
+  for (storage::OpProfile* prof :
+       {&p.tiers[0].profile.read, &p.tiers[0].profile.write}) {
     prof->per_byte += prof->startup_mean() / static_cast<double>(64 * KiB);
     prof->startup_min *= 0.55;
     prof->startup_max *= 0.55;
@@ -89,7 +91,7 @@ TEST(Planner, RegionLevelBeatsFileLevelOnNonUniformTraces) {
   // The core claim of the paper: per-region stripes fit per-region workloads
   // better than one file-level pair.  Compare summed model costs.
   const auto records = two_phase_trace();
-  const CostParams params = calibrated_params();
+  const TieredCostParams params = calibrated_params();
   const auto region_plan = analyze(records, params);
   const auto file_plan = analyze_file_level(records, params);
   EXPECT_LE(region_plan.total_model_cost(), file_plan.total_model_cost() + 1e-12);
@@ -104,7 +106,7 @@ TEST(Planner, SegmentLevelUsesHomogeneousStripes) {
 
 TEST(Planner, HeterogeneousBeatsSegmentLevelOnTheModel) {
   const auto records = two_phase_trace();
-  const CostParams params = calibrated_params();
+  const TieredCostParams params = calibrated_params();
   const auto harl = analyze(records, params);
   const auto segment = analyze_segment_level(records, params);
   EXPECT_LE(harl.total_model_cost(), segment.total_model_cost() + 1e-12);

@@ -19,10 +19,13 @@ RegionStripeTable paper_fig6_table() {
 
 TEST(Rst, LookupFindsGoverningRegion) {
   const auto rst = paper_fig6_table();
-  EXPECT_EQ(rst.lookup(0).pair(), (StripePair{16 * KiB, 64 * KiB}));
-  EXPECT_EQ(rst.lookup(128 * MiB - 1).pair(), (StripePair{16 * KiB, 64 * KiB}));
-  EXPECT_EQ(rst.lookup(128 * MiB).pair(), (StripePair{36 * KiB, 144 * KiB}));
-  EXPECT_EQ(rst.lookup(500 * MiB).pair(), (StripePair{26 * KiB, 80 * KiB}));
+  EXPECT_EQ(rst.lookup(0).stripes, (std::vector<Bytes>{16 * KiB, 64 * KiB}));
+  EXPECT_EQ(rst.lookup(128 * MiB - 1).stripes,
+            (std::vector<Bytes>{16 * KiB, 64 * KiB}));
+  EXPECT_EQ(rst.lookup(128 * MiB).stripes,
+            (std::vector<Bytes>{36 * KiB, 144 * KiB}));
+  EXPECT_EQ(rst.lookup(500 * MiB).stripes,
+            (std::vector<Bytes>{26 * KiB, 80 * KiB}));
   EXPECT_EQ(rst.region_of(150 * MiB), 1u);
 }
 
@@ -55,7 +58,8 @@ TEST(Rst, MergeAdjacentCombinesEqualStripePairs) {
   EXPECT_EQ(rst.entry(1).offset, 128 * MiB);
   EXPECT_EQ(rst.entry(2).offset, 192 * MiB);
   // Lookups in the merged range still resolve correctly.
-  EXPECT_EQ(rst.lookup(100 * MiB).pair(), (StripePair{16 * KiB, 64 * KiB}));
+  EXPECT_EQ(rst.lookup(100 * MiB).stripes,
+            (std::vector<Bytes>{16 * KiB, 64 * KiB}));
 }
 
 TEST(Rst, MergeOnUniformTableLeavesOne) {
@@ -134,12 +138,6 @@ TEST(Rst, AddRejectsInconsistentTierCounts) {
                std::invalid_argument);
   EXPECT_THROW(rst.add(64 * MiB, std::vector<Bytes>{}),
                std::invalid_argument);
-}
-
-TEST(Rst, PairAccessorRequiresTwoTiers) {
-  RegionStripeTable rst;
-  rst.add(0, {16 * KiB, 64 * KiB, 128 * KiB});
-  EXPECT_THROW(rst.entry(0).pair(), std::logic_error);
 }
 
 TEST(Rst, ToLayoutAcceptsTierCountVector) {

@@ -163,7 +163,7 @@ int cmd_analyze(const std::string& in, const Config& cfg) {
   pfs::ClusterConfig cluster;
   cluster.num_hservers = static_cast<std::size_t>(cfg.get_int("hservers", 6));
   cluster.num_sservers = static_cast<std::size_t>(cfg.get_int("sservers", 2));
-  const core::CostParams params = harness::calibrate(cluster, {});
+  const core::TieredCostParams params = harness::calibrate(cluster, {});
 
   core::PlannerOptions opts;
   opts.divider.threshold = cfg.get_double("threshold", 1.0);
