@@ -1,12 +1,21 @@
-// Key=value configuration parsing for bench binaries and examples.
+// Key=value configuration parsing for the tools, bench binaries and examples.
 //
 // The bench harness accepts overrides such as `--harl file_size=1G procs=32`
 // so paper-scale and CI-scale runs share one binary.  Values are stored as
 // strings and converted on access; byte-size values accept "64K"-style units.
+//
+// A tool describes its keys once, as a table of OptionSpec rows; Options
+// parses arguments against that table (unknown keys, malformed values and
+// out-of-range values are errors naming the key), serves each row's default
+// when its key is absent, and describe_options() prints the same rows as
+// help text.
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,6 +23,15 @@
 #include "src/common/units.hpp"
 
 namespace harl {
+
+/// Strict number parsers: the whole text must be one finite number (no
+/// trailing characters, no leading whitespace).  Throw std::invalid_argument.
+std::int64_t parse_int(std::string_view text);
+double parse_double(std::string_view text);
+/// "1"/"true"/"yes"/"on" or "0"/"false"/"no"/"off", in any case.
+bool parse_bool(std::string_view text);
+/// Splits comma-separated items; empty items are dropped.
+std::vector<std::string> split_list(std::string_view text);
 
 class Config {
  public:
@@ -23,14 +41,12 @@ class Config {
   /// Entries without '=' are rejected with std::invalid_argument.
   static Config from_args(const std::vector<std::string>& args);
 
-  /// Parses a whitespace/comma separated "k=v k2=v2" string.
-  static Config from_string(std::string_view text);
-
   void set(std::string key, std::string value);
-  bool contains(const std::string& key) const;
 
   std::optional<std::string> get(const std::string& key) const;
   std::string get_or(const std::string& key, std::string fallback) const;
+  /// The typed getters consume the whole value and throw
+  /// std::invalid_argument naming the key when it does not parse.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
@@ -42,5 +58,79 @@ class Config {
  private:
   std::map<std::string, std::string> entries_;
 };
+
+/// Value syntax of an option: get_int / get_double / get_size / get_bool
+/// syntax, free text, or a comma-separated list.
+enum class OptionKind { kInt, kDouble, kSize, kString, kFlag, kList };
+
+/// A default that replaces OptionSpec::fallback while `mode` is selected.
+struct ModeDefault {
+  const char* mode = nullptr;  ///< label, e.g. "files>=1"; help prints it
+  const char* value = nullptr;
+};
+
+/// One key of a tool's option table, the only place the key is described.
+struct OptionSpec {
+  const char* name;
+  OptionKind kind;
+  /// Default, written in the kind's syntax; "" = no default (empty text).
+  const char* fallback;
+  /// Help text: a summary line, then optional continuation lines.
+  const char* help;
+  /// Range of numeric kinds, inclusive unless min_open.
+  double min = -std::numeric_limits<double>::infinity();
+  double max = std::numeric_limits<double>::infinity();
+  bool min_open = false;
+  /// Up to two mode-dependent defaults (see Options::select_mode).
+  ModeDefault modes[2] = {};
+  /// Validation beyond kind and range; throws std::invalid_argument.
+  void (*check)(const std::string& value) = nullptr;
+};
+
+/// Arguments parsed against an option table.
+class Options {
+ public:
+  /// Parses key=value `args`; later duplicates win.  Throws
+  /// std::invalid_argument naming the key for an unknown key (listing the
+  /// valid ones) and for any given value, overridden or not, that does not
+  /// parse as its row's kind, lies outside its range or fails its check.
+  /// Every default in the table is validated the same way.  `table` must
+  /// outlive the Options.
+  Options(std::span<const OptionSpec> table,
+          const std::vector<std::string>& args);
+
+  /// Rows holding a default for `mode` serve it instead of their fallback.
+  void select_mode(std::string mode) { mode_ = std::move(mode); }
+
+  /// True when the key was given on the command line.
+  bool given(const std::string& key) const;
+
+  std::int64_t get_int(const std::string& key) const {
+    return parse_int(text(key));
+  }
+  double get_double(const std::string& key) const {
+    return parse_double(text(key));
+  }
+  Bytes get_size(const std::string& key) const { return parse_size(text(key)); }
+  bool get_flag(const std::string& key) const { return parse_bool(text(key)); }
+  std::string get_string(const std::string& key) const { return text(key); }
+  std::vector<std::string> get_list(const std::string& key) const {
+    return split_list(text(key));
+  }
+
+ private:
+  /// The row of `key`; an unknown key is an error listing the valid ones.
+  const OptionSpec& row(const std::string& key) const;
+  /// The given value, else the selected mode's default, else the fallback.
+  std::string text(const std::string& key) const;
+
+  std::span<const OptionSpec> table_;
+  Config values_;
+  std::string mode_;
+};
+
+/// Help text of `table`: one entry per row, the key at the start of its
+/// line followed by the help, every default (per mode) and the range.
+std::string describe_options(std::span<const OptionSpec> table);
 
 }  // namespace harl

@@ -27,6 +27,9 @@
 
 namespace harl {
 
+/// Widest pool the command-line tools accept (the range of their threads=).
+inline constexpr std::size_t kMaxToolThreads = 1024;
+
 class ThreadPool {
  public:
   /// Spawns `threads` workers (defaults to hardware_concurrency, min 1).

@@ -1,5 +1,6 @@
 #include "src/pfs/cluster.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -27,6 +28,14 @@ std::vector<TierGroup> ClusterConfig::effective_tiers() const {
                                   std::to_string(g.device_factors.size()) +
                                   " device factors for " +
                                   std::to_string(g.count) + " servers");
+    }
+    // Checked before canonicalization: a NaN would break its sort.
+    for (const double f : g.device_factors) {
+      if (!(std::isfinite(f) && f > 0.0)) {
+        throw std::invalid_argument("tier \"" + g.name + "\" device factor " +
+                                    std::to_string(f) +
+                                    " must be finite and > 0");
+      }
     }
     storage::canonicalize_device_factors(g.device_factors);
   }

@@ -568,13 +568,6 @@ TEST(Config, LaterDuplicatesWin) {
   EXPECT_EQ(cfg.get_int("x", 0), 2);
 }
 
-TEST(Config, FromStringSplitsOnWhitespaceAndCommas) {
-  const auto cfg = Config::from_string("a=1, b=2\n c=3");
-  EXPECT_EQ(cfg.get_int("a", 0), 1);
-  EXPECT_EQ(cfg.get_int("b", 0), 2);
-  EXPECT_EQ(cfg.get_int("c", 0), 3);
-}
-
 TEST(Config, BooleansAcceptCommonSpellings) {
   const auto cfg = Config::from_args({"t=yes", "f=OFF"});
   EXPECT_TRUE(cfg.get_bool("t", false));
@@ -587,6 +580,124 @@ TEST(Config, RejectsMalformedEntries) {
   EXPECT_THROW(Config::from_args({"=x"}), std::invalid_argument);
   const auto cfg = Config::from_args({"b=maybe"});
   EXPECT_THROW(cfg.get_bool("b", false), std::invalid_argument);
+}
+
+/// The message of the std::invalid_argument `fn` throws ("" if none).
+template <typename Fn>
+std::string invalid_argument_message(Fn fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Config, TypedGettersConsumeTheWholeValueAndNameTheKey) {
+  const auto cfg = Config::from_args(
+      {"procs=16x", "spread=2x", "threads=abc", "file=1Gx", "health=yes",
+       "nan=nan", "empty=", "ok=-3", "d=0.125"});
+  EXPECT_EQ(invalid_argument_message([&] { cfg.get_int("procs", 0); })
+                .rfind("procs: ", 0),
+            0u);
+  EXPECT_EQ(invalid_argument_message([&] { cfg.get_double("spread", 0); })
+                .rfind("spread: ", 0),
+            0u);
+  EXPECT_NE(invalid_argument_message([&] { cfg.get_int("threads", 0); })
+                .find("threads"),
+            std::string::npos);
+  EXPECT_NE(invalid_argument_message([&] { cfg.get_size("file", 0); })
+                .find("file"),
+            std::string::npos);
+  EXPECT_THROW(cfg.get_double("nan", 0), std::invalid_argument);
+  EXPECT_THROW(cfg.get_int("empty", 0), std::invalid_argument);
+  EXPECT_TRUE(cfg.get_bool("health", false));
+  EXPECT_EQ(cfg.get_int("ok", 0), -3);
+  EXPECT_EQ(cfg.get_double("d", 0), 0.125);
+}
+
+// -------------------------------------------------------------- options ----
+
+constexpr const char* kTestMode = "big";
+void check_ab(const std::string& value) {
+  if (value != "a" && value != "b") throw std::invalid_argument("not a or b");
+}
+
+const OptionSpec kTestOptions[] = {
+    {.name = "count", .kind = OptionKind::kInt, .fallback = "4",
+     .help = "a count", .min = 1, .modes = {{kTestMode, "64"}}},
+    {.name = "ratio", .kind = OptionKind::kDouble, .fallback = "0.5",
+     .help = "a fraction\nsecond help line", .min = 0, .max = 1,
+     .min_open = true},
+    {.name = "size", .kind = OptionKind::kSize, .fallback = "1M",
+     .help = "a size"},
+    {.name = "flag", .kind = OptionKind::kFlag, .fallback = "0",
+     .help = "a flag"},
+    {.name = "mode", .kind = OptionKind::kString, .fallback = "a",
+     .help = "a choice", .check = check_ab},
+    {.name = "items", .kind = OptionKind::kList, .fallback = "x,y",
+     .help = "a list"},
+};
+
+TEST(Options, DefaultsComeFromTheRowsAndTheSelectedMode) {
+  Options opts(kTestOptions, {});
+  EXPECT_EQ(opts.get_int("count"), 4);
+  EXPECT_EQ(opts.get_double("ratio"), 0.5);
+  EXPECT_EQ(opts.get_size("size"), MiB);
+  EXPECT_FALSE(opts.get_flag("flag"));
+  EXPECT_EQ(opts.get_string("mode"), "a");
+  EXPECT_EQ(opts.get_list("items"), (std::vector<std::string>{"x", "y"}));
+  EXPECT_FALSE(opts.given("count"));
+  opts.select_mode(kTestMode);
+  EXPECT_EQ(opts.get_int("count"), 64);
+}
+
+TEST(Options, GivenValuesWinOverEveryDefault) {
+  Options opts(kTestOptions,
+               {"count=9", "flag=yes", "items=p,,q", "mode=b", "size=4K"});
+  opts.select_mode(kTestMode);
+  EXPECT_TRUE(opts.given("count"));
+  EXPECT_EQ(opts.get_int("count"), 9);
+  EXPECT_TRUE(opts.get_flag("flag"));
+  EXPECT_EQ(opts.get_list("items"), (std::vector<std::string>{"p", "q"}));
+  EXPECT_EQ(opts.get_string("mode"), "b");
+  EXPECT_EQ(opts.get_size("size"), 4 * KiB);
+}
+
+TEST(Options, RejectsUnknownMalformedAndOutOfRangeValuesNamingTheKey) {
+  const auto error = [](std::vector<std::string> args) {
+    return invalid_argument_message([&] { Options(kTestOptions, args); });
+  };
+  const std::string unknown = error({"cuont=3"});
+  EXPECT_NE(unknown.find("cuont"), std::string::npos);
+  EXPECT_NE(unknown.find("valid keys: count, ratio"), std::string::npos);
+  EXPECT_EQ(error({"count=16x"}).rfind("count: ", 0), 0u);
+  EXPECT_EQ(error({"count=0"}), "count: 0 must be >= 1");
+  EXPECT_EQ(error({"count=-1"}), "count: -1 must be >= 1");
+  EXPECT_EQ(error({"count=0", "count=4"}), "count: 0 must be >= 1");
+  EXPECT_EQ(error({"ratio=0"}), "ratio: 0 must be in (0, 1]");
+  EXPECT_EQ(error({"ratio=1.5"}), "ratio: 1.5 must be in (0, 1]");
+  EXPECT_EQ(error({"ratio=nan"}).rfind("ratio: ", 0), 0u);
+  EXPECT_EQ(error({"flag=2"}).rfind("flag: ", 0), 0u);
+  EXPECT_EQ(error({"mode=c"}), "mode: not a or b");
+  EXPECT_EQ(error({"ratio=1"}), "");
+}
+
+TEST(Options, RejectsATableWhoseDefaultBreaksItsOwnRow) {
+  const OptionSpec broken[] = {{.name = "n", .kind = OptionKind::kInt,
+                                .fallback = "0", .help = "h", .min = 1}};
+  EXPECT_THROW(Options(broken, {}), std::invalid_argument);
+}
+
+TEST(Options, HelpPrintsEveryRowWithItsDefaultsAndRange) {
+  const std::string help = describe_options(kTestOptions);
+  EXPECT_NE(help.find("  count        a count (4, big: 64; >= 1)\n"),
+            std::string::npos);
+  EXPECT_NE(help.find("  ratio        a fraction\n"
+                      "               second help line (0.5; (0, 1])\n"),
+            std::string::npos);
+  EXPECT_NE(help.find("  mode         a choice (a)\n"), std::string::npos);
+  EXPECT_NE(help.find("  items        a list (x,y)\n"), std::string::npos);
 }
 
 // ------------------------------------------------------------------ log ----

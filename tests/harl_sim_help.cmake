@@ -1,6 +1,6 @@
 # CTest script: pins `harl_sim help` to the option table the binary actually
-# parses.  usage() is generated from the same kOptions table validate_keys()
-# enforces, so drift inside the binary is structurally impossible; this test
+# parses.  usage() prints the same kOptions rows that parse and validate the
+# arguments, so drift inside the binary is structurally impossible; this test
 # guards the remaining seams: every documented key must appear in the help
 # text as `key=`, and an unknown key must be rejected with a pointer to help
 # rather than silently ignored (the pre-table behavior).
@@ -75,12 +75,19 @@ endforeach()
 
 # Configs the model cannot honour must fail and name the offending key:
 # a failure without replicas (the dead server would keep serving), more
-# tenants than files, and a GC pause with no cycle.  Each entry is
+# tenants than files, and a GC pause with no cycle.  So must malformed
+# values: trailing characters, negative counts, a negative rand seed, a
+# non-number, and a negative device factor.  Each entry is
 # "<expected key>|<args...>" with args separated by spaces.
 set(bad_configs
   "replicas|files=4 replicas=0 fail-server=2 fail-at=0.01"
   "tenants|files=2 tenants=4"
-  "gc-period|gc-pause-ms=60 gc-period=0")
+  "gc-period|gc-pause-ms=60 gc-period=0"
+  "procs|procs=16x"
+  "hservers|hservers=-1"
+  "schemes|schemes=rand-1"
+  "threads|threads=abc"
+  "aging|aging=hserver=1:-2:1:1:1:1")
 foreach(entry IN LISTS bad_configs)
   string(REPLACE "|" ";" parts "${entry}")
   list(GET parts 0 bad_key)

@@ -37,6 +37,17 @@ foreach(needle IN ITEMS "region\\(s\\)" "tuning round" "split points"
   endif()
 endforeach()
 
+# A misspelled key must be rejected by name, not silently ignored.
+execute_process(
+  COMMAND ${HARL_TRACE} regions ${trace_file} threshhold=2
+  OUTPUT_VARIABLE typo_out
+  ERROR_VARIABLE typo_err
+  RESULT_VARIABLE typo_rc)
+if(typo_rc EQUAL 0 OR NOT typo_err MATCHES "threshhold")
+  message(FATAL_ERROR "regions accepted or did not name the unknown key "
+                      "'threshhold' (${typo_rc}):\n${typo_out}${typo_err}")
+endif()
+
 if(NOT EXISTS ${csv_file})
   message(FATAL_ERROR "divide did not write ${csv_file}")
 endif()

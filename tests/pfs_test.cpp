@@ -2,6 +2,8 @@
 // and space accounting / migration planning.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "src/pfs/cluster.hpp"
@@ -194,6 +196,24 @@ TEST(Cluster, RejectsGcPauseWithoutPeriod) {
   cfg.gc_pause.period = -1.0;
   EXPECT_THROW(Cluster(sim, cfg), std::invalid_argument);
   cfg.gc_pause.period = 0.5;
+  EXPECT_NO_THROW(Cluster(sim, cfg));
+}
+
+TEST(Cluster, RejectsNonPositiveOrNonFiniteDeviceFactors) {
+  // A factor scales service time, so it must be a finite positive number; a
+  // NaN would otherwise reach the canonicalizing sort.
+  sim::Simulator sim;
+  for (const double bad : {std::nan(""), -2.0, 0.0,
+                           std::numeric_limits<double>::infinity()}) {
+    ClusterConfig cfg;
+    cfg.hdd_factors = {1.0, bad, 1.0, 1.0, 1.0, 1.0};
+    EXPECT_THROW(Cluster(sim, cfg), std::invalid_argument) << bad;
+    cfg.hdd_factors.clear();
+    cfg.ssd_factors = {bad, 1.0};
+    EXPECT_THROW(Cluster(sim, cfg), std::invalid_argument) << bad;
+  }
+  ClusterConfig cfg;
+  cfg.ssd_factors = {1.0, 4.0};
   EXPECT_NO_THROW(Cluster(sim, cfg));
 }
 

@@ -1,28 +1,13 @@
-// harl_trace — trace file utility.
-//
-//   harl_trace stats   <trace>            workload characterization
-//   harl_trace convert <in> <out>         CSV <-> binary (by extension)
-//   harl_trace regions <trace> [k=v ...]  run Algorithm 1 and print regions
-//                                         (threshold=1.0 chunk=64M)
-//   harl_trace divide  <trace> [k=v ...]  Algorithm 1 diagnostics: the
-//                                         threshold-tuning rounds, the split
-//                                         points with their CV jumps, and the
-//                                         final boundaries; csv=<path> dumps
-//                                         the full per-request CV trajectory
-//                                         (threshold=1.0 chunk=64M)
-//   harl_trace gen     <out> [k=v ...]    generate a synthetic trace
-//                                         (requests=1000 file=1G min=4K
-//                                          max=2M writes=0.5 seed=1234)
-//   harl_trace analyze <trace> save-plan=<out> [k=v ...]
-//                                         full Analysis Phase: calibrate,
-//                                         divide, optimize, save the Plan
-//                                         artifact (hservers=6 sservers=2
-//                                          threshold=1.0 chunk=64M threads=0)
-//   harl_trace plan    <artifact>         inspect a saved Plan artifact
+// harl_trace — trace file utility: workload statistics, CSV <-> binary
+// conversion, Algorithm 1 region division and its diagnostics, synthetic
+// trace generation, the full Analysis Phase into a Plan artifact, and Plan
+// artifact inspection.  Run it without arguments for the commands and each
+// command's key=value options with their defaults.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,6 +25,68 @@
 using namespace harl;
 
 namespace {
+
+using enum OptionKind;
+
+// Option rows shared by the Algorithm 1 commands.
+const OptionSpec kThresholdOption = {
+    .name = "threshold", .kind = kDouble, .fallback = "1.0",
+    .help = "initial relative CV-jump split threshold, 1.0 = 100%",
+    .min = 0, .min_open = true};
+const OptionSpec kChunkOption = {
+    .name = "chunk", .kind = kSize, .fallback = "64M",
+    .help = "fixed-division region size capping the region count", .min = 1};
+
+const OptionSpec kRegionsOptions[] = {kThresholdOption, kChunkOption};
+const OptionSpec kDivideOptions[] = {
+    kThresholdOption, kChunkOption,
+    {.name = "csv", .kind = kString, .fallback = "",
+     .help = "path; dump the full per-request CV trajectory"}};
+const OptionSpec kGenOptions[] = {
+    {.name = "requests", .kind = kInt, .fallback = "1000",
+     .help = "request count", .min = 1},
+    {.name = "file", .kind = kSize, .fallback = "1G", .help = "file size",
+     .min = 1},
+    {.name = "min", .kind = kSize, .fallback = "4K",
+     .help = "smallest request", .min = 1},
+    {.name = "max", .kind = kSize, .fallback = "2M", .help = "largest request",
+     .min = 1},
+    {.name = "writes", .kind = kDouble, .fallback = "0.5",
+     .help = "write fraction", .min = 0, .max = 1},
+    {.name = "seed", .kind = kInt, .fallback = "1234",
+     .help = "generator seed"}};
+const OptionSpec kAnalyzeOptions[] = {
+    {.name = "save-plan", .kind = kString, .fallback = "",
+     .help = "path of the Plan artifact to write (required)"},
+    {.name = "hservers", .kind = kInt, .fallback = "6",
+     .help = "HDD server count", .min = 0},
+    {.name = "sservers", .kind = kInt, .fallback = "2",
+     .help = "SSD server count", .min = 0},
+    kThresholdOption, kChunkOption,
+    {.name = "threads", .kind = kInt, .fallback = "0",
+     .help = "planner worker threads, 0 = serial", .min = 0,
+     .max = kMaxToolThreads}};
+
+std::string usage() {
+  std::ostringstream out;
+  out << "usage: harl_trace <command> ...\n"
+      << "stats   <trace>            workload characterization\n"
+      << "convert <in> <out>         CSV <-> binary (by extension)\n"
+      << "regions <trace> [k=v ...]  run Algorithm 1 and print regions\n"
+      << describe_options(kRegionsOptions)
+      << "divide  <trace> [k=v ...]  Algorithm 1 diagnostics: tuning rounds,\n"
+      << "                           split points with their CV jumps and\n"
+      << "                           the final boundaries\n"
+      << describe_options(kDivideOptions)
+      << "gen     <out> [k=v ...]    generate a synthetic trace\n"
+      << describe_options(kGenOptions)
+      << "analyze <trace> save-plan=<out> [k=v ...]\n"
+      << "                           full Analysis Phase: calibrate, divide,\n"
+      << "                           optimize, save the Plan artifact\n"
+      << describe_options(kAnalyzeOptions)
+      << "plan    <artifact>         inspect a saved Plan artifact\n";
+  return out.str();
+}
 
 int cmd_stats(const std::string& path) {
   const auto records = trace::load_trace(path);
@@ -62,12 +109,12 @@ int cmd_convert(const std::string& in, const std::string& out) {
   return 0;
 }
 
-int cmd_regions(const std::string& path, const Config& cfg) {
+int cmd_regions(const std::string& path, const Options& options) {
   auto records = trace::load_trace(path);
   std::sort(records.begin(), records.end(), trace::ByOffset{});
   core::DividerOptions opts;
-  opts.threshold = cfg.get_double("threshold", 1.0);
-  opts.fixed_region_size = cfg.get_size("chunk", 64 * MiB);
+  opts.threshold = options.get_double("threshold");
+  opts.fixed_region_size = options.get_size("chunk");
   const auto division = core::divide_regions(records, opts);
   std::cout << division.regions.size() << " region(s), threshold "
             << division.threshold_used * 100.0 << "% after "
@@ -84,12 +131,12 @@ int cmd_regions(const std::string& path, const Config& cfg) {
   return 0;
 }
 
-int cmd_divide(const std::string& path, const Config& cfg) {
+int cmd_divide(const std::string& path, const Options& options) {
   auto records = trace::load_trace(path);
   std::sort(records.begin(), records.end(), trace::ByOffset{});
   core::DividerOptions opts;
-  opts.threshold = cfg.get_double("threshold", 1.0);
-  opts.fixed_region_size = cfg.get_size("chunk", 64 * MiB);
+  opts.threshold = options.get_double("threshold");
+  opts.fixed_region_size = options.get_size("chunk");
 
   std::vector<core::StreamingDivider::CvSample> trajectory;
   std::vector<core::TuningRound> rounds;
@@ -136,7 +183,7 @@ int cmd_divide(const std::string& path, const Config& cfg) {
   }
   table.print(std::cout);
 
-  const std::string csv = cfg.get_or("csv", "");
+  const std::string csv = options.get_string("csv");
   if (!csv.empty()) {
     std::ofstream out(csv);
     if (!out) throw std::runtime_error("cannot write " + csv);
@@ -152,8 +199,8 @@ int cmd_divide(const std::string& path, const Config& cfg) {
   return 0;
 }
 
-int cmd_analyze(const std::string& in, const Config& cfg) {
-  const std::string out = cfg.get_or("save-plan", "");
+int cmd_analyze(const std::string& in, const Options& options) {
+  const std::string out = options.get_string("save-plan");
   if (out.empty()) {
     throw std::invalid_argument("analyze requires save-plan=<path>");
   }
@@ -161,19 +208,15 @@ int cmd_analyze(const std::string& in, const Config& cfg) {
   std::sort(records.begin(), records.end(), trace::ByOffset{});
 
   pfs::ClusterConfig cluster;
-  cluster.num_hservers = static_cast<std::size_t>(cfg.get_int("hservers", 6));
-  cluster.num_sservers = static_cast<std::size_t>(cfg.get_int("sservers", 2));
+  cluster.num_hservers = static_cast<std::size_t>(options.get_int("hservers"));
+  cluster.num_sservers = static_cast<std::size_t>(options.get_int("sservers"));
   const core::TieredCostParams params = harness::calibrate(cluster, {});
 
   core::PlannerOptions opts;
-  opts.divider.threshold = cfg.get_double("threshold", 1.0);
-  opts.divider.fixed_region_size = cfg.get_size("chunk", 64 * MiB);
+  opts.divider.threshold = options.get_double("threshold");
+  opts.divider.fixed_region_size = options.get_size("chunk");
   std::unique_ptr<ThreadPool> pool;
-  const long long threads = cfg.get_int("threads", 0);
-  if (threads < 0 || threads > 1024) {
-    throw std::invalid_argument("threads must be in [0, 1024]");
-  }
-  if (threads > 0) {
+  if (const auto threads = options.get_int("threads"); threads > 0) {
     pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(threads));
     opts.pool = pool.get();
   }
@@ -210,14 +253,14 @@ int cmd_plan(const std::string& path) {
   return 0;
 }
 
-int cmd_gen(const std::string& out, const Config& cfg) {
+int cmd_gen(const std::string& out, const Options& options) {
   workloads::RandomWorkloadConfig wcfg;
-  wcfg.requests = static_cast<std::size_t>(cfg.get_int("requests", 1000));
-  wcfg.file_size = cfg.get_size("file", 1 * GiB);
-  wcfg.min_request = cfg.get_size("min", 4 * KiB);
-  wcfg.max_request = cfg.get_size("max", 2 * MiB);
-  wcfg.write_fraction = cfg.get_double("writes", 0.5);
-  wcfg.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1234));
+  wcfg.requests = static_cast<std::size_t>(options.get_int("requests"));
+  wcfg.file_size = options.get_size("file");
+  wcfg.min_request = options.get_size("min");
+  wcfg.max_request = options.get_size("max");
+  wcfg.write_fraction = options.get_double("writes");
+  wcfg.seed = static_cast<std::uint64_t>(options.get_int("seed"));
   const auto records = workloads::make_random_trace(wcfg);
   trace::save_trace(out, records);
   std::cout << "generated " << records.size() << " records to " << out << "\n";
@@ -229,30 +272,26 @@ int cmd_gen(const std::string& out, const Config& cfg) {
 int main(int argc, char** argv) {
   try {
     const std::vector<std::string> args(argv + 1, argv + argc);
-    if (args.size() >= 2 && args[0] == "stats") return cmd_stats(args[1]);
-    if (args.size() >= 3 && args[0] == "convert") {
-      return cmd_convert(args[1], args[2]);
+    if (args.size() >= 2) {
+      const std::string& cmd = args[0];
+      const std::vector<std::string> keys(args.begin() + 2, args.end());
+      if (cmd == "stats") return cmd_stats(args[1]);
+      if (cmd == "convert" && args.size() >= 3) {
+        return cmd_convert(args[1], args[2]);
+      }
+      if (cmd == "regions") {
+        return cmd_regions(args[1], Options(kRegionsOptions, keys));
+      }
+      if (cmd == "divide") {
+        return cmd_divide(args[1], Options(kDivideOptions, keys));
+      }
+      if (cmd == "gen") return cmd_gen(args[1], Options(kGenOptions, keys));
+      if (cmd == "analyze") {
+        return cmd_analyze(args[1], Options(kAnalyzeOptions, keys));
+      }
+      if (cmd == "plan") return cmd_plan(args[1]);
     }
-    if (args.size() >= 2 && args[0] == "regions") {
-      return cmd_regions(args[1], Config::from_args({args.begin() + 2,
-                                                     args.end()}));
-    }
-    if (args.size() >= 2 && args[0] == "divide") {
-      return cmd_divide(args[1], Config::from_args({args.begin() + 2,
-                                                    args.end()}));
-    }
-    if (args.size() >= 2 && args[0] == "gen") {
-      return cmd_gen(args[1],
-                     Config::from_args({args.begin() + 2, args.end()}));
-    }
-    if (args.size() >= 2 && args[0] == "analyze") {
-      return cmd_analyze(args[1],
-                         Config::from_args({args.begin() + 2, args.end()}));
-    }
-    if (args.size() >= 2 && args[0] == "plan") return cmd_plan(args[1]);
-    std::cerr << "usage: harl_trace "
-                 "stats|convert|regions|divide|gen|analyze|plan "
-                 "... (see header comment)\n";
+    std::cerr << usage();
     return 2;
   } catch (const std::exception& e) {
     std::cerr << "harl_trace: " << e.what() << "\n";
