@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace harl {
@@ -60,150 +59,6 @@ double percentile(std::span<const double> xs, double p) {
   const auto hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-LogHistogram::LogHistogram(unsigned sub_bits) : sub_bits_(sub_bits) {
-  if (sub_bits > 12) {
-    throw std::invalid_argument("LogHistogram sub_bits must be <= 12");
-  }
-}
-
-std::int32_t LogHistogram::bucket_index(double x) const {
-  // x = m * 2^e with m in [0.5, 1); split [2^(e-1), 2^e) into 2^sub_bits
-  // equal cells.  The index is e * 2^sub_bits + cell, which orders buckets
-  // by value and makes merge a plain per-key addition.
-  int e = 0;
-  const double m = std::frexp(x, &e);
-  const auto sub = static_cast<std::int32_t>(1u << sub_bits_);
-  auto cell = static_cast<std::int32_t>((m * 2.0 - 1.0) *
-                                        static_cast<double>(sub));
-  cell = std::min(std::max(cell, std::int32_t{0}), sub - 1);
-  return static_cast<std::int32_t>(e) * sub + cell;
-}
-
-double LogHistogram::bucket_low(std::int32_t index) const {
-  const auto sub = static_cast<std::int32_t>(1u << sub_bits_);
-  // Floor division so negative exponents (sub-second latencies) round down.
-  std::int32_t e = index / sub;
-  std::int32_t cell = index % sub;
-  if (cell < 0) {
-    cell += sub;
-    --e;
-  }
-  return std::ldexp(1.0 + static_cast<double>(cell) / static_cast<double>(sub),
-                    e - 1);
-}
-
-void LogHistogram::add(double x) {
-  if (!(x > 0.0)) {  // zero, negative, NaN
-    ++non_positive_;
-    ++count_;
-    if (count_ == 1) {
-      min_ = max_ = 0.0;
-    } else {
-      min_ = std::min(min_, 0.0);
-      max_ = std::max(max_, 0.0);
-    }
-    return;
-  }
-  if (std::isinf(x)) x = std::numeric_limits<double>::max();
-  ++counts_[bucket_index(x)];
-  ++count_;
-  sum_ += x;
-  if (count_ == 1) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-}
-
-void LogHistogram::merge(const LogHistogram& other) {
-  if (other.count_ == 0) return;
-  if (other.sub_bits_ != sub_bits_) {
-    throw std::invalid_argument("LogHistogram merge requires equal sub_bits");
-  }
-  for (const auto& [index, n] : other.counts_) counts_[index] += n;
-  non_positive_ += other.non_positive_;
-  sum_ += other.sum_;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-}
-
-void LogHistogram::reset() { *this = LogHistogram{sub_bits_}; }
-
-double LogHistogram::mean() const {
-  return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-double LogHistogram::percentile(double p) const {
-  if (p < 0.0 || p > 100.0) {
-    throw std::invalid_argument("percentile p out of [0,100]");
-  }
-  if (count_ == 0) return 0.0;
-  const double rank = p / 100.0 * static_cast<double>(count_);
-  // Non-positive samples sit below every bucket at value 0.  Guard on their
-  // presence: at p = 0 the rank is 0 and an all-positive histogram must fall
-  // through to its first bucket (clamped to min), not report 0.
-  double seen = static_cast<double>(non_positive_);
-  if (non_positive_ > 0 && rank <= seen) return std::min(0.0, min_);
-  for (const auto& [index, n] : counts_) {
-    const double next = seen + static_cast<double>(n);
-    if (rank <= next) {
-      const double lo = bucket_low(index);
-      const double hi = bucket_low(index + 1);
-      const double frac = (rank - seen) / static_cast<double>(n);
-      const double v = lo + frac * (hi - lo);
-      return std::min(std::max(v, min_), max_);
-    }
-    seen = next;
-  }
-  return max_;
-}
-
-std::vector<LogHistogram::Bucket> LogHistogram::buckets() const {
-  std::vector<Bucket> out;
-  out.reserve(counts_.size());
-  for (const auto& [index, n] : counts_) {
-    out.push_back(Bucket{bucket_low(index), bucket_low(index + 1), n});
-  }
-  return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  if (!(lo < hi) || buckets == 0) {
-    throw std::invalid_argument("histogram requires lo < hi and buckets > 0");
-  }
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    auto idx = static_cast<std::size_t>((x - lo_) / width);
-    idx = std::min(idx, counts_.size() - 1);
-    ++counts_[idx];
-  }
-}
-
-double Histogram::bucket_low(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bucket_high(std::size_t i) const {
-  return bucket_low(i + 1);
 }
 
 }  // namespace harl

@@ -4,14 +4,9 @@
 // variation (CV = population standard deviation / mean) of request sizes in a
 // growing window; `RunningStats` provides exactly that, incrementally and in
 // a numerically stable form (Welford), with O(1) removal-free restart.
-// `LogHistogram` is the observability subsystem's distribution type:
-// log-bucketed tails (p50/p95/p99 at bucket resolution, exact min/max/sum)
-// that merge exactly across replicas and threads.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -69,87 +64,5 @@ Summary summarize(std::span<const double> xs);
 /// Linear-interpolated percentile, p in [0, 100].  `xs` need not be sorted;
 /// a sorted copy is made internally.  Returns 0 for an empty sample.
 double percentile(std::span<const double> xs, double p);
-
-/// Log-bucketed histogram for latency/size distributions (observability).
-///
-/// Positive samples land in geometric buckets: each power of two is split
-/// into 2^sub_bits equal-width sub-buckets, bounding the relative error of
-/// any percentile by 1/2^sub_bits (3.2% at the default sub_bits = 5).
-/// Zero and negative samples are counted separately (`non_positive`).
-/// Count, sum, min and max are tracked exactly.  Buckets are sparse, so an
-/// instance costs memory proportional to the spread actually observed, and
-/// `merge()` is exact: merging two histograms yields the same buckets as
-/// feeding both sample streams into one — the property that makes per-thread
-/// and per-replica collection safe to aggregate in any order.
-class LogHistogram {
- public:
-  explicit LogHistogram(unsigned sub_bits = 5);
-
-  void add(double x);
-  void merge(const LogHistogram& other);
-  void reset();
-
-  std::uint64_t count() const { return count_; }
-  std::uint64_t non_positive() const { return non_positive_; }
-  double sum() const { return sum_; }
-  double min() const { return count_ > 0 ? min_ : 0.0; }
-  double max() const { return count_ > 0 ? max_ : 0.0; }
-  double mean() const;
-
-  /// Percentile estimate, p in [0, 100]: linear interpolation inside the
-  /// containing bucket, clamped to the exact [min, max] envelope.  Counts
-  /// non-positive samples as the value 0.  Returns 0 for an empty histogram.
-  double percentile(double p) const;
-
-  unsigned sub_bits() const { return sub_bits_; }
-
-  /// Non-empty buckets in ascending value order (excludes non-positives).
-  struct Bucket {
-    double lo = 0.0;   ///< inclusive lower bound
-    double hi = 0.0;   ///< exclusive upper bound
-    std::uint64_t count = 0;
-  };
-  std::vector<Bucket> buckets() const;
-
-  /// True when the two histograms carry identical contents (used by the
-  /// cross-thread merge-determinism tests).
-  friend bool operator==(const LogHistogram&, const LogHistogram&) = default;
-
- private:
-  std::int32_t bucket_index(double x) const;
-  double bucket_low(std::int32_t index) const;
-
-  unsigned sub_bits_ = 5;
-  std::map<std::int32_t, std::uint64_t> counts_;  // ordered -> deterministic
-  std::uint64_t count_ = 0;
-  std::uint64_t non_positive_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Simple fixed-width histogram for diagnostics.
-class Histogram {
- public:
-  /// Buckets [lo, hi) split into `buckets` equal cells, plus under/overflow.
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t count_at(std::size_t i) const { return counts_.at(i); }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  std::size_t total() const { return total_; }
-  double bucket_low(std::size_t i) const;
-  double bucket_high(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
-};
 
 }  // namespace harl

@@ -6,22 +6,32 @@
 
 namespace harl::obs {
 
-namespace {
-
-/// Minimal JSON string escaping (metric names are plain identifiers, but a
-/// malformed name must not produce malformed JSON).
-void write_escaped(std::ostream& out, std::string_view s) {
+void write_json_string(std::ostream& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out << '"';
   for (char c : s) {
+    const auto byte = static_cast<unsigned char>(c);
     switch (c) {
       case '"': out << "\\\""; break;
       case '\\': out << "\\\\"; break;
       case '\n': out << "\\n"; break;
       case '\t': out << "\\t"; break;
-      default: out << c;
+      default:
+        if (byte < 0x20) {
+          out << "\\u00" << kHex[byte >> 4] << kHex[byte & 0xF];
+        } else {
+          out << c;
+        }
     }
   }
   out << '"';
+}
+
+namespace {
+
+bool is_distribution(MetricsRegistry::Kind kind) {
+  return kind == MetricsRegistry::Kind::kHistogram ||
+         kind == MetricsRegistry::Kind::kSketch;
 }
 
 void write_labels(std::ostream& out, const LabelSet& labels) {
@@ -51,28 +61,16 @@ void write_labels(std::ostream& out, const LabelSet& labels) {
   out << '}';
 }
 
-void write_histogram(std::ostream& out, const LogHistogram& h) {
-  out << "\"count\": " << h.count() << ", \"sum\": " << h.sum()
-      << ", \"min\": " << h.min() << ", \"max\": " << h.max()
-      << ", \"mean\": " << h.mean() << ", \"p50\": " << h.percentile(50.0)
-      << ", \"p95\": " << h.percentile(95.0)
-      << ", \"p99\": " << h.percentile(99.0) << ", \"buckets\": [";
-  bool first = true;
-  for (const auto& b : h.buckets()) {
-    if (!first) out << ", ";
-    first = false;
-    out << '[' << b.lo << ", " << b.hi << ", " << b.count << ']';
-  }
-  out << ']';
-}
-
-void write_sketch(std::ostream& out, const QuantileSketch& s) {
+/// kHistogram series export p50/p95/p99; kSketch series add the p999.
+void write_distribution(std::ostream& out, const QuantileSketch& s,
+                        bool p999) {
   out << "\"count\": " << s.count() << ", \"sum\": " << s.sum()
       << ", \"min\": " << s.min() << ", \"max\": " << s.max()
       << ", \"mean\": " << s.mean() << ", \"p50\": " << s.percentile(50.0)
       << ", \"p95\": " << s.percentile(95.0)
-      << ", \"p99\": " << s.percentile(99.0)
-      << ", \"p999\": " << s.quantile(0.999) << ", \"buckets\": [";
+      << ", \"p99\": " << s.percentile(99.0);
+  if (p999) out << ", \"p999\": " << s.quantile(0.999);
+  out << ", \"buckets\": [";
   bool first = true;
   for (const auto& b : s.buckets()) {
     if (!first) out << ", ";
@@ -106,12 +104,10 @@ std::size_t MetricsRegistry::series_index(Family& f, LabelSet labels) {
   auto [it, inserted] =
       f.series.try_emplace(SeriesKey{labels.bits(), labels.ext_bits()}, 0);
   if (inserted) {
-    if (f.kind == Kind::kHistogram) {
-      it->second = f.histograms.size();
-      f.histograms.emplace_back();
-    } else if (f.kind == Kind::kSketch) {
+    if (is_distribution(f.kind)) {
       it->second = f.sketches.size();
-      f.sketches.emplace_back();
+      f.sketches.emplace_back(f.kind == Kind::kHistogram ? kHistogramSubBits
+                                                         : kSketchSubBits);
     } else {
       it->second = f.scalars.size();
       f.scalars.push_back(0.0);
@@ -138,11 +134,7 @@ void MetricsRegistry::set_max(FamilyId family, LabelSet labels, double value) {
 
 void MetricsRegistry::observe(FamilyId family, LabelSet labels, double value) {
   Family& f = families_.at(family);
-  if (f.kind == Kind::kSketch) {
-    f.sketches[series_index(f, labels)].add(value);
-  } else {
-    f.histograms[series_index(f, labels)].add(value);
-  }
+  f.sketches[series_index(f, labels)].add(value);
 }
 
 MetricsRegistry::Family* MetricsRegistry::find(std::string_view name) {
@@ -167,18 +159,10 @@ double MetricsRegistry::value(std::string_view name, LabelSet labels) const {
   return f->scalars[it->second];
 }
 
-const LogHistogram* MetricsRegistry::histogram(std::string_view name,
-                                               LabelSet labels) const {
-  const Family* f = find(name);
-  if (f == nullptr || f->kind != Kind::kHistogram) return nullptr;
-  auto it = f->series.find(SeriesKey{labels.bits(), labels.ext_bits()});
-  return it == f->series.end() ? nullptr : &f->histograms[it->second];
-}
-
 const QuantileSketch* MetricsRegistry::sketch(std::string_view name,
                                               LabelSet labels) const {
   const Family* f = find(name);
-  if (f == nullptr || f->kind != Kind::kSketch) return nullptr;
+  if (f == nullptr || !is_distribution(f->kind)) return nullptr;
   auto it = f->series.find(SeriesKey{labels.bits(), labels.ext_bits()});
   return it == f->series.end() ? nullptr : &f->sketches[it->second];
 }
@@ -204,8 +188,6 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
           f.scalars[mine] = std::max(f.scalars[mine], of.scalars[idx]);
           break;
         case Kind::kHistogram:
-          f.histograms[mine].merge(of.histograms[idx]);
-          break;
         case Kind::kSketch:
           f.sketches[mine].merge(of.sketches[idx]);
           break;
@@ -235,7 +217,7 @@ void MetricsRegistry::write_json(std::ostream& out, int indent) const {
       if (!first_series) out << ",";
       first_series = false;
       out << "\n" << pad << "  {\"name\": ";
-      write_escaped(out, f.name);
+      write_json_string(out, f.name);
       out << ", \"type\": \""
           << (f.kind == Kind::kCounter
                   ? "counter"
@@ -245,10 +227,8 @@ void MetricsRegistry::write_json(std::ostream& out, int indent) const {
           << "\", \"labels\": ";
       write_labels(out, LabelSet::from_bits(key.bits, key.ext));
       out << ", ";
-      if (f.kind == Kind::kHistogram) {
-        write_histogram(out, f.histograms[idx]);
-      } else if (f.kind == Kind::kSketch) {
-        write_sketch(out, f.sketches[idx]);
+      if (is_distribution(f.kind)) {
+        write_distribution(out, f.sketches[idx], f.kind == Kind::kSketch);
       } else {
         out << "\"value\": " << f.scalars[idx];
       }

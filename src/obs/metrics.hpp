@@ -1,5 +1,5 @@
-// Metrics registry: counters, gauges and log-bucketed histograms keyed by a
-// cheap interned label set.
+// Metrics registry: counters, gauges and quantile-sketch distributions keyed
+// by a cheap interned label set.
 //
 // A metric *family* is registered once by name (cold path) and returns a
 // small integer id; every observation then carries a packed 64-bit
@@ -18,10 +18,13 @@
 #include <vector>
 
 #include "src/common/io.hpp"
-#include "src/common/stats.hpp"
 #include "src/obs/sketch.hpp"
 
 namespace harl::obs {
+
+/// Writes `s` as a quoted JSON string: escapes `"`, `\`, `\n`, `\t` and
+/// every other control byte (as \u00XX), so any name yields valid JSON.
+void write_json_string(std::ostream& out, std::string_view s);
 
 /// Packed label set.  Fields default to "absent"; setters are chainable:
 /// `LabelSet{}.server(3).tier(0).op(IoOp::kRead)`.
@@ -89,7 +92,15 @@ class LabelSet {
 
 class MetricsRegistry {
  public:
+  /// kHistogram and kSketch are both QuantileSketch series; they differ
+  /// only in resolution and in what the JSON dump exports (a histogram has
+  /// no p999).
   enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram, kSketch };
+
+  /// kHistogram series: 1/2^5 = 3.2% relative quantile error.
+  static constexpr unsigned kHistogramSubBits = 5;
+  /// kSketch series: 1.6%, tight enough that a p999 sits above a p99.
+  static constexpr unsigned kSketchSubBits = 6;
 
   using FamilyId = std::uint32_t;
 
@@ -102,15 +113,13 @@ class MetricsRegistry {
   void set(FamilyId family, LabelSet labels, double value);
   /// gauge = max(gauge, value).
   void set_max(FamilyId family, LabelSet labels, double value);
-  /// histogram or sketch <- value (dispatches on the family's kind).
+  /// histogram or sketch <- value.
   void observe(FamilyId family, LabelSet labels, double value);
 
   /// Reads back a scalar (counter/gauge); 0 when the series doesn't exist.
   double value(std::string_view name, LabelSet labels = {}) const;
-  /// Reads back a histogram series; nullptr when it doesn't exist.
-  const LogHistogram* histogram(std::string_view name,
-                                LabelSet labels = {}) const;
-  /// Reads back a quantile-sketch series; nullptr when it doesn't exist.
+  /// Reads back a histogram or sketch series; nullptr when it doesn't
+  /// exist.
   const QuantileSketch* sketch(std::string_view name,
                                LabelSet labels = {}) const;
 
@@ -148,10 +157,9 @@ class MetricsRegistry {
   struct Family {
     std::string name;
     Kind kind = Kind::kCounter;
-    // label words -> index into scalars/histograms/sketches
+    // label words -> index into scalars (counter/gauge) or sketches
     std::unordered_map<SeriesKey, std::size_t, SeriesKeyHash> series;
     std::vector<double> scalars;
-    std::vector<LogHistogram> histograms;
     std::vector<QuantileSketch> sketches;
   };
 

@@ -9,20 +9,6 @@ namespace harl::obs {
 
 namespace {
 
-void write_escaped(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default: out << c;
-    }
-  }
-  out << '"';
-}
-
 double to_us(Seconds t) { return t * 1e6; }
 
 const char* kind_name(TrackKind k) {
@@ -170,9 +156,6 @@ void Recorder::resource_event(std::uint32_t track, Seconds arrival,
   note_time(finish);
   const Seconds wait = start - arrival;
   const Seconds service = finish - start;
-  ++t.jobs;
-  t.busy += service;
-  t.queue_delay += wait;
   t.wait.add(wait);
   t.service.add(service);
   t.busy_timeline.add_span(start, finish);
@@ -429,9 +412,9 @@ std::vector<Recorder::ResourceSummary> Recorder::resource_summaries() const {
     s.entity = t.entity;
     s.tier = t.tier;
     s.is_ssd = t.is_ssd;
-    s.busy = t.busy;
-    s.queue_delay = t.queue_delay;
-    s.jobs = t.jobs;
+    s.busy = t.service.sum();
+    s.queue_delay = t.wait.sum();
+    s.jobs = t.wait.count();
     s.depth_max = t.depth_max;
     s.wait = &t.wait;
     s.service = &t.service;
@@ -459,13 +442,13 @@ void Recorder::append_trace_events(std::ostream& out, std::uint32_t pid,
   sep();
   out << "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": " << pid
       << ", \"tid\": 0, \"args\": {\"name\": ";
-  write_escaped(out, process_name);
+  write_json_string(out, process_name);
   out << "}}";
   for (std::size_t i = 0; i < tracks_.size(); ++i) {
     sep();
     out << "{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": " << pid
         << ", \"tid\": " << i + 1 << ", \"args\": {\"name\": ";
-    write_escaped(out, tracks_[i].name);
+    write_json_string(out, tracks_[i].name);
     out << "}}";
     sep();
     out << "{\"ph\": \"M\", \"name\": \"thread_sort_index\", \"pid\": " << pid
@@ -570,16 +553,17 @@ void Recorder::write_metrics_json(std::ostream& out, int indent) const {
     if (!first) out << ",";
     first = false;
     out << "\n" << pad << "    {\"track\": " << i << ", \"name\": ";
-    write_escaped(out, t.name);
+    write_json_string(out, t.name);
     out << ", \"kind\": \"" << kind_name(t.kind) << "\"";
     if (t.entity != kNoId) out << ", \"entity\": " << t.entity;
     if (t.tier != kNoId) {
       out << ", \"tier\": " << t.tier
           << ", \"is_ssd\": " << (t.is_ssd ? "true" : "false");
     }
-    out << ", \"jobs\": " << t.jobs << ", \"busy_s\": " << t.busy
-        << ", \"queue_delay_s\": " << t.queue_delay
-        << ", \"utilization\": " << (horizon > 0.0 ? t.busy / horizon : 0.0)
+    const Seconds busy = t.service.sum();
+    out << ", \"jobs\": " << t.wait.count() << ", \"busy_s\": " << busy
+        << ", \"queue_delay_s\": " << t.wait.sum()
+        << ", \"utilization\": " << (horizon > 0.0 ? busy / horizon : 0.0)
         << ", \"depth_max\": " << t.depth_max
         << ", \"wait_p99_s\": " << t.wait.percentile(99.0)
         << ", \"service_p99_s\": " << t.service.percentile(99.0);

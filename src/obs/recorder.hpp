@@ -1,8 +1,8 @@
 // Flight recorder: the standard observability sink.
 //
 // Combines three instruments over one simulated run:
-//   * a MetricsRegistry (counters/gauges/log-histograms keyed by interned
-//     labels) fed by the server/client hooks;
+//   * a MetricsRegistry (counters/gauges/quantile-sketch distributions keyed
+//     by interned labels) fed by the server/client hooks;
 //   * a span-based trace in *simulated* time — one track per server disk,
 //     server NIC, client NIC and client — exported as Chrome trace-event /
 //     Perfetto-compatible JSON ("X" spans for FIFO service, async "b"/"e"
@@ -162,12 +162,12 @@ class Recorder final : public Sink {
     std::uint32_t entity = kNoId;  ///< server/client index within the kind
     std::uint32_t tier = kNoId;
     bool is_ssd = false;
-    Seconds busy = 0.0;
-    Seconds queue_delay = 0.0;
-    std::uint64_t jobs = 0;
+    Seconds busy = 0.0;         ///< service->sum()
+    Seconds queue_delay = 0.0;  ///< wait->sum()
+    std::uint64_t jobs = 0;     ///< wait->count()
     std::uint64_t depth_max = 0;
-    const LogHistogram* wait = nullptr;     ///< per-job queue wait
-    const LogHistogram* service = nullptr;  ///< per-job service time
+    const QuantileSketch* wait = nullptr;     ///< per-job queue wait
+    const QuantileSketch* service = nullptr;  ///< per-job service time
     const Timeline* busy_timeline = nullptr;
     const Timeline* depth_timeline = nullptr;
   };
@@ -220,12 +220,12 @@ class Recorder final : public Sink {
     /// "pfs.mds.time" resident-time sketch (satellite: open-storm
     /// contention must be visible next to the pfs.server.time sketches).
     bool is_mds = false;
-    Seconds busy = 0.0;
-    Seconds queue_delay = 0.0;
-    std::uint64_t jobs = 0;
     std::uint64_t depth_max = 0;
-    LogHistogram wait;
-    LogHistogram service;
+    /// Per-job queue wait and service time.  Every sample is >= 0, so
+    /// count() is the job count and sum() the exact queue delay / busy
+    /// time (the sketch leaves zeros out of its sum; they add nothing).
+    QuantileSketch wait{MetricsRegistry::kHistogramSubBits};
+    QuantileSketch service{MetricsRegistry::kHistogramSubBits};
     Timeline busy_timeline;
     Timeline depth_timeline;
     /// Outstanding job finish times (min-heap): exact in-flight count at

@@ -15,8 +15,8 @@ QuantileSketch::QuantileSketch(unsigned sub_bits) : sub_bits_(sub_bits) {
 
 std::int32_t QuantileSketch::bucket_index(double x) const {
   // x = m * 2^e with m in [0.5, 1); split [2^(e-1), 2^e) into 2^sub_bits
-  // equal cells — the same geometry as LogHistogram, so the two agree on
-  // every bucket boundary.
+  // equal cells.  The index is e * 2^sub_bits + cell, which orders buckets
+  // by value and makes merge a plain per-index addition.
   int e = 0;
   const double m = std::frexp(x, &e);
   const auto sub = static_cast<std::int32_t>(1u << sub_bits_);

@@ -1,18 +1,19 @@
-// Mergeable log-bucket quantile sketch (the telemetry plane's distribution
-// type, DESIGN.md §15).
+// Mergeable log-bucket quantile sketch: the one distribution type of the
+// observability subsystem (DESIGN.md §15).  Metrics histograms, sketch
+// families, the recorder's per-track wait/service distributions and the
+// telemetry windows are all instances, differing only in sub_bits.
 //
-// Same bucket geometry as common LogHistogram — each power of two split into
-// 2^sub_bits equal-width cells, bounding any quantile's relative error by
-// 1/2^sub_bits — but stored as a *dense* contiguous count array over the
-// observed index range, so the hot-path insert is one subtract + bounds check
-// + increment instead of a map lookup.  The dense range always spans exactly
-// the touched buckets (growth is by need, never speculative), which makes the
-// representation a pure function of the multiset of samples: two sketches fed
-// the same samples in any order compare equal member-by-member, and merge()
-// is exact — merging per-replica sketches yields bit-identical state to one
-// sketch fed the combined stream.  That is the property that lets the
-// MetricsRegistry treat sketch families like counters: order-independent
-// parallel aggregation.
+// Each power of two is split into 2^sub_bits equal-width cells, bounding any
+// quantile's relative error by 1/2^sub_bits.  Counts live in a *dense*
+// contiguous array over the observed index range, so the hot-path insert is
+// one subtract + bounds check + increment.  The dense range always spans
+// exactly the touched buckets (growth is by need, never speculative), which
+// makes the representation a pure function of the multiset of samples: two
+// sketches fed the same samples in any order compare equal member-by-member,
+// and merge() is exact — merging per-replica sketches yields bit-identical
+// state to one sketch fed the combined stream.  That is the property that
+// lets the MetricsRegistry treat distribution families like counters:
+// order-independent parallel aggregation.
 #pragma once
 
 #include <cstddef>

@@ -55,11 +55,7 @@ void TimeSeries::record_span(std::uint32_t server, Seconds arrival,
                              Seconds start, Seconds finish) {
   const std::int64_t wa = window_of(arrival);
   if (dropped_ == 0 || windows_.empty() || wa >= windows_.front().index) {
-    ServerCell& c = cell(wa, server);
-    const double lat = finish - arrival;
-    ++c.jobs;
-    c.lat_sum += lat;
-    c.lat.add(lat);
+    cell(wa, server).lat.add(finish - arrival);
   }
   // Busy time is clipped per overlapped window so utilization is exact even
   // for services that straddle a boundary.
@@ -98,8 +94,7 @@ double TimeSeries::window_latency_mean(std::int64_t w,
   const Window* win = find_window(w);
   if (win == nullptr) return 0.0;
   auto it = win->servers.find(server);
-  if (it == win->servers.end() || it->second.jobs == 0) return 0.0;
-  return it->second.lat_sum / static_cast<double>(it->second.jobs);
+  return it == win->servers.end() ? 0.0 : it->second.lat.mean();
 }
 
 std::uint64_t TimeSeries::window_jobs(std::int64_t w,
@@ -107,7 +102,7 @@ std::uint64_t TimeSeries::window_jobs(std::int64_t w,
   const Window* win = find_window(w);
   if (win == nullptr) return 0;
   auto it = win->servers.find(server);
-  return it == win->servers.end() ? 0 : it->second.jobs;
+  return it == win->servers.end() ? 0 : it->second.lat.count();
 }
 
 std::vector<TimeSeries::WindowServerStat> TimeSeries::window_stats(
@@ -118,9 +113,8 @@ std::vector<TimeSeries::WindowServerStat> TimeSeries::window_stats(
   for (const auto& [id, c] : win->servers) {
     WindowServerStat s;
     s.server = id;
-    s.jobs = c.jobs;
-    s.lat_mean =
-        c.jobs > 0 ? c.lat_sum / static_cast<double>(c.jobs) : 0.0;
+    s.jobs = c.lat.count();
+    s.lat_mean = c.lat.mean();
     out.push_back(s);
   }
   return out;
@@ -170,7 +164,8 @@ void TimeSeries::write_json(std::ostream& out, int indent) const {
       }
       out << ']';
     };
-    column("jobs", [&](const ServerCell* c) { out << (c ? c->jobs : 0); });
+    column("jobs",
+           [&](const ServerCell* c) { out << (c ? c->lat.count() : 0); });
     column("busy_s",
            [&](const ServerCell* c) { out << (c ? c->busy : 0.0); });
     column("utilization", [&](const ServerCell* c) {
@@ -179,9 +174,7 @@ void TimeSeries::write_json(std::ostream& out, int indent) const {
     column("depth_max",
            [&](const ServerCell* c) { out << (c ? c->depth_max : 0); });
     column("lat_mean_s", [&](const ServerCell* c) {
-      out << (c != nullptr && c->jobs > 0
-                  ? c->lat_sum / static_cast<double>(c->jobs)
-                  : 0.0);
+      out << (c ? c->lat.mean() : 0.0);
     });
     column("lat_p50_s", [&](const ServerCell* c) {
       out << (c ? c->lat.percentile(50.0) : 0.0);

@@ -1,8 +1,9 @@
 // Windowed per-server telemetry rollups in simulated time (DESIGN.md §15).
 //
 // A TimeSeries slices the simulated timeline into fixed-width windows and
-// accumulates, per window and per server: job count, latency sum and a
-// QuantileSketch of per-job latency (arrival -> finish), busy seconds
+// accumulates, per window and per server: a QuantileSketch of per-job
+// latency (arrival -> finish; its count and sum are the job count and the
+// latency sum, exact because every latency is >= 0), busy seconds
 // (service span clipped to the window for utilization), and the maximum
 // concurrent queue depth.  A fleet-level cache hit/miss byte pair rides in
 // the same windows.  Windows live in a bounded ring: when more than
@@ -77,8 +78,6 @@ class TimeSeries {
 
  private:
   struct ServerCell {
-    std::uint64_t jobs = 0;
-    double lat_sum = 0.0;
     double busy = 0.0;
     std::uint64_t depth_max = 0;
     QuantileSketch lat;

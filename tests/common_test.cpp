@@ -14,6 +14,7 @@
 #include "src/common/stats.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/common/units.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/obs/sketch.hpp"
 
 namespace harl {
@@ -228,175 +229,21 @@ TEST(Percentile, HandlesEdgesAndInterpolation) {
   EXPECT_THROW(percentile(xs, 101), std::invalid_argument);
 }
 
-TEST(Histogram, CountsBucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(1.9);
-  h.add(5.0);
-  h.add(10.0);
-  h.add(42.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.count_at(0), 2u);
-  EXPECT_EQ(h.count_at(2), 1u);
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_DOUBLE_EQ(h.bucket_low(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_high(1), 4.0);
-}
-
-TEST(Histogram, RejectsDegenerateRanges) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-// --------------------------------------------------------- log histogram ----
-
-TEST(LogHistogram, TracksExactEnvelopeAndBucketedBody) {
-  LogHistogram h;
-  for (double x : {1e-6, 3e-3, 3e-3, 0.5, 12.0}) h.add(x);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.min(), 1e-6);
-  EXPECT_DOUBLE_EQ(h.max(), 12.0);
-  EXPECT_DOUBLE_EQ(h.sum(), 1e-6 + 3e-3 + 3e-3 + 0.5 + 12.0);
-  // Percentiles interpolate inside a bucket, so they are only bucket-exact:
-  // relative error bounded by 1/2^sub_bits, and always inside [min, max].
-  const double p50 = h.percentile(50.0);
-  EXPECT_NEAR(p50, 3e-3, 3e-3 / (1 << h.sub_bits()));
-  EXPECT_GE(h.percentile(0.0), h.min());
-  EXPECT_LE(h.percentile(100.0), h.max());
-}
-
-TEST(LogHistogram, CountsNonPositivesSeparately) {
-  LogHistogram h;
-  h.add(0.0);
-  h.add(-1.5);
-  h.add(2.0);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.non_positive(), 2u);
-  std::uint64_t bucketed = 0;
-  for (const auto& b : h.buckets()) bucketed += b.count;
-  EXPECT_EQ(bucketed, 1u);
-  // Non-positives sort below every bucket: the median of {-1.5, 0, 2} is 0.
-  EXPECT_DOUBLE_EQ(h.percentile(50.0), 0.0);
-}
-
-TEST(LogHistogram, SummaryRoundTripsThroughBuckets) {
-  // Every sample must land in exactly one exported bucket whose [lo, hi)
-  // bounds contain it, and bucket counts must sum to count().
-  LogHistogram h;
-  std::vector<double> xs;
-  for (int i = 1; i <= 200; ++i) xs.push_back(1e-5 * i * i);
-  for (double x : xs) h.add(x);
-  std::uint64_t total = 0;
-  for (const auto& b : h.buckets()) {
-    EXPECT_LT(b.lo, b.hi);
-    total += b.count;
-  }
-  EXPECT_EQ(total, h.count());
-  for (double x : xs) {
-    bool contained = false;
-    for (const auto& b : h.buckets()) {
-      if (x >= b.lo && x < b.hi) {
-        contained = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(contained) << "sample " << x << " in no bucket";
-  }
-}
-
-/// Exact (integer/envelope) content equality: bucket counts, totals, min and
-/// max merge exactly in any order.  `sum` is excluded on purpose — summing
-/// doubles is not associative, so it is only reproducible for a fixed merge
-/// order (which CrossThreadMergeIsDeterministic pins).
-void expect_same_distribution(const LogHistogram& a, const LogHistogram& b) {
-  EXPECT_EQ(a.count(), b.count());
-  EXPECT_EQ(a.non_positive(), b.non_positive());
-  EXPECT_DOUBLE_EQ(a.min(), b.min());
-  EXPECT_DOUBLE_EQ(a.max(), b.max());
-  const auto ab = a.buckets();
-  const auto bb = b.buckets();
-  ASSERT_EQ(ab.size(), bb.size());
-  for (std::size_t i = 0; i < ab.size(); ++i) {
-    EXPECT_DOUBLE_EQ(ab[i].lo, bb[i].lo);
-    EXPECT_EQ(ab[i].count, bb[i].count);
-  }
-}
-
-TEST(LogHistogram, MergeEqualsSingleStreamInAnyOrder) {
-  // The property that makes per-thread collection safe: merging shards
-  // yields the same distribution as one histogram that saw every sample,
-  // regardless of merge order.
-  std::vector<double> xs;
-  for (int i = 1; i <= 1000; ++i) xs.push_back(0.37 * i);
-  LogHistogram whole;
-  for (double x : xs) whole.add(x);
-
-  LogHistogram a, b, c;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    (i % 3 == 0 ? a : i % 3 == 1 ? b : c).add(xs[i]);
-  }
-  LogHistogram abc = a;
-  abc.merge(b);
-  abc.merge(c);
-  LogHistogram cba = c;
-  cba.merge(b);
-  cba.merge(a);
-  expect_same_distribution(abc, whole);
-  expect_same_distribution(cba, whole);
-  EXPECT_NEAR(abc.sum(), whole.sum(), 1e-9 * whole.sum());
-  EXPECT_NEAR(cba.sum(), whole.sum(), 1e-9 * whole.sum());
-}
-
-TEST(LogHistogram, CrossThreadMergeIsDeterministic) {
-  // Four threads fill disjoint shards concurrently; merging in index order
-  // must be bit-identical (operator==, sum included) to merging the same
-  // shards filled serially — thread interleaving must leave no residue.
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 5000;
-  auto fill = [](LogHistogram& h, int t) {
-    for (int i = 0; i < kPerThread; ++i) {
-      h.add(1e-4 * (static_cast<double>(t) * kPerThread + i + 1));
-    }
-  };
-  std::vector<LogHistogram> shards(kThreads);
-  {
-    ThreadPool pool(kThreads);
-    pool.parallel_for(kThreads,
-                      [&](std::size_t t) { fill(shards[t], static_cast<int>(t)); });
-  }
-  LogHistogram merged;
-  for (const auto& s : shards) merged.merge(s);
-
-  std::vector<LogHistogram> serial_shards(kThreads);
-  for (int t = 0; t < kThreads; ++t) fill(serial_shards[t], t);
-  LogHistogram serial;
-  for (const auto& s : serial_shards) serial.merge(s);
-
-  EXPECT_EQ(merged, serial);
-  EXPECT_EQ(merged.count(),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
-  expect_same_distribution(merged, serial);
-}
-
-TEST(LogHistogram, ResetForgetsEverything) {
-  LogHistogram h;
-  h.add(4.0);
-  h.add(-1.0);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.non_positive(), 0u);
-  EXPECT_EQ(h.min(), 0.0);
-  EXPECT_EQ(h.max(), 0.0);
-  EXPECT_EQ(h, LogHistogram{});
-}
-
 // ------------------------------------------------------- quantile sketch ----
 
-TEST(QuantileSketch, TracksExactEnvelopeAndBucketedBody) {
-  obs::QuantileSketch s;
+// The metrics registry builds sketches at two resolutions: kHistogramSubBits
+// for histogram families and the recorder's wait/service tracks,
+// kSketchSubBits for sketch families.  Each single-sketch check below runs
+// at both: the LogHistogram suite, named after the type the 5-bit sketches
+// replaced, at kHistogramSubBits, and the QuantileSketch suite at
+// kSketchSubBits.  The merge checks loop over both.
+constexpr unsigned kSubBits[] = {obs::MetricsRegistry::kHistogramSubBits,
+                                 obs::MetricsRegistry::kSketchSubBits};
+
+void check_envelope_and_body(unsigned bits) {
+  obs::QuantileSketch s(bits);
   for (double x : {1e-6, 3e-3, 3e-3, 0.5, 12.0}) s.add(x);
+  EXPECT_EQ(s.sub_bits(), bits);
   EXPECT_EQ(s.count(), 5u);
   EXPECT_DOUBLE_EQ(s.min(), 1e-6);
   EXPECT_DOUBLE_EQ(s.max(), 12.0);
@@ -409,8 +256,16 @@ TEST(QuantileSketch, TracksExactEnvelopeAndBucketedBody) {
   EXPECT_LE(s.percentile(99.0), s.percentile(99.9));
 }
 
-TEST(QuantileSketch, CountsNonPositivesSeparately) {
-  obs::QuantileSketch s;
+TEST(LogHistogram, TracksExactEnvelopeAndBucketedBody) {
+  check_envelope_and_body(obs::MetricsRegistry::kHistogramSubBits);
+}
+
+TEST(QuantileSketch, TracksExactEnvelopeAndBucketedBody) {
+  check_envelope_and_body(obs::MetricsRegistry::kSketchSubBits);
+}
+
+void check_non_positives(unsigned bits) {
+  obs::QuantileSketch s(bits);
   s.add(0.0);
   s.add(-1.5);
   s.add(2.0);
@@ -419,13 +274,23 @@ TEST(QuantileSketch, CountsNonPositivesSeparately) {
   std::uint64_t bucketed = 0;
   for (const auto& b : s.buckets()) bucketed += b.count;
   EXPECT_EQ(bucketed, 1u);
-  // Non-positives sort below every bucket: the median of {-1.5, 0, 2} is
-  // the non-positive envelope, never a positive bucket value.
-  EXPECT_LE(s.percentile(50.0), 0.0);
+  // Non-positives sort below every bucket at the value 0: the median of
+  // {-1.5, 0, 2} is exactly 0.
+  EXPECT_DOUBLE_EQ(s.percentile(50.0), 0.0);
 }
 
-TEST(QuantileSketch, BucketsContainEverySample) {
-  obs::QuantileSketch s;
+TEST(LogHistogram, CountsNonPositivesSeparately) {
+  check_non_positives(obs::MetricsRegistry::kHistogramSubBits);
+}
+
+TEST(QuantileSketch, CountsNonPositivesSeparately) {
+  check_non_positives(obs::MetricsRegistry::kSketchSubBits);
+}
+
+void check_buckets_contain_samples(unsigned bits) {
+  // Every sample must land in exactly one exported bucket whose [lo, hi)
+  // bounds contain it, and bucket counts must sum to count().
+  obs::QuantileSketch s(bits);
   std::vector<double> xs;
   for (int i = 1; i <= 200; ++i) xs.push_back(1e-5 * i * i);
   for (double x : xs) s.add(x);
@@ -447,17 +312,18 @@ TEST(QuantileSketch, BucketsContainEverySample) {
   }
 }
 
-TEST(QuantileSketch, StateIsAPureFunctionOfTheSampleMultiset) {
-  // The property the MetricsRegistry's merge relies on: sharding a stream
-  // and merging in ANY order reproduces the single-stream sketch exactly —
-  // default operator==, every member.  Dyadic sample values keep the sum
-  // bit-exact under reassociation, so even sum_ must match.
-  std::vector<double> xs;
-  for (int i = 1; i <= 1000; ++i) xs.push_back(0.25 * i);
-  obs::QuantileSketch whole;
-  for (double x : xs) whole.add(x);
+TEST(LogHistogram, SummaryRoundTripsThroughBuckets) {
+  check_buckets_contain_samples(obs::MetricsRegistry::kHistogramSubBits);
+}
 
-  obs::QuantileSketch a, b, c;
+TEST(QuantileSketch, BucketsContainEverySample) {
+  check_buckets_contain_samples(obs::MetricsRegistry::kSketchSubBits);
+}
+
+/// Shards `xs` three ways, merges them as a·b·c and c·b·a, and returns both.
+std::pair<obs::QuantileSketch, obs::QuantileSketch> merge_both_ways(
+    const std::vector<double>& xs, unsigned bits) {
+  obs::QuantileSketch a(bits), b(bits), c(bits);
   for (std::size_t i = 0; i < xs.size(); ++i) {
     (i % 3 == 0 ? a : i % 3 == 1 ? b : c).add(xs[i]);
   }
@@ -467,13 +333,57 @@ TEST(QuantileSketch, StateIsAPureFunctionOfTheSampleMultiset) {
   obs::QuantileSketch cba = c;
   cba.merge(b);
   cba.merge(a);
-  EXPECT_EQ(abc, whole);
-  EXPECT_EQ(cba, whole);
-  // Growth must stay exact: no amortized slack may leak into the state.
-  EXPECT_EQ(abc.buckets().size(), whole.buckets().size());
+  return {abc, cba};
 }
 
-TEST(QuantileSketch, CrossThreadMergeIsDeterministic) {
+TEST(QuantileSketch, StateIsAPureFunctionOfTheSampleMultiset) {
+  // The property the MetricsRegistry's merge relies on: sharding a stream
+  // and merging in ANY order reproduces the single-stream sketch exactly —
+  // default operator==, every member.  Dyadic sample values keep the sum
+  // bit-exact under reassociation, so even sum_ must match.
+  for (const unsigned bits : kSubBits) {
+    SCOPED_TRACE(bits);
+    std::vector<double> xs;
+    for (int i = 1; i <= 1000; ++i) xs.push_back(0.25 * i);
+    obs::QuantileSketch whole(bits);
+    for (double x : xs) whole.add(x);
+    const auto [abc, cba] = merge_both_ways(xs, bits);
+    EXPECT_EQ(abc, whole);
+    EXPECT_EQ(cba, whole);
+    // Growth must stay exact: no amortized slack may leak into the state.
+    EXPECT_EQ(abc.buckets().size(), whole.buckets().size());
+  }
+}
+
+TEST(QuantileSketch, NonDyadicMergeDiffersOnlyInSumRounding) {
+  // Summing doubles is not associative, so for arbitrary samples only the
+  // sum may differ (by rounding) between merge orders; the buckets, the
+  // counts and the envelope still match the single stream exactly.
+  for (const unsigned bits : kSubBits) {
+    SCOPED_TRACE(bits);
+    std::vector<double> xs;
+    for (int i = 1; i <= 1000; ++i) xs.push_back(0.37 * i);
+    obs::QuantileSketch whole(bits);
+    for (double x : xs) whole.add(x);
+    const auto [abc, cba] = merge_both_ways(xs, bits);
+    for (const obs::QuantileSketch* merged : {&abc, &cba}) {
+      EXPECT_EQ(merged->count(), whole.count());
+      EXPECT_EQ(merged->non_positive(), whole.non_positive());
+      EXPECT_EQ(merged->min(), whole.min());
+      EXPECT_EQ(merged->max(), whole.max());
+      const auto mb = merged->buckets();
+      const auto wb = whole.buckets();
+      ASSERT_EQ(mb.size(), wb.size());
+      for (std::size_t i = 0; i < mb.size(); ++i) {
+        EXPECT_EQ(mb[i].lo, wb[i].lo);
+        EXPECT_EQ(mb[i].count, wb[i].count);
+      }
+      EXPECT_NEAR(merged->sum(), whole.sum(), 1e-9 * whole.sum());
+    }
+  }
+}
+
+void check_cross_thread_merge(unsigned bits) {
   // Shards filled concurrently at several pool widths, merged in index
   // order, must be bit-identical to serially filled shards — thread
   // interleaving must leave no residue (the parallel-replica guarantee).
@@ -484,29 +394,37 @@ TEST(QuantileSketch, CrossThreadMergeIsDeterministic) {
       s.add(1e-4 * (static_cast<double>(t) * kPerShard + i + 1));
     }
   };
-  std::vector<obs::QuantileSketch> serial_shards(kShards);
+  std::vector<obs::QuantileSketch> serial_shards(kShards,
+                                                 obs::QuantileSketch(bits));
   for (int t = 0; t < kShards; ++t) fill(serial_shards[t], t);
-  obs::QuantileSketch serial;
+  obs::QuantileSketch serial(bits);
   for (const auto& s : serial_shards) serial.merge(s);
 
   for (const std::size_t width : {1u, 2u, 4u, 7u}) {
-    std::vector<obs::QuantileSketch> shards(kShards);
+    std::vector<obs::QuantileSketch> shards(kShards, obs::QuantileSketch(bits));
     {
       ThreadPool pool(width);
       pool.parallel_for(kShards, [&](std::size_t t) {
         fill(shards[t], static_cast<int>(t));
       });
     }
-    obs::QuantileSketch merged;
+    obs::QuantileSketch merged(bits);
     for (const auto& s : shards) merged.merge(s);
     EXPECT_EQ(merged, serial) << "pool width " << width;
   }
-  EXPECT_EQ(serial.count(),
-            static_cast<std::uint64_t>(kShards) * kPerShard);
+  EXPECT_EQ(serial.count(), static_cast<std::uint64_t>(kShards) * kPerShard);
 }
 
-TEST(QuantileSketch, ResetForgetsEverything) {
-  obs::QuantileSketch s;
+TEST(LogHistogram, CrossThreadMergeIsDeterministic) {
+  check_cross_thread_merge(obs::MetricsRegistry::kHistogramSubBits);
+}
+
+TEST(QuantileSketch, CrossThreadMergeIsDeterministic) {
+  check_cross_thread_merge(obs::MetricsRegistry::kSketchSubBits);
+}
+
+void check_reset(unsigned bits) {
+  obs::QuantileSketch s(bits);
   s.add(4.0);
   s.add(-1.0);
   s.reset();
@@ -514,15 +432,24 @@ TEST(QuantileSketch, ResetForgetsEverything) {
   EXPECT_EQ(s.non_positive(), 0u);
   EXPECT_EQ(s.min(), 0.0);
   EXPECT_EQ(s.max(), 0.0);
-  EXPECT_EQ(s, obs::QuantileSketch{});
+  EXPECT_EQ(s, obs::QuantileSketch(bits));  // resolution survives reset
+}
+
+TEST(LogHistogram, ResetForgetsEverything) {
+  check_reset(obs::MetricsRegistry::kHistogramSubBits);
+}
+
+TEST(QuantileSketch, ResetForgetsEverything) {
+  check_reset(obs::MetricsRegistry::kSketchSubBits);
 }
 
 TEST(QuantileSketch, RejectsMismatchedMergeAndExcessiveResolution) {
   EXPECT_THROW(obs::QuantileSketch(13), std::invalid_argument);
-  obs::QuantileSketch coarse(4), fine(8);
+  obs::QuantileSketch coarse(kSubBits[0]), fine(kSubBits[1]);
   coarse.add(1.0);
   fine.add(1.0);
   EXPECT_THROW(coarse.merge(fine), std::invalid_argument);
+  EXPECT_THROW(fine.merge(coarse), std::invalid_argument);
 }
 
 // ------------------------------------------------------------- interval ----

@@ -1,7 +1,8 @@
 # CTest script: tools/obs_report.py --check must fail CLEANLY on malformed
-# input — empty files, truncated JSON, and valid JSON of the wrong shape all
-# exit non-zero with an "obs_report: FAIL:" message, never a raw Python
-# traceback (a traceback in CI reads as a tool crash, not a data problem).
+# input — empty files, truncated JSON, valid JSON of the wrong shape and a
+# histogram with non-monotone quantiles all exit non-zero with an
+# "obs_report: FAIL:" message, never a raw Python traceback (a traceback in
+# CI reads as a tool crash, not a data problem).
 if(NOT DEFINED WORK_DIR OR NOT DEFINED OBS_REPORT)
   message(FATAL_ERROR "pass -DWORK_DIR=<dir> -DOBS_REPORT=<script>")
 endif()
@@ -61,6 +62,26 @@ foreach(case IN LISTS cases)
     endif()
   endforeach()
 endforeach()
+
+# A histogram series is a quantile sketch too: well-formed JSON whose
+# histogram reports p95 < p50 must fail the monotonicity check sketches get.
+file(WRITE ${bad_file} [=[
+{"schemes": [{"label": "HARL", "report": {"metrics": [
+  {"name": "request.t_t", "type": "histogram", "labels": {}, "count": 2,
+   "sum": 3, "min": 1, "max": 2, "mean": 1.5, "p50": 1.9, "p95": 1.2,
+   "p99": 2, "buckets": [[1, 1.03125, 1], [2, 2.0625, 1]]}]}}]}
+]=])
+execute_process(
+  COMMAND ${PYTHON3} ${OBS_REPORT} ${bad_file} --check
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err
+  RESULT_VARIABLE rc)
+set(all "${out}${err}")
+if(rc EQUAL 0 OR all MATCHES "Traceback" OR
+   NOT all MATCHES "obs_report: FAIL: .*histogram quantiles not monotone")
+  message(FATAL_ERROR "non-monotone histogram quantiles not rejected with "
+                      "a clear FAIL message:\n${all}")
+endif()
 
 # A missing file is an OSError, not a traceback, either.
 execute_process(

@@ -79,11 +79,13 @@ TEST(MetricsRegistry, CountersGaugesAndHistograms) {
   EXPECT_DOUBLE_EQ(reg.value("bytes", s1), 7.0);
   EXPECT_DOUBLE_EQ(reg.value("depth", s0), 3.0);
   EXPECT_DOUBLE_EQ(reg.value("missing", s0), 0.0);
-  const LogHistogram* lat = reg.histogram("lat", s0);
+  const obs::QuantileSketch* lat = reg.sketch("lat", s0);
   ASSERT_NE(lat, nullptr);
   EXPECT_EQ(lat->count(), 2u);
   EXPECT_DOUBLE_EQ(lat->max(), 4e-3);
-  EXPECT_EQ(reg.histogram("lat", s1), nullptr);
+  EXPECT_EQ(lat->sub_bits(), obs::MetricsRegistry::kHistogramSubBits);
+  EXPECT_EQ(reg.sketch("lat", s1), nullptr);
+  EXPECT_EQ(reg.sketch("bytes", s0), nullptr);  // scalars are not sketches
 }
 
 TEST(MetricsRegistry, FamilyKindMismatchThrows) {
@@ -155,9 +157,54 @@ TEST(MetricsRegistry, SketchFamiliesObserveAndMergeLikeCounters) {
   EXPECT_DOUBLE_EQ(s0->max(), 1.0);
   EXPECT_EQ(ab.sketch("svc", obs::LabelSet{}.server(9)), nullptr);
 
+  EXPECT_EQ(s0->sub_bits(), obs::MetricsRegistry::kSketchSubBits);
+
   const std::string json = registry_json(ab);
   EXPECT_NE(json.find("\"type\": \"sketch\""), std::string::npos);
   EXPECT_NE(json.find("\"p999\""), std::string::npos);
+}
+
+TEST(MetricsRegistry, HistogramExportIsPinned) {
+  // kHistogram families are 5-bit sketches exported without a p999.  The
+  // literal fixes their bucket bounds, quantiles and field set: a zero
+  // sample, a sub-microsecond one and values across many octaves.
+  obs::MetricsRegistry reg;
+  const auto h = reg.family("lat", obs::MetricsRegistry::Kind::kHistogram);
+  for (double x : {0.0, 4e-7, 1e-6, 3e-3, 3e-3, 0.5, 12.0}) {
+    reg.observe(h, obs::LabelSet{}.server(0), x);
+  }
+  reg.observe(h, obs::LabelSet{}.server(1).op(IoOp::kWrite), 250e-6);
+  const std::string expected =
+      R"([)" "\n"
+      R"(  {"name": "lat", "type": "histogram", "labels": {"server": 1, )"
+      R"("op": "write"}, "count": 1, "sum": 0.00025000000000000001, )"
+      R"("min": 0.00025000000000000001, "max": 0.00025000000000000001, )"
+      R"("mean": 0.00025000000000000001, "p50": 0.00025000000000000001, )"
+      R"("p95": 0.00025000000000000001, "p99": 0.00025000000000000001, )"
+      R"("buckets": [[0.000244140625, 0.00025177001953125, 1]]},)" "\n"
+      R"(  {"name": "lat", "type": "histogram", "labels": {"server": 0}, )"
+      R"("count": 7, "sum": 12.506001400000001, "min": 0, "max": 12, )"
+      R"("mean": 1.7865716285714286, "p50": 0.0030059814453125, )"
+      R"("p95": 12, "p99": 12, "buckets": [[3.9488077163696289e-07, )"
+      R"(4.0233135223388672e-07, 1], [9.8347663879394531e-07, )"
+      R"(1.0132789611816406e-06, 1], [0.00299072265625, 0.0030517578125, )"
+      R"(2], [0.5, 0.515625, 1], [12, 12.25, 1]]})" "\n"
+      R"(])";
+  EXPECT_EQ(registry_json(reg), expected);
+}
+
+TEST(MetricsRegistry, FamilyNamesWithControlBytesStayValidJson) {
+  // Every control byte is escaped: \n and \t in short form, the rest as
+  // \u00XX, so even a malformed family name yields valid JSON.
+  obs::MetricsRegistry reg;
+  const std::string name = std::string("a\x01") + "b\rc\"d\\e\n\tf";
+  reg.add(reg.family(name, obs::MetricsRegistry::Kind::kCounter),
+          obs::LabelSet{}, 1.0);
+  EXPECT_EQ(registry_json(reg),
+            R"([
+  {"name": "a\u0001b\u000dc\"d\\e\n\tf", "type": "counter", )"
+            R"("labels": {}, "value": 1}
+])");
 }
 
 // ------------------------------------------------------------ time series ----
@@ -529,7 +576,7 @@ TEST(Recorder, ReconcilesMeasuredDecompositionAgainstCostModel) {
     // And the analytic model must reconcile with the measurement.
     ASSERT_GE(r.predicted, 0.0);
     EXPECT_NEAR(r.predicted, r.latency(), 1e-9);
-    const LogHistogram* err = rec.metrics().histogram(
+    const obs::QuantileSketch* err = rec.metrics().sketch(
         "model.rel_error", obs::LabelSet{}.region(r.region).op(op));
     ASSERT_NE(err, nullptr);
     EXPECT_EQ(err->count(), 1u);

@@ -23,6 +23,7 @@
 #include "src/harness/experiment.hpp"
 #include "src/harness/population.hpp"
 #include "src/harness/table.hpp"
+#include "src/obs/metrics.hpp"
 
 using namespace harl;
 
@@ -293,15 +294,6 @@ std::string usage() {
   return out.str();
 }
 
-void write_json_escaped(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
-}
-
 /// Applies device-spread= / aging= to the cluster config.  device-spread=F
 /// ages the second half of the SSD tier by F; aging= overrides it.
 void apply_device_config(const Options& opts, pfs::ClusterConfig& cluster) {
@@ -392,7 +384,7 @@ void write_exports(const std::vector<Run>& runs, const std::string& trace_out,
       if (!has(r)) continue;
       out << (first ? "" : ",") << "\n    {\"label\": ";
       first = false;
-      write_json_escaped(out, r.label);
+      obs::write_json_string(out, r.label);
       write_body(out, r);
       out << "}";
     }
@@ -477,7 +469,7 @@ void write_population_header(std::ostream& out,
     if (f > 0) out << ", ";
     out << "{\"file\": " << fr.id << ", \"tenant\": " << fr.tenant
         << ", \"name\": ";
-    write_json_escaped(out, fr.name);
+    obs::write_json_string(out, fr.name);
     out << ", \"regions\": " << fr.region_count
         << ", \"makespan_s\": " << fr.total.makespan
         << ", \"bytes\": " << fr.total.bytes
@@ -513,7 +505,7 @@ void write_single_file_header(std::ostream& out,
                               const harness::SchemeResult& r,
                               const std::vector<pfs::TierGroup>& tiers) {
   out << ", \"layout\": ";
-  write_json_escaped(out, r.layout_description);
+  obs::write_json_string(out, r.layout_description);
   out << ", \"regions\": " << r.region_count
       << ", \"makespan_s\": " << r.total.makespan
       << ", \"total_bytes\": " << r.total.bytes;
@@ -531,7 +523,7 @@ void write_single_file_header(std::ostream& out,
         if (global > 0) out << ", ";
         out << "{\"server\": " << global << ", \"tier\": " << ti
             << ", \"name\": ";
-        write_json_escaped(out, t.name + std::to_string(i));
+        obs::write_json_string(out, t.name + std::to_string(i));
         out << ", \"factor\": "
             << (t.device_factors.empty() ? 1.0 : t.device_factors[i])
             << ", \"busy_s\": "

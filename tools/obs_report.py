@@ -300,17 +300,19 @@ def check_metrics(doc, path="metrics"):
                      f"{bucket_total} exceed total {count}")
             if count > 0 and series.get("min", 0) > series.get("max", 0):
                 fail(f"metrics[{label}]/{series.get('name')}: min > max")
-            if series.get("type") == "sketch" and count > 0:
-                # Mergeable quantile sketch: the reported quantiles come
-                # from one monotone CDF walk, so they must be monotone too.
-                qs = [series.get(q, 0.0)
-                      for q in ("p50", "p95", "p99", "p999")]
+            qs = [series[q] for q in ("p50", "p95", "p99", "p999")
+                  if q in series]
+            if qs and count > 0:
+                # Histograms and sketches are both quantile sketches: the
+                # reported quantiles come from one monotone CDF walk, so
+                # they must be monotone too.
+                kind = series.get("type")
                 if any(b < a - 1e-12 for a, b in zip(qs, qs[1:])):
-                    fail(f"metrics[{label}]/{series.get('name')}: sketch "
+                    fail(f"metrics[{label}]/{series.get('name')}: {kind} "
                          f"quantiles not monotone: {qs}")
                 if (qs[0] < series.get("min", 0.0) - 1e-12
                         or qs[-1] > series.get("max", 0.0) + 1e-12):
-                    fail(f"metrics[{label}]/{series.get('name')}: sketch "
+                    fail(f"metrics[{label}]/{series.get('name')}: {kind} "
                          f"quantiles outside [min, max]")
         if check_adaptive(label, report):
             adaptive_schemes += 1
