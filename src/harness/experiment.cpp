@@ -181,8 +181,13 @@ WorkloadBundle btio_bundle(const workloads::BtioConfig& config) {
 
 Experiment::Experiment(ExperimentOptions options)
     : options_(std::move(options)) {
-  // The telemetry plane rides the flight recorder's observer chain.
-  if (options_.telemetry.enabled()) options_.observe = true;
+  // The telemetry plane rides the flight recorder's observer chain.  Nobody
+  // asked that recorder for a trace, which would otherwise grow with every
+  // event of the run and never be written.
+  if (options_.telemetry.enabled() && !options_.observe) {
+    options_.observe = true;
+    options_.recorder.trace = false;
+  }
 }
 
 const core::TieredCostParams& Experiment::cost_params() {

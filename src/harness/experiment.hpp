@@ -134,7 +134,8 @@ struct ExperimentOptions {
   /// Telemetry plane (DESIGN.md §15): interval > 0 arms an
   /// obs::HealthMonitor (which owns the run's TimeSeries) in front of the
   /// recorder of every measured run.  Requires `observe`; the runner
-  /// forces it on when telemetry is enabled.
+  /// forces it on when telemetry is enabled, and a recorder forced on only
+  /// to carry the telemetry plane records no trace events.
   struct TelemetryOptions {
     Seconds interval = 0.0;            ///< window width; 0 = disabled
     std::size_t window_capacity = 4096;

@@ -55,7 +55,7 @@ std::uint32_t HealthMonitor::register_server(std::uint32_t server,
   t.server = server;
   t.is_server_disk = true;
   tracks_.push_back(t);
-  servers_[server];  // materialize state so an idle server still reports
+  server_state(server);  // an idle server still reports
   return static_cast<std::uint32_t>(tracks_.size() - 1);
 }
 
@@ -74,12 +74,8 @@ void HealthMonitor::resource_event(std::uint32_t track, Seconds arrival,
   advance(arrival);
   if (track < tracks_.size() && tracks_[track].is_server_disk) {
     const std::uint32_t server = tracks_[track].server;
-    ServerState& s = servers_[server];
-    while (!s.inflight.empty() && s.inflight.top() <= arrival) {
-      s.inflight.pop();
-    }
-    s.inflight.push(finish);
-    ts_.record_depth(server, arrival, s.inflight.size());
+    ts_.record_depth(server, arrival,
+                     servers_[server].inflight.arrive(arrival, finish));
     ts_.record_span(server, arrival, start, finish);
   }
   if (downstream_ != nullptr && track < tracks_.size() &&
@@ -155,7 +151,7 @@ void HealthMonitor::sub_storage(std::uint32_t sub, Seconds arrival,
     if (options_.slo > 0.0 && s.server != kNoId) {
       // Server-resident time: queue wait plus the full storage service.
       const Seconds resident = (start - arrival) + service;
-      ServerState& st = servers_[s.server];
+      ServerState& st = server_state(s.server);
       ++st.slo_total;
       const LabelSet labels = LabelSet{}.server(s.server);
       metrics_.add(m_slo_sub_total_, labels, 1.0);
@@ -241,6 +237,13 @@ void HealthMonitor::health_event(HealthEvent event, std::uint32_t server,
   }
 }
 
+HealthMonitor::ServerState& HealthMonitor::server_state(std::uint32_t server) {
+  if (server >= servers_.size()) servers_.resize(server + 1);
+  ServerState& s = servers_[server];
+  s.present = true;
+  return s;
+}
+
 void HealthMonitor::free_sub(std::uint32_t sub) {
   subs_[sub].live = false;
   sub_free_.push_back(sub);
@@ -280,7 +283,7 @@ void HealthMonitor::score_window(std::int64_t w) {
   for (const auto& s : stats) {
     if (s.jobs < options_.min_window_jobs) continue;
     const double score = s.lat_mean / median;
-    ServerState& st = servers_[s.server];
+    ServerState& st = server_state(s.server);
     st.score = score;
     st.scored = true;
     metrics_.set(m_score_, LabelSet{}.server(s.server), score);
@@ -333,13 +336,11 @@ void HealthMonitor::finalize() {
 // --- results -----------------------------------------------------------------
 
 double HealthMonitor::server_score(std::uint32_t server) const {
-  auto it = servers_.find(server);
-  return it == servers_.end() ? 0.0 : it->second.score;
+  return server < servers_.size() ? servers_[server].score : 0.0;
 }
 
 bool HealthMonitor::is_flagged(std::uint32_t server) const {
-  auto it = servers_.find(server);
-  return it != servers_.end() && it->second.flagged;
+  return server < servers_.size() && servers_[server].flagged;
 }
 
 double HealthMonitor::tenant_slo_attainment(std::uint32_t tenant) const {
@@ -379,7 +380,9 @@ void HealthMonitor::write_json(std::ostream& out, int indent) const {
   }
   out << pad << "  \"servers\": [";
   bool first = true;
-  for (const auto& [id, s] : servers_) {
+  for (std::size_t id = 0; id < servers_.size(); ++id) {
+    const ServerState& s = servers_[id];
+    if (!s.present) continue;
     if (!first) out << ",";
     first = false;
     out << "\n" << pad << "    {\"server\": " << id

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <queue>
 #include <vector>
 
 #include "src/common/io.hpp"
@@ -123,6 +122,7 @@ class HealthMonitor final : public Sink {
     bool is_server_disk = false;
   };
   struct ServerState {
+    bool present = false;  ///< registered or reported on
     double score = 0.0;
     bool scored = false;
     bool flagged = false;
@@ -132,8 +132,7 @@ class HealthMonitor final : public Sink {
     std::uint64_t recover_count = 0;
     std::uint64_t slo_total = 0;  ///< storage subs checked against the SLO
     std::uint64_t slo_met = 0;
-    /// Finish times of in-flight storage jobs (queue-depth tracking).
-    std::priority_queue<double, std::vector<double>, std::greater<>> inflight;
+    InflightQueue inflight;  ///< storage jobs in flight (queue depth)
   };
   struct PendingReq {
     std::uint32_t down = kNoId;
@@ -156,13 +155,15 @@ class HealthMonitor final : public Sink {
   void advance(Seconds t);
   void score_window(std::int64_t w);
   void free_sub(std::uint32_t sub);
+  /// State of `server`, created (and marked present) on first use.
+  ServerState& server_state(std::uint32_t server);
 
   Options options_;
   Sink* downstream_;
   TimeSeries ts_;
 
   std::vector<Track> tracks_;
-  std::map<std::uint32_t, ServerState> servers_;
+  std::vector<ServerState> servers_;  ///< by server id; see `present`
 
   std::vector<PendingReq> reqs_;
   std::vector<std::uint32_t> req_free_;

@@ -1,6 +1,7 @@
 #include "src/obs/metrics.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <ostream>
 #include <stdexcept>
 
@@ -25,6 +26,14 @@ void write_json_string(std::ostream& out, std::string_view s) {
     }
   }
   out << '"';
+}
+
+std::ostream& operator<<(std::ostream& out, Real r) {
+  char buf[32];  // "%.17g" needs at most 24: sign, 17 digits, '.', e-308
+  const auto end = std::to_chars(buf, buf + sizeof buf, r.v,
+                                 std::chars_format::general, 17)
+                       .ptr;
+  return out.write(buf, end - buf);
 }
 
 namespace {
@@ -64,18 +73,19 @@ void write_labels(std::ostream& out, const LabelSet& labels) {
 /// kHistogram series export p50/p95/p99; kSketch series add the p999.
 void write_distribution(std::ostream& out, const QuantileSketch& s,
                         bool p999) {
-  out << "\"count\": " << s.count() << ", \"sum\": " << s.sum()
-      << ", \"min\": " << s.min() << ", \"max\": " << s.max()
-      << ", \"mean\": " << s.mean() << ", \"p50\": " << s.percentile(50.0)
-      << ", \"p95\": " << s.percentile(95.0)
-      << ", \"p99\": " << s.percentile(99.0);
-  if (p999) out << ", \"p999\": " << s.quantile(0.999);
+  out << "\"count\": " << s.count() << ", \"sum\": " << Real{s.sum()}
+      << ", \"min\": " << Real{s.min()} << ", \"max\": " << Real{s.max()}
+      << ", \"mean\": " << Real{s.mean()}
+      << ", \"p50\": " << Real{s.percentile(50.0)}
+      << ", \"p95\": " << Real{s.percentile(95.0)}
+      << ", \"p99\": " << Real{s.percentile(99.0)};
+  if (p999) out << ", \"p999\": " << Real{s.quantile(0.999)};
   out << ", \"buckets\": [";
   bool first = true;
   for (const auto& b : s.buckets()) {
     if (!first) out << ", ";
     first = false;
-    out << '[' << b.lo << ", " << b.hi << ", " << b.count << ']';
+    out << '[' << Real{b.lo} << ", " << Real{b.hi} << ", " << b.count << ']';
   }
   out << ']';
 }
@@ -100,41 +110,41 @@ MetricsRegistry::FamilyId MetricsRegistry::family(std::string_view name,
   return id;
 }
 
-std::size_t MetricsRegistry::series_index(Family& f, LabelSet labels) {
+MetricsRegistry::Series MetricsRegistry::series(FamilyId family,
+                                                LabelSet labels) {
+  Family& f = families_.at(family);
+  const bool distribution = is_distribution(f.kind);
+  const std::size_t next = distribution ? f.sketches.size() : f.scalars.size();
   auto [it, inserted] =
-      f.series.try_emplace(SeriesKey{labels.bits(), labels.ext_bits()}, 0);
+      f.series.try_emplace(SeriesKey{labels.bits(), labels.ext_bits()}, next);
   if (inserted) {
-    if (is_distribution(f.kind)) {
-      it->second = f.sketches.size();
+    if (distribution) {
       f.sketches.emplace_back(f.kind == Kind::kHistogram ? kHistogramSubBits
                                                          : kSketchSubBits);
     } else {
-      it->second = f.scalars.size();
       f.scalars.push_back(0.0);
     }
   }
-  return it->second;
+  return Series{family, static_cast<std::uint32_t>(it->second)};
 }
 
 void MetricsRegistry::add(FamilyId family, LabelSet labels, double delta) {
-  Family& f = families_.at(family);
-  f.scalars[series_index(f, labels)] += delta;
+  add(series(family, labels), delta);
 }
 
 void MetricsRegistry::set(FamilyId family, LabelSet labels, double value) {
-  Family& f = families_.at(family);
-  f.scalars[series_index(f, labels)] = value;
+  const Series s = series(family, labels);
+  families_[family].scalars[s.index] = value;
 }
 
 void MetricsRegistry::set_max(FamilyId family, LabelSet labels, double value) {
-  Family& f = families_.at(family);
-  double& slot = f.scalars[series_index(f, labels)];
+  const Series s = series(family, labels);
+  double& slot = families_[family].scalars[s.index];
   slot = std::max(slot, value);
 }
 
 void MetricsRegistry::observe(FamilyId family, LabelSet labels, double value) {
-  Family& f = families_.at(family);
-  f.sketches[series_index(f, labels)].add(value);
+  observe(series(family, labels), value);
 }
 
 MetricsRegistry::Family* MetricsRegistry::find(std::string_view name) {
@@ -179,7 +189,7 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
               [](const auto& a, const auto& b) { return a.first < b.first; });
     for (const auto& [key, idx] : entries) {
       const std::size_t mine =
-          series_index(f, LabelSet::from_bits(key.bits, key.ext));
+          series(id, LabelSet::from_bits(key.bits, key.ext)).index;
       switch (f.kind) {
         case Kind::kCounter:
           f.scalars[mine] += of.scalars[idx];
@@ -230,7 +240,7 @@ void MetricsRegistry::write_json(std::ostream& out, int indent) const {
       if (is_distribution(f.kind)) {
         write_distribution(out, f.sketches[idx], f.kind == Kind::kSketch);
       } else {
-        out << "\"value\": " << f.scalars[idx];
+        out << "\"value\": " << Real{f.scalars[idx]};
       }
       out << '}';
     }

@@ -2,10 +2,12 @@
 // by a cheap interned label set.
 //
 // A metric *family* is registered once by name (cold path) and returns a
-// small integer id; every observation then carries a packed 64-bit
-// `LabelSet` (server id, tier, region, op, client — each field optional), so
-// the hot enabled path hashes one integer instead of strings.  Registries
-// are single-threaded by design — one per Simulator/replica — and
+// small integer id; a series within it is named by a packed `LabelSet`
+// (server id, tier, region, op, client — each field optional).  Hot paths
+// resolve a series once to a `Series` handle and then update it by index;
+// the LabelSet overloads hash the label words on every call and suit cold
+// paths.  Both go through the same lookup, so they share one series.
+// Registries are single-threaded by design — one per Simulator/replica — and
 // `merge()` combines them deterministically afterwards, which is how the
 // parallel harness aggregates per-replica metrics without locks.
 #pragma once
@@ -25,6 +27,15 @@ namespace harl::obs {
 /// Writes `s` as a quoted JSON string: escapes `"`, `\`, `\n`, `\t` and
 /// every other control byte (as \u00XX), so any name yields valid JSON.
 void write_json_string(std::ostream& out, std::string_view s);
+
+/// `out << Real{v}` writes v exactly as `out << v` does at precision 17
+/// (printf "%.17g", the round-trip precision every obs export sets), but
+/// through std::to_chars, which is about twice as fast as the stream's
+/// printf path.  The exports write hundreds of thousands of doubles.
+struct Real {
+  double v;
+};
+std::ostream& operator<<(std::ostream& out, Real r);
 
 /// Packed label set.  Fields default to "absent"; setters are chainable:
 /// `LabelSet{}.server(3).tier(0).op(IoOp::kRead)`.
@@ -104,8 +115,33 @@ class MetricsRegistry {
 
   using FamilyId = std::uint32_t;
 
+  /// Stable handle of one series: its family plus an index into that
+  /// family's scalars or sketches — an index, never a pointer, because both
+  /// vectors grow.  Creating other series and merge() never move a series,
+  /// so a handle stays valid for the registry's lifetime.  A default handle
+  /// is unresolved; callers cache handles and resolve them on first use, so
+  /// a series that is never touched is never created.
+  struct Series {
+    static constexpr std::uint32_t kUnresolved = 0xFFFFFFFFu;
+    FamilyId family = 0;
+    std::uint32_t index = kUnresolved;
+    bool resolved() const { return index != kUnresolved; }
+  };
+
   /// Registers (or finds) the family `name`; the kind must match on reuse.
   FamilyId family(std::string_view name, Kind kind);
+
+  /// Finds or creates the series `labels` of `family`.
+  Series series(FamilyId family, LabelSet labels);
+
+  /// counter += delta, by handle (the hot path: no hashing).
+  void add(Series s, double delta) {
+    families_[s.family].scalars[s.index] += delta;
+  }
+  /// histogram or sketch <- value, by handle.
+  void observe(Series s, double value) {
+    families_[s.family].sketches[s.index].add(value);
+  }
 
   /// counter += delta.
   void add(FamilyId family, LabelSet labels, double delta);
@@ -165,7 +201,6 @@ class MetricsRegistry {
 
   Family* find(std::string_view name);
   const Family* find(std::string_view name) const;
-  std::size_t series_index(Family& f, LabelSet labels);
 
   std::vector<Family> families_;
   std::unordered_map<std::string, FamilyId> by_name_;

@@ -9,7 +9,9 @@ namespace harl::obs {
 
 namespace {
 
-double to_us(Seconds t) { return t * 1e6; }
+Real to_us(Seconds t) { return Real{t * 1e6}; }
+
+std::size_t op_index(IoOp op) { return op == IoOp::kRead ? 0 : 1; }
 
 const char* kind_name(TrackKind k) {
   switch (k) {
@@ -28,14 +30,17 @@ const char* kind_name(TrackKind k) {
 
 Timeline::Timeline(Seconds initial_width, std::size_t max_buckets,
                    bool take_max)
-    : width_(initial_width), max_buckets_(max_buckets), take_max_(take_max) {
+    : width_(initial_width),
+      horizon_(initial_width * static_cast<double>(max_buckets)),
+      max_buckets_(max_buckets),
+      take_max_(take_max) {
   if (!(initial_width > 0.0) || max_buckets < 2) {
     throw std::invalid_argument("Timeline requires width > 0 and >= 2 buckets");
   }
 }
 
 void Timeline::fit(Seconds t) {
-  while (t >= width_ * static_cast<double>(max_buckets_)) {
+  while (t >= horizon_) {
     // Coalesce adjacent pairs; the bucket width doubles.
     const std::size_t half = (values_.size() + 1) / 2;
     for (std::size_t i = 0; i < half; ++i) {
@@ -45,6 +50,7 @@ void Timeline::fit(Seconds t) {
     }
     values_.resize(half);
     width_ *= 2.0;
+    horizon_ = width_ * static_cast<double>(max_buckets_);
   }
 }
 
@@ -120,7 +126,11 @@ std::uint32_t Recorder::register_server(std::uint32_t server,
   tracks_[id].tier = tier;
   tracks_[id].is_ssd = is_ssd;
   if (server >= servers_.size()) servers_.resize(server + 1);
-  servers_[server] = ServerMeta{id, tier, kNoId, is_ssd};
+  ServerMeta& meta = servers_[server];
+  meta = ServerMeta{};
+  meta.track = id;
+  meta.tier = tier;
+  meta.is_ssd = is_ssd;
   return id;
 }
 
@@ -159,18 +169,16 @@ void Recorder::resource_event(std::uint32_t track, Seconds arrival,
   t.wait.add(wait);
   t.service.add(service);
   t.busy_timeline.add_span(start, finish);
-  // Per-track arrivals are monotone (instrumentation fires at submission in
-  // event order), so popping finished jobs gives the exact in-flight count.
-  while (!t.inflight.empty() && t.inflight.top() <= arrival) t.inflight.pop();
-  t.inflight.push(finish);
-  const auto depth = static_cast<std::uint64_t>(t.inflight.size());
+  const auto depth =
+      static_cast<std::uint64_t>(t.inflight.arrive(arrival, finish));
   t.depth_max = std::max(t.depth_max, depth);
   t.depth_timeline.sample_max(arrival, static_cast<double>(depth));
   if (t.is_mds) {
     // MDS resident time (queue wait + lookup service): contention across
     // colliding opens shows up in this sketch's tail exactly as the
     // per-server pfs.server.time sketches expose storage stragglers.
-    metrics_.observe(m_mds_time_, LabelSet{}, finish - arrival);
+    metrics_.observe(resolve(mds_time_series_, m_mds_time_, LabelSet{}),
+                     finish - arrival);
   }
   if (options_.trace) {
     push_event(TraceEvent{start, service, track, EventType::kService, 0xFF,
@@ -188,14 +196,17 @@ void Recorder::server_access(std::uint32_t server, IoOp op,
   note_time(now);
   if (server >= servers_.size()) servers_.resize(server + 1);
   ServerMeta& meta = servers_[server];
+  ServerOpSeries& h = meta.by_op[op_index(op)];
   const LabelSet labels = LabelSet{}.server(server).tier(meta.tier).op(op);
-  metrics_.add(m_accesses_, labels, 1.0);
-  metrics_.add(m_bytes_, labels, static_cast<double>(bytes));
-  metrics_.add(m_pieces_, labels, static_cast<double>(pieces));
+  metrics_.add(resolve(h.accesses, m_accesses_, labels), 1.0);
+  metrics_.add(resolve(h.bytes, m_bytes_, labels), static_cast<double>(bytes));
+  metrics_.add(resolve(h.pieces, m_pieces_, labels),
+               static_cast<double>(pieces));
   if (meta.last_region != region) {
     if (meta.last_region != kNoId) {
-      metrics_.add(m_region_switches_,
-                   LabelSet{}.server(server).tier(meta.tier), 1.0);
+      metrics_.add(resolve(meta.region_switches, m_region_switches_,
+                           LabelSet{}.server(server).tier(meta.tier)),
+                   1.0);
       if (options_.trace && meta.track != kNoId) {
         push_event(TraceEvent{now, 0.0, meta.track, EventType::kInstant, 0xFF,
                               0, region});
@@ -218,13 +229,14 @@ std::uint32_t Recorder::begin_request(std::uint32_t client, IoOp op,
     req_slots_.emplace_back();
   }
   ActiveRequest& r = req_slots_[id];
-  r = ActiveRequest{};
   r.client = client;
   r.op = op;
   r.offset = offset;
   r.size = size;
+  r.region = kNoId;
   r.file = file;
   r.issue = now;
+  r.subs.clear();  // keeps the buffer end_request handed back
   return id;
 }
 
@@ -297,16 +309,27 @@ void Recorder::finalize_sub(std::uint32_t sub, Seconds t_x, Seconds done) {
   if (s.request < req_slots_.size()) {
     ActiveRequest& r = req_slots_[s.request];
     r.subs.push_back(sample);
+    const std::size_t slot = (tier & 0xFFu) * 2 + op_index(r.op);
+    if (slot >= tier_series_.size()) tier_series_.resize(slot + 1);
+    TierOpSeries& h = tier_series_[slot];
     const LabelSet labels = LabelSet{}.tier(tier).op(r.op);
-    metrics_.observe(m_wait_, labels, sample.wait);
-    metrics_.observe(m_ts_, labels, sample.t_s);
-    metrics_.observe(m_tt_, labels, sample.t_t);
-    metrics_.observe(m_tx_, labels, sample.t_x);
+    metrics_.observe(resolve(h.wait, m_wait_, labels), sample.wait);
+    metrics_.observe(resolve(h.t_s, m_ts_, labels), sample.t_s);
+    metrics_.observe(resolve(h.t_t, m_tt_, labels), sample.t_t);
+    metrics_.observe(resolve(h.t_x, m_tx_, labels), sample.t_x);
     // Server-resident time per {server,tier,op}: the straggler scheduler's
     // per-server tail input (p50/p95/p99/p999 via the sketch family).
-    metrics_.observe(m_server_time_,
-                     LabelSet{}.server(s.server).tier(tier).op(r.op),
-                     sample.wait + sample.t_s + sample.t_t);
+    const LabelSet server_labels =
+        LabelSet{}.server(s.server).tier(tier).op(r.op);
+    const Seconds resident = sample.wait + sample.t_s + sample.t_t;
+    if (s.server < servers_.size()) {
+      metrics_.observe(
+          resolve(servers_[s.server].by_op[op_index(r.op)].time,
+                  m_server_time_, server_labels),
+          resident);
+    } else {
+      metrics_.observe(m_server_time_, server_labels, resident);
+    }
   }
   sub_free_.push_back(sub);
 }
@@ -317,29 +340,21 @@ void Recorder::end_request(std::uint32_t request, Seconds now) {
   ActiveRequest& r = req_slots_[request];
   ++requests_completed_;
 
-  RequestSample sample;
-  sample.client = r.client;
-  sample.op = r.op;
-  sample.offset = r.offset;
-  sample.size = r.size;
-  sample.region = r.region;
-  sample.file = r.file;
-  sample.issue = r.issue;
-  sample.done = now;
-  sample.subs = std::move(r.subs);
-
-  metrics_.observe(m_latency_, LabelSet{}.op(r.op), now - r.issue);
+  metrics_.observe(resolve(latency_series_[op_index(r.op)], m_latency_,
+                           LabelSet{}.op(r.op)),
+                   now - r.issue);
   if (r.file != kNoId) {
     const LabelSet fl = file_labels(r.file);
     metrics_.add(m_file_bytes_, LabelSet{fl}.op(r.op),
                  static_cast<double>(r.size));
     metrics_.observe(m_file_latency_, LabelSet{fl}.op(r.op), now - r.issue);
   }
+  Seconds predicted = -1.0;
   if (predictor_) {
-    sample.predicted = predictor_(r.op, r.offset, r.size);
-    if (sample.predicted > 0.0 && now > r.issue) {
+    predicted = predictor_(r.op, r.offset, r.size);
+    if (predicted > 0.0 && now > r.issue) {
       const double rel =
-          std::abs(sample.predicted - (now - r.issue)) / (now - r.issue);
+          std::abs(predicted - (now - r.issue)) / (now - r.issue);
       metrics_.observe(m_rel_error_, LabelSet{}.region(r.region).op(r.op),
                        rel);
     }
@@ -354,12 +369,26 @@ void Recorder::end_request(std::uint32_t request, Seconds now) {
   }
 
   if (options_.max_request_samples > 0) {
+    RequestSample* sample;
     if (samples_.size() < options_.max_request_samples) {
-      samples_.push_back(std::move(sample));
+      sample = &samples_.emplace_back();
     } else {
-      samples_[samples_next_] = std::move(sample);
+      sample = &samples_[samples_next_];
       samples_next_ = (samples_next_ + 1) % samples_.size();
     }
+    sample->client = r.client;
+    sample->op = r.op;
+    sample->offset = r.offset;
+    sample->size = r.size;
+    sample->region = r.region;
+    sample->file = r.file;
+    sample->issue = r.issue;
+    sample->done = now;
+    sample->predicted = predicted;
+    // Swap, not move: the evicted sample's buffer goes back to the request
+    // slot, so a full ring costs no allocation per request.
+    sample->subs.clear();
+    sample->subs.swap(r.subs);
   }
   req_free_.push_back(request);
 }
@@ -509,7 +538,8 @@ void Recorder::append_trace_events(std::ostream& out, std::uint32_t pid,
               << "\", \"cat\": \"health\", \"s\": \"t\", \"pid\": " << pid
               << ", \"tid\": " << tid << ", \"ts\": " << to_us(e.ts)
               << ", \"args\": {\"server\": " << e.id
-              << ", \"score\": " << static_cast<double>(e.arg) / 1e6 << "}}";
+              << ", \"score\": " << Real{static_cast<double>(e.arg) / 1e6}
+              << "}}";
         } else {
           const char* name =
               e.op == static_cast<std::uint8_t>(AdaptiveEvent::kEpochInstalled)
@@ -542,7 +572,7 @@ void Recorder::write_metrics_json(std::ostream& out, int indent) const {
   const std::string pad(static_cast<std::size_t>(indent), ' ');
   const Seconds horizon = last_time_;
   out << "{\n";
-  out << pad << "  \"horizon_s\": " << horizon << ",\n";
+  out << pad << "  \"horizon_s\": " << Real{horizon} << ",\n";
   out << pad << "  \"requests_completed\": " << requests_completed_ << ",\n";
   out << pad << "  \"trace_events_recorded\": " << events_recorded_ << ",\n";
   out << pad << "  \"trace_events_dropped\": " << events_dropped_ << ",\n";
@@ -561,27 +591,27 @@ void Recorder::write_metrics_json(std::ostream& out, int indent) const {
           << ", \"is_ssd\": " << (t.is_ssd ? "true" : "false");
     }
     const Seconds busy = t.service.sum();
-    out << ", \"jobs\": " << t.wait.count() << ", \"busy_s\": " << busy
-        << ", \"queue_delay_s\": " << t.wait.sum()
-        << ", \"utilization\": " << (horizon > 0.0 ? busy / horizon : 0.0)
+    out << ", \"jobs\": " << t.wait.count() << ", \"busy_s\": " << Real{busy}
+        << ", \"queue_delay_s\": " << Real{t.wait.sum()}
+        << ", \"utilization\": " << Real{horizon > 0.0 ? busy / horizon : 0.0}
         << ", \"depth_max\": " << t.depth_max
-        << ", \"wait_p99_s\": " << t.wait.percentile(99.0)
-        << ", \"service_p99_s\": " << t.service.percentile(99.0);
+        << ", \"wait_p99_s\": " << Real{t.wait.percentile(99.0)}
+        << ", \"service_p99_s\": " << Real{t.service.percentile(99.0)};
     out << ", \"busy_timeline\": {\"bucket_s\": "
-        << t.busy_timeline.bucket_width() << ", \"busy_s\": [";
+        << Real{t.busy_timeline.bucket_width()} << ", \"busy_s\": [";
     bool f2 = true;
     for (double v : t.busy_timeline.values()) {
       if (!f2) out << ", ";
       f2 = false;
-      out << v;
+      out << Real{v};
     }
     out << "]}, \"depth_timeline\": {\"bucket_s\": "
-        << t.depth_timeline.bucket_width() << ", \"depth_max\": [";
+        << Real{t.depth_timeline.bucket_width()} << ", \"depth_max\": [";
     f2 = true;
     for (double v : t.depth_timeline.values()) {
       if (!f2) out << ", ";
       f2 = false;
-      out << v;
+      out << Real{v};
     }
     out << "]}}";
   }

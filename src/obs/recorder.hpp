@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <queue>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,6 +54,7 @@ class Timeline {
   void fit(Seconds t);
 
   Seconds width_;
+  Seconds horizon_;  ///< width_ * max_buckets_, the end of the last bucket
   std::size_t max_buckets_;
   bool take_max_;
   std::vector<double> values_;
@@ -228,9 +228,7 @@ class Recorder final : public Sink {
     QuantileSketch service{MetricsRegistry::kHistogramSubBits};
     Timeline busy_timeline;
     Timeline depth_timeline;
-    /// Outstanding job finish times (min-heap): exact in-flight count at
-    /// each arrival, because per-track arrivals are monotone in a DES.
-    std::priority_queue<Seconds, std::vector<Seconds>, std::greater<>> inflight;
+    InflightQueue inflight;
 
     TrackState(std::string name_, TrackKind kind_, std::uint32_t entity_,
                const Options& opts);
@@ -259,11 +257,24 @@ class Recorder final : public Sink {
     std::vector<SubSample> subs;
   };
 
+  using Series = MetricsRegistry::Series;
+
+  /// One op's pfs.server.{accesses,bytes,pieces,time} series of a server.
+  struct ServerOpSeries {
+    Series accesses, bytes, pieces, time;
+  };
   struct ServerMeta {
     std::uint32_t track = kNoId;
     std::uint32_t tier = kNoId;
     std::uint32_t last_region = kNoId;
     bool is_ssd = false;
+    // Resolved on first use with the tier above; registration resets them.
+    ServerOpSeries by_op[2];
+    Series region_switches;
+  };
+  /// One op's request.{queue_wait,t_s,t_t,tx} series of a tier.
+  struct TierOpSeries {
+    Series wait, t_s, t_t, t_x;
   };
 
   void push_event(const TraceEvent& event);
@@ -271,6 +282,12 @@ class Recorder final : public Sink {
   void finalize_sub(std::uint32_t sub, Seconds t_x, Seconds done);
   /// {file, tenant} labels for a namespace file (no-op labels for kNoId).
   LabelSet file_labels(std::uint32_t file) const;
+  /// `handle`, resolved on first use to the series `labels` of `family`.
+  Series& resolve(Series& handle, MetricsRegistry::FamilyId family,
+                  LabelSet labels) {
+    if (!handle.resolved()) handle = metrics_.series(family, labels);
+    return handle;
+  }
 
   Options options_;
   MetricsRegistry metrics_;
@@ -314,6 +331,11 @@ class Recorder final : public Sink {
   MetricsRegistry::FamilyId m_mds_time_;
   MetricsRegistry::FamilyId m_file_bytes_;
   MetricsRegistry::FamilyId m_file_latency_;
+
+  // Resolved-once series of the per-sub-request and per-request paths.
+  std::vector<TierOpSeries> tier_series_;  // by (tier & 0xFF) * 2 + op
+  Series latency_series_[2];               // by op
+  Series mds_time_series_;
 
   std::vector<std::uint32_t> tenant_of_;  // by FileId; empty = no tenants
 };

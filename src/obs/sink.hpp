@@ -15,8 +15,11 @@
 // and Section III-D decomposition reason about.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "src/common/io.hpp"
 #include "src/common/units.hpp"
@@ -61,7 +64,8 @@ class Sink {
   /// One FIFO resource job: arrived at `arrival`, started service at
   /// `start` (== arrival when the resource was idle), finished at `finish`.
   /// Produces the queue-wait vs service spans and feeds the per-track
-  /// utilization/queue-depth timelines.
+  /// utilization/queue-depth timelines.  Each track is fed by one FIFO
+  /// resource, so its arrivals and its finishes are both nondecreasing.
   virtual void resource_event(std::uint32_t track, Seconds arrival, Seconds start,
                               Seconds finish) = 0;
 
@@ -154,6 +158,39 @@ class Sink {
     (void)score;
     (void)now;
   }
+};
+
+/// Queue depth of one resource track: the finish times of its jobs still in
+/// flight, ascending.  A FIFO resource finishes jobs in arrival order, so
+/// every push is an append, and popping the front while it is <= the next
+/// arrival leaves exactly the jobs with finish > arrival.  An out-of-order
+/// finish is inserted at its sorted position, which keeps the depth exact
+/// for any input whose arrivals are nondecreasing.
+class InflightQueue {
+ public:
+  /// Adds the job [arrival, finish) and returns the jobs in flight at
+  /// `arrival`, this one included.
+  std::size_t arrive(Seconds arrival, Seconds finish) {
+    while (head_ < finish_.size() && finish_[head_] <= arrival) ++head_;
+    if (2 * head_ >= finish_.size()) {  // amortized O(1) compaction
+      finish_.erase(finish_.begin(),
+                    finish_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    if (finish_.empty() || finish_.back() <= finish) {
+      finish_.push_back(finish);
+    } else {
+      finish_.insert(std::upper_bound(finish_.begin() +
+                                          static_cast<std::ptrdiff_t>(head_),
+                                      finish_.end(), finish),
+                     finish);
+    }
+    return finish_.size() - head_;
+  }
+
+ private:
+  std::vector<Seconds> finish_;
+  std::size_t head_ = 0;  ///< finish_[0, head_) have already finished
 };
 
 }  // namespace harl::obs

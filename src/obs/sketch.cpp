@@ -13,10 +13,7 @@ QuantileSketch::QuantileSketch(unsigned sub_bits) : sub_bits_(sub_bits) {
   }
 }
 
-std::int32_t QuantileSketch::bucket_index(double x) const {
-  // x = m * 2^e with m in [0.5, 1); split [2^(e-1), 2^e) into 2^sub_bits
-  // equal cells.  The index is e * 2^sub_bits + cell, which orders buckets
-  // by value and makes merge a plain per-index addition.
+std::int32_t QuantileSketch::subnormal_index(double x) const {
   int e = 0;
   const double m = std::frexp(x, &e);
   const auto sub = static_cast<std::int32_t>(1u << sub_bits_);
@@ -57,28 +54,11 @@ std::uint64_t& QuantileSketch::slot(std::int32_t index) {
   return counts_[static_cast<std::size_t>(index - base_)];
 }
 
-void QuantileSketch::add(double x) {
-  if (!(x > 0.0)) {  // zero, negative, NaN
-    ++non_positive_;
-    ++count_;
-    if (count_ == 1) {
-      min_ = max_ = 0.0;
-    } else {
-      min_ = std::min(min_, 0.0);
-      max_ = std::max(max_, 0.0);
-    }
-    return;
-  }
+void QuantileSketch::add_slow(double x) {
   if (std::isinf(x)) x = std::numeric_limits<double>::max();
   ++slot(bucket_index(x));
-  ++count_;
   sum_ += x;
-  if (count_ == 1) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
+  note(x);
 }
 
 void QuantileSketch::merge(const QuantileSketch& other) {

@@ -16,8 +16,11 @@
 // order-independent parallel aggregation.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace harl::obs {
@@ -28,7 +31,23 @@ class QuantileSketch {
   /// 1.6%, tight enough that a p999 is meaningfully above a p99).
   explicit QuantileSketch(unsigned sub_bits = 6);
 
-  void add(double x);
+  void add(double x) {
+    if (x > 0.0 && x <= std::numeric_limits<double>::max()) {
+      // Hot path: a bucket the dense range already covers.
+      const std::int64_t off = std::int64_t{bucket_index(x)} - base_;
+      if (off >= 0 && off < static_cast<std::int64_t>(counts_.size())) {
+        ++counts_[static_cast<std::size_t>(off)];
+        sum_ += x;
+        note(x);
+        return;
+      }
+    } else if (!(x > 0.0)) {  // zero, negative, NaN: the value 0
+      ++non_positive_;
+      note(0.0);
+      return;
+    }
+    add_slow(x);
+  }
   /// Exact merge; requires equal sub_bits (throws std::invalid_argument).
   void merge(const QuantileSketch& other);
   void reset();
@@ -64,7 +83,30 @@ class QuantileSketch {
       default;
 
  private:
-  std::int32_t bucket_index(double x) const;
+  /// Bucket of x > 0 (finite).  x = m * 2^e with m in [0.5, 1); the
+  /// octave [2^(e-1), 2^e) splits into 2^sub_bits equal cells, and the
+  /// index e * 2^sub_bits + cell orders buckets by value, making merge a
+  /// plain per-index addition.  A normal double is (1 + f / 2^52) *
+  /// 2^(E - 1023) for biased exponent E and fraction f, so e = E - 1022
+  /// and the cell, floor((2m - 1) * 2^sub_bits), is the top sub_bits of f:
+  /// both are read from the bits.  Subnormals go through frexp.
+  std::int32_t bucket_index(double x) const {
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    const auto biased = static_cast<std::int32_t>((bits >> 52) & 0x7FFu);
+    if (biased == 0) return subnormal_index(x);
+    const auto cell = static_cast<std::int32_t>(
+        (bits & ((std::uint64_t{1} << 52) - 1)) >> (52 - sub_bits_));
+    return (biased - 1022) * (std::int32_t{1} << sub_bits_) + cell;
+  }
+  std::int32_t subnormal_index(double x) const;
+  /// A positive sample that is +inf or lies outside the dense range.
+  void add_slow(double x);
+  /// Counts one sample of value `v` into count_, min_ and max_.
+  void note(double v) {
+    min_ = count_ == 0 ? v : std::min(min_, v);
+    max_ = count_ == 0 ? v : std::max(max_, v);
+    ++count_;
+  }
   double bucket_low(std::int32_t index) const;
   /// Grows counts_ to cover `index` exactly (front or back, by need).
   std::uint64_t& slot(std::int32_t index);

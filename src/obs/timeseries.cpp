@@ -1,10 +1,11 @@
 #include "src/obs/timeseries.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
-#include <set>
 #include <stdexcept>
+#include <string>
+
+#include "src/obs/metrics.hpp"
 
 namespace harl::obs {
 
@@ -16,39 +17,61 @@ TimeSeries::TimeSeries(Options options)
   if (capacity_ == 0) capacity_ = 1;
 }
 
-std::int64_t TimeSeries::window_of(Seconds t) const {
-  return static_cast<std::int64_t>(std::floor(t / interval_));
+std::size_t TimeSeries::position(std::int64_t index) const {
+  // Samples arrive in simulated-time order and recent windows are nearly
+  // always contiguous, so counting back from the newest usually hits.
+  if (windows_.empty() || index > windows_.back().index) {
+    return windows_.size();
+  }
+  const std::int64_t back = windows_.back().index - index;
+  if (back < static_cast<std::int64_t>(windows_.size())) {
+    const std::size_t guess =
+        windows_.size() - 1 - static_cast<std::size_t>(back);
+    if (windows_[guess].index == index) return guess;
+  }
+  return static_cast<std::size_t>(
+      std::lower_bound(
+          windows_.begin(), windows_.end(), index,
+          [](const Window& w, std::int64_t i) { return w.index < i; }) -
+      windows_.begin());
 }
 
 TimeSeries::Window& TimeSeries::window(std::int64_t index) {
-  auto it = std::lower_bound(
-      windows_.begin(), windows_.end(), index,
-      [](const Window& w, std::int64_t i) { return w.index < i; });
-  if (it == windows_.end() || it->index != index) {
+  std::size_t at = position(index);
+  if (at == windows_.size() || windows_[at].index != index) {
     Window w;
     w.index = index;
-    it = windows_.insert(it, std::move(w));
+    windows_.insert(windows_.begin() + static_cast<std::ptrdiff_t>(at),
+                    std::move(w));
     if (windows_.size() > capacity_) {
       windows_.erase(windows_.begin());
       ++dropped_;
-      it = std::lower_bound(
-          windows_.begin(), windows_.end(), index,
-          [](const Window& w2, std::int64_t i) { return w2.index < i; });
+      at = position(index);
     }
   }
-  return *it;
+  return windows_[at];
 }
 
 TimeSeries::ServerCell& TimeSeries::cell(std::int64_t index,
                                          std::uint32_t server) {
-  return window(index).servers[server];
+  std::vector<ServerCell>& cells = window(index).servers;
+  if (server >= cells.size()) cells.resize(server + 1);
+  ServerCell& c = cells[server];
+  c.present = true;
+  return c;
+}
+
+const TimeSeries::ServerCell* TimeSeries::find_cell(const Window& win,
+                                                    std::uint32_t server) {
+  return server < win.servers.size() && win.servers[server].present
+             ? &win.servers[server]
+             : nullptr;
 }
 
 const TimeSeries::Window* TimeSeries::find_window(std::int64_t index) const {
-  auto it = std::lower_bound(
-      windows_.begin(), windows_.end(), index,
-      [](const Window& w, std::int64_t i) { return w.index < i; });
-  return (it == windows_.end() || it->index != index) ? nullptr : &*it;
+  const std::size_t at = position(index);
+  return at == windows_.size() || windows_[at].index != index ? nullptr
+                                                              : &windows_[at];
 }
 
 void TimeSeries::record_span(std::uint32_t server, Seconds arrival,
@@ -92,17 +115,15 @@ void TimeSeries::record_cache(Bytes hit_bytes, Bytes miss_bytes, Seconds now) {
 double TimeSeries::window_latency_mean(std::int64_t w,
                                        std::uint32_t server) const {
   const Window* win = find_window(w);
-  if (win == nullptr) return 0.0;
-  auto it = win->servers.find(server);
-  return it == win->servers.end() ? 0.0 : it->second.lat.mean();
+  const ServerCell* c = win == nullptr ? nullptr : find_cell(*win, server);
+  return c == nullptr ? 0.0 : c->lat.mean();
 }
 
 std::uint64_t TimeSeries::window_jobs(std::int64_t w,
                                       std::uint32_t server) const {
   const Window* win = find_window(w);
-  if (win == nullptr) return 0;
-  auto it = win->servers.find(server);
-  return it == win->servers.end() ? 0 : it->second.lat.count();
+  const ServerCell* c = win == nullptr ? nullptr : find_cell(*win, server);
+  return c == nullptr ? 0 : c->lat.count();
 }
 
 std::vector<TimeSeries::WindowServerStat> TimeSeries::window_stats(
@@ -110,9 +131,11 @@ std::vector<TimeSeries::WindowServerStat> TimeSeries::window_stats(
   std::vector<WindowServerStat> out;
   const Window* win = find_window(w);
   if (win == nullptr) return out;
-  for (const auto& [id, c] : win->servers) {
+  for (std::size_t id = 0; id < win->servers.size(); ++id) {
+    const ServerCell& c = win->servers[id];
+    if (!c.present) continue;
     WindowServerStat s;
-    s.server = id;
+    s.server = static_cast<std::uint32_t>(id);
     s.jobs = c.lat.count();
     s.lat_mean = c.lat.mean();
     out.push_back(s);
@@ -124,12 +147,15 @@ void TimeSeries::write_json(std::ostream& out, int indent) const {
   out.precision(17);
   const std::string pad(static_cast<std::size_t>(indent), ' ');
 
-  std::set<std::uint32_t> server_ids;
+  std::vector<bool> has_data;  // by server id: present in any window
   for (const Window& w : windows_) {
-    for (const auto& [id, c] : w.servers) server_ids.insert(id);
+    if (w.servers.size() > has_data.size()) has_data.resize(w.servers.size());
+    for (std::size_t id = 0; id < w.servers.size(); ++id) {
+      if (w.servers[id].present) has_data[id] = true;
+    }
   }
 
-  out << "{\n" << pad << "  \"interval_s\": " << interval_ << ",\n"
+  out << "{\n" << pad << "  \"interval_s\": " << Real{interval_} << ",\n"
       << pad << "  \"windows\": " << windows_.size() << ",\n"
       << pad << "  \"first_window\": "
       << (windows_.empty() ? 0 : windows_.front().index) << ",\n"
@@ -149,16 +175,16 @@ void TimeSeries::write_json(std::ostream& out, int indent) const {
   out << "]},\n" << pad << "  \"servers\": [";
 
   bool first_server = true;
-  for (std::uint32_t id : server_ids) {
+  for (std::size_t sid = 0; sid < has_data.size(); ++sid) {
+    if (!has_data[sid]) continue;
+    const auto id = static_cast<std::uint32_t>(sid);
     if (!first_server) out << ",";
     first_server = false;
     out << "\n" << pad << "    {\"server\": " << id;
     auto column = [&](const char* name, auto&& value) {
       out << ", \"" << name << "\": [";
       for (std::size_t i = 0; i < windows_.size(); ++i) {
-        auto it = windows_[i].servers.find(id);
-        const ServerCell* c =
-            it == windows_[i].servers.end() ? nullptr : &it->second;
+        const ServerCell* c = find_cell(windows_[i], id);
         out << (i == 0 ? "" : ", ");
         value(c);
       }
@@ -167,23 +193,23 @@ void TimeSeries::write_json(std::ostream& out, int indent) const {
     column("jobs",
            [&](const ServerCell* c) { out << (c ? c->lat.count() : 0); });
     column("busy_s",
-           [&](const ServerCell* c) { out << (c ? c->busy : 0.0); });
+           [&](const ServerCell* c) { out << Real{c ? c->busy : 0.0}; });
     column("utilization", [&](const ServerCell* c) {
-      out << (c ? c->busy / interval_ : 0.0);
+      out << Real{c ? c->busy / interval_ : 0.0};
     });
     column("depth_max",
            [&](const ServerCell* c) { out << (c ? c->depth_max : 0); });
     column("lat_mean_s", [&](const ServerCell* c) {
-      out << (c ? c->lat.mean() : 0.0);
+      out << Real{c ? c->lat.mean() : 0.0};
     });
     column("lat_p50_s", [&](const ServerCell* c) {
-      out << (c ? c->lat.percentile(50.0) : 0.0);
+      out << Real{c ? c->lat.percentile(50.0) : 0.0};
     });
     column("lat_p95_s", [&](const ServerCell* c) {
-      out << (c ? c->lat.percentile(95.0) : 0.0);
+      out << Real{c ? c->lat.percentile(95.0) : 0.0};
     });
     column("lat_p99_s", [&](const ServerCell* c) {
-      out << (c ? c->lat.percentile(99.0) : 0.0);
+      out << Real{c ? c->lat.percentile(99.0) : 0.0};
     });
     out << '}';
   }

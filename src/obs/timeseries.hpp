@@ -16,9 +16,9 @@
 // buckets).  The JSON dump is therefore byte-identical across runs.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <vector>
 
 #include "src/common/units.hpp"
@@ -52,7 +52,9 @@ class TimeSeries {
   std::uint64_t dropped_windows() const { return dropped_; }
 
   /// Index of the window containing `t` (floor(t / interval)).
-  std::int64_t window_of(Seconds t) const;
+  std::int64_t window_of(Seconds t) const {
+    return static_cast<std::int64_t>(std::floor(t / interval_));
+  }
 
   /// Mean per-job latency of `server` inside window `w`; 0 when idle.
   double window_latency_mean(std::int64_t w, std::uint32_t server) const;
@@ -78,21 +80,26 @@ class TimeSeries {
 
  private:
   struct ServerCell {
+    bool present = false;  ///< the server has data in this window
     double busy = 0.0;
     std::uint64_t depth_max = 0;
     QuantileSketch lat;
   };
   struct Window {
     std::int64_t index = 0;  ///< window_of() value
-    // server id -> cell; std::map keeps server iteration order sorted.
-    std::map<std::uint32_t, ServerCell> servers;
+    /// Cells by server id; ascending index order is ascending id order.
+    std::vector<ServerCell> servers;
     Bytes cache_hit = 0;
     Bytes cache_miss = 0;
   };
 
+  /// Position of the first retained window with index >= `index`.
+  std::size_t position(std::int64_t index) const;
   Window& window(std::int64_t index);
   ServerCell& cell(std::int64_t index, std::uint32_t server);
   const Window* find_window(std::int64_t index) const;
+  /// The present cell of `server` in `win`, or nullptr.
+  static const ServerCell* find_cell(const Window& win, std::uint32_t server);
 
   Seconds interval_ = 1.0;
   std::size_t capacity_ = 4096;

@@ -2,10 +2,17 @@
 // thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <random>
 #include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "src/common/config.hpp"
 #include "src/common/interval.hpp"
@@ -450,6 +457,73 @@ TEST(QuantileSketch, RejectsMismatchedMergeAndExcessiveResolution) {
   fine.add(1.0);
   EXPECT_THROW(coarse.merge(fine), std::invalid_argument);
   EXPECT_THROW(fine.merge(coarse), std::invalid_argument);
+}
+
+/// [lo, hi) of the bucket holding x > 0, from the frexp definition: x =
+/// m * 2^e with m in [0.5, 1), cell = floor((2m - 1) * 2^bits).
+std::pair<double, double> frexp_bucket(double x, unsigned bits) {
+  int e = 0;
+  const double m = std::frexp(x, &e);
+  const int sub = 1 << bits;
+  const int cell =
+      std::clamp(static_cast<int>((m * 2.0 - 1.0) * sub), 0, sub - 1);
+  const auto low = [sub](int exp, int c) {
+    return std::ldexp(1.0 + static_cast<double>(c) / sub, exp - 1);
+  };
+  return {low(e, cell), cell + 1 == sub ? std::ldexp(1.0, e)
+                                        : low(e, cell + 1)};
+}
+
+TEST(QuantileSketch, BucketIndexMatchesFrexpAtEveryResolution) {
+  // The sketch reads the bucket from a normal double's exponent and top
+  // mantissa bits; it must agree with the frexp arithmetic everywhere,
+  // including the subnormals it hands to frexp and the extremes.
+  std::vector<double> xs = {std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::min(),
+                            std::numeric_limits<double>::max(),
+                            std::nextafter(std::numeric_limits<double>::min(),
+                                           0.0),
+                            1.0, 1.5, 3.0, 1e-3, 0.1};
+  for (int k = -1074; k <= 1023; ++k) {
+    const double p = std::ldexp(1.0, k);
+    xs.insert(xs.end(), {p, std::nextafter(p, 0.0),
+                         std::nextafter(p, HUGE_VAL)});
+  }
+  std::mt19937_64 rng(17);
+  for (int i = 0; i < 4000; ++i) {
+    // Random bit patterns with the sign cleared: normals of every exponent
+    // plus whatever subnormals land; inf/NaN patterns are skipped.
+    const double x = std::bit_cast<double>(rng() >> 1);
+    if (std::isfinite(x) && x > 0.0) xs.push_back(x);
+  }
+  for (int i = 0; i < 200; ++i) {  // subnormals
+    xs.push_back(std::bit_cast<double>(rng() & ((std::uint64_t{1} << 52) - 1)));
+  }
+  for (unsigned bits = 0; bits <= 12; ++bits) {
+    for (double x : xs) {
+      if (!(x > 0.0)) continue;
+      obs::QuantileSketch s(bits);
+      s.add(x);
+      const auto buckets = s.buckets();
+      ASSERT_EQ(buckets.size(), 1u);
+      const auto [lo, hi] = frexp_bucket(x, bits);
+      ASSERT_EQ(buckets[0].lo, lo) << "x=" << x << " bits=" << bits;
+      ASSERT_EQ(buckets[0].hi, hi) << "x=" << x << " bits=" << bits;
+      if (x >= std::numeric_limits<double>::min()) {
+        // Subnormal bucket bounds round; normal ones are exact.
+        ASSERT_LE(lo, x);
+        ASSERT_LT(x, hi);
+      }
+    }
+    // +inf is clamped to DBL_MAX before bucketing.
+    obs::QuantileSketch s(bits);
+    s.add(HUGE_VAL);
+    const auto [lo, hi] =
+        frexp_bucket(std::numeric_limits<double>::max(), bits);
+    ASSERT_EQ(s.buckets().size(), 1u);
+    EXPECT_EQ(s.buckets()[0].lo, lo);
+    EXPECT_EQ(s.buckets()[0].hi, hi);
+  }
 }
 
 // ------------------------------------------------------------- interval ----

@@ -273,6 +273,38 @@ TEST(Experiment, ObservedHarlRunExportsPlannerMetrics) {
   EXPECT_NE(json.str().find("pfs.server.bytes"), std::string::npos);
 }
 
+TEST(Experiment, TelemetryOnlyRecorderKeepsNoTrace) {
+  // Telemetry alone (harl_sim health=1 or timeseries-out=) arms a recorder
+  // only to carry the health monitor.  Nobody exports its trace, so it must
+  // not buffer one; a run that asked for observation still traces.
+  ExperimentOptions opts;
+  opts.cluster.num_clients = 4;
+  opts.calibration.samples_per_size = 100;
+  opts.calibration.beta_samples = 100;
+  opts.telemetry.interval = 0.01;
+
+  workloads::IorConfig ior;
+  ior.processes = 4;
+  ior.file_size = 64 * MiB;
+  ior.request_size = 512 * KiB;
+  ior.requests_per_process = 16;
+
+  Experiment telemetry_only(opts);
+  const auto quiet =
+      telemetry_only.run(ior_bundle(ior), LayoutScheme::fixed(64 * KiB));
+  ASSERT_TRUE(quiet.obs);
+  ASSERT_TRUE(quiet.health);
+  EXPECT_GT(quiet.obs->requests_completed(), 0u);
+  EXPECT_EQ(quiet.obs->trace_events_recorded(), 0u);
+
+  opts.observe = true;
+  Experiment observed(opts);
+  const auto traced =
+      observed.run(ior_bundle(ior), LayoutScheme::fixed(64 * KiB));
+  ASSERT_TRUE(traced.obs);
+  EXPECT_GT(traced.obs->trace_events_recorded(), 0u);
+}
+
 TEST(Experiment, ResultsAreDeterministic) {
   ExperimentOptions opts;
   opts.cluster.num_clients = 4;

@@ -371,6 +371,21 @@ TEST(Population, ByteIdenticalAcrossPoolWidths) {
   }
 }
 
+TEST(Population, TelemetryOnlyRecorderKeepsNoTrace) {
+  // The population runner shares the rule: a recorder armed only for the
+  // telemetry plane records no trace events.
+  const auto pop = harness::make_population(small_spec(2));
+  harness::ExperimentOptions options = small_options();
+  options.telemetry.interval = 0.01;
+  harness::Experiment experiment(options);
+  const auto pr =
+      harness::run_population(experiment, pop, harness::LayoutScheme::harl());
+  ASSERT_TRUE(pr.obs);
+  ASSERT_TRUE(pr.health);
+  EXPECT_GT(pr.obs->requests_completed(), 0u);
+  EXPECT_EQ(pr.obs->trace_events_recorded(), 0u);
+}
+
 TEST(Population, ReplicaTierChoiceCoversEveryRegion) {
   const auto pop = harness::make_population(small_spec(1));
   harness::Experiment experiment(small_options());

@@ -5,7 +5,13 @@
 // tiered_cost_model on a deterministic single-request scenario.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <map>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -193,6 +199,38 @@ TEST(MetricsRegistry, HistogramExportIsPinned) {
   EXPECT_EQ(registry_json(reg), expected);
 }
 
+TEST(MetricsRegistry, RealFormatsLikeTheStreamAtPrecision17) {
+  // Every export writes doubles through obs::Real; its bytes must be the
+  // stream's own at precision 17, or every byte-identity golden breaks.
+  std::vector<double> xs = {0.0,
+                            -0.0,
+                            1.0,
+                            0.1,
+                            -2.5,
+                            1e-7,
+                            123456789.0,
+                            1e17,
+                            1e21,
+                            std::numeric_limits<double>::min(),
+                            std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::max(),
+                            std::numeric_limits<double>::infinity()};
+  std::mt19937_64 rng(3);
+  for (int i = 0; i < 2000; ++i) {
+    const double x = std::bit_cast<double>(rng());
+    if (std::isfinite(x)) xs.push_back(x);
+    xs.push_back(std::uniform_real_distribution<double>(0.0, 1e-2)(rng));
+  }
+  for (double x : xs) {
+    std::ostringstream want;
+    want.precision(17);
+    want << x;
+    std::ostringstream got;
+    got << obs::Real{x};
+    ASSERT_EQ(got.str(), want.str());
+  }
+}
+
 TEST(MetricsRegistry, FamilyNamesWithControlBytesStayValidJson) {
   // Every control byte is escaped: \n and \t in short form, the rest as
   // \u00XX, so even a malformed family name yields valid JSON.
@@ -205,6 +243,48 @@ TEST(MetricsRegistry, FamilyNamesWithControlBytesStayValidJson) {
   {"name": "a\u0001b\u000dc\"d\\e\n\tf", "type": "counter", )"
             R"("labels": {}, "value": 1}
 ])");
+}
+
+TEST(MetricsRegistry, SeriesHandlesStayValidAcrossGrowthAndMerge) {
+  obs::MetricsRegistry reg;
+  using Kind = obs::MetricsRegistry::Kind;
+  const auto c = reg.family("bytes", Kind::kCounter);
+  const auto h = reg.family("lat", Kind::kSketch);
+  const obs::LabelSet s3 = obs::LabelSet{}.server(3).op(IoOp::kRead);
+  const auto hc = reg.series(c, s3);
+  const auto hh = reg.series(h, s3);
+  ASSERT_TRUE(hc.resolved());
+  reg.add(hc, 5.0);
+  reg.observe(hh, 2e-3);
+
+  // Grow both families past any small-vector capacity, then merge a
+  // registry whose family ids differ and which adds series of its own.
+  for (std::uint32_t s = 100; s < 200; ++s) {
+    reg.add(c, obs::LabelSet{}.server(s), 1.0);
+    reg.observe(h, obs::LabelSet{}.server(s), 1e-3);
+  }
+  obs::MetricsRegistry other;
+  other.family("other", Kind::kGauge);
+  other.add(other.family("bytes", Kind::kCounter), s3, 7.0);
+  other.add(other.family("bytes", Kind::kCounter), obs::LabelSet{}.server(9),
+            1.0);
+  other.observe(other.family("lat", Kind::kSketch), s3, 8e-3);
+  reg.merge(other);
+
+  reg.add(hc, 1.0);
+  reg.observe(hh, 4e-3);
+  EXPECT_DOUBLE_EQ(reg.value("bytes", s3), 13.0);
+  const obs::QuantileSketch* lat = reg.sketch("lat", s3);
+  ASSERT_NE(lat, nullptr);
+  EXPECT_EQ(lat->count(), 3u);
+  EXPECT_DOUBLE_EQ(lat->max(), 8e-3);
+  EXPECT_DOUBLE_EQ(lat->min(), 2e-3);
+
+  // The LabelSet overloads resolve to the very same series.
+  EXPECT_EQ(reg.series(c, s3).index, hc.index);
+  reg.add(c, s3, 2.0);
+  EXPECT_DOUBLE_EQ(reg.value("bytes", s3), 15.0);
+  EXPECT_FALSE(obs::MetricsRegistry::Series{}.resolved());
 }
 
 // ------------------------------------------------------------ time series ----
@@ -691,6 +771,131 @@ TEST(Recorder, MetricsJsonIsWellFormedEnoughToGrep) {
   EXPECT_NE(json.find("\"depth_timeline\""), std::string::npos);
   EXPECT_NE(json.find("client.request.latency"), std::string::npos);
   EXPECT_NE(json.find("request.t_x"), std::string::npos);
+}
+
+TEST(Recorder, IdleRegisteredServersEmitNoServerSeries) {
+  // Series are resolved on first use: a server that is registered but never
+  // accessed must not appear in any pfs.server.* family.
+  obs::Recorder rec;
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    rec.register_server(s, s < 2 ? 0 : 1, "srv", s >= 2);
+  }
+  const std::uint32_t req = rec.begin_request(0, IoOp::kRead, 0, 4096, 0.0);
+  const std::uint32_t sub = rec.begin_sub(req, 2, 0, 4096, 0.0);
+  rec.server_access(2, IoOp::kRead, 0, 4096, 1, 0.1);
+  rec.server_access(2, IoOp::kRead, 1, 4096, 1, 0.2);  // region switch
+  rec.sub_storage(sub, 0.1, 0.1, 0.01, 0.05);
+  rec.sub_net_done(sub, 0.2);
+  rec.end_request(req, 0.2);
+
+  const obs::LabelSet used =
+      obs::LabelSet{}.server(2).tier(1).op(IoOp::kRead);
+  EXPECT_DOUBLE_EQ(rec.metrics().value("pfs.server.accesses", used), 2.0);
+  EXPECT_DOUBLE_EQ(rec.metrics().value("pfs.server.bytes", used), 8192.0);
+  EXPECT_DOUBLE_EQ(rec.metrics().value("pfs.server.region_switches",
+                                       obs::LabelSet{}.server(2).tier(1)),
+                   1.0);
+  ASSERT_NE(rec.metrics().sketch("pfs.server.time", used), nullptr);
+  EXPECT_EQ(rec.metrics().sketch("pfs.server.time", used)->count(), 1u);
+
+  std::ostringstream out;
+  rec.metrics().write_json(out);
+  std::istringstream lines(out.str());
+  int server_series = 0;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"pfs.server.") == std::string::npos) continue;
+    ++server_series;
+    EXPECT_NE(line.find("\"server\": 2"), std::string::npos) << line;
+  }
+  // accesses, bytes, pieces, time (read) and region_switches.
+  EXPECT_EQ(server_series, 5);
+}
+
+/// Jobs with nondecreasing arrivals whose finishes come out of order
+/// (services of random length), as no FIFO resource would produce.
+struct DepthJob {
+  Seconds arrival = 0.0;
+  Seconds finish = 0.0;
+};
+std::vector<DepthJob> out_of_order_jobs() {
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> gap(0.0, 0.2);
+  std::uniform_real_distribution<double> service(0.01, 1.5);
+  std::vector<DepthJob> jobs;
+  Seconds t = 0.0;
+  for (int i = 0; i < 300; ++i) {
+    t += i % 7 == 3 ? 0.0 : gap(rng);  // some equal arrivals too
+    jobs.push_back({t, t + service(rng)});
+  }
+  return jobs;
+}
+
+/// Brute force: jobs so far (this one included) still in flight at the
+/// arrival of job `i`.
+std::uint64_t brute_depth(const std::vector<DepthJob>& jobs, std::size_t i) {
+  std::uint64_t depth = 0;
+  for (std::size_t j = 0; j <= i; ++j) {
+    if (jobs[j].finish > jobs[i].arrival) ++depth;
+  }
+  return depth;
+}
+
+TEST(Recorder, InflightDepthIsExactForOutOfOrderFinishes) {
+  const auto jobs = out_of_order_jobs();
+  obs::Recorder rec;
+  const std::uint32_t track = rec.register_server(0, 0, "srv", false);
+  std::uint64_t want = 0;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    rec.resource_event(track, jobs[i].arrival, jobs[i].arrival,
+                       jobs[i].finish);
+    want = std::max(want, brute_depth(jobs, i));
+  }
+  EXPECT_GT(want, 3u);
+  EXPECT_EQ(rec.resource_summaries()[0].depth_max, want);
+}
+
+/// The integers of JSON array `key` in `json` (first occurrence).
+std::vector<std::int64_t> json_int_array(const std::string& json,
+                                         const std::string& key) {
+  const std::size_t at = json.find("\"" + key + "\": [");
+  EXPECT_NE(at, std::string::npos) << key;
+  std::vector<std::int64_t> out;
+  if (at == std::string::npos) return out;
+  std::istringstream in(json.substr(json.find('[', at) + 1));
+  for (std::int64_t v; in >> v;) {
+    out.push_back(v);
+    char sep = 0;
+    if (!(in >> sep) || sep != ',') break;
+  }
+  return out;
+}
+
+TEST(HealthMonitor, InflightDepthIsExactForOutOfOrderFinishes) {
+  const auto jobs = out_of_order_jobs();
+  obs::HealthMonitor::Options opt;
+  opt.interval = 1.0;
+  obs::HealthMonitor hm(opt, nullptr);
+  const std::uint32_t track = hm.register_server(0, 0, "srv", false);
+  std::map<std::int64_t, std::uint64_t> want;  // window -> max depth
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    hm.resource_event(track, jobs[i].arrival, jobs[i].arrival,
+                      jobs[i].finish);
+    auto& w = want[hm.timeseries().window_of(jobs[i].arrival)];
+    w = std::max(w, brute_depth(jobs, i));
+  }
+  std::ostringstream out;
+  hm.timeseries().write_json(out);
+  const std::string json = out.str();
+  const auto windows = json_int_array(json, "window_index");
+  const auto depth = json_int_array(json, "depth_max");
+  ASSERT_EQ(windows.size(), depth.size());
+  ASSERT_FALSE(windows.empty());
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    auto it = want.find(windows[i]);
+    const std::uint64_t expected = it == want.end() ? 0 : it->second;
+    EXPECT_EQ(static_cast<std::uint64_t>(depth[i]), expected)
+        << "window " << windows[i];
+  }
 }
 
 }  // namespace

@@ -12,7 +12,9 @@ zero-delay now-lane rate, allocations per event at steady state, the
 lane/pool/spill counter breakdown (where events were routed, not just how
 fast), and the observability overhead pair — BM_FifoResourceChain vs
 BM_FifoResourceChainObs, i.e. the same job chain with the flight recorder
-detached vs attached.
+detached vs attached — plus, report-only, the rate of
+BM_ObservedRequestPath (the per-request sink path of an observed run:
+health monitor in front of a recorder).
 
 When a baseline file (bench/bench_sim_baseline.json) is given, the script
 exits non-zero if the dispatch rate fell more than `max_rate_regression`
@@ -117,6 +119,14 @@ def main():
         summary["fifo_obs_rate_per_s"] = fifo_obs["items_per_second"]
         summary["obs_enabled_overhead"] = (
             1.0 - fifo_obs["items_per_second"] / fifo["items_per_second"])
+    except KeyError:
+        pass
+    # Report-only (no gate): requests/s through the full observed per-request
+    # sink path, HealthMonitor -> Recorder.
+    try:
+        request_path = find_benchmark(results, "BM_ObservedRequestPath/10000")
+        summary["observed_request_rate_per_s"] = (
+            request_path["items_per_second"])
     except KeyError:
         pass
 

@@ -796,9 +796,11 @@ int main(int argc, char** argv) {
 
     const std::string metrics_out = opts.get_string("metrics-out");
     const std::string trace_out = opts.get_string("trace-out");
+    // Whichever export arms the recorder (metrics-out=, trace-out=, or the
+    // telemetry plane below), it keeps trace events only for trace-out=.
+    options.recorder.trace = !trace_out.empty();
     if (!metrics_out.empty() || !trace_out.empty()) {
       options.observe = true;
-      options.recorder.trace = !trace_out.empty();
       options.recorder.max_trace_events =
           static_cast<std::size_t>(opts.get_int("trace-events"));
     }
