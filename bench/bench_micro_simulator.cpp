@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/obs/health.hpp"
 #include "src/obs/recorder.hpp"
 #include "src/pfs/cluster.hpp"
 #include "src/pfs/replication.hpp"
@@ -173,7 +172,7 @@ BENCHMARK(BM_FifoResourceChainObs)->Arg(10000);
 
 void BM_ObservedRequestPath(benchmark::State& state) {
   // The enabled-mode per-request sink path of an observed run, without the
-  // engine: a HealthMonitor forwarding to a Recorder (metrics on, trace
+  // engine: a Recorder with its telemetry plane armed (metrics on, trace
   // off), each request split over 4 of 16 servers on two tiers, reads and
   // writes alternating, through begin_request -> begin_sub ->
   // resource_event/server_access/sub_storage -> sub_net_done (reads) ->
@@ -186,38 +185,38 @@ void BM_ObservedRequestPath(benchmark::State& state) {
   for (auto _ : state) {
     obs::Recorder::Options recorder_options;
     recorder_options.trace = false;
-    obs::Recorder recorder(recorder_options);
-    obs::HealthMonitor::Options health_options;
-    health_options.interval = 1e-2;
-    obs::HealthMonitor health(health_options, &recorder);
+    obs::TelemetryOptions telemetry;
+    telemetry.interval = 1e-2;
+    obs::Recorder recorder(recorder_options, telemetry);
     std::vector<std::uint32_t> disks;
     for (std::uint32_t s = 0; s < kServers; ++s) {
       disks.push_back(
-          health.register_server(s, s < kServers / 2 ? 0 : 1, "srv", false));
+          recorder.register_server(s, s < kServers / 2 ? 0 : 1, "srv", false));
     }
-    health.register_client(0);
+    recorder.register_client(0);
     Seconds t = 0.0;
     for (int i = 0; i < requests; ++i) {
       const IoOp op = i % 2 == 0 ? IoOp::kWrite : IoOp::kRead;
-      const std::uint32_t req = health.begin_request(
+      const std::uint32_t req = recorder.begin_request(
           0, op, static_cast<Bytes>(i) * 256 * KiB, 256 * KiB, t);
       for (std::uint32_t k = 0; k < kSubs; ++k) {
         const std::uint32_t server =
             (static_cast<std::uint32_t>(i) * kSubs + k) % kServers;
-        const std::uint32_t sub = health.begin_sub(req, server, 0, 64 * KiB, t);
+        const std::uint32_t sub =
+            recorder.begin_sub(req, server, 0, 64 * KiB, t);
         const Seconds arrival = t + 1e-5;
-        health.resource_event(disks[server], arrival, arrival,
-                              arrival + kService);
-        health.server_access(server, op, 0, 64 * KiB, 1, arrival);
-        health.sub_storage(sub, arrival, arrival, 1e-5, kService);
+        recorder.resource_event(disks[server], arrival, arrival,
+                                arrival + kService);
+        recorder.server_access(server, op, 0, 64 * KiB, 1, arrival);
+        recorder.sub_storage(sub, arrival, arrival, 1e-5, kService);
         if (op == IoOp::kRead) {
-          health.sub_net_done(sub, arrival + kService + 5e-5);
+          recorder.sub_net_done(sub, arrival + kService + 5e-5);
         }
       }
-      health.end_request(req, t + 2e-4);
+      recorder.end_request(req, t + 2e-4);
       t += 2.5e-4;
     }
-    health.finalize();
+    recorder.health()->finalize();
     benchmark::DoNotOptimize(recorder.requests_completed());
   }
   state.SetItemsProcessed(state.iterations() * requests);

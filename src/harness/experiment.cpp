@@ -181,9 +181,9 @@ WorkloadBundle btio_bundle(const workloads::BtioConfig& config) {
 
 Experiment::Experiment(ExperimentOptions options)
     : options_(std::move(options)) {
-  // The telemetry plane rides the flight recorder's observer chain.  Nobody
-  // asked that recorder for a trace, which would otherwise grow with every
-  // event of the run and never be written.
+  // The telemetry plane lives in the flight recorder.  Nobody asked that
+  // recorder for a trace, which would otherwise grow with every event of the
+  // run and never be written.
   if (options_.telemetry.enabled() && !options_.observe) {
     options_.observe = true;
     options_.recorder.trace = false;
@@ -258,25 +258,16 @@ SchemeResult Experiment::run_with_trace(
   sim::Simulator sim;
   std::unique_ptr<mw::AdaptiveLayoutManager> manager;
   if (options_.observe) {
-    result.obs = std::make_shared<obs::Recorder>(options_.recorder);
+    result.obs =
+        std::make_shared<obs::Recorder>(options_.recorder, options_.telemetry);
+    if (obs::HealthMonitor* health = result.obs->health()) {
+      result.health = std::shared_ptr<obs::HealthMonitor>(result.obs, health);
+    }
   }
-  // Observer chain: sim -> [manager] -> [health] -> recorder.  The adaptive
-  // manager stays in front as the simulator-facing sink so completed
-  // requests feed its advisor; the telemetry plane wraps the recorder.
+  // Observer chain: sim -> [manager] -> recorder.  The adaptive manager
+  // stays in front as the simulator-facing sink so completed requests feed
+  // its advisor; the recorder feeds the telemetry plane it owns.
   obs::Sink* tail = result.obs.get();
-  if (options_.telemetry.enabled() && tail != nullptr) {
-    obs::HealthMonitor::Options hm;
-    hm.interval = options_.telemetry.interval;
-    hm.window_capacity = options_.telemetry.window_capacity;
-    hm.slo = options_.telemetry.slo;
-    hm.flag_threshold = options_.telemetry.flag_threshold;
-    hm.recover_threshold = options_.telemetry.recover_threshold;
-    hm.flag_windows = options_.telemetry.flag_windows;
-    hm.recover_windows = options_.telemetry.recover_windows;
-    hm.min_window_jobs = options_.telemetry.min_window_jobs;
-    result.health = std::make_shared<obs::HealthMonitor>(hm, tail);
-    tail = result.health.get();
-  }
   // Devices the measured run's cache covers: the plan's reservation when the
   // Analysis Phase was cache-aware, the configured count for blind and
   // non-plan schemes (see ExperimentOptions::cache).
@@ -366,10 +357,7 @@ SchemeResult Experiment::run_with_trace(
     if (result.obs) result.obs->metrics().merge(manager->metrics());
   }
 
-  if (result.health) {
-    result.health->finalize();
-    if (result.obs) result.obs->metrics().merge(result.health->metrics());
-  }
+  if (result.health) result.health->finalize();
 
   if (cache_manager != nullptr) {
     result.cache = cache_manager->stats();

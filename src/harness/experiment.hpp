@@ -83,9 +83,9 @@ struct SchemeResult {
   /// metrics registry, trace events, per-request T_X/T_S/T_T attribution.
   std::shared_ptr<obs::Recorder> obs;
   /// Telemetry plane of the measured run (ExperimentOptions::telemetry
-  /// enabled + observe): windowed per-server time series and the
-  /// straggler/SLO health monitor, already finalized; its health.* metrics
-  /// are merged into `obs`'s registry.
+  /// enabled): windowed per-server time series and the straggler/SLO
+  /// health monitor, already finalized.  It is owned by `obs` (this pointer
+  /// aliases it) and its health.* metrics live in `obs`'s registry.
   std::shared_ptr<obs::HealthMonitor> health;
 };
 
@@ -131,23 +131,13 @@ struct ExperimentOptions {
     bool enabled() const { return budget > 0 && devices > 0; }
   };
   CacheOptions cache;
-  /// Telemetry plane (DESIGN.md §15): interval > 0 arms an
-  /// obs::HealthMonitor (which owns the run's TimeSeries) in front of the
-  /// recorder of every measured run.  Requires `observe`; the runner
-  /// forces it on when telemetry is enabled, and a recorder forced on only
-  /// to carry the telemetry plane records no trace events.
-  struct TelemetryOptions {
-    Seconds interval = 0.0;            ///< window width; 0 = disabled
-    std::size_t window_capacity = 4096;
-    Seconds slo = 0.0;                 ///< request deadline; 0 = no SLO
-    double flag_threshold = 2.0;
-    double recover_threshold = 1.25;
-    std::size_t flag_windows = 2;
-    std::size_t recover_windows = 2;
-    std::uint64_t min_window_jobs = 1;
-
-    bool enabled() const { return interval > 0.0; }
-  };
+  /// Telemetry plane (DESIGN.md §15): interval > 0 (the window width) arms
+  /// the obs::HealthMonitor, which owns the run's TimeSeries, inside the
+  /// recorder of every measured run; slo > 0 adds SLO tracking.  Requires
+  /// `observe`; the runner forces it on when telemetry is enabled, and a
+  /// recorder forced on only to carry the telemetry plane records no trace
+  /// events.
+  using TelemetryOptions = obs::TelemetryOptions;
   TelemetryOptions telemetry;
 };
 

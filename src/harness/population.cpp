@@ -238,24 +238,14 @@ PopulationResult run_population(Experiment& experiment,
     max_tenant = std::max(max_tenant, population[i].tenant);
   }
   if (options.observe) {
-    result.obs = std::make_shared<obs::Recorder>(options.recorder);
+    result.obs =
+        std::make_shared<obs::Recorder>(options.recorder, options.telemetry);
     result.obs->set_tenant_of(tenant_of);
+    if (obs::HealthMonitor* health = result.obs->health()) {
+      result.health = std::shared_ptr<obs::HealthMonitor>(result.obs, health);
+    }
   }
   obs::Sink* tail = result.obs.get();
-  if (options.telemetry.enabled() && tail != nullptr) {
-    obs::HealthMonitor::Options hm;
-    hm.interval = options.telemetry.interval;
-    hm.window_capacity = options.telemetry.window_capacity;
-    hm.slo = options.telemetry.slo;
-    hm.flag_threshold = options.telemetry.flag_threshold;
-    hm.recover_threshold = options.telemetry.recover_threshold;
-    hm.flag_windows = options.telemetry.flag_windows;
-    hm.recover_windows = options.telemetry.recover_windows;
-    hm.min_window_jobs = options.telemetry.min_window_jobs;
-    result.health = std::make_shared<obs::HealthMonitor>(hm, tail);
-    result.health->set_tenant_of(tenant_of);
-    tail = result.health.get();
-  }
 
   // Per-file adaptive managers, chained file 0 outermost; each one's advisor
   // sees only its own file's completions (set_file_filter), so every file's
@@ -387,7 +377,6 @@ PopulationResult run_population(Experiment& experiment,
   }
   if (result.health) {
     result.health->finalize();
-    if (result.obs) result.obs->metrics().merge(result.health->metrics());
     if (options.telemetry.slo > 0.0) {
       result.tenant_slo.reserve(max_tenant + 1);
       for (std::uint32_t t = 0; t <= max_tenant; ++t) {

@@ -321,17 +321,9 @@ void AdaptiveLayoutManager::adaptive_event(AdaptiveEvent event,
 void AdaptiveLayoutManager::cache_event(Bytes hit_bytes, Bytes miss_bytes,
                                         Seconds now) {
   // Must forward explicitly: the inherited no-op would swallow the event
-  // before it reaches the health monitor downstream.
+  // before it reaches the recorder's health monitor downstream.
   if (downstream_ != nullptr) {
     downstream_->cache_event(hit_bytes, miss_bytes, now);
-  }
-}
-
-void AdaptiveLayoutManager::health_event(HealthEvent event,
-                                         std::uint32_t server, double score,
-                                         Seconds now) {
-  if (downstream_ != nullptr) {
-    downstream_->health_event(event, server, score, now);
   }
 }
 

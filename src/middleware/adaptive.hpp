@@ -185,8 +185,6 @@ class AdaptiveLayoutManager final : public obs::Sink {
   void adaptive_event(AdaptiveEvent event, std::uint32_t epoch, Bytes bytes,
                       Seconds now) override;
   void cache_event(Bytes hit_bytes, Bytes miss_bytes, Seconds now) override;
-  void health_event(HealthEvent event, std::uint32_t server, double score,
-                    Seconds now) override;
 
   // --- results -------------------------------------------------------------
 

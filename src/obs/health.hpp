@@ -1,29 +1,27 @@
 // Straggler/SLO health monitor (DESIGN.md §15).
 //
-// A HealthMonitor sits on the observer seat as a transparent obs::Sink
-// forwarder (the AdaptiveLayoutManager pattern), placed in front of the
-// recorder, so it sees the engine's deterministic call order.  It owns the
-// run's TimeSeries: every server storage queue job (resource_event on a
+// A HealthMonitor is a component of the flight recorder, not a sink of its
+// own: a Recorder built with telemetry enabled owns one and feeds it from
+// its hooks, in the engine's deterministic call order.  It owns the run's
+// TimeSeries: every server storage queue job (resource_event on a
 // registered server-disk track) becomes a latency/busy/depth sample, and
 // cache_event feeds the fleet hit-rate timeline.
 //
 // When a window closes (the monotone time watermark passes its end), each
-// server with enough jobs is scored as
+// server with at least kMinWindowJobs jobs is scored as
 //     score = window mean latency / fleet median of window means,
 // and a flag/recover hysteresis turns scores into discrete straggler state:
-// `flag_windows` consecutive windows at score >= flag_threshold flag the
-// server (health.straggler_flagged counter + a trace instant through the
-// downstream sink); `recover_windows` consecutive windows at
-// score <= recover_threshold clear it.  Idle windows leave streaks unchanged.
-// An optional per-request SLO deadline is tracked at two levels: whole
-// requests (latency <= slo, per op) and storage sub-requests (server-resident
-// time <= slo, per server) — the per-server view is what localizes an SLO
-// regression to an injected straggler.
+// kFlagWindows consecutive windows at score >= kFlagThreshold flag the
+// server (health.straggler_flagged counter + a trace instant on the
+// recorder's "health" track); kRecoverWindows consecutive windows at
+// score <= kRecoverThreshold clear it.  Idle windows leave streaks
+// unchanged.  An optional per-request SLO deadline is tracked at two
+// levels: whole requests (latency <= slo, per op) and storage sub-requests
+// (server-resident time <= slo, per server) — the per-server view is what
+// localizes an SLO regression to an injected straggler.
 //
-// All counters/gauges live in the monitor's own MetricsRegistry and merge
-// order-independently into the run recorder's registry afterwards.  The
-// future straggler-aware scheduler consumes `server_score()` /
-// `is_flagged()` mid-run.
+// The health.* counters and gauges go straight into the owning recorder's
+// MetricsRegistry.
 #pragma once
 
 #include <cstdint>
@@ -34,60 +32,72 @@
 #include "src/common/io.hpp"
 #include "src/common/units.hpp"
 #include "src/obs/metrics.hpp"
-#include "src/obs/sink.hpp"
 #include "src/obs/timeseries.hpp"
 
 namespace harl::obs {
 
-class HealthMonitor final : public Sink {
+class Recorder;
+
+/// The telemetry plane's settings.  interval > 0 arms a HealthMonitor in
+/// the recorder that carries them; everything else is a named constant of
+/// HealthMonitor.
+struct TelemetryOptions {
+  Seconds interval = 0.0;  ///< scoring window width (sim seconds); 0 = off
+  Seconds slo = 0.0;       ///< request deadline; 0 disables SLO tracking
+
+  bool enabled() const { return interval > 0.0; }
+};
+
+/// Health-monitor lifecycle instants: a server's rolling slowness score
+/// crossed the flag/recover hysteresis.
+enum class HealthEvent : std::uint8_t {
+  kStragglerFlagged,    ///< score stayed above the flag threshold
+  kStragglerRecovered,  ///< score dropped back below the recover threshold
+};
+
+class HealthMonitor {
  public:
-  struct Options {
-    Seconds interval = 1.0;         ///< scoring window width (sim seconds)
-    std::size_t window_capacity = 4096;  ///< TimeSeries ring capacity
-    Seconds slo = 0.0;              ///< request deadline; 0 disables SLO
-    double flag_threshold = 2.0;    ///< score at/above => slow window
-    double recover_threshold = 1.25;  ///< score at/below => healthy window
-    std::size_t flag_windows = 2;   ///< consecutive slow windows to flag
-    std::size_t recover_windows = 2;  ///< consecutive healthy to recover
-    std::uint64_t min_window_jobs = 1;  ///< jobs needed to score a window
-  };
+  static constexpr std::size_t kWindowCapacity = 4096;  ///< TimeSeries ring
+  static constexpr double kFlagThreshold = 2.0;     ///< score => slow window
+  static constexpr double kRecoverThreshold = 1.25;  ///< score => healthy
+  static constexpr std::uint32_t kFlagWindows = 2;  ///< slow windows to flag
+  static constexpr std::uint32_t kRecoverWindows = 2;  ///< healthy to recover
+  static constexpr std::uint64_t kMinWindowJobs = 1;   ///< jobs to score
 
-  /// `downstream` (optional, not owned) receives every Sink call unchanged
-  /// plus the health_event instants this monitor originates.
-  explicit HealthMonitor(Options options, Sink* downstream = nullptr);
+  /// Built by `owner` (see Recorder's constructor), whose registry receives
+  /// the health.* families and whose trace receives the health instants.
+  HealthMonitor(TelemetryOptions options, Recorder& owner);
+  HealthMonitor(const HealthMonitor&) = delete;
+  HealthMonitor& operator=(const HealthMonitor&) = delete;
 
-  /// Namespace tenant mapping: tenant_of[file] attributes whole-request SLO
-  /// attainment to tenants (files beyond the vector, and the legacy kNoId
-  /// path, stay unattributed — single-file output is unchanged).
-  void set_tenant_of(std::vector<std::uint32_t> tenant_of) {
-    tenant_of_ = std::move(tenant_of);
+  // --- feeds (called by the owning Recorder) ------------------------------
+
+  /// Advances the window watermark to `t`'s window, scoring every window
+  /// that closed.  Every sink call's earliest timestamp is nondecreasing in
+  /// dispatch/replay order (events are emitted at sim.now()), so a closed
+  /// window can never receive data afterwards.
+  void advance(Seconds t) {
+    const std::int64_t w = ts_.window_of(t);
+    if (!started_ || w > next_to_score_) advance_to(w);
   }
-
-  // --- obs::Sink: forward everything, harvest telemetry --------------------
-  std::uint32_t track(std::string_view name, TrackKind kind,
-                      std::uint32_t entity) override;
-  std::uint32_t register_server(std::uint32_t server, std::uint32_t tier,
-                                std::string_view name, bool is_ssd) override;
-  std::uint32_t register_client(std::uint32_t client) override;
-  void resource_event(std::uint32_t track, Seconds arrival, Seconds start,
-                      Seconds finish) override;
-  void server_access(std::uint32_t server, IoOp op, std::uint32_t region,
-                     Bytes bytes, Bytes pieces, Seconds now) override;
-  std::uint32_t begin_request(std::uint32_t client, IoOp op, Bytes offset,
-                              Bytes size, Seconds now,
-                              std::uint32_t file = kNoId) override;
-  std::uint32_t begin_sub(std::uint32_t request, std::uint32_t server,
-                          std::uint32_t region, Bytes bytes,
-                          Seconds now) override;
-  void sub_storage(std::uint32_t sub, Seconds arrival, Seconds start,
-                   Seconds startup, Seconds service) override;
-  void sub_net_done(std::uint32_t sub, Seconds now) override;
-  void end_request(std::uint32_t request, Seconds now) override;
-  void adaptive_event(AdaptiveEvent event, std::uint32_t epoch, Bytes bytes,
-                      Seconds now) override;
-  void cache_event(Bytes hit_bytes, Bytes miss_bytes, Seconds now) override;
-  void health_event(HealthEvent event, std::uint32_t server, double score,
-                    Seconds now) override;
+  /// A registered server reports even when it stays idle.
+  void add_server(std::uint32_t server) { server_state(server); }
+  /// One storage job of `server`; `depth` counts the jobs in flight at
+  /// `arrival`, this one included.
+  void disk_job(std::uint32_t server, Seconds arrival, Seconds start,
+                Seconds finish, std::uint64_t depth) {
+    ts_.record_depth(server, arrival, depth);
+    ts_.record_span(server, arrival, start, finish);
+  }
+  /// A storage sub-request spent `resident` seconds (queue wait plus full
+  /// service) on `server`.
+  void sub_resident(std::uint32_t server, Seconds resident);
+  /// A whole request of `op` completed after `latency`; `tenant` is kNoId
+  /// outside namespace runs.
+  void request_done(IoOp op, std::uint32_t tenant, Seconds latency);
+  void cache(Bytes hit_bytes, Bytes miss_bytes, Seconds now) {
+    ts_.record_cache(hit_bytes, miss_bytes, now);
+  }
 
   // --- results -------------------------------------------------------------
 
@@ -96,35 +106,25 @@ class HealthMonitor final : public Sink {
   void finalize();
 
   /// Latest slowness score of `server` (mean / fleet median); 0 before the
-  /// server's first scored window.  The straggler scheduler's input.
+  /// server's first scored window.
   double server_score(std::uint32_t server) const;
   bool is_flagged(std::uint32_t server) const;
 
   /// Per-tenant whole-request SLO attainment in [0, 1]; 1.0 when the tenant
-  /// completed no SLO-checked requests.  Requires an SLO and set_tenant_of.
+  /// completed no SLO-checked requests.  Requires an SLO and the recorder's
+  /// tenant mapping.
   double tenant_slo_attainment(std::uint32_t tenant) const;
 
   const TimeSeries& timeseries() const { return ts_; }
-  const Options& options() const { return options_; }
-
-  /// health.* metric families; merge into the run recorder's registry after
-  /// the run, e.g. recorder.metrics().merge(monitor.metrics()).
-  const MetricsRegistry& metrics() const { return metrics_; }
 
   /// Deterministic per-server health summary JSON: final score, flagged
   /// state, flag/recover counts and SLO attainment (per server + per op).
   void write_json(std::ostream& out, int indent = 0) const;
 
  private:
-  struct Track {
-    std::uint32_t down = kNoId;    ///< downstream track id
-    std::uint32_t server = kNoId;  ///< global server index (disk tracks)
-    bool is_server_disk = false;
-  };
   struct ServerState {
     bool present = false;  ///< registered or reported on
     double score = 0.0;
-    bool scored = false;
     bool flagged = false;
     std::uint32_t flag_streak = 0;
     std::uint32_t recover_streak = 0;
@@ -132,43 +132,18 @@ class HealthMonitor final : public Sink {
     std::uint64_t recover_count = 0;
     std::uint64_t slo_total = 0;  ///< storage subs checked against the SLO
     std::uint64_t slo_met = 0;
-    InflightQueue inflight;  ///< storage jobs in flight (queue depth)
-  };
-  struct PendingReq {
-    std::uint32_t down = kNoId;
-    IoOp op = IoOp::kRead;
-    std::uint32_t file = kNoId;
-    Seconds issue = 0.0;
-    bool live = false;
-  };
-  struct PendingSub {
-    std::uint32_t down = kNoId;
-    std::uint32_t server = kNoId;
-    IoOp op = IoOp::kRead;
-    bool live = false;
   };
 
-  /// Advances the window watermark to `t`'s window, scoring every window
-  /// that closed.  Every sink call's earliest timestamp is nondecreasing in
-  /// dispatch/replay order (events are emitted at sim.now()), so a closed
-  /// window can never receive data afterwards.
-  void advance(Seconds t);
+  void advance_to(std::int64_t w);
   void score_window(std::int64_t w);
-  void free_sub(std::uint32_t sub);
   /// State of `server`, created (and marked present) on first use.
   ServerState& server_state(std::uint32_t server);
 
-  Options options_;
-  Sink* downstream_;
+  TelemetryOptions options_;
+  Recorder& owner_;
   TimeSeries ts_;
 
-  std::vector<Track> tracks_;
   std::vector<ServerState> servers_;  ///< by server id; see `present`
-
-  std::vector<PendingReq> reqs_;
-  std::vector<std::uint32_t> req_free_;
-  std::vector<PendingSub> subs_;
-  std::vector<std::uint32_t> sub_free_;
 
   bool started_ = false;
   bool finalized_ = false;
@@ -184,9 +159,8 @@ class HealthMonitor final : public Sink {
     std::uint64_t met = 0;
   };
   std::map<std::uint32_t, TenantSlo> tenant_slo_;
-  std::vector<std::uint32_t> tenant_of_;  // by FileId; empty = no tenants
 
-  MetricsRegistry metrics_;
+  MetricsRegistry& metrics_;  ///< the owner's registry
   MetricsRegistry::FamilyId m_windows_scored_;
   MetricsRegistry::FamilyId m_flagged_;
   MetricsRegistry::FamilyId m_recovered_;

@@ -89,7 +89,8 @@ Recorder::TrackState::TrackState(std::string name_, TrackKind kind_,
 
 Recorder::Recorder() : Recorder(Options{}) {}
 
-Recorder::Recorder(Options options) : options_(options) {
+Recorder::Recorder(Options options, TelemetryOptions telemetry)
+    : options_(options) {
   using Kind = MetricsRegistry::Kind;
   m_bytes_ = metrics_.family("pfs.server.bytes", Kind::kCounter);
   m_accesses_ = metrics_.family("pfs.server.accesses", Kind::kCounter);
@@ -109,6 +110,9 @@ Recorder::Recorder(Options options) : options_(options) {
   if (options_.max_trace_events > 0) {
     events_.reserve(options_.max_trace_events);
   }
+  if (telemetry.enabled()) {
+    health_ = std::make_unique<HealthMonitor>(telemetry, *this);
+  }
 }
 
 std::uint32_t Recorder::track(std::string_view name, TrackKind kind,
@@ -125,6 +129,8 @@ std::uint32_t Recorder::register_server(std::uint32_t server,
   const std::uint32_t id = track(name, TrackKind::kServerDisk, server);
   tracks_[id].tier = tier;
   tracks_[id].is_ssd = is_ssd;
+  tracks_[id].is_server = true;
+  if (health_) health_->add_server(server);
   if (server >= servers_.size()) servers_.resize(server + 1);
   ServerMeta& meta = servers_[server];
   meta = ServerMeta{};
@@ -161,16 +167,20 @@ void Recorder::push_event(const TraceEvent& event) {
 
 void Recorder::resource_event(std::uint32_t track, Seconds arrival,
                               Seconds start, Seconds finish) {
+  if (health_) health_->advance(arrival);
   if (track >= tracks_.size()) return;
   TrackState& t = tracks_[track];
+  const auto depth =
+      static_cast<std::uint64_t>(t.inflight.arrive(arrival, finish));
+  if (health_ && t.is_server) {
+    health_->disk_job(t.entity, arrival, start, finish, depth);
+  }
   note_time(finish);
   const Seconds wait = start - arrival;
   const Seconds service = finish - start;
   t.wait.add(wait);
   t.service.add(service);
   t.busy_timeline.add_span(start, finish);
-  const auto depth =
-      static_cast<std::uint64_t>(t.inflight.arrive(arrival, finish));
   t.depth_max = std::max(t.depth_max, depth);
   t.depth_timeline.sample_max(arrival, static_cast<double>(depth));
   if (t.is_mds) {
@@ -193,6 +203,7 @@ void Recorder::resource_event(std::uint32_t track, Seconds arrival,
 void Recorder::server_access(std::uint32_t server, IoOp op,
                              std::uint32_t region, Bytes bytes, Bytes pieces,
                              Seconds now) {
+  if (health_) health_->advance(now);
   note_time(now);
   if (server >= servers_.size()) servers_.resize(server + 1);
   ServerMeta& meta = servers_[server];
@@ -219,6 +230,7 @@ void Recorder::server_access(std::uint32_t server, IoOp op,
 std::uint32_t Recorder::begin_request(std::uint32_t client, IoOp op,
                                       Bytes offset, Bytes size, Seconds now,
                                       std::uint32_t file) {
+  if (health_) health_->advance(now);
   note_time(now);
   std::uint32_t id;
   if (!req_free_.empty()) {
@@ -237,14 +249,16 @@ std::uint32_t Recorder::begin_request(std::uint32_t client, IoOp op,
   r.file = file;
   r.issue = now;
   r.subs.clear();  // keeps the buffer end_request handed back
+  r.live = true;
   return id;
 }
 
 std::uint32_t Recorder::begin_sub(std::uint32_t request, std::uint32_t server,
                                   std::uint32_t region, Bytes bytes,
                                   Seconds now) {
+  if (health_) health_->advance(now);
   note_time(now);
-  if (request >= req_slots_.size()) return kNoId;
+  if (request >= req_slots_.size() || !req_slots_[request].live) return kNoId;
   ActiveRequest& r = req_slots_[request];
   if (r.region == kNoId) r.region = region;
   std::uint32_t id;
@@ -262,13 +276,17 @@ std::uint32_t Recorder::begin_sub(std::uint32_t request, std::uint32_t server,
   s.region = region;
   s.bytes = bytes;
   s.issue = now;
+  s.live = true;
   return id;
 }
 
 void Recorder::sub_storage(std::uint32_t sub, Seconds arrival, Seconds start,
                            Seconds startup, Seconds service) {
-  if (sub >= sub_slots_.size()) return;
+  if (health_) health_->advance(arrival);
+  if (sub >= sub_slots_.size() || !sub_slots_[sub].live) return;
   ActiveSub& s = sub_slots_[sub];
+  // Server-resident time: queue wait plus the full storage service.
+  if (health_) health_->sub_resident(s.server, (start - arrival) + service);
   s.arrival = arrival;
   s.start = start;
   s.startup = startup;
@@ -283,7 +301,8 @@ void Recorder::sub_storage(std::uint32_t sub, Seconds arrival, Seconds start,
 }
 
 void Recorder::sub_net_done(std::uint32_t sub, Seconds now) {
-  if (sub >= sub_slots_.size()) return;
+  if (health_) health_->advance(now);
+  if (sub >= sub_slots_.size() || !sub_slots_[sub].live) return;
   const ActiveSub& s = sub_slots_[sub];
   // T_X for a read: time from storage completion to the last byte landing
   // at the client NIC.
@@ -331,13 +350,21 @@ void Recorder::finalize_sub(std::uint32_t sub, Seconds t_x, Seconds done) {
       metrics_.observe(m_server_time_, server_labels, resident);
     }
   }
+  s.live = false;
   sub_free_.push_back(sub);
 }
 
 void Recorder::end_request(std::uint32_t request, Seconds now) {
-  if (request >= req_slots_.size()) return;
-  note_time(now);
+  if (health_) health_->advance(now);
+  if (request >= req_slots_.size() || !req_slots_[request].live) return;
   ActiveRequest& r = req_slots_[request];
+  if (health_) {
+    // kNoId (the single-file path) is never below tenant_of_.size().
+    health_->request_done(
+        r.op, r.file < tenant_of_.size() ? tenant_of_[r.file] : kNoId,
+        now - r.issue);
+  }
+  note_time(now);
   ++requests_completed_;
 
   metrics_.observe(resolve(latency_series_[op_index(r.op)], m_latency_,
@@ -390,6 +417,7 @@ void Recorder::end_request(std::uint32_t request, Seconds now) {
     sample->subs.clear();
     sample->subs.swap(r.subs);
   }
+  r.live = false;
   req_free_.push_back(request);
 }
 
@@ -403,6 +431,7 @@ LabelSet Recorder::file_labels(std::uint32_t file) const {
 
 void Recorder::adaptive_event(AdaptiveEvent event, std::uint32_t epoch,
                               Bytes bytes, Seconds now) {
+  if (health_) health_->advance(now);
   note_time(now);
   if (!options_.trace) return;
   if (adaptive_track_ == kNoId) {
@@ -415,8 +444,14 @@ void Recorder::adaptive_event(AdaptiveEvent event, std::uint32_t epoch,
                         static_cast<std::uint8_t>(event), epoch, bytes});
 }
 
-void Recorder::health_event(HealthEvent event, std::uint32_t server,
-                            double score, Seconds now) {
+void Recorder::cache_event(Bytes hit_bytes, Bytes miss_bytes, Seconds now) {
+  if (!health_) return;
+  health_->advance(now);
+  health_->cache(hit_bytes, miss_bytes, now);
+}
+
+void Recorder::health_instant(HealthEvent event, std::uint32_t server,
+                              double score, Seconds now) {
   note_time(now);
   if (!options_.trace) return;
   if (health_track_ == kNoId) {

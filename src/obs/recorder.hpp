@@ -16,6 +16,13 @@
 //     caller-supplied cost-model predictor (model-error histogram per
 //     region, the distribution behind bench_micro_model_accuracy's number).
 //
+// A recorder built with enabled TelemetryOptions also owns the run's
+// HealthMonitor (DESIGN.md §15) and feeds it from the same hooks: each hook
+// first advances the monitor's window watermark, then hands it the
+// telemetry it needs, then does the recorder's own work.  The monitor's
+// health.* metrics land in this recorder's registry and its flag/recover
+// instants on a lazily created "health" trace track.
+//
 // Per-track utilization and queue-depth timelines use self-scaling buckets:
 // a fixed bucket count whose width doubles (adjacent buckets coalescing) as
 // simulated time grows, so memory stays bounded without choosing a horizon
@@ -25,10 +32,12 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "src/obs/health.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/sink.hpp"
 
@@ -76,7 +85,11 @@ class Recorder final : public Sink {
   };
 
   Recorder();
-  explicit Recorder(Options options);
+  /// `telemetry.enabled()` arms the owned HealthMonitor.
+  explicit Recorder(Options options, TelemetryOptions telemetry = {});
+  // The owned HealthMonitor keeps a reference to this recorder.
+  Recorder(const Recorder&) = delete;
+  Recorder& operator=(const Recorder&) = delete;
 
   // --- Sink ---------------------------------------------------------------
   std::uint32_t track(std::string_view name, TrackKind kind,
@@ -100,8 +113,11 @@ class Recorder final : public Sink {
   void end_request(std::uint32_t request, Seconds now) override;
   void adaptive_event(AdaptiveEvent event, std::uint32_t epoch, Bytes bytes,
                       Seconds now) override;
-  void health_event(HealthEvent event, std::uint32_t server, double score,
-                    Seconds now) override;
+  void cache_event(Bytes hit_bytes, Bytes miss_bytes, Seconds now) override;
+
+  /// The telemetry plane's monitor; nullptr unless telemetry is enabled.
+  HealthMonitor* health() { return health_.get(); }
+  const HealthMonitor* health() const { return health_.get(); }
 
   // --- attribution --------------------------------------------------------
 
@@ -112,8 +128,8 @@ class Recorder final : public Sink {
   void set_predictor(Predictor predictor) { predictor_ = std::move(predictor); }
 
   /// Namespace tenant mapping: tenant_of[file] labels per-file series with
-  /// their tenant.  Files beyond the vector (and the legacy kNoId path) get
-  /// no tenant label.
+  /// their tenant and attributes whole-request SLO attainment to it.  Files
+  /// beyond the vector (and the legacy kNoId path) get no tenant.
   void set_tenant_of(std::vector<std::uint32_t> tenant_of) {
     tenant_of_ = std::move(tenant_of);
   }
@@ -220,6 +236,8 @@ class Recorder final : public Sink {
     /// "pfs.mds.time" resident-time sketch (satellite: open-storm
     /// contention must be visible next to the pfs.server.time sketches).
     bool is_mds = false;
+    /// Storage track of data server `entity` (register_server).
+    bool is_server = false;
     std::uint64_t depth_max = 0;
     /// Per-job queue wait and service time.  Every sample is >= 0, so
     /// count() is the job count and sum() the exact queue delay / busy
@@ -244,6 +262,7 @@ class Recorder final : public Sink {
     Seconds start = -1.0;
     Seconds startup = 0.0;
     Seconds service = 0.0;
+    bool live = false;  ///< begun and not yet finalized
   };
 
   struct ActiveRequest {
@@ -255,6 +274,7 @@ class Recorder final : public Sink {
     std::uint32_t file = kNoId;
     Seconds issue = 0.0;
     std::vector<SubSample> subs;
+    bool live = false;  ///< begun and not yet ended
   };
 
   using Series = MetricsRegistry::Series;
@@ -276,6 +296,11 @@ class Recorder final : public Sink {
   struct TierOpSeries {
     Series wait, t_s, t_t, t_x;
   };
+
+  friend class HealthMonitor;
+  /// A straggler flag/recover instant of the owned HealthMonitor.
+  void health_instant(HealthEvent event, std::uint32_t server, double score,
+                      Seconds now);
 
   void push_event(const TraceEvent& event);
   void note_time(Seconds t) { last_time_ = std::max(last_time_, t); }
@@ -338,6 +363,8 @@ class Recorder final : public Sink {
   Series mds_time_series_;
 
   std::vector<std::uint32_t> tenant_of_;  // by FileId; empty = no tenants
+
+  std::unique_ptr<HealthMonitor> health_;  // telemetry plane, when enabled
 };
 
 }  // namespace harl::obs

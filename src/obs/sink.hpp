@@ -7,8 +7,11 @@
 // the event engine itself is untouched, and nothing is allocated — the CI
 // overhead guard (tools/bench_sim_report.py, obs_guard_* fields of
 // bench/bench_sim_baseline.json) pins that property.  `obs::Recorder` is the
-// standard implementation: a metrics registry plus a simulated-time flight
-// recorder; tests may substitute their own sinks.
+// standard implementation and the only telemetry sink: a metrics registry
+// plus a simulated-time flight recorder, and — when armed — the owner of
+// the straggler/SLO HealthMonitor it feeds from these same calls.  The
+// observer chain is sim -> [AdaptiveLayoutManager] -> Recorder; tests may
+// substitute their own sinks.
 //
 // All timestamps are *simulated* seconds (sim::Time == Seconds): the trace
 // shows where simulated time goes, which is the quantity the paper's Fig. 1a
@@ -132,30 +135,13 @@ class Sink {
 
   /// Cache read outcome for one client call: `hit_bytes` were served from the
   /// read cache, `miss_bytes` went to the backing layout.  Emitted by the
-  /// CacheManager; feeds the TimeSeries hit-rate timeline.  Defaulted to a
-  /// no-op so existing sinks are unaffected.  Forwarding sinks (e.g.
-  /// AdaptiveLayoutManager) must override and forward, or the event is
-  /// swallowed.
+  /// CacheManager; feeds the TimeSeries hit-rate timeline of an armed
+  /// Recorder.  Defaulted to a no-op so existing sinks are unaffected.
+  /// Forwarding sinks (e.g. AdaptiveLayoutManager) must override and
+  /// forward, or the event is swallowed.
   virtual void cache_event(Bytes hit_bytes, Bytes miss_bytes, Seconds now) {
     (void)hit_bytes;
     (void)miss_bytes;
-    (void)now;
-  }
-
-  /// Health-monitor lifecycle instants, emitted by obs::HealthMonitor when a
-  /// server's rolling slowness score crosses the flag/recover hysteresis.
-  enum class HealthEvent : std::uint8_t {
-    kStragglerFlagged,    ///< score stayed above the flag threshold
-    kStragglerRecovered,  ///< score dropped back below the recover threshold
-  };
-
-  /// One health instant for `server` with the triggering slowness `score`.
-  /// Defaulted to a no-op so existing sinks are unaffected.
-  virtual void health_event(HealthEvent event, std::uint32_t server,
-                            double score, Seconds now) {
-    (void)event;
-    (void)server;
-    (void)score;
     (void)now;
   }
 };

@@ -10,10 +10,12 @@
 // `capacity` windows are produced the oldest are dropped and counted, never
 // silently lost.
 //
-// Determinism: the owner (obs::HealthMonitor) feeds spans in the engine's
-// deterministic dispatch order, and every accumulation here is
-// order-independent within a window (sums, max, sketch adds into log
-// buckets).  The JSON dump is therefore byte-identical across runs.
+// Determinism: the owner (obs::HealthMonitor, fed by the Recorder that owns
+// it) records spans in the engine's deterministic dispatch order, with the
+// queue depth the recorder's disk-track InflightQueue computed, and every
+// accumulation here is order-independent within a window (sums, max, sketch
+// adds into log buckets).  The JSON dump is therefore byte-identical across
+// runs.
 #pragma once
 
 #include <cmath>

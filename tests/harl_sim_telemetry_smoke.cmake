@@ -4,6 +4,9 @@
 # to the same run with threads=0 (serial), and (c) pass
 # `obs_report.py --timeseries --check --require-health` — i.e. at least one
 # server is flagged and the SLO regression localizes to the injected server.
+# A third run adds `metrics-out=` and `trace-out=` to the same recipe: its
+# time series must be byte-identical to the health-only run, its metrics
+# must carry the health.* families and its trace the straggler instants.
 # The Python validation and the HTML dashboard are skipped (with a notice)
 # when no python3 is on PATH.
 if(NOT DEFINED HARL_SIM OR NOT DEFINED WORK_DIR OR NOT DEFINED OBS_REPORT)
@@ -13,8 +16,12 @@ endif()
 
 set(ts_pool ${WORK_DIR}/telemetry_smoke_pool.json)
 set(ts_serial ${WORK_DIR}/telemetry_smoke_serial.json)
+set(ts_all ${WORK_DIR}/telemetry_smoke_all.json)
+set(metrics_all ${WORK_DIR}/telemetry_smoke_metrics.json)
+set(trace_all ${WORK_DIR}/telemetry_smoke_trace.json)
 set(dashboard ${WORK_DIR}/telemetry_smoke_dashboard.html)
-file(REMOVE ${ts_pool} ${ts_serial} ${dashboard})
+file(REMOVE ${ts_pool} ${ts_serial} ${ts_all} ${metrics_all} ${trace_all}
+     ${dashboard})
 
 # Deterministic straggler: server 0 spends 60ms of every 100ms in GC at 8x
 # service time, the 5ms SLO separates its submissions from the fleet's.
@@ -60,6 +67,37 @@ file(SHA256 ${ts_serial} serial_hash)
 if(NOT pool_hash STREQUAL serial_hash)
   message(FATAL_ERROR "timeseries output differs between threads=4 and "
                       "the serial run:\n  ${ts_pool}\n  ${ts_serial}")
+endif()
+
+# Same run with every export: the health monitor lives inside the recorder,
+# so adding metrics-out= and trace-out= must leave the time series as it
+# was, and both exports must show what the monitor found.
+execute_process(
+  COMMAND ${HARL_SIM} ${run_args} threads=4 timeseries-out=${ts_all}
+          metrics-out=${metrics_all} trace-out=${trace_all}
+  OUTPUT_VARIABLE all_out
+  ERROR_VARIABLE all_err
+  RESULT_VARIABLE all_rc)
+if(NOT all_rc EQUAL 0)
+  message(FATAL_ERROR "all-exports telemetry run failed (${all_rc}): "
+                      "${all_err}")
+endif()
+file(SHA256 ${ts_all} all_hash)
+if(NOT all_hash STREQUAL pool_hash)
+  message(FATAL_ERROR "timeseries output changes when metrics-out= and "
+                      "trace-out= are added:\n  ${ts_pool}\n  ${ts_all}")
+endif()
+file(READ ${metrics_all} metrics_json)
+foreach(family "health.straggler_flagged" "health.slo.")
+  string(FIND "${metrics_json}" "\"${family}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${metrics_all} lacks the ${family} metrics")
+  endif()
+endforeach()
+file(READ ${trace_all} trace_json)
+string(FIND "${trace_json}" "\"name\": \"straggler_flagged\"" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR "${trace_all} lacks a straggler_flagged instant")
 endif()
 
 find_program(PYTHON3 NAMES python3 python)

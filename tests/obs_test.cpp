@@ -331,119 +331,126 @@ TEST(TimeSeries, BoundedRingDropsOldestWindowsLoudly) {
 
 // ---------------------------------------------------------- health monitor ----
 
+/// A recorder with its telemetry plane armed at window width `interval`.
+obs::TelemetryOptions telemetry(Seconds interval, Seconds slo = 0.0) {
+  obs::TelemetryOptions t;
+  t.interval = interval;
+  t.slo = slo;
+  return t;
+}
+
 /// Drives one synthetic job per (window, server) directly through the Sink
 /// surface: server `slow`'s latency is `slow_lat`, everyone else's 0.1 s.
-void feed_window(obs::HealthMonitor& hm,
-                 const std::vector<std::uint32_t>& tracks, std::int64_t w,
-                 int slow, double slow_lat) {
+void feed_window(obs::Recorder& rec, const std::vector<std::uint32_t>& tracks,
+                 std::int64_t w, int slow, double slow_lat) {
   for (std::size_t s = 0; s < tracks.size(); ++s) {
     const double arrival = static_cast<double>(w) + 0.05;
     const double lat = static_cast<int>(s) == slow ? slow_lat : 0.1;
-    hm.resource_event(tracks[s], arrival, arrival, arrival + lat);
+    rec.resource_event(tracks[s], arrival, arrival, arrival + lat);
   }
 }
 
 TEST(HealthMonitor, FlagAndRecoverHysteresis) {
-  obs::HealthMonitor::Options opt;
-  opt.interval = 1.0;
-  opt.flag_threshold = 2.0;
-  opt.recover_threshold = 1.25;
-  opt.flag_windows = 2;
-  opt.recover_windows = 2;
-  obs::HealthMonitor hm(opt, nullptr);
+  // The named constants this test pins: flag at score >= 2 for two
+  // windows, recover at score <= 1.25 for two windows.
+  static_assert(obs::HealthMonitor::kFlagThreshold == 2.0);
+  static_assert(obs::HealthMonitor::kRecoverThreshold == 1.25);
+  static_assert(obs::HealthMonitor::kFlagWindows == 2);
+  static_assert(obs::HealthMonitor::kRecoverWindows == 2);
+  obs::Recorder rec(obs::Recorder::Options{}, telemetry(1.0));
+  obs::HealthMonitor& hm = *rec.health();
   std::vector<std::uint32_t> tracks;
   for (std::uint32_t s = 0; s < 3; ++s) {
-    tracks.push_back(hm.register_server(s, 0, "srv", false));
+    tracks.push_back(rec.register_server(s, 0, "srv", false));
   }
 
   // Windows 0-1 healthy; 2-3 server 0 slow (score 10 >= threshold).  One
   // slow window must NOT flag (hysteresis); the second must.
-  feed_window(hm, tracks, 0, -1, 0.0);
-  feed_window(hm, tracks, 1, -1, 0.0);
-  feed_window(hm, tracks, 2, 0, 1.0);
-  feed_window(hm, tracks, 3, 0, 1.0);
-  feed_window(hm, tracks, 4, 0, 0.1);  // watermark: scores windows 0-3
+  feed_window(rec, tracks, 0, -1, 0.0);
+  feed_window(rec, tracks, 1, -1, 0.0);
+  feed_window(rec, tracks, 2, 0, 1.0);
+  feed_window(rec, tracks, 3, 0, 1.0);
+  feed_window(rec, tracks, 4, 0, 0.1);  // watermark: scores windows 0-3
   EXPECT_TRUE(hm.is_flagged(0));
   EXPECT_FALSE(hm.is_flagged(1));
   EXPECT_NEAR(hm.server_score(0), 10.0, 1e-9);
 
   // Two healthy windows recover it — but only after BOTH have scored.
-  feed_window(hm, tracks, 5, -1, 0.0);  // scores window 4: one healthy
+  feed_window(rec, tracks, 5, -1, 0.0);  // scores window 4: one healthy
   EXPECT_TRUE(hm.is_flagged(0));
-  feed_window(hm, tracks, 6, -1, 0.0);  // scores window 5: second healthy
+  feed_window(rec, tracks, 6, -1, 0.0);  // scores window 5: second healthy
   EXPECT_FALSE(hm.is_flagged(0));
   hm.finalize();  // scores the trailing window 6 (idempotent afterwards)
-  EXPECT_DOUBLE_EQ(hm.metrics().value("health.straggler_flagged",
-                                      obs::LabelSet{}.server(0)),
+  EXPECT_DOUBLE_EQ(rec.metrics().value("health.straggler_flagged",
+                                       obs::LabelSet{}.server(0)),
                    1.0);
-  EXPECT_DOUBLE_EQ(hm.metrics().value("health.recovered",
-                                      obs::LabelSet{}.server(0)),
+  EXPECT_DOUBLE_EQ(rec.metrics().value("health.recovered",
+                                       obs::LabelSet{}.server(0)),
                    1.0);
 
   std::ostringstream os;
   hm.write_json(os, 0);
   EXPECT_NE(os.str().find("\"flag_count\": 1"), std::string::npos);
+
+  // Both instants reach the recorder's own trace, on its "health" track.
+  std::ostringstream trace;
+  rec.write_trace_json(trace);
+  EXPECT_NE(trace.str().find("\"straggler_flagged\""), std::string::npos);
+  EXPECT_NE(trace.str().find("\"straggler_recovered\""), std::string::npos);
 }
 
 TEST(HealthMonitor, DeadBandResetsBothStreaks) {
-  // Scores inside (recover_threshold, flag_threshold) are the hysteresis
+  // Scores inside (kRecoverThreshold, kFlagThreshold) are the hysteresis
   // dead band: a straggler that hovers at ~1.5x never accumulates enough
   // consecutive slow windows to flag.
-  obs::HealthMonitor::Options opt;
-  opt.interval = 1.0;
-  opt.flag_threshold = 2.0;
-  opt.recover_threshold = 1.25;
-  opt.flag_windows = 2;
-  obs::HealthMonitor hm(opt, nullptr);
+  obs::Recorder rec(obs::Recorder::Options{}, telemetry(1.0));
   std::vector<std::uint32_t> tracks;
   for (std::uint32_t s = 0; s < 3; ++s) {
-    tracks.push_back(hm.register_server(s, 0, "srv", false));
+    tracks.push_back(rec.register_server(s, 0, "srv", false));
   }
   // Alternate slow (score 10) and dead-band (score 1.5) windows: the flag
   // streak resets every other window, so server 0 is never flagged.
   for (std::int64_t w = 0; w < 8; ++w) {
-    feed_window(hm, tracks, w, 0, w % 2 == 0 ? 1.0 : 0.15);
+    feed_window(rec, tracks, w, 0, w % 2 == 0 ? 1.0 : 0.15);
   }
-  hm.finalize();
-  EXPECT_FALSE(hm.is_flagged(0));
-  EXPECT_DOUBLE_EQ(hm.metrics().value("health.straggler_flagged",
-                                      obs::LabelSet{}.server(0)),
+  rec.health()->finalize();
+  EXPECT_FALSE(rec.health()->is_flagged(0));
+  EXPECT_DOUBLE_EQ(rec.metrics().value("health.straggler_flagged",
+                                       obs::LabelSet{}.server(0)),
                    0.0);
 }
 
 TEST(HealthMonitor, SloAttainmentTracksRequestsAndSubs) {
-  obs::HealthMonitor::Options opt;
-  opt.interval = 1.0;
-  opt.slo = 0.5;
-  obs::HealthMonitor hm(opt, nullptr);
-  const std::uint32_t track = hm.register_server(2, 0, "srv", true);
-  (void)track;
+  obs::Recorder rec(obs::Recorder::Options{}, telemetry(1.0, 0.5));
+  rec.register_server(2, 0, "srv", true);
 
   // Request 1 (read): sub resident 0.3 s <= SLO, request latency 0.4 s.
-  const std::uint32_t r1 = hm.begin_request(0, IoOp::kRead, 0, KiB, 0.0);
-  const std::uint32_t s1 = hm.begin_sub(r1, 2, 0, KiB, 0.0);
-  hm.sub_storage(s1, 0.0, 0.1, 0.05, 0.2);  // (0.1-0.0) + 0.2 = 0.3
-  hm.sub_net_done(s1, 0.35);
-  hm.end_request(r1, 0.4);
+  const std::uint32_t r1 = rec.begin_request(0, IoOp::kRead, 0, KiB, 0.0);
+  const std::uint32_t s1 = rec.begin_sub(r1, 2, 0, KiB, 0.0);
+  rec.sub_storage(s1, 0.0, 0.1, 0.05, 0.2);  // (0.1-0.0) + 0.2 = 0.3
+  rec.sub_net_done(s1, 0.35);
+  rec.end_request(r1, 0.4);
   // Request 2 (read): sub resident 0.8 s > SLO, request latency 0.9 s.
-  const std::uint32_t r2 = hm.begin_request(0, IoOp::kRead, 0, KiB, 1.0);
-  const std::uint32_t s2 = hm.begin_sub(r2, 2, 0, KiB, 1.0);
-  hm.sub_storage(s2, 1.0, 1.6, 0.05, 0.2);  // (1.6-1.0) + 0.2 = 0.8
-  hm.sub_net_done(s2, 1.85);
-  hm.end_request(r2, 1.9);
-  hm.finalize();
+  const std::uint32_t r2 = rec.begin_request(0, IoOp::kRead, 0, KiB, 1.0);
+  const std::uint32_t s2 = rec.begin_sub(r2, 2, 0, KiB, 1.0);
+  rec.sub_storage(s2, 1.0, 1.6, 0.05, 0.2);  // (1.6-1.0) + 0.2 = 0.8
+  rec.sub_net_done(s2, 1.85);
+  rec.end_request(r2, 1.9);
+  rec.health()->finalize();
 
   const obs::LabelSet by_server = obs::LabelSet{}.server(2);
   const obs::LabelSet by_op = obs::LabelSet{}.op(IoOp::kRead);
-  EXPECT_DOUBLE_EQ(hm.metrics().value("health.slo.subs_total", by_server),
+  EXPECT_DOUBLE_EQ(rec.metrics().value("health.slo.subs_total", by_server),
                    2.0);
-  EXPECT_DOUBLE_EQ(hm.metrics().value("health.slo.subs_met", by_server), 1.0);
-  EXPECT_DOUBLE_EQ(hm.metrics().value("health.slo.requests_total", by_op),
+  EXPECT_DOUBLE_EQ(rec.metrics().value("health.slo.subs_met", by_server),
+                   1.0);
+  EXPECT_DOUBLE_EQ(rec.metrics().value("health.slo.requests_total", by_op),
                    2.0);
-  EXPECT_DOUBLE_EQ(hm.metrics().value("health.slo.requests_met", by_op), 1.0);
+  EXPECT_DOUBLE_EQ(rec.metrics().value("health.slo.requests_met", by_op),
+                   1.0);
 
   std::ostringstream os;
-  hm.write_json(os, 0);
+  rec.health()->write_json(os, 0);
   const std::string json = os.str();
   EXPECT_NE(json.find("\"read_total\": 2, \"read_met\": 1"),
             std::string::npos);
@@ -451,29 +458,100 @@ TEST(HealthMonitor, SloAttainmentTracksRequestsAndSubs) {
             std::string::npos);
 }
 
-TEST(HealthMonitor, ForwardsEverySinkCallDownstream) {
-  // As a transparent forwarder in front of a Recorder, the monitor must not
-  // swallow anything: the recorder sees the same spans/requests it would
-  // have seen directly, plus the health instants the monitor originates.
-  sim::Simulator sim;
-  obs::Recorder rec;
-  obs::HealthMonitor::Options opt;
-  opt.interval = 1e-3;
-  opt.flag_windows = 1;
-  opt.min_window_jobs = 1;
-  obs::HealthMonitor hm(opt, &rec);
-  sim.set_observer(&hm);
-  sim::FifoResource res(sim, "disk");
-  res.set_obs_track(hm.register_server(0, 0, "disk", false));
-  res.submit(1e-3, [] {});
-  res.submit(2e-3, [] {});
-  sim.run();
+/// One fixed sink-call sequence over 3 servers: every request (alternating
+/// write/read) puts one sub on each server, server 0 turns 10x slow from
+/// window 2 on (so the monitor flags it mid-run and it stays flagged), and
+/// cache and adaptive instants ride along.
+void drive_sequence(obs::Recorder& rec) {
+  std::vector<std::uint32_t> disks;
+  for (std::uint32_t s = 0; s < 3; ++s) {
+    disks.push_back(rec.register_server(s, s == 2 ? 1 : 0, "srv", s == 2));
+  }
+  rec.register_client(0);
+  rec.set_tenant_of({0, 1});
+  Seconds t = 0.0;
+  for (int i = 0; i < 40; ++i) {
+    const IoOp op = i % 2 == 0 ? IoOp::kWrite : IoOp::kRead;
+    const std::uint32_t file = static_cast<std::uint32_t>(i % 2);
+    const std::uint32_t req =
+        rec.begin_request(0, op, static_cast<Bytes>(i) * KiB, 3 * KiB, t, file);
+    Seconds done = t;
+    for (std::uint32_t s = 0; s < 3; ++s) {
+      const std::uint32_t sub = rec.begin_sub(req, s, 0, KiB, t);
+      const Seconds arrival = t + 0.01;
+      const Seconds service = s == 0 && t >= 2.0 ? 0.2 : 0.02;
+      rec.resource_event(disks[s], arrival, arrival, arrival + service);
+      rec.server_access(s, op, static_cast<std::uint32_t>(i / 10), KiB, 1,
+                        arrival);
+      rec.sub_storage(sub, arrival, arrival, 0.005, service);
+      done = std::max(done, arrival + service);
+      if (op == IoOp::kRead) {
+        rec.sub_net_done(sub, arrival + service + 0.01);
+        done = std::max(done, arrival + service + 0.01);
+      }
+    }
+    rec.end_request(req, done);
+    if (i % 8 == 0) rec.cache_event(4 * KiB, KiB, done);
+    if (i == 20) {
+      rec.adaptive_event(obs::Sink::AdaptiveEvent::kEpochInstalled, 1, KiB,
+                         done);
+    }
+    t += 0.25;
+  }
+}
 
-  const auto summaries = rec.resource_summaries();
-  ASSERT_EQ(summaries.size(), 1u);
-  EXPECT_EQ(summaries[0].jobs, 2u);
-  // Both jobs were submitted at t=0, so both land in telemetry window 0.
-  EXPECT_EQ(hm.timeseries().window_jobs(0, 0), 2u);
+/// `json` without the lines of the health.* metric series.
+std::string without_health_series(const std::string& json) {
+  std::istringstream in(json);
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"name\": \"health.") != std::string::npos) continue;
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+TEST(Recorder, TelemetryLeavesRecorderOutputsUnchanged) {
+  // The same call sequence with and without the telemetry plane: arming it
+  // adds the health.* families and nothing else to the recorder's outputs.
+  obs::Recorder::Options options;
+  options.trace = false;
+  obs::Recorder off(options);
+  obs::Recorder on(options, telemetry(1.0, 0.1));
+  ASSERT_EQ(off.health(), nullptr);
+  ASSERT_NE(on.health(), nullptr);
+  drive_sequence(off);
+  drive_sequence(on);
+  EXPECT_TRUE(on.health()->is_flagged(0));
+  on.health()->finalize();
+
+  const auto a = off.resource_summaries();
+  const auto b = on.resource_summaries();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].name, b[i].name);
+    EXPECT_EQ(a[i].kind, b[i].kind);
+    EXPECT_EQ(a[i].entity, b[i].entity);
+    EXPECT_EQ(a[i].jobs, b[i].jobs);
+    EXPECT_EQ(a[i].busy, b[i].busy);
+    EXPECT_EQ(a[i].queue_delay, b[i].queue_delay);
+    EXPECT_EQ(a[i].depth_max, b[i].depth_max);
+    EXPECT_EQ(a[i].busy_timeline->values(), b[i].busy_timeline->values());
+    EXPECT_EQ(a[i].depth_timeline->values(), b[i].depth_timeline->values());
+  }
+  EXPECT_EQ(off.requests_completed(), on.requests_completed());
+
+  std::ostringstream off_json;
+  std::ostringstream on_json;
+  off.write_metrics_json(off_json);
+  on.write_metrics_json(on_json);
+  // Not vacuous: the armed run flagged server 0 and checked the SLO.
+  EXPECT_NE(on_json.str().find("health.straggler_flagged"), std::string::npos);
+  EXPECT_NE(on_json.str().find("health.slo.tenant_total"), std::string::npos);
+  EXPECT_EQ(off_json.str().find("health."), std::string::npos);
+  EXPECT_EQ(without_health_series(on_json.str()),
+            without_health_series(off_json.str()));
 }
 
 // -------------------------------------------------------------- timeline ----
@@ -811,6 +889,38 @@ TEST(Recorder, IdleRegisteredServersEmitNoServerSeries) {
   EXPECT_EQ(server_series, 5);
 }
 
+TEST(Recorder, StaleEndIsIgnored) {
+  // A request or sub-request id that already completed is dead: ending it
+  // again must neither complete a second request nor free its slot twice
+  // (two live requests would then share one slot).
+  obs::Recorder rec;
+  rec.register_server(0, 0, "srv", false);
+  const std::uint32_t r = rec.begin_request(0, IoOp::kRead, 0, KiB, 0.0);
+  rec.end_request(r, 0.1);
+  rec.end_request(r, 0.2);  // stale
+  EXPECT_EQ(rec.requests_completed(), 1u);
+  const std::uint32_t a = rec.begin_request(0, IoOp::kRead, 0, KiB, 0.3);
+  const std::uint32_t b = rec.begin_request(0, IoOp::kRead, 0, KiB, 0.3);
+  EXPECT_NE(a, b);
+
+  // A write sub completes at its storage stage; a late sub_net_done for it
+  // is stale too.
+  const std::uint32_t w = rec.begin_request(0, IoOp::kWrite, 0, KiB, 0.4);
+  const std::uint32_t sub = rec.begin_sub(w, 0, 0, KiB, 0.4);
+  rec.sub_storage(sub, 0.5, 0.5, 0.01, 0.05);
+  rec.sub_net_done(sub, 0.6);  // stale
+  const std::uint32_t s1 = rec.begin_sub(w, 0, 0, KiB, 0.6);
+  const std::uint32_t s2 = rec.begin_sub(w, 0, 0, KiB, 0.6);
+  EXPECT_NE(s1, s2);
+  rec.sub_storage(s1, 0.6, 0.6, 0.01, 0.05);
+  rec.sub_storage(s2, 0.6, 0.65, 0.01, 0.05);
+  rec.end_request(w, 0.7);
+  ASSERT_EQ(rec.requests().size(), 2u);
+  EXPECT_EQ(rec.requests().back().subs.size(), 3u);
+  // A sub of a request that already ended gets no id.
+  EXPECT_EQ(rec.begin_sub(w, 0, 0, KiB, 0.8), obs::kNoId);
+}
+
 /// Jobs with nondecreasing arrivals whose finishes come out of order
 /// (services of random length), as no FIFO resource would produce.
 struct DepthJob {
@@ -872,14 +982,13 @@ std::vector<std::int64_t> json_int_array(const std::string& json,
 
 TEST(HealthMonitor, InflightDepthIsExactForOutOfOrderFinishes) {
   const auto jobs = out_of_order_jobs();
-  obs::HealthMonitor::Options opt;
-  opt.interval = 1.0;
-  obs::HealthMonitor hm(opt, nullptr);
-  const std::uint32_t track = hm.register_server(0, 0, "srv", false);
+  obs::Recorder rec(obs::Recorder::Options{}, telemetry(1.0));
+  const obs::HealthMonitor& hm = *rec.health();
+  const std::uint32_t track = rec.register_server(0, 0, "srv", false);
   std::map<std::int64_t, std::uint64_t> want;  // window -> max depth
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    hm.resource_event(track, jobs[i].arrival, jobs[i].arrival,
-                      jobs[i].finish);
+    rec.resource_event(track, jobs[i].arrival, jobs[i].arrival,
+                       jobs[i].finish);
     auto& w = want[hm.timeseries().window_of(jobs[i].arrival)];
     w = std::max(w, brute_depth(jobs, i));
   }

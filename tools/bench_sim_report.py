@@ -14,7 +14,7 @@ fast), and the observability overhead pair — BM_FifoResourceChain vs
 BM_FifoResourceChainObs, i.e. the same job chain with the flight recorder
 detached vs attached — plus, report-only, the rate of
 BM_ObservedRequestPath (the per-request sink path of an observed run:
-health monitor in front of a recorder).
+one recorder with its health monitor armed).
 
 When a baseline file (bench/bench_sim_baseline.json) is given, the script
 exits non-zero if the dispatch rate fell more than `max_rate_regression`
@@ -122,7 +122,7 @@ def main():
     except KeyError:
         pass
     # Report-only (no gate): requests/s through the full observed per-request
-    # sink path, HealthMonitor -> Recorder.
+    # sink path: one Recorder with its telemetry plane armed.
     try:
         request_path = find_benchmark(results, "BM_ObservedRequestPath/10000")
         summary["observed_request_rate_per_s"] = (

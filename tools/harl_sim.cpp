@@ -355,7 +355,6 @@ harness::WorkloadBundle make_bundle(const Options& opts) {
 struct Run {
   std::string label;
   std::shared_ptr<obs::Recorder> obs;
-  std::shared_ptr<obs::HealthMonitor> health;
   sim::Simulator::Stats sim_stats;
   /// Writes the mode-specific metrics-out fields between label and report.
   /// It writes into the export stream itself, whose number formatting the
@@ -365,7 +364,7 @@ struct Run {
 
 /// Writes the exports whose paths are set: trace-out= as one Chrome trace,
 /// metrics-out= and timeseries-out= as {"schemes": [...]} lists over the
-/// runs that carry a recorder / health monitor.
+/// runs that carry a recorder / a recorder with its health monitor armed.
 void write_exports(const std::vector<Run>& runs, const std::string& trace_out,
                    const std::string& metrics_out,
                    const std::string& timeseries_out) {
@@ -419,12 +418,14 @@ void write_exports(const std::vector<Run>& runs, const std::string& trace_out,
   // --require-health validate both).
   write_schemes(
       timeseries_out, "timeseries",
-      [](const Run& r) { return r.health != nullptr; },
+      [](const Run& r) {
+        return r.obs != nullptr && r.obs->health() != nullptr;
+      },
       [](std::ostream& out, const Run& r) {
         out << ",\n     \"timeseries\": ";
-        r.health->timeseries().write_json(out, 5);
+        r.obs->health()->timeseries().write_json(out, 5);
         out << ",\n     \"health\": ";
-        r.health->write_json(out, 5);
+        r.obs->health()->write_json(out, 5);
       });
 }
 
@@ -650,7 +651,7 @@ std::vector<Run> run_population_mode(
                 << c.tier.invalidations << " invalidation(s)\n";
     }
     if (i + 1 < schemes.size()) std::cout << "\n";
-    runs.push_back({schemes[i].label(), r.obs, r.health, r.sim_stats,
+    runs.push_back({schemes[i].label(), r.obs, r.sim_stats,
                     [result = results[i], &cluster](std::ostream& out) {
                       write_population_header(out, *result, cluster);
                     }});
@@ -806,7 +807,7 @@ int main(int argc, char** argv) {
     }
 
     // Telemetry plane: timeseries-out, health=1 or an explicit window arms
-    // the HealthMonitor (which forces observe).
+    // the recorder's HealthMonitor (which forces observe).
     const std::string timeseries_out = opts.get_string("timeseries-out");
     if (!timeseries_out.empty() || opts.get_flag("health") ||
         opts.given("timeseries-interval")) {
@@ -889,7 +890,7 @@ int main(int argc, char** argv) {
 
       const auto tiers = options.cluster.effective_tiers();
       for (const auto& r : results) {
-        runs.push_back({r.label, r.obs, r.health, r.sim_stats,
+        runs.push_back({r.label, r.obs, r.sim_stats,
                         [&r, tiers](std::ostream& out) {
                           write_single_file_header(out, r, tiers);
                         }});
