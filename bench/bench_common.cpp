@@ -3,6 +3,8 @@
 #include <memory>
 #include <stdexcept>
 
+#include "src/common/config.hpp"
+
 namespace harl::bench {
 
 namespace {
@@ -11,7 +13,7 @@ namespace {
 std::size_t requested_threads() {
   const char* env = std::getenv("HARL_BENCH_THREADS");
   if (env == nullptr) return 0;
-  const long long n = std::stoll(env);
+  const std::int64_t n = parse_int(env);
   if (n < 0 || n > 1024) {
     throw std::invalid_argument("HARL_BENCH_THREADS must be in [0, 1024]");
   }
@@ -106,7 +108,7 @@ int figure_bench_main(
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("threads=", 0) == 0) {
-      const long long n = std::stoll(arg.substr(8));
+      const std::int64_t n = parse_int(arg.substr(8));
       if (n < 0 || n > 1024) {
         std::cerr << prefix << ": threads must be in [0, 1024]\n";
         return 1;

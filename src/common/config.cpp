@@ -6,6 +6,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace harl {
 
@@ -20,6 +21,20 @@ auto parse_value(const std::string& key, const std::string& value,
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument(key + ": " + e.what());
   }
+}
+
+/// All of `text` as one finite T (from_chars syntax: no leading space or
+/// '+', no trailing text), else std::invalid_argument "'text' is not <what>".
+template <typename T>
+T parse_number(std::string_view text, const char* what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end ||
+      !std::isfinite(static_cast<double>(value))) {
+    throw std::invalid_argument("'" + std::string(text) + "' is not " + what);
+  }
+  return value;
 }
 
 /// "[0, 1024]", "(0, 1]", ">= 1", "> 0", "<= 8", or "" for no range.
@@ -82,26 +97,15 @@ bool parse_bool(std::string_view text) {
 }
 
 std::int64_t parse_int(std::string_view text) {
-  std::int64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end || text.empty()) {
-    throw std::invalid_argument("'" + std::string(text) +
-                                "' is not an integer");
-  }
-  return value;
+  return parse_number<std::int64_t>(text, "an integer");
 }
 
 double parse_double(std::string_view text) {
-  double value = 0.0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc{} || ptr != end || text.empty() ||
-      !std::isfinite(value)) {
-    throw std::invalid_argument("'" + std::string(text) +
-                                "' is not a finite number");
-  }
-  return value;
+  return parse_number<double>(text, "a finite number");
+}
+
+std::uint64_t parse_uint(std::string_view text) {
+  return parse_number<std::uint64_t>(text, "an unsigned integer");
 }
 
 std::vector<std::string> split_list(std::string_view text) {
@@ -202,6 +206,57 @@ std::string Options::text(const std::string& key) const {
     if (m.mode != nullptr && mode_ == m.mode) return m.value;
   }
   return spec.fallback;
+}
+
+std::string_view FieldReader::text(std::string_view field) {
+  if (!more_) fail(field, "missing");
+  const std::size_t cut = rest_.find(delimiter_);
+  const std::string_view value = rest_.substr(0, cut);
+  more_ = cut != std::string_view::npos;
+  rest_.remove_prefix(more_ ? cut + 1 : rest_.size());
+  return value;
+}
+
+std::uint64_t FieldReader::u64(std::string_view field, std::uint64_t max) {
+  const std::string_view value = text(field);
+  std::uint64_t v = 0;
+  try {
+    v = parse_uint(value);
+  } catch (const std::invalid_argument& e) {
+    fail(field, e.what());
+  }
+  if (v > max) {
+    fail(field, std::string(value) + " exceeds " + std::to_string(max));
+  }
+  return v;
+}
+
+double FieldReader::number(std::string_view field) {
+  const std::string_view value = text(field);
+  try {
+    return parse_double(value);
+  } catch (const std::invalid_argument& e) {
+    fail(field, e.what());
+  }
+}
+
+std::string_view FieldReader::rest(std::string_view field) {
+  if (!more_) fail(field, "missing");
+  more_ = false;
+  return std::exchange(rest_, {});
+}
+
+void FieldReader::end() const {
+  if (more_) {
+    const std::string_view next = rest_.substr(0, rest_.find(delimiter_));
+    throw std::runtime_error(where() + ": unexpected field '" +
+                             std::string(next) + "'");
+  }
+}
+
+void FieldReader::fail(std::string_view field, std::string_view what) const {
+  throw std::runtime_error(where() + ", " + std::string(field) + ": " +
+                           std::string(what));
 }
 
 std::string describe_options(std::span<const OptionSpec> table) {

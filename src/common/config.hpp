@@ -9,15 +9,23 @@
 // out-of-range values are errors naming the key), serves each row's default
 // when its key is absent, and describe_options() prints the same rows as
 // help text.
+//
+// The file readers decode their fields with the same strict parsers
+// (FieldReader for text rows, read_le for binary fields).
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <istream>
 #include <limits>
 #include <map>
 #include <optional>
+#include <ostream>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/units.hpp"
@@ -28,6 +36,8 @@ namespace harl {
 /// trailing characters, no leading whitespace).  Throw std::invalid_argument.
 std::int64_t parse_int(std::string_view text);
 double parse_double(std::string_view text);
+/// Decimal digits only (no sign, no whitespace), at most 2^64 - 1.
+std::uint64_t parse_uint(std::string_view text);
 /// "1"/"true"/"yes"/"on" or "0"/"false"/"no"/"off", in any case.
 bool parse_bool(std::string_view text);
 /// Splits comma-separated items; empty items are dropped.
@@ -128,6 +138,67 @@ class Options {
   Config values_;
   std::string mode_;
 };
+
+/// Reads the delimited fields of one row of a text input format through the
+/// strict parsers above; a missing or extra field is an error.  Errors are
+/// std::runtime_error naming format, line and field, e.g.
+/// "trace CSV line 3, size: '16x' is not an unsigned integer".
+class FieldReader {
+ public:
+  FieldReader(std::string_view format, std::size_t line, std::string_view row,
+              char delimiter = ',')
+      : format_(format), line_(line), rest_(row), delimiter_(delimiter) {}
+
+  std::string_view text(std::string_view field);  ///< verbatim
+  std::uint64_t u64(std::string_view field,
+                    std::uint64_t max = ~std::uint64_t{0});
+  double number(std::string_view field);  ///< finite
+  /// This field and every later one, delimiters included.
+  std::string_view rest(std::string_view field);
+  bool more() const { return more_; }  ///< unread fields remain
+  void end() const;                    ///< throws if fields remain
+  /// "<format> line <n>", the prefix of every error.
+  std::string where() const {
+    return std::string(format_) + " line " + std::to_string(line_);
+  }
+  /// Throws "<where>, <field>: <what>".
+  [[noreturn]] void fail(std::string_view field, std::string_view what) const;
+
+ private:
+  std::string_view format_;
+  std::size_t line_;
+  std::string_view rest_;
+  char delimiter_;
+  bool more_ = true;
+};
+
+/// Little-endian binary fields: unsigned integers, and doubles as their
+/// IEEE-754 bits (LeBits<double>).
+template <typename T>
+using LeBits = std::conditional_t<std::is_same_v<T, double>, std::uint64_t, T>;
+
+template <typename T>
+void write_le(std::ostream& os, T value) {
+  char bytes[sizeof(T)];
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    bytes[i] = static_cast<char>(std::bit_cast<LeBits<T>>(value) >> (8 * i));
+  }
+  os.write(bytes, sizeof(T));
+}
+
+/// Throws std::runtime_error "truncated <format>" when the stream ends early.
+template <typename T>
+T read_le(std::istream& is, std::string_view format) {
+  unsigned char bytes[sizeof(T)];
+  if (!is.read(reinterpret_cast<char*>(bytes), sizeof(T))) {
+    throw std::runtime_error("truncated " + std::string(format));
+  }
+  LeBits<T> bits = 0;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    bits |= static_cast<LeBits<T>>(LeBits<T>{bytes[i]} << (8 * i));
+  }
+  return std::bit_cast<T>(bits);
+}
 
 /// Help text of `table`: one entry per row, the key at the start of its
 /// line followed by the help, every default (per mode) and the range.

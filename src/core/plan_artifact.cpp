@@ -4,8 +4,9 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+
+#include "src/common/config.hpp"
 
 namespace harl::core {
 
@@ -15,56 +16,24 @@ constexpr char kMagic[8] = {'H', 'A', 'R', 'L', 'P', 'L', 'A', 'N'};
 /// Marker of the optional trailing cache section (cache-aware plans only).
 constexpr char kCacheMagic[8] = {'H', 'A', 'R', 'L', 'C', 'A', 'C', 'H'};
 constexpr char kCsvHeader[] = "harl-plan-csv-v1";
-/// Allocation guards against corrupt length fields; generous compared to any
-/// realistic cluster (tiers) or trace (regions, name length).
+constexpr char kBinaryFormat[] = "plan artifact";
+constexpr char kCsvFormat[] = "plan CSV";
+/// Guards against corrupt length fields that size an allocation before the
+/// bytes behind them are read; generous compared to any realistic cluster
+/// (tiers) or file name.
 constexpr std::uint64_t kMaxTiers = 1024;
-constexpr std::uint64_t kMaxRegions = 1u << 28;
-constexpr std::uint64_t kMaxNameLength = 1u << 16;
+constexpr std::uint32_t kMaxNameLength = 1u << 16;
 
-void put_u32(std::ostream& os, std::uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  os.write(buf, sizeof(buf));
-}
-
-void put_u64(std::ostream& os, std::uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  os.write(buf, sizeof(buf));
-}
-
-std::uint32_t get_u32(std::istream& is) {
-  char buf[4];
-  if (!is.read(buf, sizeof(buf))) {
-    throw std::runtime_error("truncated plan artifact");
+/// The RST and the device table match the tier table, the R2F names the RST.
+void check_shape(const PlanArtifact& artifact) {
+  if (!artifact.rst.empty() &&
+      artifact.rst.num_tiers() != artifact.tier_counts.size()) {
+    throw std::runtime_error("plan artifact RST does not match tier table");
   }
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(buf[i])) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(std::istream& is) {
-  char buf[8];
-  if (!is.read(buf, sizeof(buf))) {
-    throw std::runtime_error("truncated plan artifact");
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(buf[i])) << (8 * i);
-  }
-  return v;
-}
-
-void check_files_shape(const PlanArtifact& artifact) {
   if (!artifact.region_files.empty() &&
       artifact.region_files.size() != artifact.rst.size()) {
     throw std::runtime_error("plan artifact R2F size does not match RST");
   }
-}
-
-void check_device_shape(const PlanArtifact& artifact) {
   if (artifact.device_factors.empty()) return;
   if (artifact.device_factors.size() != artifact.tier_counts.size()) {
     throw std::runtime_error(
@@ -75,6 +44,32 @@ void check_device_shape(const PlanArtifact& artifact) {
     if (!f.empty() && f.size() != artifact.tier_counts[j]) {
       throw std::runtime_error(
           "plan artifact device table does not match tier counts");
+    }
+  }
+}
+
+/// A loaded cache reservation must fit the tier table: an existing tier
+/// keeps at least one device unreserved, chunks are nonzero and the hit
+/// rate is a fraction.
+void check_cache(const PlanCacheSpec& spec, const PlanArtifact& artifact,
+                 const std::string& where) {
+  if (spec.tier >= artifact.tier_counts.size() || spec.devices == 0 ||
+      spec.devices >= artifact.tier_counts[spec.tier] || spec.chunk == 0 ||
+      !(spec.expected_hit_rate >= 0.0 && spec.expected_hit_rate <= 1.0)) {
+    throw std::runtime_error(where + ": corrupt cache reservation");
+  }
+}
+
+/// Adds loaded regions to the RST; RegionStripeTable::add's rejection
+/// becomes the readers' one error type, naming the region's line or index.
+void add_regions(PlanArtifact& artifact, std::vector<RstEntry>& entries,
+                 const std::vector<std::string>& where) {
+  for (std::size_t r = 0; r < entries.size(); ++r) {
+    try {
+      artifact.rst.add(entries[r].offset, std::move(entries[r].stripes),
+                       std::move(entries[r].members));
+    } catch (const std::invalid_argument& e) {
+      throw std::runtime_error(where[r] + ": " + e.what());
     }
   }
 }
@@ -91,19 +86,6 @@ bool has_device_info(const PlanArtifact& artifact) {
   return false;
 }
 
-std::uint64_t double_bits(double d) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(d));
-  __builtin_memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
-double bits_double(std::uint64_t bits) {
-  double d;
-  __builtin_memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
 }  // namespace
 
 PlanArtifact PlanArtifact::from_plan(const Plan& plan) {
@@ -117,27 +99,23 @@ PlanArtifact PlanArtifact::from_plan(const Plan& plan) {
 }
 
 void save_plan_binary(const PlanArtifact& artifact, std::ostream& os) {
-  check_files_shape(artifact);
-  check_device_shape(artifact);
+  check_shape(artifact);
   // Version 2 only when device information is present: homogeneous plans
   // stay byte-identical to the pre-device-model version-1 encoding.
   const bool v2 = has_device_info(artifact);
   os.write(kMagic, sizeof(kMagic));
-  put_u32(os, v2 ? 2 : 1);
-  put_u32(os, static_cast<std::uint32_t>(artifact.tier_counts.size()));
-  put_u64(os, artifact.calibration_fingerprint);
-  for (std::size_t c : artifact.tier_counts) put_u64(os, c);
-  put_u64(os, artifact.rst.size());
+  write_le<std::uint32_t>(os, v2 ? 2 : 1);
+  write_le(os, static_cast<std::uint32_t>(artifact.tier_counts.size()));
+  write_le<std::uint64_t>(os, artifact.calibration_fingerprint);
+  for (std::size_t c : artifact.tier_counts) write_le<std::uint64_t>(os, c);
+  write_le<std::uint64_t>(os, artifact.rst.size());
   for (const RstEntry& e : artifact.rst.entries()) {
-    if (e.stripes.size() != artifact.tier_counts.size()) {
-      throw std::runtime_error("plan artifact RST does not match tier table");
-    }
-    put_u64(os, e.offset);
-    for (Bytes s : e.stripes) put_u64(os, s);
+    write_le<std::uint64_t>(os, e.offset);
+    for (Bytes s : e.stripes) write_le<std::uint64_t>(os, s);
   }
-  put_u64(os, artifact.region_files.size());
+  write_le<std::uint64_t>(os, artifact.region_files.size());
   for (const std::string& name : artifact.region_files) {
-    put_u32(os, static_cast<std::uint32_t>(name.size()));
+    write_le(os, static_cast<std::uint32_t>(name.size()));
     os.write(name.data(), static_cast<std::streamsize>(name.size()));
   }
   if (v2) {
@@ -147,8 +125,8 @@ void save_plan_binary(const PlanArtifact& artifact, std::ostream& os) {
       const std::vector<double>& f = artifact.device_factors.empty()
                                          ? std::vector<double>{}
                                          : artifact.device_factors[j];
-      put_u64(os, f.size());
-      for (double v : f) put_u64(os, double_bits(v));
+      write_le<std::uint64_t>(os, f.size());
+      for (double v : f) write_le(os, v);
     }
     // Member section: flag, then per region the k member counts (all zeros
     // = unrestricted region).
@@ -156,11 +134,11 @@ void save_plan_binary(const PlanArtifact& artifact, std::ostream& os) {
     for (const RstEntry& e : artifact.rst.entries()) {
       if (!e.members.empty()) any_members = true;
     }
-    put_u64(os, any_members ? 1 : 0);
+    write_le<std::uint64_t>(os, any_members ? 1 : 0);
     if (any_members) {
       for (const RstEntry& e : artifact.rst.entries()) {
         for (std::size_t j = 0; j < artifact.tier_counts.size(); ++j) {
-          put_u64(os, e.members.empty() ? 0 : e.members[j]);
+          write_le<std::uint64_t>(os, e.members.empty() ? 0 : e.members[j]);
         }
       }
     }
@@ -169,12 +147,13 @@ void save_plan_binary(const PlanArtifact& artifact, std::ostream& os) {
     // Optional trailing section (does not bump the version — readers that
     // stop after the sections above simply never see it).
     os.write(kCacheMagic, sizeof(kCacheMagic));
-    put_u64(os, artifact.cache->tier);
-    put_u64(os, artifact.cache->devices);
-    put_u64(os, artifact.cache->budget);
-    put_u64(os, artifact.cache->chunk);
-    put_u32(os, artifact.cache->policy == storage::CachePolicy::kSlru ? 1 : 0);
-    put_u64(os, double_bits(artifact.cache->expected_hit_rate));
+    write_le<std::uint64_t>(os, artifact.cache->tier);
+    write_le<std::uint64_t>(os, artifact.cache->devices);
+    write_le<std::uint64_t>(os, artifact.cache->budget);
+    write_le<std::uint64_t>(os, artifact.cache->chunk);
+    write_le<std::uint32_t>(
+        os, artifact.cache->policy == storage::CachePolicy::kSlru ? 1 : 0);
+    write_le(os, artifact.cache->expected_hit_rate);
   }
   if (!os) throw std::runtime_error("plan artifact write failed");
 }
@@ -185,107 +164,103 @@ PlanArtifact load_plan_binary(std::istream& is) {
       !std::equal(std::begin(magic), std::end(magic), std::begin(kMagic))) {
     throw std::runtime_error("bad plan artifact magic");
   }
-  const std::uint32_t version = get_u32(is);
+  const auto u32 = [&is] { return read_le<std::uint32_t>(is, kBinaryFormat); };
+  const auto u64 = [&is] { return read_le<std::uint64_t>(is, kBinaryFormat); };
+  const std::uint32_t version = u32();
   if (version != 1 && version != 2) {
     throw std::runtime_error("unsupported plan artifact version " +
                              std::to_string(version));
   }
-  const std::uint64_t k = get_u32(is);
+  const std::uint64_t k = u32();
   if (k == 0 || k > kMaxTiers) {
     throw std::runtime_error("corrupt plan artifact tier count");
   }
   PlanArtifact artifact;
-  artifact.calibration_fingerprint = get_u64(is);
-  for (std::uint64_t j = 0; j < k; ++j) {
-    artifact.tier_counts.push_back(static_cast<std::size_t>(get_u64(is)));
-  }
-  const std::uint64_t regions = get_u64(is);
-  if (regions > kMaxRegions) {
-    throw std::runtime_error("corrupt plan artifact region count");
-  }
-  // Regions are buffered until the (version-2) member section is known so
-  // each entry can be added with its member restriction.
-  std::vector<Bytes> offsets(regions);
-  std::vector<std::vector<Bytes>> stripes(regions);
+  artifact.calibration_fingerprint = u64();
+  for (std::uint64_t j = 0; j < k; ++j) artifact.tier_counts.push_back(u64());
+  // Counts size nothing: regions, names and factors are appended as their
+  // bytes arrive, so a corrupt count ends in "truncated".  Regions wait for
+  // the (version-2) member section before they enter the RST.
+  const std::uint64_t regions = u64();
+  std::vector<RstEntry> entries;
+  std::vector<std::string> where;
   for (std::uint64_t r = 0; r < regions; ++r) {
-    offsets[r] = get_u64(is);
-    stripes[r].resize(k);
-    for (std::uint64_t j = 0; j < k; ++j) stripes[r][j] = get_u64(is);
+    RstEntry& e = entries.emplace_back();
+    e.offset = u64();
+    for (std::uint64_t j = 0; j < k; ++j) e.stripes.push_back(u64());
+    where.push_back("plan artifact region " + std::to_string(r));
   }
-  const std::uint64_t files = get_u64(is);
-  if (files != 0 && files != regions) {
-    throw std::runtime_error("plan artifact R2F size does not match RST");
-  }
+  const std::uint64_t files = u64();
   for (std::uint64_t f = 0; f < files; ++f) {
-    const std::uint32_t len = get_u32(is);
+    const std::uint32_t len = u32();
     if (len > kMaxNameLength) {
       throw std::runtime_error("corrupt plan artifact file name");
     }
     std::string name(len, '\0');
-    if (len > 0 && !is.read(name.data(), len)) {
+    if (!is.read(name.data(), len)) {
       throw std::runtime_error("truncated plan artifact");
     }
     artifact.region_files.push_back(std::move(name));
   }
-  std::vector<std::vector<std::size_t>> members(regions);
   if (version >= 2) {
     for (std::uint64_t j = 0; j < k; ++j) {
-      const std::uint64_t count = get_u64(is);
-      if (count > kMaxTiers * kMaxTiers) {
-        throw std::runtime_error("corrupt plan artifact device table");
+      std::vector<double> factors;
+      for (std::uint64_t i = 0, count = u64(); i < count; ++i) {
+        factors.push_back(read_le<double>(is, kBinaryFormat));
+        if (!storage::valid_device_factor(factors.back())) {
+          throw std::runtime_error("plan artifact tier " + std::to_string(j) +
+                                   ": device factor is not finite and > 0");
+        }
       }
-      std::vector<double> factors(count);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        factors[i] = bits_double(get_u64(is));
-      }
-      if (artifact.device_factors.empty() && count > 0) {
+      if (artifact.device_factors.empty() && !factors.empty()) {
         artifact.device_factors.resize(k);
       }
       if (!artifact.device_factors.empty()) {
         artifact.device_factors[j] = std::move(factors);
       }
     }
-    if (get_u64(is) != 0) {
-      for (std::uint64_t r = 0; r < regions; ++r) {
-        members[r].resize(k);
-        for (std::uint64_t j = 0; j < k; ++j) {
-          members[r][j] = static_cast<std::size_t>(get_u64(is));
-        }
+    const std::uint64_t any_members = u64();
+    if (any_members > 1) {
+      throw std::runtime_error("corrupt plan artifact member section");
+    }
+    if (any_members == 1) {
+      for (RstEntry& e : entries) {
+        for (std::uint64_t j = 0; j < k; ++j) e.members.push_back(u64());
       }
     }
   }
-  for (std::uint64_t r = 0; r < regions; ++r) {
-    artifact.rst.add(offsets[r], std::move(stripes[r]), std::move(members[r]));
-  }
-  // Optional trailing cache section; absence (EOF here) is the normal
-  // cache-less case.
-  char cache_magic[sizeof(kCacheMagic)];
-  if (is.read(cache_magic, sizeof(cache_magic))) {
+  add_regions(artifact, entries, where);
+  // Optional trailing cache section; EOF here is the cache-less case.
+  if (is.peek() != std::istream::traits_type::eof()) {
+    char cache_magic[sizeof(kCacheMagic)];
+    if (!is.read(cache_magic, sizeof(cache_magic))) {
+      throw std::runtime_error("truncated plan artifact");
+    }
     if (!std::equal(std::begin(cache_magic), std::end(cache_magic),
                     std::begin(kCacheMagic))) {
       throw std::runtime_error("bad plan artifact cache section magic");
     }
     PlanCacheSpec spec;
-    spec.tier = static_cast<std::size_t>(get_u64(is));
-    spec.devices = static_cast<std::size_t>(get_u64(is));
-    spec.budget = get_u64(is);
-    spec.chunk = get_u64(is);
-    spec.policy = get_u32(is) != 0 ? storage::CachePolicy::kSlru
-                                   : storage::CachePolicy::kLru;
-    spec.expected_hit_rate = bits_double(get_u64(is));
-    if (spec.tier >= artifact.tier_counts.size() || spec.devices == 0 ||
-        spec.devices >= artifact.tier_counts[spec.tier] || spec.chunk == 0) {
-      throw std::runtime_error("corrupt plan artifact cache section");
+    spec.tier = u64();
+    spec.devices = u64();
+    spec.budget = u64();
+    spec.chunk = u64();
+    const std::uint32_t policy = u32();
+    if (policy > 1) {
+      throw std::runtime_error("corrupt plan artifact cache policy");
     }
+    spec.policy =
+        policy == 1 ? storage::CachePolicy::kSlru : storage::CachePolicy::kLru;
+    spec.expected_hit_rate = read_le<double>(is, kBinaryFormat);
+    check_cache(spec, artifact, "plan artifact cache section");
     artifact.cache = spec;
   }
-  check_device_shape(artifact);
+  check_shape(artifact);
   return artifact;
 }
 
 void save_plan_csv(const PlanArtifact& artifact, std::ostream& os) {
-  check_files_shape(artifact);
-  check_device_shape(artifact);
+  check_shape(artifact);
   os << kCsvHeader << '\n';
   os << "fingerprint," << artifact.calibration_fingerprint << '\n';
   os << "tiers";
@@ -303,9 +278,6 @@ void save_plan_csv(const PlanArtifact& artifact, std::ostream& os) {
   }
   std::size_t region_index = 0;
   for (const RstEntry& e : artifact.rst.entries()) {
-    if (e.stripes.size() != artifact.tier_counts.size()) {
-      throw std::runtime_error("plan artifact RST does not match tier table");
-    }
     os << "region," << e.offset;
     for (Bytes s : e.stripes) os << ',' << s;
     os << '\n';
@@ -338,202 +310,96 @@ PlanArtifact load_plan_csv(std::istream& is) {
   }
   PlanArtifact artifact;
   bool saw_fingerprint = false;
-  bool saw_tiers = false;
-  // Regions are buffered so "members" rows (which follow their region row)
-  // can be attached before the RST is assembled.
-  std::vector<Bytes> offsets;
-  std::vector<std::vector<Bytes>> stripes_rows;
-  std::vector<std::vector<std::size_t>> members_rows;
-  while (std::getline(is, line)) {
+  // Region rows are buffered so "members" rows (which follow their region
+  // row) can be attached before the RST is assembled.
+  std::vector<RstEntry> entries;
+  std::vector<std::string> where;
+  for (std::size_t n = 2; std::getline(is, line); ++n) {
     if (line.empty()) continue;
-    std::istringstream ss(line);
-    std::string field;
-    std::getline(ss, field, ',');
-    auto next_u64 = [&]() {
-      std::string token;
-      if (!std::getline(ss, token, ',')) {
-        throw std::runtime_error("malformed plan artifact row: " + line);
-      }
-      std::size_t pos = 0;
-      std::uint64_t v = 0;
-      try {
-        v = std::stoull(token, &pos);
-      } catch (const std::exception&) {
-        throw std::runtime_error("malformed plan artifact row: " + line);
-      }
-      if (pos != token.size()) {
-        throw std::runtime_error("malformed plan artifact row: " + line);
-      }
-      return v;
-    };
-    if (field == "fingerprint") {
-      artifact.calibration_fingerprint = next_u64();
-      saw_fingerprint = true;
-    } else if (field == "tiers") {
-      std::string token;
-      while (std::getline(ss, token, ',')) {
-        std::size_t pos = 0;
-        std::uint64_t v = 0;
-        try {
-          v = std::stoull(token, &pos);
-        } catch (const std::exception&) {
-          throw std::runtime_error("malformed plan artifact row: " + line);
-        }
-        if (pos != token.size()) {
-          throw std::runtime_error("malformed plan artifact row: " + line);
-        }
-        artifact.tier_counts.push_back(static_cast<std::size_t>(v));
-      }
-      if (artifact.tier_counts.empty() ||
-          artifact.tier_counts.size() > kMaxTiers) {
-        throw std::runtime_error("corrupt plan artifact tier count");
-      }
-      saw_tiers = true;
-    } else if (field == "region") {
-      if (!saw_tiers) {
-        throw std::runtime_error("plan artifact region row before tiers row");
-      }
-      const Bytes offset = next_u64();
-      std::vector<Bytes> stripes;
-      for (std::size_t j = 0; j < artifact.tier_counts.size(); ++j) {
-        stripes.push_back(next_u64());
-      }
-      std::string extra;
-      if (std::getline(ss, extra, ',')) {
-        throw std::runtime_error("malformed plan artifact row: " + line);
-      }
-      offsets.push_back(offset);
-      stripes_rows.push_back(std::move(stripes));
-      members_rows.emplace_back();
-    } else if (field == "devtier") {
-      if (!saw_tiers) {
-        throw std::runtime_error("plan artifact devtier row before tiers row");
-      }
-      const std::uint64_t j = next_u64();
-      if (j >= artifact.tier_counts.size()) {
-        throw std::runtime_error("plan artifact devtier index out of range");
-      }
-      std::vector<double> factors;
-      std::string token;
-      while (std::getline(ss, token, ',')) {
-        std::size_t pos = 0;
-        double v = 0.0;
-        try {
-          v = std::stod(token, &pos);
-        } catch (const std::exception&) {
-          throw std::runtime_error("malformed plan artifact row: " + line);
-        }
-        if (pos != token.size()) {
-          throw std::runtime_error("malformed plan artifact row: " + line);
-        }
-        factors.push_back(v);
-      }
-      if (factors.empty()) {
-        throw std::runtime_error("malformed plan artifact row: " + line);
-      }
-      if (artifact.device_factors.empty()) {
-        artifact.device_factors.resize(artifact.tier_counts.size());
-      }
-      artifact.device_factors[j] = std::move(factors);
-    } else if (field == "members") {
-      const std::uint64_t index = next_u64();
-      if (index >= offsets.size()) {
-        throw std::runtime_error("plan artifact members row out of range");
-      }
-      std::vector<std::size_t> members;
-      for (std::size_t j = 0; j < artifact.tier_counts.size(); ++j) {
-        members.push_back(static_cast<std::size_t>(next_u64()));
-      }
-      std::string extra;
-      if (std::getline(ss, extra, ',')) {
-        throw std::runtime_error("malformed plan artifact row: " + line);
-      }
-      members_rows[index] = std::move(members);
-    } else if (field == "cache") {
-      if (!saw_tiers) {
-        throw std::runtime_error("plan artifact cache row before tiers row");
-      }
-      PlanCacheSpec spec;
-      spec.tier = static_cast<std::size_t>(next_u64());
-      spec.devices = static_cast<std::size_t>(next_u64());
-      spec.budget = next_u64();
-      spec.chunk = next_u64();
-      std::string policy;
-      if (!std::getline(ss, policy, ',')) {
-        throw std::runtime_error("malformed plan artifact row: " + line);
-      }
-      try {
-        spec.policy = storage::parse_cache_policy(policy);
-      } catch (const std::exception&) {
-        throw std::runtime_error("malformed plan artifact row: " + line);
-      }
-      std::string rate;
-      if (!std::getline(ss, rate, ',')) {
-        throw std::runtime_error("malformed plan artifact row: " + line);
-      }
-      try {
-        std::size_t pos = 0;
-        spec.expected_hit_rate = std::stod(rate, &pos);
-        if (pos != rate.size()) throw std::invalid_argument(rate);
-      } catch (const std::exception&) {
-        throw std::runtime_error("malformed plan artifact row: " + line);
-      }
-      if (spec.tier >= artifact.tier_counts.size() || spec.devices == 0 ||
-          spec.devices >= artifact.tier_counts[spec.tier] || spec.chunk == 0) {
-        throw std::runtime_error("corrupt plan artifact cache row");
-      }
-      artifact.cache = spec;
-    } else if (field == "file") {
-      const std::uint64_t index = next_u64();
-      if (index != artifact.region_files.size()) {
-        throw std::runtime_error("plan artifact file rows out of order");
-      }
-      std::string name;
-      std::getline(ss, name);
-      artifact.region_files.push_back(std::move(name));
-    } else {
-      throw std::runtime_error("unknown plan artifact row: " + line);
+    FieldReader row(kCsvFormat, n, line);
+    const std::string kind(row.text("row"));
+    const std::size_t k = artifact.tier_counts.size();
+    if (k == 0 && kind != "fingerprint" && kind != "tiers") {
+      row.fail("row", kind + " row before tiers row");
     }
+    if (kind == "fingerprint") {
+      artifact.calibration_fingerprint = row.u64("fingerprint");
+      saw_fingerprint = true;
+    } else if (kind == "tiers") {
+      if (k > 0) row.fail("row", "tiers row repeated");
+      while (row.more() && artifact.tier_counts.size() < kMaxTiers) {
+        artifact.tier_counts.push_back(row.u64("tier count"));
+      }
+    } else if (kind == "region") {
+      RstEntry& e = entries.emplace_back();
+      e.offset = row.u64("offset");
+      for (std::size_t j = 0; j < k; ++j) {
+        e.stripes.push_back(row.u64("stripe"));
+      }
+      where.push_back(row.where());
+    } else if (kind == "devtier") {
+      const std::uint64_t j = row.u64("tier", k - 1);
+      std::vector<double> factors;
+      do {
+        factors.push_back(row.number("factor"));
+        if (!storage::valid_device_factor(factors.back())) {
+          row.fail("factor", "must be > 0");
+        }
+      } while (row.more());
+      artifact.device_factors.resize(k);
+      artifact.device_factors[j] = std::move(factors);
+    } else if (kind == "members") {
+      const std::uint64_t index = row.u64("region");
+      if (index >= entries.size()) row.fail("region", "no such region row");
+      entries[index].members.clear();
+      for (std::size_t j = 0; j < k; ++j) {
+        entries[index].members.push_back(row.u64("member"));
+      }
+    } else if (kind == "cache") {
+      PlanCacheSpec spec;
+      spec.tier = row.u64("tier");
+      spec.devices = row.u64("devices");
+      spec.budget = row.u64("budget");
+      spec.chunk = row.u64("chunk");
+      try {
+        spec.policy = storage::parse_cache_policy(row.text("policy"));
+      } catch (const std::invalid_argument& e) {
+        row.fail("policy", e.what());
+      }
+      spec.expected_hit_rate = row.number("hit rate");
+      check_cache(spec, artifact, row.where());
+      artifact.cache = spec;
+    } else if (kind == "file") {
+      if (row.u64("region") != artifact.region_files.size()) {
+        row.fail("region", "file rows out of order");
+      }
+      artifact.region_files.emplace_back(row.rest("name"));
+    } else {
+      row.fail("row", "unknown row kind '" + kind + "'");
+    }
+    row.end();
   }
-  if (!saw_fingerprint || !saw_tiers) {
+  if (!saw_fingerprint || artifact.tier_counts.empty()) {
     throw std::runtime_error("plan artifact CSV missing header rows");
   }
-  for (std::size_t r = 0; r < offsets.size(); ++r) {
-    artifact.rst.add(offsets[r], std::move(stripes_rows[r]),
-                     std::move(members_rows[r]));
-  }
-  if (!artifact.region_files.empty() &&
-      artifact.region_files.size() != artifact.rst.size()) {
-    throw std::runtime_error("plan artifact R2F size does not match RST");
-  }
-  check_device_shape(artifact);
+  add_regions(artifact, entries, where);
+  check_shape(artifact);
   return artifact;
 }
 
 void save_plan(const PlanArtifact& artifact, const std::string& path) {
-  const bool csv = path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
+  const bool csv = path.ends_with(".csv");
   std::ofstream os(path, csv ? std::ios::out : std::ios::out | std::ios::binary);
   if (!os) throw std::runtime_error("cannot open plan artifact for write: " + path);
-  if (csv) {
-    save_plan_csv(artifact, os);
-  } else {
-    save_plan_binary(artifact, os);
-  }
+  csv ? save_plan_csv(artifact, os) : save_plan_binary(artifact, os);
 }
 
 PlanArtifact load_plan(const std::string& path) {
   std::ifstream is(path, std::ios::in | std::ios::binary);
   if (!is) throw std::runtime_error("cannot open plan artifact: " + path);
-  // Sniff: binary artifacts start with the 8-byte magic, CSV ones with the
-  // text header line.
-  char first = 0;
-  is.get(first);
-  is.unget();
-  if (first == 'H') {
-    // Could still be either ("HARLPLAN" vs "harl-..." differs in case).
-    return load_plan_binary(is);
-  }
-  return load_plan_csv(is);
+  // Sniff: binary artifacts start with the magic "HARLPLAN", CSV ones with
+  // the header "harl-plan-csv-v1".
+  return is.peek() == 'H' ? load_plan_binary(is) : load_plan_csv(is);
 }
 
 }  // namespace harl::core

@@ -19,6 +19,12 @@
 // changes; readers reject artifacts whose version (or magic/header) they do
 // not know, rather than guessing.  Adding optional trailing sections is a
 // compatible change and does not bump the version.
+//
+// Loaders throw std::runtime_error, and only that, on malformed input
+// (a region the RST rejects included), naming the CSV line and field or
+// the binary section.  Fields are strict (harl::FieldReader, read_le),
+// device factors finite and > 0, the cache hit rate in [0, 1]; no count
+// sizes an allocation (a file name is capped at 64 KiB).
 #pragma once
 
 #include <cstdint>

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+
+#include "src/common/config.hpp"
 
 namespace harl::core {
 
@@ -13,10 +14,6 @@ constexpr char kHeaderV1[] = "harl-rst-v1";  ///< two-tier legacy format
 constexpr char kHeaderV2[] = "harl-rst-v2";  ///< k inferred from columns
 constexpr char kHeaderV3[] = "harl-rst-v3";  ///< stripes + member columns
 }  // namespace
-
-void RegionStripeTable::add(Bytes offset, std::vector<Bytes> stripes) {
-  add(offset, std::move(stripes), {});
-}
 
 void RegionStripeTable::add(Bytes offset, std::vector<Bytes> stripes,
                             std::vector<std::size_t> members) {
@@ -115,19 +112,16 @@ RegionStripeTable RegionStripeTable::load(std::istream& is) {
   const bool v1 = line == kHeaderV1;
   const bool v3 = line == kHeaderV3;
   RegionStripeTable table;
-  while (std::getline(is, line)) {
+  for (std::size_t n = 2; std::getline(is, line); ++n) {
     if (line.empty()) continue;
-    std::istringstream ss(line);
-    Bytes offset = 0;
-    if (!(ss >> offset)) {
-      throw std::runtime_error("malformed RST row: " + line);
-    }
+    FieldReader row("RST", n, line, ' ');
+    const Bytes offset = row.u64("offset");
     std::vector<Bytes> stripes;
-    Bytes s = 0;
-    while (ss >> s) stripes.push_back(s);
-    if (!ss.eof() || stripes.empty() || (v1 && stripes.size() != 2) ||
+    while (row.more()) stripes.push_back(row.u64("stripe"));
+    if (stripes.empty() || (v1 && stripes.size() != 2) ||
         (v3 && stripes.size() % 2 != 0)) {
-      throw std::runtime_error("malformed RST row: " + line);
+      row.fail("stripes", std::to_string(stripes.size()) +
+                              " columns do not fit the header");
     }
     std::vector<std::size_t> members;
     if (v3) {
@@ -136,14 +130,13 @@ RegionStripeTable RegionStripeTable::load(std::istream& is) {
                      stripes.end());
       stripes.resize(k);
     }
-    table.add(offset, std::move(stripes), std::move(members));
+    try {
+      table.add(offset, std::move(stripes), std::move(members));
+    } catch (const std::invalid_argument& e) {
+      throw std::runtime_error(row.where() + ": " + e.what());
+    }
   }
   return table;
-}
-
-std::shared_ptr<pfs::RegionLayout> RegionStripeTable::to_layout(
-    std::span<const std::size_t> tier_counts) const {
-  return to_layout(tier_counts, {});
 }
 
 std::shared_ptr<pfs::RegionLayout> RegionStripeTable::to_layout(

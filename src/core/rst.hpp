@@ -15,7 +15,9 @@
 // ("offset s_0 ... s_{k-1}" rows, k inferred from the column count); tables
 // with any member-restricted entry (device-aware plans) use "harl-rst-v3"
 // ("offset s_0 ... s_{k-1} m_0 ... m_{k-1}" rows, all-zero member columns =
-// entry has no restriction).  load() accepts all three.
+// entry has no restriction).  load() accepts all three, with single-space
+// separated unsigned columns; a malformed row, one add() rejects included,
+// throws std::runtime_error (only that) naming the line.
 #pragma once
 
 #include <iosfwd>
@@ -48,13 +50,11 @@ class RegionStripeTable {
 
   /// Appends a region; offsets must be added in strictly increasing order,
   /// the first must be 0, at least one stripe must be nonzero, and every
-  /// entry must carry the same number of tiers.
-  void add(Bytes offset, std::vector<Bytes> stripes);
-
-  /// As above with a per-tier member restriction (empty = full membership;
-  /// otherwise one count per tier).
+  /// entry must carry the same number of tiers.  `members` is a per-tier
+  /// member restriction (empty = full membership; otherwise one count per
+  /// tier).
   void add(Bytes offset, std::vector<Bytes> stripes,
-           std::vector<std::size_t> members);
+           std::vector<std::size_t> members = {});
 
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
@@ -83,18 +83,15 @@ class RegionStripeTable {
   static RegionStripeTable load(std::istream& is);
 
   /// Converts to the pfs placement layout; `tier_counts[j]` servers in
-  /// tier j.  Requires tier_counts.size() == num_tiers().
-  std::shared_ptr<pfs::RegionLayout> to_layout(
-      std::span<const std::size_t> tier_counts) const;
-
-  /// Reservation-aware conversion: tier j's first `reserved[j]` servers are
-  /// withheld from every region (the cache tier's device reservation); the
-  /// table's stripe/member columns then address the remaining servers.  Used
-  /// by plans whose Analysis Phase reserved the fastest devices as a read
-  /// cache (Plan::cache).
+  /// tier j.  Requires tier_counts.size() == num_tiers().  Tier j's first
+  /// `reserved[j]` servers (none by default) are withheld from every region
+  /// (the cache tier's device reservation); the table's stripe/member
+  /// columns then address the remaining servers.  Used by plans whose
+  /// Analysis Phase reserved the fastest devices as a read cache
+  /// (Plan::cache).
   std::shared_ptr<pfs::RegionLayout> to_layout(
       std::span<const std::size_t> tier_counts,
-      std::span<const std::size_t> reserved) const;
+      std::span<const std::size_t> reserved = {}) const;
 
   /// Two-tier convenience: M HServers and N SServers.
   std::shared_ptr<pfs::RegionLayout> to_layout(std::size_t M, std::size_t N) const;

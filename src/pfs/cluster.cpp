@@ -1,6 +1,5 @@
 #include "src/pfs/cluster.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -31,7 +30,7 @@ std::vector<TierGroup> ClusterConfig::effective_tiers() const {
     }
     // Checked before canonicalization: a NaN would break its sort.
     for (const double f : g.device_factors) {
-      if (!(std::isfinite(f) && f > 0.0)) {
+      if (!storage::valid_device_factor(f)) {
         throw std::invalid_argument("tier \"" + g.name + "\" device factor " +
                                     std::to_string(f) +
                                     " must be finite and > 0");

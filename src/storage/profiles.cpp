@@ -1,6 +1,7 @@
 #include "src/storage/profiles.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace harl::storage {
 
@@ -27,6 +28,10 @@ DeviceProfile make_device_profile(const TierProfile& tier, std::size_t index,
   d.speed_factor = speed_factor;
   d.profile = scaled_profile(tier, speed_factor);
   return d;
+}
+
+bool valid_device_factor(double factor) {
+  return std::isfinite(factor) && factor > 0.0;
 }
 
 void canonicalize_device_factors(std::vector<double>& factors) {

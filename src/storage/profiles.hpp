@@ -61,6 +61,10 @@ TierProfile scaled_profile(const TierProfile& p, double speed_factor);
 DeviceProfile make_device_profile(const TierProfile& tier, std::size_t index,
                                   double speed_factor);
 
+/// Whether `factor` can scale a device: finite and > 0.  Every source of
+/// factors (cluster config, Plan artifacts, the aging= option) checks it.
+bool valid_device_factor(double factor);
+
 /// Canonicalizes a per-device factor vector in place: sorts ascending
 /// (fastest member first — the slot order the planner's member-prefix
 /// candidates and the cluster's server construction both use) and clears

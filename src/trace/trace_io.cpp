@@ -1,12 +1,15 @@
 #include "src/trace/trace_io.hpp"
 
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+
+#include "src/common/config.hpp"
 
 namespace harl::trace {
 
@@ -14,26 +17,23 @@ namespace {
 
 constexpr char kCsvHeader[] = "pid,rank,fd,op,offset,size,t_start,t_end";
 constexpr char kMagic[8] = {'H', 'A', 'R', 'L', 'T', 'R', 'C', '1'};
+constexpr char kBinaryFormat[] = "binary trace";
+constexpr std::uint64_t kMaxId = std::numeric_limits<std::uint32_t>::max();
 
-std::vector<std::string> split_csv_line(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string field;
-  std::istringstream ss(line);
-  while (std::getline(ss, field, ',')) fields.push_back(field);
-  return fields;
-}
-
-template <typename T>
-void put(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T take(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  if (!is) throw std::runtime_error("truncated binary trace");
-  return v;
+/// What makes a decoded record invalid in either encoding, or nullptr: the
+/// op must be read or write (op code 0 or 1), both timestamps finite and
+/// the extent must fit in Bytes.
+const char* record_defect(const TraceRecord& r) {
+  if (r.op != IoOp::kRead && r.op != IoOp::kWrite) {
+    return "op is not read or write";
+  }
+  if (!std::isfinite(r.t_start) || !std::isfinite(r.t_end)) {
+    return "timestamps must be finite";
+  }
+  if (r.offset > std::numeric_limits<Bytes>::max() - r.size) {
+    return "offset + size overflows 64 bits";
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -54,27 +54,23 @@ std::vector<TraceRecord> read_csv(std::istream& is) {
     throw std::runtime_error("bad trace CSV header");
   }
   std::vector<TraceRecord> out;
-  while (std::getline(is, line)) {
+  for (std::size_t n = 2; std::getline(is, line); ++n) {
     if (line.empty()) continue;
-    const auto fields = split_csv_line(line);
-    if (fields.size() != 8) {
-      throw std::runtime_error("trace CSV line has wrong field count: " + line);
-    }
+    FieldReader row("trace CSV", n, line);
     TraceRecord r;
-    r.pid = static_cast<std::uint32_t>(std::stoul(fields[0]));
-    r.rank = static_cast<std::uint32_t>(std::stoul(fields[1]));
-    r.fd = static_cast<std::uint32_t>(std::stoul(fields[2]));
-    if (fields[3] == "read") {
-      r.op = IoOp::kRead;
-    } else if (fields[3] == "write") {
-      r.op = IoOp::kWrite;
-    } else {
-      throw std::runtime_error("unknown op in trace CSV: " + fields[3]);
+    r.pid = static_cast<std::uint32_t>(row.u64("pid", kMaxId));
+    r.rank = static_cast<std::uint32_t>(row.u64("rank", kMaxId));
+    r.fd = static_cast<std::uint32_t>(row.u64("fd", kMaxId));
+    const std::string_view op = row.text("op");
+    r.op = static_cast<IoOp>(op == "read" ? 0 : op == "write" ? 1 : 2);
+    r.offset = row.u64("offset");
+    r.size = row.u64("size");
+    r.t_start = row.number("t_start");
+    r.t_end = row.number("t_end");
+    row.end();
+    if (const char* defect = record_defect(r)) {
+      throw std::runtime_error(row.where() + ": " + defect);
     }
-    r.offset = std::stoull(fields[4]);
-    r.size = std::stoull(fields[5]);
-    r.t_start = std::stod(fields[6]);
-    r.t_end = std::stod(fields[7]);
     out.push_back(r);
   }
   return out;
@@ -82,16 +78,16 @@ std::vector<TraceRecord> read_csv(std::istream& is) {
 
 void write_binary(std::ostream& os, const std::vector<TraceRecord>& records) {
   os.write(kMagic, sizeof(kMagic));
-  put<std::uint64_t>(os, records.size());
+  write_le<std::uint64_t>(os, records.size());
   for (const auto& r : records) {
-    put(os, r.pid);
-    put(os, r.rank);
-    put(os, r.fd);
-    put<std::uint8_t>(os, r.op == IoOp::kRead ? 0 : 1);
-    put(os, r.offset);
-    put(os, r.size);
-    put(os, r.t_start);
-    put(os, r.t_end);
+    write_le(os, r.pid);
+    write_le(os, r.rank);
+    write_le(os, r.fd);
+    write_le<std::uint8_t>(os, r.op == IoOp::kRead ? 0 : 1);
+    write_le(os, r.offset);
+    write_le(os, r.size);
+    write_le(os, r.t_start);
+    write_le(os, r.t_end);
   }
 }
 
@@ -101,37 +97,38 @@ std::vector<TraceRecord> read_binary(std::istream& is) {
   if (!is || std::memcmp(magic.data(), kMagic, sizeof(kMagic)) != 0) {
     throw std::runtime_error("bad binary trace magic");
   }
-  const auto count = take<std::uint64_t>(is);
+  // The count sizes nothing: records are appended as their bytes arrive,
+  // so a corrupt count ends in "truncated", not in a huge allocation.
+  const auto count = read_le<std::uint64_t>(is, kBinaryFormat);
   std::vector<TraceRecord> out;
-  out.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     TraceRecord r;
-    r.pid = take<std::uint32_t>(is);
-    r.rank = take<std::uint32_t>(is);
-    r.fd = take<std::uint32_t>(is);
-    r.op = take<std::uint8_t>(is) == 0 ? IoOp::kRead : IoOp::kWrite;
-    r.offset = take<Bytes>(is);
-    r.size = take<Bytes>(is);
-    r.t_start = take<double>(is);
-    r.t_end = take<double>(is);
+    r.pid = read_le<std::uint32_t>(is, kBinaryFormat);
+    r.rank = read_le<std::uint32_t>(is, kBinaryFormat);
+    r.fd = read_le<std::uint32_t>(is, kBinaryFormat);
+    r.op = static_cast<IoOp>(read_le<std::uint8_t>(is, kBinaryFormat));
+    r.offset = read_le<Bytes>(is, kBinaryFormat);
+    r.size = read_le<Bytes>(is, kBinaryFormat);
+    r.t_start = read_le<double>(is, kBinaryFormat);
+    r.t_end = read_le<double>(is, kBinaryFormat);
+    if (const char* defect = record_defect(r)) {
+      throw std::runtime_error("binary trace record " + std::to_string(i) +
+                               ": " + defect);
+    }
     out.push_back(r);
   }
   return out;
 }
 
 void save_trace(const std::string& path, const std::vector<TraceRecord>& records) {
-  const bool csv = path.size() >= 4 && path.substr(path.size() - 4) == ".csv";
+  const bool csv = path.ends_with(".csv");
   std::ofstream os(path, csv ? std::ios::out : std::ios::out | std::ios::binary);
   if (!os) throw std::runtime_error("cannot open trace file for write: " + path);
-  if (csv) {
-    write_csv(os, records);
-  } else {
-    write_binary(os, records);
-  }
+  csv ? write_csv(os, records) : write_binary(os, records);
 }
 
 std::vector<TraceRecord> load_trace(const std::string& path) {
-  const bool csv = path.size() >= 4 && path.substr(path.size() - 4) == ".csv";
+  const bool csv = path.ends_with(".csv");
   std::ifstream is(path, csv ? std::ios::in : std::ios::in | std::ios::binary);
   if (!is) throw std::runtime_error("cannot open trace file for read: " + path);
   return csv ? read_csv(is) : read_binary(is);

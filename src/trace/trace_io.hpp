@@ -6,6 +6,11 @@
 //  * Binary — fixed-width little-endian records behind a magic/version
 //    header; used for large traces.
 // Both round-trip exactly (timestamps are stored as IEEE doubles).
+//
+// Readers throw std::runtime_error, and only that, on malformed input,
+// naming the CSV line and field or the binary record.  Fields are strict
+// (harl::FieldReader, read_le); a record's op is read or write, its times
+// are finite and offset + size fits in Bytes; no count sizes an allocation.
 #pragma once
 
 #include <iosfwd>

@@ -10,6 +10,7 @@
 #include <numeric>
 #include <random>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -615,6 +616,91 @@ TEST(Config, TypedGettersConsumeTheWholeValueAndNameTheKey) {
   EXPECT_TRUE(cfg.get_bool("health", false));
   EXPECT_EQ(cfg.get_int("ok", 0), -3);
   EXPECT_EQ(cfg.get_double("d", 0), 0.125);
+}
+
+TEST(Config, ParseUintTakesDigitsOnly) {
+  EXPECT_EQ(parse_uint("0"), 0u);
+  EXPECT_EQ(parse_uint("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x10", "1e3",
+                          "18446744073709551616"}) {
+    EXPECT_THROW(parse_uint(bad), std::invalid_argument) << "'" << bad << "'";
+  }
+}
+
+/// The message of the std::runtime_error `fn` throws ("" if none).
+template <typename Fn>
+std::string runtime_error_message(Fn fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FieldReader, ReadsEveryFieldStrictly) {
+  FieldReader row("test CSV", 3, "read,7,0.5,a,b");
+  EXPECT_EQ(row.text("op"), "read");
+  EXPECT_EQ(row.u64("size", 7), 7u);
+  EXPECT_EQ(row.number("t"), 0.5);
+  EXPECT_TRUE(row.more());
+  EXPECT_EQ(row.rest("name"), "a,b");
+  EXPECT_FALSE(row.more());
+  EXPECT_NO_THROW(row.end());
+  FieldReader spaced("RST", 2, "0 4096", ' ');
+  EXPECT_EQ(spaced.u64("offset"), 0u);
+  EXPECT_EQ(spaced.u64("stripe"), 4096u);
+  spaced.end();
+}
+
+TEST(FieldReader, ErrorsNameTheFormatLineAndField) {
+  EXPECT_EQ(runtime_error_message([] {
+              FieldReader("trace CSV", 3, "16x").u64("size");
+            }),
+            "trace CSV line 3, size: '16x' is not an unsigned integer");
+  EXPECT_EQ(runtime_error_message([] {
+              FieldReader("plan CSV", 4, "nan").number("factor");
+            }),
+            "plan CSV line 4, factor: 'nan' is not a finite number");
+  EXPECT_EQ(runtime_error_message([] {
+              FieldReader("plan CSV", 5, "9").u64("tier", 1);
+            }),
+            "plan CSV line 5, tier: 9 exceeds 1");
+  EXPECT_EQ(runtime_error_message([] {
+              FieldReader row("RST", 6, "1", ' ');
+              row.u64("offset");
+              row.u64("stripe");
+            }),
+            "RST line 6, stripe: missing");
+  EXPECT_EQ(runtime_error_message([] {
+              FieldReader row("trace CSV", 7, "1,2,");
+              row.u64("pid");
+              row.end();
+            }),
+            "trace CSV line 7: unexpected field '2'");
+  // A trailing delimiter leaves one empty field, which is not a number.
+  EXPECT_EQ(runtime_error_message([] {
+              FieldReader row("trace CSV", 8, "1,");
+              row.u64("pid");
+              row.u64("rank");
+            }),
+            "trace CSV line 8, rank: '' is not an unsigned integer");
+}
+
+TEST(LittleEndian, RoundTripsEveryFieldTypeAndReportsTruncation) {
+  std::stringstream ss;
+  write_le<std::uint8_t>(ss, 0xab);
+  write_le<std::uint32_t>(ss, 0x01020304u);
+  write_le<std::uint64_t>(ss, 0x0102030405060708ull);
+  write_le(ss, -0.375);
+  EXPECT_EQ(ss.str().substr(1, 4), std::string("\x04\x03\x02\x01", 4));
+  EXPECT_EQ(read_le<std::uint8_t>(ss, "f"), 0xab);
+  EXPECT_EQ(read_le<std::uint32_t>(ss, "f"), 0x01020304u);
+  EXPECT_EQ(read_le<std::uint64_t>(ss, "f"), 0x0102030405060708ull);
+  EXPECT_EQ(read_le<double>(ss, "f"), -0.375);
+  EXPECT_EQ(runtime_error_message([&] { read_le<std::uint32_t>(ss, "thing"); }),
+            "truncated thing");
 }
 
 // -------------------------------------------------------------- options ----

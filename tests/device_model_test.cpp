@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -63,6 +64,15 @@ TEST(DeviceProfile, CanonicalizeSortsAscendingAndCollapsesAllOnes) {
   std::vector<double> empty;
   storage::canonicalize_device_factors(empty);
   EXPECT_TRUE(empty.empty());
+}
+
+TEST(DeviceProfile, ValidFactorsAreFiniteAndPositive) {
+  EXPECT_TRUE(storage::valid_device_factor(1.0));
+  EXPECT_TRUE(storage::valid_device_factor(0.25));
+  for (double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    EXPECT_FALSE(storage::valid_device_factor(bad)) << bad;
+  }
 }
 
 TEST(DeviceProfile, WorstDeviceFactorIsThePrefixMaximum) {

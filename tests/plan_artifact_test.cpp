@@ -3,8 +3,10 @@
 // Placing Phase run in a separate process.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -318,6 +320,95 @@ TEST(PlanArtifact, RejectsMalformedDeviceCsvRows) {
     std::stringstream ss(header + row);
     EXPECT_THROW(load_plan_csv(ss), std::runtime_error);
   }
+}
+
+/// The message of the std::runtime_error `fn` throws ("" if none).
+template <typename Fn>
+std::string runtime_error_message(Fn fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(PlanArtifact, CsvRejectsNonFiniteNegativeAndMalformedFields) {
+  const std::string header = "harl-plan-csv-v1\nfingerprint,1\ntiers,2,4\n";
+  const auto error = [&](const std::string& rows) {
+    return runtime_error_message([&] {
+      std::stringstream ss(header + rows);
+      load_plan_csv(ss);
+    });
+  };
+  EXPECT_EQ(error("devtier,0,nan,1\n"),
+            "plan CSV line 4, factor: 'nan' is not a finite number");
+  EXPECT_EQ(error("devtier,0,-1,1\n"),
+            "plan CSV line 4, factor: must be > 0");
+  EXPECT_EQ(error("devtier,0, 1,1\n"),
+            "plan CSV line 4, factor: ' 1' is not a finite number");
+  EXPECT_EQ(error("region,0,-4096,4096\n"),
+            "plan CSV line 4, stripe: '-4096' is not an unsigned integer");
+  const std::string region = "region,0,4096,4096\n";
+  EXPECT_EQ(error(region + "cache,1,1,1024,64,lru,inf\n"),
+            "plan CSV line 5, hit rate: 'inf' is not a finite number");
+  EXPECT_EQ(error(region + "cache,1,1,1024,64,lru,1.5\n"),
+            "plan CSV line 5: corrupt cache reservation");
+  EXPECT_EQ(error(region + "cache,1,1,1024,64,fifo,0.5\n").rfind(
+                "plan CSV line 5, policy: ", 0),
+            0u);
+  EXPECT_EQ(error(region + "region,0,4096,4096\n"),
+            "plan CSV line 5: RST offsets must be strictly increasing");
+  EXPECT_EQ(error("tiers,2,4\n"), "plan CSV line 4, row: tiers row repeated");
+  EXPECT_EQ(error(region + "cache,1,1,1024,64,lru,0.5\n"), "");
+}
+
+TEST(PlanArtifact, BinaryRejectsBadRegionsFactorsAndCache) {
+  PlanArtifact artifact = device_artifact();
+  artifact.cache = PlanCacheSpec{1, 1, 64 * MiB, MiB,
+                                 storage::CachePolicy::kLru, 0.5};
+  std::stringstream full;
+  save_plan_binary(artifact, full);
+  const std::string bytes = full.str();
+  const auto error = [&](std::size_t at, std::uint64_t word) {
+    std::string patched = bytes;
+    for (int i = 0; i < 8; ++i) {
+      patched[at + i] = static_cast<char>((word >> (8 * i)) & 0xff);
+    }
+    return runtime_error_message([&] {
+      std::stringstream ss(patched);
+      load_plan_binary(ss);
+    });
+  };
+  // magic 8, version 4, k 4, fingerprint 8, tiers 2 x 8, region count 8,
+  // then (offset, s_0, s_1) per region.
+  const std::size_t region1 = 48 + 24;
+  EXPECT_EQ(error(region1, 0),
+            "plan artifact region 1: RST offsets must be strictly increasing");
+  // Device table: files count 8, tier 0 count 8, tier 1 count 8, factors.
+  const std::size_t factors = 48 + 3 * 24 + 8 + 8 + 8;
+  EXPECT_EQ(error(factors, std::bit_cast<std::uint64_t>(-1.0)),
+            "plan artifact tier 1: device factor is not finite and > 0");
+  // The cache section closes the file: policy u32 then the hit rate.
+  EXPECT_EQ(error(bytes.size() - 8, std::bit_cast<std::uint64_t>(1.5)),
+            "plan artifact cache section: corrupt cache reservation");
+  EXPECT_EQ(error(bytes.size() - 8, std::bit_cast<std::uint64_t>(0.25)), "");
+}
+
+TEST(PlanArtifact, BinaryRegionCountSizesNoAllocation) {
+  // A 56-byte plan: header, two tiers, a claim of 2^28 regions and the
+  // first region's offset.  The reader must run out of input before it
+  // holds more than the regions it has read.
+  PlanArtifact artifact = sample_artifact(/*with_files=*/false);
+  std::stringstream full;
+  save_plan_binary(artifact, full);
+  std::string bytes = full.str().substr(0, 56);
+  bytes[40] = 0;     // region count: the u64 at byte 40
+  bytes[40 + 3] = 0x10;  // = 2^28
+  std::stringstream ss(bytes);
+  EXPECT_NE(runtime_error_message([&] { load_plan_binary(ss); })
+                .find("truncated"),
+            std::string::npos);
 }
 
 TEST(PlanArtifact, FromPlanCarriesTheDeviceTable) {

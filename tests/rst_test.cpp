@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "src/core/rst.hpp"
 
@@ -91,6 +93,28 @@ TEST(Rst, LoadRejectsBadInput) {
     std::stringstream ss("harl-rst-v1\n0 garbage\n");
     EXPECT_THROW(RegionStripeTable::load(ss), std::runtime_error);
   }
+}
+
+TEST(Rst, LoadRejectsSignsSpacesAndBadOrderNamingTheLine) {
+  const auto error = [](const std::string& text) {
+    std::stringstream ss(text);
+    try {
+      RegionStripeTable::load(ss);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(error("harl-rst-v1\n0 -5 4096\n"),
+            "RST line 2, stripe: '-5' is not an unsigned integer");
+  EXPECT_EQ(error("harl-rst-v1\n+7 4096 4096\n"),
+            "RST line 2, offset: '+7' is not an unsigned integer");
+  EXPECT_EQ(error("harl-rst-v2\n0  4096\n"),
+            "RST line 2, stripe: '' is not an unsigned integer");
+  EXPECT_EQ(error("harl-rst-v1\n0 1 2\n\n0 3 4\n"),
+            "RST line 4: RST offsets must be strictly increasing");
+  EXPECT_EQ(error("harl-rst-v3\n0 1 2 0\n0 3 4\n").rfind("RST line 2, ", 0),
+            0u);
 }
 
 // ------------------------------------------------ k-tier entries (v2) ----

@@ -3,7 +3,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "src/trace/analysis.hpp"
 #include "src/trace/collector.hpp"
@@ -130,6 +133,80 @@ TEST(TraceIo, BinaryRejectsBadMagicAndTruncation) {
     std::stringstream cut(data);
     EXPECT_THROW(read_binary(cut), std::runtime_error);
   }
+}
+
+/// The message of the std::runtime_error `fn` throws ("" if none).
+template <typename Fn>
+std::string runtime_error_message(Fn fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TraceIo, CsvRejectsEveryMalformedFieldNamingLineAndField) {
+  const std::string header = "pid,rank,fd,op,offset,size,t_start,t_end\n";
+  const std::string good = "1,0,3,read,0,4096,0,0.5\n";
+  const auto error = [&](const std::string& row) {
+    return runtime_error_message([&] {
+      std::stringstream ss(header + good + row);
+      read_csv(ss);
+    });
+  };
+  EXPECT_EQ(error("1,0,3,read,0,16x,0,0.5\n"),
+            "trace CSV line 3, size: '16x' is not an unsigned integer");
+  EXPECT_EQ(error("1,0,3,read,0,-5,0,0.5\n"),
+            "trace CSV line 3, size: '-5' is not an unsigned integer");
+  EXPECT_EQ(error("1,0,3,read,0,5,nan,0.5\n"),
+            "trace CSV line 3, t_start: 'nan' is not a finite number");
+  EXPECT_EQ(error("1,0,3,read,0,18446744073709551616,0,0.5\n"),
+            "trace CSV line 3, size: '18446744073709551616' is not an "
+            "unsigned integer");
+  EXPECT_EQ(error("4294967296,0,3,read,0,5,0,0.5\n"),
+            "trace CSV line 3, pid: 4294967296 exceeds 4294967295");
+  EXPECT_EQ(error("1,0,3,erase,0,5,0,0.5\n"),
+            "trace CSV line 3: op is not read or write");
+  EXPECT_EQ(error("1,0,3,read,18446744073709551615,2,0,0.5\n"),
+            "trace CSV line 3: offset + size overflows 64 bits");
+  EXPECT_EQ(error("1,0,3,read,0,5,0,0.5,\n"),
+            "trace CSV line 3: unexpected field ''");
+  EXPECT_EQ(error(""), "");
+}
+
+TEST(TraceIo, BinaryRejectsBadOpsNonFiniteTimesAndOverflow) {
+  const auto error = [](TraceRecord r, int op_byte) {
+    std::stringstream ss;
+    write_binary(ss, {r});
+    std::string bytes = ss.str();
+    bytes[16 + 12] = static_cast<char>(op_byte);  // header, pid/rank/fd
+    return runtime_error_message([&] {
+      std::stringstream cut(bytes);
+      read_binary(cut);
+    });
+  };
+  const TraceRecord good = make_record(0, IoOp::kRead, 0, 1);
+  EXPECT_EQ(error(good, 1), "");
+  EXPECT_EQ(error(good, 7), "binary trace record 0: op is not read or write");
+  TraceRecord nan = good;
+  nan.t_end = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(error(nan, 0), "binary trace record 0: timestamps must be finite");
+  TraceRecord wrap = good;
+  wrap.offset = std::numeric_limits<Bytes>::max();
+  EXPECT_EQ(error(wrap, 0),
+            "binary trace record 0: offset + size overflows 64 bits");
+}
+
+TEST(TraceIo, BinaryCountSizesNoAllocation) {
+  // Magic plus a count of 2^40 records and no record bytes: the reader
+  // must run out of input, not reserve 2^40 records first.
+  std::string bytes = "HARLTRC1";
+  for (int i = 0; i < 8; ++i) bytes += static_cast<char>(i == 5 ? 1 : 0);
+  ASSERT_EQ(bytes.size(), 16u);
+  std::stringstream ss(bytes);
+  EXPECT_NE(runtime_error_message([&] { read_binary(ss); }).find("truncated"),
+            std::string::npos);
 }
 
 TEST(TraceIo, SaveLoadPicksFormatByExtension) {

@@ -50,14 +50,17 @@ void apply_aging(const std::vector<std::string>& clauses,
     auto& factors = tier == "hserver" ? cluster.hdd_factors
                                       : cluster.ssd_factors;
     factors.clear();
-    std::istringstream list(clause.substr(eq + 1));
-    std::string text;
-    while (std::getline(list, text, ':')) {
+    // FieldReader only splits here (every text() call has a field left),
+    // so a bad factor stays the std::invalid_argument Options expects.
+    FieldReader list("aging", 1, std::string_view(clause).substr(eq + 1), ':');
+    do {
+      const std::string_view text = list.text("factor");
       factors.push_back(parse_double(text));
-      if (!(factors.back() > 0.0)) {
-        throw std::invalid_argument("device factor " + text + " must be > 0");
+      if (!storage::valid_device_factor(factors.back())) {
+        throw std::invalid_argument("device factor " + std::string(text) +
+                                    " must be > 0");
       }
-    }
+    } while (list.more());
   }
 }
 
@@ -67,12 +70,7 @@ harness::LayoutScheme parse_scheme(const std::string& token) {
   if (token == "harl-file") return harness::LayoutScheme::file_level_harl();
   if (token == "segment") return harness::LayoutScheme::segment_level();
   if (token.rfind("rand", 0) == 0) {
-    const std::string seed = token.substr(4);
-    if (seed.empty() || seed[0] == '-') {
-      throw std::invalid_argument(token + ": randN needs a seed N >= 0");
-    }
-    return harness::LayoutScheme::random_stripes(
-        static_cast<std::uint64_t>(parse_int(seed)));
+    return harness::LayoutScheme::random_stripes(parse_uint(token.substr(4)));
   }
   return harness::LayoutScheme::fixed(parse_size(token));
 }
