@@ -10,7 +10,6 @@
 
 #include "src/common/rng.hpp"
 #include "src/common/thread_pool.hpp"
-#include "src/core/online_advisor.hpp"
 #include "src/core/planner.hpp"
 #include "src/core/region_divider.hpp"
 #include "src/core/stripe_optimizer.hpp"
@@ -176,22 +175,22 @@ BENCHMARK(BM_AnalyzeCarl_RegionParallel)
     ->ArgName("threads")
     ->Unit(benchmark::kMillisecond);
 
-// ------------------------------------------------ online adaptation costs
+// ------------------------------------------------------ region division
 
 void BM_RegionDivider(benchmark::State& state) {
   // Algorithm 1 over one sorted trace: the batch divide_regions walk
   // (range(1) == 0) vs the incremental StreamingDivider fed request by
   // request (range(1) == 1).  The two are bit-identical by construction
   // (tests/divider_test.cpp); this bench pins the per-request bookkeeping
-  // the adaptive manager pays to keep region division live online.
+  // of the streaming form that `harl_trace divide` uses.
   const auto records = multi_region_trace(
       8, static_cast<std::size_t>(state.range(0)) / 8);
   const bool streaming = state.range(1) != 0;
   const DividerOptions opts;
   std::size_t regions = 0;
   if (streaming) {
-    // The streaming form takes the settled threshold as given (its online
-    // caller inherits it from the last full division).
+    // The streaming form takes the settled threshold as given (from a
+    // full division of the same trace).
     const double threshold = divide_regions(records, opts).threshold_used;
     for (auto _ : state) {
       StreamingDivider divider(threshold);
@@ -213,54 +212,6 @@ void BM_RegionDivider(benchmark::State& state) {
 BENCHMARK(BM_RegionDivider)
     ->ArgsProduct({{4096, 16384}, {0, 1}})
     ->ArgNames({"requests", "streaming"})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_AdvisorWindow(benchmark::State& state) {
-  // Steady-state cost of the OnlineAdvisor on the foreground completion
-  // path: every observe() does O(log window) insertion, and each full
-  // window re-runs the Analysis Phase with the persistent cost memo.  This
-  // is the budget the adaptive manager spends per request while deciding
-  // whether to re-layout.
-  const TieredCostParams p = bench_params();
-  RegionStripeTable current;
-  current.add(0, {28 * KiB, 172 * KiB});
-  OnlineAdvisor::Options opts;
-  opts.window = static_cast<std::size_t>(state.range(0));
-  opts.min_gain = 0.0;  // ungated: count every recommendation
-  Rng rng(17);
-  std::vector<trace::TraceRecord> stream;
-  stream.reserve(16384);
-  for (std::size_t i = 0; i < 16384; ++i) {
-    trace::TraceRecord r;
-    r.op = i % 2 ? IoOp::kWrite : IoOp::kRead;
-    r.offset = rng.uniform_u64(0, 2048) * (128 * KiB);
-    r.size = 128 * KiB;
-    stream.push_back(r);
-  }
-  std::uint64_t evals = 0;
-  std::uint64_t saved = 0;
-  std::size_t recs = 0;
-  for (auto _ : state) {
-    OnlineAdvisor advisor(p, current, opts);
-    recs = 0;
-    for (const auto& r : stream) {
-      if (advisor.observe(r).has_value()) ++recs;
-    }
-    evals = advisor.cost_evals();
-    saved = advisor.cost_evals_saved();
-    benchmark::DoNotOptimize(recs);
-  }
-  state.counters["recommendations"] = static_cast<double>(recs);
-  state.counters["cost_evals"] = static_cast<double>(evals);
-  state.counters["cost_evals_saved"] = static_cast<double>(saved);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(stream.size()));
-}
-BENCHMARK(BM_AdvisorWindow)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096)
-    ->ArgName("window")
     ->Unit(benchmark::kMillisecond);
 
 void BM_Analyze_PresortedTrace(benchmark::State& state) {

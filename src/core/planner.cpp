@@ -81,16 +81,11 @@ void for_each_region(std::size_t count, const PlannerOptions& options,
 }
 
 /// Per-region optimizer options for the region-parallel path: regions are
-/// the parallel grain, so the nested candidate sharding is disabled — and a
-/// caller-provided scratch memo (single-threaded by contract) must not be
-/// shared across concurrently optimized regions.
+/// the parallel grain, so the nested candidate sharding is disabled.
 OptimizerOptions region_grain_optimizer(const PlannerOptions& options,
                                         std::size_t region_count) {
   OptimizerOptions opt = options.optimizer;
-  if (options.pool != nullptr && region_count > 1) {
-    opt.pool = nullptr;
-    opt.scratch = nullptr;
-  }
+  if (options.pool != nullptr && region_count > 1) opt.pool = nullptr;
   return opt;
 }
 

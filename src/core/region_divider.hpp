@@ -60,10 +60,9 @@ struct RegionDivision {
 /// Incremental Algorithm 1: one CV update per appended request, O(1) state.
 ///
 /// The batch `divide_regions` is this class fed in a loop (the two are
-/// bit-identical by construction); the streaming form exists so online
-/// consumers — the advisor's per-window analysis, `harl_trace divide` —
-/// process each request once as it arrives instead of re-sorting and
-/// re-walking the whole trace per window.  Offsets must be appended in
+/// bit-identical by construction); the streaming form exists so a consumer
+/// such as `harl_trace divide` can process each request once as it arrives
+/// and record the per-request CV trajectory.  Offsets must be appended in
 /// ascending order; `finish` closes the open region and tiles the touched
 /// extent exactly like the batch pass.  One-shot: construct anew per pass.
 class StreamingDivider {

@@ -384,13 +384,8 @@ RegionStripes search_engine(const TieredCostParams& params,
     return a.value != b.value ? a.value < b.value : a.index < b.index;
   });
 
-  // Scan.  A caller-provided scratch memo keeps its table capacity across
-  // calls; its counters are cumulative, so report this call's work as
-  // deltas.
-  CostMemo local;
-  CostMemo& memo = options.scratch != nullptr ? *options.scratch : local;
-  const std::uint64_t misses_before = memo.misses();
-  const std::uint64_t hits_before = memo.hits();
+  // Scan.
+  CostMemo memo;
   View view = make_view();
   std::vector<TierGeometry> geometry(k);
   Candidate best;
@@ -413,9 +408,10 @@ RegionStripes search_engine(const TieredCostParams& params,
   result.model_cost = best.cost;
   result.candidates_evaluated = grid.size();
   result.candidates_pruned = grid.size() - scored;
-  result.cost_evals = options.coalesce ? memo.misses() - misses_before
-                               : static_cast<std::uint64_t>(scored) * sampled;
-  result.cost_evals_saved = memo.hits() - hits_before;
+  result.cost_evals = options.coalesce
+                          ? memo.misses()
+                          : static_cast<std::uint64_t>(scored) * sampled;
+  result.cost_evals_saved = memo.hits();
   return result;
 }
 

@@ -60,20 +60,10 @@
 
 namespace harl::core {
 
-class CostMemo;
-
 struct OptimizerOptions {
   Bytes step = 4 * KiB;          ///< the paper's 4 KB grid step
   std::size_t max_requests = 4096;  ///< request-sampling cap (0 = no cap)
   ThreadPool* pool = nullptr;    ///< optional: shard the candidate bounds
-  /// Optional caller-owned memo reused across optimize calls (scoring is
-  /// always serial, so it serves every call, pooled or not).  Online
-  /// consumers that re-optimize every window (OnlineAdvisor) thread one
-  /// memo through so the hash table is sized once instead of reallocated
-  /// per window; per-candidate logical clearing still happens via the
-  /// generation counter, so results are bit-identical.  Single-threaded:
-  /// never share one scratch memo across concurrent optimize calls.
-  CostMemo* scratch = nullptr;
   /// Request-class coalescing: memoize the request cost per candidate keyed
   /// by (op, size, offset mod S) — the cost model is exactly periodic in the
   /// offset with the candidate's striping period S, so each class is scored

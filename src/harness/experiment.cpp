@@ -123,8 +123,6 @@ void record_cache_metrics(obs::MetricsRegistry& metrics,
   add("cache.hit_bytes", stats.hit_read_bytes);
   add("cache.miss_bytes", stats.miss_read_bytes);
   add("cache.fill_bytes", stats.fill_bytes);
-  add("cache.resplits", stats.resplits);
-  add("cache.clears", stats.clears);
   metrics.set(metrics.family("cache.active_devices", Kind::kGauge), no_labels,
               static_cast<double>(stats.active_devices));
 }
@@ -229,6 +227,12 @@ SchemeResult Experiment::run_with_trace(
       bundle.mixed_programs.empty()) {
     throw std::invalid_argument("workload bundle has no programs");
   }
+  if (options_.cluster.fail_server >= 0) {
+    // Failure is modelled on the replicated path only, and a single-file
+    // run places no replicas: a dead server would quietly keep serving.
+    throw std::invalid_argument(
+        "fail_server needs replicas: use a replicated run_population");
+  }
 
   SchemeResult result;
   result.label = scheme.label();
@@ -250,24 +254,16 @@ SchemeResult Experiment::run_with_trace(
   }
 
   // Measured run on a fresh cluster; the observer must be in place before
-  // the cluster is built so components register their tracks.  For the
-  // adaptive scheme the AdaptiveLayoutManager takes the observer seat
-  // (forwarding to the recorder, when one is attached) so completed requests
-  // feed its advisor, and its epoched facade replaces the epoch-0 layout.
-  const bool adaptive = scheme.kind == SchemeKind::kHarlAdaptive;
+  // the cluster is built so components register their tracks.
   sim::Simulator sim;
-  std::unique_ptr<mw::AdaptiveLayoutManager> manager;
   if (options_.observe) {
     result.obs =
         std::make_shared<obs::Recorder>(options_.recorder, options_.telemetry);
     if (obs::HealthMonitor* health = result.obs->health()) {
       result.health = std::shared_ptr<obs::HealthMonitor>(result.obs, health);
     }
+    sim.set_observer(result.obs.get());
   }
-  // Observer chain: sim -> [manager] -> recorder.  The adaptive manager
-  // stays in front as the simulator-facing sink so completed requests feed
-  // its advisor; the recorder feeds the telemetry plane it owns.
-  obs::Sink* tail = result.obs.get();
   // Devices the measured run's cache covers: the plan's reservation when the
   // Analysis Phase was cache-aware, the configured count for blind and
   // non-plan schemes (see ExperimentOptions::cache).
@@ -279,23 +275,7 @@ SchemeResult Experiment::run_with_trace(
       cache_devices = options_.cache.devices;
     }
   }
-  if (adaptive) {
-    mw::AdaptiveOptions adaptive_options = options_.adaptive;
-    if (result.plan->cache) {
-      // Every epoch inherits the offline reservation; window re-optimization
-      // plans over the unreserved fleet.
-      adaptive_options.reserved =
-          std::vector<std::size_t>{0, result.plan->cache->devices};
-      adaptive_options.cache_spec = result.plan->cache;
-    }
-    manager = std::make_unique<mw::AdaptiveLayoutManager>(
-        cost_params(), result.plan->rst, std::move(adaptive_options), tail);
-    sim.set_observer(manager.get());
-  } else if (tail != nullptr) {
-    sim.set_observer(tail);
-  }
   pfs::Cluster cluster(sim, options_.cluster);
-  if (adaptive) layout = manager->install(cluster, bundle.name);
   std::unique_ptr<pfs::CacheManager> cache_manager;
   if (cache_devices > 0) {
     pfs::CacheManager::Config cache_config;
@@ -307,10 +287,6 @@ SchemeResult Experiment::run_with_trace(
     cache_manager = std::make_unique<pfs::CacheManager>(cluster, cache_config);
     for (std::size_t i = 0; i < cluster.num_clients(); ++i) {
       cluster.client(i).set_cache(cache_manager.get());
-    }
-    if (manager != nullptr) {
-      manager->set_epoch_hook(
-          [cache = cache_manager.get()](std::uint32_t) { cache->on_epoch(); });
     }
   }
   if (result.obs) {
@@ -346,16 +322,6 @@ SchemeResult Experiment::run_with_trace(
   run_phase(bundle.write_programs, true);
   run_phase(bundle.read_programs, true);
   run_phase(bundle.mixed_programs, true);
-
-  if (manager != nullptr) {
-    result.adaptive = manager->summary();
-    // Post-run state: describe the lineage the run ended with, and persist
-    // the *latest* epoch as the plan (a saved artifact resumes from there).
-    result.layout_description = layout->describe();
-    result.plan = manager->latest_plan();
-    result.region_count = result.plan->rst.size();
-    if (result.obs) result.obs->metrics().merge(manager->metrics());
-  }
 
   if (result.health) result.health->finalize();
 

@@ -19,7 +19,6 @@
 #include "src/obs/health.hpp"
 #include "src/obs/recorder.hpp"
 #include "src/harness/scheme.hpp"
-#include "src/middleware/adaptive.hpp"
 #include "src/middleware/program.hpp"
 #include "src/pfs/cache_manager.hpp"
 #include "src/middleware/runner.hpp"
@@ -71,10 +70,6 @@ struct SchemeResult {
   std::vector<Seconds> server_io_time;  ///< per server, all phases (Fig. 1a)
   std::size_t region_count = 1;
   std::optional<core::Plan> plan;       ///< plan-producing schemes only
-  /// Adaptive runs only (harl-adaptive scheme): epoch/migration counters of
-  /// the measured run.  `plan` then holds the *latest* epoch's RST, so a
-  /// saved artifact resumes from where adaptation ended.
-  std::optional<mw::AdaptiveLayoutManager::Summary> adaptive;
   /// Read-cache counters of the measured run (cache-enabled runs only).
   std::optional<pfs::CacheManager::Stats> cache;
   /// Event-engine counters of the measured run (harl_sim stats=1).
@@ -108,9 +103,6 @@ struct ExperimentOptions {
   /// scheme's layout, feeding the per-region model-error histogram.
   bool observe = false;
   obs::Recorder::Options recorder;
-  /// Tuning for the harl-adaptive scheme: advisor window/min_gain/planner
-  /// plus the migration throttle.  Ignored by every other scheme.
-  mw::AdaptiveOptions adaptive;
   /// Heterogeneity-aware read cache (HACache direction).  budget > 0 and
   /// devices > 0 arm a pfs::CacheManager over the fastest SSD devices of the
   /// measured run.  Cache-aware mode (blind == false): the HARL schemes run

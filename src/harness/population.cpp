@@ -183,7 +183,11 @@ PopulationResult run_population(Experiment& experiment,
       throw std::invalid_argument("population files disagree on ranks");
     }
   }
-  const bool adaptive = scheme.kind == SchemeKind::kHarlAdaptive;
+  if (options.cluster.fail_server >= 0 && !popts.replicate) {
+    // Failure is modelled on the replicated path only: without a replica
+    // the dead server would quietly keep serving.
+    throw std::invalid_argument("fail_server needs replicated files");
+  }
   const core::TieredCostParams& params = experiment.cost_params();
 
   // --- Phase A: per-file offline pipeline on private clusters -------------
@@ -244,42 +248,10 @@ PopulationResult run_population(Experiment& experiment,
     if (obs::HealthMonitor* health = result.obs->health()) {
       result.health = std::shared_ptr<obs::HealthMonitor>(result.obs, health);
     }
+    sim.set_observer(result.obs.get());
   }
-  obs::Sink* tail = result.obs.get();
-
-  // Per-file adaptive managers, chained file 0 outermost; each one's advisor
-  // sees only its own file's completions (set_file_filter), so every file's
-  // epochs adapt to its own traffic.
-  std::vector<std::unique_ptr<mw::AdaptiveLayoutManager>> managers;
-  if (adaptive) {
-    std::optional<mw::AdaptiveOptions::FailSpec> fail;
-    if (options.cluster.fail_server >= 0 && tier_groups.size() == 2) {
-      mw::AdaptiveOptions::FailSpec spec;
-      spec.tier = static_cast<std::size_t>(options.cluster.fail_server) <
-                          tier_counts[0]
-                      ? 0
-                      : 1;
-      spec.at = options.cluster.fail_at;
-      fail = spec;
-    }
-    managers.resize(nfiles);
-    for (std::size_t k = nfiles; k-- > 0;) {
-      mw::AdaptiveOptions adaptive_options = options.adaptive;
-      adaptive_options.fail = fail;
-      managers[k] = std::make_unique<mw::AdaptiveLayoutManager>(
-          params, preps[k].plan->rst, std::move(adaptive_options), tail);
-      managers[k]->set_file_filter(static_cast<std::uint32_t>(k));
-      tail = managers[k].get();
-    }
-  }
-  if (tail != nullptr) sim.set_observer(tail);
 
   pfs::Cluster cluster(sim, options.cluster);
-  if (adaptive) {
-    for (std::size_t i = 0; i < nfiles; ++i) {
-      preps[i].layout = managers[i]->install(cluster, population[i].name);
-    }
-  }
 
   // One shared read cache across the whole namespace, keyed by (file,
   // chunk): a hot tenant's working set competes with every other file's
@@ -297,25 +269,15 @@ PopulationResult run_population(Experiment& experiment,
     for (std::size_t i = 0; i < cluster.num_clients(); ++i) {
       cluster.client(i).set_cache(cache_manager.get());
     }
-    for (std::size_t i = 0; i < managers.size(); ++i) {
-      // Epoch swaps invalidate only the adapting file's cached chunks.
-      managers[i]->set_epoch_hook(
-          [cache = cache_manager.get(),
-           file = static_cast<std::uint32_t>(i)](std::uint32_t) {
-            cache->invalidate_file(file);
-          });
-    }
   }
 
   // Failure storm: degraded reads are the Client's job; the rebuild plane
   // re-materializes the failed server's share in the background.
   std::unique_ptr<mw::RebuildManager> rebuild;
-  if (options.cluster.fail_server >= 0 && popts.replicate) {
+  if (options.cluster.fail_server >= 0) {
     mw::RebuildManager::Options ro;
     ro.failed_server = static_cast<std::size_t>(options.cluster.fail_server);
     ro.start_at = options.cluster.fail_at;
-    ro.bandwidth = popts.rebuild_bandwidth;
-    ro.chunk = popts.rebuild_chunk;
     rebuild = std::make_unique<mw::RebuildManager>(cluster, ro);
     for (std::size_t i = 0; i < nfiles; ++i) {
       rebuild->add_file(preps[i].layout, population[i].size,
@@ -368,12 +330,6 @@ PopulationResult run_population(Experiment& experiment,
     result.rebuild_finished_at = rebuild->finished_at();
     result.rebuild_done = rebuild->done();
     if (result.obs) result.obs->metrics().merge(rebuild->metrics());
-  }
-  for (std::size_t i = 0; i < managers.size(); ++i) {
-    result.files[i].adaptive_epochs = managers[i]->summary().epochs_installed;
-    result.degraded_replan =
-        result.degraded_replan || managers[i]->degraded_active();
-    if (result.obs) result.obs->metrics().merge(managers[i]->metrics());
   }
   if (result.health) {
     result.health->finalize();

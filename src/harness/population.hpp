@@ -15,10 +15,9 @@
 //     pipeline (trace, analysis, plan) runs on a private cluster first, then
 //     ALL files launch concurrently on ONE shared simulated cluster
 //     (ProgramRunner::launch/finish), with per-file replica placement chosen
-//     by the cost model, a shared read cache keyed by (file, chunk), per-file
-//     adaptive managers when the scheme is harl-adaptive, and — when the
-//     cluster config arms fail_server — degraded reads plus a rebuild storm
-//     contending with the foreground traffic.
+//     by the cost model, a shared read cache keyed by (file, chunk), and —
+//     when the cluster config arms fail_server — degraded reads plus a
+//     rebuild storm contending with the foreground traffic.
 //
 // Determinism: the generator is a pure function of its spec; the measured
 // run inherits the simulator's guarantees, so every output is byte-identical
@@ -75,11 +74,9 @@ std::vector<PopulationFile> make_population(const PopulationSpec& spec);
 struct PopulationRunOptions {
   /// Give every file per-region replicas (cost-model placement for plan
   /// schemes, whole-cluster chained declustering otherwise).  Required for
-  /// failure runs: an unreplicated file cannot serve degraded reads.
+  /// failure runs: an unreplicated file cannot serve degraded reads, so
+  /// run_population rejects fail_server without it.
   bool replicate = true;
-  /// Rebuild storm throttle and chunk (see mw::RebuildManager::Options).
-  double rebuild_bandwidth = 256.0 * static_cast<double>(MiB);
-  Bytes rebuild_chunk = 4 * MiB;
 };
 
 struct PopulationFileResult {
@@ -92,13 +89,12 @@ struct PopulationFileResult {
   /// instant its last rank finished) — files finishing early are not charged
   /// for the stragglers.
   PhaseStats total;
-  std::size_t adaptive_epochs = 0;  ///< epochs beyond 0 (adaptive runs)
 };
 
 struct PopulationResult {
   std::vector<PopulationFileResult> files;
   /// Aggregate bytes over the whole shared run (launch to quiescence,
-  /// including rebuild/migration drain).
+  /// including the rebuild drain).
   PhaseStats total;
   std::vector<Seconds> server_io_time;
 
@@ -110,8 +106,6 @@ struct PopulationResult {
   Seconds rebuild_interference = 0.0;
   Seconds rebuild_finished_at = 0.0;
   bool rebuild_done = false;
-  /// Any per-file adaptive manager re-planned against the degraded fleet.
-  bool degraded_replan = false;
 
   /// Per-tenant whole-request SLO attainment (telemetry runs with an SLO;
   /// indexed by tenant id).

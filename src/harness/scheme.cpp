@@ -62,12 +62,6 @@ LayoutScheme LayoutScheme::harl() {
   return s;
 }
 
-LayoutScheme LayoutScheme::harl_adaptive() {
-  LayoutScheme s;
-  s.kind = SchemeKind::kHarlAdaptive;
-  return s;
-}
-
 LayoutScheme LayoutScheme::file_level_harl() {
   LayoutScheme s;
   s.kind = SchemeKind::kFileLevelHarl;
@@ -107,7 +101,6 @@ std::string LayoutScheme::label() const {
     case SchemeKind::kFixed: return format_size(fixed_stripe);
     case SchemeKind::kRandomStripes: return "rand" + std::to_string(random_seed);
     case SchemeKind::kHarl: return "HARL";
-    case SchemeKind::kHarlAdaptive: return "HARL-adaptive";
     case SchemeKind::kFileLevelHarl: return "HARL-file";
     case SchemeKind::kSegmentLevel: return "segment";
     case SchemeKind::kCarl: return "CARL";
@@ -157,7 +150,6 @@ std::shared_ptr<const pfs::Layout> build_layout(
     }
 
     case SchemeKind::kHarl:
-    case SchemeKind::kHarlAdaptive:
     case SchemeKind::kFileLevelHarl:
     case SchemeKind::kSegmentLevel:
     case SchemeKind::kCarl:
@@ -166,12 +158,8 @@ std::shared_ptr<const pfs::Layout> build_layout(
         throw std::invalid_argument(
             "analysis-based scheme requires a first-execution trace");
       }
-      // kHarlAdaptive's offline analysis is exactly HARL's: the resulting
-      // plan is epoch 0 of the adaptive run (the experiment runner layers
-      // the AdaptiveLayoutManager on top of this layout).
       core::Plan plan;
-      if (scheme.kind == SchemeKind::kHarl ||
-          scheme.kind == SchemeKind::kHarlAdaptive) {
+      if (scheme.kind == SchemeKind::kHarl) {
         plan = cache_options.enabled()
                    ? core::analyze_cached(trace_records, params, cache_options,
                                           planner_options)

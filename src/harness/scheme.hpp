@@ -26,7 +26,6 @@ enum class SchemeKind {
   kFixed,
   kRandomStripes,
   kHarl,
-  kHarlAdaptive,
   kFileLevelHarl,
   kSegmentLevel,
   kCarl,
@@ -45,11 +44,6 @@ struct LayoutScheme {
   static LayoutScheme fixed(Bytes stripe);
   static LayoutScheme random_stripes(std::uint64_t seed);
   static LayoutScheme harl();
-  /// Epoch-versioned adaptive HARL: epoch 0 is the offline plan (same
-  /// analysis as `harl()`), then an AdaptiveLayoutManager re-optimizes live
-  /// windows during the measured run, swapping epochs and migrating changed
-  /// ranges as background I/O (ExperimentOptions::adaptive tunes it).
-  static LayoutScheme harl_adaptive();
   static LayoutScheme file_level_harl();
   static LayoutScheme segment_level();
   /// CARL baseline (paper reference [31]): each region entirely on one tier,
@@ -68,8 +62,7 @@ struct LayoutScheme {
 
   /// True for the schemes that require a trace + Analysis Phase.
   bool needs_analysis() const {
-    return kind == SchemeKind::kHarl || kind == SchemeKind::kHarlAdaptive ||
-           kind == SchemeKind::kFileLevelHarl ||
+    return kind == SchemeKind::kHarl || kind == SchemeKind::kFileLevelHarl ||
            kind == SchemeKind::kSegmentLevel || kind == SchemeKind::kCarl ||
            kind == SchemeKind::kHarlSpaceBounded;
   }
@@ -84,8 +77,8 @@ struct LayoutScheme {
 /// Materializes a scheme into a concrete layout for `cluster`.  For
 /// analysis-based schemes, `trace` (the first-execution trace) and `params`
 /// (calibrated model) drive the planner; `plan_out` (optional) receives the
-/// plan for diagnostics.  With `cache_options` enabled, the HARL schemes
-/// (kHarl / kHarlAdaptive) run the cache-aware Analysis Phase
+/// plan for diagnostics.  With `cache_options` enabled, the HARL scheme
+/// (kHarl) runs the cache-aware Analysis Phase
 /// (core::analyze_cached); a winning reservation shows up as plan.cache and
 /// the returned layout withholds those devices from every region.  Loaded
 /// plan artifacts honour their own embedded cache section instead.

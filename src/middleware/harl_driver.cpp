@@ -18,13 +18,29 @@ std::string plan_path(const std::string& dir, const std::string& name) {
   return dir + "/" + name + ".plan";
 }
 
+/// The cluster's tier counts shaped to match `rst`: normally the cluster's
+/// own tier topology; a two-tier RST against a cluster whose tier list
+/// collapsed (e.g. zero HServers configured) falls back to the two-tier
+/// (num_hservers, num_sservers) view so absent tiers keep their slot.
+std::vector<std::size_t> tier_counts_for(const core::RegionStripeTable& rst,
+                                         const pfs::Cluster& cluster) {
+  std::vector<std::size_t> counts = cluster.tier_counts();
+  if (counts.size() != rst.num_tiers()) {
+    if (rst.num_tiers() == 2) {
+      counts = {cluster.num_hservers(), cluster.num_sservers()};
+    } else {
+      throw std::runtime_error("RST tier count does not match cluster tiers");
+    }
+  }
+  return counts;
+}
+
 /// Shared installation: register the logical file's region layout and each
 /// per-region physical file, striped with that region's stripes alone.
 std::shared_ptr<pfs::RegionLayout> install_with_names(
     const core::RegionStripeTable& rst, const std::string& logical_name,
     const std::vector<std::string>& physical_names, pfs::Cluster& cluster) {
-  const std::vector<std::size_t> counts =
-      HarlDriver::tier_counts_for(rst, cluster);
+  const std::vector<std::size_t> counts = tier_counts_for(rst, cluster);
   auto layout = rst.to_layout(counts);
   cluster.mds().register_file(logical_name, layout);
   for (std::size_t i = 0; i < rst.size(); ++i) {
@@ -37,8 +53,7 @@ std::shared_ptr<pfs::RegionLayout> install_with_names(
 
 std::vector<std::string> canonical_names(const std::string& logical_name,
                                          std::size_t region_count) {
-  // Epoch-0 naming: identical to the historical "<logical>.r<k>" scheme.
-  const auto r2f = RegionFileMap::for_epoch(logical_name, 0, region_count);
+  const auto r2f = RegionFileMap::for_file(logical_name, region_count);
   std::vector<std::string> names;
   names.reserve(region_count);
   for (std::size_t i = 0; i < region_count; ++i) names.push_back(r2f.physical(i));
@@ -46,23 +61,6 @@ std::vector<std::string> canonical_names(const std::string& logical_name,
 }
 
 }  // namespace
-
-std::vector<std::size_t> HarlDriver::tier_counts_for(
-    const core::RegionStripeTable& rst, const pfs::Cluster& cluster) {
-  // Normally the cluster's own tier topology; a two-tier RST against a
-  // cluster whose tier list collapsed (e.g. zero HServers configured) falls
-  // back to the two-tier (num_hservers, num_sservers) view so absent tiers
-  // keep their slot.
-  std::vector<std::size_t> counts = cluster.tier_counts();
-  if (counts.size() != rst.num_tiers()) {
-    if (rst.num_tiers() == 2) {
-      counts = {cluster.num_hservers(), cluster.num_sservers()};
-    } else {
-      throw std::runtime_error("RST tier count does not match cluster tiers");
-    }
-  }
-  return counts;
-}
 
 void HarlDriver::save(const std::string& directory,
                       const std::string& logical_name, const core::Plan& plan) {

@@ -50,23 +50,12 @@ class HarlDriver {
   /// MPI_Init-time installation: builds the region layout from `rst` over
   /// the cluster's tier topology and registers the logical file (plus each
   /// physical region file) at the MDS.  Returns the layout for use by a
-  /// ProgramRunner.
-  ///
-  /// In epoch terms this is "install epoch 0": the offline plan is the first
-  /// entry of the file's layout lineage (its physical names are exactly
-  /// RegionFileMap::for_epoch(name, 0, n)), and an AdaptiveLayoutManager may
-  /// later stack re-optimized epochs on top of it without renaming anything
-  /// the offline driver placed.
+  /// ProgramRunner.  Two-tier RSTs fall back to the (num_hservers,
+  /// num_sservers) view when the cluster's tier list collapsed; any other
+  /// tier mismatch throws.
   static std::shared_ptr<pfs::RegionLayout> install(
       const core::RegionStripeTable& rst, const std::string& logical_name,
       pfs::Cluster& cluster);
-
-  /// The cluster's tier counts shaped to match `rst` (two-tier RSTs fall
-  /// back to the (num_hservers, num_sservers) view when the cluster's tier
-  /// list collapsed; throws on any other mismatch).  Shared by install and
-  /// the adaptive manager so every epoch is built over the same tier shape.
-  static std::vector<std::size_t> tier_counts_for(
-      const core::RegionStripeTable& rst, const pfs::Cluster& cluster);
 
   /// Installs a loaded Plan artifact: validates its tier table against the
   /// cluster (throws std::runtime_error on mismatch), then installs its RST

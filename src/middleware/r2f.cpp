@@ -12,19 +12,12 @@ constexpr char kHeader[] = "harl-r2f-v1";
 
 RegionFileMap RegionFileMap::for_file(const std::string& logical_name,
                                       std::size_t region_count) {
-  return for_epoch(logical_name, 0, region_count);
-}
-
-RegionFileMap RegionFileMap::for_epoch(const std::string& logical_name,
-                                       std::uint32_t epoch,
-                                       std::size_t region_count) {
   if (logical_name.empty()) throw std::invalid_argument("empty logical name");
   if (region_count == 0) throw std::invalid_argument("R2F needs >= 1 region");
   RegionFileMap map;
   map.logical_ = logical_name;
   map.physical_.reserve(region_count);
-  const std::string stem =
-      logical_name + (epoch == 0 ? "" : ".e" + std::to_string(epoch)) + ".r";
+  const std::string stem = logical_name + ".r";
   for (std::size_t i = 0; i < region_count; ++i) {
     map.physical_.push_back(stem + std::to_string(i));
   }

@@ -6,7 +6,6 @@
 // is stored next to the application (like the RST) and loaded at MPI_Init.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -20,15 +19,6 @@ class RegionFileMap {
   /// Canonical naming: "<logical>.r<k>" for region k.
   static RegionFileMap for_file(const std::string& logical_name,
                                 std::size_t region_count);
-
-  /// Epoch-qualified naming for adaptive re-layouts: epoch 0 keeps the
-  /// canonical "<logical>.r<k>" names (an epoched install is backward
-  /// compatible with the offline driver's), later epochs get
-  /// "<logical>.e<e>.r<k>" so a migrated region never aliases the physical
-  /// file of its predecessor.
-  static RegionFileMap for_epoch(const std::string& logical_name,
-                                 std::uint32_t epoch,
-                                 std::size_t region_count);
 
   const std::string& logical_name() const { return logical_; }
   std::size_t region_count() const { return physical_.size(); }

@@ -15,12 +15,11 @@
 //      home — restoring two live copies for every byte of the chunk.
 //
 // Both legs run through the *real* simulated servers, NICs and the shared
-// client-0 node link (the MigrationEngine honesty rule), so rebuild traffic
-// measurably contends with foreground I/O; a bandwidth throttle paces chunks
-// exactly like migration chunks.  The manager's private client is not
-// attach_observer'd: rebuild I/O never pollutes request attribution or the
-// adaptive advisor's window, but per-server counters and queue contention
-// see every byte.
+// client-0 node link, so rebuild traffic measurably contends with
+// foreground I/O; a bandwidth throttle paces the chunks.  The manager's
+// private client is not attach_observer'd: rebuild I/O never pollutes
+// request attribution, but per-server counters and queue contention see
+// every byte.
 //
 // Determinism: chunk order is a pure function of the registered files and
 // the chunk size, and the start instant is simulated time — a rebuild-storm

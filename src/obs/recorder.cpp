@@ -429,21 +429,6 @@ LabelSet Recorder::file_labels(std::uint32_t file) const {
   return l;
 }
 
-void Recorder::adaptive_event(AdaptiveEvent event, std::uint32_t epoch,
-                              Bytes bytes, Seconds now) {
-  if (health_) health_->advance(now);
-  note_time(now);
-  if (!options_.trace) return;
-  if (adaptive_track_ == kNoId) {
-    adaptive_track_ = track("adaptive layout", TrackKind::kOther, kNoId);
-  }
-  // Instants on the adaptive track reuse the op byte as the event kind
-  // (region-switch instants keep the 0xFF sentinel), epoch in `id`, bytes
-  // in `arg`.
-  push_event(TraceEvent{now, 0.0, adaptive_track_, EventType::kInstant,
-                        static_cast<std::uint8_t>(event), epoch, bytes});
-}
-
 void Recorder::cache_event(Bytes hit_bytes, Bytes miss_bytes, Seconds now) {
   if (!health_) return;
   health_->advance(now);
@@ -457,9 +442,9 @@ void Recorder::health_instant(HealthEvent event, std::uint32_t server,
   if (health_track_ == kNoId) {
     health_track_ = track("health", TrackKind::kOther, kNoId);
   }
-  // Health instants share the adaptive op-byte scheme with bit 7 set so the
-  // exporter can tell them apart; server in `id`, score (micro-units) in
-  // `arg`.
+  // Health instants carry the event kind in the op byte with bit 7 set
+  // (region-switch instants keep the 0xFF sentinel); server in `id`, score
+  // (micro-units) in `arg`.
   push_event(TraceEvent{
       now, 0.0, health_track_, EventType::kInstant,
       static_cast<std::uint8_t>(0x80u | static_cast<std::uint8_t>(event)),
@@ -563,7 +548,7 @@ void Recorder::append_trace_events(std::ostream& out, std::uint32_t pid,
                  "\"region\", \"s\": \"t\", \"pid\": "
               << pid << ", \"tid\": " << tid << ", \"ts\": " << to_us(e.ts)
               << ", \"args\": {\"region\": " << e.arg << "}}";
-        } else if ((e.op & 0x80u) != 0) {
+        } else {
           const char* name =
               (e.op & 0x7Fu) ==
                       static_cast<std::uint8_t>(HealthEvent::kStragglerFlagged)
@@ -574,19 +559,6 @@ void Recorder::append_trace_events(std::ostream& out, std::uint32_t pid,
               << ", \"tid\": " << tid << ", \"ts\": " << to_us(e.ts)
               << ", \"args\": {\"server\": " << e.id
               << ", \"score\": " << Real{static_cast<double>(e.arg) / 1e6}
-              << "}}";
-        } else {
-          const char* name =
-              e.op == static_cast<std::uint8_t>(AdaptiveEvent::kEpochInstalled)
-                  ? "epoch_install"
-              : e.op ==
-                      static_cast<std::uint8_t>(AdaptiveEvent::kMigrationStarted)
-                  ? "migration_start"
-                  : "migration_done";
-          out << "{\"ph\": \"i\", \"name\": \"" << name
-              << "\", \"cat\": \"adaptive\", \"s\": \"t\", \"pid\": " << pid
-              << ", \"tid\": " << tid << ", \"ts\": " << to_us(e.ts)
-              << ", \"args\": {\"epoch\": " << e.id << ", \"bytes\": " << e.arg
               << "}}";
         }
         break;

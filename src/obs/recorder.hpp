@@ -111,8 +111,6 @@ class Recorder final : public Sink {
                    Seconds startup, Seconds service) override;
   void sub_net_done(std::uint32_t sub, Seconds now) override;
   void end_request(std::uint32_t request, Seconds now) override;
-  void adaptive_event(AdaptiveEvent event, std::uint32_t epoch, Bytes bytes,
-                      Seconds now) override;
   void cache_event(Bytes hit_bytes, Bytes miss_bytes, Seconds now) override;
 
   /// The telemetry plane's monitor; nullptr unless telemetry is enabled.
@@ -321,7 +319,6 @@ class Recorder final : public Sink {
   std::vector<TrackState> tracks_;
   std::vector<ServerMeta> servers_;        // by global server index
   std::vector<std::uint32_t> client_tracks_;  // by client index
-  std::uint32_t adaptive_track_ = kNoId;   // lazily created on first event
   std::uint32_t health_track_ = kNoId;     // lazily created on first event
 
   std::vector<TraceEvent> events_;  // ring when max_trace_events > 0

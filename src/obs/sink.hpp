@@ -9,9 +9,8 @@
 // bench/bench_sim_baseline.json) pins that property.  `obs::Recorder` is the
 // standard implementation and the only telemetry sink: a metrics registry
 // plus a simulated-time flight recorder, and — when armed — the owner of
-// the straggler/SLO HealthMonitor it feeds from these same calls.  The
-// observer chain is sim -> [AdaptiveLayoutManager] -> Recorder; tests may
-// substitute their own sinks.
+// the straggler/SLO HealthMonitor it feeds from these same calls.  Tests
+// may substitute their own sinks.
 //
 // All timestamps are *simulated* seconds (sim::Time == Seconds): the trace
 // shows where simulated time goes, which is the quantity the paper's Fig. 1a
@@ -110,35 +109,12 @@ class Sink {
   /// All sub-requests of `request` completed at `now`.
   virtual void end_request(std::uint32_t request, Seconds now) = 0;
 
-  // --- adaptive layout (cold path, optional) -------------------------------
-
-  /// Adaptive-layout lifecycle instants (epoch swaps and migration phases),
-  /// emitted by the middleware AdaptiveLayoutManager.
-  enum class AdaptiveEvent : std::uint8_t {
-    kEpochInstalled,     ///< a new epoch became the planning target
-    kMigrationStarted,   ///< background copy toward `epoch` began
-    kMigrationFinished,  ///< background copy toward `epoch` completed
-  };
-
-  /// One adaptive-layout instant: `epoch` is the epoch id, `bytes` the
-  /// event's payload (affected extent / bytes scheduled / bytes migrated).
-  /// Defaulted to a no-op so existing sinks are unaffected.
-  virtual void adaptive_event(AdaptiveEvent event, std::uint32_t epoch,
-                              Bytes bytes, Seconds now) {
-    (void)event;
-    (void)epoch;
-    (void)bytes;
-    (void)now;
-  }
-
   // --- telemetry plane (DESIGN.md §15, optional) ---------------------------
 
   /// Cache read outcome for one client call: `hit_bytes` were served from the
   /// read cache, `miss_bytes` went to the backing layout.  Emitted by the
   /// CacheManager; feeds the TimeSeries hit-rate timeline of an armed
   /// Recorder.  Defaulted to a no-op so existing sinks are unaffected.
-  /// Forwarding sinks (e.g. AdaptiveLayoutManager) must override and
-  /// forward, or the event is swallowed.
   virtual void cache_event(Bytes hit_bytes, Bytes miss_bytes, Seconds now) {
     (void)hit_bytes;
     (void)miss_bytes;

@@ -1,7 +1,6 @@
 #include "src/pfs/cache_manager.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -30,7 +29,10 @@ CacheManager::CacheManager(Cluster& cluster, Config config)
   }
   cache_base_ = cluster_.tier_begin(config_.tier);
   active_devices_ = config_.devices;
-  reset_slots();
+  free_slots_.reserve(tier_.slots());
+  for (std::size_t i = tier_.slots(); i-- > 0;) {
+    free_slots_.push_back(static_cast<std::uint32_t>(i));
+  }
 }
 
 CacheManager::Stats CacheManager::stats() const {
@@ -40,8 +42,6 @@ CacheManager::Stats CacheManager::stats() const {
   stats.miss_read_bytes = miss_read_bytes_;
   stats.fill_bytes = fill_bytes_;
   stats.active_devices = active_devices_;
-  stats.resplits = resplits_;
-  stats.clears = clears_;
   return stats;
 }
 
@@ -183,8 +183,8 @@ void CacheManager::issue_read(std::size_t client_id, const Layout& layout,
 }
 
 void CacheManager::issue_fill(std::size_t client_id, const Fill& fill) {
-  // The admission may have been superseded (write-invalidate, a re-split
-  // clear, even a re-admission) while the miss run was in flight; a stale
+  // The admission may have been superseded (write-invalidate, even a
+  // re-admission) while the miss run was in flight; a stale
   // fill is discarded before it touches the network.
   const auto it = slots_.find(fill.key);
   if (it == slots_.end() || it->second.seq != fill.seq) {
@@ -245,66 +245,11 @@ void CacheManager::invalidate(Bytes offset, Bytes size, std::uint32_t file) {
   }
 }
 
-void CacheManager::invalidate_file(std::uint32_t file) {
-  if (!enabled()) return;
-  // Collect first (invalidate mutates slots_), in sorted order so the
-  // directory's recency structure after a bulk drop is deterministic.
-  const std::uint64_t ns = chunk_key(file, 0) >> 40;
-  std::vector<std::uint64_t> keys;
-  for (const auto& [key, info] : slots_) {
-    if ((key >> 40) == ns) keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  for (const std::uint64_t key : keys) {
-    if (tier_.invalidate(key)) free_slot(key);
-  }
-}
-
-void CacheManager::clear() {
-  tier_.clear();
-  reset_slots();
-  ++clears_;
-}
-
-void CacheManager::set_active_devices(std::size_t devices) {
-  devices = std::min(devices, config_.devices);
-  if (devices == active_devices_) return;
-  // Changing the spread re-maps every slot -> (device, address) pair, so
-  // resident data is unreachable at its old coordinates; drop everything.
-  active_devices_ = devices;
-  clear();
-  ++resplits_;
-}
-
-void CacheManager::on_epoch() {
-  if (config_.devices == 0 || tier_.slots() == 0) return;
-  // Spread proportional to utilization, floor one device, ceiling the full
-  // reservation.  Cached file chunks survive an epoch swap (migration moves
-  // home placement, not file contents), so an unchanged spread keeps the
-  // directory warm.
-  const double utilization = static_cast<double>(tier_.resident()) /
-                             static_cast<double>(tier_.slots());
-  const double scaled =
-      static_cast<double>(config_.devices) * std::min(1.0, 2.0 * utilization);
-  const std::size_t target = std::clamp<std::size_t>(
-      static_cast<std::size_t>(std::ceil(scaled)), 1, config_.devices);
-  set_active_devices(target);
-}
-
 void CacheManager::free_slot(std::uint64_t key) {
   const auto it = slots_.find(key);
   if (it == slots_.end()) return;
   free_slots_.push_back(it->second.slot);
   slots_.erase(it);
-}
-
-void CacheManager::reset_slots() {
-  slots_.clear();
-  free_slots_.clear();
-  free_slots_.reserve(tier_.slots());
-  for (std::size_t i = tier_.slots(); i-- > 0;) {
-    free_slots_.push_back(static_cast<std::uint32_t>(i));
-  }
 }
 
 }  // namespace harl::pfs

@@ -14,8 +14,8 @@
 //              from its home servers (read-around), shipped to the client,
 //              and forwarded to the cache device's disk — every leg charged
 //              over the same simulated links and queues as foreground
-//              traffic (the MigrationEngine honesty rule: promotions queue
-//              and interfere, they are never free copies).
+//              traffic: promotions queue and interfere, they are never free
+//              copies.
 //   write    : overlapped chunks are invalidated at issue time; a fill in
 //              flight for an invalidated chunk is poisoned and its landed
 //              bytes discarded.
@@ -53,8 +53,6 @@ class CacheManager {
     Bytes miss_read_bytes = 0;        ///< foreground bytes read from home servers
     Bytes fill_bytes = 0;             ///< promotion traffic issued
     std::size_t active_devices = 0;
-    std::uint64_t resplits = 0;       ///< epoch-boundary budget re-splits
-    std::uint64_t clears = 0;         ///< full drops (re-splits)
   };
 
   /// `cluster` must outlive the manager.  Throws std::invalid_argument when
@@ -95,32 +93,9 @@ class CacheManager {
   /// poisoned).
   void invalidate(Bytes offset, Bytes size, std::uint32_t file = obs::kNoId);
 
-  /// Drops every cached chunk of `file` (remove_file / rebuild hygiene);
-  /// other files' entries are untouched.
-  void invalidate_file(std::uint32_t file);
-
-  /// Drops every entry and frees every slot.
-  void clear();
-
-  /// Epoch-boundary budget re-split: spread the slot pool over the first
-  /// `devices` reserved devices (<= config().devices; 0 parks the cache).
-  /// A change of spread re-maps every slot address, so the cache is cleared.
-  void set_active_devices(std::size_t devices);
-
-  /// Epoch-adoption hook (AdaptiveLayoutManager::set_epoch_hook): re-splits
-  /// the budget across the reserved devices in proportion to the observed
-  /// working set — a chunk lives on exactly one device, so the spread only
-  /// balances concurrent load, and a cache whose working set filled under
-  /// half the slots concentrates on the fastest reserved devices instead of
-  /// scattering fills across all of them.  Cached file chunks stay valid
-  /// across an epoch swap (migration moves homes, not file contents), so an
-  /// unchanged spread keeps the directory warm.
-  void on_epoch();
-
  private:
   /// Physical object id of the cache area on a device — far above any
-  /// (epoch, region) foreground object (EpochedLayout::kObjectsPerEpoch *
-  /// AdaptiveOptions::max_epochs), so cache extents never alias foreground
+  /// foreground region object, so cache extents never alias foreground
   /// extents on a shared device (the blind arm).
   static constexpr std::uint32_t kCacheObject = 1u << 22;
 
@@ -130,8 +105,7 @@ class CacheManager {
   };
   /// An admitted chunk whose data is being promoted.  The home mapping is
   /// captured at issue time, so the fill never touches the caller's Layout
-  /// after the request returns — an epoch swap mid-flight reads the pre-swap
-  /// homes, which a real cache would too.
+  /// after the request returns.
   struct Fill {
     std::uint64_t key = 0;  ///< file chunk index
     std::uint64_t seq = 0;
@@ -154,7 +128,6 @@ class CacheManager {
     return (static_cast<Bytes>(slot) / active_devices_) * config_.chunk;
   }
   void free_slot(std::uint64_t key);
-  void reset_slots();
   void issue_fill(std::size_t client_id, const Fill& fill);
   void fill_landed(std::uint64_t key, std::uint64_t seq);
 
@@ -163,7 +136,7 @@ class CacheManager {
   Config config_;
   storage::CacheTier tier_;
   std::size_t cache_base_ = 0;      ///< global index of the first cache device
-  std::size_t active_devices_ = 0;  ///< slot pool spread (<= config_.devices)
+  std::size_t active_devices_ = 0;  ///< config_.devices, 0 when disabled
   std::unordered_map<std::uint64_t, SlotInfo> slots_;
   std::vector<std::uint32_t> free_slots_;  ///< LIFO, deterministic
   std::uint64_t fill_seq_ = 0;
@@ -171,8 +144,6 @@ class CacheManager {
   Bytes hit_read_bytes_ = 0;
   Bytes miss_read_bytes_ = 0;
   Bytes fill_bytes_ = 0;
-  std::uint64_t resplits_ = 0;
-  std::uint64_t clears_ = 0;
 };
 
 }  // namespace harl::pfs

@@ -94,10 +94,8 @@ struct ClusterConfig {
   /// fails at simulated time `fail_at` (DataServer::set_failed_at) — the
   /// failure/rebuild-storm scenario.  fail_server < 0 disarms.  Like the GC
   /// pause, failure is a pure function of simulated time, so degraded
-  /// routing is deterministic.  Callers that route around the failure
-  /// (degraded reads, adaptive re-plans) require the failed server to be the
-  /// LAST slot of its tier — the member-prefix layout search can then price
-  /// it out without reordering slots.
+  /// routing is deterministic.  Only replicated population runs accept a
+  /// failure (harness::run_population); unreplicated runs reject it.
   std::int64_t fail_server = -1;
   Seconds fail_at = 0.0;
 

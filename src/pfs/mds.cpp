@@ -1,7 +1,6 @@
 #include "src/pfs/mds.hpp"
 
 #include "src/obs/sink.hpp"
-#include "src/pfs/epoch_layout.hpp"
 #include "src/pfs/region_layout.hpp"
 
 #include <utility>
@@ -68,12 +67,6 @@ void MetadataServer::placement_lookup(
 std::size_t MetadataServer::region_count_of(const Layout& layout) {
   if (const auto* region = dynamic_cast<const RegionLayout*>(&layout)) {
     return region->region_count();
-  }
-  if (const auto* epoched = dynamic_cast<const EpochedLayout*>(&layout)) {
-    // The effective table the MDS consults is the ownership map refined by
-    // each governing epoch's regions, so adaptive re-layouts pay metadata
-    // cost for the spans they actually create.
-    return epoched->effective_region_count();
   }
   return 1;
 }

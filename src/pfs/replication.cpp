@@ -35,8 +35,7 @@ ReplicaMap ReplicaMap::tiered(const std::vector<std::size_t>& tier_counts,
 }
 
 std::size_t ReplicaMap::replica_server(std::size_t server,
-                                       std::uint32_t object) const {
-  const std::uint32_t region = object % kObjectsPerEpoch;
+                                       std::uint32_t region) const {
   if (region < region_tiers_.size()) {
     const std::uint32_t tier = region_tiers_[region];
     const std::size_t base = tier_begin_[tier];

@@ -33,16 +33,11 @@ namespace harl::pfs {
 
 class ReplicaMap {
  public:
-  /// Object-id offset of replica objects.  Foreground epoch objects stay
-  /// below EpochedLayout::kObjectsPerEpoch * max_epochs (< 1 << 20) and the
-  /// cache area sits at 1 << 22, so the replica band [1 << 21, 1 << 22) is
-  /// distinct from both on any shared device.
+  /// Object-id offset of replica objects.  Foreground objects are region
+  /// indices (far below 1 << 21) and the cache area sits at 1 << 22, so the
+  /// replica band [1 << 21, 1 << 22) is distinct from both on any shared
+  /// device.
   static constexpr std::uint32_t kReplicaObject = 1u << 21;
-
-  /// Region part of a sub-request object id (EpochedLayout partitions object
-  /// ids as epoch * kObjectsPerEpoch + region), so every epoch of a region
-  /// shares one replica home.
-  static constexpr std::uint32_t kObjectsPerEpoch = 4096;
 
   /// Chained declustering over `server_count` servers: region r of primary
   /// server p replicates on (p + 1 + r) % server_count.  Requires >= 2
@@ -64,8 +59,9 @@ class ReplicaMap {
   /// so replicated writes and degraded reads pay honest simulated cost.
   SubRequest replica_of(const SubRequest& sub) const;
 
-  /// Server hosting the replica of (primary `server`, object `object`).
-  std::size_t replica_server(std::size_t server, std::uint32_t object) const;
+  /// Server hosting the replica of (primary `server`, region `region`) —
+  /// a primary sub-request's object id is its region index.
+  std::size_t replica_server(std::size_t server, std::uint32_t region) const;
 
   std::size_t server_count() const { return server_count_; }
   /// Per-region replica tiers (empty for chained maps); index = region id.

@@ -151,11 +151,4 @@ bool CacheTier::invalidate(std::uint64_t key) {
   return true;
 }
 
-void CacheTier::clear() {
-  entries_.clear();
-  lists_[kProbation] = List{};
-  lists_[kProtected] = List{};
-  resident_ = 0;
-}
-
 }  // namespace harl::storage

@@ -97,11 +97,6 @@ class CacheTier {
   /// in-flight fill (filling).  Returns true when an entry existed.
   bool invalidate(std::uint64_t key);
 
-  /// Drops every entry without counting evictions — used when a device
-  /// re-split re-maps every slot's (device, address) pair, making all
-  /// resident data unreachable at its old coordinates.
-  void clear();
-
   std::size_t size() const { return entries_.size(); }
   std::size_t resident() const { return resident_; }
   std::size_t filling() const { return size() - resident_; }

@@ -38,7 +38,7 @@ struct MultiRegionConfig {
   bool random_offsets = true;
   std::uint64_t seed = 11;
 
-  /// Workload drift (the adaptive-layout stressor): the whole region pass is
+  /// Workload drift (a stale-plan stressor): the whole region pass is
   /// repeated `drift_phases` times, with every region's request size scaled
   /// by drift_factor^phase (4K-aligned, clamped to [4K, per-rank segment]).
   /// The default single phase is byte-identical to the classic workload; a

@@ -219,32 +219,6 @@ TEST(CacheManager, EvictsUnderFullBudget) {
   EXPECT_EQ(s.admissions, s.fills_completed + s.fills_discarded);
 }
 
-TEST(CacheManager, ResplitClearsAndKeepsServing) {
-  sim::Simulator sim;
-  pfs::Cluster cluster(sim, cache_cluster_config());
-  pfs::CacheManager cache(cluster, manager_config(1 * MiB, 2));
-  cluster.client(0).set_cache(&cache);
-  auto layout = pfs::make_fixed_layout(cluster.num_servers(), 64 * KiB);
-
-  cluster.client(0).io(*layout, IoOp::kRead, 0, 256 * KiB, [] {});
-  sim.run();
-  EXPECT_GT(cache.tier().resident(), 0u);
-
-  // Narrowing the spread re-maps every slot address: the directory drops.
-  cache.set_active_devices(1);
-  EXPECT_EQ(cache.stats().resplits, 1u);
-  EXPECT_EQ(cache.stats().clears, 1u);
-  EXPECT_EQ(cache.tier().resident(), 0u);
-
-  // The cache keeps working at the new spread.
-  cluster.client(0).io(*layout, IoOp::kRead, 0, 256 * KiB, [] {});
-  sim.run();
-  cluster.client(0).io(*layout, IoOp::kRead, 0, 256 * KiB, [] {});
-  sim.run();
-  EXPECT_GT(cache.tier().stats().hits, 0u);
-  EXPECT_EQ(cache.active_devices(), 1u);
-}
-
 TEST(CacheManager, ZeroBudgetIsDisabled) {
   sim::Simulator sim;
   pfs::Cluster cluster(sim, cache_cluster_config());

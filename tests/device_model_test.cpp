@@ -220,7 +220,7 @@ TEST(DeviceFingerprint, EmptyFactorsHashExactlyAsPreDeviceModel) {
   // Empty factor vectors must reproduce the pre-device-model fingerprint
   // (pinned) — i.e. the fingerprint only depends on fields that existed
   // before the device model (regression guard for every fingerprint caller:
-  // plan artifacts, cost memos, adaptive caches).
+  // plan artifacts and cost memos).
   TieredCostParams p;
   p.tiers = {TierSpec{6, storage::hdd_profile(), {}},
              TierSpec{2, storage::pcie_ssd_profile(), {}}};

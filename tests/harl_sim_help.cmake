@@ -23,8 +23,7 @@ set(known_keys
   workload procs request file requests coverage drift drift-factor
   zipf-theta zipf-reads zipf-phases grid dumps
   hservers sservers clients device-spread aging device-blind
-  schemes adapt adapt-window adapt-min-gain
-  migrate-bw cache-budget cache-devices cache-chunk cache-policy cache-blind
+  schemes cache-budget cache-devices cache-chunk cache-policy cache-blind
   seed threads stats
   save-plan load-plan metrics-out trace-out trace-events
   timeseries-out timeseries-interval health slo-ms
@@ -77,7 +76,8 @@ endforeach()
 # a failure without replicas (the dead server would keep serving), more
 # tenants than files, and a GC pause with no cycle.  So must malformed
 # values: trailing characters, negative counts, a negative rand seed, a
-# non-number, and a negative device factor.  Each entry is
+# non-number, and a negative device factor, and the keys and scheme of the
+# deleted adaptive re-layout (DESIGN.md §11).  Each entry is
 # "<expected key>|<args...>" with args separated by spaces.
 set(bad_configs
   "replicas|files=4 replicas=0 fail-server=2 fail-at=0.01"
@@ -87,7 +87,10 @@ set(bad_configs
   "hservers|hservers=-1"
   "schemes|schemes=rand-1"
   "threads|threads=abc"
-  "aging|aging=hserver=1:-2:1:1:1:1")
+  "aging|aging=hserver=1:-2:1:1:1:1"
+  "adapt|adapt=1"
+  "migrate-bw|migrate-bw=1M"
+  "harl-adaptive|schemes=harl-adaptive")
 foreach(entry IN LISTS bad_configs)
   string(REPLACE "|" ";" parts "${entry}")
   list(GET parts 0 bad_key)

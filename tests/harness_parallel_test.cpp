@@ -30,11 +30,6 @@ ExperimentOptions small_options(ThreadPool* pool) {
   options.calibration.samples_per_size = 50;
   options.calibration.beta_samples = 50;
   options.pool = pool;
-  // Small windows + a permissive gate so the adaptive scheme actually swaps
-  // epochs inside this tiny workload: epoch swaps and migration are pure
-  // simulated events, so they too must be bit-identical at any pool width.
-  options.adaptive.advisor.window = 16;
-  options.adaptive.advisor.min_gain = 0.05;
   return options;
 }
 
@@ -44,7 +39,6 @@ std::vector<LayoutScheme> scheme_lineup() {
       LayoutScheme::fixed(256 * KiB),
       LayoutScheme::random_stripes(1),
       LayoutScheme::harl(),
-      LayoutScheme::harl_adaptive(),
   };
 }
 
@@ -59,14 +53,6 @@ std::string fingerprint(const SchemeResult& r) {
   for (const Seconds io_time : r.server_io_time) os << '|' << io_time;
   os << '|' << r.sim_stats.events_dispatched << '|'
      << r.sim_stats.peak_queue_depth;
-  if (r.adaptive.has_value()) {
-    const auto& a = *r.adaptive;
-    os << '|' << a.epochs_installed << '|' << a.windows_analyzed << '|'
-       << a.recommendations << '|' << a.recommendations_deferred << '|'
-       << a.migrated_bytes << '|' << a.migration_chunks << '|'
-       << a.migration_interference << '|' << a.cost_evals << '|'
-       << a.cost_evals_saved;
-  }
   return os.str();
 }
 

@@ -381,6 +381,42 @@ TEST(Experiment, EmptyBundleThrows) {
                std::invalid_argument);
 }
 
+/// A small IOR run on a cluster whose last server fails mid-run.
+struct FailingRun {
+  ExperimentOptions options;
+  WorkloadBundle bundle;
+
+  FailingRun() {
+    options.cluster.fail_server = 7;
+    options.cluster.fail_at = 0.001;
+    options.calibration.samples_per_size = 200;
+    options.calibration.beta_samples = 200;
+    workloads::IorConfig ior;
+    ior.processes = 2;
+    ior.file_size = 4 * MiB;
+    ior.request_size = 256 * KiB;
+    ior.requests_per_process = 4;
+    bundle = ior_bundle(ior);
+  }
+};
+
+// A single-file run places no replicas, so a dead server would quietly keep
+// serving: every entry point rejects the failure instead.
+TEST(Experiment, RunRejectsFailureWithoutReplicas) {
+  FailingRun f;
+  Experiment exp(f.options);
+  EXPECT_THROW(exp.run(f.bundle, LayoutScheme::fixed(64 * KiB)),
+               std::invalid_argument);
+}
+
+TEST(Experiment, RunAllRejectsFailureWithoutReplicas) {
+  FailingRun f;
+  Experiment exp(f.options);
+  EXPECT_THROW(exp.run_all(f.bundle, {LayoutScheme::fixed(64 * KiB),
+                                      LayoutScheme::harl()}),
+               std::invalid_argument);
+}
+
 TEST(Scheme, LoadedPlanReproducesInProcessAnalysis) {
   // Placing Phase from the Plan artifact, as a separate process would run
   // it: the loaded scheme's simulated result must equal the in-process HARL

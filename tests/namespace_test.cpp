@@ -85,10 +85,6 @@ TEST(ReplicaMap, ChainedDeclustering) {
   EXPECT_EQ(map.replica_server(0, 0), 1u);
   EXPECT_EQ(map.replica_server(0, 1), 2u);
   EXPECT_EQ(map.replica_server(3, 0), 0u);  // wraps
-  // Every epoch of a region shares one replica home (object id partitioning
-  // is epoch * kObjectsPerEpoch + region).
-  EXPECT_EQ(map.replica_server(1, 2 + 3 * pfs::ReplicaMap::kObjectsPerEpoch),
-            map.replica_server(1, 2));
   // A replica never lands on its primary.
   for (std::size_t p = 0; p < 4; ++p) {
     for (std::uint32_t r = 0; r < 8; ++r) {
@@ -257,12 +253,6 @@ TEST(SharedCache, FileNamespacedKeysDoNotAlias) {
   cluster.client(0).io(*layout, IoOp::kRead, 0, 64 * KiB, [] {}, 1);
   sim.run();
   EXPECT_EQ(cache.tier().stats().hits, 2u);
-  // invalidate_file drops exactly one namespace.
-  cache.invalidate_file(0);
-  EXPECT_EQ(cache.tier().resident(), 1u);
-  cluster.client(0).io(*layout, IoOp::kRead, 0, 64 * KiB, [] {}, 1);
-  sim.run();
-  EXPECT_EQ(cache.tier().stats().hits, 3u);
 }
 
 TEST(SharedCache, HotTenantEvictsColdUnderSlru) {
@@ -402,11 +392,10 @@ TEST(Population, FailureStormServesDegradedReadsAndRebuilds) {
 
   harness::ExperimentOptions clean = small_options();
   harness::Experiment base(clean);
-  const auto healthy = harness::run_population(
-      base, pop, harness::LayoutScheme::harl_adaptive());
+  const auto healthy =
+      harness::run_population(base, pop, harness::LayoutScheme::harl());
   EXPECT_EQ(healthy.degraded_reads, 0u);
   EXPECT_GT(healthy.replica_writes, 0u);
-  EXPECT_FALSE(healthy.degraded_replan);
 
   harness::ExperimentOptions failing = small_options();
   failing.cluster.fail_server =
@@ -417,8 +406,8 @@ TEST(Population, FailureStormServesDegradedReadsAndRebuilds) {
   failing.telemetry.interval = 0.01;
   failing.telemetry.slo = 1.0;
   harness::Experiment experiment(failing);
-  const auto stormy = harness::run_population(
-      experiment, pop, harness::LayoutScheme::harl_adaptive());
+  const auto stormy =
+      harness::run_population(experiment, pop, harness::LayoutScheme::harl());
 
   // Degraded reads were served from replicas, the rebuild re-materialized
   // the failed server's share, and its traffic slowed the foreground.
@@ -428,14 +417,27 @@ TEST(Population, FailureStormServesDegradedReadsAndRebuilds) {
   EXPECT_TRUE(stormy.rebuild_done);
   EXPECT_GT(stormy.rebuild_finished_at, failing.cluster.fail_at);
   EXPECT_GT(stormy.total.makespan, healthy.total.makespan);
-  // The adaptive layer re-planned around the degraded fleet.
-  EXPECT_TRUE(stormy.degraded_replan);
   // Per-tenant SLO attainment is reported for every tenant.
   ASSERT_EQ(stormy.tenant_slo.size(), 2u);
   for (double a : stormy.tenant_slo) {
     EXPECT_GE(a, 0.0);
     EXPECT_LE(a, 1.0);
   }
+}
+
+TEST(Population, FailureWithoutReplicasIsRejected) {
+  // Failure is modelled on the replicated path only: an unreplicated file
+  // on a dead server would quietly keep serving its I/O.
+  const auto pop = harness::make_population(small_spec(2));
+  harness::ExperimentOptions options = small_options();
+  options.cluster.fail_server = 3;
+  options.cluster.fail_at = 0.001;
+  harness::Experiment experiment(options);
+  harness::PopulationRunOptions popts;
+  popts.replicate = false;
+  EXPECT_THROW(harness::run_population(experiment, pop,
+                                       harness::LayoutScheme::harl(), popts),
+               std::invalid_argument);
 }
 
 TEST(Population, FailureStormIsDeterministicAcrossWidths) {
@@ -445,8 +447,8 @@ TEST(Population, FailureStormIsDeterministicAcrossWidths) {
     harness::ExperimentOptions options = small_options();
     options.cluster.fail_server = 3;
     options.cluster.fail_at = 0.001;
-    results.push_back(run_at_pool_width(
-        options, pop, harness::LayoutScheme::harl_adaptive(), width));
+    results.push_back(
+        run_at_pool_width(options, pop, harness::LayoutScheme::harl(), width));
   }
   EXPECT_EQ(results[0].total.makespan, results[1].total.makespan);
   EXPECT_EQ(results[0].degraded_reads, results[1].degraded_reads);

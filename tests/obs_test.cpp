@@ -461,7 +461,7 @@ TEST(HealthMonitor, SloAttainmentTracksRequestsAndSubs) {
 /// One fixed sink-call sequence over 3 servers: every request (alternating
 /// write/read) puts one sub on each server, server 0 turns 10x slow from
 /// window 2 on (so the monitor flags it mid-run and it stays flagged), and
-/// cache and adaptive instants ride along.
+/// cache events ride along.
 void drive_sequence(obs::Recorder& rec) {
   std::vector<std::uint32_t> disks;
   for (std::uint32_t s = 0; s < 3; ++s) {
@@ -492,10 +492,6 @@ void drive_sequence(obs::Recorder& rec) {
     }
     rec.end_request(req, done);
     if (i % 8 == 0) rec.cache_event(4 * KiB, KiB, done);
-    if (i == 20) {
-      rec.adaptive_event(obs::Sink::AdaptiveEvent::kEpochInstalled, 1, KiB,
-                         done);
-    }
     t += 0.25;
   }
 }

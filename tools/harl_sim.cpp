@@ -66,7 +66,6 @@ void apply_aging(const std::vector<std::string>& clauses,
 
 harness::LayoutScheme parse_scheme(const std::string& token) {
   if (token == "harl") return harness::LayoutScheme::harl();
-  if (token == "harl-adaptive") return harness::LayoutScheme::harl_adaptive();
   if (token == "harl-file") return harness::LayoutScheme::file_level_harl();
   if (token == "segment") return harness::LayoutScheme::segment_level();
   if (token.rfind("rand", 0) == 0) {
@@ -154,21 +153,9 @@ const OptionSpec kOptions[] = {
      .help = "1 = calibrate tier profiles only, hiding per-device\n"
              "aging from the planner (the tier-blind ablation arm)"},
     {.name = "schemes", .kind = kList, .fallback = "64K,256K,harl",
-     .help = "comma list: <size> | randN | harl | harl-adaptive |\n"
-             "harl-file | segment",
+     .help = "comma list: <size> | randN | harl | harl-file |\n"
+             "segment",
      .check = check_schemes},
-    {.name = "adapt", .kind = kFlag, .fallback = "0",
-     .help = "1 = append the harl-adaptive scheme: epoch 0 is the\n"
-             "offline plan, then live window re-optimization swaps\n"
-             "epochs and migrates changed ranges mid-run"},
-    {.name = "adapt-window", .kind = kInt, .fallback = "1024",
-     .help = "adaptive advisor requests per window", .min = 1},
-    {.name = "adapt-min-gain", .kind = kDouble, .fallback = "0.1",
-     .help = "min relative model-cost gain before an epoch swap", .min = 0},
-    {.name = "migrate-bw", .kind = kSize, .fallback = "256M",
-     .help = "migration throttle, bytes/s of copied data;\n"
-             "background copies share the real servers and network",
-     .min = 1},
     {.name = "cache-budget", .kind = kSize, .fallback = "0",
      .help = "read-cache capacity in bytes over the fastest SSD\n"
              "devices, 0 = no cache; unless cache-blind=1 the\n"
@@ -471,8 +458,7 @@ void write_population_header(std::ostream& out,
     obs::write_json_string(out, fr.name);
     out << ", \"regions\": " << fr.region_count
         << ", \"makespan_s\": " << fr.total.makespan
-        << ", \"bytes\": " << fr.total.bytes
-        << ", \"epochs\": " << fr.adaptive_epochs << "}";
+        << ", \"bytes\": " << fr.total.bytes << "}";
   }
   out << "]";
   if (cluster.fail_server >= 0) {
@@ -485,8 +471,7 @@ void write_population_header(std::ostream& out,
         << ", \"rebuild_interference_s\": " << r.rebuild_interference
         << ", \"rebuild_finished_s\": " << r.rebuild_finished_at
         << ", \"rebuild_done\": " << (r.rebuild_done ? "true" : "false")
-        << ", \"degraded_replan\": "
-        << (r.degraded_replan ? "true" : "false") << "}";
+        << "}";
   }
   if (!r.tenant_slo.empty()) {
     out << ", \"tenant_slo\": [";
@@ -549,9 +534,7 @@ void write_single_file_header(std::ostream& out,
         << ", \"hit_bytes\": " << c.hit_read_bytes
         << ", \"miss_bytes\": " << c.miss_read_bytes
         << ", \"fill_bytes\": " << c.fill_bytes
-        << ", \"active_devices\": " << c.active_devices
-        << ", \"resplits\": " << c.resplits << ", \"clears\": " << c.clears
-        << "}";
+        << ", \"active_devices\": " << c.active_devices << "}";
   }
 }
 
@@ -584,7 +567,6 @@ std::vector<Run> run_population_mode(
 
   harness::PopulationRunOptions popts;
   popts.replicate = opts.get_flag("replicas");
-  popts.rebuild_bandwidth = static_cast<double>(opts.get_size("migrate-bw"));
 
   harness::Experiment experiment(options);
   std::vector<std::shared_ptr<const harness::PopulationResult>> results;
@@ -598,7 +580,7 @@ std::vector<Run> run_population_mode(
     std::cout << "== " << schemes[i].label() << ": " << spec.files
               << " file(s), " << spec.tenants << " tenant(s) ==\n";
     harness::Table table(
-        {"file", "tenant", "layout", "regions", "MB/s", "epochs"});
+        {"file", "tenant", "layout", "regions", "MB/s"});
     for (const auto& f : r.files) {
       table.add_row({
           f.name,
@@ -606,7 +588,6 @@ std::vector<Run> run_population_mode(
           f.layout_description,
           std::to_string(f.region_count),
           harness::cell(f.total.throughput() / (1024.0 * 1024.0), 1),
-          std::to_string(f.adaptive_epochs),
       });
     }
     table.print(std::cout);
@@ -630,8 +611,7 @@ std::vector<Run> run_population_mode(
       } else {
         std::cout << "still draining";
       }
-      std::cout << "; adaptive replan=" << (r.degraded_replan ? "yes" : "no")
-                << "\n";
+      std::cout << "\n";
     }
     if (!r.tenant_slo.empty()) {
       std::cout << "tenant SLO attainment:";
@@ -657,8 +637,8 @@ std::vector<Run> run_population_mode(
   return runs;
 }
 
-/// Prints the single-file comparison table plus the adaptive and
-/// read-cache tables of the runs that have them.
+/// Prints the single-file comparison table plus the read-cache table of
+/// the runs that have one.
 void print_single_file_tables(
     const std::vector<harness::SchemeResult>& results) {
   harness::Table table({"layout", "read MB/s", "write MB/s", "total MB/s",
@@ -675,34 +655,6 @@ void print_single_file_tables(
   }
   table.print(std::cout);
 
-  bool any_adaptive = false;
-  for (const auto& r : results) any_adaptive |= r.adaptive.has_value();
-  if (any_adaptive) {
-    // What the adaptive run(s) actually did: epoch swaps, deferred
-    // recommendations, and the migration traffic the makespan paid for.
-    std::cout << "\n== adaptive re-layout ==\n";
-    harness::Table adaptive_table({"layout", "epochs", "windows", "recs",
-                                   "deferred", "migrated MB",
-                                   "interference s", "evals saved"});
-    for (const auto& r : results) {
-      if (!r.adaptive.has_value()) continue;
-      const auto& a = *r.adaptive;
-      adaptive_table.add_row({
-          r.label,
-          std::to_string(a.epochs_installed),
-          std::to_string(a.windows_analyzed),
-          std::to_string(a.recommendations),
-          std::to_string(a.recommendations_deferred),
-          harness::cell(static_cast<double>(a.migrated_bytes) /
-                            (1024.0 * 1024.0),
-                        1),
-          harness::cell(a.migration_interference, 3),
-          std::to_string(a.cost_evals_saved),
-      });
-    }
-    adaptive_table.print(std::cout);
-  }
-
   bool any_cache = false;
   for (const auto& r : results) any_cache |= r.cache.has_value();
   if (any_cache) {
@@ -711,7 +663,7 @@ void print_single_file_tables(
     std::cout << "\n== read cache ==\n";
     harness::Table cache_table({"layout", "devices", "lookups", "hit%",
                                 "fills", "discarded", "evicted", "inval",
-                                "fill MB", "resplits"});
+                                "fill MB"});
     for (const auto& r : results) {
       if (!r.cache.has_value()) continue;
       const auto& c = *r.cache;
@@ -726,7 +678,6 @@ void print_single_file_tables(
           std::to_string(c.tier.invalidations),
           harness::cell(static_cast<double>(c.fill_bytes) / (1024.0 * 1024.0),
                         1),
-          std::to_string(c.resplits),
       });
     }
     cache_table.print(std::cout);
@@ -772,16 +723,6 @@ int main(int argc, char** argv) {
       options.planner.pool = pool.get();
       options.pool = pool.get();
     }
-
-    // Adaptive (harl-adaptive scheme) tuning.  The advisor reuses the
-    // planner options — including the shared pool — so per-window
-    // re-optimizations are as fast as the offline Analysis Phase.
-    options.adaptive.advisor.window =
-        static_cast<std::size_t>(opts.get_int("adapt-window"));
-    options.adaptive.advisor.min_gain = opts.get_double("adapt-min-gain");
-    options.adaptive.advisor.planner = options.planner;
-    options.adaptive.migrate_bandwidth =
-        static_cast<double>(opts.get_size("migrate-bw"));
 
     // Read-cache tier: budget 0 keeps every code path (planner, runtime,
     // output) byte-identical to a cache-less build.
@@ -838,13 +779,6 @@ int main(int argc, char** argv) {
     std::vector<harness::LayoutScheme> schemes;
     for (const auto& token : opts.get_list("schemes")) {
       schemes.push_back(parse_scheme(token));
-    }
-    if (opts.get_flag("adapt")) {
-      bool present = false;
-      for (const auto& s : schemes) {
-        present |= s.kind == harness::SchemeKind::kHarlAdaptive;
-      }
-      if (!present) schemes.push_back(harness::LayoutScheme::harl_adaptive());
     }
     const std::string save_plan_path = opts.get_string("save-plan");
     const std::string load_plan_path = opts.get_string("load-plan");

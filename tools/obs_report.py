@@ -17,10 +17,7 @@ cost-model relative-error distribution per region.
 
 --check validates instead of summarizing:
   * metrics: schemes present; busy/jobs/utilization sane; histogram
-    bucket counts consistent with totals; counters non-negative; adaptive
-    runs (adaptive.* / migration.* families) internally consistent —
-    epoch installs never exceed recommendations, and installed epochs
-    imply migration traffic (bytes, chunks, interference).
+    bucket counts consistent with totals; counters non-negative.
   * cache runs (cache.* families): the directory counters reconcile —
     lookups == hits + misses, admissions == fills_completed +
     fills_discarded (the run drains, so every issued fill either landed
@@ -44,8 +41,6 @@ cost-model relative-error distribution per region.
     monotone (p50 <= p95 <= p99) wherever the window saw jobs.
   * health (--timeseries): per-server scores/counters sane, SLO attainment
     never exceeds totals, recover counts never exceed flag counts.
---require-adaptive additionally fails unless at least one scheme carries
-adaptive epoch metrics (used by the CI adaptive smoke step).
 --require-health additionally fails unless at least one scheme flagged a
 straggler AND (when an SLO is armed) the flagged servers' attainment is
 strictly below every healthy server's — i.e. the regression localizes to
@@ -114,37 +109,6 @@ def counter_total(report, name):
     if not series:
         return None
     return sum(s.get("value", 0.0) for s in series)
-
-
-def check_adaptive(label, report):
-    """Consistency of the adaptive.* / migration.* counter families."""
-    windows = counter_total(report, "adaptive.windows")
-    if windows is None:
-        return False  # not an adaptive run
-    recs = counter_total(report, "adaptive.recommendations") or 0.0
-    epochs = counter_total(report, "adaptive.epoch_installs") or 0.0
-    deferred = counter_total(report, "adaptive.recommendations_deferred") or 0.0
-    migrated = counter_total(report, "migration.migrated_bytes") or 0.0
-    chunks = counter_total(report, "migration.chunks") or 0.0
-    interference = counter_total(report, "migration.interference_s") or 0.0
-    if epochs + deferred > recs + 1e-9:
-        fail(f"metrics[{label}]: {epochs} epochs + {deferred} deferred exceed "
-             f"{recs} recommendations")
-    if recs > windows + 1e-9:
-        fail(f"metrics[{label}]: more recommendations ({recs}) than analysis "
-             f"windows ({windows})")
-    if epochs > 0 and (migrated <= 0 or chunks <= 0):
-        fail(f"metrics[{label}]: {epochs} epoch(s) installed but no migration "
-             f"traffic recorded")
-    if epochs == 0 and migrated > 0:
-        fail(f"metrics[{label}]: migration bytes without any installed epoch")
-    if interference < -1e-12:
-        fail(f"metrics[{label}]: negative migration interference")
-    evals = counter_total(report, "adaptive.cost_evals") or 0.0
-    if windows > 0 and evals <= 0:
-        fail(f"metrics[{label}]: analysis windows ran but zero cost "
-             f"evaluations recorded")
-    return True
 
 
 def check_cache(label, report):
@@ -256,7 +220,6 @@ def check_devices(doc):
 
 def check_metrics(doc, path="metrics"):
     schemes = scheme_list(doc, path)
-    adaptive_schemes = 0
     cache_schemes = 0
     for scheme in schemes:
         label = scheme.get("label", "?")
@@ -314,11 +277,9 @@ def check_metrics(doc, path="metrics"):
                         or qs[-1] > series.get("max", 0.0) + 1e-12):
                     fail(f"metrics[{label}]/{series.get('name')}: {kind} "
                          f"quantiles outside [min, max]")
-        if check_adaptive(label, report):
-            adaptive_schemes += 1
         if check_cache(label, report):
             cache_schemes += 1
-    return len(schemes), adaptive_schemes, cache_schemes
+    return len(schemes), cache_schemes
 
 
 def server_breakdown(report):
@@ -401,19 +362,6 @@ def summarize(doc):
                     cells.append(f"{part}={s['p50'] * 1e3:8.3f}ms"
                                  if s and s.get("count") else f"{part}=      --")
                 print(f"    [{key}] " + " ".join(cells))
-
-        windows = counter_total(report, "adaptive.windows")
-        if windows is not None:
-            epochs = counter_total(report, "adaptive.epoch_installs") or 0
-            migrated = counter_total(report, "migration.migrated_bytes") or 0
-            print(f"  adaptive re-layout: {int(windows)} window(s) analyzed, "
-                  f"{int(counter_total(report, 'adaptive.recommendations') or 0)} "
-                  f"recommendation(s), {int(epochs)} epoch swap(s), "
-                  f"{migrated / (1024 * 1024):.1f} MB migrated in "
-                  f"{int(counter_total(report, 'migration.chunks') or 0)} "
-                  f"chunk(s) "
-                  f"({counter_total(report, 'migration.interference_s') or 0:.3f}s "
-                  f"in flight)")
 
         cache_lookups = counter_total(report, "cache.lookups")
         if cache_lookups:
@@ -787,9 +735,6 @@ def main():
                         help="validate files instead of summarizing")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the OK lines in --check mode")
-    parser.add_argument("--require-adaptive", action="store_true",
-                        help="fail unless >=1 scheme has adaptive epoch "
-                             "metrics")
     parser.add_argument("--require-cache", action="store_true",
                         help="fail unless >=1 scheme has read-cache metrics")
     parser.add_argument("--require-health", action="store_true",
@@ -809,15 +754,12 @@ def main():
         parser.error("--require-health/--require-tenant/--html need "
                      "--timeseries")
 
-    n_schemes = n_adaptive = n_cache = n_devices = 0
+    n_schemes = n_cache = n_devices = 0
     metrics_doc = None
     if args.metrics is not None:
         metrics_doc = load_doc(args.metrics)
-        n_schemes, n_adaptive, n_cache = check_metrics(metrics_doc)
+        n_schemes, n_cache = check_metrics(metrics_doc)
         n_devices = check_devices(metrics_doc)
-        if args.require_adaptive and n_adaptive == 0:
-            fail(f"{args.metrics}: no scheme carries adaptive epoch metrics "
-                 f"(adaptive.* families)")
         if args.require_cache and n_cache == 0:
             fail(f"{args.metrics}: no scheme carries read-cache metrics "
                  f"(cache.* families)")
@@ -838,8 +780,8 @@ def main():
         if not args.quiet:
             if metrics_doc is not None:
                 print(f"obs_report: OK: {args.metrics}: {n_schemes} "
-                      f"scheme(s) valid ({n_adaptive} adaptive, {n_cache} "
-                      f"cached, {n_devices} with device blocks)")
+                      f"scheme(s) valid ({n_cache} cached, {n_devices} "
+                      f"with device blocks)")
             if trace_counts is not None:
                 total = sum(trace_counts.values())
                 detail = ", ".join(f"{k}:{v}" for k, v in
