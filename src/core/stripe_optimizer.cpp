@@ -223,8 +223,10 @@ RequestClasses request_classes(std::span<const FileRequest> requests,
 /// Bound: a candidate's sampled cost is at least the sum, over the (op,
 /// size) classes of the sampled requests, of count times the kernel's
 /// minimum over all offsets (tiered_cost_offset_min); small classes add
-/// their exact costs instead.  Bounds are computed sharded over the pool
-/// when one is given, written by candidate index.
+/// their exact costs instead.  With a shared table the minima are read from
+/// the rows of `grid_key` (per class op and size), computed only on a slot's
+/// first use.  Bounds are computed sharded over the pool when one is given,
+/// written by candidate index.
 ///
 /// Scan: candidates are scored serially in ascending (bound, index) order
 /// and the scan stops at the first whose bound, less a 1e-9 relative margin,
@@ -241,6 +243,7 @@ RequestClasses request_classes(std::span<const FileRequest> requests,
 RegionStripes search_engine(const TieredCostParams& params,
                             std::span<const FileRequest> requests,
                             const CandidateGrid& grid,
+                            const BoundTable::Key& grid_key,
                             const OptimizerOptions& options) {
   const std::size_t k = params.tiers.size();
   const bool heterogeneous = grid.heterogeneous();
@@ -335,11 +338,25 @@ RegionStripes search_engine(const TieredCostParams& params,
     std::size_t index;
   };
   const RequestClasses sampled_classes = request_classes(requests, stride);
+  // Shared minima: one table row per class that can take the minimum
+  // branch (every candidate has at least one cell).
+  std::vector<BoundTable::Row*> rows(sampled_classes.classes.size(), nullptr);
+  if (options.bounds != nullptr) {
+    BoundTable::Key key = grid_key;
+    for (std::size_t n = 0; n < rows.size(); ++n) {
+      const RequestClasses::Class& c = sampled_classes.classes[n];
+      if (c.end - c.begin < 2) continue;
+      key.write = c.op == IoOp::kWrite;
+      key.size = c.size;
+      rows[n] = &options.bounds->row(key, grid.size());
+    }
+  }
   std::vector<Bound> bounds(grid.size());
   auto bound_range = [&](std::size_t begin, std::size_t end) {
     View view = make_view();
     OffsetMinScratch work;
     std::vector<TierGeometry> geometry(k);
+    std::uint64_t reads = 0;
     for (std::size_t i = begin; i < end; ++i) {
       load(i, view);
       std::size_t cells = 0;
@@ -347,7 +364,8 @@ RegionStripes search_engine(const TieredCostParams& params,
         if (view.stripes[j] > 0) cells += view.use[j];
       }
       Seconds sum = 0.0;
-      for (const RequestClasses::Class& c : sampled_classes.classes) {
+      for (std::size_t n = 0; n < rows.size(); ++n) {
+        const RequestClasses::Class& c = sampled_classes.classes[n];
         const std::size_t count = c.end - c.begin;
         // The offset minimum evaluates up to 2 * cells breakpoints; a class
         // with fewer requests than that is cheaper to price exactly, and
@@ -359,17 +377,26 @@ RegionStripes search_engine(const TieredCostParams& params,
           }
           continue;
         }
-        sum += static_cast<double>(count) *
-               tiered_cost_offset_min(
-                   view.use,
-                   c.op == IoOp::kRead ? read_profiles : write_profiles,
-                   heterogeneous ? std::span<const double>{view.factors}
-                                 : std::span<const double>{},
-                   params.t, params.net_latency, params.net_hops,
-                   params.per_stripe_overhead, c.size, view.stripes, work);
+        auto offset_min = [&] {
+          return tiered_cost_offset_min(
+              view.use, c.op == IoOp::kRead ? read_profiles : write_profiles,
+              heterogeneous ? std::span<const double>{view.factors}
+                            : std::span<const double>{},
+              params.t, params.net_latency, params.net_hops,
+              params.per_stripe_overhead, c.size, view.stripes, work);
+        };
+        Seconds min = 0.0;
+        if (rows[n] != nullptr) {
+          ++reads;
+          min = rows[n]->get(i, offset_min);
+        } else {
+          min = offset_min();
+        }
+        sum += static_cast<double>(count) * min;
       }
       bounds[i] = Bound{scale(sum), i};
     }
+    if (options.bounds != nullptr) options.bounds->add_reads(reads);
   };
   if (ThreadPool* pool = options.pool; pool != nullptr && grid.size() > 1) {
     const std::size_t shards = std::min(pool->thread_count() * 4, grid.size());
@@ -470,10 +497,28 @@ RegionStripes search(const TieredCostParams& params,
   if (grid.size() == 0) {
     throw std::logic_error("optimizer produced no candidates");
   }
-  return search_engine(params, requests, grid, options);
+  BoundTable::Key grid_key;
+  if (options.bounds != nullptr) {
+    grid_key.calibration = params_fingerprint(params);
+    grid_key.R = R;
+    grid_key.step = step;
+    grid_key.homogeneous = homogeneous;
+    grid_key.share_bound = share_bound;
+  }
+  return search_engine(params, requests, grid, grid_key, options);
 }
 
 }  // namespace
+
+BoundTable::Row& BoundTable::row(const Key& key, std::size_t candidates) {
+  std::lock_guard lock(mutex_);
+  std::unique_ptr<Row>& row = rows_[key];
+  if (row == nullptr) row = std::make_unique<Row>(candidates, filled_);
+  if (row->size() != candidates) {
+    throw std::logic_error("bound table key names two candidate grids");
+  }
+  return *row;
+}
 
 RegionStripes optimize_region(const TieredCostParams& params,
                               std::span<const FileRequest> requests,

@@ -48,9 +48,26 @@
 // request-class coalescing (cost_memo.hpp) collapses same-class requests to
 // one cost evaluation per scored candidate without changing a single
 // output bit.
+//
+// Shared bounds: an offset minimum depends on the calibration, the
+// candidate and the class's (op, size), never on an offset or on which
+// region asked.  A BoundTable handed to many searches (a population's files)
+// therefore computes each one once.  Its key is (calibration fingerprint, R,
+// step, homogeneous, space-aware share bound, op, size); the first five fix
+// the candidate grid and its order, so slot i of a key's row is candidate
+// i's minimum.  Slots fill lazily, only when a class takes the minimum
+// branch for that candidate, and a search reads the same double the kernel
+// would have returned and sums it in the same class order — bounds, scan,
+// counters and result are bit-identical with or without a table.
 #pragma once
 
+#include <atomic>
+#include <bit>
+#include <compare>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -59,6 +76,80 @@
 #include "src/core/tiered_cost_model.hpp"
 
 namespace harl::core {
+
+/// Compute-once store of offset-minimum bounds shared by many searches (see
+/// the file header).  Thread-safe: rows are created under a mutex and slots
+/// are atomics, so two searches may fill one slot concurrently — both
+/// compute the same pure function of the key and either store wins.
+class BoundTable {
+ public:
+  /// Everything that fixes a bound row: the candidate grid and its order
+  /// (calibration, R, step, homogeneous, share bound) and the class.
+  struct Key {
+    std::uint64_t calibration = 0;  ///< params_fingerprint
+    Bytes R = 0;
+    Bytes step = 0;
+    bool homogeneous = false;
+    double share_bound = 1.0;  ///< 1.0 = no space-aware filter
+    bool write = false;
+    Bytes size = 0;
+    auto operator<=>(const Key&) const = default;
+  };
+
+  /// One key's slots, one per grid candidate.
+  class Row {
+   public:
+    Row(std::size_t candidates, std::atomic<std::uint64_t>& filled)
+        : slots_(std::make_unique<std::atomic<std::uint64_t>[]>(candidates)),
+          size_(candidates),
+          filled_(filled) {
+      for (std::size_t i = 0; i < candidates; ++i) slots_[i] = kEmpty;
+    }
+    std::size_t size() const { return size_; }
+
+    /// Candidate `cand`'s bound: the stored value, or `compute()` stored.
+    template <typename Compute>
+    double get(std::size_t cand, Compute&& compute) {
+      std::uint64_t bits = slots_[cand].load(std::memory_order_relaxed);
+      if (bits != kEmpty) return std::bit_cast<double>(bits);
+      const double value = compute();
+      bits = kEmpty;
+      if (slots_[cand].compare_exchange_strong(
+              bits, std::bit_cast<std::uint64_t>(value),
+              std::memory_order_relaxed)) {
+        filled_.fetch_add(1, std::memory_order_relaxed);
+      }
+      return value;
+    }
+
+   private:
+    /// A NaN payload no arithmetic produces.
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+    std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
+    std::size_t size_;
+    std::atomic<std::uint64_t>& filled_;  ///< the table's fill count
+  };
+
+  /// The row for `key`, created with `candidates` empty slots on first use.
+  /// Throws std::logic_error if the key's row has another size (two grids
+  /// behind one key).
+  Row& row(const Key& key, std::size_t candidates);
+
+  /// Distinct slots filled so far: offset minima actually computed.
+  std::uint64_t filled() const { return filled_.load(); }
+  /// Minimum-branch bound reads by every search: the offset minima a
+  /// table-less run of the same searches would compute.
+  std::uint64_t reads() const { return reads_.load(); }
+  void add_reads(std::uint64_t n) {
+    reads_.fetch_add(n, std::memory_order_relaxed);
+  }
+
+ private:
+  std::mutex mutex_;
+  std::map<Key, std::unique_ptr<Row>> rows_;
+  std::atomic<std::uint64_t> filled_{0};
+  std::atomic<std::uint64_t> reads_{0};
+};
 
 struct OptimizerOptions {
   Bytes step = 4 * KiB;          ///< the paper's 4 KB grid step
@@ -79,6 +170,10 @@ struct OptimizerOptions {
   /// tiers.  If no candidate satisfies the bound, the feasible candidate
   /// with the smallest SServer share wins instead.
   double max_sserver_share = 1.0;
+  /// Optional shared bound table (see the file header): set for many
+  /// searches over recurring grids, e.g. a population's files.  Results are
+  /// bit-identical either way; a lone search gains nothing from one.
+  BoundTable* bounds = nullptr;
 };
 
 /// Result of optimizing one region.

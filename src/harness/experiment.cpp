@@ -196,7 +196,7 @@ const core::TieredCostParams& Experiment::cost_params() {
 }
 
 std::vector<trace::TraceRecord> Experiment::collect_trace(
-    const WorkloadBundle& bundle) {
+    const WorkloadBundle& bundle) const {
   // Tracing Phase: first execution on the default fixed-stripe layout with
   // the IOSIG-like collector attached.
   sim::Simulator sim;

@@ -174,9 +174,13 @@ class Experiment {
 
   const ExperimentOptions& options() const { return options_; }
 
- private:
-  std::vector<trace::TraceRecord> collect_trace(const WorkloadBundle& bundle);
+  /// Tracing Phase: runs `bundle` once on a private cluster under the fixed
+  /// tracing layout and returns its trace sorted by offset.  Reads only the
+  /// options, so concurrent calls are safe.
+  std::vector<trace::TraceRecord> collect_trace(
+      const WorkloadBundle& bundle) const;
 
+ private:
   /// Runs fn(i) for i in [0, n): on `pool` when set (and n > 1), else
   /// inline.  Callers write output by index for deterministic results.
   static void for_indices(ThreadPool* pool, std::size_t n,

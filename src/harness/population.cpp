@@ -24,24 +24,6 @@ void for_indices(ThreadPool* pool, std::size_t n,
   }
 }
 
-/// Tracing Phase for one population file, on a private cluster (same fixed
-/// tracing layout as Experiment::collect_trace).
-std::vector<trace::TraceRecord> collect_trace(const ExperimentOptions& options,
-                                              const WorkloadBundle& bundle) {
-  sim::Simulator sim;
-  pfs::Cluster cluster(sim, options.cluster);
-  mw::MpiWorld world(cluster, bundle.processes);
-  trace::TraceCollector collector;
-  auto layout =
-      pfs::make_fixed_layout(cluster.num_servers(), options.tracing_stripe);
-  mw::ProgramRunner runner(world, bundle.name, layout, &collector,
-                           options.collective);
-  if (!bundle.write_programs.empty()) runner.run(bundle.write_programs);
-  if (!bundle.read_programs.empty()) runner.run(bundle.read_programs);
-  if (!bundle.mixed_programs.empty()) runner.run(bundle.mixed_programs);
-  return collector.sorted_by_offset();
-}
-
 /// One file's phases flattened into a single program set: write pass, then
 /// read pass, then mixed run, with a barrier between consecutive phases so
 /// the in-file ordering matches sequential ProgramRunner::run calls while
@@ -165,6 +147,35 @@ std::vector<PopulationFile> make_population(const PopulationSpec& spec) {
   return population;
 }
 
+PopulationPlans plan_population(Experiment& experiment,
+                                const std::vector<PopulationFile>& population,
+                                const LayoutScheme& scheme) {
+  const ExperimentOptions& options = experiment.options();
+  const core::TieredCostParams& params = experiment.cost_params();
+  const std::size_t nfiles = population.size();
+  // One bound table for every file's search: files of one shape share their
+  // candidate grids, so each offset minimum is computed once.
+  core::BoundTable bounds;
+  core::PlannerOptions planner = options.planner;
+  planner.optimizer.bounds = &bounds;
+  PopulationPlans plans;
+  plans.layouts.resize(nfiles);
+  plans.plans.resize(nfiles);
+  for_indices(options.pool, nfiles, [&](std::size_t i) {
+    std::vector<trace::TraceRecord> records;
+    if (scheme.needs_analysis()) {
+      records = experiment.collect_trace(population[i].bundle);
+    }
+    core::Plan plan;
+    plans.layouts[i] = build_layout(scheme, options.cluster, records, params,
+                                    planner, &plan);
+    if (scheme.produces_plan()) plans.plans[i] = std::move(plan);
+  });
+  plans.bounds_filled = bounds.filled();
+  plans.bound_reads = bounds.reads();
+  return plans;
+}
+
 PopulationResult run_population(Experiment& experiment,
                                 const std::vector<PopulationFile>& population,
                                 const LayoutScheme& scheme,
@@ -191,22 +202,7 @@ PopulationResult run_population(Experiment& experiment,
   const core::TieredCostParams& params = experiment.cost_params();
 
   // --- Phase A: per-file offline pipeline on private clusters -------------
-  struct Prep {
-    std::shared_ptr<const pfs::Layout> layout;
-    std::optional<core::Plan> plan;
-    std::unique_ptr<pfs::ReplicaMap> replicas;
-  };
-  std::vector<Prep> preps(nfiles);
-  for_indices(options.pool, nfiles, [&](std::size_t i) {
-    std::vector<trace::TraceRecord> records;
-    if (scheme.needs_analysis()) {
-      records = collect_trace(options, population[i].bundle);
-    }
-    core::Plan plan;
-    preps[i].layout = build_layout(scheme, options.cluster, records, params,
-                                   options.planner, &plan);
-    if (scheme.produces_plan()) preps[i].plan = std::move(plan);
-  });
+  const PopulationPlans plans = plan_population(experiment, population, scheme);
 
   // Replica placement: cost-model tiers for plan schemes on two-tier fleets,
   // whole-cluster chained declustering otherwise.
@@ -217,15 +213,14 @@ PopulationResult run_population(Experiment& experiment,
     tier_counts.push_back(group.count);
     nservers += group.count;
   }
+  std::vector<std::unique_ptr<pfs::ReplicaMap>> replicas(nfiles);
   if (popts.replicate) {
     for (std::size_t i = 0; i < nfiles; ++i) {
-      if (preps[i].plan && tier_groups.size() == 2) {
-        preps[i].replicas =
-            std::make_unique<pfs::ReplicaMap>(pfs::ReplicaMap::tiered(
-                tier_counts,
-                mw::choose_replica_tiers(*preps[i].plan, params)));
+      if (plans.plans[i] && tier_groups.size() == 2) {
+        replicas[i] = std::make_unique<pfs::ReplicaMap>(pfs::ReplicaMap::tiered(
+            tier_counts, mw::choose_replica_tiers(*plans.plans[i], params)));
       } else {
-        preps[i].replicas = std::make_unique<pfs::ReplicaMap>(
+        replicas[i] = std::make_unique<pfs::ReplicaMap>(
             pfs::ReplicaMap::chained(nservers));
       }
     }
@@ -280,8 +275,8 @@ PopulationResult run_population(Experiment& experiment,
     ro.start_at = options.cluster.fail_at;
     rebuild = std::make_unique<mw::RebuildManager>(cluster, ro);
     for (std::size_t i = 0; i < nfiles; ++i) {
-      rebuild->add_file(preps[i].layout, population[i].size,
-                        preps[i].replicas.get());
+      rebuild->add_file(plans.layouts[i], population[i].size,
+                        replicas[i].get());
     }
     rebuild->arm();
   }
@@ -293,9 +288,9 @@ PopulationResult run_population(Experiment& experiment,
     mw::RunnerOptions runner_options;
     runner_options.collective = options.collective;
     runner_options.file = static_cast<std::uint32_t>(i);
-    runner_options.replicas = preps[i].replicas.get();
+    runner_options.replicas = replicas[i].get();
     runners[i] = std::make_unique<mw::ProgramRunner>(
-        world, population[i].name, preps[i].layout, nullptr, runner_options);
+        world, population[i].name, plans.layouts[i], nullptr, runner_options);
   }
   const Seconds t0 = sim.now();
   for (std::size_t i = 0; i < nfiles; ++i) {
@@ -311,8 +306,8 @@ PopulationResult run_population(Experiment& experiment,
     out.id = population[i].id;
     out.tenant = population[i].tenant;
     out.name = population[i].name;
-    out.layout_description = preps[i].layout->describe();
-    if (preps[i].plan) out.region_count = preps[i].plan->rst.size();
+    out.layout_description = plans.layouts[i]->describe();
+    if (plans.plans[i]) out.region_count = plans.plans[i]->rst.size();
     out.total.bytes = r.bytes_read + r.bytes_written;
     out.total.makespan = r.completed_at - launches[i].start;
     result.total.bytes += out.total.bytes;

@@ -22,8 +22,11 @@
 // Determinism: the generator is a pure function of its spec; the measured
 // run inherits the simulator's guarantees, so every output is byte-identical
 // across runs and pool widths.  A population of one file with no
-// replication and no failure is the degenerate case — it produces exactly the
-// single-file run's traffic.
+// replication and no failure is the degenerate case: it moves the same bytes
+// under the same layout string and region count as the single-file run
+// (Population.DegenerateSingleFileMovesTheSameBytes checks exactly that).
+// Its makespan is not the single-file run's yet; ROADMAP.md's "One run path"
+// item tracks the gap.
 #pragma once
 
 #include <cstdint>
@@ -70,6 +73,24 @@ std::vector<std::uint32_t> assign_tenants(std::size_t files,
                                           std::size_t tenants, double theta);
 
 std::vector<PopulationFile> make_population(const PopulationSpec& spec);
+
+/// Phase A of run_population: every file's offline pipeline (trace on a
+/// private cluster, analysis, layout), fanned out over the experiment's
+/// pool.  All files' Algorithm 2 searches share one core::BoundTable, so an
+/// offset minimum that recurs across files is computed once; plans and
+/// layouts are bit-identical to planning each file alone.
+struct PopulationPlans {
+  std::vector<std::shared_ptr<const pfs::Layout>> layouts;
+  std::vector<std::optional<core::Plan>> plans;  ///< plan schemes only
+  std::uint64_t bounds_filled = 0;  ///< offset minima the table computed
+  /// Minimum-branch bound reads by all searches: what planning each file
+  /// alone would have computed.
+  std::uint64_t bound_reads = 0;
+};
+
+PopulationPlans plan_population(Experiment& experiment,
+                                const std::vector<PopulationFile>& population,
+                                const LayoutScheme& scheme);
 
 struct PopulationRunOptions {
   /// Give every file per-region replicas (cost-model placement for plan

@@ -4,11 +4,14 @@
 // pool width can only change wall time, never a byte of output.
 #include <gtest/gtest.h>
 
+#include <ios>
+#include <memory>
 #include <sstream>
 #include <vector>
 
 #include "src/common/thread_pool.hpp"
 #include "src/harness/experiment.hpp"
+#include "src/harness/population.hpp"
 
 namespace harl::harness {
 namespace {
@@ -193,6 +196,72 @@ TEST(HarnessParallel, PoolMayBeSharedWithPlanner) {
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(fingerprint(want[i]), fingerprint(got[i]))
         << "scheme " << schemes[i].label();
+  }
+}
+
+/// Every Algorithm 2 output of a plan, cost doubles in hex, plus the layout
+/// string it installs.
+std::string plan_fingerprint(const core::Plan& plan,
+                             const pfs::Layout& layout) {
+  std::ostringstream os;
+  os << std::hexfloat << layout.describe();
+  for (const core::PlannedRegion& r : plan.regions) {
+    os << '|' << r.offset << '-' << r.end << ':';
+    for (const Bytes s : r.stripes) os << s << ',';
+    os << '/';
+    for (const std::size_t m : r.members) os << m << ',';
+    os << r.model_cost << ',' << r.candidates_evaluated << ','
+       << r.candidates_pruned << ',' << r.cost_evals << ','
+       << r.cost_evals_saved;
+  }
+  return os.str();
+}
+
+TEST(HarnessParallel, PopulationPlansShareOneBoundTableAtEveryPoolWidth) {
+  // Two files of each of the three population shapes.  Files of one shape
+  // search the same candidate grids, so the shared bound table computes
+  // fewer offset minima than the per-file searches read; at width 4 the
+  // files fill its slots concurrently.  Plans, layouts and both counts must
+  // not depend on the width, and every plan must equal planning its file
+  // alone, without a table.
+  PopulationSpec spec;
+  spec.files = 6;
+  spec.tenants = 2;
+  spec.processes = 2;
+  spec.file_size = 2 * MiB;
+  spec.request_size = 128 * KiB;
+  const auto pop = make_population(spec);
+  const LayoutScheme scheme = LayoutScheme::harl();
+
+  std::vector<PopulationPlans> runs;
+  for (const std::size_t width : {0u, 4u}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (width > 0) pool = std::make_unique<ThreadPool>(width);
+    ExperimentOptions options = small_options(pool.get());
+    options.planner.pool = pool.get();
+    Experiment experiment(options);
+    runs.push_back(plan_population(experiment, pop, scheme));
+  }
+  EXPECT_GT(runs[0].bounds_filled, 0u);
+  EXPECT_LT(runs[0].bounds_filled, runs[0].bound_reads);
+  EXPECT_EQ(runs[0].bounds_filled, runs[1].bounds_filled);
+  EXPECT_EQ(runs[0].bound_reads, runs[1].bound_reads);
+
+  Experiment alone(small_options(nullptr));
+  ASSERT_EQ(runs[0].plans.size(), pop.size());
+  ASSERT_EQ(runs[1].plans.size(), pop.size());
+  for (std::size_t i = 0; i < pop.size(); ++i) {
+    ASSERT_TRUE(runs[0].plans[i] && runs[1].plans[i]) << "file " << i;
+    core::Plan plan;
+    const auto layout =
+        build_layout(scheme, alone.options().cluster,
+                     alone.collect_trace(pop[i].bundle), alone.cost_params(),
+                     alone.options().planner, &plan);
+    const std::string want = plan_fingerprint(plan, *layout);
+    EXPECT_EQ(plan_fingerprint(*runs[0].plans[i], *runs[0].layouts[i]), want)
+        << "file " << i;
+    EXPECT_EQ(plan_fingerprint(*runs[1].plans[i], *runs[1].layouts[i]), want)
+        << "file " << i;
   }
 }
 

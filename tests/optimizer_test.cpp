@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -545,6 +547,122 @@ TEST(OptimizerOracle, ThreeTierMonotoneMatchesFullScan) {
   EXPECT_EQ(got.model_cost, want.cost);
   EXPECT_EQ(got.candidates_evaluated, want.candidates);
   EXPECT_GT(got.candidates_pruned, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// A shared BoundTable hands back the very doubles the kernel computes, so a
+// search with a cold table, and one with a table warmed by another region on
+// the same grid, equal the table-less search in every output bit.
+// ---------------------------------------------------------------------------
+
+using Search = RegionStripes (*)(const TieredCostParams&,
+                                 std::span<const FileRequest>, double,
+                                 const OptimizerOptions&);
+
+std::string hex(double value) {
+  std::ostringstream os;
+  os << std::hexfloat << value;
+  return os.str();
+}
+
+void expect_same_search(const RegionStripes& want, const RegionStripes& got) {
+  EXPECT_EQ(got.stripes, want.stripes);
+  EXPECT_EQ(got.members, want.members);
+  EXPECT_EQ(hex(got.model_cost), hex(want.model_cost));
+  EXPECT_EQ(got.candidates_evaluated, want.candidates_evaluated);
+  EXPECT_EQ(got.candidates_pruned, want.candidates_pruned);
+  EXPECT_EQ(got.cost_evals, want.cost_evals);
+  EXPECT_EQ(got.cost_evals_saved, want.cost_evals_saved);
+}
+
+/// Cold and warm shared-table searches against the table-less one.  480
+/// mixed requests put ~80 in each of six (op, size) classes, above twice any
+/// grid here's cell count, so every class takes the minimum branch and the
+/// warming region fills every slot the measured one reads.
+void expect_shared_table_is_transparent(const TieredCostParams& p,
+                                        OptimizerOptions opts, Search search) {
+  const auto region = mixed_requests(480, 71);
+  const auto other = mixed_requests(480, 73);
+  const RegionStripes want = search(p, region, kOracleAvg, opts);
+  EXPECT_GT(want.candidates_pruned, 0u);
+
+  BoundTable cold;
+  opts.bounds = &cold;
+  expect_same_search(want, search(p, region, kOracleAvg, opts));
+  EXPECT_GT(cold.filled(), 0u);
+  EXPECT_EQ(cold.filled(), cold.reads());  // one search: no reuse yet
+
+  BoundTable warm;
+  opts.bounds = &warm;
+  search(p, other, kOracleAvg, opts);
+  const std::uint64_t warmed = warm.filled();
+  expect_same_search(want, search(p, region, kOracleAvg, opts));
+  EXPECT_EQ(warm.filled(), warmed);  // every bound came from the table
+  EXPECT_EQ(warm.reads(), 2 * warmed);
+}
+
+TEST(SharedBoundTable, HomogeneousTwoTier) {
+  OptimizerOptions opts;
+  opts.step = kOracleStep;
+  expect_shared_table_is_transparent(calibrated_params(), opts,
+                                     optimize_region);
+}
+
+TEST(SharedBoundTable, AgedHeterogeneousMembers) {
+  TieredCostParams p = calibrated_params();
+  p.tiers[0].device_factors = {1.0, 1.0, 1.0, 1.0, 2.5, 2.5};
+  p.tiers[1].device_factors = {1.0, 3.0};
+  OptimizerOptions opts;
+  opts.step = kOracleStep;
+  expect_shared_table_is_transparent(p, opts, optimize_region);
+}
+
+TEST(SharedBoundTable, ThreeTier) {
+  TieredCostParams tp;
+  tp.t = 1.0 / (117.0 * 1024 * 1024);
+  tp.tiers = {TierSpec{4, storage::hdd_profile(), {}},
+              TierSpec{2, storage::sata_ssd_profile(), {}},
+              TierSpec{2, storage::pcie_ssd_profile(), {}}};
+  tp.per_stripe_overhead = 20e-6;
+  OptimizerOptions opts;
+  opts.step = 32 * KiB;
+  expect_shared_table_is_transparent(tp, opts, optimize_region);
+}
+
+TEST(SharedBoundTable, SserverShareBound) {
+  OptimizerOptions opts;
+  opts.step = kOracleStep;
+  opts.max_sserver_share = 0.5;
+  expect_shared_table_is_transparent(calibrated_params(), opts,
+                                     optimize_region);
+}
+
+TEST(SharedBoundTable, HomogeneousStripeSearch) {
+  OptimizerOptions opts;
+  opts.step = 4 * KiB;
+  expect_shared_table_is_transparent(calibrated_params(), opts,
+                                     optimize_region_homogeneous);
+}
+
+TEST(SharedBoundTable, CalibrationsDifferingInOneFactorKeepTheirOwnBounds) {
+  TieredCostParams fresh = calibrated_params();
+  fresh.tiers[1].device_factors = {1.0, 3.0};
+  TieredCostParams aged = fresh;
+  aged.tiers[1].device_factors = {1.0, 3.5};
+  const auto region = mixed_requests(480, 79);
+  OptimizerOptions opts;
+  opts.step = kOracleStep;
+  const RegionStripes want_fresh = optimize_region(fresh, region, kOracleAvg, opts);
+  const RegionStripes want_aged = optimize_region(aged, region, kOracleAvg, opts);
+  ASSERT_NE(hex(want_fresh.model_cost), hex(want_aged.model_cost));
+
+  BoundTable shared;
+  opts.bounds = &shared;
+  expect_same_search(want_fresh, optimize_region(fresh, region, kOracleAvg, opts));
+  const std::uint64_t fresh_filled = shared.filled();
+  expect_same_search(want_aged, optimize_region(aged, region, kOracleAvg, opts));
+  // Same grid shape, but the second calibration filled rows of its own.
+  EXPECT_EQ(shared.filled(), 2 * fresh_filled);
 }
 
 TEST(RegionCost, ZeroPeriodThrowsInBothModes) {
