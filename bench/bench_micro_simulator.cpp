@@ -30,8 +30,9 @@ double allocs_per_event(const sim::Simulator::Stats& stats) {
 
 /// Exports the engine's lane/pool/spill counters so BENCH_sim.json shows
 /// *where* events went, not just how fast: a regression that silently
-/// reroutes traffic from the ascending lane to the heap keeps the rate
-/// plausible while destroying the O(1) path — the fractions catch it.
+/// reroutes traffic from the resource or ascending lanes to the heap keeps
+/// the rate plausible while destroying the O(1) path — the fractions catch
+/// it.
 void export_engine_counters(benchmark::State& state,
                             const sim::Simulator::Stats& stats) {
   const double events =
@@ -40,6 +41,8 @@ void export_engine_counters(benchmark::State& state,
           : 1.0;
   state.counters["allocs_per_event"] = allocs_per_event(stats);
   state.counters["pool_chunks"] = static_cast<double>(stats.pool_chunks);
+  state.counters["lane_fraction"] =
+      static_cast<double>(stats.lane_events) / events;
   state.counters["now_lane_fraction"] =
       static_cast<double>(stats.now_lane_events) / events;
   state.counters["ascending_fraction"] =
@@ -225,7 +228,9 @@ BENCHMARK(BM_ObservedRequestPath)->Arg(10000);
 
 void BM_ClusterRequests(benchmark::State& state) {
   // End-to-end: client -> layout split -> disks -> NICs -> completion.
+  // Its lane_fraction is the share of events on FIFO resource lanes.
   const int requests = static_cast<int>(state.range(0));
+  sim::Simulator::Stats last_stats;
   for (auto _ : state) {
     sim::Simulator sim;
     pfs::ClusterConfig cfg;
@@ -238,8 +243,10 @@ void BM_ClusterRequests(benchmark::State& state) {
     }
     sim.run();
     benchmark::DoNotOptimize(sim.events_dispatched());
+    last_stats = sim.stats();
   }
   state.SetItemsProcessed(state.iterations() * requests);
+  export_engine_counters(state, last_stats);
 }
 BENCHMARK(BM_ClusterRequests)->Arg(1000)->Unit(benchmark::kMillisecond);
 

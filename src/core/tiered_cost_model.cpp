@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "src/common/interval.hpp"
 #include "src/core/closed_form.hpp"
@@ -372,40 +373,91 @@ Seconds tiered_cost_offset_min(
   return best * kSlack;
 }
 
-Seconds request_cost(const TieredCostParams& params, IoOp op, Bytes offset,
-                     Bytes size, std::span<const Bytes> stripes,
-                     std::span<const std::size_t> members) {
+namespace {
+
+/// request_cost's per-layout setup: validates the shapes and fills `use`
+/// with the members in use per tier and, when any tier is heterogeneous,
+/// `factors` with each tier's worst factor over them (else leaves it empty).
+void resolve_members(const TieredCostParams& params,
+                     std::span<const Bytes> stripes,
+                     std::span<const std::size_t> members,
+                     std::vector<std::size_t>& use,
+                     std::vector<double>& factors) {
   const std::size_t k = params.tiers.size();
   if (stripes.size() != k || (!members.empty() && members.size() != k)) {
     throw std::invalid_argument("tiers/stripes/members size mismatch");
   }
-  std::vector<std::size_t> use(k);
-  std::vector<const storage::OpProfile*> profiles(k);
+  use.resize(k);
   bool heterogeneous = false;
   for (std::size_t j = 0; j < k; ++j) {
     use[j] = members.empty() ? params.tiers[j].count : members[j];
     if (use[j] > params.tiers[j].count) {
       throw std::invalid_argument("members exceed tier count");
     }
-    profiles[j] = &params.tiers[j].profile.op(op);
     if (!params.tiers[j].device_factors.empty()) heterogeneous = true;
   }
-  std::vector<TierGeometry> scratch(k);
-  if (!heterogeneous) {
-    return tiered_cost_kernel(use, profiles, params.t, params.net_latency,
-                              params.net_hops, params.per_stripe_overhead,
-                              offset, size, stripes, scratch);
-  }
+  factors.clear();
+  if (!heterogeneous) return;
   // Each tier is charged at the worst factor among the members in use.
-  std::vector<double> factors(k);
+  factors.resize(k);
   for (std::size_t j = 0; j < k; ++j) {
     factors[j] = storage::worst_device_factor(params.tiers[j].device_factors,
                                               use[j]);
+  }
+}
+
+Seconds cost_with(const TieredCostParams& params,
+                  std::span<const std::size_t> use,
+                  std::span<const storage::OpProfile* const> profiles,
+                  std::span<const double> factors, Bytes offset, Bytes size,
+                  std::span<const Bytes> stripes,
+                  std::span<TierGeometry> scratch) {
+  if (factors.empty()) {
+    return tiered_cost_kernel(use, profiles, params.t, params.net_latency,
+                              params.net_hops, params.per_stripe_overhead,
+                              offset, size, stripes, scratch);
   }
   return tiered_cost_kernel_devices(use, profiles, factors, params.t,
                                     params.net_latency, params.net_hops,
                                     params.per_stripe_overhead, offset, size,
                                     stripes, scratch);
+}
+
+}  // namespace
+
+Seconds request_cost(const TieredCostParams& params, IoOp op, Bytes offset,
+                     Bytes size, std::span<const Bytes> stripes,
+                     std::span<const std::size_t> members) {
+  std::vector<std::size_t> use;
+  std::vector<double> factors;
+  resolve_members(params, stripes, members, use, factors);
+  const std::size_t k = params.tiers.size();
+  std::vector<const storage::OpProfile*> profiles(k);
+  for (std::size_t j = 0; j < k; ++j) {
+    profiles[j] = &params.tiers[j].profile.op(op);
+  }
+  std::vector<TierGeometry> scratch(k);
+  return cost_with(params, use, profiles, factors, offset, size, stripes,
+                   scratch);
+}
+
+FixedStripeCost::FixedStripeCost(const TieredCostParams& params,
+                                 std::vector<Bytes> stripes,
+                                 std::span<const std::size_t> members)
+    : params_(&params), stripes_(std::move(stripes)) {
+  resolve_members(params, stripes_, members, use_, factors_);
+  for (const IoOp op : {IoOp::kRead, IoOp::kWrite}) {
+    auto& profiles = profiles_[op == IoOp::kRead ? 0 : 1];
+    for (const TierSpec& tier : params.tiers) {
+      profiles.push_back(&tier.profile.op(op));
+    }
+  }
+}
+
+Seconds FixedStripeCost::operator()(IoOp op, Bytes offset, Bytes size,
+                                    std::span<TierGeometry> scratch) const {
+  return cost_with(*params_, use_, profiles_[op == IoOp::kRead ? 0 : 1],
+                   factors_, offset, size, stripes_, scratch);
 }
 
 Seconds cached_read_cost(const TieredCostParams& params,

@@ -178,6 +178,30 @@ Seconds request_cost(const TieredCostParams& params, IoOp op, Bytes offset,
                      Bytes size, std::span<const Bytes> stripes,
                      std::span<const std::size_t> members = {});
 
+/// request_cost for one fixed stripe vector, with its per-layout work done
+/// once: the member counts in use, each op's tier profiles and, for a
+/// heterogeneous tier, the worst factor.  For callers that price every
+/// request against one layout (the recorder's model-error predictor).
+/// Keeps a pointer to `params`, which must outlive it.
+class FixedStripeCost {
+ public:
+  /// Validates as request_cost does.
+  FixedStripeCost(const TieredCostParams& params, std::vector<Bytes> stripes,
+                  std::span<const std::size_t> members = {});
+
+  /// Exactly request_cost(params, op, offset, size, stripes, members).
+  /// `scratch` holds one TierGeometry per tier.
+  Seconds operator()(IoOp op, Bytes offset, Bytes size,
+                     std::span<TierGeometry> scratch) const;
+
+ private:
+  const TieredCostParams* params_;
+  std::vector<Bytes> stripes_;
+  std::vector<std::size_t> use_;
+  std::vector<double> factors_;  ///< empty when every tier is homogeneous
+  std::vector<const storage::OpProfile*> profiles_[2];  ///< read, write
+};
+
 /// Geometry of the read-cache tier, for the expected-hit-rate cost term
 /// (HACache direction): the fastest `devices` members of one tier are
 /// reserved as a chunk-granular read cache, so a cache hit is served by

@@ -1,8 +1,11 @@
 #include "src/harness/experiment.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "src/core/tiered_cost_model.hpp"
 #include "src/middleware/mpi_world.hpp"
@@ -17,13 +20,23 @@ namespace {
 /// tiered request cost with the stripe vector of the region the request
 /// falls in (requests spanning regions take the worst segment, matching the
 /// "maximal cost of all sub-requests" reading).  Layout shapes without a
-/// per-tier stripe interpretation get no predictor.
+/// per-tier stripe interpretation get no predictor.  Each stripe vector's
+/// core::FixedStripeCost is built once (a region's on its first request, so
+/// a malformed region throws exactly when request_cost would have).
 obs::Recorder::Predictor make_predictor(
     const std::shared_ptr<const pfs::Layout>& layout,
     core::TieredCostParams params) {
+  struct State {
+    core::TieredCostParams params;
+    std::vector<std::optional<core::FixedStripeCost>> costs;
+    std::vector<core::TierGeometry> scratch;
+  };
+  auto state = std::make_shared<State>();
+  state->params = std::move(params);
+  state->scratch.resize(state->params.tiers.size());
   if (auto rl = std::dynamic_pointer_cast<const pfs::RegionLayout>(layout)) {
-    return [rl, params = std::move(params)](IoOp op, Bytes offset,
-                                            Bytes size) -> Seconds {
+    state->costs.resize(rl->region_count());
+    return [rl, state](IoOp op, Bytes offset, Bytes size) -> Seconds {
       Seconds worst = 0.0;
       Bytes pos = offset;
       const Bytes end = offset + size;
@@ -31,10 +44,10 @@ obs::Recorder::Predictor make_predictor(
         const std::size_t ri = rl->region_of(pos);
         const pfs::RegionSpec& spec = rl->region(ri);
         const Bytes seg_end = std::min(end, rl->region_end(ri));
-        const Seconds cost =
-            core::request_cost(params, op, pos - spec.offset, seg_end - pos,
-                               spec.stripes, spec.members);
-        worst = std::max(worst, cost);
+        std::optional<core::FixedStripeCost>& cost = state->costs[ri];
+        if (!cost) cost.emplace(state->params, spec.stripes, spec.members);
+        worst = std::max(worst, (*cost)(op, pos - spec.offset, seg_end - pos,
+                                        state->scratch));
         pos = seg_end;
       }
       return worst;
@@ -45,16 +58,16 @@ obs::Recorder::Predictor make_predictor(
     // Per-tier stripe vector from the per-server stripes (layouts built by
     // make_fixed/make_two_tier/make_tiered_layout are uniform within a tier).
     std::vector<Bytes> stripes;
-    stripes.reserve(params.tiers.size());
+    stripes.reserve(state->params.tiers.size());
     std::size_t begin = 0;
-    for (const core::TierSpec& tier : params.tiers) {
+    for (const core::TierSpec& tier : state->params.tiers) {
       stripes.push_back(begin < vl->stripes().size() ? vl->stripes()[begin]
                                                      : 0);
       begin += tier.count;
     }
-    return [params = std::move(params), stripes = std::move(stripes)](
-               IoOp op, Bytes offset, Bytes size) -> Seconds {
-      return core::request_cost(params, op, offset, size, stripes);
+    state->costs.emplace_back(std::in_place, state->params, std::move(stripes));
+    return [state](IoOp op, Bytes offset, Bytes size) -> Seconds {
+      return (*state->costs[0])(op, offset, size, state->scratch);
     };
   }
   return {};

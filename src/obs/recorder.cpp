@@ -370,11 +370,19 @@ void Recorder::end_request(std::uint32_t request, Seconds now) {
   metrics_.observe(resolve(latency_series_[op_index(r.op)], m_latency_,
                            LabelSet{}.op(r.op)),
                    now - r.issue);
-  if (r.file != kNoId) {
-    const LabelSet fl = file_labels(r.file);
-    metrics_.add(m_file_bytes_, LabelSet{fl}.op(r.op),
+  if (r.file < kMaxCachedFiles) {
+    if (r.file >= file_series_.size()) file_series_.resize(r.file + 1);
+    FileSeries& fs = file_series_[r.file];
+    const LabelSet labels = file_labels(r.file).op(r.op);
+    metrics_.add(resolve(fs.bytes[op_index(r.op)], m_file_bytes_, labels),
                  static_cast<double>(r.size));
-    metrics_.observe(m_file_latency_, LabelSet{fl}.op(r.op), now - r.issue);
+    metrics_.observe(
+        resolve(fs.latency[op_index(r.op)], m_file_latency_, labels),
+        now - r.issue);
+  } else if (r.file != kNoId) {
+    const LabelSet labels = file_labels(r.file).op(r.op);
+    metrics_.add(m_file_bytes_, labels, static_cast<double>(r.size));
+    metrics_.observe(m_file_latency_, labels, now - r.issue);
   }
   Seconds predicted = -1.0;
   if (predictor_) {
@@ -382,8 +390,19 @@ void Recorder::end_request(std::uint32_t request, Seconds now) {
     if (predicted > 0.0 && now > r.issue) {
       const double rel =
           std::abs(predicted - (now - r.issue)) / (now - r.issue);
-      metrics_.observe(m_rel_error_, LabelSet{}.region(r.region).op(r.op),
-                       rel);
+      const LabelSet labels = LabelSet{}.region(r.region).op(r.op);
+      if (labels.region_value() == LabelSet::kNoneRegion) {
+        // A request without sub-requests: rare, not worth a handle slot.
+        metrics_.observe(m_rel_error_, labels, rel);
+      } else {
+        const std::size_t slot =
+            std::size_t{labels.region_value()} * 2 + op_index(r.op);
+        if (slot >= rel_error_series_.size()) {
+          rel_error_series_.resize(slot + 1);
+        }
+        metrics_.observe(
+            resolve(rel_error_series_[slot], m_rel_error_, labels), rel);
+      }
     }
   }
 

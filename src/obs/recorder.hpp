@@ -130,6 +130,7 @@ class Recorder final : public Sink {
   /// beyond the vector (and the legacy kNoId path) get no tenant.
   void set_tenant_of(std::vector<std::uint32_t> tenant_of) {
     tenant_of_ = std::move(tenant_of);
+    file_series_.clear();  // their labels carry the old tenants
   }
 
   /// Measured decomposition of one sub-request (all in simulated seconds).
@@ -294,6 +295,10 @@ class Recorder final : public Sink {
   struct TierOpSeries {
     Series wait, t_s, t_t, t_x;
   };
+  /// One file's pfs.file.{bytes,latency} series, by op.
+  struct FileSeries {
+    Series bytes[2], latency[2];
+  };
 
   friend class HealthMonitor;
   /// A straggler flag/recover instant of the owned HealthMonitor.
@@ -358,6 +363,13 @@ class Recorder final : public Sink {
   std::vector<TierOpSeries> tier_series_;  // by (tier & 0xFF) * 2 + op
   Series latency_series_[2];               // by op
   Series mds_time_series_;
+  // Grown on first use.  rel_error by masked region label * 2 + op (equal
+  // masks share a series, so they share a handle); files by FileId up to
+  // the label's 16-bit width, beyond which the labels alias and the series
+  // are looked up per request.
+  static constexpr std::uint32_t kMaxCachedFiles = LabelSet::kNone;
+  std::vector<Series> rel_error_series_;
+  std::vector<FileSeries> file_series_;
 
   std::vector<std::uint32_t> tenant_of_;  // by FileId; empty = no tenants
 

@@ -9,13 +9,19 @@
 namespace harl::sim {
 
 FifoResource::FifoResource(Simulator& sim, std::string name)
-    : sim_(sim), name_(std::move(name)) {}
+    : sim_(sim), name_(std::move(name)), lane_(sim.open_lane()) {}
 
 void FifoResource::submit(Seconds service, InlineTask on_complete) {
-  if (service < 0.0) throw std::invalid_argument("negative service time");
+  // `!(service >= 0)` also rejects NaN, and before any state changes.
+  if (!(service >= 0.0)) {
+    throw std::invalid_argument("service time must be >= 0");
+  }
   const Time arrival = sim_.now();
   const Time start = std::max(arrival, next_free_);
   const Time finish = start + service;
+  // finish >= next_free_ (the lane's tail) and seq only grows, so this
+  // append keeps the lane sorted.
+  sim_.schedule_in_lane(lane_, finish, std::move(on_complete));
   next_free_ = finish;
   busy_ += service;
   queue_delay_ += start - arrival;
@@ -24,7 +30,6 @@ void FifoResource::submit(Seconds service, InlineTask on_complete) {
       obs != nullptr && obs_track_ != obs::kNoId) [[unlikely]] {
     obs->resource_event(obs_track_, arrival, start, finish);
   }
-  sim_.schedule_at(finish, std::move(on_complete));
 }
 
 Time FifoResource::next_free() const { return next_free_; }

@@ -3,8 +3,10 @@
 // A `FifoResource` models anything that serves one job at a time in arrival
 // order with a service time known at submission: a disk spindle, an SSD
 // channel, a NIC.  Because service times are fixed at submission, the queue
-// can be represented by a single "next free" timestamp, which keeps the
-// simulation O(log n) per job and deterministic.
+// can be represented by a single "next free" timestamp, and completions
+// finish in submission order.  Each resource therefore owns one simulator
+// lane (Simulator::open_lane): a completion is an O(1) append to it, and the
+// simulator's heap orders only the resources' next completions.
 //
 // `JoinCounter` aggregates completion of a fan-out (a file request split into
 // per-server sub-requests finishes when the last sub-request does).
@@ -26,7 +28,8 @@ class FifoResource {
 
   /// Enqueues a job with the given service time; `on_complete` fires at the
   /// simulated time the job finishes (queueing delay + service).
-  /// Requires service >= 0.
+  /// Requires service >= 0; a negative or NaN service throws
+  /// std::invalid_argument and leaves the resource unchanged.
   void submit(Seconds service, InlineTask on_complete);
 
   /// Time at which the resource next becomes free (== now when idle).
@@ -61,6 +64,7 @@ class FifoResource {
  private:
   Simulator& sim_;
   std::string name_;
+  Simulator::LaneId lane_;  ///< this resource's completions, in order
   Time next_free_ = 0.0;
   Seconds busy_ = 0.0;
   Seconds queue_delay_ = 0.0;

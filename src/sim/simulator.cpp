@@ -44,16 +44,22 @@ void Simulator::heap_push(EventKey key) {
 }
 
 void Simulator::heap_remove_min() {
-  // Bottom-up deletion: walk a hole from the root to a leaf along minimum
-  // children (no compare against the displaced last element on the way
-  // down), then sift that element up from the hole.  The displaced element
-  // comes from the deepest level, so it almost always stays near the bottom
-  // and the upward pass is short — measurably faster than the classic
-  // compare-then-descend loop.
   const std::size_t n = heap_.size() - 1;
   const EventKey last = heap_[n];
   heap_.pop_back();
-  if (n == 0) return;
+  if (n != 0) heap_sift_from_root(last, n);
+}
+
+void Simulator::heap_replace_top(EventKey key) {
+  heap_sift_from_root(key, heap_.size());
+}
+
+void Simulator::heap_sift_from_root(EventKey key, std::size_t n) {
+  // Bottom-up placement: walk a hole from the root to a leaf along minimum
+  // children (no compare against `key` on the way down), then sift `key` up
+  // from the hole.  `key` is a deep element or a lane's next completion, so
+  // it almost always stays near the bottom and the upward pass is short —
+  // measurably faster than the classic compare-then-descend loop.
   std::size_t hole = 0;
   for (;;) {
     const std::size_t first = 4 * hole + 1;
@@ -78,11 +84,11 @@ void Simulator::heap_remove_min() {
   }
   while (hole > 0) {
     const std::size_t parent = (hole - 1) / 4;
-    if (heap_[parent] <= last) break;
+    if (heap_[parent] <= key) break;
     heap_[hole] = heap_[parent];
     hole = parent;
   }
-  heap_[hole] = last;
+  heap_[hole] = key;
 }
 
 void Simulator::Ring::grow() {
@@ -96,12 +102,7 @@ void Simulator::Ring::grow() {
   head = 0;
 }
 
-void Simulator::note_depth() {
-  const std::uint64_t depth = heap_.size() + now_lane_.count + asc_lane_.count;
-  if (depth > peak_depth_) peak_depth_ = depth;
-}
-
-void Simulator::schedule_at(Time t, InlineTask fn) {
+Simulator::EventKey Simulator::make_event(Time t, InlineTask&& fn) {
   // `!(t >= now_)` rather than `t < now_` so NaN times are rejected too —
   // a NaN would otherwise corrupt the bit-pattern ordering.
   if (!(t >= now_)) {
@@ -111,6 +112,12 @@ void Simulator::schedule_at(Time t, InlineTask fn) {
     throw std::overflow_error("simulator sequence numbers exhausted");
   }
   const EventKey key = make_key(t, next_seq_++, alloc_slot(std::move(fn)));
+  if (++pending_ > peak_depth_) peak_depth_ = pending_;
+  return key;
+}
+
+void Simulator::schedule_at(Time t, InlineTask fn) {
+  const EventKey key = make_event(t, std::move(fn));
   if (t == now_) {
     // Zero-delay events are appended with monotonically increasing
     // (time, seq), so the now lane stays sorted and FIFO order equals
@@ -118,15 +125,48 @@ void Simulator::schedule_at(Time t, InlineTask fn) {
     now_lane_.push(key);
     ++now_lane_events_;
   } else if (asc_lane_.count == 0 || key >= asc_lane_.back()) {
-    // In-order insertion (the common DES case: completions scheduled in
-    // increasing time as `now` advances): appending keeps the lane sorted,
-    // no heap sift needed.
+    // In-order insertion: appending keeps the lane sorted, no heap sift.
     asc_lane_.push(key);
     ++ascending_events_;
   } else {
+    // Only keys that reach the heap need their link: dispatch reads it to
+    // tell a generic event from a lane head.
+    new_link(key_slot(key)).lane = kNoLane;
     heap_push(key);
   }
-  note_depth();
+}
+
+Simulator::LaneId Simulator::open_lane() {
+  if (lane_tails_.size() >= kNoLane) {
+    throw std::overflow_error("simulator lane ids exhausted");
+  }
+  lane_tails_.push_back(kNoSlot);
+  return static_cast<LaneId>(lane_tails_.size() - 1);
+}
+
+void Simulator::schedule_in_lane(LaneId lane, Time t, InlineTask fn) {
+  std::uint32_t& tail = lane_tails_.at(lane);
+  // Checked before the key is minted so a rejected append changes nothing.
+  // The new key's seq exceeds every pending one, so it sorts below the tail
+  // exactly when its time does.
+  if (tail != kNoSlot && t < key_time(link(tail).key())) {
+    throw std::logic_error("lane append below the lane's tail");
+  }
+  const EventKey key = make_event(t, std::move(fn));
+  ++lane_events_;
+  const std::uint32_t index = key_slot(key);
+  SlotLink& l = new_link(index);
+  l.key_hi = static_cast<std::uint64_t>(key >> 64);
+  l.key_lo = static_cast<std::uint64_t>(key);
+  l.next = kNoSlot;
+  l.lane = lane;
+  // Only the head of a lane is in the heap; later events wait in the list.
+  if (tail == kNoSlot) {
+    heap_push(key);
+  } else {
+    link(tail).next = index;
+  }
+  tail = index;
 }
 
 void Simulator::schedule_after(Time delay, InlineTask fn) {
@@ -159,9 +199,10 @@ bool Simulator::peek_next(EventKey& out) const {
 }
 
 void Simulator::dispatch_next() {
-  // The dispatch order is the (time, seq) total order: all three structures
-  // keep their minimum at the front, so the global next event is whichever
-  // front is smallest (seq is unique, so no two fronts compare equal).
+  // The dispatch order is the (time, seq) total order: the two generic lanes
+  // and the heap (which holds every resource lane's head) keep their minimum
+  // at the front, so the global next event is whichever front is smallest
+  // (seq is unique, so no two fronts compare equal).
   const EventKey now_k = now_lane_.count != 0 ? now_lane_.front() : no_key();
   const EventKey asc_k = asc_lane_.count != 0 ? asc_lane_.front() : no_key();
   const EventKey heap_k = !heap_.empty() ? heap_.front() : no_key();
@@ -177,11 +218,21 @@ void Simulator::dispatch_next() {
     // start pulling it in while the sift runs.
     __builtin_prefetch(&slot(key_slot(key)), 0, 1);
 #endif
-    heap_remove_min();
+    // A lane head's successor (if any) takes its place in the heap.
+    const SlotLink& l = link(key_slot(key));
+    if (l.lane == kNoLane) {
+      heap_remove_min();
+    } else if (l.next != kNoSlot) {
+      heap_replace_top(link(l.next).key());
+    } else {
+      heap_remove_min();
+      lane_tails_[l.lane] = kNoSlot;
+    }
   }
   assert(key_time(key) >= now_ && "event queue lost time monotonicity");
   now_ = key_time(key);
   ++dispatched_;
+  --pending_;
   // The task runs in place in its arena slot (no move-out): the slot stays
   // off the free list while the callback runs, so new events scheduled by
   // the callback land in other slots and nothing is invalidated.
@@ -207,6 +258,7 @@ Simulator::Stats Simulator::stats() const {
   Stats s;
   s.events_dispatched = dispatched_;
   s.peak_queue_depth = peak_depth_;
+  s.lane_events = lane_events_;
   s.now_lane_events = now_lane_events_;
   s.ascending_events = ascending_events_;
   s.pool_hits = pool_hits_;

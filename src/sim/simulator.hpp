@@ -17,19 +17,28 @@
 //     order identically to their raw bit patterns, so
 //     `time_bits << 64 | seq << 24 | slot` compares (time, seq) with a
 //     single branch-free wide compare.
-//   * Three structures hold pending events, all ordered by the same key:
-//       - the "now lane", a FIFO ring for zero-delay events (the
+//   * Pending events are routed by who schedules them, all ordered by the
+//     same key:
+//       - one "resource lane" per FifoResource (`open_lane`): a FIFO list
+//         of that resource's completions, linked through their arena slots.
+//         A FIFO resource finishes jobs in non-decreasing time and seq only
+//         grows, so its keys arrive sorted and every append is O(1).  Only
+//         the lane's head sits in the heap;
+//       - the "now lane", a FIFO ring for other zero-delay events (the
 //         event-loop-turn handoffs in client.cpp, network.cpp, runner.cpp);
-//       - the "ascending lane", a FIFO ring absorbing any event whose key is
-//         >= the lane's current tail.  DES schedules are near-sorted (FIFO
-//         resources complete in increasing time, and `now` only moves
-//         forward), so most insertions append here in O(1) — the degenerate
-//         single-rung case of a ladder queue;
+//       - the "ascending lane", a FIFO ring absorbing any other event whose
+//         key is >= the lane's current tail (the degenerate single-rung
+//         case of a ladder queue);
 //       - a 4-ary implicit heap (shallower and more cache-friendly than the
-//         binary `std::priority_queue`) for the out-of-order remainder.
-//     Each structure keeps its minimum at the front, and dispatch takes the
-//     global minimum of the three fronts, so the dispatch order is
-//     bit-identical to a single totally-ordered queue.
+//         binary `std::priority_queue`) holding each non-empty resource
+//         lane's head plus the out-of-order remainder of generic events.
+//         Lane heads number at most one per resource (about 25 on the
+//         benchmark cluster), not one per event in flight.
+//     The heap and both generic lanes keep their minimum at the front, and
+//     dispatch takes the global minimum of the three fronts; dispatching a
+//     lane head replaces it in the heap with that lane's next key.  The
+//     dispatch order is therefore bit-identical to a single totally-ordered
+//     queue.
 #pragma once
 
 #include <cassert>
@@ -73,12 +82,25 @@ class Simulator {
   Time run_until(Time limit);
 
   /// True when no events are pending.
-  bool idle() const {
-    return heap_.empty() && now_lane_.count == 0 && asc_lane_.count == 0;
-  }
+  bool idle() const { return pending_ == 0; }
 
   /// Total events dispatched since construction (for micro-benchmarks).
   std::uint64_t events_dispatched() const { return dispatched_; }
+
+  // --- resource lanes ------------------------------------------------------
+
+  /// Identifies one ordered event lane (see `open_lane`).
+  using LaneId = std::uint32_t;
+
+  /// Opens an empty lane for a producer whose events never go back in time
+  /// (a FifoResource's completions).  Lanes live as long as the simulator.
+  LaneId open_lane();
+
+  /// Schedules `fn` at `t` in `lane`, in the same (time, seq) order as
+  /// schedule_at.  A `t` below the time of the lane's last pending event
+  /// throws std::logic_error (the lane must stay sorted); otherwise a `t`
+  /// before now() or NaN throws std::invalid_argument as in schedule_at.
+  void schedule_in_lane(LaneId lane, Time t, InlineTask fn);
 
   // --- parked continuations ------------------------------------------------
 
@@ -104,8 +126,9 @@ class Simulator {
   struct Stats {
     std::uint64_t events_dispatched = 0;
     std::uint64_t peak_queue_depth = 0;  ///< max pending events (all queues)
-    std::uint64_t now_lane_events = 0;   ///< zero-delay events (FIFO lane)
-    std::uint64_t ascending_events = 0;  ///< in-order appends (no heap sift)
+    std::uint64_t lane_events = 0;       ///< events on resource lanes
+    std::uint64_t now_lane_events = 0;   ///< other zero-delay events
+    std::uint64_t ascending_events = 0;  ///< other in-order appends
     std::uint64_t pool_hits = 0;         ///< slots served from the free list
     std::uint64_t pool_misses = 0;       ///< slot requests that grew the arena
     std::uint64_t pool_chunks = 0;       ///< arena chunks allocated (the only
@@ -163,6 +186,9 @@ class Simulator {
   // Slab arena of task slots.  Chunked so slot addresses are stable (the
   // queue stores indices); undispatched tasks are destroyed with the chunks.
   static constexpr std::uint32_t kChunkSlots = 256;
+  static constexpr LaneId kNoLane = ~LaneId{0};
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
   struct Chunk {
     InlineTask slots[kChunkSlots];
   };
@@ -170,12 +196,34 @@ class Simulator {
   InlineTask& slot(std::uint32_t index) {
     return chunks_[index / kChunkSlots]->slots[index % kChunkSlots];
   }
+
+  /// Beside a slot, its place in a resource lane.  A lane is a list
+  /// threaded through its events' slots, oldest first, so its backlog costs
+  /// no memory beyond one link per arena slot.  Only events that can reach
+  /// the heap write a link: lane events (all fields) and out-of-order
+  /// generic events (`lane` = kNoLane).  So a run with no resources, like
+  /// the generic dispatch micro-benchmark, never grows `links_`.  The key
+  /// is kept as two words so the link stays 8-byte aligned.
+  struct SlotLink {
+    std::uint64_t key_hi = 0;  ///< the event's key
+    std::uint64_t key_lo = 0;
+    std::uint32_t next = kNoSlot;  ///< the lane's next event
+    LaneId lane = kNoLane;
+    EventKey key() const { return (EventKey{key_hi} << 64) | key_lo; }
+  };
+  /// The link of a slot that has one.
+  SlotLink& link(std::uint32_t index) { return links_[index]; }
+  /// The link of a newly scheduled slot, growing `links_` to the arena.
+  SlotLink& new_link(std::uint32_t index) {
+    if (index >= links_.size()) links_.resize(chunks_.size() * kChunkSlots);
+    return links_[index];
+  }
   std::uint32_t alloc_slot(InlineTask&& fn);
   void free_slot(std::uint32_t index) { free_slots_.push_back(index); }
 
-  /// FIFO ring buffer of keys (power-of-two capacity).  Both lanes push at
-  /// the tail and pop at the head; their contents are already sorted, so the
-  /// head is the lane's minimum.
+  /// FIFO ring buffer of keys (power-of-two capacity).  Both generic lanes
+  /// push at the tail and pop at the head; their contents are already
+  /// sorted, so the head is the lane's minimum.
   struct Ring {
     std::vector<EventKey> buf;
     std::size_t head = 0;
@@ -197,21 +245,32 @@ class Simulator {
     void grow();
   };
 
+  /// Mints the key for `fn` at `t` (validated) and counts it pending.
+  EventKey make_event(Time t, InlineTask&& fn);
+
   // 4-ary implicit heap over packed keys.
   void heap_push(EventKey key);
   /// Removes the heap minimum (caller has already read heap_[0]).
   void heap_remove_min();
+  /// Replaces the heap minimum with `key` (caller has already read heap_[0]).
+  void heap_replace_top(EventKey key);
+  /// Places `key` in a heap of `n` keys whose root slot is vacant.
+  void heap_sift_from_root(EventKey key, std::size_t n);
 
   /// True while events are pending; fills `out` with the global minimum.
   bool peek_next(EventKey& out) const;
   void dispatch_next();
-  void note_depth();
 
   std::vector<EventKey> heap_;
-  Ring now_lane_;  ///< events scheduled at exactly now()
-  Ring asc_lane_;  ///< events appended in ascending key order
+  Ring now_lane_;  ///< generic events scheduled at exactly now()
+  Ring asc_lane_;  ///< generic events appended in ascending key order
+  /// Per LaneId, the slot of the lane's newest pending event (its tail), or
+  /// kNoSlot when the lane is empty.  The oldest one (its head) is the
+  /// lane's key in the heap.
+  std::vector<std::uint32_t> lane_tails_;
 
   std::vector<std::unique_ptr<Chunk>> chunks_;
+  std::vector<SlotLink> links_;  ///< by slot index, up to the arena size
   std::vector<std::uint32_t> free_slots_;
 
   obs::Sink* observer_ = nullptr;
@@ -219,7 +278,9 @@ class Simulator {
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
+  std::uint64_t pending_ = 0;
   std::uint64_t peak_depth_ = 0;
+  std::uint64_t lane_events_ = 0;
   std::uint64_t now_lane_events_ = 0;
   std::uint64_t ascending_events_ = 0;
   std::uint64_t pool_hits_ = 0;

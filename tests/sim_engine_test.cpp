@@ -1,10 +1,11 @@
 // Event-engine tests: the InlineTask small-buffer callable, the arena /
-// now-lane / ascending-lane / heap queue machinery behind Simulator, and a
-// randomized property test pinning the dispatch order to a reference
-// (time, seq) priority-queue model — the bit-reproducibility invariant every
-// figure bench depends on.
+// resource-lane / now-lane / ascending-lane / heap queue machinery behind
+// Simulator, and a randomized property test pinning the dispatch order to a
+// reference (time, seq) priority-queue model — the bit-reproducibility
+// invariant every figure bench depends on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -120,6 +121,7 @@ class ReferenceQueue {
     queue_.push(Entry{time, seq_++, id});
   }
   bool empty() const { return queue_.empty(); }
+  double top_time() const { return queue_.top().time; }
   std::pair<double, std::uint64_t> pop() {
     const Entry top = queue_.top();
     queue_.pop();
@@ -140,62 +142,207 @@ class ReferenceQueue {
   std::uint64_t seq_ = 0;
 };
 
+/// Reference engine: ReferenceQueue order plus FIFO resources modelled as a
+/// bare next-free horizon per resource.  Same surface as EngineUnderTest.
+class ReferenceEngine {
+ public:
+  double now() const { return now_; }
+  void schedule_at(double t, std::function<void()> fn) {
+    queue_.schedule(t, tasks_.size());
+    tasks_.push_back(std::move(fn));
+  }
+  std::size_t add_resource() {
+    next_free_.push_back(0.0);
+    return next_free_.size() - 1;
+  }
+  void submit(std::size_t resource, double service, std::function<void()> fn) {
+    const double start = std::max(now_, next_free_[resource]);
+    next_free_[resource] = start + service;
+    schedule_at(start + service, std::move(fn));
+  }
+  std::uint64_t park(std::function<void()> fn) {
+    parked_.push_back(std::move(fn));
+    return parked_.size() - 1;
+  }
+  void fire_parked(std::uint64_t handle) {
+    std::function<void()> fn = std::move(parked_[handle]);
+    fn();
+  }
+  void run_until(double limit) {
+    while (!queue_.empty() && queue_.top_time() <= limit) dispatch();
+  }
+  void run() {
+    while (!queue_.empty()) dispatch();
+  }
+
+ private:
+  void dispatch() {
+    const auto [t, id] = queue_.pop();
+    now_ = t;
+    std::function<void()> fn = std::move(tasks_[id]);
+    fn();
+  }
+
+  ReferenceQueue queue_;
+  std::vector<std::function<void()>> tasks_;
+  std::vector<std::function<void()>> parked_;
+  std::vector<double> next_free_;
+  double now_ = 0.0;
+};
+
+/// The Simulator and real FifoResources behind ReferenceEngine's surface.
+class EngineUnderTest {
+ public:
+  double now() const { return sim_.now(); }
+  void schedule_at(double t, std::function<void()> fn) {
+    sim_.schedule_at(t, std::move(fn));
+  }
+  std::size_t add_resource() {
+    resources_.push_back(std::make_unique<FifoResource>(sim_, "r"));
+    return resources_.size() - 1;
+  }
+  void submit(std::size_t resource, double service, std::function<void()> fn) {
+    resources_[resource]->submit(service, std::move(fn));
+  }
+  std::uint64_t park(std::function<void()> fn) {
+    return sim_.park(std::move(fn));
+  }
+  void fire_parked(std::uint64_t handle) {
+    sim_.fire_parked(static_cast<Simulator::TaskHandle>(handle));
+  }
+  void run_until(double limit) { sim_.run_until(limit); }
+  void run() { sim_.run(); }
+  const Simulator& sim() const { return sim_; }
+
+ private:
+  Simulator sim_;
+  std::vector<std::unique_ptr<FifoResource>> resources_;
+};
+
+/// One randomized script, replayed identically on either engine: top-level
+/// bursts of generic events (zero delay, repeated offsets for exact ties,
+/// jitter) and FIFO submissions (zero, repeated and jittered service), each
+/// followed by a run_until prefix.  Fired events spawn children from an RNG
+/// keyed by their id: generic events, submissions made from inside the
+/// callback, and parked continuations fired by a later event.  Returns the
+/// (id, time) dispatch log.
+template <typename Engine>
+std::vector<std::pair<std::uint64_t, double>> run_script(Engine& engine,
+                                                         std::uint64_t seed) {
+  std::vector<std::pair<std::uint64_t, double>> log;
+  std::mt19937_64 rng(seed);
+  std::uint64_t next_id = 0;
+  std::vector<std::size_t> resources;
+  for (int r = 0; r < 4; ++r) resources.push_back(engine.add_resource());
+
+  const auto pick_time = [&engine](std::mt19937_64& g) {
+    switch (std::uniform_int_distribution<int>(0, 9)(g)) {
+      case 0:
+      case 1:
+        return engine.now();  // zero delay -> now lane
+      case 2:
+        return engine.now() + 1.0;  // repeated offsets -> exact ties
+      default:
+        return engine.now() +
+               std::uniform_real_distribution<double>(0.0, 4.0)(g);
+    }
+  };
+  const auto pick_service = [](std::mt19937_64& g) {
+    switch (std::uniform_int_distribution<int>(0, 9)(g)) {
+      case 0:
+      case 1:
+        return 0.0;
+      case 2:
+        return 1.0;
+      default:
+        return std::uniform_real_distribution<double>(0.0, 2.0)(g);
+    }
+  };
+
+  // An event's body: log it, then (depth-limited) spawn its children.
+  std::function<std::function<void()>(int)> make_event;
+  make_event = [&](int depth) -> std::function<void()> {
+    const std::uint64_t id = next_id++;
+    return [&, id, depth] {
+      log.emplace_back(id, engine.now());
+      if (depth >= 3) return;
+      std::mt19937_64 g(seed * 1000003u + id);
+      const int children = std::uniform_int_distribution<int>(0, 2)(g);
+      for (int c = 0; c < children; ++c) {
+        switch (std::uniform_int_distribution<int>(0, 2)(g)) {
+          case 0:
+            engine.schedule_at(pick_time(g), make_event(depth + 1));
+            break;
+          case 1:
+            engine.submit(resources[g() % resources.size()], pick_service(g),
+                          make_event(depth + 1));
+            break;
+          default: {
+            // A parked continuation fired by a later event, which then
+            // submits to a resource from inside the parked task.
+            const std::size_t r = resources[g() % resources.size()];
+            const double service = pick_service(g);
+            auto child = make_event(depth + 1);
+            const std::uint64_t handle =
+                engine.park([&engine, r, service, child]() mutable {
+                  engine.submit(r, service, std::move(child));
+                });
+            engine.schedule_at(pick_time(g), [&engine, handle] {
+              engine.fire_parked(handle);
+            });
+            break;
+          }
+        }
+      }
+    };
+  };
+
+  std::uniform_int_distribution<int> action(0, 9);
+  for (int round = 0; round < 300; ++round) {
+    const int burst = action(rng);
+    for (int i = 0; i < burst; ++i) {
+      if (action(rng) < 5) {
+        engine.schedule_at(pick_time(rng), make_event(0));
+      } else {
+        engine.submit(resources[rng() % resources.size()], pick_service(rng),
+                      make_event(0));
+      }
+    }
+    // A run_until prefix that sometimes lands exactly on a pending time.
+    engine.run_until(action(rng) < 3 ? engine.now() + 1.0
+                                     : engine.now() + 0.5 * action(rng));
+  }
+  engine.run();
+  return log;
+}
+
 TEST(SimulatorProperty, DispatchOrderMatchesReferenceModel) {
   // Randomized interleavings of scheduling and dispatching, heavy on the
   // engine's special cases: zero-delay events (now lane), equal timestamps
-  // (seq tie-break), in-order appends (ascending lane) and out-of-order
-  // inserts (heap).  The simulator must dispatch exactly the reference
-  // order, every seed.
+  // (seq tie-break), in-order appends (ascending lane), out-of-order inserts
+  // (heap), FIFO resources (one lane each) with zero service, submissions
+  // from callbacks and parked tasks, and run_until prefixes.  The simulator
+  // must dispatch exactly the reference order at the same times, every seed.
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    std::mt19937_64 rng(seed);
-    Simulator sim;
-    ReferenceQueue reference;
-    std::vector<std::uint64_t> dispatched;
-    std::vector<std::pair<double, std::uint64_t>> expected;
-
-    std::uint64_t next_id = 0;
-    // A few timestamps repeat on purpose so ties are common.
-    std::uniform_real_distribution<double> jitter(0.0, 4.0);
-    std::uniform_int_distribution<int> action(0, 9);
-
-    const auto schedule_random = [&] {
-      double t;
-      switch (action(rng)) {
-        case 0:
-        case 1:
-          t = sim.now();  // zero delay -> now lane
-          break;
-        case 2:
-          t = sim.now() + 1.0;  // repeated offsets -> frequent exact ties
-          break;
-        default:
-          t = sim.now() + jitter(rng);
-          break;
-      }
-      const std::uint64_t id = next_id++;
-      reference.schedule(t, id);
-      sim.schedule_at(t, [&dispatched, id] { dispatched.push_back(id); });
-    };
-
-    for (int round = 0; round < 400; ++round) {
-      const int burst = action(rng);
-      for (int i = 0; i < burst; ++i) schedule_random();
-      // Drain a random prefix so scheduling interleaves with dispatching at
-      // many different `now` values.
-      const int drain = action(rng);
-      for (int i = 0; i < drain && !reference.empty(); ++i) {
-        expected.push_back(reference.pop());
-        sim.run_until(expected.back().first);
-      }
-    }
-    while (!reference.empty()) expected.push_back(reference.pop());
-    sim.run();
-
+    ReferenceEngine reference;
+    EngineUnderTest engine;
+    const auto expected = run_script(reference, seed);
+    const auto dispatched = run_script(engine, seed);
+    ASSERT_GT(expected.size(), 1000u) << "seed " << seed;
     ASSERT_EQ(dispatched.size(), expected.size()) << "seed " << seed;
     for (std::size_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(dispatched[i], expected[i].second)
+      ASSERT_EQ(dispatched[i], expected[i])
           << "seed " << seed << " position " << i;
     }
+    // Every route of the engine was exercised.
+    const Simulator::Stats stats = engine.sim().stats();
+    EXPECT_GT(stats.lane_events, 0u) << "seed " << seed;
+    EXPECT_GT(stats.now_lane_events, 0u) << "seed " << seed;
+    EXPECT_GT(stats.ascending_events, 0u) << "seed " << seed;
+    EXPECT_GT(stats.events_dispatched,
+              stats.lane_events + stats.now_lane_events +
+                  stats.ascending_events)
+        << "seed " << seed << ": no generic event reached the heap";
   }
 }
 
@@ -251,6 +398,29 @@ TEST(Simulator, EqualTimesAcrossLanesFollowSeqOrder) {
   sim.schedule_at(2.0, [&] { order.push_back(2); });  // heap
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 9}));
+}
+
+TEST(Simulator, LaneEventsInterleaveWithGenericEventsBySeq) {
+  // A resource lane's head competes in the heap with generic events: equal
+  // times still dispatch in scheduling order, whichever structure holds them.
+  Simulator sim;
+  std::vector<int> order;
+  const Simulator::LaneId a = sim.open_lane();
+  const Simulator::LaneId b = sim.open_lane();
+  sim.schedule_in_lane(a, 1.0, [&] { order.push_back(0); });
+  sim.schedule_at(1.0, [&] { order.push_back(1); });
+  sim.schedule_in_lane(b, 1.0, [&] {
+    order.push_back(2);
+    sim.schedule_in_lane(a, 1.0, [&] { order.push_back(5); });  // zero delay
+    sim.schedule_after(0.0, [&] { order.push_back(6); });
+  });
+  sim.schedule_in_lane(a, 1.0, [&] { order.push_back(3); });
+  sim.schedule_at(0.5, [&] { order.push_back(-1); });  // heap, out of order
+  sim.schedule_in_lane(b, 2.0, [&] { order.push_back(7); });
+  sim.schedule_at(1.0, [&] { order.push_back(4); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(sim.stats().lane_events, 5u);
 }
 
 // --- engine instrumentation ------------------------------------------------
@@ -356,6 +526,36 @@ TEST(SimulatorGuards, RejectsPastAndNaNTimes) {
   EXPECT_THROW(sim.schedule_after(-1.0, [] {}), std::invalid_argument);
   EXPECT_THROW(sim.schedule_after(std::nan(""), [] {}),
                std::invalid_argument);
+}
+
+TEST(SimulatorGuards, LaneAppendBelowTailThrowsAndChangesNothing) {
+  // A lane is only sorted because its producer never goes back in time; an
+  // append below the tail is a broken invariant, reported as logic_error
+  // (not the past-time invalid_argument: t is still >= now).
+  Simulator sim;
+  std::vector<int> order;
+  const Simulator::LaneId lane = sim.open_lane();
+  const Simulator::LaneId other = sim.open_lane();
+  sim.schedule_in_lane(lane, 2.0, [&] { order.push_back(2); });
+  bool threw_logic_error = false;
+  try {
+    sim.schedule_in_lane(lane, 1.0, [&] { order.push_back(-1); });
+  } catch (const std::invalid_argument&) {
+    ADD_FAILURE() << "below-tail append reported as invalid_argument";
+  } catch (const std::logic_error&) {
+    threw_logic_error = true;
+  }
+  EXPECT_TRUE(threw_logic_error);
+  // Equal time appends (seq breaks the tie); other lanes are independent.
+  sim.schedule_in_lane(lane, 2.0, [&] { order.push_back(3); });
+  sim.schedule_in_lane(other, 1.0, [&] { order.push_back(1); });
+  EXPECT_THROW(sim.schedule_in_lane(other, std::nan(""), [] {}),
+               std::invalid_argument);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.stats().events_dispatched, 3u);
+  EXPECT_EQ(sim.stats().peak_queue_depth, 3u);
+  EXPECT_THROW(sim.schedule_in_lane(lane, 1.0, [] {}), std::invalid_argument);
 }
 
 TEST(SimulatorGuards, NegativeZeroDelayIsZeroDelay) {

@@ -1,9 +1,12 @@
 // Unit tests for the discrete-event simulator and FIFO resources.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
+#include "src/obs/recorder.hpp"
 #include "src/sim/resource.hpp"
 #include "src/sim/simulator.hpp"
 
@@ -128,6 +131,30 @@ TEST(FifoResource, RejectsNegativeService) {
   Simulator sim;
   FifoResource res(sim, "x");
   EXPECT_THROW(res.submit(-0.5, [] {}), std::invalid_argument);
+}
+
+TEST(FifoResource, RejectsNaNServiceWithoutMutatingState) {
+  // NaN passes a `service < 0` test; it must be rejected before the
+  // horizon, the counters, the observer or the event queue see it.
+  Simulator sim;
+  obs::Recorder recorder;
+  sim.set_observer(&recorder);
+  FifoResource res(sim, "disk");
+  res.set_obs_track(recorder.register_server(0, 0, "disk", false));
+  res.submit(2.0, [] {});
+  const std::uint64_t recorded = recorder.trace_events_recorded();
+  bool fired = false;
+  EXPECT_THROW(res.submit(std::nan(""), [&] { fired = true; }),
+               std::invalid_argument);
+  EXPECT_EQ(res.next_free(), 2.0);
+  EXPECT_EQ(res.busy_time(), 2.0);
+  EXPECT_EQ(res.total_queue_delay(), 0.0);
+  EXPECT_EQ(res.jobs(), 1u);
+  EXPECT_EQ(recorder.trace_events_recorded(), recorded);
+  sim.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(sim.events_dispatched(), 1u);
+  EXPECT_EQ(sim.now(), 2.0);
 }
 
 TEST(FifoResource, ResetStatsKeepsCommitments) {

@@ -101,13 +101,23 @@ def main():
     # Engine lane/pool/spill counters: a regression that reroutes events from
     # the O(1) lanes to the heap can keep the headline rate plausible while
     # destroying the design — the fractions make that visible in CI history.
-    for counter in ("now_lane_fraction", "ascending_fraction",
-                    "pool_hit_rate", "inline_callback_fraction",
-                    "peak_queue_depth", "pool_chunks"):
+    for counter in ("lane_fraction", "now_lane_fraction",
+                    "ascending_fraction", "pool_hit_rate",
+                    "inline_callback_fraction", "peak_queue_depth",
+                    "pool_chunks"):
         if counter in dispatch:
             summary[f"dispatch_{counter}"] = dispatch[counter]
         if counter in zero_delay:
             summary[f"zero_delay_{counter}"] = zero_delay[counter]
+
+    # Report-only: the share of a cluster run's events that took a FIFO
+    # resource lane (O(1) append) rather than the generic queues.
+    try:
+        cluster = find_benchmark(results, "BM_ClusterRequests/1000")
+        if "lane_fraction" in cluster:
+            summary["cluster_lane_fraction"] = cluster["lane_fraction"]
+    except KeyError:
+        pass
 
     # Observability overhead: the same FIFO job chain with the flight
     # recorder detached (plain) vs attached (obs).  Paired within one binary

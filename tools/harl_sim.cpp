@@ -418,9 +418,9 @@ void write_exports(const std::vector<Run>& runs, const std::string& trace_out,
 /// core behaved (dispatch volume, queue shape, arena allocation behaviour).
 void print_engine_stats(const std::vector<Run>& runs) {
   std::cout << "\n== event engine (measured runs) ==\n";
-  harness::Table stats_table({"layout", "events", "peak queue", "now-lane",
-                              "ascending", "pool hit%", "chunks", "inline",
-                              "spilled"});
+  harness::Table stats_table({"layout", "events", "peak queue", "lane",
+                              "now-lane", "ascending", "pool hit%", "chunks",
+                              "inline", "spilled"});
   for (const Run& r : runs) {
     const auto& s = r.sim_stats;
     const std::uint64_t slots = s.pool_hits + s.pool_misses;
@@ -432,6 +432,7 @@ void print_engine_stats(const std::vector<Run>& runs) {
         r.label,
         std::to_string(s.events_dispatched),
         std::to_string(s.peak_queue_depth),
+        std::to_string(s.lane_events),
         std::to_string(s.now_lane_events),
         std::to_string(s.ascending_events),
         harness::cell(hit_rate, 1),
