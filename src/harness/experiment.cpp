@@ -190,6 +190,15 @@ WorkloadBundle btio_bundle(const workloads::BtioConfig& config) {
   return bundle;
 }
 
+void for_indices(ThreadPool* pool, std::size_t n,
+                 const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr && n > 1) {
+    pool->parallel_for(n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
 Experiment::Experiment(ExperimentOptions options)
     : options_(std::move(options)) {
   // The telemetry plane lives in the flight recorder.  Nobody asked that
@@ -351,47 +360,6 @@ SchemeResult Experiment::run_with_trace(
   }
   result.sim_stats = sim.stats();
   return result;
-}
-
-void Experiment::for_indices(ThreadPool* pool, std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr && n > 1) {
-    pool->parallel_for(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
-
-Experiment::ReplicatedResult Experiment::run_replicated(
-    const WorkloadBundle& bundle, const LayoutScheme& scheme,
-    std::size_t replicas) {
-  if (replicas == 0) throw std::invalid_argument("needs >= 1 replica");
-  ReplicatedResult out;
-  out.runs.resize(replicas);
-  // Each replica is a self-contained Experiment over shifted seeds (the only
-  // stochastic input), recalibrated against its own devices as a real
-  // deployment would be.  Replicas share no mutable state, so they may run
-  // concurrently; results land by index, making the output byte-identical
-  // to the serial order at any pool width.
-  for_indices(options_.pool, replicas, [&](std::size_t i) {
-    ExperimentOptions replica_options = options_;
-    replica_options.cluster.seed = options_.cluster.seed + i;
-    replica_options.calibration.seed = options_.calibration.seed + i;
-    Experiment replica(std::move(replica_options));
-    out.runs[i] = replica.run(bundle, scheme);
-  });
-
-  double sum = 0.0;
-  out.min_total = out.runs.front().total.throughput();
-  out.max_total = out.min_total;
-  for (const auto& r : out.runs) {
-    const double t = r.total.throughput();
-    sum += t;
-    out.min_total = std::min(out.min_total, t);
-    out.max_total = std::max(out.max_total, t);
-  }
-  out.mean_total = sum / static_cast<double>(replicas);
-  return out;
 }
 
 std::vector<SchemeResult> Experiment::run_all(

@@ -91,14 +91,14 @@ struct ExperimentOptions {
   /// Layout of the traced first execution (OrangeFS default 64K).
   Bytes tracing_stripe = 64 * KiB;
   mw::CollectiveOptions collective;
-  /// Optional pool for evaluating independent schemes (run_all) and replicas
-  /// (run_replicated) concurrently — each on its own Simulator instance.
+  /// Optional pool for evaluating independent schemes (run_all)
+  /// concurrently — each on its own Simulator instance.
   /// Results are written by index, so the output is byte-identical to the
   /// serial order regardless of pool width.  May alias planner.pool: nested
   /// parallel_for on the same pool is deadlock-free (work-helping).
   ThreadPool* pool = nullptr;
   /// Attach a flight recorder to every measured run.  Each SchemeResult then
-  /// carries its own obs::Recorder (one per scheme/replica, so parallel
+  /// carries its own obs::Recorder (one per scheme, so parallel
   /// run_all stays lock-free) with a cost-model predictor derived from the
   /// scheme's layout, feeding the per-region model-error histogram.
   bool observe = false;
@@ -133,6 +133,11 @@ struct ExperimentOptions {
   TelemetryOptions telemetry;
 };
 
+/// Runs fn(i) for i in [0, n): on `pool` when set (and n > 1), else
+/// inline.  Callers write output by index for deterministic results.
+void for_indices(ThreadPool* pool, std::size_t n,
+                 const std::function<void(std::size_t)>& fn);
+
 class Experiment {
  public:
   explicit Experiment(ExperimentOptions options);
@@ -155,20 +160,6 @@ class Experiment {
   std::vector<SchemeResult> run_all(const WorkloadBundle& bundle,
                                     const std::vector<LayoutScheme>& schemes);
 
-  /// Seed replication: reruns the scheme under `replicas` different device
-  /// RNG seeds (the only stochastic input) and reports the spread.  The
-  /// planner runs per replica against that replica's calibration, as a real
-  /// deployment would.
-  struct ReplicatedResult {
-    std::vector<SchemeResult> runs;
-    double mean_total = 0.0;  ///< bytes/s
-    double min_total = 0.0;
-    double max_total = 0.0;
-  };
-  ReplicatedResult run_replicated(const WorkloadBundle& bundle,
-                                  const LayoutScheme& scheme,
-                                  std::size_t replicas);
-
   /// The calibrated cost-model parameters (lazily computed, cached).
   const core::TieredCostParams& cost_params();
 
@@ -181,11 +172,6 @@ class Experiment {
       const WorkloadBundle& bundle) const;
 
  private:
-  /// Runs fn(i) for i in [0, n): on `pool` when set (and n > 1), else
-  /// inline.  Callers write output by index for deterministic results.
-  static void for_indices(ThreadPool* pool, std::size_t n,
-                          const std::function<void(std::size_t)>& fn);
-
   ExperimentOptions options_;
   std::optional<core::TieredCostParams> cached_params_;
 };

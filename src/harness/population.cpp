@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -14,15 +15,6 @@
 namespace harl::harness {
 
 namespace {
-
-void for_indices(ThreadPool* pool, std::size_t n,
-                 const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr && n > 1) {
-    pool->parallel_for(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-  }
-}
 
 /// One file's phases flattened into a single program set: write pass, then
 /// read pass, then mixed run, with a barrier between consecutive phases so
@@ -91,6 +83,20 @@ std::vector<PopulationFile> make_population(const PopulationSpec& spec) {
   }
   const auto tenants =
       assign_tenants(spec.files, spec.tenants, spec.tenant_theta);
+  // Under a steep skew D'Hondt gives every file to the hot tenants; a tenant
+  // left with no file would still count as a tenant (an SLO slot, the
+  // "T tenant(s)" header) with no traffic behind it.
+  std::vector<std::size_t> owned(spec.tenants, 0);
+  for (const std::uint32_t t : tenants) ++owned[t];
+  const auto empty = std::find(owned.begin(), owned.end(), 0);
+  if (empty != owned.end()) {
+    std::ostringstream msg;
+    msg << "tenant " << (empty - owned.begin()) << " of " << spec.tenants
+        << " would own no file of " << spec.files << " at tenant_theta "
+        << spec.tenant_theta
+        << "; add files, lower the skew or use fewer tenants";
+    throw std::invalid_argument(msg.str());
+  }
   std::vector<PopulationFile> population;
   population.reserve(spec.files);
   for (std::size_t f = 0; f < spec.files; ++f) {

@@ -23,10 +23,12 @@
 // run inherits the simulator's guarantees, so every output is byte-identical
 // across runs and pool widths.  A population of one file with no
 // replication and no failure is the degenerate case: it moves the same bytes
-// under the same layout string and region count as the single-file run
-// (Population.DegenerateSingleFileMovesTheSameBytes checks exactly that).
-// Its makespan is not the single-file run's yet; ROADMAP.md's "One run path"
-// item tracks the gap.
+// under the same layout string and region count as the single-file run.  It
+// runs the file's phases as one launch joined by barriers, so it opens the
+// file once; its makespan and per-server I/O time equal a single-file run of
+// that barrier-joined program.  Experiment::run opens the file again for
+// every phase, which makes its makespan one MPI open round longer
+// (Population.DegenerateSingleFileMovesTheSameBytes checks all of this).
 #pragma once
 
 #include <cstdint>
@@ -45,7 +47,9 @@ namespace harl::harness {
 
 struct PopulationSpec {
   std::size_t files = 4;
-  std::size_t tenants = 2;  ///< at most `files`; make_population throws
+  /// At most `files`, and every tenant must receive a file under
+  /// `tenant_theta`; make_population throws otherwise.
+  std::size_t tenants = 2;
   /// Zipf exponent over tenants: tenant t's weight is 1/(t+1)^theta, so the
   /// low-numbered tenants own more files (0 = uniform).
   double tenant_theta = 0.8;

@@ -26,7 +26,6 @@ struct Extent {
 struct IoAction {
   enum class Kind {
     kIo,            ///< independent read/write of one extent
-    kListIo,        ///< independent non-contiguous I/O (multiple extents)
     kCollectiveIo,  ///< two-phase collective I/O of this rank's extents
     kCompute,       ///< local computation for `compute` seconds
     kBarrier,       ///< synchronization only
@@ -42,19 +41,6 @@ struct IoAction {
     a.kind = Kind::kIo;
     a.op = op;
     a.extents = {Extent{offset, size}};
-    return a;
-  }
-
-  /// Non-contiguous independent I/O: how the extents reach the PFS is the
-  /// runner's NoncontigStrategy (naive per-extent, List I/O, data sieving).
-  static IoAction list_io(IoOp op, std::vector<Extent> extents) {
-    if (extents.empty()) {
-      throw std::invalid_argument("list I/O needs at least one extent");
-    }
-    IoAction a;
-    a.kind = Kind::kListIo;
-    a.op = op;
-    a.extents = std::move(extents);
     return a;
   }
 
@@ -94,7 +80,6 @@ inline ProgramVolume program_volume(const std::vector<RankProgram>& programs) {
   for (const auto& prog : programs) {
     for (const auto& action : prog) {
       if (action.kind != IoAction::Kind::kIo &&
-          action.kind != IoAction::Kind::kListIo &&
           action.kind != IoAction::Kind::kCollectiveIo) {
         continue;
       }

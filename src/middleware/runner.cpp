@@ -25,8 +25,6 @@ struct RunState {
   std::size_t num_aggregators;
   Bytes cb_buffer_size;
   bool per_request_metadata;
-  NoncontigStrategy noncontig;
-  double sieve_min_density;
   std::uint32_t file;
   const pfs::ReplicaMap* replicas;
   std::string file_name;
@@ -56,8 +54,6 @@ struct RunState {
         num_aggregators(opts.collective.aggregators),
         cb_buffer_size(opts.collective.buffer_size),
         per_request_metadata(opts.per_request_metadata),
-        noncontig(opts.noncontig),
-        sieve_min_density(opts.sieve_min_density),
         file(opts.file),
         replicas(opts.replicas),
         file_name(std::move(name)),
@@ -93,113 +89,6 @@ void step(const std::shared_ptr<RunState>& st, std::size_t rank);
 void advance(const std::shared_ptr<RunState>& st, std::size_t rank) {
   ++st->pc[rank];
   step(st, rank);
-}
-
-/// Naive non-contiguous path: one PFS request per extent, strictly in
-/// sequence (the unoptimized POSIX loop).
-void issue_list_naive(const std::shared_ptr<RunState>& st, std::size_t rank,
-                      IoOp op, std::shared_ptr<std::vector<Extent>> extents,
-                      std::size_t index) {
-  if (index == extents->size()) {
-    advance(st, rank);
-    return;
-  }
-  const Extent e = (*extents)[index];
-  const Seconds t0 = st->sim().now();
-  st->world.client_of(rank).io(
-      st->layout, op, e.offset, e.size,
-      [st, rank, op, e, t0, extents, index] {
-        st->trace_request(static_cast<std::uint32_t>(rank), op, e.offset,
-                          e.size, t0);
-        issue_list_naive(st, rank, op, extents, index + 1);
-      },
-      st->file, st->replicas);
-}
-
-/// List I/O path: the extent list travels as one request and its pieces are
-/// serviced concurrently; the operation completes when the last piece does.
-void issue_list_io(const std::shared_ptr<RunState>& st, std::size_t rank,
-                   IoOp op, const std::vector<Extent>& extents) {
-  auto join = std::make_shared<sim::JoinCounter>(
-      extents.size(), [st, rank] { advance(st, rank); });
-  for (const Extent& e : extents) {
-    const Seconds t0 = st->sim().now();
-    st->world.client_of(rank).io(
-        st->layout, op, e.offset, e.size,
-        [st, rank, op, e, t0, join] {
-          st->trace_request(static_cast<std::uint32_t>(rank), op, e.offset,
-                            e.size, t0);
-          join->done();
-        },
-        st->file, st->replicas);
-  }
-}
-
-/// Dispatches a kListIo action per the configured strategy.  Data sieving
-/// trades extra transferred bytes (the holes, and a read-modify-write cycle
-/// for writes) against issuing one large contiguous request.
-void issue_noncontig(const std::shared_ptr<RunState>& st, std::size_t rank,
-                     const IoAction& action) {
-  const IoOp op = action.op;
-  Bytes useful = 0;
-  Bytes lo = ~static_cast<Bytes>(0);
-  Bytes hi = 0;
-  for (const Extent& e : action.extents) {
-    useful += e.size;
-    lo = std::min(lo, e.offset);
-    hi = std::max(hi, e.offset + e.size);
-  }
-  st->account(op, useful);
-  if (useful == 0) {
-    st->sim().schedule_after(0.0, [st, rank] { advance(st, rank); });
-    return;
-  }
-
-  const double density =
-      static_cast<double>(useful) / static_cast<double>(hi - lo);
-  const bool sieve = st->noncontig == NoncontigStrategy::kDataSieving &&
-                     density >= st->sieve_min_density &&
-                     action.extents.size() > 1;
-  if (sieve) {
-    const Bytes cover = hi - lo;
-    const Seconds t0 = st->sim().now();
-    if (op == IoOp::kRead) {
-      st->world.client_of(rank).io(
-          st->layout, IoOp::kRead, lo, cover,
-          [st, rank, lo, cover, t0] {
-            st->trace_request(static_cast<std::uint32_t>(rank), IoOp::kRead,
-                              lo, cover, t0);
-            advance(st, rank);
-          },
-          st->file, st->replicas);
-    } else {
-      // Read-modify-write: fetch the covering extent, then write it back.
-      st->world.client_of(rank).io(
-          st->layout, IoOp::kRead, lo, cover,
-          [st, rank, lo, cover, t0] {
-            st->trace_request(static_cast<std::uint32_t>(rank), IoOp::kRead,
-                              lo, cover, t0);
-            const Seconds t1 = st->sim().now();
-            st->world.client_of(rank).io(
-                st->layout, IoOp::kWrite, lo, cover,
-                [st, rank, lo, cover, t1] {
-                  st->trace_request(static_cast<std::uint32_t>(rank),
-                                    IoOp::kWrite, lo, cover, t1);
-                  advance(st, rank);
-                },
-                st->file, st->replicas);
-          },
-          st->file, st->replicas);
-    }
-    return;
-  }
-
-  if (st->noncontig == NoncontigStrategy::kNaive) {
-    auto extents = std::make_shared<std::vector<Extent>>(action.extents);
-    issue_list_naive(st, rank, op, std::move(extents), 0);
-  } else {
-    issue_list_io(st, rank, op, action.extents);
-  }
 }
 
 /// Issues one aggregator's contiguous range as sequential rounds of at most
@@ -413,19 +302,6 @@ void step(const std::shared_ptr<RunState>& st, std::size_t rank) {
             });
       } else {
         issue();
-      }
-      return;
-    }
-
-    case IoAction::Kind::kListIo: {
-      if (st->per_request_metadata) {
-        st->world.cluster().mds().placement_lookup(
-            st->file_name,
-            [st, rank, &action](std::shared_ptr<const pfs::Layout>) {
-              issue_noncontig(st, rank, action);
-            });
-      } else {
-        issue_noncontig(st, rank, action);
       }
       return;
     }

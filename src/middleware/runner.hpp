@@ -34,21 +34,6 @@ struct CollectiveOptions {
   Bytes buffer_size = 16 * MiB;
 };
 
-/// How kListIo actions (independent non-contiguous I/O) reach the PFS —
-/// the optimizations the paper's related work surveys.
-enum class NoncontigStrategy {
-  /// One PFS request per extent, issued sequentially (the unoptimized
-  /// POSIX-style path).
-  kNaive,
-  /// List I/O [Ching et al.]: the extents travel as one request list and
-  /// are serviced concurrently.
-  kListIo,
-  /// Data sieving [Thakur et al.]: access the covering extent in one large
-  /// request (read-modify-write for writes) when the holes are small
-  /// enough; falls back to list I/O otherwise.
-  kDataSieving,
-};
-
 struct RunnerOptions {
   CollectiveOptions collective;
   /// Consult the MDS's region stripe table for every independent request
@@ -57,11 +42,6 @@ struct RunnerOptions {
   /// layout is cached at open time, as real clients do; turning it on makes
   /// RST size a measurable cost (bench_ablation_metadata).
   bool per_request_metadata = false;
-  NoncontigStrategy noncontig = NoncontigStrategy::kListIo;
-  /// Data sieving engages only when useful bytes fill at least this
-  /// fraction of the covering extent (ROMIO applies a similar density
-  /// heuristic via its buffer limits).
-  double sieve_min_density = 0.5;
   /// Namespace FileId: attributes this runner's requests to one file of a
   /// multi-file population (telemetry labels, trace fd).  obs::kNoId keeps
   /// the legacy single-file outputs byte-identical.

@@ -83,12 +83,6 @@ Cluster::Cluster(sim::Simulator& sim, const ClusterConfig& config)
         device = std::make_unique<storage::HddDevice>(
             profile, seeder.next(), config.hdd_sequential_factor);
       }
-      const std::size_t global_index = servers_.size();
-      if (auto it = config.server_faults.find(global_index);
-          it != config.server_faults.end()) {
-        device = std::make_unique<storage::FaultyDevice>(std::move(device),
-                                                         it->second);
-      }
       servers_.push_back(std::make_unique<DataServer>(
           sim_, std::move(device), name, t.is_ssd,
           config.server_per_stripe_overhead * factor, factor));

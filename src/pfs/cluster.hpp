@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,7 +22,6 @@
 #include "src/pfs/data_server.hpp"
 #include "src/pfs/mds.hpp"
 #include "src/sim/simulator.hpp"
-#include "src/storage/faulty.hpp"
 #include "src/storage/hdd.hpp"
 #include "src/storage/profiles.hpp"
 #include "src/storage/ssd.hpp"
@@ -71,10 +69,6 @@ struct ClusterConfig {
   double hdd_sequential_factor = 0.55;
   storage::SsdDevice::GcModel ssd_gc{};  ///< disabled by default
   std::uint64_t seed = 1;                ///< per-device streams fork from this
-
-  /// Fault injection: degrade specific servers (by global index) with a
-  /// slowdown factor and/or periodic hiccups.
-  std::map<std::size_t, storage::FaultyDevice::Faults> server_faults;
 
   /// Periodic GC-pause service-time inflation on one server — the telemetry
   /// plane's canonical straggler (DESIGN.md §15).  Disabled while duration

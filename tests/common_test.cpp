@@ -17,7 +17,6 @@
 
 #include "src/common/config.hpp"
 #include "src/common/interval.hpp"
-#include "src/common/log.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/stats.hpp"
 #include "src/common/thread_pool.hpp"
@@ -785,22 +784,6 @@ TEST(Options, HelpPrintsEveryRowWithItsDefaultsAndRange) {
             std::string::npos);
   EXPECT_NE(help.find("  mode         a choice (a)\n"), std::string::npos);
   EXPECT_NE(help.find("  items        a list (x,y)\n"), std::string::npos);
-}
-
-// ------------------------------------------------------------------ log ----
-
-TEST(Log, LevelGatesEmission) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Below-threshold calls are no-ops (observable only via the level check,
-  // but they must not crash or deadlock).
-  log_debug("dropped ", 1);
-  log_info("dropped ", 2);
-  log_warn("dropped ", 3);
-  set_log_level(LogLevel::kOff);
-  log_error("also dropped");
-  set_log_level(before);
 }
 
 // ---------------------------------------------------------- thread pool ----

@@ -74,7 +74,8 @@ endforeach()
 
 # Configs the model cannot honour must fail and name the offending key:
 # a failure without replicas (the dead server would keep serving), more
-# tenants than files, and a GC pause with no cycle.  So must malformed
+# tenants than files, a tenant skew that leaves a tenant without a file
+# (matched by its message), and a GC pause with no cycle.  So must malformed
 # values: trailing characters, negative counts, a negative rand seed, a
 # non-number, and a negative device factor, and the keys and scheme of the
 # deleted adaptive re-layout (DESIGN.md §11).  Each entry is
@@ -82,6 +83,7 @@ endforeach()
 set(bad_configs
   "replicas|files=4 replicas=0 fail-server=2 fail-at=0.01"
   "tenants|files=2 tenants=4"
+  "would own no file|files=4 tenants=4 zipf-tenant-theta=3"
   "gc-period|gc-pause-ms=60 gc-period=0"
   "procs|procs=16x"
   "hservers|hservers=-1"

@@ -1,6 +1,6 @@
-// Parallel experiment harness: run_all / run_replicated on a thread pool
-// must produce results exactly equal to the serial runs — the simulator is
-// deterministic per instance and the harness orders results by index, so
+// Parallel experiment harness: run_all and population planning on a thread
+// pool must produce results exactly equal to the serial runs — the simulator
+// is deterministic per instance and the harness orders results by index, so
 // pool width can only change wall time, never a byte of output.
 #include <gtest/gtest.h>
 
@@ -93,28 +93,6 @@ TEST(HarnessParallel, RunAllMatchesAtEveryPoolWidth) {
           << "width " << width << " scheme " << schemes[i].label();
     }
   }
-}
-
-TEST(HarnessParallel, RunReplicatedMatchesSerialExactly) {
-  const WorkloadBundle bundle = small_bundle();
-  const LayoutScheme scheme = LayoutScheme::harl();
-
-  Experiment serial(small_options(nullptr));
-  const auto serial_out = serial.run_replicated(bundle, scheme, 4);
-
-  ThreadPool pool(3);
-  Experiment parallel(small_options(&pool));
-  const auto parallel_out = parallel.run_replicated(bundle, scheme, 4);
-
-  ASSERT_EQ(serial_out.runs.size(), parallel_out.runs.size());
-  for (std::size_t i = 0; i < serial_out.runs.size(); ++i) {
-    EXPECT_EQ(fingerprint(serial_out.runs[i]),
-              fingerprint(parallel_out.runs[i]))
-        << "replica " << i;
-  }
-  EXPECT_EQ(serial_out.mean_total, parallel_out.mean_total);
-  EXPECT_EQ(serial_out.min_total, parallel_out.min_total);
-  EXPECT_EQ(serial_out.max_total, parallel_out.max_total);
 }
 
 /// The full flight-recorder output as one string: metrics JSON plus the

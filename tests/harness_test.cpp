@@ -349,31 +349,6 @@ TEST(Scheme, SpaceBoundedHarlCapsTheSsdShare) {
             bounded.plan->total_model_cost() + 1e-12);
 }
 
-TEST(Experiment, ReplicatedRunsReportSeedSpread) {
-  ExperimentOptions opts;
-  opts.cluster.num_clients = 4;
-  opts.calibration.samples_per_size = 100;
-  opts.calibration.beta_samples = 100;
-  workloads::IorConfig ior;
-  ior.processes = 4;
-  ior.file_size = 32 * MiB;
-  ior.requests_per_process = 8;
-
-  Experiment exp(opts);
-  const auto rep =
-      exp.run_replicated(ior_bundle(ior), LayoutScheme::fixed(256 * KiB), 3);
-  ASSERT_EQ(rep.runs.size(), 3u);
-  EXPECT_LE(rep.min_total, rep.mean_total);
-  EXPECT_LE(rep.mean_total, rep.max_total);
-  // Different device seeds produce (slightly) different makespans.
-  EXPECT_NE(rep.runs[0].total.makespan, rep.runs[1].total.makespan);
-  // The experiment's own options are restored afterwards.
-  EXPECT_EQ(exp.options().cluster.seed, opts.cluster.seed);
-  EXPECT_THROW(exp.run_replicated(ior_bundle(ior),
-                                  LayoutScheme::fixed(64 * KiB), 0),
-               std::invalid_argument);
-}
-
 TEST(Experiment, EmptyBundleThrows) {
   Experiment exp(ExperimentOptions{});
   WorkloadBundle empty;

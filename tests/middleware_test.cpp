@@ -355,100 +355,6 @@ TEST(Runner, CollectiveBufferSplitsAggregatorRanges) {
   EXPECT_GE(sorted[1].t_start, sorted[0].t_end);
 }
 
-// ------------------------------------------------- noncontiguous I/O ----
-
-std::vector<Extent> dense_extents() {
-  // 8 x 32K extents with 8K holes: density 0.8.
-  std::vector<Extent> out;
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(Extent{static_cast<Bytes>(i) * 40 * KiB, 32 * KiB});
-  }
-  return out;
-}
-
-RunResult run_noncontig(NoncontigStrategy strategy, IoOp op,
-                        std::vector<Extent> extents,
-                        trace::TraceCollector* collector) {
-  sim::Simulator sim;
-  pfs::Cluster cluster(sim, small_config());
-  MpiWorld world(cluster, 1);
-  auto layout = pfs::make_fixed_layout(cluster.num_servers(), 64 * KiB);
-  RunnerOptions opts;
-  opts.noncontig = strategy;
-  ProgramRunner runner(world, "f", layout, collector, opts);
-  std::vector<RankProgram> programs(1);
-  programs[0].push_back(IoAction::list_io(op, std::move(extents)));
-  return runner.run(programs);
-}
-
-TEST(Noncontig, NaiveIssuesOneRequestPerExtentSequentially) {
-  trace::TraceCollector collector;
-  const auto result = run_noncontig(NoncontigStrategy::kNaive, IoOp::kRead,
-                                    dense_extents(), &collector);
-  EXPECT_EQ(result.bytes_read, 8u * 32 * KiB);
-  ASSERT_EQ(collector.size(), 8u);
-  // Sequential: each request starts after the previous one finished.
-  const auto records = collector.records();
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    EXPECT_GE(records[i].t_start, records[i - 1].t_end);
-  }
-}
-
-TEST(Noncontig, ListIoRunsExtentsConcurrently) {
-  trace::TraceCollector naive_tc;
-  trace::TraceCollector list_tc;
-  const auto naive = run_noncontig(NoncontigStrategy::kNaive, IoOp::kRead,
-                                   dense_extents(), &naive_tc);
-  const auto list = run_noncontig(NoncontigStrategy::kListIo, IoOp::kRead,
-                                  dense_extents(), &list_tc);
-  EXPECT_EQ(list.bytes_read, naive.bytes_read);
-  EXPECT_EQ(list_tc.size(), 8u);
-  EXPECT_LT(list.makespan, naive.makespan);
-}
-
-TEST(Noncontig, DataSievingReadsTheCoveringExtent) {
-  trace::TraceCollector collector;
-  const auto result = run_noncontig(NoncontigStrategy::kDataSieving,
-                                    IoOp::kRead, dense_extents(), &collector);
-  // Application bytes are the useful ones...
-  EXPECT_EQ(result.bytes_read, 8u * 32 * KiB);
-  // ...but the PFS saw one covering request including the holes.
-  ASSERT_EQ(collector.size(), 1u);
-  EXPECT_EQ(collector.records()[0].offset, 0u);
-  EXPECT_EQ(collector.records()[0].size, 7u * 40 * KiB + 32 * KiB);
-}
-
-TEST(Noncontig, DataSievingWriteDoesReadModifyWrite) {
-  trace::TraceCollector collector;
-  run_noncontig(NoncontigStrategy::kDataSieving, IoOp::kWrite, dense_extents(),
-                &collector);
-  ASSERT_EQ(collector.size(), 2u);
-  EXPECT_EQ(collector.records()[0].op, IoOp::kRead);   // fetch
-  EXPECT_EQ(collector.records()[1].op, IoOp::kWrite);  // write back
-  EXPECT_EQ(collector.records()[0].size, collector.records()[1].size);
-}
-
-TEST(Noncontig, SparseExtentsFallBackToListIo) {
-  // 4 x 16K extents spread over 4 MiB: density ~1.6%, far below 50%.
-  std::vector<Extent> sparse;
-  for (int i = 0; i < 4; ++i) {
-    sparse.push_back(Extent{static_cast<Bytes>(i) * MiB, 16 * KiB});
-  }
-  trace::TraceCollector collector;
-  run_noncontig(NoncontigStrategy::kDataSieving, IoOp::kRead, sparse,
-                &collector);
-  EXPECT_EQ(collector.size(), 4u);  // per-extent requests, no covering read
-}
-
-TEST(Noncontig, SingleExtentListActsLikePlainIo) {
-  trace::TraceCollector collector;
-  const auto result = run_noncontig(NoncontigStrategy::kDataSieving,
-                                    IoOp::kRead, {Extent{0, 64 * KiB}},
-                                    &collector);
-  EXPECT_EQ(result.bytes_read, 64 * KiB);
-  EXPECT_EQ(collector.size(), 1u);
-}
-
 // ---------------------------------------------------------- HARL driver ----
 
 TEST(HarlDriver, SaveLoadInstallRoundTrip) {

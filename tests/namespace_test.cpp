@@ -78,6 +78,31 @@ TEST(MakePopulation, RejectsMoreTenantsThanFiles) {
   EXPECT_NO_THROW(harness::make_population(spec));
 }
 
+TEST(Population, RejectsTenantWithoutFiles) {
+  // At theta 3 the D'Hondt split hands all 4 files to tenant 0.
+  harness::PopulationSpec spec;
+  spec.files = 4;
+  spec.tenants = 4;
+  spec.tenant_theta = 3.0;
+  try {
+    harness::make_population(spec);
+    FAIL() << "a population with empty tenants was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("tenant 1 of 4 would own no file"),
+              std::string::npos)
+        << e.what();
+  }
+  // The benchmark's population keeps its 14/8/6/4 split.
+  spec.files = 32;
+  spec.tenant_theta = 0.8;
+  spec.file_size = 2 * MiB;
+  spec.request_size = 128 * KiB;
+  spec.processes = 2;
+  std::vector<std::size_t> owned(spec.tenants, 0);
+  for (const auto& file : harness::make_population(spec)) ++owned[file.tenant];
+  EXPECT_EQ(owned, (std::vector<std::size_t>{14, 8, 6, 4}));
+}
+
 // --------------------------------------------------------------- replicas --
 
 TEST(ReplicaMap, ChainedDeclustering) {
@@ -324,6 +349,32 @@ TEST(Population, DegenerateSingleFileMovesTheSameBytes) {
   EXPECT_EQ(pr.total.bytes, sr.total.bytes);
   EXPECT_EQ(pr.files[0].layout_description, sr.layout_description);
   EXPECT_EQ(pr.files[0].region_count, sr.region_count);
+
+  // The population runs the write and read passes as one launch joined by a
+  // barrier, so the file is opened once.  A solo run of that barrier-joined
+  // program on the same trace is the population's run exactly.
+  const harness::WorkloadBundle& phases = pop[0].bundle;
+  ASSERT_FALSE(phases.write_programs.empty());
+  ASSERT_FALSE(phases.read_programs.empty());
+  harness::WorkloadBundle joined;
+  joined.name = phases.name;
+  joined.processes = phases.processes;
+  joined.mixed_programs = phases.write_programs;
+  for (std::size_t r = 0; r < joined.mixed_programs.size(); ++r) {
+    auto& program = joined.mixed_programs[r];
+    program.push_back(mw::IoAction::barrier());
+    program.insert(program.end(), phases.read_programs[r].begin(),
+                   phases.read_programs[r].end());
+  }
+  harness::Experiment one_open(small_options());
+  const auto jr = one_open.run_with_trace(joined, harness::LayoutScheme::harl(),
+                                          one_open.collect_trace(phases));
+  EXPECT_EQ(jr.layout_description, sr.layout_description);
+  EXPECT_EQ(pr.total.makespan, jr.total.makespan);
+  EXPECT_EQ(pr.server_io_time, jr.server_io_time);
+  // Experiment::run opens the file again for the read pass: one more MPI
+  // open round at the MDS, so its makespan is strictly longer.
+  EXPECT_GT(sr.total.makespan, pr.total.makespan);
 }
 
 /// Runs `scheme` over `pop` serially (width 0) or with a ThreadPool of

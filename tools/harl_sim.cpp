@@ -235,7 +235,8 @@ const OptionSpec kOptions[] = {
              "files>=1 defaults in this mode)",
      .min = 0, .max = 4096},
     {.name = "tenants", .kind = kInt, .fallback = "2",
-     .help = "tenant count for population runs, at most files; the\n"
+     .help = "tenant count for population runs, at most files, and\n"
+             "each tenant must get a file under zipf-tenant-theta; the\n"
              "default is capped at files",
      .min = 1},
     {.name = "zipf-tenant-theta", .kind = kDouble, .fallback = "0.8",
