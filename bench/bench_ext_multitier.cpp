@@ -29,9 +29,9 @@ const std::vector<std::size_t> kCounts = {4, 2, 2};
 pfs::ClusterConfig cluster_config() {
   pfs::ClusterConfig cfg;
   cfg.tiers = {
-      pfs::TierGroup{"hdd", kCounts[0], storage::hdd_profile(), false},
-      pfs::TierGroup{"sata", kCounts[1], storage::sata_ssd_profile(), true},
-      pfs::TierGroup{"nvme", kCounts[2], storage::nvme_ssd_profile(), true},
+      pfs::TierGroup{"hdd", kCounts[0], storage::hdd_profile(), false, {}},
+      pfs::TierGroup{"sata", kCounts[1], storage::sata_ssd_profile(), true, {}},
+      pfs::TierGroup{"nvme", kCounts[2], storage::nvme_ssd_profile(), true, {}},
   };
   return cfg;
 }
@@ -48,9 +48,9 @@ core::TieredCostParams tier_params() {
     prof->startup_max *= 0.55;
   }
   p.tiers = {
-             core::TierSpec{kCounts[0], hdd},
-      core::TierSpec{kCounts[1], storage::sata_ssd_profile()},
-      core::TierSpec{kCounts[2], storage::nvme_ssd_profile()},
+             core::TierSpec{kCounts[0], hdd, {}},
+      core::TierSpec{kCounts[1], storage::sata_ssd_profile(), {}},
+      core::TierSpec{kCounts[2], storage::nvme_ssd_profile(), {}},
   };
   return p;
 }
@@ -104,7 +104,7 @@ void run_tables() {
     out.startup_max = 0.5 * (out.startup_max + nvme.op(op).startup_max);
     out.per_byte = 0.5 * (out.per_byte + nvme.op(op).per_byte);
   }
-  p2.tiers = {p3.tiers[0], core::TierSpec{kCounts[1] + kCounts[2], blended}};
+  p2.tiers = {p3.tiers[0], core::TierSpec{kCounts[1] + kCounts[2], blended, {}}};
 
   std::cout << "\n== Extension: three-tier layout (4 HDD + 2 SATA-SSD + 2 "
                "NVMe), simulated throughput ==\n";

@@ -34,8 +34,11 @@ std::vector<harness::SchemeResult> run() {
         harness::cell_ratio(harl.total.throughput(),
                             fixed64.total.throughput()),
     });
-    fixed64.label = "p" + std::to_string(procs) + "/64K";
-    harl.label = "p" + std::to_string(procs) + "/HARL";
+    // Appended, not "p" + std::string: gcc 12 misreads that operator+'s
+    // insert as an overlapping memcpy (-Wrestrict).
+    const std::string tag = std::string("p").append(std::to_string(procs));
+    fixed64.label = tag + "/64K";
+    harl.label = tag + "/HARL";
     all.push_back(std::move(fixed64));
     all.push_back(std::move(harl));
   }

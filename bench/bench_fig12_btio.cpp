@@ -33,7 +33,9 @@ std::vector<harness::SchemeResult> run() {
                             fixed64.total.throughput()),
         harl.layout_description,
     });
-    const std::string tag = "p" + std::to_string(procs);
+    // Appended, not "p" + std::string: gcc 12 misreads that operator+'s
+    // insert as an overlapping memcpy (-Wrestrict).
+    const std::string tag = std::string("p").append(std::to_string(procs));
     fixed64.label = tag + "/64K";
     fixed256.label = tag + "/256K";
     harl.label = tag + "/HARL";

@@ -55,9 +55,9 @@ BENCHMARK(BM_RequestCost)
 void BM_TieredRequestCost(benchmark::State& state) {
   TieredCostParams p;
   p.t = 1.0 / (117.0 * 1024 * 1024);
-  TierSpec hdd{6, storage::hdd_profile()};
-  TierSpec sata{2, storage::sata_ssd_profile()};
-  TierSpec nvme{2, storage::nvme_ssd_profile()};
+  TierSpec hdd{6, storage::hdd_profile(), {}};
+  TierSpec sata{2, storage::sata_ssd_profile(), {}};
+  TierSpec nvme{2, storage::nvme_ssd_profile(), {}};
   p.tiers = {hdd, sata, nvme};
   const std::vector<Bytes> stripes = {16 * KiB, 64 * KiB, 256 * KiB};
   Bytes offset = 0;

@@ -70,7 +70,8 @@ void run_tables() {
         worst = std::max(worst, rel);
         table.add_row({
             format_size(size),
-            "{" + format_size(hs[0]) + "," + format_size(hs[1]) + "}",
+            std::string("{").append(format_size(hs[0])) + "," +
+                format_size(hs[1]) + "}",
             std::string(to_string(op)),
             harness::cell(model * 1e3, 2),
             harness::cell(sim_latency * 1e3, 2),

@@ -42,10 +42,12 @@ void HealthMonitor::sub_resident(std::uint32_t server, Seconds resident) {
   ServerState& st = server_state(server);
   ++st.slo_total;
   const LabelSet labels = LabelSet{}.server(server);
-  metrics_.add(m_slo_sub_total_, labels, 1.0);
+  metrics_.add(
+      owner_.resolve(st.slo_total_series, m_slo_sub_total_, labels), 1.0);
   if (resident <= options_.slo) {
     ++st.slo_met;
-    metrics_.add(m_slo_sub_met_, labels, 1.0);
+    metrics_.add(
+        owner_.resolve(st.slo_met_series, m_slo_sub_met_, labels), 1.0);
   }
 }
 
@@ -55,20 +57,22 @@ void HealthMonitor::request_done(IoOp op, std::uint32_t tenant,
   const std::size_t i = op == IoOp::kRead ? 0 : 1;
   ++req_total_[i];
   const LabelSet labels = LabelSet{}.op(op);
-  metrics_.add(m_slo_req_total_, labels, 1.0);
+  metrics_.add(
+      owner_.resolve(req_total_series_[i], m_slo_req_total_, labels), 1.0);
   const bool met = latency <= options_.slo;
   if (met) {
     ++req_met_[i];
-    metrics_.add(m_slo_req_met_, labels, 1.0);
+    metrics_.add(
+        owner_.resolve(req_met_series_[i], m_slo_req_met_, labels), 1.0);
   }
   if (tenant != kNoId) {
     TenantSlo& ts = tenant_slo_[tenant];
     ++ts.total;
     const LabelSet tl = LabelSet{}.tenant(tenant);
-    metrics_.add(m_slo_tenant_total_, tl, 1.0);
+    metrics_.add(owner_.resolve(ts.total_series, m_slo_tenant_total_, tl), 1.0);
     if (met) {
       ++ts.met;
-      metrics_.add(m_slo_tenant_met_, tl, 1.0);
+      metrics_.add(owner_.resolve(ts.met_series, m_slo_tenant_met_, tl), 1.0);
     }
   }
 }

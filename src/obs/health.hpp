@@ -86,8 +86,7 @@ class HealthMonitor {
   /// `arrival`, this one included.
   void disk_job(std::uint32_t server, Seconds arrival, Seconds start,
                 Seconds finish, std::uint64_t depth) {
-    ts_.record_depth(server, arrival, depth);
-    ts_.record_span(server, arrival, start, finish);
+    ts_.record_job(server, arrival, start, finish, depth);
   }
   /// A storage sub-request spent `resident` seconds (queue wait plus full
   /// service) on `server`.
@@ -132,6 +131,8 @@ class HealthMonitor {
     std::uint64_t recover_count = 0;
     std::uint64_t slo_total = 0;  ///< storage subs checked against the SLO
     std::uint64_t slo_met = 0;
+    // health.slo.subs_{total,met}, resolved on first use.
+    MetricsRegistry::Series slo_total_series, slo_met_series;
   };
 
   void advance_to(std::int64_t w);
@@ -149,14 +150,18 @@ class HealthMonitor {
   bool finalized_ = false;
   std::int64_t next_to_score_ = 0;
 
-  /// Whole-request SLO attainment, indexed by op (0 read, 1 write).
+  /// Whole-request SLO attainment, indexed by op (0 read, 1 write), and
+  /// its health.slo.requests_{total,met} series, resolved on first use.
   std::uint64_t req_total_[2] = {0, 0};
   std::uint64_t req_met_[2] = {0, 0};
+  MetricsRegistry::Series req_total_series_[2], req_met_series_[2];
 
-  /// Per-tenant whole-request SLO attainment (namespace runs only).
+  /// Per-tenant whole-request SLO attainment (namespace runs only) and its
+  /// health.slo.tenant_{total,met} series, resolved on first use.
   struct TenantSlo {
     std::uint64_t total = 0;
     std::uint64_t met = 0;
+    MetricsRegistry::Series total_series, met_series;
   };
   std::map<std::uint32_t, TenantSlo> tenant_slo_;
 

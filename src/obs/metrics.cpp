@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 
 namespace harl::obs {
@@ -73,13 +74,15 @@ void write_labels(std::ostream& out, const LabelSet& labels) {
 /// kHistogram series export p50/p95/p99; kSketch series add the p999.
 void write_distribution(std::ostream& out, const QuantileSketch& s,
                         bool p999) {
+  static constexpr double kQs[] = {0.5, 0.95, 0.99, 0.999};
+  double q[4];
+  const std::size_t n = p999 ? 4 : 3;
+  s.quantiles(std::span(kQs, n), std::span(q, n));
   out << "\"count\": " << s.count() << ", \"sum\": " << Real{s.sum()}
       << ", \"min\": " << Real{s.min()} << ", \"max\": " << Real{s.max()}
-      << ", \"mean\": " << Real{s.mean()}
-      << ", \"p50\": " << Real{s.percentile(50.0)}
-      << ", \"p95\": " << Real{s.percentile(95.0)}
-      << ", \"p99\": " << Real{s.percentile(99.0)};
-  if (p999) out << ", \"p999\": " << Real{s.quantile(0.999)};
+      << ", \"mean\": " << Real{s.mean()} << ", \"p50\": " << Real{q[0]}
+      << ", \"p95\": " << Real{q[1]} << ", \"p99\": " << Real{q[2]};
+  if (p999) out << ", \"p999\": " << Real{q[3]};
   out << ", \"buckets\": [";
   bool first = true;
   for (const auto& b : s.buckets()) {

@@ -54,29 +54,6 @@ void Timeline::fit(Seconds t) {
   }
 }
 
-void Timeline::add_span(Seconds t0, Seconds t1) {
-  if (!(t1 > t0)) return;
-  fit(t1);
-  auto first = static_cast<std::size_t>(t0 / width_);
-  auto last = static_cast<std::size_t>(t1 / width_);
-  last = std::min(last, max_buckets_ - 1);
-  if (last >= values_.size()) values_.resize(last + 1, 0.0);
-  for (std::size_t i = first; i <= last; ++i) {
-    const Seconds lo = std::max(t0, width_ * static_cast<double>(i));
-    const Seconds hi = std::min(t1, width_ * static_cast<double>(i + 1));
-    if (hi > lo) values_[i] += hi - lo;
-  }
-}
-
-void Timeline::sample_max(Seconds t, double v) {
-  if (t < 0.0) return;
-  fit(t);
-  auto idx = static_cast<std::size_t>(t / width_);
-  idx = std::min(idx, max_buckets_ - 1);
-  if (idx >= values_.size()) values_.resize(idx + 1, 0.0);
-  values_[idx] = std::max(values_[idx], v);
-}
-
 // --- Recorder ---------------------------------------------------------------
 
 Recorder::TrackState::TrackState(std::string name_, TrackKind kind_,
@@ -314,33 +291,27 @@ void Recorder::finalize_sub(std::uint32_t sub, Seconds t_x, Seconds done) {
   note_time(done);
   const std::uint32_t tier =
       s.server < servers_.size() ? servers_[s.server].tier : kNoId;
-  SubSample sample;
-  sample.server = s.server;
-  sample.tier = tier;
-  sample.region = s.region;
-  sample.bytes = s.bytes;
-  sample.issue = s.issue;
-  sample.wait = s.start - s.arrival;
-  sample.t_s = s.startup;
-  sample.t_t = s.service - s.startup;
-  sample.t_x = t_x;
-  sample.done = done;
+  const Seconds wait = s.start - s.arrival;
+  const Seconds t_t = s.service - s.startup;
   if (s.request < req_slots_.size()) {
     ActiveRequest& r = req_slots_[s.request];
-    r.subs.push_back(sample);
+    if (options_.max_request_samples > 0) {
+      r.subs.push_back(SubSample{s.server, tier, s.region, s.bytes, s.issue,
+                                 wait, s.startup, t_t, t_x, done});
+    }
     const std::size_t slot = (tier & 0xFFu) * 2 + op_index(r.op);
     if (slot >= tier_series_.size()) tier_series_.resize(slot + 1);
     TierOpSeries& h = tier_series_[slot];
     const LabelSet labels = LabelSet{}.tier(tier).op(r.op);
-    metrics_.observe(resolve(h.wait, m_wait_, labels), sample.wait);
-    metrics_.observe(resolve(h.t_s, m_ts_, labels), sample.t_s);
-    metrics_.observe(resolve(h.t_t, m_tt_, labels), sample.t_t);
-    metrics_.observe(resolve(h.t_x, m_tx_, labels), sample.t_x);
+    metrics_.observe(resolve(h.wait, m_wait_, labels), wait);
+    metrics_.observe(resolve(h.t_s, m_ts_, labels), s.startup);
+    metrics_.observe(resolve(h.t_t, m_tt_, labels), t_t);
+    metrics_.observe(resolve(h.t_x, m_tx_, labels), t_x);
     // Server-resident time per {server,tier,op}: the straggler scheduler's
     // per-server tail input (p50/p95/p99/p999 via the sketch family).
     const LabelSet server_labels =
         LabelSet{}.server(s.server).tier(tier).op(r.op);
-    const Seconds resident = sample.wait + sample.t_s + sample.t_t;
+    const Seconds resident = wait + s.startup + t_t;
     if (s.server < servers_.size()) {
       metrics_.observe(
           resolve(servers_[s.server].by_op[op_index(r.op)].time,

@@ -29,6 +29,7 @@
 // up front.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -51,15 +52,36 @@ class Timeline {
   Timeline(Seconds initial_width, std::size_t max_buckets, bool take_max);
 
   /// Adds the overlap of [t0, t1) to every bucket it crosses (additive
-  /// mode: busy-seconds accumulation).
-  void add_span(Seconds t0, Seconds t1);
+  /// mode: busy-seconds accumulation).  Inline: every resource event of the
+  /// recorder lands here.
+  void add_span(Seconds t0, Seconds t1) {
+    if (!(t1 > t0)) return;
+    if (t1 >= horizon_) fit(t1);
+    const auto first = static_cast<std::size_t>(t0 / width_);
+    const auto last =
+        std::min(static_cast<std::size_t>(t1 / width_), max_buckets_ - 1);
+    if (last >= values_.size()) values_.resize(last + 1, 0.0);
+    for (std::size_t i = first; i <= last; ++i) {
+      const Seconds lo = std::max(t0, width_ * static_cast<double>(i));
+      const Seconds hi = std::min(t1, width_ * static_cast<double>(i + 1));
+      if (hi > lo) values_[i] += hi - lo;
+    }
+  }
   /// Raises the bucket containing `t` to at least `v` (max mode).
-  void sample_max(Seconds t, double v);
+  void sample_max(Seconds t, double v) {
+    if (t < 0.0) return;
+    if (t >= horizon_) fit(t);
+    const auto idx =
+        std::min(static_cast<std::size_t>(t / width_), max_buckets_ - 1);
+    if (idx >= values_.size()) values_.resize(idx + 1, 0.0);
+    values_[idx] = std::max(values_[idx], v);
+  }
 
   Seconds bucket_width() const { return width_; }
   const std::vector<double>& values() const { return values_; }
 
  private:
+  /// Coalesces until `t` lies before the horizon; callers check first.
   void fit(Seconds t);
 
   Seconds width_;
@@ -77,8 +99,9 @@ class Recorder final : public Sink {
     /// Ring-buffer capacity for trace events; 0 = unbounded.
     std::size_t max_trace_events = 0;
     /// Completed request samples kept for inspection (ring; attribution
-    /// histograms see every request regardless).
-    std::size_t max_request_samples = 16384;
+    /// histograms see every request regardless).  0, the default, keeps
+    /// none and builds no per-sub-request sample: no export reads them.
+    std::size_t max_request_samples = 0;
     /// Buckets per utilization/queue-depth timeline (width self-scales).
     std::size_t timeline_buckets = 256;
     Seconds timeline_initial_width = 1e-3;
@@ -162,7 +185,8 @@ class Recorder final : public Sink {
     Seconds latency() const { return done - issue; }
   };
 
-  /// Completed requests, oldest first (bounded by max_request_samples).
+  /// Completed requests, oldest first (bounded by max_request_samples;
+  /// empty unless the recorder was built to keep samples).
   const std::vector<RequestSample>& requests() const { return samples_; }
   std::uint64_t requests_completed() const { return requests_completed_; }
 

@@ -116,6 +116,52 @@ double QuantileSketch::quantile(double q) const {
   return max_;
 }
 
+void QuantileSketch::quantiles(std::span<const double> qs,
+                               std::span<double> out) const {
+  if (out.size() != qs.size()) {
+    throw std::invalid_argument("quantiles needs one output per q");
+  }
+  for (std::size_t k = 0; k < qs.size(); ++k) {
+    if (qs[k] < 0.0 || qs[k] > 1.0) {
+      throw std::invalid_argument("quantile q out of [0,1]");
+    }
+    if (k > 0 && qs[k] < qs[k - 1]) {
+      throw std::invalid_argument("quantiles needs ascending q");
+    }
+  }
+  // quantile()'s walk, resumed from one q to the next: the ranks ascend
+  // with q, and `seen` takes the same values in the same order.
+  std::size_t k = 0;
+  if (count_ == 0) {
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
+  }
+  const auto rank = [&](std::size_t j) {
+    return qs[j] * static_cast<double>(count_);
+  };
+  double seen = static_cast<double>(non_positive_);
+  if (non_positive_ > 0) {
+    for (; k < qs.size() && rank(k) <= seen; ++k) out[k] = std::min(0.0, min_);
+  }
+  for (std::size_t i = 0; i < counts_.size() && k < qs.size(); ++i) {
+    const std::uint64_t n = counts_[i];
+    if (n == 0) continue;
+    const double next = seen + static_cast<double>(n);
+    if (rank(k) <= next) {
+      const std::int32_t index = base_ + static_cast<std::int32_t>(i);
+      const double lo = bucket_low(index);
+      const double hi = bucket_low(index + 1);
+      for (; k < qs.size() && rank(k) <= next; ++k) {
+        const double frac = (rank(k) - seen) / static_cast<double>(n);
+        const double v = lo + frac * (hi - lo);
+        out[k] = std::min(std::max(v, min_), max_);
+      }
+    }
+    seen = next;
+  }
+  for (; k < qs.size(); ++k) out[k] = max_;
+}
+
 std::vector<QuantileSketch::Bucket> QuantileSketch::buckets() const {
   std::vector<Bucket> out;
   for (std::size_t i = 0; i < counts_.size(); ++i) {

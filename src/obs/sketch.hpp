@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace harl::obs {
@@ -65,6 +66,9 @@ class QuantileSketch {
   double quantile(double q) const;
   /// Percentile convenience, p in [0, 100] (p999 == quantile(0.999)).
   double percentile(double p) const { return quantile(p / 100.0); }
+  /// out[i] = quantile(qs[i]), bit for bit, from one pass over the buckets.
+  /// `qs` must be ascending and as long as `out`.
+  void quantiles(std::span<const double> qs, std::span<double> out) const;
 
   unsigned sub_bits() const { return sub_bits_; }
 

@@ -1,6 +1,7 @@
 #include "src/obs/timeseries.hpp"
 
 #include <algorithm>
+#include <array>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -36,29 +37,35 @@ std::size_t TimeSeries::position(std::int64_t index) const {
       windows_.begin());
 }
 
-TimeSeries::Window& TimeSeries::window(std::int64_t index) {
+TimeSeries::Window* TimeSeries::window(std::int64_t index) {
   std::size_t at = position(index);
-  if (at == windows_.size() || windows_[at].index != index) {
-    Window w;
-    w.index = index;
-    windows_.insert(windows_.begin() + static_cast<std::ptrdiff_t>(at),
-                    std::move(w));
-    if (windows_.size() > capacity_) {
-      windows_.erase(windows_.begin());
-      ++dropped_;
-      at = position(index);
-    }
+  if (at < windows_.size() && windows_[at].index == index) {
+    return &windows_[at];
   }
-  return windows_[at];
+  if (windows_.size() >= capacity_) {
+    // A full ring makes room by dropping its oldest window, unless the new
+    // one would be older still: it would be the one dropped.
+    if (at == 0) return nullptr;
+    windows_.erase(windows_.begin());
+    ++dropped_;
+    --at;
+  }
+  Window w;
+  w.index = index;
+  windows_.insert(windows_.begin() + static_cast<std::ptrdiff_t>(at),
+                  std::move(w));
+  return &windows_[at];
 }
 
-TimeSeries::ServerCell& TimeSeries::cell(std::int64_t index,
+TimeSeries::ServerCell* TimeSeries::cell(std::int64_t index,
                                          std::uint32_t server) {
-  std::vector<ServerCell>& cells = window(index).servers;
+  Window* win = window(index);
+  if (win == nullptr) return nullptr;
+  std::vector<ServerCell>& cells = win->servers;
   if (server >= cells.size()) cells.resize(server + 1);
   ServerCell& c = cells[server];
   c.present = true;
-  return c;
+  return &c;
 }
 
 const TimeSeries::ServerCell* TimeSeries::find_cell(const Window& win,
@@ -74,14 +81,19 @@ const TimeSeries::Window* TimeSeries::find_window(std::int64_t index) const {
                                                               : &windows_[at];
 }
 
-void TimeSeries::record_span(std::uint32_t server, Seconds arrival,
-                             Seconds start, Seconds finish) {
+void TimeSeries::record_job(std::uint32_t server, Seconds arrival,
+                            Seconds start, Seconds finish,
+                            std::uint64_t depth) {
   const std::int64_t wa = window_of(arrival);
-  if (dropped_ == 0 || windows_.empty() || wa >= windows_.front().index) {
-    cell(wa, server).lat.add(finish - arrival);
+  ServerCell* c = cell(wa, server);
+  if (c != nullptr) {
+    c->depth_max = std::max(c->depth_max, depth);
+    c->lat.add(finish - arrival);
   }
   // Busy time is clipped per overlapped window so utilization is exact even
-  // for services that straddle a boundary.
+  // for services that straddle a boundary.  When service starts no earlier
+  // than the arrival window, that window can only be the first pass, before
+  // any insertion could move `c`.
   const std::int64_t w0 = window_of(start);
   const std::int64_t w1 = window_of(finish);
   for (std::int64_t w = w0; w <= w1; ++w) {
@@ -89,27 +101,16 @@ void TimeSeries::record_span(std::uint32_t server, Seconds arrival,
     const double hi =
         std::min(finish, static_cast<double>(w + 1) * interval_);
     if (hi <= lo) continue;
-    if (dropped_ > 0 && !windows_.empty() && w < windows_.front().index) {
-      continue;
-    }
-    cell(w, server).busy += hi - lo;
+    ServerCell* b = w == wa && w0 >= wa ? c : cell(w, server);
+    if (b != nullptr) b->busy += hi - lo;
   }
 }
 
-void TimeSeries::record_depth(std::uint32_t server, Seconds now,
-                              std::uint64_t depth) {
-  const std::int64_t w = window_of(now);
-  if (dropped_ > 0 && !windows_.empty() && w < windows_.front().index) return;
-  ServerCell& c = cell(w, server);
-  c.depth_max = std::max(c.depth_max, depth);
-}
-
 void TimeSeries::record_cache(Bytes hit_bytes, Bytes miss_bytes, Seconds now) {
-  const std::int64_t w = window_of(now);
-  if (dropped_ > 0 && !windows_.empty() && w < windows_.front().index) return;
-  Window& win = window(w);
-  win.cache_hit += hit_bytes;
-  win.cache_miss += miss_bytes;
+  if (Window* win = window(window_of(now))) {
+    win->cache_hit += hit_bytes;
+    win->cache_miss += miss_bytes;
+  }
 }
 
 double TimeSeries::window_latency_mean(std::int64_t w,
@@ -175,6 +176,7 @@ void TimeSeries::write_json(std::ostream& out, int indent) const {
   out << "]},\n" << pad << "  \"servers\": [";
 
   bool first_server = true;
+  std::vector<std::array<double, 3>> lat_q;  // by window, for one server
   for (std::size_t sid = 0; sid < has_data.size(); ++sid) {
     if (!has_data[sid]) continue;
     const auto id = static_cast<std::uint32_t>(sid);
@@ -202,15 +204,23 @@ void TimeSeries::write_json(std::ostream& out, int indent) const {
     column("lat_mean_s", [&](const ServerCell* c) {
       out << Real{c ? c->lat.mean() : 0.0};
     });
-    column("lat_p50_s", [&](const ServerCell* c) {
-      out << Real{c ? c->lat.percentile(50.0) : 0.0};
-    });
-    column("lat_p95_s", [&](const ServerCell* c) {
-      out << Real{c ? c->lat.percentile(95.0) : 0.0};
-    });
-    column("lat_p99_s", [&](const ServerCell* c) {
-      out << Real{c ? c->lat.percentile(99.0) : 0.0};
-    });
+    // p50/p95/p99 of every window, from one pass over each cell's sketch.
+    static constexpr double kQs[] = {0.5, 0.95, 0.99};
+    lat_q.assign(windows_.size(), {});
+    for (std::size_t i = 0; i < windows_.size(); ++i) {
+      if (const ServerCell* c = find_cell(windows_[i], id)) {
+        c->lat.quantiles(kQs, lat_q[i]);
+      }
+    }
+    for (std::size_t j = 0; j < std::size(kQs); ++j) {
+      static constexpr const char* kNames[] = {"lat_p50_s", "lat_p95_s",
+                                               "lat_p99_s"};
+      out << ", \"" << kNames[j] << "\": [";
+      for (std::size_t i = 0; i < windows_.size(); ++i) {
+        out << (i == 0 ? "" : ", ") << Real{lat_q[i][j]};
+      }
+      out << ']';
+    }
     out << '}';
   }
   out << "\n" << pad << "  ]\n" << pad << '}';

@@ -8,7 +8,8 @@
 // concurrent queue depth.  A fleet-level cache hit/miss byte pair rides in
 // the same windows.  Windows live in a bounded ring: when more than
 // `capacity` windows are produced the oldest are dropped and counted, never
-// silently lost.
+// silently lost; late data for a window older than every window a full ring
+// retains is discarded.
 //
 // Determinism: the owner (obs::HealthMonitor, fed by the Recorder that owns
 // it) records spans in the engine's deterministic dispatch order, with the
@@ -37,14 +38,13 @@ class TimeSeries {
 
   explicit TimeSeries(Options options);
 
-  /// One completed job on `server`: queued at `arrival`, serviced over
-  /// [start, finish).  Latency (finish - arrival) lands in the window of
-  /// `arrival`; busy time is clipped to each overlapped window.
-  void record_span(std::uint32_t server, Seconds arrival, Seconds start,
-                   Seconds finish);
-
-  /// Queue-depth sample for `server` at time `now` (window max is kept).
-  void record_depth(std::uint32_t server, Seconds now, std::uint64_t depth);
+  /// One completed job on `server`: queued at `arrival` behind a queue
+  /// `depth` deep (this job included), serviced over [start, finish).
+  /// Latency (finish - arrival) and depth land in the window of `arrival`
+  /// (the window keeps the maximum depth); busy time is clipped to each
+  /// overlapped window.
+  void record_job(std::uint32_t server, Seconds arrival, Seconds start,
+                  Seconds finish, std::uint64_t depth);
 
   /// Fleet-level cache outcome at time `now`.
   void record_cache(Bytes hit_bytes, Bytes miss_bytes, Seconds now);
@@ -97,8 +97,11 @@ class TimeSeries {
 
   /// Position of the first retained window with index >= `index`.
   std::size_t position(std::int64_t index) const;
-  Window& window(std::int64_t index);
-  ServerCell& cell(std::int64_t index, std::uint32_t server);
+  /// Window `index`, inserted if absent; nullptr when the ring is full
+  /// and every retained window is newer (its data is discarded).
+  Window* window(std::int64_t index);
+  /// `server`'s cell in window(index), marked present; nullptr with it.
+  ServerCell* cell(std::int64_t index, std::uint32_t server);
   const Window* find_window(std::int64_t index) const;
   /// The present cell of `server` in `win`, or nullptr.
   static const ServerCell* find_cell(const Window& win, std::uint32_t server);

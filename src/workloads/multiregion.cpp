@@ -54,6 +54,15 @@ PhaseShape phase_shape(const MultiRegionConfig& config,
 
 }  // namespace
 
+std::vector<MultiRegionConfig::Region> MultiRegionConfig::paper_regions() {
+  return {
+      {256 * MiB, 128 * KiB},
+      {1 * GiB, 512 * KiB},
+      {2 * GiB, 1 * MiB},
+      {4 * GiB, 2 * MiB},
+  };
+}
+
 Bytes multiregion_drifted_request(const MultiRegionConfig& config,
                                   const MultiRegionConfig::Region& region,
                                   std::size_t phase) {

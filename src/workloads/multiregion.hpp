@@ -24,12 +24,11 @@ struct MultiRegionConfig {
   };
 
   /// Paper defaults: 256M/1G/2G/4G with request sizes spanning 128K..2M.
-  std::vector<Region> regions = {
-      {256 * MiB, 128 * KiB},
-      {1 * GiB, 512 * KiB},
-      {2 * GiB, 1 * MiB},
-      {4 * GiB, 2 * MiB},
-  };
+  /// (Built out of line: an initializer list here made gcc 12 warn that
+  /// its backing array may be used uninitialized in every inlined copy of
+  /// the constructor.)
+  static std::vector<Region> paper_regions();
+  std::vector<Region> regions = paper_regions();
   std::size_t processes = 16;
   IoOp op = IoOp::kWrite;
   /// Fraction of each region actually issued (1.0 = paper scale); lets CI

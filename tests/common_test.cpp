@@ -459,6 +459,42 @@ TEST(QuantileSketch, RejectsMismatchedMergeAndExcessiveResolution) {
   EXPECT_THROW(fine.merge(coarse), std::invalid_argument);
 }
 
+TEST(QuantileSketch, OnePassQuantilesEqualQuantileBitForBit) {
+  // quantiles() resumes one bucket walk from q to q; every value must be
+  // the double quantile() computes on its own, for any sample mix: empty,
+  // a single sample, non-positives below every bucket, ties on one bucket
+  // and q at the ends.
+  const std::vector<double> qs = {0.0,  0.001, 0.25, 0.5, 0.5,
+                                  0.95, 0.99,  0.999, 1.0};
+  std::mt19937_64 rng(23);
+  std::lognormal_distribution<double> body(-7.0, 2.0);
+  for (const unsigned bits : kSubBits) {
+    for (int trial = 0; trial < 40; ++trial) {
+      obs::QuantileSketch s(bits);
+      const int n = trial == 0 ? 0 : trial == 1 ? 1 : 1 + trial * 37;
+      for (int i = 0; i < n; ++i) {
+        const std::uint64_t kind = rng() % 10;
+        s.add(kind == 0 ? 0.0 : kind == 1 ? 3e-3 : body(rng));
+      }
+      std::vector<double> got(qs.size());
+      s.quantiles(qs, got);
+      for (std::size_t k = 0; k < qs.size(); ++k) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+                  std::bit_cast<std::uint64_t>(s.quantile(qs[k])))
+            << "bits " << bits << " n " << n << " q " << qs[k];
+      }
+    }
+  }
+  obs::QuantileSketch s;
+  std::vector<double> out(2);
+  const std::vector<double> descending = {0.9, 0.1};
+  EXPECT_THROW(s.quantiles(descending, out), std::invalid_argument);
+  const std::vector<double> outside = {0.1, 1.5};
+  EXPECT_THROW(s.quantiles(outside, out), std::invalid_argument);
+  std::vector<double> short_out(1);
+  EXPECT_THROW(s.quantiles(qs, short_out), std::invalid_argument);
+}
+
 /// [lo, hi) of the bucket holding x > 0, from the frexp definition: x =
 /// m * 2^e with m in [0.5, 1), cell = floor((2m - 1) * 2^bits).
 std::pair<double, double> frexp_bucket(double x, unsigned bits) {

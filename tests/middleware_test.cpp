@@ -307,9 +307,9 @@ TEST(Runner, WorksOnThreeTierClusters) {
   sim::Simulator sim;
   pfs::ClusterConfig cfg;
   cfg.tiers = {
-      pfs::TierGroup{"hdd", 2, storage::hdd_profile(), false},
-      pfs::TierGroup{"sata", 1, storage::sata_ssd_profile(), true},
-      pfs::TierGroup{"nvme", 1, storage::nvme_ssd_profile(), true},
+      pfs::TierGroup{"hdd", 2, storage::hdd_profile(), false, {}},
+      pfs::TierGroup{"sata", 1, storage::sata_ssd_profile(), true, {}},
+      pfs::TierGroup{"nvme", 1, storage::nvme_ssd_profile(), true, {}},
   };
   cfg.num_clients = 2;
   pfs::Cluster cluster(sim, cfg);

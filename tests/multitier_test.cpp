@@ -22,9 +22,9 @@ namespace {
 pfs::ClusterConfig three_tier_config() {
   pfs::ClusterConfig cfg;
   cfg.tiers = {
-      pfs::TierGroup{"hdd", 4, storage::hdd_profile(), false},
-      pfs::TierGroup{"sata", 2, storage::sata_ssd_profile(), true},
-      pfs::TierGroup{"nvme", 2, storage::nvme_ssd_profile(), true},
+      pfs::TierGroup{"hdd", 4, storage::hdd_profile(), false, {}},
+      pfs::TierGroup{"sata", 2, storage::sata_ssd_profile(), true, {}},
+      pfs::TierGroup{"nvme", 2, storage::nvme_ssd_profile(), true, {}},
   };
   cfg.num_clients = 4;
   return cfg;
@@ -34,9 +34,9 @@ core::TieredCostParams three_tier_params() {
   core::TieredCostParams p;
   p.t = 1.0 / (117.0 * 1024 * 1024);
   p.tiers = {
-             core::TierSpec{4, storage::hdd_profile()},
-      core::TierSpec{2, storage::sata_ssd_profile()},
-      core::TierSpec{2, storage::nvme_ssd_profile()},
+             core::TierSpec{4, storage::hdd_profile(), {}},
+      core::TierSpec{2, storage::sata_ssd_profile(), {}},
+      core::TierSpec{2, storage::nvme_ssd_profile(), {}},
   };
   // Calibrated-style HDD parameters (see harness::calibrate).
   auto& hdd = p.tiers[0].profile;
@@ -146,8 +146,8 @@ TEST(TieredOptimizer, TwoTierAgreesWithDedicatedAlgorithm2) {
     prof->startup_min *= 0.55;
     prof->startup_max *= 0.55;
   }
-  p2.tiers = {core::TierSpec{6, hdd},
-              core::TierSpec{2, storage::pcie_ssd_profile()}};
+  p2.tiers = {core::TierSpec{6, hdd, {}},
+              core::TierSpec{2, storage::pcie_ssd_profile(), {}}};
 
   const auto reqs = uniform_requests(512 * KiB, 64);
   core::OptimizerOptions opts;
@@ -198,7 +198,7 @@ TEST(TieredOptimizer, BeatsCollapsedTwoTierOnTheModel) {
     out.startup_max = 0.5 * (out.startup_max + nvme.op(op).startup_max);
     out.per_byte = 0.5 * (out.per_byte + nvme.op(op).per_byte);
   }
-  collapsed.tiers = {p3.tiers[0], core::TierSpec{4, blended}};
+  collapsed.tiers = {p3.tiers[0], core::TierSpec{4, blended, {}}};
   const auto blind = core::optimize_region(collapsed, reqs, 2.0 * MiB, opts);
   // Evaluate the blind choice on the *real* three-tier cluster.
   const std::vector<Bytes> expanded = {blind.stripes[0], blind.stripes[1],

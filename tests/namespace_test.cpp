@@ -60,8 +60,12 @@ TEST(MakePopulation, ShapesRotateAndNamesEncodeTenancy) {
   for (std::size_t i = 0; i < pop.size(); ++i) {
     EXPECT_EQ(pop[i].id, i);
     EXPECT_EQ(pop[i].bundle.processes, 2u);
-    EXPECT_EQ(pop[i].name, "t" + std::to_string(pop[i].tenant) + "/f" +
-                               std::to_string(i) + ".dat");
+    const std::string name = std::string("t")
+                                 .append(std::to_string(pop[i].tenant))
+                                 .append("/f")
+                                 .append(std::to_string(i))
+                                 .append(".dat");
+    EXPECT_EQ(pop[i].name, name);
     EXPECT_EQ(pop[i].bundle.name, pop[i].name);
   }
   // id % 3 == 2 is the multi-region shape: its regions sum to the file size.

@@ -294,8 +294,8 @@ TEST(TimeSeries, RollsUpWindowsAndClipsBusyAtBoundaries) {
   // A job whose service straddles the w0/w1 boundary: latency lands in the
   // arrival window, busy time splits exactly across the two windows
   // (dyadic endpoints keep the clipped spans float-exact).
-  ts.record_span(3, /*arrival=*/0.5, /*start=*/0.75, /*finish=*/1.25);
-  ts.record_depth(3, 0.5, 2);
+  ts.record_job(3, /*arrival=*/0.5, /*start=*/0.75, /*finish=*/1.25,
+                /*depth=*/2);
   ts.record_cache(100, 50, 0.25);
 
   EXPECT_EQ(ts.window_of(0.5), 0);
@@ -318,15 +318,51 @@ TEST(TimeSeries, RollsUpWindowsAndClipsBusyAtBoundaries) {
 TEST(TimeSeries, BoundedRingDropsOldestWindowsLoudly) {
   obs::TimeSeries ts(obs::TimeSeries::Options{1.0, 4});
   for (int w = 0; w < 10; ++w) {
-    ts.record_span(0, w + 0.1, w + 0.2, w + 0.4);
+    ts.record_job(0, w + 0.1, w + 0.2, w + 0.4, 1);
   }
   EXPECT_EQ(ts.window_count(), 4u);
   EXPECT_EQ(ts.dropped_windows(), 6u);
   EXPECT_EQ(ts.last_window(), 9);
   // Dropped windows read as idle, and late data for them is discarded.
   EXPECT_EQ(ts.window_jobs(0, 0), 0u);
-  ts.record_span(0, 0.5, 0.6, 0.7);
+  ts.record_job(0, 0.5, 0.6, 0.7, 1);
   EXPECT_EQ(ts.window_jobs(0, 0), 0u);
+}
+
+TEST(TimeSeries, FullRingDiscardsSamplesOlderThanItsFront) {
+  // The ring fills with windows 1..4 and has dropped none; data for window
+  // 0 must be discarded, not land in window 1 (the front) or evict it.
+  obs::TimeSeries ts(obs::TimeSeries::Options{1.0, 4});
+  for (int w = 1; w <= 4; ++w) {
+    ts.record_job(0, w + 0.1, w + 0.2, w + 0.4, 1);
+  }
+  ASSERT_EQ(ts.window_count(), 4u);
+  ASSERT_EQ(ts.dropped_windows(), 0u);
+
+  ts.record_job(0, 0.5, 0.6, 0.7, 9);    // late job, all in window 0
+  ts.record_job(2, 0.5, 0.75, 1.25, 9);  // late arrival, service into w1
+  ts.record_cache(100, 50, 0.25);
+  EXPECT_EQ(ts.window_count(), 4u);
+  EXPECT_EQ(ts.dropped_windows(), 0u);
+  EXPECT_EQ(ts.window_jobs(1, 0), 1u);
+  EXPECT_EQ(ts.window_jobs(1, 2), 0u);
+
+  // Only the busy span that falls inside window 1 is kept.
+  std::ostringstream after;
+  ts.write_json(after, 0);
+  const std::string json = after.str();
+  EXPECT_NE(json.find("\"depth_max\": [1, 1, 1, 1]"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"busy_s\": [0.25, 0, 0, 0]"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"hit_bytes\": [0, 0, 0, 0]"), std::string::npos)
+      << json;
+
+  // A window newer than the front still evicts the oldest, as before.
+  ts.record_job(0, 6.1, 6.2, 6.4, 1);
+  EXPECT_EQ(ts.dropped_windows(), 1u);
+  EXPECT_EQ(ts.window_jobs(1, 0), 0u);
+  EXPECT_EQ(ts.window_jobs(6, 0), 1u);
 }
 
 // ---------------------------------------------------------- health monitor ----
@@ -665,7 +701,7 @@ pfs::ClusterConfig deterministic_config() {
   det.read = storage::OpProfile{500e-6, 500e-6, 1e-8};
   det.write = storage::OpProfile{500e-6, 500e-6, 1e-8};
   pfs::ClusterConfig cfg;
-  cfg.tiers = {pfs::TierGroup{"det", 2, det, /*is_ssd=*/true}};
+  cfg.tiers = {pfs::TierGroup{"det", 2, det, /*is_ssd=*/true, {}}};
   cfg.num_clients = 1;
   cfg.network = net::NetworkParams{1e-9, 40e-6};
   cfg.server_per_stripe_overhead = 50e-6;
@@ -678,7 +714,7 @@ pfs::ClusterConfig deterministic_config() {
 core::TieredCostParams matching_params(const pfs::ClusterConfig& cfg) {
   core::TieredCostParams params;
   for (const auto& group : cfg.tiers) {
-    params.tiers.push_back(core::TierSpec{group.count, group.profile});
+    params.tiers.push_back(core::TierSpec{group.count, group.profile, {}});
   }
   params.t = cfg.network.per_byte;
   params.net_latency = 2.0 * cfg.network.message_latency;
@@ -698,7 +734,7 @@ TEST(Recorder, ReconcilesMeasuredDecompositionAgainstCostModel) {
     const std::vector<Bytes> stripes = {64 * KiB};
 
     sim::Simulator sim;
-    obs::Recorder rec;
+    obs::Recorder rec(obs::Recorder::Options{.max_request_samples = 16});
     rec.set_predictor([&](IoOp o, Bytes offset, Bytes size) {
       return core::request_cost(params, o, offset, size, stripes);
     });
@@ -744,7 +780,7 @@ TEST(Recorder, SubComponentsSumEvenUnderContention) {
   // exactly, because queueing shows up in wait (storage) or T_X (network).
   const pfs::ClusterConfig cfg = deterministic_config();
   sim::Simulator sim;
-  obs::Recorder rec;
+  obs::Recorder rec(obs::Recorder::Options{.max_request_samples = 16});
   sim.set_observer(&rec);
   pfs::Cluster cluster(sim, cfg);
   auto layout = pfs::make_fixed_layout(cluster.num_servers(), 64 * KiB);
@@ -889,7 +925,7 @@ TEST(Recorder, StaleEndIsIgnored) {
   // A request or sub-request id that already completed is dead: ending it
   // again must neither complete a second request nor free its slot twice
   // (two live requests would then share one slot).
-  obs::Recorder rec;
+  obs::Recorder rec(obs::Recorder::Options{.max_request_samples = 16});
   rec.register_server(0, 0, "srv", false);
   const std::uint32_t r = rec.begin_request(0, IoOp::kRead, 0, KiB, 0.0);
   rec.end_request(r, 0.1);
@@ -915,6 +951,69 @@ TEST(Recorder, StaleEndIsIgnored) {
   EXPECT_EQ(rec.requests().back().subs.size(), 3u);
   // A sub of a request that already ended gets no id.
   EXPECT_EQ(rec.begin_sub(w, 0, 0, KiB, 0.8), obs::kNoId);
+}
+
+/// 64 requests (both ops, 4 clients, 3 stripes each) issued at once on a
+/// 4-server cluster, so queues build up; a cost-model predictor prices each.
+void run_contended(obs::Recorder& rec) {
+  pfs::ClusterConfig cfg = deterministic_config();
+  cfg.tiers[0].count = 4;
+  cfg.num_clients = 4;
+  const core::TieredCostParams params = matching_params(cfg);
+  const std::vector<Bytes> stripes = {64 * KiB};
+  rec.set_predictor([params, stripes](IoOp op, Bytes offset, Bytes size) {
+    return core::request_cost(params, op, offset, size, stripes);
+  });
+  sim::Simulator sim;
+  sim.set_observer(&rec);
+  pfs::Cluster cluster(sim, cfg);
+  auto layout = pfs::make_fixed_layout(cluster.num_servers(), 64 * KiB);
+  int completed = 0;
+  for (int i = 0; i < 64; ++i) {
+    cluster.client(static_cast<std::size_t>(i % 4))
+        .io(*layout, i % 2 == 0 ? IoOp::kWrite : IoOp::kRead,
+            static_cast<Bytes>(i) * 192 * KiB, 192 * KiB,
+            [&] { ++completed; });
+  }
+  sim.run();
+  ASSERT_EQ(completed, 64);
+}
+
+TEST(Recorder, DefaultKeepsNoRequestSamplesAndExportsTheSame) {
+  // No export reads the request-sample ring, so a default recorder keeps
+  // none; its metrics, time series and health summary must equal those of
+  // a recorder that keeps every sample, fed the same run.
+  const obs::TelemetryOptions armed = telemetry(1e-3, 2e-3);
+  obs::Recorder plain(obs::Recorder::Options{}, armed);
+  obs::Recorder sampled(obs::Recorder::Options{.max_request_samples = 128},
+                        armed);
+  run_contended(plain);
+  run_contended(sampled);
+
+  EXPECT_TRUE(plain.requests().empty());
+  ASSERT_EQ(sampled.requests().size(), 64u);
+  EXPECT_EQ(plain.requests_completed(), 64u);
+  EXPECT_EQ(sampled.requests_completed(), 64u);
+
+  auto exports = [](obs::Recorder& rec) {
+    rec.health()->finalize();
+    std::ostringstream metrics, series, health;
+    rec.write_metrics_json(metrics);
+    rec.health()->timeseries().write_json(series);
+    rec.health()->write_json(health);
+    return std::vector<std::string>{metrics.str(), series.str(),
+                                    health.str()};
+  };
+  const auto a = exports(plain);
+  const auto b = exports(sampled);
+  // Not vacuous: the run filled several windows, priced every request and
+  // checked the SLO.
+  EXPECT_GT(plain.health()->timeseries().window_count(), 2u);
+  EXPECT_NE(a[0].find("\"model.rel_error\""), std::string::npos);
+  EXPECT_NE(a[0].find("\"health.slo.subs_met\""), std::string::npos);
+  EXPECT_EQ(a[0], b[0]);
+  EXPECT_EQ(a[1], b[1]);
+  EXPECT_EQ(a[2], b[2]);
 }
 
 /// Jobs with nondecreasing arrivals whose finishes come out of order
