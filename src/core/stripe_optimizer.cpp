@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <queue>
 #include <stdexcept>
 #include <utility>
 
@@ -225,15 +226,19 @@ RequestClasses request_classes(std::span<const FileRequest> requests,
 /// minimum over all offsets (tiered_cost_offset_min); small classes add
 /// their exact costs instead.  With a shared table the minima are read from
 /// the rows of `grid_key` (per class op and size), computed only on a slot's
-/// first use.  Bounds are computed sharded over the pool when one is given,
-/// written by candidate index.
+/// first use.  That bound is computed lazily: every candidate first gets a
+/// cheap floor key (count times tiered_cost_window_floor per class, never
+/// above the bound), sharded over the pool when one is given, and a
+/// candidate is tightened to its bound only when the scan reaches its key.
 ///
 /// Scan: candidates are scored serially in ascending (bound, index) order
 /// and the scan stops at the first whose bound, less a 1e-9 relative margin,
-/// exceeds the best score so far.  Every candidate left unscored then costs
-/// strictly more than the winner, so the winner, its tie-breaks and its
-/// cost double are those of the full grid search, and the counters do not
-/// depend on the pool.
+/// exceeds the best score so far.  A min-heap holds the tightened bounds; a
+/// heap entry is scored only once every untightened key is above it, so
+/// the order and the stopping point are those of bounding every candidate.
+/// Every candidate left unscored then costs strictly more than the winner,
+/// so the winner, its tie-breaks and its cost double are those of the full
+/// grid search, and the counters do not depend on the pool.
 ///
 /// Scoring pre-selects per-op profile pointers so the hot loop pays no
 /// per-request branching beyond the op pick, and reuses TierGeometry
@@ -332,10 +337,13 @@ RegionStripes search_engine(const TieredCostParams& params,
     return scale(total);
   };
 
-  // Bound every candidate (a zero-period candidate throws here).
+  // Bounds (a zero-period candidate throws here).
   struct Bound {
     Seconds value;
     std::size_t index;
+    bool operator>(const Bound& other) const {
+      return value != other.value ? value > other.value : index > other.index;
+    }
   };
   const RequestClasses sampled_classes = request_classes(requests, stride);
   // Shared minima: one table row per class that can take the minimum
@@ -351,75 +359,110 @@ RegionStripes search_engine(const TieredCostParams& params,
       rows[n] = &options.bounds->row(key, grid.size());
     }
   }
-  std::vector<Bound> bounds(grid.size());
-  auto bound_range = [&](std::size_t begin, std::size_t end) {
+  auto class_bound = [&](const View& view, const RequestClasses::Class& c,
+                         OffsetMinScratch& work, auto bound) {
+    return bound(view.use, c.op == IoOp::kRead ? read_profiles : write_profiles,
+                 heterogeneous ? std::span<const double>{view.factors}
+                               : std::span<const double>{},
+                 params.t, params.net_latency, params.net_hops,
+                 params.per_stripe_overhead, c.size, view.stripes, work);
+  };
+
+  // Floor keys: count times the window floor per class, never above the
+  // tightened bound below.  Sharded over the pool, written by index.
+  std::vector<Bound> floors(grid.size());
+  auto floor_range = [&](std::size_t begin, std::size_t end) {
     View view = make_view();
     OffsetMinScratch work;
-    std::vector<TierGeometry> geometry(k);
-    std::uint64_t reads = 0;
     for (std::size_t i = begin; i < end; ++i) {
       load(i, view);
-      std::size_t cells = 0;
-      for (std::size_t j = 0; j < k; ++j) {
-        if (view.stripes[j] > 0) cells += view.use[j];
-      }
       Seconds sum = 0.0;
       for (std::size_t n = 0; n < rows.size(); ++n) {
         const RequestClasses::Class& c = sampled_classes.classes[n];
-        const std::size_t count = c.end - c.begin;
-        // The offset minimum evaluates up to 2 * cells breakpoints; a class
-        // with fewer requests than that is cheaper to price exactly, and
-        // its exact cost is the tightest bound.
-        if (count < 2 * cells) {
-          for (std::size_t n = c.begin; n < c.end; ++n) {
-            const FileRequest& req = requests[sampled_classes.order[n]];
-            sum += kernel(view, req, req.offset, geometry);
-          }
-          continue;
-        }
-        auto offset_min = [&] {
-          return tiered_cost_offset_min(
-              view.use, c.op == IoOp::kRead ? read_profiles : write_profiles,
-              heterogeneous ? std::span<const double>{view.factors}
-                            : std::span<const double>{},
-              params.t, params.net_latency, params.net_hops,
-              params.per_stripe_overhead, c.size, view.stripes, work);
+        auto floor = [&] {
+          return class_bound(view, c, work, tiered_cost_window_floor);
         };
-        Seconds min = 0.0;
-        if (rows[n] != nullptr) {
-          ++reads;
-          min = rows[n]->get(i, offset_min);
-        } else {
-          min = offset_min();
-        }
-        sum += static_cast<double>(count) * min;
+        sum += static_cast<double>(c.end - c.begin) *
+               (rows[n] != nullptr ? rows[n]->floor(i, floor) : floor());
       }
-      bounds[i] = Bound{scale(sum), i};
+      floors[i] = Bound{scale(sum), i};
     }
-    if (options.bounds != nullptr) options.bounds->add_reads(reads);
   };
   if (ThreadPool* pool = options.pool; pool != nullptr && grid.size() > 1) {
     const std::size_t shards = std::min(pool->thread_count() * 4, grid.size());
     pool->parallel_for(shards, [&](std::size_t shard) {
-      bound_range(grid.size() * shard / shards,
+      floor_range(grid.size() * shard / shards,
                   grid.size() * (shard + 1) / shards);
     });
   } else {
-    bound_range(0, grid.size());
+    floor_range(0, grid.size());
   }
-  std::sort(bounds.begin(), bounds.end(), [](const Bound& a, const Bound& b) {
-    return a.value != b.value ? a.value < b.value : a.index < b.index;
-  });
+  std::make_heap(floors.begin(), floors.end(), std::greater<Bound>{});
 
-  // Scan.
+  // The tightened bound: count times the offset minimum per class, or the
+  // exact costs of a class with fewer requests than the minimum's 2 * cells
+  // breakpoints (cheaper there, and the tightest bound).
   CostMemo memo;
   View view = make_view();
+  OffsetMinScratch work;
   std::vector<TierGeometry> geometry(k);
+  std::uint64_t reads = 0;
+  auto tighten = [&](std::size_t i) {
+    load(i, view);
+    std::size_t cells = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      if (view.stripes[j] > 0) cells += view.use[j];
+    }
+    Seconds sum = 0.0;
+    for (std::size_t n = 0; n < rows.size(); ++n) {
+      const RequestClasses::Class& c = sampled_classes.classes[n];
+      const std::size_t count = c.end - c.begin;
+      if (count < 2 * cells) {
+        for (std::size_t r = c.begin; r < c.end; ++r) {
+          const FileRequest& req = requests[sampled_classes.order[r]];
+          sum += kernel(view, req, req.offset, geometry);
+        }
+        continue;
+      }
+      auto offset_min = [&] {
+        return class_bound(view, c, work, tiered_cost_offset_min);
+      };
+      Seconds min = 0.0;
+      if (rows[n] != nullptr) {
+        ++reads;
+        min = rows[n]->minimum(i, offset_min);
+      } else {
+        min = offset_min();
+      }
+      sum += static_cast<double>(count) * min;
+    }
+    return Bound{scale(sum), i};
+  };
+
+  // Scan in ascending (bound, index) order.  `floors` is a min-heap of the
+  // keys (the scan pops only its head, so it is never fully sorted) and
+  // `tightened` one of the bounds.  A key at most the least bound may hide a
+  // bound that comes first, so it is tightened before that bound is
+  // scored.  Whichever head is next bounds everything left from below.
+  std::priority_queue<Bound, std::vector<Bound>, std::greater<Bound>>
+      tightened;
   Candidate best;
   std::size_t scored = 0;
-  for (const Bound& bound : bounds) {
-    if (bound.value * (1.0 - 1e-9) > best.cost) break;
-    load(bound.index, view);
+  for (;;) {
+    const bool take_floor =
+        !floors.empty() &&
+        (tightened.empty() || floors.front().value <= tightened.top().value);
+    if (!take_floor && tightened.empty()) break;
+    const Bound& head = take_floor ? floors.front() : tightened.top();
+    if (head.value * (1.0 - 1e-9) > best.cost) break;
+    if (take_floor) {
+      tightened.push(tighten(head.index));
+      std::pop_heap(floors.begin(), floors.end(), std::greater<Bound>{});
+      floors.pop_back();
+      continue;
+    }
+    load(head.index, view);
+    tightened.pop();
     Candidate c{score(view, options.coalesce ? &memo : nullptr, geometry),
                 {view.stripes.begin(), view.stripes.end()},
                 heterogeneous ? std::vector<std::size_t>(view.use.begin(),
@@ -428,6 +471,7 @@ RegionStripes search_engine(const TieredCostParams& params,
     ++scored;
     if (c.better_than(best)) best = std::move(c);
   }
+  if (options.bounds != nullptr) options.bounds->add_reads(reads);
 
   RegionStripes result;
   result.stripes = std::move(best.stripes);
@@ -452,15 +496,21 @@ RegionStripes search(const TieredCostParams& params,
     throw std::invalid_argument("optimizer needs at least one request");
   }
   if (options.step == 0) throw std::invalid_argument("optimizer step must be > 0");
-  if (avg_request_size <= 0.0) {
-    throw std::invalid_argument("average request size must be positive");
+  // Written so NaN fails too; the average must also round up to a step
+  // multiple that fits in Bytes (a cast of a larger double is undefined).
+  constexpr double kBytesLimit = 0x1p64;
+  if (!(avg_request_size > 0.0 && avg_request_size < kBytesLimit) ||
+      static_cast<Bytes>(avg_request_size) >
+          std::numeric_limits<Bytes>::max() - (options.step - 1)) {
+    throw std::invalid_argument(
+        "average request size must be positive, finite and fit in Bytes");
   }
   std::size_t total_servers = 0;
   for (const auto& tier : params.tiers) total_servers += tier.count;
   if (total_servers == 0) {
     throw std::invalid_argument("cost params describe no servers");
   }
-  if (options.max_sserver_share <= 0.0 || options.max_sserver_share > 1.0) {
+  if (!(options.max_sserver_share > 0.0 && options.max_sserver_share <= 1.0)) {
     throw std::invalid_argument("max_sserver_share must be in (0, 1]");
   }
   const bool filter = options.max_sserver_share < 1.0;

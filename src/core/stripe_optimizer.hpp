@@ -41,13 +41,18 @@
 // order and the scan stops once a bound, less a 1e-9 relative margin,
 // exceeds the best score; every candidate left unscored costs strictly more
 // than the winner, so the result is the full grid search's, bit for bit.
-// Bounds are computed sharded over an optional pool; the scan is serial, so
-// the counters are the same at every pool width.  The search runs offline;
-// `max_requests` caps the per-candidate scoring work by sampling the
-// region's requests with a deterministic stride when the trace is huge, and
-// request-class coalescing (cost_memo.hpp) collapses same-class requests to
-// one cost evaluation per scored candidate without changing a single
-// output bit.
+// Bounds are computed on demand: every candidate first gets a cheaper floor
+// key (count times tiered_cost_window_floor per class, never above the
+// bound), and a candidate is tightened to its bound only once the scan
+// reaches its key.  The scan scores in the same (bound, index) order and
+// stops at the same point as bounding every candidate would.  Floor keys
+// are computed sharded over an optional pool; tightening and the scan are
+// serial, so the counters are the same at every pool width.  The search
+// runs offline; `max_requests` caps the per-candidate scoring work by
+// sampling the region's requests with a deterministic stride when the
+// trace is huge, and request-class coalescing (cost_memo.hpp) collapses
+// same-class requests to one cost evaluation per scored candidate without
+// changing a single output bit.
 //
 // Shared bounds: an offset minimum depends on the calibration, the
 // candidate and the class's (op, size), never on an offset or on which
@@ -55,10 +60,12 @@
 // therefore computes each one once.  Its key is (calibration fingerprint, R,
 // step, homogeneous, space-aware share bound, op, size); the first five fix
 // the candidate grid and its order, so slot i of a key's row is candidate
-// i's minimum.  Slots fill lazily, only when a class takes the minimum
-// branch for that candidate, and a search reads the same double the kernel
-// would have returned and sums it in the same class order — bounds, scan,
-// counters and result are bit-identical with or without a table.
+// i's minimum.  Slots fill lazily, only when a search tightens that
+// candidate and the class takes the minimum branch; a row also keeps each
+// candidate's window floor once computed.  A search reads the same doubles
+// the model would have returned and sums them in the same class order —
+// keys, bounds, scan, counters and result are bit-identical with or
+// without a table.
 #pragma once
 
 #include <atomic>
@@ -77,10 +84,11 @@
 
 namespace harl::core {
 
-/// Compute-once store of offset-minimum bounds shared by many searches (see
-/// the file header).  Thread-safe: rows are created under a mutex and slots
-/// are atomics, so two searches may fill one slot concurrently — both
-/// compute the same pure function of the key and either store wins.
+/// Compute-once store of offset minima and window floors shared by many
+/// searches (see the file header).  Thread-safe: rows are created under a
+/// mutex and slots are atomics, so two searches may fill one slot
+/// concurrently — both compute the same pure function of the key and either
+/// store wins.
 class BoundTable {
  public:
   /// Everything that fixes a bound row: the candidate grid and its order
@@ -96,36 +104,56 @@ class BoundTable {
     auto operator<=>(const Key&) const = default;
   };
 
-  /// One key's slots, one per grid candidate.
+  /// One key's slots: per grid candidate, its offset minimum and its window
+  /// floor.
   class Row {
    public:
     Row(std::size_t candidates, std::atomic<std::uint64_t>& filled)
-        : slots_(std::make_unique<std::atomic<std::uint64_t>[]>(candidates)),
+        : minima_(std::make_unique<std::atomic<std::uint64_t>[]>(candidates)),
+          floors_(std::make_unique<std::atomic<std::uint64_t>[]>(candidates)),
           size_(candidates),
           filled_(filled) {
-      for (std::size_t i = 0; i < candidates; ++i) slots_[i] = kEmpty;
+      for (std::size_t i = 0; i < candidates; ++i) {
+        minima_[i] = kEmpty;
+        floors_[i] = kEmpty;
+      }
     }
     std::size_t size() const { return size_; }
 
-    /// Candidate `cand`'s bound: the stored value, or `compute()` stored.
+    /// Candidate `cand`'s offset minimum: the stored value, or `compute()`
+    /// stored (counted in the table's filled()).
     template <typename Compute>
-    double get(std::size_t cand, Compute&& compute) {
-      std::uint64_t bits = slots_[cand].load(std::memory_order_relaxed);
-      if (bits != kEmpty) return std::bit_cast<double>(bits);
-      const double value = compute();
-      bits = kEmpty;
-      if (slots_[cand].compare_exchange_strong(
-              bits, std::bit_cast<std::uint64_t>(value),
-              std::memory_order_relaxed)) {
-        filled_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return value;
+    double minimum(std::size_t cand, Compute&& compute) {
+      return fetch(minima_[cand], compute, true);
+    }
+    /// Candidate `cand`'s window floor, likewise (not counted).
+    template <typename Compute>
+    double floor(std::size_t cand, Compute&& compute) {
+      return fetch(floors_[cand], compute, false);
     }
 
    private:
     /// A NaN payload no arithmetic produces.
     static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-    std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
+
+    template <typename Compute>
+    double fetch(std::atomic<std::uint64_t>& slot, Compute& compute,
+                 bool count) {
+      std::uint64_t bits = slot.load(std::memory_order_relaxed);
+      if (bits != kEmpty) return std::bit_cast<double>(bits);
+      const double value = compute();
+      bits = kEmpty;
+      if (slot.compare_exchange_strong(bits,
+                                       std::bit_cast<std::uint64_t>(value),
+                                       std::memory_order_relaxed) &&
+          count) {
+        filled_.fetch_add(1, std::memory_order_relaxed);
+      }
+      return value;
+    }
+
+    std::unique_ptr<std::atomic<std::uint64_t>[]> minima_;
+    std::unique_ptr<std::atomic<std::uint64_t>[]> floors_;
     std::size_t size_;
     std::atomic<std::uint64_t>& filled_;  ///< the table's fill count
   };
@@ -135,10 +163,10 @@ class BoundTable {
   /// behind one key).
   Row& row(const Key& key, std::size_t candidates);
 
-  /// Distinct slots filled so far: offset minima actually computed.
+  /// Distinct minimum slots filled so far: offset minima actually computed.
   std::uint64_t filled() const { return filled_.load(); }
-  /// Minimum-branch bound reads by every search: the offset minima a
-  /// table-less run of the same searches would compute.
+  /// Minimum-branch bound reads by every search's tightened candidates: the
+  /// offset minima a table-less run of the same searches would compute.
   std::uint64_t reads() const { return reads_.load(); }
   void add_reads(std::uint64_t n) {
     reads_.fetch_add(n, std::memory_order_relaxed);
@@ -154,7 +182,9 @@ class BoundTable {
 struct OptimizerOptions {
   Bytes step = 4 * KiB;          ///< the paper's 4 KB grid step
   std::size_t max_requests = 4096;  ///< request-sampling cap (0 = no cap)
-  ThreadPool* pool = nullptr;    ///< optional: shard the candidate bounds
+  /// Optional: shard the candidates' floor keys (tightening and the scan
+  /// stay serial).
+  ThreadPool* pool = nullptr;
   /// Request-class coalescing: memoize the request cost per candidate keyed
   /// by (op, size, offset mod S) — the cost model is exactly periodic in the
   /// offset with the candidate's striping period S, so each class is scored
@@ -199,7 +229,9 @@ struct RegionStripes {
 
 /// Runs Algorithm 2.  `requests` are the region's file requests (any order);
 /// `avg_request_size` is the region's A value from Algorithm 1.  Requires at
-/// least one request, at least one server, and avg_request_size > 0.  Grid
+/// least one request, at least one server, and a finite avg_request_size > 0
+/// whose round-up to a step multiple fits in Bytes (else
+/// std::invalid_argument, as for a NaN max_sserver_share).  Grid
 /// cost grows as (R/step)^k — use coarser steps for k >= 3 (candidates are
 /// reported for tuning).
 RegionStripes optimize_region(const TieredCostParams& params,

@@ -166,6 +166,60 @@ Seconds tiered_cost_kernel_devices(
   return network + startup + transfer;
 }
 
+namespace {
+
+/// Validates the shared arguments of the offset bounds and lays out the
+/// period's cells in round-robin order: cell c spans [cells[c], cells[c + 1])
+/// on a server of tier cell_tier[c]; tier j owns cells [first_cell[j],
+/// first_cell[j] + counts[j]) when stripes[j] > 0.  Returns the cell count.
+std::size_t period_cells(std::span<const std::size_t> counts,
+                         std::span<const storage::OpProfile* const> profiles,
+                         std::span<const double> tier_factors,
+                         std::span<const Bytes> stripes,
+                         OffsetMinScratch& scratch) {
+  const std::size_t k = counts.size();
+  if (stripes.size() != k || profiles.size() != k ||
+      (!tier_factors.empty() && tier_factors.size() != k)) {
+    throw std::invalid_argument("counts/stripes size mismatch");
+  }
+  scratch.geometry.resize(k);
+  scratch.cells.assign(1, 0);
+  scratch.cell_tier.clear();
+  scratch.first_cell.resize(k);
+  for (std::size_t j = 0; j < k; ++j) {
+    scratch.first_cell[j] = scratch.cell_tier.size();
+    if (stripes[j] == 0) continue;
+    for (std::size_t i = 0; i < counts[j]; ++i) {
+      scratch.cells.push_back(scratch.cells.back() + stripes[j]);
+      scratch.cell_tier.push_back(j);
+    }
+  }
+  if (scratch.cell_tier.empty()) {
+    throw std::invalid_argument("zero striping period");
+  }
+  return scratch.cell_tier.size();
+}
+
+/// The kernel an empty `tier_factors` selects, else the device-aware one.
+Seconds kernel_at(std::span<const std::size_t> counts,
+                  std::span<const storage::OpProfile* const> profiles,
+                  std::span<const double> tier_factors, Seconds t,
+                  Seconds net_latency, int net_hops,
+                  Seconds per_stripe_overhead, Bytes offset, Bytes size,
+                  std::span<const Bytes> stripes,
+                  std::span<TierGeometry> geometry) {
+  if (tier_factors.empty()) {
+    return tiered_cost_kernel(counts, profiles, t, net_latency, net_hops,
+                              per_stripe_overhead, offset, size, stripes,
+                              geometry);
+  }
+  return tiered_cost_kernel_devices(counts, profiles, tier_factors, t,
+                                    net_latency, net_hops, per_stripe_overhead,
+                                    offset, size, stripes, geometry);
+}
+
+}  // namespace
+
 Seconds tiered_cost_offset_min(
     std::span<const std::size_t> counts,
     std::span<const storage::OpProfile* const> profiles,
@@ -173,46 +227,20 @@ Seconds tiered_cost_offset_min(
     int net_hops, Seconds per_stripe_overhead, Bytes size,
     std::span<const Bytes> stripes, OffsetMinScratch& scratch) {
   const std::size_t k = counts.size();
-  if (stripes.size() != k || profiles.size() != k ||
-      (!tier_factors.empty() && tier_factors.size() != k)) {
-    throw std::invalid_argument("counts/stripes size mismatch");
-  }
   constexpr double kSlack = 1.0 - 1e-12;
-  scratch.geometry.resize(k);
+  const std::size_t n =
+      period_cells(counts, profiles, tier_factors, stripes, scratch);
   auto exact = [&](Bytes offset) {
-    if (tier_factors.empty()) {
-      return tiered_cost_kernel(counts, profiles, t, net_latency, net_hops,
-                                per_stripe_overhead, offset, size, stripes,
-                                scratch.geometry);
-    }
-    return tiered_cost_kernel_devices(counts, profiles, tier_factors, t,
-                                      net_latency, net_hops,
-                                      per_stripe_overhead, offset, size,
-                                      stripes, scratch.geometry);
+    return kernel_at(counts, profiles, tier_factors, t, net_latency, net_hops,
+                     per_stripe_overhead, offset, size, stripes,
+                     scratch.geometry);
   };
   auto factor = [&](std::size_t j) {
     return tier_factors.empty() ? 1.0 : tier_factors[j];
   };
-
-  // The period's cells in round-robin order: cell c spans
-  // [cells[c], cells[c + 1]) on a server of tier cell_tier[c]; tier j owns
-  // cells [first_cell[j], first_cell[j] + counts[j]) when stripes[j] > 0.
-  std::vector<Bytes>& cells = scratch.cells;
-  std::vector<std::size_t>& cell_tier = scratch.cell_tier;
-  std::vector<std::size_t>& first_cell = scratch.first_cell;
-  cells.assign(1, 0);
-  cell_tier.clear();
-  first_cell.resize(k);
-  for (std::size_t j = 0; j < k; ++j) {
-    first_cell[j] = cell_tier.size();
-    if (stripes[j] == 0) continue;
-    for (std::size_t i = 0; i < counts[j]; ++i) {
-      cells.push_back(cells.back() + stripes[j]);
-      cell_tier.push_back(j);
-    }
-  }
-  const std::size_t n = cell_tier.size();
-  if (n == 0) throw std::invalid_argument("zero striping period");
+  const std::vector<Bytes>& cells = scratch.cells;
+  const std::vector<std::size_t>& cell_tier = scratch.cell_tier;
+  const std::vector<std::size_t>& first_cell = scratch.first_cell;
   const Bytes S = cells.back();
   const Bytes q = size / S;
   const Bytes rho = size % S;
@@ -373,6 +401,179 @@ Seconds tiered_cost_offset_min(
   return best * kSlack;
 }
 
+Seconds tiered_cost_window_floor(
+    std::span<const std::size_t> counts,
+    std::span<const storage::OpProfile* const> profiles,
+    std::span<const double> tier_factors, Seconds t, Seconds net_latency,
+    int net_hops, Seconds per_stripe_overhead, Bytes size,
+    std::span<const Bytes> stripes, OffsetMinScratch& scratch) {
+  const std::size_t k = counts.size();
+  constexpr double kSlack = 1.0 - 1e-9;
+  const std::size_t n =
+      period_cells(counts, profiles, tier_factors, stripes, scratch);
+  const Bytes S = scratch.cells.back();
+  const Bytes q = size / S;
+  const Bytes rho = size % S;
+  if (rho == 0) {
+    return kernel_at(counts, profiles, tier_factors, t, net_latency, net_hops,
+                     per_stripe_overhead, 0, size, stripes,
+                     scratch.geometry) *
+           kSlack;
+  }
+  const std::vector<std::size_t>& cell_tier = scratch.cell_tier;
+  auto factor = [&](std::size_t j) {
+    return tier_factors.empty() ? 1.0 : tier_factors[j];
+  };
+  const double ht = static_cast<double>(net_hops) * t;
+  const double qd = static_cast<double>(q);
+
+  // Per tier: the server-side weight V_j, and the startup term when every
+  // cell is touched (q >= 1).
+  std::vector<double>& weight = scratch.weights;
+  weight.assign(k, 0.0);
+  double all_startup = 0.0;  // the kernel's startup term is never below 0
+  for (std::size_t j = 0; j < k; ++j) {
+    if (stripes[j] == 0 || counts[j] == 0) continue;
+    const double f = factor(j);
+    weight[j] = f * profiles[j]->per_byte +
+                per_stripe_overhead * f / static_cast<double>(stripes[j]);
+    all_startup = std::max(
+        all_startup, f * startup_expected_max(*profiles[j], counts[j]));
+  }
+  // When q == 0 a window touches only the cells from its start cell to its
+  // end cell: tier j's startup for c touched cells is startups[at_j + c].
+  // Every window touches a cell, so it pays at least least_startup.
+  std::vector<double>& startups = scratch.startups;
+  auto at = [&](std::size_t j) { return scratch.first_cell[j] + j; };
+  double least_startup = all_startup;
+  if (q == 0) {
+    startups.resize(n + k);
+    least_startup = std::numeric_limits<double>::infinity();
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t cells = stripes[j] > 0 ? counts[j] : 0;
+      startups[at(j)] = 0.0;
+      for (std::size_t c = 1; c <= cells; ++c) {
+        startups[at(j) + c] =
+            factor(j) * startup_expected_max(*profiles[j], c);
+        least_startup = std::min(least_startup, startups[at(j) + c]);
+      }
+    }
+    least_startup = std::max(0.0, least_startup);
+  }
+  // in_window[j]: cells of tier j from the start cell to the end cell.
+  std::vector<std::size_t>& in_window = scratch.in_window;
+  // The kernel's startup term for a window touching the in_window cells.
+  auto startup = [&] {
+    if (q > 0) return all_startup;
+    double value = 0.0;
+    for (std::size_t j = 0; j < k; ++j) {
+      value = std::max(value, startups[at(j) + in_window[j]]);
+    }
+    return value;
+  };
+  // Levels (bytes, V * bytes) of the cells at q * s_j: the tiers with a
+  // cell the window leaves alone (none hold bytes when q == 0).
+  auto rest = [&](double& bytes, double& load) {
+    for (std::size_t j = 0; q > 0 && j < k; ++j) {
+      if (stripes[j] > 0 && in_window[j] < counts[j]) {
+        const double b = qd * static_cast<double>(stripes[j]);
+        bytes = std::max(bytes, b);
+        load = std::max(load, weight[j] * b);
+      }
+    }
+  };
+  // Least over u in [lo, hi] of
+  //   g(u) = ht * max(lb, ca + u, cb - u) + max(lv, va (ca + u), vb (cb - u)).
+  // Each term is convex and least on an interval: where both lines are
+  // below its level, else where they cross.  g is least where the two
+  // intervals meet; if they do not, g is linear between them and least at
+  // one of their inner ends.
+  auto least_split = [&](double lo, double hi, double ca, double cb,
+                         double va, double vb, double lb, double lv) {
+    auto least_on = [&](double level, double wa, double wb, double& l,
+                        double& r) {
+      l = wb > 0.0 ? cb - level / wb : lo;
+      r = wa > 0.0 ? level / wa - ca : hi;
+      if (l > r) l = r = (wb * cb - wa * ca) / (wa + wb);  // then wa + wb > 0
+      l = std::clamp(l, lo, hi);
+      r = std::clamp(r, lo, hi);
+    };
+    double l1, r1, l2, r2;
+    least_on(lb, 1.0, 1.0, l1, r1);
+    least_on(lv, va, vb, l2, r2);
+    auto g = [&](double u) {
+      return ht * std::max({lb, ca + u, cb - u}) +
+             std::max({lv, va * (ca + u), vb * (cb - u)});
+    };
+    return std::min(g(std::max(l1, l2)), g(std::min(r1, r2)));
+  };
+
+  double best = std::numeric_limits<double>::infinity();
+  for (std::size_t a = 0; a < n; ++a) {
+    const std::size_t ja = cell_tier[a];
+    // Every window from the i-th cell of a tier's run that ends inside the
+    // run is also one from its first cell, and with the same touched
+    // counts, so a start whose every window ends inside the run is skipped.
+    const std::size_t i = a - scratch.first_cell[ja];
+    if (i > 0 && rho <= (counts[ja] - 1 - i) * stripes[ja]) continue;
+    const double va = weight[ja];
+    const double sa = static_cast<double>(stripes[ja]);
+    in_window.assign(k, 0);
+    in_window[ja] = 1;
+    // The window inside cell a.
+    if (rho <= stripes[ja]) {
+      const double held = qd * sa + static_cast<double>(rho);
+      double bytes = held;
+      double load = va * held;
+      rest(bytes, load);
+      best = std::min(best, startup() + ht * bytes + load);
+    }
+    // The window starts in a with u bytes and ends in b with v bytes, the
+    // cells between (F bytes) covered: u + F + v = rho, u in [0, s_a] and
+    // v in [0, s_b] (closing the ranges only lowers the byte terms; a and b
+    // count as touched).  Once F reaches rho no later end cell is possible,
+    // and once the covered cells and the startup alone reach the best value
+    // no later one improves it.
+    Bytes between = 0;
+    double between_bytes = 0.0;
+    double between_load = 0.0;
+    std::size_t b = a;
+    for (std::size_t d = 1;
+         d < n && between < rho &&
+         least_startup + ht * between_bytes + between_load < best;
+         ++d) {
+      b = b + 1 == n ? 0 : b + 1;
+      const std::size_t jb = cell_tier[b];
+      ++in_window[jb];
+      const Bytes room = rho - between;  // u + v
+      if (room <= stripes[ja] + stripes[jb]) {
+        double lb = between_bytes;
+        double lv = between_load;
+        rest(lb, lv);
+        const double vb = weight[jb];
+        const double ca = qd * sa;
+        const double cb =
+            qd * static_cast<double>(stripes[jb]) + static_cast<double>(room);
+        // max(ca + u, cb - u) >= (ca + cb) / 2 bounds the split cheaply.
+        const double pair_startup = startup();
+        if (pair_startup + ht * std::max(lb, 0.5 * (ca + cb)) + lv < best) {
+          const double lo = room > stripes[jb]
+                                ? static_cast<double>(room - stripes[jb])
+                                : 0.0;
+          const double hi = std::min(sa, static_cast<double>(room));
+          best = std::min(best, pair_startup + least_split(lo, hi, ca, cb, va,
+                                                           vb, lb, lv));
+        }
+      }
+      between += stripes[jb];
+      const double covered = (qd + 1.0) * static_cast<double>(stripes[jb]);
+      between_bytes = std::max(between_bytes, covered);
+      between_load = std::max(between_load, weight[jb] * covered);
+    }
+  }
+  return (net_latency + best) * kSlack;
+}
+
 namespace {
 
 /// request_cost's per-layout setup: validates the shapes and fills `use`
@@ -412,15 +613,9 @@ Seconds cost_with(const TieredCostParams& params,
                   std::span<const double> factors, Bytes offset, Bytes size,
                   std::span<const Bytes> stripes,
                   std::span<TierGeometry> scratch) {
-  if (factors.empty()) {
-    return tiered_cost_kernel(use, profiles, params.t, params.net_latency,
-                              params.net_hops, params.per_stripe_overhead,
-                              offset, size, stripes, scratch);
-  }
-  return tiered_cost_kernel_devices(use, profiles, factors, params.t,
-                                    params.net_latency, params.net_hops,
-                                    params.per_stripe_overhead, offset, size,
-                                    stripes, scratch);
+  return kernel_at(use, profiles, factors, params.t, params.net_latency,
+                   params.net_hops, params.per_stripe_overhead, offset, size,
+                   stripes, scratch);
 }
 
 }  // namespace

@@ -128,8 +128,8 @@ Seconds tiered_cost_kernel_devices(
     int net_hops, Seconds per_stripe_overhead, Bytes offset, Bytes size,
     std::span<const Bytes> stripes, std::span<TierGeometry> scratch);
 
-/// Reusable buffers for tiered_cost_offset_min, so a caller that bounds
-/// many candidates allocates only once.
+/// Reusable buffers for tiered_cost_offset_min and tiered_cost_window_floor,
+/// so a caller that bounds many candidates allocates only once.
 struct OffsetMinScratch {
   std::vector<TierGeometry> geometry;
   std::vector<Bytes> cells;              ///< cell boundaries of the period
@@ -138,6 +138,9 @@ struct OffsetMinScratch {
   std::vector<Bytes> ends;               ///< end breakpoints, ascending
   std::vector<Bytes> points;             ///< all breakpoints, ascending
   std::vector<char> covered;             ///< breakpoint bounded by a neighbour
+  std::vector<double> weights;           ///< window floor: V_j per tier
+  std::vector<std::size_t> in_window;    ///< window floor: cells per tier
+  std::vector<double> startups;          ///< window floor: startup by count
 };
 
 /// Lower bound on min over x in [0, S) of the kernel for a request of `size`
@@ -161,6 +164,32 @@ struct OffsetMinScratch {
 /// for rounding, is returned, so it never exceeds the kernel at any offset.
 /// Throws std::invalid_argument on a zero period.
 Seconds tiered_cost_offset_min(
+    std::span<const std::size_t> counts,
+    std::span<const storage::OpProfile* const> profiles,
+    std::span<const double> tier_factors, Seconds t, Seconds net_latency,
+    int net_hops, Seconds per_stripe_overhead, Bytes size,
+    std::span<const Bytes> stripes, OffsetMinScratch& scratch);
+
+/// A cheaper lower bound than tiered_cost_offset_min, with the same
+/// arguments: never above it, so never above the kernel at any offset.  A
+/// request of size q * S + rho gives cell c q * s_c bytes plus its share of
+/// a window of rho bytes.  Let V_j = f_j * beta_j + per_stripe_overhead *
+/// f_j / s_j.  The kernel's byte terms are at least
+///   hops * t * max_c bytes_c + max_c V_c * bytes_c
+/// and its startup term is exactly max_j f_j * E_j(touched_j), where every
+/// cell is touched when q >= 1 and otherwise only the cells from the
+/// window's start cell to its end cell.  So the floor is
+///   latency + min over window placements of (startup + byte terms).
+/// A placement is one cell holding the whole window, or a start cell and
+/// an end cell with the cells between them covered; only the two end
+/// cells' shares move, and their best split is in closed form.  Letting
+/// either share reach 0 or its whole cell only lowers the byte terms, so a
+/// window that wraps the period back into its start cell is the last end
+/// cell's case.  rho == 0 takes the exact kernel.  The value is scaled by
+/// 1 - 1e-9, so rounding cannot lift it above tiered_cost_offset_min.
+/// O(cells^2) at worst, without an exact kernel call unless rho == 0.
+/// Throws std::invalid_argument on a zero period.
+Seconds tiered_cost_window_floor(
     std::span<const std::size_t> counts,
     std::span<const storage::OpProfile* const> profiles,
     std::span<const double> tier_factors, Seconds t, Seconds net_latency,

@@ -541,6 +541,74 @@ TEST(OffsetMinBound, NeverExceedsTheKernelAtAnyResidue) {
   EXPECT_GT(checked, 3000);
 }
 
+// The window floor orders Algorithm 2's scan: it must never exceed the
+// offset minimum it stands in for, so never the kernel at any residue
+// either.  Besides OffsetMinBound's layouts, some trials zero every weight
+// (no network or transfer time), where the floor's split has no crossing.
+TEST(WindowFloor, NeverExceedsTheOffsetMinOrTheKernel) {
+  Rng rng(2016);
+  int checked = 0;
+  int below_kernel_min = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::size_t k = rng.uniform_u64(1, 3);
+    const bool devices = rng.uniform01() < 0.5;
+    const bool weightless = rng.uniform01() < 0.1;
+    std::vector<std::size_t> counts(k);
+    std::vector<Bytes> stripes(k);
+    std::vector<double> factors;
+    std::vector<storage::OpProfile> profiles(k);
+    std::vector<const storage::OpProfile*> profile_ptrs(k);
+    Bytes S = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      counts[j] = rng.uniform_u64(0, 4);
+      stripes[j] = rng.uniform01() < 0.2 ? 0 : rng.uniform_u64(1, 40);
+      profiles[j] = random_profile(rng);
+      if (weightless || rng.uniform01() < 0.1) profiles[j].per_byte = 0.0;
+      profile_ptrs[j] = &profiles[j];
+      if (devices) factors.push_back(rng.uniform(1.0, 4.0));
+      S += counts[j] * stripes[j];
+    }
+    if (S == 0) continue;
+    const Seconds t = weightless ? 0.0 : rng.uniform(0.0, 1e-5);
+    const Seconds latency =
+        rng.uniform01() < 0.5 ? 0.0 : rng.uniform(0.0, 1e-4);
+    const int hops = static_cast<int>(rng.uniform_u64(1, 2));
+    const Seconds per_stripe = weightless || rng.uniform01() < 0.5
+                                   ? 0.0
+                                   : rng.uniform(0.0, 1e-3);
+    // Unaligned sizes, whole periods, and sizes below one stripe.
+    const Bytes size = rng.uniform01() < 0.2 ? S * rng.uniform_u64(1, 3)
+                                             : rng.uniform_u64(1, 3 * S);
+    OffsetMinScratch scratch;
+    const Seconds floor = tiered_cost_window_floor(
+        counts, profile_ptrs, factors, t, latency, hops, per_stripe, size,
+        stripes, scratch);
+    const Seconds bound = tiered_cost_offset_min(
+        counts, profile_ptrs, factors, t, latency, hops, per_stripe, size,
+        stripes, scratch);
+    ASSERT_LE(floor, bound) << "trial " << trial << " k=" << k << " S=" << S
+                            << " size=" << size;
+    std::vector<TierGeometry> geometry(k);
+    Seconds min_cost = std::numeric_limits<Seconds>::infinity();
+    for (Bytes x = 0; x < S; ++x) {
+      const Seconds cost =
+          devices ? tiered_cost_kernel_devices(counts, profile_ptrs, factors,
+                                               t, latency, hops, per_stripe,
+                                               x, size, stripes, geometry)
+                  : tiered_cost_kernel(counts, profile_ptrs, t, latency, hops,
+                                       per_stripe, x, size, stripes,
+                                       geometry);
+      ASSERT_LE(bound, cost) << "trial " << trial << " x=" << x;
+      min_cost = std::min(min_cost, cost);
+    }
+    if (floor < min_cost * (1.0 - 1e-6)) ++below_kernel_min;
+    ++checked;
+  }
+  EXPECT_GT(checked, 3000);
+  // A floor of 0 would pass the checks above; it must be a real bound.
+  EXPECT_LT(below_kernel_min, checked / 2);
+}
+
 TEST(OffsetMinBound, IsTheKernelForWholePeriods) {
   // size mod S == 0: every offset sees the same geometry.
   TieredCostParams tp = test_params();

@@ -253,6 +253,12 @@ TEST(Optimizer, RejectsBadShareBound) {
   opts.max_sserver_share = 1.5;
   EXPECT_THROW(optimize_region(p, reqs, 64.0 * KiB, opts),
                std::invalid_argument);
+  // NaN fails every comparison; it must not pass as "no bound".
+  opts.max_sserver_share = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(optimize_region(p, reqs, 64.0 * KiB, opts),
+               std::invalid_argument);
+  EXPECT_THROW(optimize_region_homogeneous(p, reqs, 64.0 * KiB, opts),
+               std::invalid_argument);
 }
 
 TEST(Optimizer, ValidatesInputs) {
@@ -260,6 +266,16 @@ TEST(Optimizer, ValidatesInputs) {
   const auto reqs = uniform_requests(64 * KiB, 4);
   EXPECT_THROW(optimize_region(p, {}, 64.0 * KiB), std::invalid_argument);
   EXPECT_THROW(optimize_region(p, reqs, 0.0), std::invalid_argument);
+  // Non-finite averages, and ones whose step rounding overflows Bytes.
+  for (const double avg : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), 0x1p64,
+                           0x1p64 - 0x1p11}) {
+    EXPECT_THROW(optimize_region(p, reqs, avg), std::invalid_argument) << avg;
+    EXPECT_THROW(optimize_region_homogeneous(p, reqs, avg),
+                 std::invalid_argument)
+        << avg;
+  }
   OptimizerOptions bad;
   bad.step = 0;
   EXPECT_THROW(optimize_region(p, reqs, 64.0 * KiB, bad), std::invalid_argument);
@@ -577,8 +593,9 @@ void expect_same_search(const RegionStripes& want, const RegionStripes& got) {
 
 /// Cold and warm shared-table searches against the table-less one.  480
 /// mixed requests put ~80 in each of six (op, size) classes, above twice any
-/// grid here's cell count, so every class takes the minimum branch and the
-/// warming region fills every slot the measured one reads.
+/// grid here's cell count, so every class takes the minimum branch.  Only
+/// tightened candidates read the table, and which those are does not depend
+/// on what the table holds.
 void expect_shared_table_is_transparent(const TieredCostParams& p,
                                         OptimizerOptions opts, Search search) {
   const auto region = mixed_requests(480, 71);
@@ -596,9 +613,16 @@ void expect_shared_table_is_transparent(const TieredCostParams& p,
   opts.bounds = &warm;
   search(p, other, kOracleAvg, opts);
   const std::uint64_t warmed = warm.filled();
+  const std::uint64_t warm_reads = warm.reads();
   expect_same_search(want, search(p, region, kOracleAvg, opts));
-  EXPECT_EQ(warm.filled(), warmed);  // every bound came from the table
-  EXPECT_EQ(warm.reads(), 2 * warmed);
+  // The region reads what it read cold and fills at most that much more.
+  EXPECT_EQ(warm.reads(), warm_reads + cold.reads());
+  EXPECT_LE(warm.filled(), warmed + cold.filled());
+  // Searched again, every bound comes from the table.
+  const std::uint64_t filled = warm.filled();
+  expect_same_search(want, search(p, region, kOracleAvg, opts));
+  EXPECT_EQ(warm.filled(), filled);
+  EXPECT_EQ(warm.reads(), warm_reads + 2 * cold.reads());
 }
 
 TEST(SharedBoundTable, HomogeneousTwoTier) {
@@ -661,8 +685,32 @@ TEST(SharedBoundTable, CalibrationsDifferingInOneFactorKeepTheirOwnBounds) {
   expect_same_search(want_fresh, optimize_region(fresh, region, kOracleAvg, opts));
   const std::uint64_t fresh_filled = shared.filled();
   expect_same_search(want_aged, optimize_region(aged, region, kOracleAvg, opts));
-  // Same grid shape, but the second calibration filled rows of its own.
-  EXPECT_EQ(shared.filled(), 2 * fresh_filled);
+  // Same grid shape, but the second calibration filled rows of its own:
+  // as many slots as it fills in a table of its own.
+  BoundTable own;
+  opts.bounds = &own;
+  optimize_region(aged, region, kOracleAvg, opts);
+  EXPECT_EQ(shared.filled(), fresh_filled + own.filled());
+}
+
+TEST(SharedBoundTable, IorGridTightensOnlyWhereTheScanReaches) {
+  // The 1 MiB IOR region on the paper's 4 KiB grid: 32,897 candidates and
+  // two (op, size) classes.  Window floors order the scan, so only the
+  // candidates it reaches read an offset minimum from the table.
+  const TieredCostParams p = calibrated_params();
+  auto reqs = uniform_requests(1 * MiB, 128, IoOp::kRead);
+  for (const FileRequest& w : uniform_requests(1 * MiB, 128, IoOp::kWrite, 5)) {
+    reqs.push_back(w);
+  }
+  const RegionStripes want = optimize_region(p, reqs, 1.0 * MiB);
+  ASSERT_EQ(want.candidates_evaluated, 32897u);
+
+  BoundTable table;
+  OptimizerOptions opts;
+  opts.bounds = &table;
+  expect_same_search(want, optimize_region(p, reqs, 1.0 * MiB, opts));
+  EXPECT_GT(table.reads(), 0u);
+  EXPECT_LT(table.reads(), 2 * 32897 / 4);
 }
 
 TEST(RegionCost, ZeroPeriodThrowsInBothModes) {
