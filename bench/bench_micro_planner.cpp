@@ -70,15 +70,13 @@ std::vector<trace::TraceRecord> multi_region_trace(std::size_t regions,
 // ------------------------------------------------ request-class coalescing
 
 void BM_ScoreRegion_Coalescing(benchmark::State& state) {
-  // The headline A/B: one uniform region, brute-force scorer (coalesce off,
-  // range(1) == 0) vs memoized scorer (range(1) == 1).  Plans are
-  // bit-identical (tests/planner_parallel_test.cpp); only the work differs.
+  // One uniform region scored by the memoized scorer; cost_evals_saved
+  // counts the kernel calls coalescing avoids.
   const TieredCostParams p = bench_params();
   const auto reqs =
       uniform_region(static_cast<std::size_t>(state.range(0)), 512 * KiB);
   OptimizerOptions opts;
   opts.max_requests = 0;  // score every request: the worst case coalescing fixes
-  opts.coalesce = state.range(1) != 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(optimize_region(p, reqs, 512.0 * KiB, opts));
   }
@@ -93,8 +91,9 @@ void BM_ScoreRegion_Coalescing(benchmark::State& state) {
                           static_cast<std::int64_t>(probe.candidates_evaluated));
 }
 BENCHMARK(BM_ScoreRegion_Coalescing)
-    ->ArgsProduct({{1024, 4096}, {0, 1}})
-    ->ArgNames({"requests", "coalesce"})
+    ->Arg(1024)
+    ->Arg(4096)
+    ->ArgName("requests")
     ->Unit(benchmark::kMillisecond);
 
 void BM_ScoreRegion_CoalescingMixedSizes(benchmark::State& state) {
@@ -110,7 +109,6 @@ void BM_ScoreRegion_CoalescingMixedSizes(benchmark::State& state) {
   }
   OptimizerOptions opts;
   opts.max_requests = 0;
-  opts.coalesce = state.range(0) != 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(optimize_region(p, reqs, 512.0 * KiB, opts));
   }
@@ -119,11 +117,7 @@ void BM_ScoreRegion_CoalescingMixedSizes(benchmark::State& state) {
   state.counters["cost_evals_saved"] =
       static_cast<double>(probe.cost_evals_saved);
 }
-BENCHMARK(BM_ScoreRegion_CoalescingMixedSizes)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("coalesce")
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScoreRegion_CoalescingMixedSizes)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------ region-level parallelism
 

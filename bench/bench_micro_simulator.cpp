@@ -205,8 +205,7 @@ void BM_ObservedRequestPath(benchmark::State& state) {
       for (std::uint32_t k = 0; k < kSubs; ++k) {
         const std::uint32_t server =
             (static_cast<std::uint32_t>(i) * kSubs + k) % kServers;
-        const std::uint32_t sub =
-            recorder.begin_sub(req, server, 0, 64 * KiB, t);
+        const std::uint32_t sub = recorder.begin_sub(req, server, 0, t);
         const Seconds arrival = t + 1e-5;
         recorder.resource_event(disks[server], arrival, arrival,
                                 arrival + kService);

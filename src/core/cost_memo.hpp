@@ -13,13 +13,13 @@
 // open-addressing table that is logically cleared (generation counter, no
 // memset) for each new candidate.  The scorer still walks the sampled
 // requests *in their original order*, adding the per-request cost exactly
-// as the brute-force loop would and only skipping the recomputation on a
+// as region_cost's plain loop does and only skipping the recomputation on a
 // class hit.  Because the cached value is
 // bit-identical to what request_cost would return (same pure function, same
 // arguments modulo the period), the accumulated totals — and therefore the
-// chosen stripes, tie-breaks included — are bit-identical to the
-// brute-force path.  That is what lets coalescing be on by default and lets
-// tests assert exact plan equality.
+// chosen stripes, tie-breaks included — are bit-identical to an exhaustive
+// region_cost scan.  That is what lets the search always coalesce and lets
+// tests assert exact plan equality against that scan.
 #pragma once
 
 #include <cstddef>
@@ -83,7 +83,7 @@ class CostMemo {
 
   /// Classes scored (one request_cost evaluation each).
   std::uint64_t misses() const { return misses_; }
-  /// Requests served from the cache (evaluations saved vs brute force).
+  /// Requests served from the cache (evaluations saved).
   std::uint64_t hits() const { return hits_; }
 
  private:

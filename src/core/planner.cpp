@@ -138,7 +138,7 @@ Plan plan_from_division(std::span<const trace::TraceRecord> sorted,
   }
 
   plan.regions_before_merge = plan.rst.size();
-  if (options.merge_adjacent) plan.rst.merge_adjacent();
+  plan.rst.merge_adjacent();  // equal-stripe neighbours (Sec. III-E)
   plan.regions_after_merge = plan.rst.size();
   return plan;
 }
@@ -635,7 +635,7 @@ Plan analyze_carl(std::span<const trace::TraceRecord> records,
     plan.rst.add(planned.offset, planned.stripes, planned.members);
   }
   plan.regions_before_merge = plan.rst.size();
-  if (options.merge_adjacent) plan.rst.merge_adjacent();
+  plan.rst.merge_adjacent();  // equal-stripe neighbours (Sec. III-E)
   plan.regions_after_merge = plan.rst.size();
   return plan;
 }

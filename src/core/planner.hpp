@@ -24,7 +24,6 @@ namespace harl::core {
 struct PlannerOptions {
   DividerOptions divider;
   OptimizerOptions optimizer;
-  bool merge_adjacent = true;  ///< merge equal-stripe neighbours (Sec. III-E)
   /// Optional region-level parallelism: when set, independent regions (and
   /// CARL's hdd-only/ssd-only pair per region) optimize concurrently on
   /// this pool.  Results are written back by region index, so the produced

@@ -10,6 +10,11 @@ namespace harl::core {
 
 namespace {
 
+/// Multiplier applied to the threshold each tuning round.
+constexpr double kThresholdGrowth = 2.0;
+/// Tuning rounds after which the current division is accepted.
+constexpr int kMaxTuningRounds = 16;
+
 /// One pass of Algorithm 1 at a fixed threshold: the batch view of the
 /// streaming core.
 std::vector<DividedRegion> divide_once(
@@ -181,9 +186,6 @@ RegionDivision divide_regions_traced(
   if (options.threshold <= 0.0) {
     throw std::invalid_argument("divider threshold must be positive");
   }
-  if (options.threshold_growth <= 1.0) {
-    throw std::invalid_argument("threshold growth must exceed 1");
-  }
   for (std::size_t i = 1; i < sorted.size(); ++i) {
     if (sorted[i].offset < sorted[i - 1].offset) {
       throw std::invalid_argument("trace must be sorted by ascending offset");
@@ -211,8 +213,8 @@ RegionDivision divide_regions_traced(
       rounds->push_back(TuningRound{round, threshold, division.regions.size()});
     }
     const bool too_many = fixed_count > 0 && division.regions.size() > fixed_count;
-    if (!too_many || round >= options.max_tuning_rounds) break;
-    threshold *= options.threshold_growth;
+    if (!too_many || round >= kMaxTuningRounds) break;
+    threshold *= kThresholdGrowth;
   }
   if (trajectory != nullptr) {
     // The trajectory of the accepted round only: one extra O(n) pass at the

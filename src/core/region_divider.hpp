@@ -33,10 +33,6 @@ struct DividerOptions {
   double threshold = 1.0;
   /// Region-count cap reference: the fixed-size division's chunk size.
   Bytes fixed_region_size = 64 * MiB;
-  /// Multiplier applied to the threshold each tuning round.
-  double threshold_growth = 2.0;
-  /// Maximum tuning rounds before accepting the current division.
-  int max_tuning_rounds = 16;
 };
 
 /// One divided region: covers requests [first_request, last_request) of the

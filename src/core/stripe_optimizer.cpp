@@ -200,21 +200,32 @@ struct RequestClasses {
 
 RequestClasses request_classes(std::span<const FileRequest> requests,
                                std::size_t stride) {
-  RequestClasses out;
+  // Reads, then writes, each sorted by size with equal sizes in index
+  // order: the order of a stable sort by (write, size).  The packed (size,
+  // index) entries compare without reaching back into `requests`, and a
+  // group whose sizes are already in order (one size, as in IOR) is not
+  // sorted at all.
+  using Entry = std::pair<Bytes, std::size_t>;
+  std::vector<Entry> groups[2];
   for (std::size_t i = 0; i < requests.size(); i += stride) {
-    out.order.push_back(i);
+    groups[requests[i].op == IoOp::kWrite].push_back({requests[i].size, i});
   }
-  auto key = [&](std::size_t i) {
-    return std::pair{requests[i].op == IoOp::kWrite, requests[i].size};
-  };
-  std::stable_sort(out.order.begin(), out.order.end(),
-                   [&](std::size_t a, std::size_t b) { return key(a) < key(b); });
-  for (std::size_t n = 0; n < out.order.size(); ++n) {
-    const FileRequest& req = requests[out.order[n]];
-    if (n == 0 || key(out.order[n]) != key(out.order[n - 1])) {
-      out.classes.push_back({req.op, req.size, n, n});
+  auto by_size = [](const Entry& a, const Entry& b) { return a.first < b.first; };
+  RequestClasses out;
+  out.order.reserve(groups[0].size() + groups[1].size());
+  for (std::vector<Entry>& group : groups) {
+    if (!std::is_sorted(group.begin(), group.end(), by_size)) {
+      std::stable_sort(group.begin(), group.end(), by_size);
     }
-    out.classes.back().end = n + 1;
+    for (std::size_t n = 0; n < group.size(); ++n) {
+      const std::size_t at = out.order.size();
+      out.order.push_back(group[n].second);
+      if (n == 0 || group[n].first != group[n - 1].first) {
+        out.classes.push_back(
+            {requests[group[n].second].op, group[n].first, at, at});
+      }
+      out.classes.back().end = at + 1;
+    }
   }
   return out;
 }
@@ -305,34 +316,26 @@ RegionStripes search_engine(const TieredCostParams& params,
                               offset, req.size, view.stripes, geometry);
   };
 
-  // Scores one candidate.  With coalescing, `memo` caches the kernel per
-  // (op, size, offset mod S) class; requests are still accumulated in their
-  // original order with identical values, so the total is bit-identical to
-  // the brute-force sum (see cost_memo.hpp).  The memo context carries the
+  // Scores one candidate.  `memo` caches the kernel per (op, size, offset
+  // mod S) class; requests are still accumulated in their original order
+  // with identical values, so the total is bit-identical to region_cost's
+  // plain sum (see cost_memo.hpp).  The memo context carries the
   // candidate's member selection.
-  auto score = [&](const View& view, CostMemo* memo,
+  auto score = [&](const View& view, CostMemo& memo,
                    std::span<TierGeometry> geometry) {
     auto eval = [&](const FileRequest& req, Bytes offset) {
       return kernel(view, req, offset, geometry);
     };
+    Bytes S = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      S += static_cast<Bytes>(view.use[j]) * view.stripes[j];
+    }
+    memo.reset(sampled, heterogeneous ? members_context(view.use) : 0);
     Seconds total = 0.0;
-    if (memo != nullptr) {
-      Bytes S = 0;
-      for (std::size_t j = 0; j < k; ++j) {
-        S += static_cast<Bytes>(view.use[j]) * view.stripes[j];
-      }
-      memo->reset(sampled,
-                  heterogeneous ? members_context(view.use) : 0);
-      for (std::size_t i = 0; i < requests.size(); i += stride) {
-        const FileRequest& req = requests[i];
-        total += memo->cost(req.op, req.size, req.offset % S,
-                            [&](Bytes residue) { return eval(req, residue); });
-      }
-    } else {
-      for (std::size_t i = 0; i < requests.size(); i += stride) {
-        const FileRequest& req = requests[i];
-        total += eval(req, req.offset);
-      }
+    for (std::size_t i = 0; i < requests.size(); i += stride) {
+      const FileRequest& req = requests[i];
+      total += memo.cost(req.op, req.size, req.offset % S,
+                         [&](Bytes residue) { return eval(req, residue); });
     }
     return scale(total);
   };
@@ -463,7 +466,7 @@ RegionStripes search_engine(const TieredCostParams& params,
     }
     load(head.index, view);
     tightened.pop();
-    Candidate c{score(view, options.coalesce ? &memo : nullptr, geometry),
+    Candidate c{score(view, memo, geometry),
                 {view.stripes.begin(), view.stripes.end()},
                 heterogeneous ? std::vector<std::size_t>(view.use.begin(),
                                                          view.use.end())
@@ -479,9 +482,7 @@ RegionStripes search_engine(const TieredCostParams& params,
   result.model_cost = best.cost;
   result.candidates_evaluated = grid.size();
   result.candidates_pruned = grid.size() - scored;
-  result.cost_evals = options.coalesce
-                          ? memo.misses()
-                          : static_cast<std::uint64_t>(scored) * sampled;
+  result.cost_evals = memo.misses();
   result.cost_evals_saved = memo.hits();
   return result;
 }
@@ -586,8 +587,8 @@ RegionStripes optimize_region_homogeneous(const TieredCostParams& params,
 
 Seconds region_cost(const TieredCostParams& params,
                     std::span<const FileRequest> requests,
-                    std::span<const Bytes> stripes, std::size_t max_requests,
-                    bool coalesce) {
+                    std::span<const Bytes> stripes,
+                    std::size_t max_requests) {
   if (stripes.size() != params.tiers.size()) {
     throw std::invalid_argument("tiers/stripes size mismatch");
   }
@@ -599,22 +600,10 @@ Seconds region_cost(const TieredCostParams& params,
   const std::size_t stride = sample_stride(requests.size(), max_requests);
   Seconds total = 0.0;
   std::size_t scored = 0;
-  if (coalesce) {
-    CostMemo memo;
-    memo.reset((requests.size() + stride - 1) / stride);
-    for (std::size_t i = 0; i < requests.size(); i += stride) {
-      const FileRequest& req = requests[i];
-      total += memo.cost(req.op, req.size, req.offset % S, [&](Bytes residue) {
-        return request_cost(params, req.op, residue, req.size, stripes);
-      });
-      ++scored;
-    }
-  } else {
-    for (std::size_t i = 0; i < requests.size(); i += stride) {
-      total += request_cost(params, requests[i].op, requests[i].offset,
-                            requests[i].size, stripes);
-      ++scored;
-    }
+  for (std::size_t i = 0; i < requests.size(); i += stride) {
+    total += request_cost(params, requests[i].op, requests[i].offset,
+                          requests[i].size, stripes);
+    ++scored;
   }
   if (scored == 0) return 0.0;
   return total * static_cast<double>(requests.size()) /

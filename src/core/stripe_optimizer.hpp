@@ -185,14 +185,6 @@ struct OptimizerOptions {
   /// Optional: shard the candidates' floor keys (tightening and the scan
   /// stay serial).
   ThreadPool* pool = nullptr;
-  /// Request-class coalescing: memoize the request cost per candidate keyed
-  /// by (op, size, offset mod S) — the cost model is exactly periodic in the
-  /// offset with the candidate's striping period S, so each class is scored
-  /// once and reused.  Totals (and thus the chosen stripes, tie-breaks
-  /// included) are bit-identical to the brute-force path because requests
-  /// are still accumulated in their original order with identical values.
-  /// Disable only for A/B verification against the brute-force scorer.
-  bool coalesce = true;
   /// Space-aware constraint (PSA, the authors' companion work [33], and the
   /// paper's Discussion): bound the fraction of each region's bytes stored
   /// on the last tier (SServers) to N*s / (M*h + N*s) <= max_sserver_share.
@@ -217,13 +209,14 @@ struct RegionStripes {
   Seconds model_cost = 0.0; ///< summed model cost of the scored requests
   std::size_t candidates_evaluated = 0;  ///< grid size
   /// Candidates never scored because their lower bound exceeded the best
-  /// score; the same set with and without coalescing.
+  /// score.
   std::size_t candidates_pruned = 0;
   /// Cost-kernel evaluations performed while scoring candidates.
   std::uint64_t cost_evals = 0;
-  /// Evaluations avoided by request-class coalescing (cache hits); 0 when
-  /// coalescing is disabled.  cost_evals + cost_evals_saved == the work the
-  /// brute-force scorer does on the same unpruned candidates.
+  /// Evaluations avoided by request-class coalescing (cache hits).
+  /// cost_evals + cost_evals_saved == (candidates_evaluated -
+  /// candidates_pruned) * the sampled request count: one lookup per scored
+  /// candidate and sampled request.
   std::uint64_t cost_evals_saved = 0;
 };
 
@@ -246,13 +239,13 @@ RegionStripes optimize_region_homogeneous(const TieredCostParams& params,
                                           double avg_request_size,
                                           const OptimizerOptions& options = {});
 
-/// Scores one candidate: summed model cost over (sampled) requests.
-/// `coalesce` memoizes per request class exactly as the search does; the
-/// result is bit-identical either way (the default is the plain loop, kept
-/// as the A/B reference).  Throws std::invalid_argument on a zero period.
+/// Scores one candidate: summed model cost over (sampled) requests, one
+/// request_cost call each in request order.  The search's memoized scorer
+/// returns the same double, so this plain loop is its reference.  Throws
+/// std::invalid_argument on a zero period.
 Seconds region_cost(const TieredCostParams& params,
                     std::span<const FileRequest> requests,
                     std::span<const Bytes> stripes,
-                    std::size_t max_requests = 0, bool coalesce = false);
+                    std::size_t max_requests = 0);
 
 }  // namespace harl::core

@@ -13,10 +13,21 @@ namespace harl::harness {
 
 namespace {
 
-/// Mean service time of random-offset accesses at `size`, divided by `size`:
-/// the effective unit transfer time a black-box server benchmark observes.
-Seconds effective_unit_time(storage::StorageDevice& device, IoOp op, Bytes size,
+/// Beta is fitted as the *effective* unit time — mean service time of
+/// random-offset accesses of this size, divided by it — rather than the
+/// pure media-rate slope.  On an HDD this folds per-access positioning into
+/// the per-byte rate (64 KiB random accesses run at ~25 MB/s effective, not
+/// the ~90 MB/s media rate), which is what a black-box server benchmark
+/// measures and what makes Algorithm 2 reproduce the paper's optima (reads
+/// {32K,160K} at 512 KiB requests, SServer-only {0K,64K} at 128 KiB).
+constexpr Bytes kBetaReferenceSize = 64 * KiB;
+
+/// Mean service time of random-offset accesses of kBetaReferenceSize,
+/// divided by that size: the effective unit transfer time a black-box
+/// server benchmark observes.
+Seconds effective_unit_time(storage::StorageDevice& device, IoOp op,
                             const CalibrationOptions& options) {
+  const Bytes size = kBetaReferenceSize;
   device.reset();
   Rng rng(options.seed ^ 0xBEEF);
   Seconds total = 0.0;
@@ -30,9 +41,8 @@ Seconds effective_unit_time(storage::StorageDevice& device, IoOp op, Bytes size,
          static_cast<double>(size);
 }
 
-storage::TierProfile measured_or_nominal(storage::StorageDevice& device,
-                                         const CalibrationOptions& options) {
-  if (!options.measure_devices) return device.profile();
+storage::TierProfile measured_profile(storage::StorageDevice& device,
+                                      const CalibrationOptions& options) {
   storage::ProfilerOptions popts;
   popts.samples_per_size = options.samples_per_size;
   popts.seed = options.seed;
@@ -40,12 +50,8 @@ storage::TierProfile measured_or_nominal(storage::StorageDevice& device,
   // one otherwise-idle server, where an HDD shows its sequential startup.
   popts.random_offsets = false;
   storage::TierProfile fitted = storage::profile_device(device, popts);
-  if (options.effective_beta) {
-    fitted.read.per_byte = effective_unit_time(
-        device, IoOp::kRead, options.beta_reference_size, options);
-    fitted.write.per_byte = effective_unit_time(
-        device, IoOp::kWrite, options.beta_reference_size, options);
-  }
+  fitted.read.per_byte = effective_unit_time(device, IoOp::kRead, options);
+  fitted.write.per_byte = effective_unit_time(device, IoOp::kWrite, options);
   return fitted;
 }
 
@@ -67,13 +73,11 @@ std::vector<double> canonical_factors(std::vector<double> factors,
 /// server per *class*; with per-device aging each distinct factor value is
 /// its own class, so we probe one aged device per distinct factor and report
 /// its effective unit time relative to a fresh device of the same tier.
-/// With measurement disabled the configured factors are trusted as-is.
 std::vector<double> measured_device_factors(
     const storage::TierProfile& profile, bool is_ssd,
     const pfs::ClusterConfig& config, const std::vector<double>& configured,
     const CalibrationOptions& options) {
   if (configured.empty() || options.device_blind) return {};
-  if (!options.measure_devices) return configured;
   auto make_device = [&](const storage::TierProfile& p)
       -> std::unique_ptr<storage::StorageDevice> {
     if (is_ssd) {
@@ -83,8 +87,8 @@ std::vector<double> measured_device_factors(
     return std::make_unique<storage::HddDevice>(p, options.seed + 2,
                                                 config.hdd_sequential_factor);
   };
-  const Seconds base_unit = effective_unit_time(
-      *make_device(profile), IoOp::kRead, options.beta_reference_size, options);
+  const Seconds base_unit =
+      effective_unit_time(*make_device(profile), IoOp::kRead, options);
   std::vector<double> out(configured.size(), 1.0);
   double prev_configured = 1.0;
   double prev_measured = 1.0;
@@ -96,7 +100,7 @@ std::vector<double> measured_device_factors(
     }
     const Seconds aged_unit = effective_unit_time(
         *make_device(storage::scaled_profile(profile, f)), IoOp::kRead,
-        options.beta_reference_size, options);
+        options);
     out[i] = aged_unit / base_unit;
     prev_configured = f;
     prev_measured = out[i];
@@ -118,10 +122,10 @@ core::TieredCostParams calibrate(const pfs::ClusterConfig& config,
   core::TierSpec& hserver = params.tiers[0];
   core::TierSpec& sserver = params.tiers[1];
   hserver.count = config.num_hservers;
-  hserver.profile = measured_or_nominal(hdd, options);
+  hserver.profile = measured_profile(hdd, options);
   hserver.profile.name = "hserver";
   sserver.count = config.num_sservers;
-  sserver.profile = measured_or_nominal(ssd, options);
+  sserver.profile = measured_profile(ssd, options);
   sserver.profile.name = "sserver";
   params.t = config.network.per_byte;
   // Paper-pure Eq. 1 (one t per byte of the maximal sub-request); the fixed

@@ -17,21 +17,9 @@
 namespace harl::harness {
 
 struct CalibrationOptions {
-  /// Fit device parameters by probing simulated devices (paper-faithful);
-  /// if false, copy the nominal profiles directly.
-  bool measure_devices = true;
   int samples_per_size = 1500;
   std::uint64_t seed = 99;
-  /// Fit beta as the *effective* unit time — mean service time of
-  /// random-offset accesses at `beta_reference_size`, divided by that size —
-  /// rather than the pure media-rate slope.  On an HDD this folds per-access
-  /// positioning into the per-byte rate (64 KiB random accesses run at
-  /// ~25 MB/s effective, not the ~90 MB/s media rate), which is what a
-  /// black-box server benchmark measures and what makes Algorithm 2
-  /// reproduce the paper's optima (reads {32K,160K} at 512 KiB requests,
-  /// SServer-only {0K,64K} at 128 KiB).
-  bool effective_beta = true;
-  Bytes beta_reference_size = 64 * KiB;
+  /// Random-offset accesses per effective-beta probe.
   int beta_samples = 3000;
   /// Ignore per-device aging: calibrate the tier profiles only and leave the
   /// per-slot factor vectors empty, as a pre-device-model HARL would.  The
@@ -39,8 +27,8 @@ struct CalibrationOptions {
   bool device_blind = false;
 };
 
-/// Cost-model parameters for the given cluster shape, measured or nominal:
-/// tier 0 = HServers, tier 1 = SServers.
+/// Cost-model parameters for the given cluster shape, measured by probing
+/// simulated devices: tier 0 = HServers, tier 1 = SServers.
 core::TieredCostParams calibrate(const pfs::ClusterConfig& config,
                                  const CalibrationOptions& options = {});
 

@@ -22,7 +22,6 @@ struct RunState {
   std::vector<RankProgram> programs;
   const pfs::Layout& layout;
   trace::TraceCollector* collector;
-  std::size_t num_aggregators;
   Bytes cb_buffer_size;
   bool per_request_metadata;
   std::uint32_t file;
@@ -51,7 +50,6 @@ struct RunState {
         programs(std::move(p)),
         layout(l),
         collector(c),
-        num_aggregators(opts.collective.aggregators),
         cb_buffer_size(opts.collective.buffer_size),
         per_request_metadata(opts.per_request_metadata),
         file(opts.file),
@@ -149,11 +147,8 @@ void run_collective(const std::shared_ptr<RunState>& st,
   st->account(op, app_bytes);
 
   // One aggregator per compute node (ranks 0..A-1 land on distinct nodes
-  // under round-robin placement), unless configured otherwise.
-  const std::size_t A =
-      std::min(st->num_aggregators != 0 ? st->num_aggregators
-                                        : st->world.cluster().num_clients(),
-               nranks);
+  // under round-robin placement).
+  const std::size_t A = std::min(st->world.cluster().num_clients(), nranks);
   const Bytes span = hi - lo;
   const Bytes base = span / A;
   const Bytes rem = span % A;

@@ -25,12 +25,10 @@ class ReplicaMap;
 namespace harl::mw {
 
 struct CollectiveOptions {
-  /// Aggregator count for two-phase I/O; 0 = one per compute node (the
-  /// ROMIO cb_nodes default).
-  std::size_t aggregators = 0;
-  /// Collective buffer size (ROMIO cb_buffer_size): each aggregator issues
-  /// its file range in sequential rounds of at most this many bytes rather
-  /// than as one giant request.  0 disables chunking.
+  /// Collective buffer size (ROMIO cb_buffer_size): each aggregator (one
+  /// per compute node, the ROMIO cb_nodes default) issues its file range in
+  /// sequential rounds of at most this many bytes rather than as one giant
+  /// request.  0 disables chunking.
   Bytes buffer_size = 16 * MiB;
 };
 

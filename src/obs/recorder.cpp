@@ -13,6 +13,11 @@ Real to_us(Seconds t) { return Real{t * 1e6}; }
 
 std::size_t op_index(IoOp op) { return op == IoOp::kRead ? 0 : 1; }
 
+/// Buckets per utilization/queue-depth timeline and the first bucket's
+/// width (the width self-scales as simulated time grows).
+constexpr std::size_t kTimelineBuckets = 256;
+constexpr Seconds kTimelineInitialWidth = 1e-3;
+
 const char* kind_name(TrackKind k) {
   switch (k) {
     case TrackKind::kServerDisk: return "server_disk";
@@ -57,12 +62,12 @@ void Timeline::fit(Seconds t) {
 // --- Recorder ---------------------------------------------------------------
 
 Recorder::TrackState::TrackState(std::string name_, TrackKind kind_,
-                                 std::uint32_t entity_, const Options& opts)
+                                 std::uint32_t entity_)
     : name(std::move(name_)),
       kind(kind_),
       entity(entity_),
-      busy_timeline(opts.timeline_initial_width, opts.timeline_buckets, false),
-      depth_timeline(opts.timeline_initial_width, opts.timeline_buckets, true) {}
+      busy_timeline(kTimelineInitialWidth, kTimelineBuckets, false),
+      depth_timeline(kTimelineInitialWidth, kTimelineBuckets, true) {}
 
 Recorder::Recorder() : Recorder(Options{}) {}
 
@@ -81,7 +86,6 @@ Recorder::Recorder(Options options, TelemetryOptions telemetry)
   m_tx_ = metrics_.family("request.t_x", Kind::kHistogram);
   m_rel_error_ = metrics_.family("model.rel_error", Kind::kHistogram);
   m_server_time_ = metrics_.family("pfs.server.time", Kind::kSketch);
-  m_mds_time_ = metrics_.family("pfs.mds.time", Kind::kSketch);
   m_file_bytes_ = metrics_.family("pfs.file.bytes", Kind::kCounter);
   m_file_latency_ = metrics_.family("pfs.file.latency", Kind::kHistogram);
   if (options_.max_trace_events > 0) {
@@ -95,8 +99,7 @@ Recorder::Recorder(Options options, TelemetryOptions telemetry)
 std::uint32_t Recorder::track(std::string_view name, TrackKind kind,
                               std::uint32_t entity) {
   const auto id = static_cast<std::uint32_t>(tracks_.size());
-  tracks_.emplace_back(std::string(name), kind, entity, options_);
-  tracks_.back().is_mds = kind == TrackKind::kOther && name == "mds";
+  tracks_.emplace_back(std::string(name), kind, entity);
   return id;
 }
 
@@ -160,13 +163,6 @@ void Recorder::resource_event(std::uint32_t track, Seconds arrival,
   t.busy_timeline.add_span(start, finish);
   t.depth_max = std::max(t.depth_max, depth);
   t.depth_timeline.sample_max(arrival, static_cast<double>(depth));
-  if (t.is_mds) {
-    // MDS resident time (queue wait + lookup service): contention across
-    // colliding opens shows up in this sketch's tail exactly as the
-    // per-server pfs.server.time sketches expose storage stragglers.
-    metrics_.observe(resolve(mds_time_series_, m_mds_time_, LabelSet{}),
-                     finish - arrival);
-  }
   if (options_.trace) {
     push_event(TraceEvent{start, service, track, EventType::kService, 0xFF,
                           0, 0});
@@ -225,14 +221,12 @@ std::uint32_t Recorder::begin_request(std::uint32_t client, IoOp op,
   r.region = kNoId;
   r.file = file;
   r.issue = now;
-  r.subs.clear();  // keeps the buffer end_request handed back
   r.live = true;
   return id;
 }
 
 std::uint32_t Recorder::begin_sub(std::uint32_t request, std::uint32_t server,
-                                  std::uint32_t region, Bytes bytes,
-                                  Seconds now) {
+                                  std::uint32_t region, Seconds now) {
   if (health_) health_->advance(now);
   note_time(now);
   if (request >= req_slots_.size() || !req_slots_[request].live) return kNoId;
@@ -250,8 +244,6 @@ std::uint32_t Recorder::begin_sub(std::uint32_t request, std::uint32_t server,
   s = ActiveSub{};
   s.request = request;
   s.server = server;
-  s.region = region;
-  s.bytes = bytes;
   s.issue = now;
   s.live = true;
   return id;
@@ -294,11 +286,7 @@ void Recorder::finalize_sub(std::uint32_t sub, Seconds t_x, Seconds done) {
   const Seconds wait = s.start - s.arrival;
   const Seconds t_t = s.service - s.startup;
   if (s.request < req_slots_.size()) {
-    ActiveRequest& r = req_slots_[s.request];
-    if (options_.max_request_samples > 0) {
-      r.subs.push_back(SubSample{s.server, tier, s.region, s.bytes, s.issue,
-                                 wait, s.startup, t_t, t_x, done});
-    }
+    const ActiveRequest& r = req_slots_[s.request];
     const std::size_t slot = (tier & 0xFFu) * 2 + op_index(r.op);
     if (slot >= tier_series_.size()) tier_series_.resize(slot + 1);
     TierOpSeries& h = tier_series_[slot];
@@ -355,9 +343,8 @@ void Recorder::end_request(std::uint32_t request, Seconds now) {
     metrics_.add(m_file_bytes_, labels, static_cast<double>(r.size));
     metrics_.observe(m_file_latency_, labels, now - r.issue);
   }
-  Seconds predicted = -1.0;
   if (predictor_) {
-    predicted = predictor_(r.op, r.offset, r.size);
+    const Seconds predicted = predictor_(r.op, r.offset, r.size);
     if (predicted > 0.0 && now > r.issue) {
       const double rel =
           std::abs(predicted - (now - r.issue)) / (now - r.issue);
@@ -385,28 +372,6 @@ void Recorder::end_request(std::uint32_t request, Seconds now) {
                           next_async_id_++, r.size});
   }
 
-  if (options_.max_request_samples > 0) {
-    RequestSample* sample;
-    if (samples_.size() < options_.max_request_samples) {
-      sample = &samples_.emplace_back();
-    } else {
-      sample = &samples_[samples_next_];
-      samples_next_ = (samples_next_ + 1) % samples_.size();
-    }
-    sample->client = r.client;
-    sample->op = r.op;
-    sample->offset = r.offset;
-    sample->size = r.size;
-    sample->region = r.region;
-    sample->file = r.file;
-    sample->issue = r.issue;
-    sample->done = now;
-    sample->predicted = predicted;
-    // Swap, not move: the evicted sample's buffer goes back to the request
-    // slot, so a full ring costs no allocation per request.
-    sample->subs.clear();
-    sample->subs.swap(r.subs);
-  }
   r.live = false;
   req_free_.push_back(request);
 }

@@ -98,13 +98,6 @@ class Recorder final : public Sink {
     bool trace = true;
     /// Ring-buffer capacity for trace events; 0 = unbounded.
     std::size_t max_trace_events = 0;
-    /// Completed request samples kept for inspection (ring; attribution
-    /// histograms see every request regardless).  0, the default, keeps
-    /// none and builds no per-sub-request sample: no export reads them.
-    std::size_t max_request_samples = 0;
-    /// Buckets per utilization/queue-depth timeline (width self-scales).
-    std::size_t timeline_buckets = 256;
-    Seconds timeline_initial_width = 1e-3;
   };
 
   Recorder();
@@ -128,8 +121,7 @@ class Recorder final : public Sink {
                               Bytes size, Seconds now,
                               std::uint32_t file = kNoId) override;
   std::uint32_t begin_sub(std::uint32_t request, std::uint32_t server,
-                          std::uint32_t region, Bytes bytes,
-                          Seconds now) override;
+                          std::uint32_t region, Seconds now) override;
   void sub_storage(std::uint32_t sub, Seconds arrival, Seconds start,
                    Seconds startup, Seconds service) override;
   void sub_net_done(std::uint32_t sub, Seconds now) override;
@@ -156,38 +148,7 @@ class Recorder final : public Sink {
     file_series_.clear();  // their labels carry the old tenants
   }
 
-  /// Measured decomposition of one sub-request (all in simulated seconds).
-  struct SubSample {
-    std::uint32_t server = 0;
-    std::uint32_t tier = 0;
-    std::uint32_t region = 0;
-    Bytes bytes = 0;
-    Seconds issue = 0.0;  ///< client issued the sub-request
-    Seconds wait = 0.0;   ///< storage queue wait
-    Seconds t_s = 0.0;    ///< measured startup (paper T_S)
-    Seconds t_t = 0.0;    ///< measured storage transfer incl. per-stripe cost
-    Seconds t_x = 0.0;    ///< measured network transfer (paper T_X)
-    Seconds done = 0.0;   ///< sub-request completion time
-  };
-
-  struct RequestSample {
-    std::uint32_t client = 0;
-    IoOp op = IoOp::kRead;
-    Bytes offset = 0;
-    Bytes size = 0;
-    std::uint32_t region = 0;     ///< region of the first sub-request
-    std::uint32_t file = kNoId;   ///< namespace FileId (kNoId = single-file)
-    Seconds issue = 0.0;
-    Seconds done = 0.0;
-    Seconds predicted = -1.0;     ///< model cost; < 0 when no predictor set
-    std::vector<SubSample> subs;  ///< completion order
-
-    Seconds latency() const { return done - issue; }
-  };
-
-  /// Completed requests, oldest first (bounded by max_request_samples;
-  /// empty unless the recorder was built to keep samples).
-  const std::vector<RequestSample>& requests() const { return samples_; }
+  /// Requests ended so far (a stale end_request is not counted).
   std::uint64_t requests_completed() const { return requests_completed_; }
 
   // --- summaries ----------------------------------------------------------
@@ -255,10 +216,6 @@ class Recorder final : public Sink {
     std::uint32_t entity = kNoId;
     std::uint32_t tier = kNoId;
     bool is_ssd = false;
-    /// MDS queue track: resource events additionally feed the
-    /// "pfs.mds.time" resident-time sketch (satellite: open-storm
-    /// contention must be visible next to the pfs.server.time sketches).
-    bool is_mds = false;
     /// Storage track of data server `entity` (register_server).
     bool is_server = false;
     std::uint64_t depth_max = 0;
@@ -271,15 +228,12 @@ class Recorder final : public Sink {
     Timeline depth_timeline;
     InflightQueue inflight;
 
-    TrackState(std::string name_, TrackKind kind_, std::uint32_t entity_,
-               const Options& opts);
+    TrackState(std::string name_, TrackKind kind_, std::uint32_t entity_);
   };
 
   struct ActiveSub {
     std::uint32_t request = kNoId;
     std::uint32_t server = 0;
-    std::uint32_t region = 0;
-    Bytes bytes = 0;
     Seconds issue = 0.0;
     Seconds arrival = -1.0;
     Seconds start = -1.0;
@@ -296,7 +250,6 @@ class Recorder final : public Sink {
     std::uint32_t region = kNoId;
     std::uint32_t file = kNoId;
     Seconds issue = 0.0;
-    std::vector<SubSample> subs;
     bool live = false;  ///< begun and not yet ended
   };
 
@@ -361,8 +314,6 @@ class Recorder final : public Sink {
   std::vector<ActiveSub> sub_slots_;
   std::vector<std::uint32_t> sub_free_;
 
-  std::vector<RequestSample> samples_;
-  std::size_t samples_next_ = 0;
   std::uint64_t requests_completed_ = 0;
 
   Seconds last_time_ = 0.0;
@@ -379,14 +330,12 @@ class Recorder final : public Sink {
   MetricsRegistry::FamilyId m_tx_;
   MetricsRegistry::FamilyId m_rel_error_;
   MetricsRegistry::FamilyId m_server_time_;
-  MetricsRegistry::FamilyId m_mds_time_;
   MetricsRegistry::FamilyId m_file_bytes_;
   MetricsRegistry::FamilyId m_file_latency_;
 
   // Resolved-once series of the per-sub-request and per-request paths.
   std::vector<TierOpSeries> tier_series_;  // by (tier & 0xFF) * 2 + op
   Series latency_series_[2];               // by op
-  Series mds_time_series_;
   // Grown on first use.  rel_error by masked region label * 2 + op (equal
   // masks share a series, so they share a handle); files by FileId up to
   // the label's 16-bit width, beyond which the labels alias and the series

@@ -37,7 +37,7 @@ enum class TrackKind : std::uint8_t {
   kServerNic,    ///< server network link
   kClientNic,    ///< client (compute node) network link
   kClient,       ///< per-client request track (request-lifetime spans)
-  kOther,        ///< anything else (MDS queue, ad-hoc resources)
+  kOther,        ///< anything else (ad-hoc resources, the health track)
 };
 
 class Sink {
@@ -91,8 +91,7 @@ class Sink {
   /// Starts one sub-request of `request` on global server `server`
   /// addressing `region`; returns a sub-request id.
   virtual std::uint32_t begin_sub(std::uint32_t request, std::uint32_t server,
-                                  std::uint32_t region, Bytes bytes,
-                                  Seconds now) = 0;
+                                  std::uint32_t region, Seconds now) = 0;
 
   /// Storage stage of a sub-request, reported at submission (FIFO service
   /// times are fixed then): queue arrival/start, the device's startup

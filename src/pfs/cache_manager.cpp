@@ -126,8 +126,8 @@ void CacheManager::issue_read(std::size_t client_id, const Layout& layout,
                                                   [join] { join->done(); });
   for (const HitPiece& hit : hits) {
     const std::uint32_t osub =
-        obs != nullptr ? obs->begin_sub(obs_req, hit.device, kCacheObject,
-                                        hit.size, sim_.now())
+        obs != nullptr
+            ? obs->begin_sub(obs_req, hit.device, kCacheObject, sim_.now())
                        : obs::kNoId;
     DataServer& device = cluster_.server(hit.device);
     const std::size_t device_idx = hit.device;
@@ -159,8 +159,8 @@ void CacheManager::issue_read(std::size_t client_id, const Layout& layout,
         });
     for (const SubRequest& sub : subs) {
       const std::uint32_t osub =
-          obs != nullptr ? obs->begin_sub(obs_req, sub.server, sub.object,
-                                          sub.size, sim_.now())
+          obs != nullptr
+              ? obs->begin_sub(obs_req, sub.server, sub.object, sim_.now())
                          : obs::kNoId;
       DataServer& server = cluster_.server(sub.server);
       const std::size_t server_idx = sub.server;

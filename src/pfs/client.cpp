@@ -186,7 +186,7 @@ void Client::io_observed(obs::Sink& obs, const Layout& layout, IoOp op,
       throw std::out_of_range("layout references unknown server");
     }
     const std::uint32_t osub =
-        obs.begin_sub(req, sub.server, sub.object, sub.size, sim_.now());
+        obs.begin_sub(req, sub.server, sub.object, sim_.now());
     if (op == IoOp::kRead) {
       issue_read_observed(sub, join, osub);
     } else {
@@ -245,9 +245,9 @@ void Client::io_replicated(obs::Sink* obs, const Layout& layout, IoOp op,
         ++degraded_reads_;
       }
       if (obs != nullptr) {
-        const std::uint32_t osub = obs->begin_sub(
-            req, static_cast<std::uint32_t>(target.server), target.object,
-            target.size, sim_.now());
+        const std::uint32_t osub =
+            obs->begin_sub(req, static_cast<std::uint32_t>(target.server),
+                           target.object, sim_.now());
         issue_read_observed(target, join, osub);
       } else {
         issue_read(target, join);
@@ -263,7 +263,7 @@ void Client::io_replicated(obs::Sink* obs, const Layout& layout, IoOp op,
       if (obs != nullptr) {
         const std::uint32_t osub =
             obs->begin_sub(req, static_cast<std::uint32_t>(sub.server),
-                           sub.object, sub.size, sim_.now());
+                           sub.object, sim_.now());
         issue_write_observed(op, sub, join, osub);
       } else {
         issue_write(op, sub, join);
@@ -272,7 +272,7 @@ void Client::io_replicated(obs::Sink* obs, const Layout& layout, IoOp op,
     if (obs != nullptr) {
       const std::uint32_t osub =
           obs->begin_sub(req, static_cast<std::uint32_t>(replica.server),
-                         replica.object, replica.size, sim_.now());
+                         replica.object, sim_.now());
       issue_write_observed(op, replica, join, osub);
     } else {
       issue_write(op, replica, join);

@@ -152,7 +152,6 @@ Cluster::Cluster(sim::Simulator& sim, const ClusterConfig& config)
     }
     network_->attach_observer();
     for (auto& c : clients_) c->attach_observer();
-    if (config.observe_mds) mds_->attach_observer();
   }
 }
 

@@ -93,11 +93,6 @@ struct ClusterConfig {
   std::int64_t fail_server = -1;
   Seconds fail_at = 0.0;
 
-  /// Bind the MDS queue to the observer (MetadataServer::attach_observer):
-  /// lookup RPC resident times land in the "pfs.mds.time" sketch.  Off by
-  /// default so legacy telemetry is byte-identical.
-  bool observe_mds = false;
-
   /// The tier-group view, synthesizing it from the two-tier fields when
   /// `tiers` is empty.  Device factors are returned canonical (sorted
   /// ascending, all-1.0 collapsed to empty); throws std::invalid_argument

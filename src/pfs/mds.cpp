@@ -1,6 +1,5 @@
 #include "src/pfs/mds.hpp"
 
-#include "src/obs/sink.hpp"
 #include "src/pfs/region_layout.hpp"
 
 #include <utility>
@@ -9,17 +8,9 @@ namespace harl::pfs {
 
 MetadataServer::MetadataServer(sim::Simulator& sim, Seconds lookup_cost,
                                Seconds per_region_cost)
-    : sim_(sim),
-      queue_(sim, "mds"),
+    : queue_(sim, "mds"),
       lookup_cost_(lookup_cost),
       per_region_cost_(per_region_cost) {}
-
-void MetadataServer::attach_observer() {
-  if (obs::Sink* obs = sim_.observer(); obs != nullptr) {
-    queue_.set_obs_track(obs->track("mds", obs::TrackKind::kOther,
-                                    /*entity=*/0));
-  }
-}
 
 void MetadataServer::register_file(const std::string& name,
                                    std::shared_ptr<const Layout> layout) {

@@ -58,17 +58,9 @@ class MetadataServer {
   /// Registered file count (namespace size).
   std::size_t file_count() const { return files_.size(); }
 
-  /// Opt-in observability: binds the MDS queue to a trace track of the
-  /// simulator's observer (TrackKind::kOther, name "mds"), which feeds the
-  /// recorder's "pfs.mds.time" resident-time sketch — queue contention under
-  /// open storms becomes measurable.  Off by default so legacy telemetry is
-  /// byte-identical.  Call once, before any traffic.
-  void attach_observer();
-
   std::uint64_t lookups_served() const { return queue_.jobs(); }
 
  private:
-  sim::Simulator& sim_;
   std::map<std::string, std::shared_ptr<const Layout>> files_;
   sim::FifoResource queue_;
   Seconds lookup_cost_;

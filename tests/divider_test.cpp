@@ -186,9 +186,8 @@ TEST(Divider, RejectsBadOptions) {
   DividerOptions bad;
   bad.threshold = 0.0;
   EXPECT_THROW(divide_regions(records, bad), std::invalid_argument);
-  DividerOptions growth;
-  growth.threshold_growth = 1.0;
-  EXPECT_THROW(divide_regions(records, growth), std::invalid_argument);
+  bad.threshold = -1.0;
+  EXPECT_THROW(divide_regions(records, bad), std::invalid_argument);
 }
 
 bool regions_equal(const std::vector<DividedRegion>& a,

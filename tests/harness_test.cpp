@@ -40,17 +40,6 @@ TEST(Calibration, FitsEffectiveParameters) {
             params.tiers[1].profile.read.per_byte);
 }
 
-TEST(Calibration, NominalModeCopiesProfiles) {
-  pfs::ClusterConfig cfg;
-  CalibrationOptions opts;
-  opts.measure_devices = false;
-  const core::TieredCostParams params = calibrate(cfg, opts);
-  EXPECT_DOUBLE_EQ(params.tiers[0].profile.read.per_byte,
-                   cfg.hdd.read.per_byte);
-  EXPECT_DOUBLE_EQ(params.tiers[0].profile.read.startup_max,
-                   cfg.hdd.read.startup_max);
-}
-
 TEST(Calibration, TieredParamsMirrorTwoTier) {
   // The calibration is the paper's two-tier view: tier 0 the HServers,
   // tier 1 the SServers, each named after its role.
@@ -58,15 +47,18 @@ TEST(Calibration, TieredParamsMirrorTwoTier) {
   cfg.num_hservers = 5;
   cfg.num_sservers = 3;
   CalibrationOptions opts;
-  opts.measure_devices = false;
+  opts.samples_per_size = 200;
+  opts.beta_samples = 200;
   const core::TieredCostParams params = calibrate(cfg, opts);
   ASSERT_EQ(params.tiers.size(), 2u);
   EXPECT_EQ(params.tiers[0].count, 5u);
   EXPECT_EQ(params.tiers[1].count, 3u);
   EXPECT_EQ(params.tiers[0].profile.name, "hserver");
   EXPECT_EQ(params.tiers[1].profile.name, "sserver");
-  EXPECT_DOUBLE_EQ(params.tiers[1].profile.write.per_byte,
-                   cfg.ssd.write.per_byte);
+  // Each tier is fitted from its own device: the HDD's effective unit time
+  // is far above the SSD's.
+  EXPECT_GT(params.tiers[0].profile.read.per_byte,
+            params.tiers[1].profile.read.per_byte * 2.0);
 }
 
 TEST(Scheme, LabelsMatchFigureLegends) {

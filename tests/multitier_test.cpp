@@ -225,21 +225,36 @@ TEST(TieredOptimizer, ParallelMatchesSerial) {
 TEST(TieredOptimizer, CoalescedSearchIsBitIdenticalToBruteForce) {
   // The k-tier cost is periodic in the offset with period
   // sum(count_j * stripe_j); coalescing memoizes per class but sums in
-  // original order, so the result matches brute force bit for bit.
+  // original order, so the result matches an exhaustive region_cost scan
+  // of the monotone grid bit for bit (ties to the larger stripes).
   const auto p = three_tier_params();
   const auto reqs = uniform_requests(1 * MiB, 48);
-  core::OptimizerOptions brute;
-  brute.step = 64 * KiB;
-  brute.coalesce = false;
-  core::OptimizerOptions coalesced = brute;
-  coalesced.coalesce = true;
-  const auto a = core::optimize_region(p, reqs, 1.0 * MiB, brute);
-  const auto b = core::optimize_region(p, reqs, 1.0 * MiB, coalesced);
-  EXPECT_EQ(a.stripes, b.stripes);
-  EXPECT_EQ(a.model_cost, b.model_cost);
-  EXPECT_EQ(a.cost_evals_saved, 0u);
-  EXPECT_GT(b.cost_evals_saved, 0u);
-  EXPECT_EQ(b.cost_evals + b.cost_evals_saved, a.cost_evals);
+  core::OptimizerOptions opts;
+  opts.step = 64 * KiB;
+  Seconds best_cost = std::numeric_limits<Seconds>::infinity();
+  std::vector<Bytes> best;
+  std::size_t candidates = 0;
+  std::vector<Bytes> st(3);
+  for (st[0] = 0; st[0] <= MiB; st[0] += opts.step) {
+    for (st[1] = st[0]; st[1] <= MiB; st[1] += opts.step) {
+      for (st[2] = st[1]; st[2] <= MiB; st[2] += opts.step) {
+        if (st[2] == 0) continue;
+        ++candidates;
+        const Seconds c = core::region_cost(p, reqs, st);
+        if (c < best_cost || (c == best_cost && st > best)) {
+          best_cost = c;
+          best = st;
+        }
+      }
+    }
+  }
+  const auto got = core::optimize_region(p, reqs, 1.0 * MiB, opts);
+  EXPECT_EQ(got.stripes, best);
+  EXPECT_EQ(got.model_cost, best_cost);
+  EXPECT_EQ(got.candidates_evaluated, candidates);
+  EXPECT_GT(got.cost_evals_saved, 0u);
+  EXPECT_EQ(got.cost_evals + got.cost_evals_saved,
+            (got.candidates_evaluated - got.candidates_pruned) * 48u);
 }
 
 TEST(TieredOptimizer, ValidatesInputs) {

@@ -218,10 +218,9 @@ TEST(MetadataServer, PlacementLookupCostScalesWithRegions) {
   EXPECT_NEAR(sim.now(), kLookup + 3 * kPerRegion, 1e-12);
 }
 
-TEST(MetadataServer, OpenStormQueuesAndLandsInMdsSketch) {
-  // Thousands of colliding opens serialize through the MDS FIFO; with
-  // observe_mds the queue binds to the "mds" track and resident times land
-  // in the recorder's "pfs.mds.time" sketch.
+TEST(MetadataServer, OpenStormQueuesThroughTheFifo) {
+  // Thousands of colliding opens serialize through the MDS FIFO, and the
+  // MDS queue adds no track or series to an observing recorder.
   const std::size_t kOpens = 2000;
   sim::Simulator sim;
   obs::Recorder recorder(obs::Recorder::Options{});
@@ -230,8 +229,8 @@ TEST(MetadataServer, OpenStormQueuesAndLandsInMdsSketch) {
   cfg.num_hservers = 2;
   cfg.num_sservers = 2;
   cfg.num_clients = 2;
-  cfg.observe_mds = true;
   pfs::Cluster cluster(sim, cfg);
+  const std::size_t tracks = recorder.resource_summaries().size();
   const auto layout = pfs::make_fixed_layout(cluster.num_servers(), 64 * KiB);
   cluster.mds().register_file("f", layout);
 
@@ -243,9 +242,10 @@ TEST(MetadataServer, OpenStormQueuesAndLandsInMdsSketch) {
   // FIFO service: the storm drains in exactly kOpens * lookup_cost.
   EXPECT_NEAR(sim.now(), static_cast<double>(kOpens) * cfg.mds_lookup_cost,
               1e-9);
+  EXPECT_EQ(recorder.resource_summaries().size(), tracks);
   std::ostringstream out;
-  recorder.write_metrics_json(out, 0);
-  EXPECT_NE(out.str().find("pfs.mds.time"), std::string::npos);
+  recorder.metrics().write_json(out);
+  EXPECT_EQ(out.str(), "[\n]");  // no series
 }
 
 // ----------------------------------------------------------- shared cache --

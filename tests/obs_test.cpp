@@ -462,13 +462,13 @@ TEST(HealthMonitor, SloAttainmentTracksRequestsAndSubs) {
 
   // Request 1 (read): sub resident 0.3 s <= SLO, request latency 0.4 s.
   const std::uint32_t r1 = rec.begin_request(0, IoOp::kRead, 0, KiB, 0.0);
-  const std::uint32_t s1 = rec.begin_sub(r1, 2, 0, KiB, 0.0);
+  const std::uint32_t s1 = rec.begin_sub(r1, 2, 0, 0.0);
   rec.sub_storage(s1, 0.0, 0.1, 0.05, 0.2);  // (0.1-0.0) + 0.2 = 0.3
   rec.sub_net_done(s1, 0.35);
   rec.end_request(r1, 0.4);
   // Request 2 (read): sub resident 0.8 s > SLO, request latency 0.9 s.
   const std::uint32_t r2 = rec.begin_request(0, IoOp::kRead, 0, KiB, 1.0);
-  const std::uint32_t s2 = rec.begin_sub(r2, 2, 0, KiB, 1.0);
+  const std::uint32_t s2 = rec.begin_sub(r2, 2, 0, 1.0);
   rec.sub_storage(s2, 1.0, 1.6, 0.05, 0.2);  // (1.6-1.0) + 0.2 = 0.8
   rec.sub_net_done(s2, 1.85);
   rec.end_request(r2, 1.9);
@@ -513,7 +513,7 @@ void drive_sequence(obs::Recorder& rec) {
         rec.begin_request(0, op, static_cast<Bytes>(i) * KiB, 3 * KiB, t, file);
     Seconds done = t;
     for (std::uint32_t s = 0; s < 3; ++s) {
-      const std::uint32_t sub = rec.begin_sub(req, s, 0, KiB, t);
+      const std::uint32_t sub = rec.begin_sub(req, s, 0, t);
       const Seconds arrival = t + 0.01;
       const Seconds service = s == 0 && t >= 2.0 ? 0.2 : 0.02;
       rec.resource_event(disks[s], arrival, arrival, arrival + service);
@@ -723,6 +723,145 @@ core::TieredCostParams matching_params(const pfs::ClusterConfig& cfg) {
   return params;
 }
 
+/// Sum and count of the recorder's request.{queue_wait,t_s,t_t,t_x}
+/// observations over every tier x op series: each finalized sub-request
+/// adds its wait + T_S + T_T + T_X to the sum and 4 to the count.
+struct Decomposition {
+  Seconds sum = 0.0;
+  std::uint64_t count = 0;
+};
+Decomposition decomposition(const obs::Recorder& rec) {
+  Decomposition d;
+  for (const char* name :
+       {"request.queue_wait", "request.t_s", "request.t_t", "request.t_x"}) {
+    for (std::uint32_t tier = 0; tier < 4; ++tier) {
+      for (const IoOp op : {IoOp::kRead, IoOp::kWrite}) {
+        if (const obs::QuantileSketch* q = rec.metrics().sketch(
+                name, obs::LabelSet{}.tier(tier).op(op))) {
+          d.sum += q->sum();
+          d.count += q->count();
+        }
+      }
+    }
+  }
+  return d;
+}
+
+/// Test sink: forwards every hook to a Recorder and checks the per-sub
+/// identity wait + T_S + T_T + T_X == done - issue.  At a sub-request's
+/// final stage (sub_storage for a write, sub_net_done for a read) the
+/// recorder's request.* observations must grow by exactly done - issue;
+/// any other stage, and a stale final stage, must leave them unchanged.
+/// Completed requests are kept with their sub-request count and last
+/// sub-request completion.
+class SubIdentityCheck final : public obs::Sink {
+ public:
+  struct Completed {
+    std::size_t subs = 0;
+    Seconds last_sub_done = 0.0;
+    Seconds done = 0.0;
+  };
+
+  explicit SubIdentityCheck(obs::Recorder& rec) : rec_(rec) {}
+
+  std::uint32_t track(std::string_view name, obs::TrackKind kind,
+                      std::uint32_t entity) override {
+    return rec_.track(name, kind, entity);
+  }
+  std::uint32_t register_server(std::uint32_t server, std::uint32_t tier,
+                                std::string_view name, bool is_ssd) override {
+    return rec_.register_server(server, tier, name, is_ssd);
+  }
+  std::uint32_t register_client(std::uint32_t client) override {
+    return rec_.register_client(client);
+  }
+  void resource_event(std::uint32_t track, Seconds arrival, Seconds start,
+                      Seconds finish) override {
+    rec_.resource_event(track, arrival, start, finish);
+  }
+  void server_access(std::uint32_t server, IoOp op, std::uint32_t region,
+                     Bytes bytes, Bytes pieces, Seconds now) override {
+    rec_.server_access(server, op, region, bytes, pieces, now);
+  }
+  std::uint32_t begin_request(std::uint32_t client, IoOp op, Bytes offset,
+                              Bytes size, Seconds now,
+                              std::uint32_t file = obs::kNoId) override {
+    const std::uint32_t id =
+        rec_.begin_request(client, op, offset, size, now, file);
+    requests_[id] = Request{op, {}};
+    return id;
+  }
+  std::uint32_t begin_sub(std::uint32_t request, std::uint32_t server,
+                          std::uint32_t region, Seconds now) override {
+    const std::uint32_t id = rec_.begin_sub(request, server, region, now);
+    if (id != obs::kNoId) subs_[id] = Sub{request, now, 0.0};
+    return id;
+  }
+  void sub_storage(std::uint32_t sub, Seconds arrival, Seconds start,
+                   Seconds startup, Seconds service) override {
+    const auto it = subs_.find(sub);
+    const bool final = it != subs_.end() &&
+                       requests_[it->second.request].op == IoOp::kWrite;
+    checked(sub, final, start + service, [&] {
+      rec_.sub_storage(sub, arrival, start, startup, service);
+    });
+  }
+  void sub_net_done(std::uint32_t sub, Seconds now) override {
+    const auto it = subs_.find(sub);
+    const bool final = it != subs_.end() &&
+                       requests_[it->second.request].op == IoOp::kRead;
+    checked(sub, final, now, [&] { rec_.sub_net_done(sub, now); });
+  }
+  void end_request(std::uint32_t request, Seconds now) override {
+    const std::uint64_t before = rec_.requests_completed();
+    rec_.end_request(request, now);
+    if (rec_.requests_completed() == before) return;  // stale
+    const Request& r = requests_.at(request);
+    completed_.push_back(Completed{r.subs.size(), r.last_sub_done, now});
+  }
+
+  const std::vector<Completed>& completed() const { return completed_; }
+  std::size_t subs_checked() const { return subs_checked_; }
+
+ private:
+  struct Request {
+    IoOp op = IoOp::kRead;
+    std::vector<Seconds> subs;  // completion times
+    Seconds last_sub_done = 0.0;
+  };
+  struct Sub {
+    std::uint32_t request = obs::kNoId;
+    Seconds issue = 0.0;
+    Seconds done = 0.0;
+  };
+
+  template <typename Forward>
+  void checked(std::uint32_t sub, bool final, Seconds done, Forward forward) {
+    const Decomposition before = decomposition(rec_);
+    forward();
+    const Decomposition after = decomposition(rec_);
+    if (!final) {
+      EXPECT_EQ(after.count, before.count) << "sub " << sub;
+      EXPECT_EQ(after.sum, before.sum) << "sub " << sub;
+      return;
+    }
+    const Sub s = subs_.at(sub);
+    subs_.erase(sub);
+    EXPECT_EQ(after.count, before.count + 4) << "sub " << sub;
+    EXPECT_NEAR(after.sum - before.sum, done - s.issue, 1e-12) << "sub " << sub;
+    Request& r = requests_.at(s.request);
+    r.subs.push_back(done);
+    r.last_sub_done = std::max(r.last_sub_done, done);
+    ++subs_checked_;
+  }
+
+  obs::Recorder& rec_;
+  std::map<std::uint32_t, Request> requests_;
+  std::map<std::uint32_t, Sub> subs_;
+  std::vector<Completed> completed_;
+  std::size_t subs_checked_ = 0;
+};
+
 TEST(Recorder, ReconcilesMeasuredDecompositionAgainstCostModel) {
   // Acceptance scenario: single request, idle deterministic cluster.  The
   // measured T_X/T_S/T_T (+ queue wait) must sum to the request's completion
@@ -734,11 +873,12 @@ TEST(Recorder, ReconcilesMeasuredDecompositionAgainstCostModel) {
     const std::vector<Bytes> stripes = {64 * KiB};
 
     sim::Simulator sim;
-    obs::Recorder rec(obs::Recorder::Options{.max_request_samples = 16});
+    obs::Recorder rec;
     rec.set_predictor([&](IoOp o, Bytes offset, Bytes size) {
       return core::request_cost(params, o, offset, size, stripes);
     });
-    sim.set_observer(&rec);
+    SubIdentityCheck check(rec);
+    sim.set_observer(&check);
     pfs::Cluster cluster(sim, cfg);
     auto layout = pfs::make_fixed_layout(cluster.num_servers(), 64 * KiB);
 
@@ -747,27 +887,41 @@ TEST(Recorder, ReconcilesMeasuredDecompositionAgainstCostModel) {
     sim.run();
     ASSERT_TRUE(completed);
 
-    ASSERT_EQ(rec.requests().size(), 1u);
-    const obs::Recorder::RequestSample& r = rec.requests().front();
-    EXPECT_EQ(r.op, op);
-    ASSERT_EQ(r.subs.size(), 1u);  // 64K at offset 0 touches one server
-    const obs::Recorder::SubSample& sub = r.subs.front();
+    ASSERT_EQ(check.completed().size(), 1u);
+    EXPECT_EQ(check.completed().front().subs, 1u);  // 64K at offset 0: one server
+    // The single sub-request is the only observation of each component.
+    const obs::LabelSet labels = obs::LabelSet{}.tier(0).op(op);
+    auto component = [&](const char* name) {
+      const obs::QuantileSketch* q = rec.metrics().sketch(name, labels);
+      EXPECT_NE(q, nullptr) << name;
+      if (q == nullptr) return -1.0;
+      EXPECT_EQ(q->count(), 1u) << name;
+      return q->sum();
+    };
+    const obs::QuantileSketch* latency = rec.metrics().sketch(
+        "client.request.latency", obs::LabelSet{}.op(op));
+    ASSERT_NE(latency, nullptr);
+    ASSERT_EQ(latency->count(), 1u);
 
     // Analytically known components.
     const Seconds hop = 40e-6 + 64.0 * 1024.0 * 1e-9;
-    EXPECT_NEAR(sub.t_x, 2.0 * hop, 1e-12);           // two serialized links
-    EXPECT_NEAR(sub.t_s, 500e-6, 1e-12);              // fixed startup window
-    EXPECT_NEAR(sub.t_t, 64.0 * 1024.0 * 1e-8 + 50e-6, 1e-12);
-    EXPECT_NEAR(sub.wait, 0.0, 1e-12);                // idle queue
+    const Seconds t_x = component("request.t_x");
+    const Seconds t_s = component("request.t_s");
+    const Seconds t_t = component("request.t_t");
+    const Seconds wait = component("request.queue_wait");
+    EXPECT_NEAR(t_x, 2.0 * hop, 1e-12);           // two serialized links
+    EXPECT_NEAR(t_s, 500e-6, 1e-12);              // fixed startup window
+    EXPECT_NEAR(t_t, 64.0 * 1024.0 * 1e-8 + 50e-6, 1e-12);
+    EXPECT_NEAR(wait, 0.0, 1e-12);                // idle queue
 
     // The decomposition must account for the whole request, end to end.
-    EXPECT_NEAR(sub.wait + sub.t_s + sub.t_t + sub.t_x, r.latency(), 1e-12);
+    EXPECT_NEAR(wait + t_s + t_t + t_x, latency->sum(), 1e-12);
 
     // And the analytic model must reconcile with the measurement.
-    ASSERT_GE(r.predicted, 0.0);
-    EXPECT_NEAR(r.predicted, r.latency(), 1e-9);
+    EXPECT_NEAR(core::request_cost(params, op, 0, 64 * KiB, stripes),
+                latency->sum(), 1e-9);
     const obs::QuantileSketch* err = rec.metrics().sketch(
-        "model.rel_error", obs::LabelSet{}.region(r.region).op(op));
+        "model.rel_error", obs::LabelSet{}.region(0).op(op));
     ASSERT_NE(err, nullptr);
     EXPECT_EQ(err->count(), 1u);
     EXPECT_LT(err->max(), 1e-6);
@@ -780,8 +934,9 @@ TEST(Recorder, SubComponentsSumEvenUnderContention) {
   // exactly, because queueing shows up in wait (storage) or T_X (network).
   const pfs::ClusterConfig cfg = deterministic_config();
   sim::Simulator sim;
-  obs::Recorder rec(obs::Recorder::Options{.max_request_samples = 16});
-  sim.set_observer(&rec);
+  obs::Recorder rec;
+  SubIdentityCheck check(rec);  // checks the identity per sub-request
+  sim.set_observer(&check);
   pfs::Cluster cluster(sim, cfg);
   auto layout = pfs::make_fixed_layout(cluster.num_servers(), 64 * KiB);
 
@@ -793,18 +948,15 @@ TEST(Recorder, SubComponentsSumEvenUnderContention) {
   sim.run();
   ASSERT_EQ(completed, 2);
 
-  ASSERT_EQ(rec.requests().size(), 2u);
-  for (const auto& r : rec.requests()) {
-    ASSERT_GT(r.subs.size(), 1u);
-    Seconds last_done = 0.0;
-    for (const auto& sub : r.subs) {
-      EXPECT_NEAR(sub.wait + sub.t_s + sub.t_t + sub.t_x,
-                  sub.done - sub.issue, 1e-12);
-      last_done = std::max(last_done, sub.done);
-    }
+  ASSERT_EQ(check.completed().size(), 2u);
+  std::size_t subs = 0;
+  for (const auto& r : check.completed()) {
+    ASSERT_GT(r.subs, 1u);
+    subs += r.subs;
     // The request completes when its slowest sub-request does.
-    EXPECT_NEAR(last_done, r.done, 1e-12);
+    EXPECT_NEAR(r.last_sub_done, r.done, 1e-12);
   }
+  EXPECT_EQ(check.subs_checked(), subs);
   EXPECT_EQ(rec.requests_completed(), 2u);
 }
 
@@ -891,7 +1043,7 @@ TEST(Recorder, IdleRegisteredServersEmitNoServerSeries) {
     rec.register_server(s, s < 2 ? 0 : 1, "srv", s >= 2);
   }
   const std::uint32_t req = rec.begin_request(0, IoOp::kRead, 0, 4096, 0.0);
-  const std::uint32_t sub = rec.begin_sub(req, 2, 0, 4096, 0.0);
+  const std::uint32_t sub = rec.begin_sub(req, 2, 0, 0.0);
   rec.server_access(2, IoOp::kRead, 0, 4096, 1, 0.1);
   rec.server_access(2, IoOp::kRead, 1, 4096, 1, 0.2);  // region switch
   rec.sub_storage(sub, 0.1, 0.1, 0.01, 0.05);
@@ -925,12 +1077,14 @@ TEST(Recorder, StaleEndIsIgnored) {
   // A request or sub-request id that already completed is dead: ending it
   // again must neither complete a second request nor free its slot twice
   // (two live requests would then share one slot).
-  obs::Recorder rec(obs::Recorder::Options{.max_request_samples = 16});
+  obs::Recorder recorder;
+  // A stale sub_net_done must not add a sub-request's components either.
+  SubIdentityCheck rec(recorder);
   rec.register_server(0, 0, "srv", false);
   const std::uint32_t r = rec.begin_request(0, IoOp::kRead, 0, KiB, 0.0);
   rec.end_request(r, 0.1);
   rec.end_request(r, 0.2);  // stale
-  EXPECT_EQ(rec.requests_completed(), 1u);
+  EXPECT_EQ(recorder.requests_completed(), 1u);
   const std::uint32_t a = rec.begin_request(0, IoOp::kRead, 0, KiB, 0.3);
   const std::uint32_t b = rec.begin_request(0, IoOp::kRead, 0, KiB, 0.3);
   EXPECT_NE(a, b);
@@ -938,82 +1092,24 @@ TEST(Recorder, StaleEndIsIgnored) {
   // A write sub completes at its storage stage; a late sub_net_done for it
   // is stale too.
   const std::uint32_t w = rec.begin_request(0, IoOp::kWrite, 0, KiB, 0.4);
-  const std::uint32_t sub = rec.begin_sub(w, 0, 0, KiB, 0.4);
+  const std::uint32_t sub = rec.begin_sub(w, 0, 0, 0.4);
   rec.sub_storage(sub, 0.5, 0.5, 0.01, 0.05);
   rec.sub_net_done(sub, 0.6);  // stale
-  const std::uint32_t s1 = rec.begin_sub(w, 0, 0, KiB, 0.6);
-  const std::uint32_t s2 = rec.begin_sub(w, 0, 0, KiB, 0.6);
+  const std::uint32_t s1 = rec.begin_sub(w, 0, 0, 0.6);
+  const std::uint32_t s2 = rec.begin_sub(w, 0, 0, 0.6);
   EXPECT_NE(s1, s2);
   rec.sub_storage(s1, 0.6, 0.6, 0.01, 0.05);
   rec.sub_storage(s2, 0.6, 0.65, 0.01, 0.05);
   rec.end_request(w, 0.7);
-  ASSERT_EQ(rec.requests().size(), 2u);
-  EXPECT_EQ(rec.requests().back().subs.size(), 3u);
+  ASSERT_EQ(rec.completed().size(), 2u);
+  EXPECT_EQ(rec.completed().back().subs, 3u);
+  EXPECT_EQ(rec.subs_checked(), 3u);
+  const obs::QuantileSketch* t_s = recorder.metrics().sketch(
+      "request.t_s", obs::LabelSet{}.tier(0).op(IoOp::kWrite));
+  ASSERT_NE(t_s, nullptr);
+  EXPECT_EQ(t_s->count(), 3u);
   // A sub of a request that already ended gets no id.
-  EXPECT_EQ(rec.begin_sub(w, 0, 0, KiB, 0.8), obs::kNoId);
-}
-
-/// 64 requests (both ops, 4 clients, 3 stripes each) issued at once on a
-/// 4-server cluster, so queues build up; a cost-model predictor prices each.
-void run_contended(obs::Recorder& rec) {
-  pfs::ClusterConfig cfg = deterministic_config();
-  cfg.tiers[0].count = 4;
-  cfg.num_clients = 4;
-  const core::TieredCostParams params = matching_params(cfg);
-  const std::vector<Bytes> stripes = {64 * KiB};
-  rec.set_predictor([params, stripes](IoOp op, Bytes offset, Bytes size) {
-    return core::request_cost(params, op, offset, size, stripes);
-  });
-  sim::Simulator sim;
-  sim.set_observer(&rec);
-  pfs::Cluster cluster(sim, cfg);
-  auto layout = pfs::make_fixed_layout(cluster.num_servers(), 64 * KiB);
-  int completed = 0;
-  for (int i = 0; i < 64; ++i) {
-    cluster.client(static_cast<std::size_t>(i % 4))
-        .io(*layout, i % 2 == 0 ? IoOp::kWrite : IoOp::kRead,
-            static_cast<Bytes>(i) * 192 * KiB, 192 * KiB,
-            [&] { ++completed; });
-  }
-  sim.run();
-  ASSERT_EQ(completed, 64);
-}
-
-TEST(Recorder, DefaultKeepsNoRequestSamplesAndExportsTheSame) {
-  // No export reads the request-sample ring, so a default recorder keeps
-  // none; its metrics, time series and health summary must equal those of
-  // a recorder that keeps every sample, fed the same run.
-  const obs::TelemetryOptions armed = telemetry(1e-3, 2e-3);
-  obs::Recorder plain(obs::Recorder::Options{}, armed);
-  obs::Recorder sampled(obs::Recorder::Options{.max_request_samples = 128},
-                        armed);
-  run_contended(plain);
-  run_contended(sampled);
-
-  EXPECT_TRUE(plain.requests().empty());
-  ASSERT_EQ(sampled.requests().size(), 64u);
-  EXPECT_EQ(plain.requests_completed(), 64u);
-  EXPECT_EQ(sampled.requests_completed(), 64u);
-
-  auto exports = [](obs::Recorder& rec) {
-    rec.health()->finalize();
-    std::ostringstream metrics, series, health;
-    rec.write_metrics_json(metrics);
-    rec.health()->timeseries().write_json(series);
-    rec.health()->write_json(health);
-    return std::vector<std::string>{metrics.str(), series.str(),
-                                    health.str()};
-  };
-  const auto a = exports(plain);
-  const auto b = exports(sampled);
-  // Not vacuous: the run filled several windows, priced every request and
-  // checked the SLO.
-  EXPECT_GT(plain.health()->timeseries().window_count(), 2u);
-  EXPECT_NE(a[0].find("\"model.rel_error\""), std::string::npos);
-  EXPECT_NE(a[0].find("\"health.slo.subs_met\""), std::string::npos);
-  EXPECT_EQ(a[0], b[0]);
-  EXPECT_EQ(a[1], b[1]);
-  EXPECT_EQ(a[2], b[2]);
+  EXPECT_EQ(rec.begin_sub(w, 0, 0, 0.8), obs::kNoId);
 }
 
 /// Jobs with nondecreasing arrivals whose finishes come out of order

@@ -108,61 +108,6 @@ TEST(Optimizer, ParallelSearchMatchesSerial) {
   EXPECT_DOUBLE_EQ(serial.model_cost, parallel.model_cost);
 }
 
-TEST(Optimizer, CoalescedSearchIsBitIdenticalToBruteForce) {
-  // Request-class coalescing memoizes request_cost per (op, size,
-  // offset mod S) but accumulates in original order, so every output —
-  // stripes, tie-breaks, the cost double itself — matches brute force
-  // exactly.  Mixed ops and sizes to exercise multiple classes.
-  const TieredCostParams p = calibrated_params();
-  Rng rng(19);
-  std::vector<FileRequest> reqs;
-  for (std::size_t i = 0; i < 300; ++i) {
-    const Bytes size = i % 4 ? 256 * KiB : 512 * KiB;
-    reqs.push_back(FileRequest{i % 2 ? IoOp::kWrite : IoOp::kRead,
-                               rng.uniform_u64(0, 2048) * (64 * KiB), size});
-  }
-  OptimizerOptions brute;
-  brute.coalesce = false;
-  OptimizerOptions coalesced;
-  coalesced.coalesce = true;
-  const auto a = optimize_region(p, reqs, 384.0 * KiB, brute);
-  const auto b = optimize_region(p, reqs, 384.0 * KiB, coalesced);
-  EXPECT_EQ(a.stripes, b.stripes);
-  EXPECT_EQ(a.model_cost, b.model_cost);  // exact, not approximate
-  EXPECT_EQ(a.candidates_evaluated, b.candidates_evaluated);
-  // Counter accounting: brute force does cost_evals work and saves nothing;
-  // coalescing's evals + saved must equal brute force's total.
-  EXPECT_EQ(a.cost_evals_saved, 0u);
-  EXPECT_GT(b.cost_evals_saved, 0u);
-  EXPECT_EQ(b.cost_evals + b.cost_evals_saved, a.cost_evals);
-}
-
-TEST(Optimizer, CoalescedShardedSearchMatchesBruteForce) {
-  const TieredCostParams p = calibrated_params();
-  const auto reqs = uniform_requests(512 * KiB, 64);
-  OptimizerOptions brute;
-  brute.coalesce = false;
-  ThreadPool pool(4);
-  OptimizerOptions sharded;
-  sharded.pool = &pool;
-  const auto a = optimize_region(p, reqs, 512.0 * KiB, brute);
-  const auto b = optimize_region(p, reqs, 512.0 * KiB, sharded);
-  EXPECT_EQ(a.stripes, b.stripes);
-  EXPECT_EQ(a.model_cost, b.model_cost);
-  EXPECT_EQ(b.cost_evals + b.cost_evals_saved, a.cost_evals);
-}
-
-TEST(RegionCost, CoalescedScoreMatchesPlainLoop) {
-  const TieredCostParams p = calibrated_params();
-  const auto reqs = uniform_requests(256 * KiB, 128, IoOp::kWrite);
-  const Stripes hs{32 * KiB, 160 * KiB};
-  EXPECT_EQ(region_cost(p, reqs, hs, 0, false),
-            region_cost(p, reqs, hs, 0, true));
-  // Sampling composes with coalescing.
-  EXPECT_EQ(region_cost(p, reqs, hs, 32, false),
-            region_cost(p, reqs, hs, 32, true));
-}
-
 TEST(Optimizer, SamplingPreservesTheArgmin) {
   const TieredCostParams p = calibrated_params();
   // All requests identical: sampling cannot change anything.
@@ -379,6 +324,79 @@ Seconds sampled_cost(const TieredCostParams& p,
          static_cast<double>(sampled);
 }
 
+/// The exhaustive two-tier scan on the search's grid: region_cost's plain
+/// loop on every candidate.
+OracleBest exhaustive_scan(const TieredCostParams& p,
+                           const std::vector<FileRequest>& reqs, Bytes R,
+                           Bytes step = 4 * KiB) {
+  OracleBest want;
+  for_each_two_tier_pair(R, step, [&](Bytes h, Bytes s) {
+    want.offer(region_cost(p, reqs, Stripes{h, s}), {h, s}, {});
+  });
+  return want;
+}
+
+TEST(Optimizer, CoalescedSearchIsBitIdenticalToBruteForce) {
+  // Request-class coalescing memoizes request_cost per (op, size,
+  // offset mod S) but accumulates in original order, so every output —
+  // stripes, tie-breaks, the cost double itself — matches an exhaustive
+  // region_cost scan of the paper's 4 KiB grid exactly.  Mixed ops and
+  // sizes to exercise multiple classes.
+  const TieredCostParams p = calibrated_params();
+  Rng rng(19);
+  std::vector<FileRequest> reqs;
+  for (std::size_t i = 0; i < 300; ++i) {
+    const Bytes size = i % 4 ? 256 * KiB : 512 * KiB;
+    reqs.push_back(FileRequest{i % 2 ? IoOp::kWrite : IoOp::kRead,
+                               rng.uniform_u64(0, 2048) * (64 * KiB), size});
+  }
+  const OracleBest want = exhaustive_scan(p, reqs, 384 * KiB);
+  const auto got = optimize_region(p, reqs, 384.0 * KiB);
+  EXPECT_EQ(got.stripes, want.stripes);
+  EXPECT_EQ(got.model_cost, want.cost);  // exact, not approximate
+  EXPECT_EQ(got.candidates_evaluated, want.candidates);
+  // Counter accounting: one memo lookup per scored candidate and request,
+  // a kernel call on a class miss, a saved one on a hit.
+  EXPECT_GT(got.cost_evals_saved, 0u);
+  EXPECT_EQ(got.cost_evals + got.cost_evals_saved,
+            (got.candidates_evaluated - got.candidates_pruned) * 300u);
+}
+
+TEST(Optimizer, CoalescedShardedSearchMatchesBruteForce) {
+  // Window floors computed sharded over a pool: the same winner, cost
+  // bits and counters as the serial search and the exhaustive scan.
+  const TieredCostParams p = calibrated_params();
+  const auto reqs = uniform_requests(512 * KiB, 64);
+  ThreadPool pool(4);
+  OptimizerOptions sharded;
+  sharded.pool = &pool;
+  const OracleBest want = exhaustive_scan(p, reqs, 512 * KiB);
+  const auto serial = optimize_region(p, reqs, 512.0 * KiB);
+  const auto got = optimize_region(p, reqs, 512.0 * KiB, sharded);
+  EXPECT_EQ(got.stripes, want.stripes);
+  EXPECT_EQ(got.model_cost, want.cost);
+  EXPECT_EQ(got.candidates_pruned, serial.candidates_pruned);
+  EXPECT_EQ(got.cost_evals, serial.cost_evals);
+  EXPECT_EQ(got.cost_evals + got.cost_evals_saved,
+            (got.candidates_evaluated - got.candidates_pruned) * 64u);
+}
+
+TEST(RegionCost, CoalescedScoreMatchesPlainLoop) {
+  // The search reports its winner's memoized score: the very double
+  // region_cost's plain loop gives those stripes, with and without
+  // request sampling.
+  const TieredCostParams p = calibrated_params();
+  const auto reqs = uniform_requests(256 * KiB, 128, IoOp::kWrite);
+  for (const std::size_t max_requests : {std::size_t{0}, std::size_t{32}}) {
+    OptimizerOptions opts;
+    opts.max_requests = max_requests;
+    const auto got = optimize_region(p, reqs, 256.0 * KiB, opts);
+    EXPECT_GT(got.cost_evals_saved, 0u);
+    EXPECT_EQ(got.model_cost,
+              region_cost(p, reqs, got.stripes, max_requests));
+  }
+}
+
 constexpr Bytes kOracleStep = 16 * KiB;
 constexpr double kOracleAvg = 208.0 * KiB;
 constexpr Bytes kOracleR = 208 * KiB;  // avg rounded up to the step
@@ -401,16 +419,10 @@ TEST(OptimizerOracle, MixedOpsSizesAndSamplingMatchFullScan) {
   EXPECT_EQ(got.candidates_evaluated, want.candidates);
   EXPECT_GT(got.candidates_pruned, 0u);
 
-  // Brute-force scoring prunes the same candidates, so coalescing's evals
-  // plus savings still equal the brute-force evaluations.
-  OptimizerOptions brute = opts;
-  brute.coalesce = false;
-  const auto plain = optimize_region(p, reqs, kOracleAvg, brute);
-  EXPECT_EQ(plain.model_cost, got.model_cost);
-  EXPECT_EQ(plain.candidates_pruned, got.candidates_pruned);
-  EXPECT_EQ(plain.cost_evals,
-            (plain.candidates_evaluated - plain.candidates_pruned) * 240u);
-  EXPECT_EQ(got.cost_evals + got.cost_evals_saved, plain.cost_evals);
+  // Every scored candidate looks up each of the 240 sampled requests once:
+  // a kernel call on a class miss, a saved one on a hit.
+  EXPECT_EQ(got.cost_evals + got.cost_evals_saved,
+            (got.candidates_evaluated - got.candidates_pruned) * 240u);
 }
 
 TEST(OptimizerOracle, DistinctSizesMatchFullScan) {
@@ -713,16 +725,13 @@ TEST(SharedBoundTable, IorGridTightensOnlyWhereTheScanReaches) {
   EXPECT_LT(table.reads(), 2 * 32897 / 4);
 }
 
-TEST(RegionCost, ZeroPeriodThrowsInBothModes) {
+TEST(RegionCost, ZeroPeriodThrows) {
+  // All-zero stripes, and stripes only on a tier with no servers.
   const TieredCostParams p = calibrated_params();
   const auto reqs = uniform_requests(64 * KiB, 4);
-  for (const bool coalesce : {false, true}) {
-    EXPECT_THROW(region_cost(p, reqs, Stripes{0, 0}, 0, coalesce),
-                 std::invalid_argument);
-    EXPECT_THROW(region_cost(calibrated_params(0, 2), reqs,
-                             Stripes{64 * KiB, 0}, 0, coalesce),
-                 std::invalid_argument);
-  }
+  EXPECT_THROW(region_cost(p, reqs, Stripes{0, 0}), std::invalid_argument);
+  EXPECT_THROW(region_cost(calibrated_params(0, 2), reqs, Stripes{64 * KiB, 0}),
+               std::invalid_argument);
 }
 
 TEST(RegionCost, SumsPerRequestCosts) {

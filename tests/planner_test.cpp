@@ -128,14 +128,26 @@ TEST(Planner, EmptyTraceThrows) {
 }
 
 TEST(Planner, RstMatchesRegionStripesBeforeMerge) {
-  PlannerOptions opts;
-  opts.merge_adjacent = false;
-  const auto plan = analyze(two_phase_trace(), calibrated_params(), opts);
-  ASSERT_EQ(plan.rst.size(), plan.regions.size());
+  // Before the merge the RST held one entry per region; after it, each
+  // entry starts a run of regions that all carry its stripes, and
+  // neighbouring entries differ.
+  const auto plan = analyze(two_phase_trace(), calibrated_params());
+  EXPECT_EQ(plan.regions_before_merge, plan.regions.size());
+  EXPECT_EQ(plan.regions_after_merge, plan.rst.size());
+  ASSERT_GT(plan.rst.size(), 0u);
+  EXPECT_EQ(plan.rst.entry(0).offset, plan.regions[0].offset);
+  std::size_t entry = 0;
   for (std::size_t i = 0; i < plan.regions.size(); ++i) {
-    EXPECT_EQ(plan.rst.entry(i).offset, plan.regions[i].offset);
-    EXPECT_EQ(plan.rst.entry(i).stripes, plan.regions[i].stripes);
+    if (entry + 1 < plan.rst.size() &&
+        plan.rst.entry(entry + 1).offset == plan.regions[i].offset) {
+      ++entry;
+      EXPECT_NE(plan.rst.entry(entry).stripes,
+                plan.rst.entry(entry - 1).stripes);
+    }
+    EXPECT_EQ(plan.rst.entry(entry).stripes, plan.regions[i].stripes)
+        << "region " << i;
   }
+  EXPECT_EQ(entry + 1, plan.rst.size());
 }
 
 }  // namespace
