@@ -788,13 +788,13 @@ class SubIdentityCheck final : public obs::Sink {
                               std::uint32_t file = obs::kNoId) override {
     const std::uint32_t id =
         rec_.begin_request(client, op, offset, size, now, file);
-    requests_[id] = Request{op, {}};
+    requests_[id] = Request{op, 0, 0.0};
     return id;
   }
   std::uint32_t begin_sub(std::uint32_t request, std::uint32_t server,
                           std::uint32_t region, Seconds now) override {
     const std::uint32_t id = rec_.begin_sub(request, server, region, now);
-    if (id != obs::kNoId) subs_[id] = Sub{request, now, 0.0};
+    if (id != obs::kNoId) subs_[id] = Sub{request, now};
     return id;
   }
   void sub_storage(std::uint32_t sub, Seconds arrival, Seconds start,
@@ -817,7 +817,7 @@ class SubIdentityCheck final : public obs::Sink {
     rec_.end_request(request, now);
     if (rec_.requests_completed() == before) return;  // stale
     const Request& r = requests_.at(request);
-    completed_.push_back(Completed{r.subs.size(), r.last_sub_done, now});
+    completed_.push_back(Completed{r.subs, r.last_sub_done, now});
   }
 
   const std::vector<Completed>& completed() const { return completed_; }
@@ -826,13 +826,12 @@ class SubIdentityCheck final : public obs::Sink {
  private:
   struct Request {
     IoOp op = IoOp::kRead;
-    std::vector<Seconds> subs;  // completion times
+    std::size_t subs = 0;  // finalized so far
     Seconds last_sub_done = 0.0;
   };
   struct Sub {
     std::uint32_t request = obs::kNoId;
     Seconds issue = 0.0;
-    Seconds done = 0.0;
   };
 
   template <typename Forward>
@@ -850,7 +849,7 @@ class SubIdentityCheck final : public obs::Sink {
     EXPECT_EQ(after.count, before.count + 4) << "sub " << sub;
     EXPECT_NEAR(after.sum - before.sum, done - s.issue, 1e-12) << "sub " << sub;
     Request& r = requests_.at(s.request);
-    r.subs.push_back(done);
+    ++r.subs;
     r.last_sub_done = std::max(r.last_sub_done, done);
     ++subs_checked_;
   }
