@@ -6,6 +6,7 @@
 // measured end to end.
 #include "bench/bench_common.hpp"
 
+#include "src/harness/scheme.hpp"
 #include "src/middleware/mpi_world.hpp"
 
 namespace harl::bench {
@@ -35,7 +36,7 @@ double run_with_plan(const core::Plan& plan,
   pfs::ClusterConfig cfg;
   pfs::Cluster cluster(sim, cfg);
   mw::MpiWorld world(cluster, 16);
-  mw::ProgramRunner runner(world, "data", plan.rst.to_layout(6, 2));
+  mw::ProgramRunner runner(world, "data", harness::place_plan(plan));
   std::vector<mw::RankProgram> programs(16);
   Bytes total = 0;
   for (std::size_t i = 0; i < requests.size(); ++i) {

@@ -9,6 +9,7 @@
 // absent.
 #include "bench/bench_common.hpp"
 
+#include "src/harness/scheme.hpp"
 #include "src/middleware/mpi_world.hpp"
 #include "src/workloads/random_workload.hpp"
 
@@ -45,7 +46,7 @@ double run_with_plan(const core::Plan& plan,
   mw::MpiWorld world(cluster, 8);
   mw::RunnerOptions ropts;
   ropts.per_request_metadata = true;  // every request resolves via the MDS
-  mw::ProgramRunner runner(world, "data", plan.rst.to_layout(6, 2), nullptr,
+  mw::ProgramRunner runner(world, "data", harness::place_plan(plan), nullptr,
                            ropts);
   std::vector<mw::RankProgram> programs(8);
   Bytes total = 0;

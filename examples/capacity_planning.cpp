@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "src/harness/calibration.hpp"
+#include "src/harness/scheme.hpp"
 #include "src/core/planner.hpp"
 #include "src/harness/table.hpp"
 #include "src/pfs/space.hpp"
@@ -49,8 +50,7 @@ int main(int argc, char** argv) {
   pfs::ClusterConfig cluster;
   const auto records = workload_trace();
   const core::Plan plan = core::analyze(records, harness::calibrate(cluster));
-  const auto layout =
-      plan.rst.to_layout(cluster.num_hservers, cluster.num_sservers);
+  const auto layout = harness::place_plan(plan);
 
   // --- footprint under the optimized layout ---------------------------
   const pfs::SpaceUsage usage = pfs::storage_footprint(*layout, file_size);

@@ -3,17 +3,20 @@
 //
 // This example exercises the *deployment* path of HARL rather than the
 // experiment harness: the first execution is traced, the Analysis Phase
-// runs offline, the resulting RST and R2F artifacts are saved next to the
-// application (as the paper describes), and a later execution loads them at
-// "MPI_Init" time through the HarlDriver and runs on the optimized layout.
+// runs offline, the resulting plan (RST plus R2F region-to-file names) is
+// saved next to the application as a Plan artifact (as the paper describes),
+// and a later execution loads and checks it at "MPI_Init" time
+// (harness::load_validated_plan), installs it (harness::place_plan) and runs
+// on the optimized layout.
 //
 // Run: ./build/examples/checkpoint_pipeline [workdir]
 #include <filesystem>
 #include <iostream>
 
+#include "src/core/plan_artifact.hpp"
 #include "src/harness/calibration.hpp"
+#include "src/harness/scheme.hpp"
 #include "src/harness/table.hpp"
-#include "src/middleware/harl_driver.hpp"
 #include "src/middleware/mpi_world.hpp"
 #include "src/middleware/runner.hpp"
 #include "src/pfs/cluster.hpp"
@@ -73,15 +76,22 @@ int main(int argc, char** argv) {
   std::cout << "Trace saved to " << trace_path << "\n\n";
 
   // ---------------------------------------------------------------------
-  // Analysis Phase (offline): calibrate, divide, optimize, persist RST+R2F.
+  // Analysis Phase (offline): calibrate, divide, optimize, persist the plan.
   // ---------------------------------------------------------------------
   const core::TieredCostParams params = harness::calibrate(cluster_config);
   const auto loaded = trace::load_trace(trace_path);
   const core::Plan plan = core::analyze(loaded, params);
-  mw::HarlDriver::save(workdir, kFileName, plan);
+  // R2F: each region's physical file, "<logical>.r<k>".
+  core::PlanArtifact artifact = core::PlanArtifact::from_plan(plan);
+  for (std::size_t k = 0; k < plan.rst.size(); ++k) {
+    artifact.region_files.push_back(std::string(kFileName) + ".r" +
+                                    std::to_string(k));
+  }
+  const std::string plan_path = workdir + "/" + kFileName + ".plan";
+  core::save_plan(artifact, plan_path);
   std::cout << "Analysis Phase: " << plan.regions.size() << " region(s), "
-            << plan.rst.size() << " after merging; RST/R2F written to "
-            << workdir << "\n";
+            << plan.rst.size() << " after merging; plan written to "
+            << plan_path << "\n";
   for (const auto& region : plan.regions) {
     std::cout << "  [" << format_size(region.offset) << ", "
               << format_size(region.end) << ") -> {"
@@ -90,13 +100,14 @@ int main(int argc, char** argv) {
   }
 
   // ---------------------------------------------------------------------
-  // Later execution: load the artifacts at init time and run optimized.
+  // Later execution: load the plan at init time and run optimized.
   // ---------------------------------------------------------------------
   Seconds optimized_makespan = 0.0;
   {
+    auto layout = harness::place_plan(
+        harness::load_validated_plan(plan_path, cluster_config, params));
     sim::Simulator sim;
     pfs::Cluster cluster(sim, cluster_config);
-    auto layout = mw::HarlDriver::load_and_install(workdir, kFileName, cluster);
     mw::MpiWorld world(cluster, app_config().processes);
     mw::ProgramRunner runner(world, kFileName, layout);
     optimized_makespan = runner.run(programs).makespan;

@@ -3,12 +3,13 @@
 // Reads an I/O trace (CSV or binary, as written by trace::save_trace), or
 // generates a demo trace when no path is given; characterizes the workload,
 // runs Algorithm 1 + Algorithm 2 against a calibrated cluster model, prints
-// the resulting region plan, and optionally writes the RST.
+// the resulting region plan, and optionally writes it as a Plan artifact
+// (CSV when the output path ends in ".csv", binary otherwise).
 //
-// Usage:  ./build/examples/trace_analysis [trace-file] [rst-output]
-#include <fstream>
+// Usage:  ./build/examples/trace_analysis [trace-file] [plan-output]
 #include <iostream>
 
+#include "src/core/plan_artifact.hpp"
 #include "src/harness/calibration.hpp"
 #include "src/core/planner.hpp"
 #include "src/harness/table.hpp"
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
     records = trace::load_trace(argv[1]);
   } else {
     std::cout << "No trace given; using a generated three-phase demo trace.\n"
-              << "(usage: trace_analysis [trace-file] [rst-output])\n";
+              << "(usage: trace_analysis [trace-file] [plan-output])\n";
     records = demo_trace();
   }
 
@@ -100,9 +101,8 @@ int main(int argc, char** argv) {
             << "\n";
 
   if (argc > 2) {
-    std::ofstream os(argv[2]);
-    plan.rst.save(os);
-    std::cout << "RST written to " << argv[2] << "\n";
+    core::save_plan(core::PlanArtifact::from_plan(plan), argv[2]);
+    std::cout << "Plan written to " << argv[2] << "\n";
   }
   return 0;
 }

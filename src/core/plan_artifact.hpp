@@ -5,9 +5,10 @@
 // without re-running analysis: the per-tier server counts the plan was
 // computed for, the calibration fingerprint (params_fingerprint) so a stale
 // plan is detected, the Region Stripe Table, and (optionally) the R2F
-// region-to-file names the middleware assigned.  Analysis and Placing can
-// therefore run as separate processes: `harl_sim save-plan=` writes the
-// artifact and `harl_sim load-plan=` installs it.
+// region-to-file names.  It is the only on-disk form of a plan, so Analysis
+// and Placing can run as separate processes: `harl_sim save-plan=` writes
+// the artifact and `harl_sim load-plan=` installs it through
+// harness::load_validated_plan.
 //
 // Two encodings share one logical schema:
 //  * binary — magic "HARLPLAN", little-endian, versioned; the compact form.
@@ -57,7 +58,8 @@ struct PlanArtifact {
   std::vector<std::vector<double>> device_factors;
   RegionStripeTable rst;
   /// R2F: physical file name per RST region (paper Fig. 6's Region-to-File
-  /// table).  Either empty (not yet placed) or exactly rst.size() entries.
+  /// table).  Either empty (no names assigned) or exactly rst.size()
+  /// entries.
   std::vector<std::string> region_files;
   /// Cache reservation of a cache-aware plan (Plan::cache).  Serialized as
   /// an optional *trailing* section in both encodings, so cache-less
@@ -65,8 +67,8 @@ struct PlanArtifact {
   /// reject nothing they used to accept.
   std::optional<PlanCacheSpec> cache;
 
-  /// Snapshot of an Analysis Phase result (region_files left empty; the
-  /// Placing Phase fills them when it installs the plan).
+  /// Snapshot of an Analysis Phase result (region_files left empty for the
+  /// caller to name).
   static PlanArtifact from_plan(const Plan& plan);
 };
 

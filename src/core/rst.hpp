@@ -2,27 +2,20 @@
 //
 // The RST is HARL's placement metadata: per file region, the offset where
 // the region starts and the optimal per-tier stripe sizes.  The MDS consults
-// it to answer client placement lookups; the middleware loads it at MPI_Init
-// time.  Adjacent regions with equal stripe vectors are merged to shrink
-// metadata (Section III-E).
+// it to answer client placement lookups; the Placing Phase loads it at
+// MPI_Init time.  Adjacent regions with equal stripe vectors are merged to
+// shrink metadata (Section III-E).
 //
 // Since the tier-vector refactor every entry holds a stripe vector
 // (s_0, ..., s_{k-1}); the paper's two-tier table is k = 2 with tier 0 =
 // HServers and tier 1 = SServers.  All entries of one table must agree on k.
 //
-// Text serialization: two-tier tables keep the legacy "harl-rst-v1" format
-// ("offset h s" rows) byte-for-byte; tables with k != 2 use "harl-rst-v2"
-// ("offset s_0 ... s_{k-1}" rows, k inferred from the column count); tables
-// with any member-restricted entry (device-aware plans) use "harl-rst-v3"
-// ("offset s_0 ... s_{k-1} m_0 ... m_{k-1}" rows, all-zero member columns =
-// entry has no restriction).  load() accepts all three, with single-space
-// separated unsigned columns; a malformed row, one add() rejects included,
-// throws std::runtime_error (only that) naming the line.
+// The RST has no file format of its own: it is saved and loaded as part of
+// the Plan artifact (core/plan_artifact.hpp), whose loaders hand every row
+// to add() and so reject what add() rejects.
 #pragma once
 
-#include <iosfwd>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "src/common/units.hpp"
@@ -77,11 +70,6 @@ class RegionStripeTable {
   /// number of regions removed.
   std::size_t merge_adjacent();
 
-  /// Text serialization: header line, then "offset s_0 ... s_{k-1}" per
-  /// region (see the format note in the file header).
-  void save(std::ostream& os) const;
-  static RegionStripeTable load(std::istream& is);
-
   /// Converts to the pfs placement layout; `tier_counts[j]` servers in
   /// tier j.  Requires tier_counts.size() == num_tiers().  Tier j's first
   /// `reserved[j]` servers (none by default) are withheld from every region
@@ -92,9 +80,6 @@ class RegionStripeTable {
   std::shared_ptr<pfs::RegionLayout> to_layout(
       std::span<const std::size_t> tier_counts,
       std::span<const std::size_t> reserved = {}) const;
-
-  /// Two-tier convenience: M HServers and N SServers.
-  std::shared_ptr<pfs::RegionLayout> to_layout(std::size_t M, std::size_t N) const;
 
  private:
   std::vector<RstEntry> entries_;

@@ -123,17 +123,7 @@ std::shared_ptr<const pfs::Layout> build_layout(
   const std::size_t M = cluster.num_hservers;
   const std::size_t N = cluster.num_sservers;
 
-  // A plan whose Analysis Phase reserved cache devices installs with those
-  // devices withheld from every region (the cache-less path is untouched:
-  // no reservation means the exact pre-cache to_layout call).
-  const auto place = [&](const core::Plan& plan) {
-    if (!plan.cache.has_value()) return plan.rst.to_layout(M, N);
-    const std::vector<std::size_t> counts = {M, N};
-    std::vector<std::size_t> reserved(counts.size(), 0);
-    reserved[plan.cache->tier] = plan.cache->devices;
-    return plan.rst.to_layout(counts, reserved);
-  };
-
+  core::Plan plan;
   switch (scheme.kind) {
     case SchemeKind::kFixed:
       return pfs::make_fixed_layout(M + N, scheme.fixed_stripe);
@@ -153,12 +143,11 @@ std::shared_ptr<const pfs::Layout> build_layout(
     case SchemeKind::kFileLevelHarl:
     case SchemeKind::kSegmentLevel:
     case SchemeKind::kCarl:
-    case SchemeKind::kHarlSpaceBounded: {
+    case SchemeKind::kHarlSpaceBounded:
       if (trace_records.empty()) {
         throw std::invalid_argument(
             "analysis-based scheme requires a first-execution trace");
       }
-      core::Plan plan;
       if (scheme.kind == SchemeKind::kHarl) {
         plan = cache_options.enabled()
                    ? core::analyze_cached(trace_records, params, cache_options,
@@ -177,50 +166,65 @@ std::shared_ptr<const pfs::Layout> build_layout(
         plan = core::analyze_segment_level(trace_records, params,
                                            planner_options);
       }
-      auto layout = place(plan);
-      if (plan_out != nullptr) *plan_out = std::move(plan);
-      return layout;
-    }
+      break;
 
-    case SchemeKind::kLoadedPlan: {
-      core::PlanArtifact artifact = core::load_plan(scheme.plan_file);
-      if (artifact.calibration_fingerprint != core::params_fingerprint(params)) {
-        throw std::runtime_error(
-            "plan artifact was produced under a different calibration: " +
-            scheme.plan_file);
-      }
-      // The artifact's tier table against this cluster: normally the two-tier
-      // (M, N) view; a generic artifact must match it tier-for-tier.
-      std::vector<std::size_t> counts = {M, N};
-      if (artifact.tier_counts != counts) {
-        throw std::runtime_error(
-            "plan artifact tier table does not match the cluster: " +
-            scheme.plan_file);
-      }
-      // A plan computed against a different device fleet must not install:
-      // its member restrictions and stripe choices assume per-slot speeds
-      // this cluster does not have.
-      if (!device_table_matches(artifact.device_factors,
-                                cluster.effective_tiers())) {
-        throw std::runtime_error(
-            "plan artifact device-factor table does not match the cluster's "
-            "fleet: " +
-            scheme.plan_file);
-      }
-      core::Plan plan;
-      plan.tier_counts = artifact.tier_counts;
-      plan.device_factors = artifact.device_factors;
-      plan.calibration_fingerprint = artifact.calibration_fingerprint;
-      plan.regions_before_merge = artifact.rst.size();
-      plan.regions_after_merge = artifact.rst.size();
-      plan.cache = artifact.cache;
-      plan.rst = std::move(artifact.rst);
-      auto layout = place(plan);
-      if (plan_out != nullptr) *plan_out = std::move(plan);
-      return layout;
+    case SchemeKind::kLoadedPlan:
+      plan = load_validated_plan(scheme.plan_file, cluster, params);
+      break;
+  }
+  auto layout = place_plan(plan);
+  if (plan_out != nullptr) *plan_out = std::move(plan);
+  return layout;
+}
+
+core::Plan load_validated_plan(const std::string& path,
+                               const pfs::ClusterConfig& cluster,
+                               const core::TieredCostParams& params) {
+  core::PlanArtifact artifact = core::load_plan(path);
+  if (artifact.calibration_fingerprint != core::params_fingerprint(params)) {
+    throw std::runtime_error(
+        "plan artifact was produced under a different calibration: " + path);
+  }
+  std::vector<std::size_t> counts;
+  if (cluster.tiers.empty()) {
+    counts = {cluster.num_hservers, cluster.num_sservers};
+  } else {
+    for (const pfs::TierGroup& tier : cluster.tiers) {
+      counts.push_back(tier.count);
     }
   }
-  throw std::logic_error("unknown scheme kind");
+  if (artifact.tier_counts != counts) {
+    throw std::runtime_error(
+        "plan artifact tier table does not match the cluster: " + path);
+  }
+  // A plan computed against a different device fleet must not install:
+  // its member restrictions and stripe choices assume per-slot speeds
+  // this cluster does not have.
+  if (!device_table_matches(artifact.device_factors,
+                            cluster.effective_tiers())) {
+    throw std::runtime_error(
+        "plan artifact device-factor table does not match the cluster's "
+        "fleet: " +
+        path);
+  }
+  core::Plan plan;
+  plan.tier_counts = artifact.tier_counts;
+  plan.device_factors = artifact.device_factors;
+  plan.calibration_fingerprint = artifact.calibration_fingerprint;
+  plan.regions_before_merge = artifact.rst.size();
+  plan.regions_after_merge = artifact.rst.size();
+  plan.cache = artifact.cache;
+  plan.rst = std::move(artifact.rst);
+  return plan;
+}
+
+std::shared_ptr<pfs::RegionLayout> place_plan(const core::Plan& plan) {
+  // No reservation passes none: an all-zero one would take
+  // make_tiered_layout's reserved-layout branch.
+  if (!plan.cache.has_value()) return plan.rst.to_layout(plan.tier_counts);
+  std::vector<std::size_t> reserved(plan.tier_counts.size(), 0);
+  reserved.at(plan.cache->tier) = plan.cache->devices;
+  return plan.rst.to_layout(plan.tier_counts, reserved);
 }
 
 }  // namespace harl::harness

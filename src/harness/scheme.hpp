@@ -18,6 +18,7 @@
 #include "src/core/planner.hpp"
 #include "src/pfs/cluster.hpp"
 #include "src/pfs/layout.hpp"
+#include "src/pfs/region_layout.hpp"
 #include "src/trace/record.hpp"
 
 namespace harl::harness {
@@ -53,8 +54,8 @@ struct LayoutScheme {
   /// region-level optimization with each region's SServer byte share capped.
   static LayoutScheme harl_space_bounded(double max_sserver_share);
   /// Placing Phase from a saved Plan artifact (see core/plan_artifact.hpp):
-  /// no trace or analysis; the artifact's calibration fingerprint and tier
-  /// table are validated at build time.
+  /// no trace or analysis; build_layout() installs it through
+  /// load_validated_plan() and place_plan().
   static LayoutScheme from_plan_file(std::string path);
 
   /// Figure-legend style label: "64K", "rand1", "HARL", ...
@@ -81,12 +82,30 @@ struct LayoutScheme {
 /// (kHarl) runs the cache-aware Analysis Phase
 /// (core::analyze_cached); a winning reservation shows up as plan.cache and
 /// the returned layout withholds those devices from every region.  Loaded
-/// plan artifacts honour their own embedded cache section instead.
+/// plan artifacts honour their own embedded cache section instead.  Every
+/// plan, analyzed or loaded, becomes its layout through place_plan().
 std::shared_ptr<const pfs::Layout> build_layout(
     const LayoutScheme& scheme, const pfs::ClusterConfig& cluster,
     std::span<const trace::TraceRecord> trace_records,
     const core::TieredCostParams& params,
     const core::PlannerOptions& planner_options, core::Plan* plan_out = nullptr,
     const core::CachePlannerOptions& cache_options = {});
+
+/// The Placing Phase's one check of a saved plan (paper Fig. 3): loads the
+/// Plan artifact at `path` and accepts it only for the calibration and
+/// cluster it was computed for.  Its calibration fingerprint must equal
+/// params_fingerprint(params), its tier table the cluster's servers per
+/// tier (the two-tier (M, N) view, zero-count tiers included, unless
+/// `cluster.tiers` lists the groups), and its device-factor table the
+/// cluster's fleet within a relative 1e-6.  Throws std::runtime_error
+/// naming `path` and the failed check.
+core::Plan load_validated_plan(const std::string& path,
+                               const pfs::ClusterConfig& cluster,
+                               const core::TieredCostParams& params);
+
+/// Turns a plan into the region layout it installs: the RST over the
+/// plan's own tier table, with the devices of a cache reservation
+/// (plan.cache) withheld from every region.
+std::shared_ptr<pfs::RegionLayout> place_plan(const core::Plan& plan);
 
 }  // namespace harl::harness

@@ -5,8 +5,9 @@
 // observer pointer.  The default is no observer: the disabled path is one
 // pointer load and branch per instrumentation point, the dispatch loop of
 // the event engine itself is untouched, and nothing is allocated — the CI
-// overhead guard (tools/bench_sim_report.py, obs_guard_* fields of
-// bench/bench_sim_baseline.json) pins that property.  `obs::Recorder` is the
+// overhead guard (tools/bench_sim_report.py, the
+// obs_disabled_dispatch_rate_per_s and max_obs_disabled_regression fields
+// of bench/bench_sim_baseline.json) pins that property.  `obs::Recorder` is the
 // standard implementation and the only telemetry sink: a metrics registry
 // plus a simulated-time flight recorder, and — when armed — the owner of
 // the straggler/SLO HealthMonitor it feeds from these same calls.  Tests

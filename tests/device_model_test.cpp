@@ -493,12 +493,8 @@ std::string fingerprint(const harness::SchemeResult& r) {
      << '|' << r.read.bytes << '|' << r.total.makespan << '|' << r.total.bytes;
   for (const Seconds io_time : r.server_io_time) os << '|' << io_time;
   if (r.plan.has_value()) {
-    os << '|' << r.plan->calibration_fingerprint;
-    r.plan->rst.save(os);
-    for (const auto& tier : r.plan->device_factors) {
-      os << '|';
-      for (const double f : tier) os << f << ',';
-    }
+    os << '|';
+    core::save_plan_csv(core::PlanArtifact::from_plan(*r.plan), os);
   }
   return os.str();
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "src/core/plan_artifact.hpp"
 #include "src/harness/calibration.hpp"
@@ -420,8 +422,9 @@ TEST(Scheme, LoadedPlanReproducesInProcessAnalysis) {
 }
 
 TEST(Scheme, LoadedPlanRejectsStaleCalibration) {
-  // A plan computed against different calibrated parameters must be refused
-  // at build time (the fingerprint check), not silently installed.
+  // A plan computed against different calibrated parameters, another tier
+  // table or another device fleet must be refused at build time, naming the
+  // check that failed, not silently installed.
   ExperimentOptions opts;
   opts.cluster.num_clients = 4;
   opts.calibration.samples_per_size = 200;
@@ -437,12 +440,41 @@ TEST(Scheme, LoadedPlanRejectsStaleCalibration) {
   Experiment exp(opts);
   const auto harl = exp.run(bundle, LayoutScheme::harl());
   ASSERT_TRUE(harl.plan.has_value());
-  core::Plan stale = *harl.plan;
+  const core::PlanArtifact own = core::PlanArtifact::from_plan(*harl.plan);
+  core::PlanArtifact stale = own;
   stale.calibration_fingerprint ^= 1;  // simulate a recalibrated cluster
-  const std::string path = ::testing::TempDir() + "/harness_stale.plan";
-  core::save_plan(core::PlanArtifact::from_plan(stale), path);
-  EXPECT_THROW(exp.run(bundle, LayoutScheme::from_plan_file(path)),
-               std::runtime_error);
+  core::PlanArtifact wider = own;      // planned for 4 SServers, not 2
+  wider.tier_counts = {6, 4};
+  core::PlanArtifact aged = own;       // planned for an aged SServer
+  aged.device_factors = {{}, {1.0, 4.0}};
+  // Both foreign at once, with one region restricted to one SServer.
+  core::PlanArtifact foreign;
+  foreign.tier_counts = {6, 2};
+  foreign.calibration_fingerprint = own.calibration_fingerprint ^ 2;
+  foreign.device_factors = {{}, {1.0, 4.0}};
+  foreign.rst.add(0, {16 * KiB, 64 * KiB}, {6, 1});
+
+  const struct {
+    const char* name;
+    const core::PlanArtifact& artifact;
+    const char* error;
+  } cases[] = {{"stale", stale, "different calibration"},
+               {"wider", wider, "tier table"},
+               {"aged", aged, "device-factor table"},
+               {"foreign", foreign, "different calibration"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path =
+        ::testing::TempDir() + "/harness_" + c.name + ".plan";
+    core::save_plan(c.artifact, path);
+    try {
+      exp.run(bundle, LayoutScheme::from_plan_file(path));
+      ADD_FAILURE() << "installed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.error), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Scheme, FromPlanFileRejectsEmptyPath) {

@@ -1,16 +1,16 @@
 // Seeded mutation test of every reader of outside input: trace CSV and
-// binary, Plan artifact CSV and binary, RST text v1/v2/v3, R2F text and the
-// key=value option table.
+// binary, Plan artifact CSV and binary (from a two-tier and a three-tier
+// seed) and the key=value option table.
 //
-// Each format starts from one valid seed file.  Every mutant (truncated,
-// bit-flipped, overwritten, fields spliced between rows, rows swapped,
-// duplicated or deleted, numeric fields replaced by hostile spellings) must
-// either load or throw exactly the reader's one error type:
-// std::runtime_error for files, std::invalid_argument for options.  A mutant
-// that loads must satisfy the format's invariants, and save -> load -> save
-// must reach a byte fixed point.  Seeds are fixed, so a failure reproduces
-// from the printed format and mutant index; run under ASan/UBSan it also
-// catches reads past a buffer and overflowing arithmetic.
+// Each format starts from a valid seed file (the plan encodings from two).
+// Every mutant (truncated, bit-flipped, overwritten, fields spliced between
+// rows, rows swapped, duplicated or deleted, numeric fields replaced by
+// hostile spellings) must either load or throw exactly the reader's one
+// error type: std::runtime_error for files, std::invalid_argument for
+// options.  A mutant that loads must satisfy the format's invariants, and
+// save -> load -> save must reach a byte fixed point.  Seeds are fixed, so a
+// failure reproduces from the printed format and mutant index; run under
+// ASan/UBSan it also catches reads past a buffer and overflowing arithmetic.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -28,7 +28,6 @@
 #include "src/common/config.hpp"
 #include "src/core/plan_artifact.hpp"
 #include "src/core/rst.hpp"
-#include "src/middleware/r2f.hpp"
 #include "src/trace/trace_io.hpp"
 
 namespace harl {
@@ -271,17 +270,28 @@ void check_rst(const core::RegionStripeTable& rst) {
   }
 }
 
+/// The seed artifact; `Tiers` selects its tier table (2: the paper's shape
+/// with a cache section, 3: no cache).  Each has a member-restricted region.
+template <int Tiers>
 core::PlanArtifact seed_artifact() {
   core::PlanArtifact a;
-  a.tier_counts = {6, 4};
   a.calibration_fingerprint = 0xfeedfacecafebeefull;
-  a.device_factors = {{}, {1.0, 1.0, 2.5, 3.0}};
-  a.rst.add(0, {16 * KiB, 64 * KiB});
-  a.rst.add(128 * MiB, {0, 128 * KiB}, {0, 2});
-  a.rst.add(192 * MiB, {36 * KiB, 144 * KiB});
+  if (Tiers == 3) {
+    a.tier_counts = {4, 2, 2};
+    a.device_factors = {{}, {1.0, 1.5}, {1.0, 2.0}};
+    a.rst.add(0, {16 * KiB, 64 * KiB, 128 * KiB});
+    a.rst.add(64 * MiB, {0, 32 * KiB, 256 * KiB}, {0, 1, 2});
+    a.rst.add(96 * MiB, {4 * KiB, 0, 0});
+  } else {
+    a.tier_counts = {6, 4};
+    a.device_factors = {{}, {1.0, 1.0, 2.5, 3.0}};
+    a.rst.add(0, {16 * KiB, 64 * KiB});
+    a.rst.add(128 * MiB, {0, 128 * KiB}, {0, 2});
+    a.rst.add(192 * MiB, {36 * KiB, 144 * KiB});
+    a.cache = core::PlanCacheSpec{1, 1, 64 * MiB, MiB,
+                                  storage::CachePolicy::kSlru, 0.375};
+  }
   a.region_files = {"app.dat.r0", "app.dat.r1", "app.dat.r2"};
-  a.cache = core::PlanCacheSpec{1, 1, 64 * MiB, MiB,
-                                storage::CachePolicy::kSlru, 0.375};
   return a;
 }
 
@@ -311,6 +321,7 @@ void check_artifact(const core::PlanArtifact& a) {
   }
 }
 
+template <int Tiers>
 struct PlanCsv {
   using Value = core::PlanArtifact;
   using Error = std::runtime_error;
@@ -325,9 +336,10 @@ struct PlanCsv {
     return os.str();
   }
   static void check(const Value& v) { check_artifact(v); }
-  static std::string seed() { return save(seed_artifact()); }
+  static std::string seed() { return save(seed_artifact<Tiers>()); }
 };
 
+template <int Tiers>
 struct PlanBinary {
   using Value = core::PlanArtifact;
   using Error = std::runtime_error;
@@ -342,77 +354,17 @@ struct PlanBinary {
     return os.str();
   }
   static void check(const Value& v) { check_artifact(v); }
-  static std::string seed() { return save(seed_artifact()); }
+  static std::string seed() { return save(seed_artifact<Tiers>()); }
 };
 
-TEST(InputMutation, PlanCsv) { run_format<PlanCsv>("plan CSV", 21); }
-TEST(InputMutation, PlanBinary) { run_format<PlanBinary>("plan binary", 22); }
-
-// ------------------------------------------------------------ RST, R2F ----
-
-/// RST text; `Version` selects the seed table's header (v1: k = 2,
-/// v2: k = 3, v3: member columns).
-template <int Version>
-struct RstText {
-  using Value = core::RegionStripeTable;
-  using Error = std::runtime_error;
-  static constexpr const char* kDelims = " ";
-  static Value load(const std::string& bytes) {
-    std::istringstream is(bytes);
-    return core::RegionStripeTable::load(is);
-  }
-  static std::string save(const Value& v) {
-    std::ostringstream os;
-    v.save(os);
-    return os.str();
-  }
-  static void check(const Value& v) { check_rst(v); }
-  static std::string seed() {
-    core::RegionStripeTable rst;
-    if (Version == 2) {
-      rst.add(0, {16 * KiB, 64 * KiB, 128 * KiB});
-      rst.add(64 * MiB, {0, 32 * KiB, 256 * KiB});
-      rst.add(96 * MiB, {4 * KiB, 0, 0});
-    } else {
-      rst.add(0, {16 * KiB, 64 * KiB});
-      rst.add(64 * MiB, {0, 128 * KiB}, Version == 3
-                                            ? std::vector<std::size_t>{0, 2}
-                                            : std::vector<std::size_t>{});
-      rst.add(96 * MiB, {36 * KiB, 144 * KiB});
-    }
-    return save(rst);
-  }
-};
-
-struct R2fText {
-  using Value = mw::RegionFileMap;
-  using Error = std::runtime_error;
-  static constexpr const char* kDelims = ".";
-  static Value load(const std::string& bytes) {
-    std::istringstream is(bytes);
-    return mw::RegionFileMap::load(is);
-  }
-  static std::string save(const Value& v) {
-    std::ostringstream os;
-    v.save(os);
-    return os.str();
-  }
-  static void check(const Value& v) {
-    EXPECT_FALSE(v.logical_name().empty());
-    EXPECT_GE(v.region_count(), 1u);
-    for (std::size_t i = 0; i < v.region_count(); ++i) {
-      EXPECT_FALSE(v.physical(i).empty());
-    }
-  }
-  static std::string seed() {
-    return save(mw::RegionFileMap::for_file("app.dat", 4));
-  }
-};
-
-TEST(InputMutation, RstV1) { run_format<RstText<1>>("RST v1", 31); }
-TEST(InputMutation, RstV2) { run_format<RstText<2>>("RST v2", 32); }
-TEST(InputMutation, RstV3) { run_format<RstText<3>>("RST v3", 33); }
-TEST(InputMutation, R2f) { run_format<R2fText>("R2F", 34); }
+TEST(InputMutation, PlanCsv) {
+  run_format<PlanCsv<2>>("plan CSV", 21);
+  run_format<PlanCsv<3>>("plan CSV, three tiers", 23);
+}
+TEST(InputMutation, PlanBinary) {
+  run_format<PlanBinary<2>>("plan binary", 22);
+  run_format<PlanBinary<3>>("plan binary, three tiers", 24);
+}
 
 // ------------------------------------------------------------- options ----
 

@@ -1,14 +1,8 @@
-// Tests for the MPI-IO-like middleware: R2F, MPI world, program runner
-// (independent I/O, barriers, two-phase collective I/O), trace capture, and
-// the HARL driver.
+// Tests for the MPI-IO-like middleware: MPI world, program runner
+// (independent I/O, barriers, two-phase collective I/O) and trace capture.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <sstream>
-
-#include "src/middleware/harl_driver.hpp"
 #include "src/middleware/mpi_world.hpp"
-#include "src/middleware/r2f.hpp"
 #include "src/middleware/runner.hpp"
 #include "src/pfs/cluster.hpp"
 #include "src/sim/simulator.hpp"
@@ -23,31 +17,6 @@ pfs::ClusterConfig small_config() {
   cfg.num_sservers = 1;
   cfg.num_clients = 2;
   return cfg;
-}
-
-TEST(R2f, GeneratesCanonicalNames) {
-  const auto map = RegionFileMap::for_file("data.out", 3);
-  EXPECT_EQ(map.logical_name(), "data.out");
-  EXPECT_EQ(map.region_count(), 3u);
-  EXPECT_EQ(map.physical(0), "data.out.r0");
-  EXPECT_EQ(map.physical(2), "data.out.r2");
-}
-
-TEST(R2f, SaveLoadRoundTrips) {
-  const auto map = RegionFileMap::for_file("f", 2);
-  std::stringstream ss;
-  map.save(ss);
-  const auto loaded = RegionFileMap::load(ss);
-  EXPECT_EQ(loaded.logical_name(), "f");
-  ASSERT_EQ(loaded.region_count(), 2u);
-  EXPECT_EQ(loaded.physical(1), "f.r1");
-}
-
-TEST(R2f, ValidatesInputs) {
-  EXPECT_THROW(RegionFileMap::for_file("", 1), std::invalid_argument);
-  EXPECT_THROW(RegionFileMap::for_file("f", 0), std::invalid_argument);
-  std::stringstream bad("nope\n");
-  EXPECT_THROW(RegionFileMap::load(bad), std::runtime_error);
 }
 
 TEST(MpiWorld, RoundRobinRankPlacement) {
@@ -353,80 +322,6 @@ TEST(Runner, CollectiveBufferSplitsAggregatorRanges) {
   // Rounds within one aggregator are sequential.
   const auto sorted = collector.sorted_by_offset();
   EXPECT_GE(sorted[1].t_start, sorted[0].t_end);
-}
-
-// ---------------------------------------------------------- HARL driver ----
-
-TEST(HarlDriver, SaveLoadInstallRoundTrip) {
-  core::Plan plan;
-  plan.rst.add(0, {16 * KiB, 64 * KiB});
-  plan.rst.add(128 * MiB, {36 * KiB, 144 * KiB});
-
-  const auto dir =
-      (std::filesystem::temp_directory_path() / "harl_driver_test").string();
-  std::filesystem::create_directories(dir);
-  HarlDriver::save(dir, "app.dat", plan);
-
-  const auto rst = HarlDriver::load_rst(dir, "app.dat");
-  ASSERT_EQ(rst.size(), 2u);
-  EXPECT_EQ(rst.entry(1).stripes, (std::vector<Bytes>{36 * KiB, 144 * KiB}));
-
-  const auto r2f = HarlDriver::load_r2f(dir, "app.dat");
-  EXPECT_EQ(r2f.region_count(), 2u);
-  EXPECT_EQ(r2f.physical(0), "app.dat.r0");
-
-  sim::Simulator sim;
-  pfs::Cluster cluster(sim, small_config());
-  const auto layout = HarlDriver::load_and_install(dir, "app.dat", cluster);
-  EXPECT_EQ(layout->region_count(), 2u);
-  EXPECT_TRUE(cluster.mds().has_file("app.dat"));
-  EXPECT_TRUE(cluster.mds().has_file("app.dat.r0"));
-  EXPECT_TRUE(cluster.mds().has_file("app.dat.r1"));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(HarlDriver, MissingArtifactsThrow) {
-  EXPECT_THROW(HarlDriver::load_rst("/nonexistent", "x"), std::runtime_error);
-  EXPECT_THROW(HarlDriver::load_r2f("/nonexistent", "x"), std::runtime_error);
-  EXPECT_THROW(HarlDriver::load_plan("/nonexistent", "x"), std::runtime_error);
-}
-
-TEST(HarlDriver, PlanArtifactSaveLoadInstallRoundTrip) {
-  core::Plan plan;
-  plan.tier_counts = {2, 1};  // matches small_config()
-  plan.calibration_fingerprint = 77;
-  plan.rst.add(0, {16 * KiB, 64 * KiB});
-  plan.rst.add(128 * MiB, {36 * KiB, 144 * KiB});
-
-  const auto dir =
-      (std::filesystem::temp_directory_path() / "harl_driver_plan_test")
-          .string();
-  std::filesystem::create_directories(dir);
-  HarlDriver::save_plan(dir, "app.dat", plan);
-
-  const auto artifact = HarlDriver::load_plan(dir, "app.dat");
-  EXPECT_EQ(artifact.tier_counts, plan.tier_counts);
-  EXPECT_EQ(artifact.calibration_fingerprint, 77u);
-  ASSERT_EQ(artifact.region_files.size(), 2u);
-  EXPECT_EQ(artifact.region_files[0], "app.dat.r0");
-
-  sim::Simulator sim;
-  pfs::Cluster cluster(sim, small_config());
-  const auto layout = HarlDriver::install(artifact, "app.dat", cluster);
-  EXPECT_EQ(layout->region_count(), 2u);
-  EXPECT_TRUE(cluster.mds().has_file("app.dat"));
-  EXPECT_TRUE(cluster.mds().has_file("app.dat.r1"));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(HarlDriver, InstallRejectsWrongTierTable) {
-  core::PlanArtifact artifact;
-  artifact.tier_counts = {6, 2};  // small_config() is {2, 1}
-  artifact.rst.add(0, {16 * KiB, 64 * KiB});
-  sim::Simulator sim;
-  pfs::Cluster cluster(sim, small_config());
-  EXPECT_THROW(HarlDriver::install(artifact, "app.dat", cluster),
-               std::runtime_error);
 }
 
 }  // namespace

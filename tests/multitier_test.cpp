@@ -5,12 +5,14 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "src/common/rng.hpp"
 #include "src/core/plan_artifact.hpp"
 #include "src/core/planner.hpp"
 #include "src/core/stripe_optimizer.hpp"
-#include "src/middleware/harl_driver.hpp"
+#include "src/harness/scheme.hpp"
 #include "src/pfs/cluster.hpp"
 #include "src/sim/simulator.hpp"
 #include "src/storage/profiles.hpp"
@@ -305,9 +307,9 @@ TEST(TieredIntegration, AwareLayoutBeatsUniformInSimulation) {
 
 TEST(TieredIntegration, PlannerToPlacementUsesOnePath) {
   // Full three-tier pipeline on the generic tier-vector representation:
-  // trace -> analyze -> Plan artifact round trip -> HarlDriver
-  // install on a three-tier cluster -> simulated I/O.  Exactly the same
-  // placement code the two-tier path uses.
+  // trace -> analyze -> Plan artifact round trip -> validated install on a
+  // three-tier cluster -> simulated I/O.  Exactly the same placement code
+  // the two-tier path uses.
   const auto p = three_tier_params();
   std::vector<trace::TraceRecord> records;
   {
@@ -341,12 +343,14 @@ TEST(TieredIntegration, PlannerToPlacementUsesOnePath) {
   const std::string path =
       ::testing::TempDir() + "/three_tier_roundtrip.plan";
   core::save_plan(core::PlanArtifact::from_plan(plan), path);
-  const core::PlanArtifact loaded = core::load_plan(path);
+  const core::Plan loaded =
+      harness::load_validated_plan(path, three_tier_config(), p);
   EXPECT_EQ(loaded.tier_counts, plan.tier_counts);
+  EXPECT_EQ(loaded.rst.entries(), plan.rst.entries());
 
   sim::Simulator sim;
   pfs::Cluster cluster(sim, three_tier_config());
-  const auto layout = mw::HarlDriver::install(loaded, "mt.dat", cluster);
+  const auto layout = harness::place_plan(loaded);
   ASSERT_NE(layout, nullptr);
   EXPECT_EQ(layout->server_count(), 8u);
   EXPECT_EQ(layout->region_count(), loaded.rst.size());
@@ -359,13 +363,52 @@ TEST(TieredIntegration, PlannerToPlacementUsesOnePath) {
 }
 
 TEST(TieredIntegration, InstallRejectsMismatchedTierTable) {
-  core::PlanArtifact artifact;
-  artifact.tier_counts = {6, 2};  // two-tier plan against a 3-tier cluster
-  artifact.rst.add(0, {16 * KiB, 64 * KiB});
-  sim::Simulator sim;
-  pfs::Cluster cluster(sim, three_tier_config());
-  EXPECT_THROW(mw::HarlDriver::install(artifact, "mt.dat", cluster),
-               std::runtime_error);
+  // The one install check on a three-tier cluster: the plan's own artifact
+  // installs; a foreign fingerprint, tier table or device table is refused
+  // with an error naming the check that failed.
+  const auto p = three_tier_params();
+  core::PlanArtifact own;
+  own.tier_counts = {4, 2, 2};
+  own.calibration_fingerprint = core::params_fingerprint(p);
+  own.rst.add(0, {16 * KiB, 64 * KiB, 128 * KiB}, {4, 2, 1});
+
+  core::PlanArtifact stale = own;
+  stale.calibration_fingerprint ^= 1;
+  core::PlanArtifact two_tier = own;  // a two-tier plan on a 3-tier cluster
+  two_tier.tier_counts = {6, 2};
+  two_tier.rst = {};
+  two_tier.rst.add(0, {16 * KiB, 64 * KiB});
+  core::PlanArtifact aged = own;  // planned for an aged NVMe tier
+  aged.device_factors = {{}, {}, {1.0, 2.0}};
+
+  const struct {
+    const char* name;
+    const core::PlanArtifact& artifact;
+    const char* error;  ///< nullptr: installs
+  } cases[] = {{"own", own, nullptr},
+               {"stale", stale, "different calibration"},
+               {"two_tier", two_tier, "tier table"},
+               {"aged", aged, "device-factor table"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path =
+        ::testing::TempDir() + "/three_tier_" + c.name + ".plan";
+    core::save_plan(c.artifact, path);
+    if (c.error == nullptr) {
+      EXPECT_EQ(harness::place_plan(harness::load_validated_plan(
+                                        path, three_tier_config(), p))
+                    ->server_count(),
+                8u);
+      continue;
+    }
+    try {
+      harness::load_validated_plan(path, three_tier_config(), p);
+      ADD_FAILURE() << "installed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.error), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -202,7 +202,7 @@ TEST(PlannerParallel, CoalescingCountersAddUpPerRegion) {
   }
 }
 
-TEST(PlannerParallel, BtioTraceMatchesSerialBruteForce) {
+TEST(PlannerParallel, BtioTraceMatchesSerial) {
   const auto records = btio_trace();
   const TieredCostParams params = calibrated_params();
   ThreadPool pool(4);
@@ -211,7 +211,7 @@ TEST(PlannerParallel, BtioTraceMatchesSerialBruteForce) {
                    analyze(records, params, opts.baseline));
 }
 
-TEST(PlannerParallel, RandomTracesMatchSerialBruteForce) {
+TEST(PlannerParallel, RandomTracesMatchSerial) {
   const TieredCostParams params = calibrated_params();
   ThreadPool pool(4);
   const OptionPair opts = option_pair(&pool);
@@ -237,7 +237,7 @@ TEST(PlannerParallel, PresortedInputMatchesUnsorted) {
   expect_identical(analyze(records, params), from_unsorted);
 }
 
-TEST(PlannerParallel, CarlMatchesSerialBruteForce) {
+TEST(PlannerParallel, CarlMatchesSerial) {
   // CARL's parallel grain is (region, tier): two single-tier searches per
   // region, all concurrent, reassembled by index.
   const auto records = random_trace(11);
@@ -248,7 +248,7 @@ TEST(PlannerParallel, CarlMatchesSerialBruteForce) {
                    analyze_carl(records, params, 1 * GiB, opts.baseline));
 }
 
-TEST(PlannerParallel, SegmentLevelMatchesSerialBruteForce) {
+TEST(PlannerParallel, SegmentLevelMatchesSerial) {
   const auto records = random_trace(13);
   const TieredCostParams params = calibrated_params();
   ThreadPool pool(4);
