@@ -1,6 +1,7 @@
 #include "src/harness/experiment.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -140,6 +141,96 @@ void record_cache_metrics(obs::MetricsRegistry& metrics,
               static_cast<double>(stats.active_devices));
 }
 
+/// The one execution path: `bundle` on a fresh cluster under `layout`,
+/// traced into `collector` when set, measurements added to `result`.  A
+/// null `scheme` is the bare Tracing Phase; else `scheme`'s measured run,
+/// with the cache and recorder `options` arm (the recorder prices requests
+/// with `params`).
+SchemeResult execute(const ExperimentOptions& options,
+                     const core::TieredCostParams* params,
+                     const WorkloadBundle& bundle,
+                     std::shared_ptr<const pfs::Layout> layout,
+                     const LayoutScheme* scheme,
+                     trace::TraceCollector* collector, SchemeResult result) {
+  // The observer must be in place before the cluster is built so components
+  // register their tracks.
+  sim::Simulator sim;
+  if (scheme != nullptr && options.observe) {
+    result.obs =
+        std::make_shared<obs::Recorder>(options.recorder, options.telemetry);
+    if (obs::HealthMonitor* health = result.obs->health()) {
+      result.health = std::shared_ptr<obs::HealthMonitor>(result.obs, health);
+    }
+    sim.set_observer(result.obs.get());
+  }
+  // Devices the measured run's cache covers: the plan's reservation when the
+  // Analysis Phase was cache-aware, the configured count for blind and
+  // non-plan schemes (see ExperimentOptions::cache).
+  std::size_t cache_devices = 0;
+  if (scheme != nullptr && options.cache.enabled()) {
+    if (result.plan && result.plan->cache) {
+      cache_devices = result.plan->cache->devices;
+    } else if (options.cache.blind || !scheme->produces_plan()) {
+      cache_devices = options.cache.devices;
+    }
+  }
+  pfs::Cluster cluster(sim, options.cluster);
+  std::unique_ptr<pfs::CacheManager> cache_manager;
+  if (cache_devices > 0) {
+    pfs::CacheManager::Config cache_config;
+    cache_config.budget = options.cache.budget;
+    cache_config.chunk = options.cache.chunk;
+    cache_config.devices = cache_devices;
+    cache_config.policy = options.cache.policy;
+    cache_config.blind = options.cache.blind;
+    cache_manager = std::make_unique<pfs::CacheManager>(cluster, cache_config);
+    for (std::size_t i = 0; i < cluster.num_clients(); ++i) {
+      cluster.client(i).set_cache(cache_manager.get());
+    }
+  }
+  if (result.obs) {
+    result.obs->set_predictor(make_predictor(layout, *params));
+    if (result.plan) record_plan_metrics(result.obs->metrics(), *result.plan);
+  }
+  mw::MpiWorld world(cluster, bundle.processes);
+  mw::ProgramRunner runner(world, bundle.name, std::move(layout), collector,
+                           options.collective);
+
+  for (const auto* programs : bundle.phases()) {
+    if (programs->empty()) continue;
+    const mw::RunResult r = runner.run(*programs);
+    if (r.bytes_written > 0 && r.bytes_read == 0) {
+      result.write.makespan += r.makespan;
+      result.write.bytes += r.bytes_written;
+    } else if (r.bytes_read > 0 && r.bytes_written == 0) {
+      result.read.makespan += r.makespan;
+      result.read.bytes += r.bytes_read;
+    } else {
+      // Mixed phase: attribute to both proportionally via totals only.
+      result.write.bytes += r.bytes_written;
+      result.read.bytes += r.bytes_read;
+    }
+    result.total.makespan += r.makespan;
+    result.total.bytes += r.bytes_read + r.bytes_written;
+  }
+
+  if (result.health) result.health->finalize();
+
+  if (cache_manager != nullptr) {
+    result.cache = cache_manager->stats();
+    if (result.obs) {
+      record_cache_metrics(result.obs->metrics(), *result.cache);
+    }
+  }
+
+  result.server_io_time.reserve(cluster.num_servers());
+  for (std::size_t i = 0; i < cluster.num_servers(); ++i) {
+    result.server_io_time.push_back(cluster.server_io_time(i));
+  }
+  result.sim_stats = sim.stats();
+  return result;
+}
+
 }  // namespace
 
 WorkloadBundle ior_bundle(const workloads::IorConfig& config) {
@@ -219,32 +310,23 @@ const core::TieredCostParams& Experiment::cost_params() {
 
 std::vector<trace::TraceRecord> Experiment::collect_trace(
     const WorkloadBundle& bundle) const {
-  // Tracing Phase: first execution on the default fixed-stripe layout with
-  // the IOSIG-like collector attached.
-  sim::Simulator sim;
-  pfs::Cluster cluster(sim, options_.cluster);
-  mw::MpiWorld world(cluster, bundle.processes);
   trace::TraceCollector collector;
-  auto layout = pfs::make_fixed_layout(cluster.num_servers(),
-                                       options_.tracing_stripe);
-  mw::ProgramRunner runner(world, bundle.name, layout, &collector,
-                           options_.collective);
-  if (!bundle.write_programs.empty()) runner.run(bundle.write_programs);
-  if (!bundle.read_programs.empty()) runner.run(bundle.read_programs);
-  if (!bundle.mixed_programs.empty()) runner.run(bundle.mixed_programs);
+  execute(options_, nullptr, bundle,
+          pfs::make_fixed_layout(options_.cluster.num_servers(),
+                                 options_.tracing_stripe),
+          nullptr, &collector, {});
   return collector.sorted_by_offset();
 }
 
 SchemeResult Experiment::run(const WorkloadBundle& bundle,
                              const LayoutScheme& scheme) {
-  std::vector<trace::TraceRecord> trace_records;
-  if (scheme.needs_analysis()) trace_records = collect_trace(bundle);
-  return run_with_trace(bundle, scheme, trace_records);
+  return std::move(run_all(bundle, {scheme}).front());
 }
 
 SchemeResult Experiment::run_with_trace(
     const WorkloadBundle& bundle, const LayoutScheme& scheme,
-    std::span<const trace::TraceRecord> trace_records) {
+    std::span<const trace::TraceRecord> trace_records,
+    trace::TraceCollector* collector) {
   if (bundle.write_programs.empty() && bundle.read_programs.empty() &&
       bundle.mixed_programs.empty()) {
     throw std::invalid_argument("workload bundle has no programs");
@@ -274,113 +356,40 @@ SchemeResult Experiment::run_with_trace(
     result.region_count = plan.rst.size();
     result.plan = std::move(plan);
   }
-
-  // Measured run on a fresh cluster; the observer must be in place before
-  // the cluster is built so components register their tracks.
-  sim::Simulator sim;
-  if (options_.observe) {
-    result.obs =
-        std::make_shared<obs::Recorder>(options_.recorder, options_.telemetry);
-    if (obs::HealthMonitor* health = result.obs->health()) {
-      result.health = std::shared_ptr<obs::HealthMonitor>(result.obs, health);
-    }
-    sim.set_observer(result.obs.get());
-  }
-  // Devices the measured run's cache covers: the plan's reservation when the
-  // Analysis Phase was cache-aware, the configured count for blind and
-  // non-plan schemes (see ExperimentOptions::cache).
-  std::size_t cache_devices = 0;
-  if (options_.cache.enabled()) {
-    if (result.plan && result.plan->cache) {
-      cache_devices = result.plan->cache->devices;
-    } else if (options_.cache.blind || !scheme.produces_plan()) {
-      cache_devices = options_.cache.devices;
-    }
-  }
-  pfs::Cluster cluster(sim, options_.cluster);
-  std::unique_ptr<pfs::CacheManager> cache_manager;
-  if (cache_devices > 0) {
-    pfs::CacheManager::Config cache_config;
-    cache_config.budget = options_.cache.budget;
-    cache_config.chunk = options_.cache.chunk;
-    cache_config.devices = cache_devices;
-    cache_config.policy = options_.cache.policy;
-    cache_config.blind = options_.cache.blind;
-    cache_manager = std::make_unique<pfs::CacheManager>(cluster, cache_config);
-    for (std::size_t i = 0; i < cluster.num_clients(); ++i) {
-      cluster.client(i).set_cache(cache_manager.get());
-    }
-  }
-  if (result.obs) {
-    result.obs->set_predictor(
-        make_predictor(layout, cost_params()));
-    if (result.plan) record_plan_metrics(result.obs->metrics(), *result.plan);
-  }
-  mw::MpiWorld world(cluster, bundle.processes);
-  mw::ProgramRunner runner(world, bundle.name, layout, nullptr,
-                           options_.collective);
-
-  auto run_phase = [&](const std::vector<mw::RankProgram>& programs,
-                       bool separate_rw) {
-    if (programs.empty()) return;
-    const mw::RunResult r = runner.run(programs);
-    if (separate_rw) {
-      if (r.bytes_written > 0 && r.bytes_read == 0) {
-        result.write.makespan += r.makespan;
-        result.write.bytes += r.bytes_written;
-      } else if (r.bytes_read > 0 && r.bytes_written == 0) {
-        result.read.makespan += r.makespan;
-        result.read.bytes += r.bytes_read;
-      } else {
-        // Mixed phase: attribute to both proportionally via totals only.
-        result.write.bytes += r.bytes_written;
-        result.read.bytes += r.bytes_read;
-      }
-    }
-    result.total.makespan += r.makespan;
-    result.total.bytes += r.bytes_read + r.bytes_written;
-  };
-
-  run_phase(bundle.write_programs, true);
-  run_phase(bundle.read_programs, true);
-  run_phase(bundle.mixed_programs, true);
-
-  if (result.health) result.health->finalize();
-
-  if (cache_manager != nullptr) {
-    result.cache = cache_manager->stats();
-    if (result.obs) {
-      record_cache_metrics(result.obs->metrics(), *result.cache);
-    }
-  }
-
-  result.server_io_time.reserve(cluster.num_servers());
-  for (std::size_t i = 0; i < cluster.num_servers(); ++i) {
-    result.server_io_time.push_back(cluster.server_io_time(i));
-  }
-  result.sim_stats = sim.stats();
-  return result;
+  return execute(options_, &cost_params(), bundle, std::move(layout), &scheme,
+                 collector, std::move(result));
 }
 
 std::vector<SchemeResult> Experiment::run_all(
     const WorkloadBundle& bundle, const std::vector<LayoutScheme>& schemes) {
-  // Trace the first execution once: the collector's output depends only on
-  // the bundle and the fixed tracing layout, so every analysis-based scheme
-  // can share it (and the planner reuses its sorted order in place).
-  std::vector<trace::TraceRecord> trace_records;
-  for (const auto& scheme : schemes) {
-    if (scheme.needs_analysis()) {
-      trace_records = collect_trace(bundle);
-      break;
-    }
-  }
   // Calibrate before fanning out: run_with_trace only reads the cached
   // params once they exist, so pre-warming makes it safe to evaluate the
   // schemes concurrently (each on its own simulated cluster).
   if (!schemes.empty()) cost_params();
   std::vector<SchemeResult> results(schemes.size());
+  // Trace the first execution once and share its sorted records with every
+  // analysis scheme.  A cache-less fixed scheme at the tracing stripe *is*
+  // that execution, so its measured run carries the collector.
+  const bool analysis = std::any_of(schemes.begin(), schemes.end(),
+                                    std::mem_fn(&LayoutScheme::needs_analysis));
+  const std::size_t traced =
+      analysis && !options_.cache.enabled()
+          ? std::find(schemes.begin(), schemes.end(),
+                      LayoutScheme::fixed(options_.tracing_stripe)) -
+                schemes.begin()
+          : schemes.size();
+  std::vector<trace::TraceRecord> trace_records;
+  if (traced < schemes.size()) {
+    trace::TraceCollector collector;
+    results[traced] = run_with_trace(bundle, schemes[traced], {}, &collector);
+    trace_records = collector.sorted_by_offset();
+  } else if (analysis) {
+    trace_records = collect_trace(bundle);
+  }
   for_indices(options_.pool, schemes.size(), [&](std::size_t i) {
-    results[i] = run_with_trace(bundle, schemes[i], trace_records);
+    if (i != traced) {
+      results[i] = run_with_trace(bundle, schemes[i], trace_records);
+    }
   });
   return results;
 }

@@ -3,11 +3,13 @@
 //
 // This is the machinery every bench binary and example shares.  A run of an
 // analysis-based scheme reproduces the paper's full pipeline: a traced first
-// execution on the default fixed layout (Tracing Phase), offline analysis
-// with the calibrated cost model (Analysis Phase), then the measured run on
-// the optimized layout placed through the middleware (Placing Phase).
+// execution on the default fixed layout (Tracing Phase; one simulated run
+// when that layout is also measured, DESIGN.md §20), offline analysis with
+// the calibrated cost model (Analysis Phase), then the measured run on the
+// optimized layout placed through the middleware (Placing Phase).
 #pragma once
 
+#include <array>
 #include <optional>
 #include <span>
 #include <string>
@@ -37,6 +39,11 @@ struct WorkloadBundle {
   std::vector<mw::RankProgram> write_programs;  ///< phase 1 (optional)
   std::vector<mw::RankProgram> read_programs;   ///< phase 2 (optional)
   std::vector<mw::RankProgram> mixed_programs;  ///< single mixed run (BTIO)
+
+  /// The three phases in run order (some may be empty).
+  std::array<const std::vector<mw::RankProgram>*, 3> phases() const {
+    return {&write_programs, &read_programs, &mixed_programs};
+  }
 };
 
 /// IOR: a write pass and a read pass over the same offsets.
@@ -149,14 +156,16 @@ class Experiment {
   /// Runs one scheme against a pre-collected first-execution trace (already
   /// in ByOffset order).  Lets callers trace once and evaluate many schemes
   /// without re-tracing or re-sorting; `trace_records` may be empty for
-  /// schemes that need no analysis.
+  /// schemes that need no analysis.  `collector`, when set, traces the run.
   SchemeResult run_with_trace(const WorkloadBundle& bundle,
                               const LayoutScheme& scheme,
-                              std::span<const trace::TraceRecord> trace_records);
+                              std::span<const trace::TraceRecord> trace_records,
+                              trace::TraceCollector* collector = nullptr);
 
-  /// Convenience: run several schemes against the same workload.  The
-  /// first-execution trace is collected (and sorted) once and shared by
-  /// every analysis-based scheme.
+  /// Runs several schemes against one workload, results in scheme order.
+  /// Every analysis scheme shares one first-execution trace: the measured
+  /// run of a `fixed(tracing_stripe)` scheme, traced, when there is one and
+  /// no cache arm; else collect_trace().
   std::vector<SchemeResult> run_all(const WorkloadBundle& bundle,
                                     const std::vector<LayoutScheme>& schemes);
 
@@ -165,9 +174,9 @@ class Experiment {
 
   const ExperimentOptions& options() const { return options_; }
 
-  /// Tracing Phase: runs `bundle` once on a private cluster under the fixed
-  /// tracing layout and returns its trace sorted by offset.  Reads only the
-  /// options, so concurrent calls are safe.
+  /// Tracing Phase: runs `bundle` once under the fixed tracing layout, with
+  /// no recorder or cache, and returns its trace (fd 0 whatever the name)
+  /// sorted by offset.  Reads only the options: concurrent calls are safe.
   std::vector<trace::TraceRecord> collect_trace(
       const WorkloadBundle& bundle) const;
 

@@ -1,6 +1,7 @@
 #include "src/harness/population.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -21,10 +22,8 @@ namespace {
 /// the in-file ordering matches sequential ProgramRunner::run calls while
 /// other files' traffic interleaves freely.
 std::vector<mw::RankProgram> combined_programs(const WorkloadBundle& bundle) {
-  const std::vector<mw::RankProgram>* phases[] = {
-      &bundle.write_programs, &bundle.read_programs, &bundle.mixed_programs};
   std::vector<mw::RankProgram> combined;
-  for (const auto* phase : phases) {
+  for (const auto* phase : bundle.phases()) {
     if (phase->empty()) continue;
     if (combined.empty()) {
       combined = *phase;
@@ -43,6 +42,40 @@ std::vector<mw::RankProgram> combined_programs(const WorkloadBundle& bundle) {
     throw std::invalid_argument("workload bundle has no programs");
   }
   return combined;
+}
+
+/// FNV-1a over whole words of the process count and every action of every
+/// phase: files with equal programs hash equal, so twins are only compared
+/// on a hash match.
+std::uint64_t programs_hash(const WorkloadBundle& bundle) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  };
+  mix(bundle.processes);
+  for (const auto* phase : bundle.phases()) {
+    mix(phase->size());
+    for (const mw::RankProgram& program : *phase) {
+      mix(program.size());
+      for (const mw::IoAction& action : program) {
+        mix(static_cast<std::uint64_t>(action.kind));
+        mix(static_cast<std::uint64_t>(action.op));
+        mix(std::bit_cast<std::uint64_t>(action.compute));
+        for (const mw::Extent& e : action.extents) {
+          mix(e.offset);
+          mix(e.size);
+        }
+      }
+    }
+  }
+  return h;
+}
+
+bool same_programs(const WorkloadBundle& a, const WorkloadBundle& b) {
+  return a.processes == b.processes && a.write_programs == b.write_programs &&
+         a.read_programs == b.read_programs &&
+         a.mixed_programs == b.mixed_programs;
 }
 
 }  // namespace
@@ -164,10 +197,26 @@ PopulationPlans plan_population(Experiment& experiment,
   core::BoundTable bounds;
   core::PlannerOptions planner = options.planner;
   planner.optimizer.bounds = &bounds;
+  // A file whose programs equal an earlier file's is that file's twin: its
+  // solo trace, and so its layout and plan, are its first twin's.
+  std::vector<std::uint64_t> hashes(nfiles);
+  std::vector<std::size_t> first_twin(nfiles);
+  std::vector<std::size_t> distinct;
+  for (std::size_t i = 0; i < nfiles; ++i) {
+    hashes[i] = programs_hash(population[i].bundle);
+    const auto twin =
+        std::find_if(distinct.begin(), distinct.end(), [&](std::size_t j) {
+          return hashes[j] == hashes[i] &&
+                 same_programs(population[j].bundle, population[i].bundle);
+        });
+    first_twin[i] = twin == distinct.end() ? i : *twin;
+    if (first_twin[i] == i) distinct.push_back(i);
+  }
   PopulationPlans plans;
   plans.layouts.resize(nfiles);
   plans.plans.resize(nfiles);
-  for_indices(options.pool, nfiles, [&](std::size_t i) {
+  for_indices(options.pool, distinct.size(), [&](std::size_t k) {
+    const std::size_t i = distinct[k];
     std::vector<trace::TraceRecord> records;
     if (scheme.needs_analysis()) {
       records = experiment.collect_trace(population[i].bundle);
@@ -175,8 +224,16 @@ PopulationPlans plan_population(Experiment& experiment,
     core::Plan plan;
     plans.layouts[i] = build_layout(scheme, options.cluster, records, params,
                                     planner, &plan);
-    if (scheme.produces_plan()) plans.plans[i] = std::move(plan);
+    if (scheme.produces_plan()) {
+      plans.plans[i] = std::make_shared<const core::Plan>(std::move(plan));
+    }
   });
+  for (std::size_t i = 0; i < nfiles; ++i) {
+    if (first_twin[i] == i) continue;
+    plans.layouts[i] = plans.layouts[first_twin[i]];
+    plans.plans[i] = plans.plans[first_twin[i]];
+  }
+  plans.traced_files = scheme.needs_analysis() ? distinct.size() : 0;
   plans.bounds_filled = bounds.filled();
   plans.bound_reads = bounds.reads();
   return plans;

@@ -11,8 +11,9 @@
 //     each file gets one of a rotating set of workload shapes (sequential
 //     IOR, random IOR, multi-region) so per-file plans genuinely differ;
 //
-//   * run_population(): the measured namespace run — every file's offline
-//     pipeline (trace, analysis, plan) runs on a private cluster first, then
+//   * run_population(): the measured namespace run — every distinct file's
+//     offline pipeline (trace, analysis, plan) runs on a private cluster
+//     first (a file with an earlier twin's programs reuses its plan), then
 //     ALL files launch concurrently on ONE shared simulated cluster
 //     (ProgramRunner::launch/finish), with per-file replica placement chosen
 //     by the cost model, a shared read cache keyed by (file, chunk), and —
@@ -82,10 +83,17 @@ std::vector<PopulationFile> make_population(const PopulationSpec& spec);
 /// private cluster, analysis, layout), fanned out over the experiment's
 /// pool.  All files' Algorithm 2 searches share one core::BoundTable, so an
 /// offset minimum that recurs across files is computed once; plans and
-/// layouts are bit-identical to planning each file alone.
+/// layouts are bit-identical to planning each file alone.  A file whose
+/// process count and write/read/mixed programs equal an earlier file's (its
+/// twin; the name does not count, as the solo trace records fd 0) is not
+/// traced or planned again: it shares the first twin's layout and plan.
 struct PopulationPlans {
   std::vector<std::shared_ptr<const pfs::Layout>> layouts;
-  std::vector<std::optional<core::Plan>> plans;  ///< plan schemes only
+  /// Plan schemes only; twins share one plan, as they share one layout.
+  std::vector<std::shared_ptr<const core::Plan>> plans;
+  /// Files whose pipeline actually ran a Tracing Phase: the distinct ones
+  /// under an analysis scheme, 0 under any other.
+  std::size_t traced_files = 0;
   std::uint64_t bounds_filled = 0;  ///< offset minima the table computed
   /// Minimum-branch bound reads by all searches: what planning each file
   /// alone would have computed.

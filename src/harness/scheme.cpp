@@ -120,19 +120,16 @@ std::shared_ptr<const pfs::Layout> build_layout(
     const core::TieredCostParams& params,
     const core::PlannerOptions& planner_options, core::Plan* plan_out,
     const core::CachePlannerOptions& cache_options) {
-  const std::size_t M = cluster.num_hservers;
-  const std::size_t N = cluster.num_sservers;
-
   core::Plan plan;
   switch (scheme.kind) {
     case SchemeKind::kFixed:
-      return pfs::make_fixed_layout(M + N, scheme.fixed_stripe);
+      return pfs::make_fixed_layout(cluster.num_servers(), scheme.fixed_stripe);
 
     case SchemeKind::kRandomStripes: {
       // Independent random power-of-two stripe per server in [16K, 2M],
       // the paper's "randomly varied stripe sizes" strategy.
       Rng rng(scheme.random_seed * 0x9E3779B97F4A7C15ULL + 1);
-      std::vector<Bytes> stripes(M + N);
+      std::vector<Bytes> stripes(cluster.num_servers());
       for (auto& st : stripes) {
         st = (16 * KiB) << rng.uniform_u64(0, 7);  // 16K..2M
       }
@@ -185,14 +182,16 @@ core::Plan load_validated_plan(const std::string& path,
     throw std::runtime_error(
         "plan artifact was produced under a different calibration: " + path);
   }
-  std::vector<std::size_t> counts;
+  // Plans index tiers in the two-tier (M, N) view, a zero-count tier
+  // keeping its slot, unless `cluster.tiers` lists the groups.
+  std::vector<pfs::TierGroup> groups = cluster.effective_tiers();
   if (cluster.tiers.empty()) {
-    counts = {cluster.num_hservers, cluster.num_sservers};
-  } else {
-    for (const pfs::TierGroup& tier : cluster.tiers) {
-      counts.push_back(tier.count);
-    }
+    std::vector<pfs::TierGroup> two_tier(2);
+    for (pfs::TierGroup& g : groups) two_tier[g.is_ssd ? 1 : 0] = std::move(g);
+    groups = std::move(two_tier);
   }
+  std::vector<std::size_t> counts;
+  for (const pfs::TierGroup& tier : groups) counts.push_back(tier.count);
   if (artifact.tier_counts != counts) {
     throw std::runtime_error(
         "plan artifact tier table does not match the cluster: " + path);
@@ -200,8 +199,7 @@ core::Plan load_validated_plan(const std::string& path,
   // A plan computed against a different device fleet must not install:
   // its member restrictions and stripe choices assume per-slot speeds
   // this cluster does not have.
-  if (!device_table_matches(artifact.device_factors,
-                            cluster.effective_tiers())) {
+  if (!device_table_matches(artifact.device_factors, groups)) {
     throw std::runtime_error(
         "plan artifact device-factor table does not match the cluster's "
         "fleet: " +

@@ -73,6 +73,8 @@ struct LayoutScheme {
   bool produces_plan() const {
     return needs_analysis() || kind == SchemeKind::kLoadedPlan;
   }
+
+  friend bool operator==(const LayoutScheme&, const LayoutScheme&) = default;
 };
 
 /// Materializes a scheme into a concrete layout for `cluster`.  For
@@ -84,6 +86,8 @@ struct LayoutScheme {
 /// the returned layout withholds those devices from every region.  Loaded
 /// plan artifacts honour their own embedded cache section instead.  Every
 /// plan, analyzed or loaded, becomes its layout through place_plan().
+/// Fixed and random layouts span every server of the cluster
+/// (ClusterConfig::num_servers), on two-tier and k-tier fleets alike.
 std::shared_ptr<const pfs::Layout> build_layout(
     const LayoutScheme& scheme, const pfs::ClusterConfig& cluster,
     std::span<const trace::TraceRecord> trace_records,
@@ -96,9 +100,9 @@ std::shared_ptr<const pfs::Layout> build_layout(
 /// cluster it was computed for.  Its calibration fingerprint must equal
 /// params_fingerprint(params), its tier table the cluster's servers per
 /// tier (the two-tier (M, N) view, zero-count tiers included, unless
-/// `cluster.tiers` lists the groups), and its device-factor table the
-/// cluster's fleet within a relative 1e-6.  Throws std::runtime_error
-/// naming `path` and the failed check.
+/// `cluster.tiers` lists the groups), and its device-factor table, slot
+/// by slot in that same view, the cluster's fleet within a relative 1e-6.
+/// Throws std::runtime_error naming `path` and the failed check.
 core::Plan load_validated_plan(const std::string& path,
                                const pfs::ClusterConfig& cluster,
                                const core::TieredCostParams& params);

@@ -65,6 +65,8 @@ struct IoAction {
     a.kind = Kind::kBarrier;
     return a;
   }
+
+  friend bool operator==(const IoAction&, const IoAction&) = default;
 };
 
 using RankProgram = std::vector<IoAction>;

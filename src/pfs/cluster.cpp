@@ -41,6 +41,13 @@ std::vector<TierGroup> ClusterConfig::effective_tiers() const {
   return groups;
 }
 
+std::size_t ClusterConfig::num_servers() const {
+  if (tiers.empty()) return num_hservers + num_sservers;
+  std::size_t total = 0;
+  for (const TierGroup& g : tiers) total += g.count;
+  return total;
+}
+
 std::vector<std::size_t> Cluster::tier_counts() const {
   std::vector<std::size_t> counts;
   counts.reserve(tiers_.size());

@@ -98,6 +98,10 @@ struct ClusterConfig {
   /// ascending, all-1.0 collapsed to empty); throws std::invalid_argument
   /// when a non-empty factor vector's size disagrees with its tier count.
   std::vector<TierGroup> effective_tiers() const;
+
+  /// Servers over every tier: the sum of `tiers`' counts when it is set,
+  /// else num_hservers + num_sservers.  Equals Cluster::num_servers().
+  std::size_t num_servers() const;
 };
 
 class Cluster {

@@ -7,6 +7,7 @@
 #include <ios>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/common/thread_pool.hpp"
@@ -241,6 +242,66 @@ TEST(HarnessParallel, PopulationPlansShareOneBoundTableAtEveryPoolWidth) {
     EXPECT_EQ(plan_fingerprint(*runs[1].plans[i], *runs[1].layouts[i]), want)
         << "file " << i;
   }
+}
+
+TEST(HarnessParallel, RepeatedFilesShareOneTraceAndPlan) {
+  // Sequential IOR ignores its seed, so files 0 and 3 of the six have equal
+  // programs under different names: their solo traces are equal, and the
+  // population traces and plans five files, file 3 sharing file 0's layout
+  // and plan.  Every plan must still equal planning its file alone, and
+  // neither the plans nor the measured run may depend on the pool width.
+  PopulationSpec spec;
+  spec.files = 6;
+  spec.tenants = 2;
+  spec.processes = 2;
+  spec.file_size = 2 * MiB;
+  spec.request_size = 128 * KiB;
+  const auto pop = make_population(spec);
+  const LayoutScheme scheme = LayoutScheme::harl();
+
+  Experiment alone(small_options(nullptr));
+  ASSERT_NE(pop[0].bundle.name, pop[3].bundle.name);
+  EXPECT_EQ(alone.collect_trace(pop[0].bundle),
+            alone.collect_trace(pop[3].bundle));
+
+  std::vector<std::string> want;
+  for (const PopulationFile& file : pop) {
+    core::Plan plan;
+    const auto layout = build_layout(
+        scheme, alone.options().cluster, alone.collect_trace(file.bundle),
+        alone.cost_params(), alone.options().planner, &plan);
+    want.push_back(plan_fingerprint(plan, *layout));
+  }
+
+  std::vector<std::string> measured;
+  for (const std::size_t width : {0u, 4u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    std::unique_ptr<ThreadPool> pool;
+    if (width > 0) pool = std::make_unique<ThreadPool>(width);
+    ExperimentOptions options = small_options(pool.get());
+    options.planner.pool = pool.get();
+    Experiment experiment(options);
+    const PopulationPlans plans = plan_population(experiment, pop, scheme);
+    EXPECT_EQ(plans.traced_files, 5u);
+    EXPECT_EQ(plans.layouts[3], plans.layouts[0]);
+    EXPECT_EQ(plans.plans[3], plans.plans[0]);
+    ASSERT_EQ(plans.plans.size(), pop.size());
+    for (std::size_t i = 0; i < pop.size(); ++i) {
+      ASSERT_TRUE(plans.plans[i]) << "file " << i;
+      EXPECT_EQ(plan_fingerprint(*plans.plans[i], *plans.layouts[i]), want[i])
+          << "file " << i;
+    }
+
+    const PopulationResult run = run_population(experiment, pop, scheme);
+    std::ostringstream os;
+    os << std::hexfloat << run.total.makespan << '|' << run.total.bytes;
+    for (const PopulationFileResult& f : run.files) {
+      os << '|' << f.layout_description << ':' << f.total.makespan;
+    }
+    for (const Seconds io_time : run.server_io_time) os << '|' << io_time;
+    measured.push_back(os.str());
+  }
+  EXPECT_EQ(measured[0], measured[1]);
 }
 
 }  // namespace

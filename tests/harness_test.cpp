@@ -2,15 +2,20 @@
 // and table formatting.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "src/common/thread_pool.hpp"
 #include "src/core/plan_artifact.hpp"
 #include "src/harness/calibration.hpp"
 #include "src/harness/experiment.hpp"
 #include "src/harness/scheme.hpp"
 #include "src/harness/table.hpp"
+#include "src/storage/profiles.hpp"
+#include "src/trace/collector.hpp"
 
 namespace harl::harness {
 namespace {
@@ -473,6 +478,227 @@ TEST(Scheme, LoadedPlanRejectsStaleCalibration) {
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find(c.error), std::string::npos)
           << e.what();
+    }
+  }
+}
+
+TEST(Scheme, LoadedPlanInstallsOnAClusterWithAnEmptyTier) {
+  // A fleet with no HServers and one aged SServer: the plan keeps a slot
+  // for the empty tier, and the device-factor check must read the cluster
+  // in that same (M, N) view to accept the plan it computed itself.
+  ExperimentOptions opts;
+  opts.cluster.num_hservers = 0;
+  opts.cluster.num_sservers = 2;
+  opts.cluster.ssd_factors = {1.0, 2.0};
+  opts.cluster.num_clients = 4;
+  opts.calibration.samples_per_size = 200;
+  opts.calibration.beta_samples = 200;
+
+  workloads::IorConfig ior;
+  ior.processes = 4;
+  ior.file_size = 64 * MiB;
+  ior.request_size = 512 * KiB;
+  ior.requests_per_process = 8;
+  const auto bundle = ior_bundle(ior);
+
+  Experiment exp(opts);
+  const auto harl = exp.run(bundle, LayoutScheme::harl());
+  ASSERT_TRUE(harl.plan.has_value());
+  ASSERT_EQ(harl.plan->tier_counts, (std::vector<std::size_t>{0, 2}));
+  const std::string path = ::testing::TempDir() + "/harness_empty_tier.plan";
+  core::save_plan(core::PlanArtifact::from_plan(*harl.plan), path);
+
+  const auto loaded = exp.run(bundle, LayoutScheme::from_plan_file(path));
+  EXPECT_EQ(loaded.layout_description, harl.layout_description);
+  EXPECT_EQ(loaded.total.makespan, harl.total.makespan);
+  EXPECT_EQ(loaded.region_count, harl.region_count);
+}
+
+TEST(Scheme, FixedAndRandomLayoutsSpanAKTierCluster) {
+  // Six servers over three tiers: the two-tier fields still say 6 + 2, but
+  // the fixed and random layouts must stripe over the six servers there are.
+  ExperimentOptions opts;
+  opts.cluster.tiers = {
+      pfs::TierGroup{"hdd", 2, storage::hdd_profile(), false, {}},
+      pfs::TierGroup{"sata", 2, storage::sata_ssd_profile(), true, {}},
+      pfs::TierGroup{"nvme", 2, storage::nvme_ssd_profile(), true, {}},
+  };
+  opts.cluster.num_clients = 2;
+  opts.calibration.samples_per_size = 50;
+  opts.calibration.beta_samples = 50;
+
+  workloads::IorConfig ior;
+  ior.processes = 4;
+  ior.file_size = 16 * MiB;
+  ior.request_size = 512 * KiB;
+  ior.requests_per_process = 4;
+
+  Experiment exp(opts);
+  const auto results = exp.run_all(
+      ior_bundle(ior),
+      {LayoutScheme::fixed(64 * KiB), LayoutScheme::random_stripes(1)});
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].layout_description, "6x64K");
+  for (const SchemeResult& r : results) {
+    SCOPED_TRACE(r.label);
+    EXPECT_EQ(r.total.bytes, 2u * 4u * 4u * 512 * KiB);
+    ASSERT_EQ(r.server_io_time.size(), 6u);
+    for (const Seconds io_time : r.server_io_time) EXPECT_GT(io_time, 0.0);
+  }
+}
+
+// --- The Tracing Phase is the default layout's measured run --------------
+
+/// A small cluster for the trace-reuse checks; `observe` arms the flight
+/// recorder, trace events and the telemetry plane with an SLO.
+ExperimentOptions reuse_options(ThreadPool* pool, bool observe) {
+  ExperimentOptions options;
+  options.cluster.num_hservers = 3;
+  options.cluster.num_sservers = 1;
+  options.cluster.num_clients = 2;
+  options.calibration.samples_per_size = 50;
+  options.calibration.beta_samples = 50;
+  options.pool = pool;
+  options.planner.pool = pool;
+  if (observe) {
+    options.observe = true;
+    options.recorder.trace = true;
+    options.telemetry.interval = 0.01;
+    options.telemetry.slo = 0.002;
+  }
+  return options;
+}
+
+/// IOR, BTIO (mixed programs with collective I/O) and multiregion, small.
+std::vector<WorkloadBundle> reuse_bundles() {
+  workloads::IorConfig ior;
+  ior.processes = 4;
+  ior.file_size = 64 * MiB;
+  ior.request_size = 128 * KiB;
+  ior.requests_per_process = 8;
+
+  workloads::BtioConfig btio;
+  btio.processes = 4;
+  btio.grid = 16;
+  btio.max_dumps = 2;
+
+  workloads::MultiRegionConfig multiregion;
+  multiregion.processes = 4;
+  multiregion.regions = {{4 * MiB, 64 * KiB}, {8 * MiB, 256 * KiB},
+                         {4 * MiB, MiB}};
+  return {ior_bundle(ior), btio_bundle(btio), multiregion_bundle(multiregion)};
+}
+
+/// Every measured number of a result (doubles exact) and, when observed,
+/// its metrics, trace events and telemetry exports.
+std::string result_fingerprint(const SchemeResult& r) {
+  std::ostringstream os;
+  os << std::hexfloat << r.label << '|' << r.layout_description << '|'
+     << r.region_count << '|' << r.write.makespan << '|' << r.write.bytes
+     << '|' << r.read.makespan << '|' << r.read.bytes << '|'
+     << r.total.makespan << '|' << r.total.bytes << '|'
+     << r.sim_stats.events_dispatched << '|' << r.sim_stats.peak_queue_depth;
+  for (const Seconds io_time : r.server_io_time) os << '|' << io_time;
+  if (r.obs) {
+    r.obs->write_metrics_json(os, 0);
+    bool first = true;
+    r.obs->append_trace_events(os, 1, r.label, first);
+  }
+  if (r.health) {
+    r.health->timeseries().write_json(os, 0);
+    r.health->write_json(os, 0);
+  }
+  return os.str();
+}
+
+TEST(Experiment, TracedFixedRunIsTheTracingPhase) {
+  // The measured run of the tracing layout records exactly collect_trace's
+  // records, and run_all, which reuses them, returns what tracing privately
+  // and running each scheme on that trace returns: for every workload
+  // shape, observed or not, with the 64K scheme first or last, serial or on
+  // a pool.
+  const std::vector<LayoutScheme> orders[] = {
+      {LayoutScheme::fixed(64 * KiB), LayoutScheme::harl()},
+      {LayoutScheme::harl(), LayoutScheme::fixed(64 * KiB)}};
+  for (const WorkloadBundle& bundle : reuse_bundles()) {
+    for (const bool observe : {false, true}) {
+      for (const std::size_t width : {0u, 4u}) {
+        SCOPED_TRACE(bundle.name + (observe ? " observed" : "") + " width " +
+                     std::to_string(width));
+        std::unique_ptr<ThreadPool> pool;
+        if (width > 0) pool = std::make_unique<ThreadPool>(width);
+        Experiment exp(reuse_options(pool.get(), observe));
+        const auto trace_records = exp.collect_trace(bundle);
+        ASSERT_FALSE(trace_records.empty());
+        trace::TraceCollector collector;
+        exp.run_with_trace(bundle, LayoutScheme::fixed(64 * KiB), {},
+                           &collector);
+        EXPECT_EQ(collector.sorted_by_offset(), trace_records);
+
+        for (const auto& schemes : orders) {
+          const auto got = exp.run_all(bundle, schemes);
+          ASSERT_EQ(got.size(), schemes.size());
+          for (std::size_t i = 0; i < schemes.size(); ++i) {
+            EXPECT_EQ(result_fingerprint(got[i]),
+                      result_fingerprint(exp.run_with_trace(
+                          bundle, schemes[i], trace_records)))
+                << schemes[i].label();
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Experiment, RunAllWithoutTheTracingRunTracesPrivately) {
+  // A cache arm changes the 64K run: Zipf re-reads hit the cache, so that
+  // run is not the Tracing Phase.  A harl-only list has no 64K run.  Both
+  // must take the trace from collect_trace and equal running each scheme
+  // on it.
+  workloads::ZipfConfig zipf;
+  zipf.file_size = 16 * MiB;
+  zipf.request_size = 64 * KiB;
+  zipf.processes = 4;
+  zipf.reads_per_process = 64;
+  ExperimentOptions cached = reuse_options(nullptr, false);
+  cached.cache.budget = 4 * MiB;
+  cached.cache.devices = 1;
+  {
+    Experiment exp(cached);
+    trace::TraceCollector collector;
+    const auto measured = exp.run_with_trace(
+        zipf_bundle(zipf), LayoutScheme::fixed(64 * KiB), {}, &collector);
+    ASSERT_TRUE(measured.cache.has_value());
+    ASSERT_GT(measured.cache->tier.hits, 0u);
+    ASSERT_NE(collector.sorted_by_offset(),
+              exp.collect_trace(zipf_bundle(zipf)));
+  }
+  const struct {
+    const char* name;
+    ExperimentOptions options;
+    WorkloadBundle bundle;
+    std::vector<LayoutScheme> schemes;
+  } cases[] = {
+      {"cache arm",
+       cached,
+       zipf_bundle(zipf),
+       {LayoutScheme::fixed(64 * KiB), LayoutScheme::harl()}},
+      {"harl only",
+       reuse_options(nullptr, false),
+       reuse_bundles().front(),
+       {LayoutScheme::harl()}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    Experiment exp(c.options);
+    const auto got = exp.run_all(c.bundle, c.schemes);
+    const auto trace_records = exp.collect_trace(c.bundle);
+    ASSERT_EQ(got.size(), c.schemes.size());
+    for (std::size_t i = 0; i < c.schemes.size(); ++i) {
+      EXPECT_EQ(result_fingerprint(got[i]),
+                result_fingerprint(
+                    exp.run_with_trace(c.bundle, c.schemes[i], trace_records)))
+          << c.schemes[i].label();
     }
   }
 }
