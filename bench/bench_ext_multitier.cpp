@@ -113,7 +113,7 @@ void run_tables() {
   for (Bytes req : {256 * KiB, 1 * MiB, 4 * MiB}) {
     const auto reqs = workload(req, 96);
     core::OptimizerOptions opts;
-    opts.step = req >= 4 * MiB ? 64 * KiB : 16 * KiB;
+    opts.step = req >= 4 * MiB ? 64 * KiB : 4 * KiB;  // the paper's step
 
     const auto aware =
         core::optimize_region(p3, reqs, static_cast<double>(req), opts);
@@ -148,7 +148,7 @@ void BM_ThreeTierOptimize(benchmark::State& state) {
   const auto p3 = tier_params();
   const auto reqs = workload(1 * MiB, 64);
   core::OptimizerOptions opts;
-  opts.step = 64 * KiB;
+  opts.step = 4 * KiB;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         core::optimize_region(p3, reqs, 1.0 * MiB, opts));

@@ -1,12 +1,12 @@
 // Micro-benchmarks of Algorithm 2 (region stripe-size determination):
-// runtime vs grid step, request count, thread-pool sharding of the bounds,
-// and the 1 MiB IOR region that dominates a single-file HARL run.  The paper
+// runtime vs grid step, request count and sampling, the 1 MiB IOR region
+// that dominates a single-file HARL run, and the three-tier 1 MiB region on
+// the paper's 4 KiB grid.  The paper
 // notes the search runs offline and "the computational overhead ... is
 // acceptable"; these benches quantify that.
 #include <benchmark/benchmark.h>
 
 #include "src/common/rng.hpp"
-#include "src/common/thread_pool.hpp"
 #include "src/core/stripe_optimizer.hpp"
 #include "src/storage/profiles.hpp"
 
@@ -73,22 +73,6 @@ BENCHMARK(BM_OptimizeRegion_RequestSweep)
     ->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
-void BM_OptimizeRegion_Parallel(benchmark::State& state) {
-  const TieredCostParams p = bench_params();
-  const auto reqs = requests(512, 512 * KiB);
-  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  OptimizerOptions opts;
-  opts.pool = state.range(0) > 1 ? &pool : nullptr;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(optimize_region(p, reqs, 512.0 * KiB, opts));
-  }
-}
-BENCHMARK(BM_OptimizeRegion_Parallel)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_OptimizeRegion_Sampling(benchmark::State& state) {
   const TieredCostParams p = bench_params();
   const auto reqs = requests(8192, 512 * KiB);
@@ -123,6 +107,36 @@ void BM_OptimizeRegion_Ior1M(benchmark::State& state) {
   state.counters["cost_evals"] = static_cast<double>(result.cost_evals);
 }
 BENCHMARK(BM_OptimizeRegion_Ior1M)->Unit(benchmark::kMillisecond);
+
+// The three-tier 1 MiB region of bench_ext_multitier (4 HDD + 2 SATA-SSD +
+// 2 NVMe, 96 requests) on the paper's 4 KiB grid: 2,862,208 candidates,
+// which the box scan bounds a box at a time.
+void BM_OptimizeRegion_ThreeTier1M(benchmark::State& state) {
+  TieredCostParams p;
+  p.t = 1.0 / (117.0 * 1024 * 1024);
+  storage::TierProfile hdd = storage::hdd_profile();
+  for (storage::OpProfile* prof : {&hdd.read, &hdd.write}) {
+    prof->per_byte += prof->startup_mean() / static_cast<double>(64 * KiB);
+    prof->startup_min *= 0.55;
+    prof->startup_max *= 0.55;
+  }
+  p.tiers = {TierSpec{4, hdd, {}}, TierSpec{2, storage::sata_ssd_profile(), {}},
+             TierSpec{2, storage::nvme_ssd_profile(), {}}};
+  const auto reqs = requests(96, 1 * MiB);
+  OptimizerOptions opts;
+  opts.step = 4 * KiB;
+  RegionStripes result;
+  for (auto _ : state) {
+    result = optimize_region(p, reqs, 1.0 * MiB, opts);
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["candidates"] =
+      static_cast<double>(result.candidates_evaluated);
+  state.counters["candidates_scored"] = static_cast<double>(
+      result.candidates_evaluated - result.candidates_pruned);
+  state.counters["floors"] = static_cast<double>(result.floors_computed);
+}
+BENCHMARK(BM_OptimizeRegion_ThreeTier1M)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace harl::core

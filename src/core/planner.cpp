@@ -80,15 +80,6 @@ void for_each_region(std::size_t count, const PlannerOptions& options,
   }
 }
 
-/// Per-region optimizer options for the region-parallel path: regions are
-/// the parallel grain, so the nested candidate sharding is disabled.
-OptimizerOptions region_grain_optimizer(const PlannerOptions& options,
-                                        std::size_t region_count) {
-  OptimizerOptions opt = options.optimizer;
-  if (options.pool != nullptr && region_count > 1) opt.pool = nullptr;
-  return opt;
-}
-
 /// The plan fields that describe the calibration: per-tier server counts,
 /// the device table and the fingerprint.
 void stamp_calibration(Plan& plan, const TieredCostParams& params) {
@@ -116,7 +107,6 @@ Plan plan_from_division(std::span<const trace::TraceRecord> sorted,
   plan.tuning_rounds = division.tuning_rounds;
 
   const std::size_t count = division.regions.size();
-  const OptimizerOptions opt_options = region_grain_optimizer(options, count);
   std::vector<RegionStripes> optimized(count);
   for_each_region(count, options, [&](std::size_t i) {
     const DividedRegion& region = division.regions[i];
@@ -124,8 +114,9 @@ Plan plan_from_division(std::span<const trace::TraceRecord> sorted,
     optimized[i] =
         homogeneous
             ? optimize_region_homogeneous(params, reqs, region.avg_request,
-                                          opt_options)
-            : optimize_region(params, reqs, region.avg_request, opt_options);
+                                          options.optimizer)
+            : optimize_region(params, reqs, region.avg_request,
+                              options.optimizer);
   });
 
   // Deterministic assembly in region order, independent of which thread
@@ -560,17 +551,16 @@ Plan analyze_carl(std::span<const trace::TraceRecord> records,
 
   // The two single-tier searches per region are independent of each other,
   // so the parallel grain is (region, tier): 2 * count tasks.
-  const OptimizerOptions opt_options = region_grain_optimizer(options, 2 * count);
   auto optimize_half = [&](std::size_t task) {
     const std::size_t r = task / 2;
     const DividedRegion& region = division.regions[r];
     const auto reqs = region_requests(sorted, region);
     if (task % 2 == 0) {
-      carl[r].hdd_only =
-          optimize_region(hdd_params, reqs, region.avg_request, opt_options);
+      carl[r].hdd_only = optimize_region(hdd_params, reqs, region.avg_request,
+                                         options.optimizer);
     } else {
-      carl[r].ssd_only =
-          optimize_region(ssd_params, reqs, region.avg_request, opt_options);
+      carl[r].ssd_only = optimize_region(ssd_params, reqs, region.avg_request,
+                                         options.optimizer);
     }
   };
   if (options.pool != nullptr && count > 0) {

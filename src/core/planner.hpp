@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "src/common/thread_pool.hpp"
 #include "src/core/region_divider.hpp"
 #include "src/core/rst.hpp"
 #include "src/core/stripe_optimizer.hpp"
@@ -27,10 +28,8 @@ struct PlannerOptions {
   /// Optional region-level parallelism: when set, independent regions (and
   /// CARL's hdd-only/ssd-only pair per region) optimize concurrently on
   /// this pool.  Results are written back by region index, so the produced
-  /// Plan is bit-identical to the serial path.  While regions run in
-  /// parallel the per-region optimizer runs serially (optimizer.pool is
-  /// ignored) — regions are the parallel grain; with a single region the
-  /// optimizer's candidate sharding applies instead.
+  /// Plan is bit-identical to the serial path.  Each region's search is
+  /// serial.
   ThreadPool* pool = nullptr;
 };
 

@@ -33,26 +33,31 @@
 // unchanged.
 //
 // The search is an exact branch-and-bound over the grid.  Each candidate
-// gets a lower bound: over the (op, size) classes of the scored requests,
+// has a lower bound: over the (op, size) classes of the scored requests,
 // count times the kernel's minimum over every offset in the period
 // (tiered_cost_offset_min), or the requests' exact costs for a class with
 // fewer requests than twice the candidate's cell count (cheaper than the
-// minimum there, and tighter).  Candidates are then scored in ascending bound
+// minimum there, and tighter).  Candidates are scored in ascending bound
 // order and the scan stops once a bound, less a 1e-9 relative margin,
 // exceeds the best score; every candidate left unscored costs strictly more
 // than the winner, so the result is the full grid search's, bit for bit.
-// Bounds are computed on demand: every candidate first gets a cheaper floor
-// key (count times tiered_cost_window_floor per class, never above the
-// bound), and a candidate is tightened to its bound only once the scan
-// reaches its key.  The scan scores in the same (bound, index) order and
-// stops at the same point as bounding every candidate would.  Floor keys
-// are computed sharded over an optional pool; tightening and the scan are
-// serial, so the counters are the same at every pool width.  The search
-// runs offline; `max_requests` caps the per-candidate scoring work by
-// sampling the region's requests with a deterministic stride when the
-// trace is huge, and request-class coalescing (cost_memo.hpp) collapses
-// same-class requests to one cost evaluation per scored candidate without
-// changing a single output bit.
+//
+// Bounds are computed on demand, behind two cheaper keys.  A candidate's
+// floor key is count times tiered_cost_window_floor per class, never above
+// its bound.  A box of candidates — a product of stripe ranges, crossed
+// with the member choices — has a box key, count times
+// tiered_cost_box_floor per class, never above any member's floor key.  The
+// grid is never materialized: the scan starts from the box of the whole
+// grid, splits a box when it reaches the head of the scan's heap, keys a
+// candidate when its box is down to one stripe vector, and tightens a key
+// to the bound when the key reaches the head.  The scan therefore scores
+// in the same (bound, index) order and stops at the same point as bounding
+// every candidate would, and its counters do not depend on how boxes
+// split.  It is serial.  The search runs offline; `max_requests` caps the
+// per-candidate scoring work by sampling the region's requests with a
+// deterministic stride when the trace is huge, and request-class
+// coalescing (cost_memo.hpp) collapses same-class requests to one cost
+// evaluation per scored candidate without changing a single output bit.
 //
 // Shared bounds: an offset minimum depends on the calibration, the
 // candidate and the class's (op, size), never on an offset or on which
@@ -62,10 +67,11 @@
 // the candidate grid and its order, so slot i of a key's row is candidate
 // i's minimum.  Slots fill lazily, only when a search tightens that
 // candidate and the class takes the minimum branch; a row also keeps each
-// candidate's window floor once computed.  A search reads the same doubles
-// the model would have returned and sums them in the same class order —
-// keys, bounds, scan, counters and result are bit-identical with or
-// without a table.
+// candidate's window floor and each box's floor (by the box's place in the
+// split tree) once computed.  A search reads the same doubles the model
+// would have returned and sums them in the same class order — keys,
+// bounds, scan, counters and result are bit-identical with or without a
+// table.
 #pragma once
 
 #include <atomic>
@@ -76,10 +82,10 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/io.hpp"
-#include "src/common/thread_pool.hpp"
 #include "src/core/tiered_cost_model.hpp"
 
 namespace harl::core {
@@ -131,6 +137,20 @@ class BoundTable {
     double floor(std::size_t cand, Compute&& compute) {
       return fetch(floors_[cand], compute, false);
     }
+    /// The box floor of the box at place `box` of the grid's split tree
+    /// (root 1, halves 2b and 2b + 1), likewise.
+    template <typename Compute>
+    double box_floor(std::uint64_t box, Compute&& compute) {
+      {
+        std::lock_guard lock(boxes_mutex_);
+        if (const auto it = boxes_.find(box); it != boxes_.end()) {
+          return it->second;
+        }
+      }
+      const double value = compute();
+      std::lock_guard lock(boxes_mutex_);
+      return boxes_.emplace(box, value).first->second;
+    }
 
    private:
     /// A NaN payload no arithmetic produces.
@@ -154,6 +174,8 @@ class BoundTable {
 
     std::unique_ptr<std::atomic<std::uint64_t>[]> minima_;
     std::unique_ptr<std::atomic<std::uint64_t>[]> floors_;
+    std::mutex boxes_mutex_;
+    std::unordered_map<std::uint64_t, double> boxes_;
     std::size_t size_;
     std::atomic<std::uint64_t>& filled_;  ///< the table's fill count
   };
@@ -182,9 +204,6 @@ class BoundTable {
 struct OptimizerOptions {
   Bytes step = 4 * KiB;          ///< the paper's 4 KB grid step
   std::size_t max_requests = 4096;  ///< request-sampling cap (0 = no cap)
-  /// Optional: shard the candidates' floor keys (tightening and the scan
-  /// stay serial).
-  ThreadPool* pool = nullptr;
   /// Space-aware constraint (PSA, the authors' companion work [33], and the
   /// paper's Discussion): bound the fraction of each region's bytes stored
   /// on the last tier (SServers) to N*s / (M*h + N*s) <= max_sserver_share.
@@ -218,15 +237,20 @@ struct RegionStripes {
   /// candidates_pruned) * the sampled request count: one lookup per scored
   /// candidate and sampled request.
   std::uint64_t cost_evals_saved = 0;
+  /// Window floors the scan computed (or read from a shared table): one per
+  /// bound class of each candidate it keyed.  Not exported.
+  std::uint64_t floors_computed = 0;
 };
 
 /// Runs Algorithm 2.  `requests` are the region's file requests (any order);
 /// `avg_request_size` is the region's A value from Algorithm 1.  Requires at
 /// least one request, at least one server, and a finite avg_request_size > 0
 /// whose round-up to a step multiple fits in Bytes (else
-/// std::invalid_argument, as for a NaN max_sserver_share).  Grid
-/// cost grows as (R/step)^k — use coarser steps for k >= 3 (candidates are
-/// reported for tuning).
+/// std::invalid_argument, as for a NaN max_sserver_share, or for a grid of
+/// k != 2 tiers whose last tier has no servers, which holds a zero-period
+/// candidate).  The grid has about (R/step)^k / k! candidates; the box scan
+/// keys only those whose boxes reach the head of its heap (the three-tier
+/// 1 MiB region at the paper's 4 KiB step keys 0.5% of its 2.9 M).
 RegionStripes optimize_region(const TieredCostParams& params,
                               std::span<const FileRequest> requests,
                               double avg_request_size,
@@ -238,6 +262,21 @@ RegionStripes optimize_region_homogeneous(const TieredCostParams& params,
                                           std::span<const FileRequest> requests,
                                           double avg_request_size,
                                           const OptimizerOptions& options = {});
+
+/// One candidate of a search's grid.
+struct GridCandidate {
+  std::size_t index = 0;            ///< its number: scan tie-break, table slot
+  std::vector<Bytes> stripes;
+  std::vector<std::size_t> members;  ///< empty = full membership
+};
+
+/// The candidates of optimize_region's grid (optimize_region_homogeneous's
+/// with `homogeneous`) for these inputs, found as the scan finds them: by
+/// splitting its boxes down to single candidates.  Sorted by index.
+std::vector<GridCandidate> grid_candidates(const TieredCostParams& params,
+                                           double avg_request_size,
+                                           const OptimizerOptions& options = {},
+                                           bool homogeneous = false);
 
 /// Scores one candidate: summed model cost over (sampled) requests, one
 /// request_cost call each in request order.  The search's memoized scorer

@@ -576,6 +576,344 @@ Seconds tiered_cost_window_floor(
 
 namespace {
 
+/// The least level x with sum_g cells_g * min(cap_g, x / weight_g) >= size:
+/// the least max_c weight_c * bytes_c over the ways to put `size` bytes on
+/// the groups' cells, none above its cap.  +inf when they hold less.
+double water_level(std::span<BoxFloorScratch::Group> groups, double size) {
+  double held = 0.0;  // bytes of the groups already full at the level
+  double room = 0.0;
+  for (const BoxFloorScratch::Group& g : groups) {
+    room += g.cells * g.cap;
+    if (g.weight <= 0.0) held += g.cells * g.cap;
+  }
+  // Within rounding of the room, the groups fill to their caps.
+  if (room < size * (1.0 - 1e-12)) {
+    return std::numeric_limits<double>::infinity();
+  }
+  size = std::min(size, room);
+  if (held >= size) return 0.0;
+  auto level = [](const BoxFloorScratch::Group& g) { return g.weight * g.cap; };
+  // A handful of groups: insertion sort by the level at which each fills.
+  for (std::size_t i = 1; i < groups.size(); ++i) {
+    for (std::size_t j = i; j > 0 && level(groups[j]) < level(groups[j - 1]);
+         --j) {
+      std::swap(groups[j], groups[j - 1]);
+    }
+  }
+  double last = 0.0;
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    if (groups[i].weight <= 0.0) continue;
+    double slope = 0.0;
+    for (std::size_t g = i; g < groups.size(); ++g) {
+      slope += groups[g].cells / groups[g].weight;
+    }
+    last = level(groups[i]);
+    if (held + slope * last >= size) return (size - held) / slope;
+    held += groups[i].cells * groups[i].cap;
+  }
+  return last;
+}
+
+/// The least ht * A + L over the ways to put `size` bytes on the groups'
+/// cells (weight = V), with A >= every cell's bytes, A >= least_bytes, L >=
+/// every cell's V * bytes and L >= least_load.  The feasible (A, L) form a
+/// convex set whose boundary bends only where a group's bytes switch
+/// between its cap, A and L / V, so the least is at one of those points.
+double least_byte_terms(std::span<const BoxFloorScratch::Group> groups,
+                        double size, double ht, double least_bytes,
+                        double least_load, BoxFloorScratch& scratch) {
+  std::vector<BoxFloorScratch::Group>& work = scratch.work;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Spreading a group's bytes evenly over its cells keeps them within the
+  // caps and lowers no maximum, so one byte count per group suffices.  With
+  // one or two groups (after the empty ones) ht * A + L is convex and
+  // piecewise linear in the first group's bytes, least at an end of their
+  // range or where two of its terms cross.
+  auto cost = [&](double b1, double v1, double b2, double v2) {
+    return ht * std::max({least_bytes, b1, b2}) +
+           std::max({least_load, v1 * b1, v2 * b2});
+  };
+  if (groups.size() == 1) {
+    const BoxFloorScratch::Group& g = groups[0];
+    const double b = size / g.cells;
+    if (b > g.cap * (1.0 + 1e-12)) return kInf;
+    return cost(std::min(b, g.cap), g.weight, 0.0, 0.0);
+  }
+  if (groups.size() == 2) {
+    const BoxFloorScratch::Group& g = groups[0];
+    const BoxFloorScratch::Group& h = groups[1];
+    const double lo = std::max(0.0, (size - h.cells * h.cap) / g.cells);
+    const double hi = std::min(g.cap, size / g.cells);
+    if (lo > hi * (1.0 + 1e-12)) return kInf;
+    double best = kInf;
+    auto at = [&](double b1) {
+      b1 = std::clamp(b1, std::min(lo, hi), hi);
+      const double b2 = std::max(0.0, (size - g.cells * b1) / h.cells);
+      best = std::min(best, cost(b1, g.weight, b2, h.weight));
+    };
+    at(lo);
+    at(hi);
+    at(size / (g.cells + h.cells));  // b1 == b2
+    at(least_bytes);
+    at((size - h.cells * least_bytes) / g.cells);
+    if (g.weight * h.cells + h.weight * g.cells > 0.0) {
+      at(h.weight * size / (g.weight * h.cells + h.weight * g.cells));
+    }
+    if (g.weight > 0.0) at(least_load / g.weight);
+    if (h.weight > 0.0) at((size - h.cells * least_load / h.weight) / g.cells);
+    return best;
+  }
+  auto solve = [&](auto&& shape) {
+    work.clear();
+    for (const BoxFloorScratch::Group& g : groups) work.push_back(shape(g));
+    return water_level(work, size);
+  };
+  // L for a given A, and A for a given L.
+  auto load_at = [&](double A) {
+    return solve([&](const BoxFloorScratch::Group& g) {
+      return BoxFloorScratch::Group{g.cells, std::min(g.cap, A), g.weight};
+    });
+  };
+  auto bytes_at = [&](double L) {
+    return solve([&](const BoxFloorScratch::Group& g) {
+      return BoxFloorScratch::Group{
+          g.cells, g.weight > 0.0 ? std::min(g.cap, L / g.weight) : g.cap, 1.0};
+    });
+  };
+  double best = kInf;
+  auto consider = [&](double A, double L) {
+    if (A < kInf && L < kInf) {
+      best = std::min(best, ht * std::max(A, least_bytes) +
+                                std::max(L, least_load));
+    }
+  };
+  // ht * A + max(least_load, L(A)) is convex in A >= least_bytes.  Its
+  // least over the caps (and least_bytes) brackets the least overall
+  // between that point's neighbours; inside the bracket the boundary bends
+  // only where L / V_g meets A (a ray) or a cap (a level), and L(A) falls
+  // as A grows, so a bend lies inside exactly when the bracket's ends
+  // straddle it.
+  std::vector<double>& points = scratch.points;
+  std::vector<double>& loads = scratch.loads;
+  points.assign(1, least_bytes);
+  for (const BoxFloorScratch::Group& g : groups) {
+    if (g.cap > least_bytes) points.push_back(g.cap);
+  }
+  std::sort(points.begin(), points.end());
+  points.erase(std::unique(points.begin(), points.end()), points.end());
+  loads.resize(points.size());
+  std::size_t at = 0;
+  double at_cost = kInf;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    loads[i] = load_at(points[i]);
+    const double cost = loads[i] < kInf
+                            ? ht * points[i] + std::max(loads[i], least_load)
+                            : kInf;
+    if (cost < at_cost) {
+      at = i;
+      at_cost = cost;
+    }
+  }
+  if (at_cost == kInf) return kInf;
+  best = at_cost;
+  const std::size_t left = at > 0 ? at - 1 : 0;
+  const std::size_t right = std::min(at + 1, points.size() - 1);
+  const double a = points[left];
+  const double la = loads[left];
+  const double b = points[right];
+  const double lb = loads[right];
+  auto level_inside = [&](double L) { return lb <= L && L <= la; };
+  for (const BoxFloorScratch::Group& g : groups) {
+    if (!(g.weight > 0.0)) continue;
+    const double v = g.weight;
+    if (la >= v * a && lb <= v * b) {
+      const double A = solve([&](const BoxFloorScratch::Group& h) {
+        return BoxFloorScratch::Group{h.cells, h.cap,
+                                      std::max(1.0, h.weight / v)};
+      });
+      consider(A, v * A);
+    }
+    if (level_inside(v * g.cap)) consider(bytes_at(v * g.cap), v * g.cap);
+  }
+  if (level_inside(least_load)) consider(bytes_at(least_load), least_load);
+  return best;
+}
+
+}  // namespace
+
+Seconds tiered_cost_box_floor(
+    std::span<const BoxTier> box,
+    std::span<const storage::OpProfile* const> profiles, Seconds t,
+    Seconds net_latency, int net_hops, Seconds per_stripe_overhead,
+    Bytes size, BoxFloorScratch& scratch) {
+  const std::size_t k = box.size();
+  if (profiles.size() != k) {
+    throw std::invalid_argument("box/profiles size mismatch");
+  }
+  constexpr double kSlack = (1.0 - 1e-9) * (1.0 - 1e-12);
+  // Placements are enumerated over subsets of tiers up to this many.
+  constexpr std::size_t kEnumeratedTiers = 6;
+  // Least and largest period over the members.
+  Bytes least_period = 0;
+  Bytes most_period = 0;
+  for (const BoxTier& b : box) {
+    if (b.most == 0 || b.hi == 0) continue;
+    most_period += static_cast<Bytes>(b.most) * b.hi;
+    if (b.lo > 0) {
+      least_period += static_cast<Bytes>(std::max<std::size_t>(b.fewest, 1)) *
+                      b.lo;
+    }
+  }
+  if (most_period == 0) throw std::invalid_argument("zero striping period");
+  const Bytes q_min = size / most_period;
+  const Bytes q_max = least_period == 0 ? size : size / least_period;
+  const double sz = static_cast<double>(size);
+  const double ht = static_cast<double>(net_hops) * t;
+
+  std::vector<BoxFloorScratch::Tier>& tiers = scratch.tiers;
+  tiers.assign(k, {});
+  // Bytes every cell holds in every member (q * s_j on a tier always
+  // present), weighed as the floor weighs them.
+  double low_bytes = 0.0;
+  double low_load = 0.0;
+  double all_startup = 0.0;  // q >= 1: every cell is touched
+  for (std::size_t j = 0; j < k; ++j) {
+    const BoxTier& b = box[j];
+    if (b.most == 0 || b.hi == 0) continue;
+    BoxFloorScratch::Tier& x = tiers[j];
+    const storage::OpProfile& p = *profiles[j];
+    const std::size_t fewest = std::max<std::size_t>(b.fewest, 1);
+    const double hi = static_cast<double>(b.hi);
+    const double lo = static_cast<double>(b.lo);
+    const bool always = b.lo > 0;
+    x.present = true;
+    x.cells = static_cast<double>(b.most);
+    x.load = b.factor * p.per_byte + per_stripe_overhead * b.factor / hi;
+    // The expected maximum is monotone in the touched count, so its least
+    // over 1..most (q == 0) or fewest..most (q >= 1) is at an end.
+    x.startup = b.factor * std::min(startup_expected_max(p, 1),
+                                    startup_expected_max(p, b.most));
+    if (always) {
+      all_startup = std::max(
+          all_startup, b.factor * std::min(startup_expected_max(p, fewest),
+                                           startup_expected_max(p, b.most)));
+    }
+    x.low = always ? static_cast<double>(q_min) * lo : 0.0;
+    x.whole = static_cast<double>(q_min + 1) * lo;
+    // q * s_j <= size * s_j / S, and S >= fewest * s_j + the other tiers'
+    // least share, so the ratio is largest at s_j = hi.
+    if (q_max > 0) {
+      const double others = static_cast<double>(
+          least_period - (always ? static_cast<Bytes>(fewest) * b.lo : 0));
+      const double share = hi / (static_cast<double>(fewest) * hi + others);
+      x.cap_rest =
+          std::min(static_cast<double>(q_max) * hi, sz * share) * (1.0 + 1e-12);
+    }
+    x.cap = std::min(sz, x.cap_rest + hi);
+    low_bytes = std::max(low_bytes, x.low);
+    low_load = std::max(low_load, x.load * x.low);
+  }
+
+  // Least over the placements that touch the tiers of U, with a covered cell
+  // on each tier of F and the two partial cells on the tiers a and b.
+  double best = std::numeric_limits<double>::infinity();
+  std::vector<BoxFloorScratch::Group>& groups = scratch.groups;
+  auto in = [](std::uint64_t set, std::size_t j) {
+    return (set >> j & 1) != 0;
+  };
+  auto evaluate = [&](std::uint64_t U, double startup) {
+    std::uint64_t F = 0;  // every subset of U, from the empty one
+    do {
+      double bytes = low_bytes;
+      double load = low_load;
+      for (std::size_t j = 0; j < k; ++j) {
+        if (!in(F, j)) continue;
+        bytes = std::max(bytes, tiers[j].whole);
+        load = std::max(load, tiers[j].load * tiers[j].whole);
+      }
+      const double forced = ht * bytes + load;
+      if (startup + forced >= best) continue;
+      // Cells of U \ F hold q * s_j each, and two of them (the window's
+      // partial cells, on tiers a and b) up to (q + 1) * s_j.
+      const std::uint64_t rest = U & ~F;
+      auto case_cost = [&](std::size_t a, std::size_t b) {
+        groups.clear();
+        auto add = [&](double cells, double cap, double load) {
+          if (cells > 0.0 && cap > 0.0) groups.push_back({cells, cap, load});
+        };
+        for (std::size_t j = 0; j < k; ++j) {
+          if (!in(U, j)) continue;
+          const BoxFloorScratch::Tier& x = tiers[j];
+          const double partial =
+              in(F, j) ? x.cells
+                       : std::min(x.cells,
+                                  static_cast<double>((j == a) + (j == b)));
+          add(x.cells - partial, x.cap_rest, x.load);
+          add(partial, x.cap, x.load);
+        }
+        best = std::min(best, startup + least_byte_terms(groups, sz, ht, bytes,
+                                                          load, scratch));
+      };
+      if (rest == 0) case_cost(k, k);
+      for (std::size_t a = 0; a < k; ++a) {
+        for (std::size_t b = a; in(rest, a) && b < k; ++b) {
+          if (in(rest, b)) case_cost(a, b);
+        }
+      }
+    } while ((F = (F - U) & U) != 0);
+  };
+  if (k > kEnumeratedTiers) {
+    // Too many tiers to enumerate placements: every cell may fill to its
+    // cap, and the window pays the least startup.
+    groups.clear();
+    double startup = std::numeric_limits<double>::infinity();
+    for (const BoxFloorScratch::Tier& x : tiers) {
+      if (!x.present) continue;
+      groups.push_back({x.cells, x.cap, x.load});
+      startup = std::min(startup, x.startup);
+    }
+    if (q_min >= 1) startup = all_startup;
+    return (net_latency + startup + least_byte_terms(groups, sz, ht, low_bytes,
+                                                     low_load, scratch)) *
+           kSlack;
+  }
+  std::uint64_t present = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    if (tiers[j].present) present |= std::uint64_t{1} << j;
+  }
+  if (q_min >= 1) {
+    evaluate(present, all_startup);
+  } else {
+    // The touched tiers pay at least the largest of their startups, so for
+    // each startup level U is every tier whose startup is no larger.
+    std::vector<std::size_t>& order = scratch.order;
+    order.clear();
+    for (std::size_t j = 0; j < k; ++j) {
+      if (tiers[j].present) order.push_back(j);
+    }
+    auto before = [&](std::size_t a, std::size_t b) {
+      return tiers[a].startup < tiers[b].startup;
+    };
+    for (std::size_t i = 1; i < order.size(); ++i) {  // a handful of tiers
+      for (std::size_t j = i; j > 0 && before(order[j], order[j - 1]); --j) {
+        std::swap(order[j], order[j - 1]);
+      }
+    }
+    std::uint64_t U = 0;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      U |= std::uint64_t{1} << order[i];
+      if (i + 1 < order.size() &&
+          tiers[order[i + 1]].startup == tiers[order[i]].startup) {
+        continue;
+      }
+      evaluate(U, tiers[order[i]].startup);
+    }
+  }
+  return (net_latency + best) * kSlack;
+}
+
+namespace {
+
 /// request_cost's per-layout setup: validates the shapes and fills `use`
 /// with the members in use per tier and, when any tier is heterogeneous,
 /// `factors` with each tier's worst factor over them (else leaves it empty).

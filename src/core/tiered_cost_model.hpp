@@ -196,6 +196,68 @@ Seconds tiered_cost_window_floor(
     int net_hops, Seconds per_stripe_overhead, Bytes size,
     std::span<const Bytes> stripes, OffsetMinScratch& scratch);
 
+/// One tier of a box of candidate layouts: every member stripes the tier at
+/// a size in [lo, hi] over `fewest` to `most` member devices (most == 0: the
+/// tier has no servers), whose worst factor is at least `factor`.
+struct BoxTier {
+  Bytes lo = 0;
+  Bytes hi = 0;
+  std::size_t fewest = 0;
+  std::size_t most = 0;
+  double factor = 1.0;
+};
+
+/// Reusable buffers for tiered_cost_box_floor.
+struct BoxFloorScratch {
+  /// One tier's terms over the box.
+  struct Tier {
+    bool present = false;  ///< some member has cells on the tier
+    double cells = 0.0;    ///< most cells a member has on the tier
+    double startup = 0.0;  ///< least startup once the window touches it
+    double load = 0.0;     ///< least V
+    double whole = 0.0;    ///< least bytes of a cell the window covers
+    double low = 0.0;      ///< least bytes of any cell (q * s)
+    double cap = 0.0;      ///< most bytes of a cell ((q + 1) * s)
+    double cap_rest = 0.0; ///< most bytes of a cell off the window (q * s)
+  };
+  /// Cells of equal capacity and weight, for water-filling.
+  struct Group {
+    double cells = 0.0;
+    double cap = 0.0;
+    double weight = 0.0;
+  };
+  std::vector<Tier> tiers;
+  std::vector<Group> groups;
+  std::vector<Group> work;
+  std::vector<double> points;
+  std::vector<double> loads;
+  std::vector<std::size_t> order;
+};
+
+/// A lower bound on tiered_cost_window_floor over every candidate in a box
+/// (DESIGN.md §21 derives it): never above the floor of any member whose
+/// tier j stripes at a size in [box[j].lo, box[j].hi] over a member count in
+/// [box[j].fewest, box[j].most] with worst factor >= box[j].factor.  A tier
+/// whose range includes 0 may be absent.  A request of size q * S + rho
+/// puts q * s_j bytes on every cell plus a window of rho contiguous bytes,
+/// so at most two cells hold part of a stripe of the window and the cells
+/// between them hold a whole one.  The bound is the least, over the set U of
+/// tiers the window touches, the set F of tiers with a whole cell in it and
+/// the tiers of its two partial cells, of the startup U forces plus the
+/// least hops * t * A + L over the byte distributions that fit those cells,
+/// where A bounds every cell's bytes and L every cell's V_c * bytes (with V_c
+/// the window floor's weight at the box's least factor and largest stripe),
+/// and both are no less than those of a whole cell of F or of the q * s_j
+/// every cell holds.  Every member's placements are among the
+/// distributions.  The value is scaled by (1 - 1e-9) * (1 - 1e-12), so
+/// rounding cannot lift it above a member's floor.  Throws
+/// std::invalid_argument when no member has a nonzero period.
+Seconds tiered_cost_box_floor(
+    std::span<const BoxTier> box,
+    std::span<const storage::OpProfile* const> profiles, Seconds t,
+    Seconds net_latency, int net_hops, Seconds per_stripe_overhead,
+    Bytes size, BoxFloorScratch& scratch);
+
 /// Cost of one request with per-tier stripe sizes (generalized Eq. 7/8).
 /// `members[j]` restricts tier j to its members[j] fastest servers (the slot
 /// prefix of the canonical factor order); members[j] == 0 skips the tier

@@ -506,7 +506,8 @@ TEST(OffsetMinBound, NeverExceedsTheKernelAtAnyResidue) {
     }
     if (S == 0) continue;
     const Seconds t = rng.uniform(0.0, 1e-5);
-    const Seconds latency = rng.uniform01() < 0.5 ? 0.0 : rng.uniform(0.0, 1e-4);
+    const Seconds latency =
+        rng.uniform01() < 0.5 ? 0.0 : rng.uniform(0.0, 1e-4);
     const int hops = static_cast<int>(rng.uniform_u64(1, 2));
     const Seconds per_stripe =
         rng.uniform01() < 0.5 ? 0.0 : rng.uniform(0.0, 1e-3);
@@ -607,6 +608,134 @@ TEST(WindowFloor, NeverExceedsTheOffsetMinOrTheKernel) {
   EXPECT_GT(checked, 3000);
   // A floor of 0 would pass the checks above; it must be a real bound.
   EXPECT_LT(below_kernel_min, checked / 2);
+}
+
+TEST(BoxFloor, NeverExceedsAnyMemberFloor) {
+  // Random boxes of stripe vectors, on one to three tiers, with and without
+  // device factors: the box floor is at most the window floor of every
+  // member.  Sizes fall below the least period (q = 0), straddle it and
+  // reach whole periods (q >= 1); boxes reach stripe 0, the grid's top and
+  // tiers without servers.  The last trials take seven or eight tiers, too
+  // many to enumerate placements over, on one-member boxes.
+  Rng rng(2017);
+  int boxes = 0;
+  int members = 0;
+  int singles = 0;
+  double single_ratio = 0.0;  // box floor / floor on one-member boxes
+  for (int trial = 0; trial < 4300; ++trial) {
+    const bool wide = trial >= 4000;
+    const std::size_t k = wide ? rng.uniform_u64(7, 8) : rng.uniform_u64(1, 3);
+    const bool devices = !wide && rng.uniform01() < 0.4;
+    const bool weightless = rng.uniform01() < 0.1;
+    const Bytes top = rng.uniform_u64(1, 40);
+    std::vector<BoxTier> box(k);
+    std::vector<std::vector<double>> factors(k);
+    std::vector<storage::OpProfile> profiles(k);
+    std::vector<const storage::OpProfile*> profile_ptrs(k);
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t count =
+          rng.uniform01() < 0.15 ? 0 : rng.uniform_u64(1, 4);
+      BoxTier& b = box[j];
+      b.lo = rng.uniform01() < 0.3 ? 0 : rng.uniform_u64(0, top);
+      b.hi = rng.uniform01() < 0.3 ? top : rng.uniform_u64(b.lo, top);
+      if (rng.uniform01() < 0.2) b.hi = b.lo;
+      b.hi = std::min(b.hi, b.lo + 3);  // at most four stripes per tier
+      if (wide) b.hi = b.lo;
+      b.most = count;
+      b.fewest = count;
+      if (devices && count > 0) {
+        for (std::size_t m = 0; m < count; ++m) {
+          factors[j].push_back(rng.uniform01() < 0.3 ? 1.0
+                                                     : rng.uniform(1.0, 4.0));
+        }
+        std::sort(factors[j].begin(), factors[j].end());
+        b.fewest = rng.uniform_u64(1, count);
+      }
+      b.factor = storage::worst_device_factor(factors[j], b.fewest);
+      profiles[j] = random_profile(rng);
+      if (weightless || rng.uniform01() < 0.1) profiles[j].per_byte = 0.0;
+      profile_ptrs[j] = &profiles[j];
+    }
+    const Seconds t = weightless ? 0.0 : rng.uniform(0.0, 1e-5);
+    const Seconds latency =
+        rng.uniform01() < 0.5 ? 0.0 : rng.uniform(0.0, 1e-4);
+    const int hops = static_cast<int>(rng.uniform_u64(1, 2));
+    const Seconds per_stripe =
+        weightless || rng.uniform01() < 0.5 ? 0.0 : rng.uniform(0.0, 1e-3);
+    Bytes most_period = 0;
+    for (const BoxTier& b : box) most_period += b.most * b.hi;
+    if (most_period == 0) continue;
+    const Bytes size = rng.uniform01() < 0.2
+                           ? most_period * rng.uniform_u64(1, 3)
+                           : rng.uniform_u64(1, 3 * most_period);
+    BoxFloorScratch box_scratch;
+    const Seconds bound =
+        tiered_cost_box_floor(box, profile_ptrs, t, latency, hops, per_stripe,
+                              size, box_scratch);
+    // Every member: a stripe per tier in its range and, on a tier with
+    // device factors, a member count from fewest to most.
+    std::vector<Bytes> stripes(k);
+    std::vector<std::size_t> counts(k);
+    std::vector<double> worst;
+    OffsetMinScratch scratch;
+    int box_members = 0;
+    Seconds least = std::numeric_limits<Seconds>::infinity();
+    auto visit = [&](auto&& self, std::size_t j) -> void {
+      if (j == k) {
+        Bytes S = 0;
+        for (std::size_t i = 0; i < k; ++i) S += counts[i] * stripes[i];
+        if (S == 0) return;
+        worst.clear();
+        for (std::size_t i = 0; devices && i < k; ++i) {
+          worst.push_back(storage::worst_device_factor(factors[i], counts[i]));
+        }
+        const Seconds floor = tiered_cost_window_floor(
+            counts, profile_ptrs, worst, t, latency, hops, per_stripe, size,
+            stripes, scratch);
+        ASSERT_LE(bound, floor) << "trial " << trial << " k=" << k
+                                << " size=" << size;
+        least = std::min(least, floor);
+        ++box_members;
+        return;
+      }
+      for (Bytes s = box[j].lo; s <= box[j].hi; ++s) {
+        for (std::size_t m = box[j].fewest; m <= box[j].most; ++m) {
+          stripes[j] = s;
+          counts[j] = m;
+          self(self, j + 1);
+          if (testing::Test::HasFatalFailure()) return;
+        }
+      }
+    };
+    visit(visit, 0);
+    if (testing::Test::HasFatalFailure()) return;
+    if (!wide && box_members == 1 && least > 0.0) {
+      single_ratio += bound / least;
+      ++singles;
+    }
+    members += box_members;
+    ++boxes;
+  }
+  EXPECT_GT(boxes, 3500);
+  EXPECT_GT(members, 80000);
+  // A bound of 0 would pass the checks above; on a lone candidate it must
+  // come close to the candidate's own floor.
+  ASSERT_GT(singles, 300);
+  EXPECT_GT(single_ratio / singles, 0.9) << "singles " << singles;
+}
+
+TEST(BoxFloor, ThrowsWithoutAMemberPeriod) {
+  const storage::OpProfile profile = storage::hdd_profile().read;
+  const storage::OpProfile* profiles[2] = {&profile, &profile};
+  BoxFloorScratch scratch;
+  const BoxTier no_stripes[2] = {{0, 0, 4, 4, 1.0}, {0, 0, 2, 2, 1.0}};
+  EXPECT_THROW(tiered_cost_box_floor(no_stripes, profiles, 1e-9, 0.0, 1, 0.0,
+                                     MiB, scratch),
+               std::invalid_argument);
+  const BoxTier no_servers[2] = {{0, 0, 4, 4, 1.0}, {KiB, MiB, 0, 0, 1.0}};
+  EXPECT_THROW(tiered_cost_box_floor(no_servers, profiles, 1e-9, 0.0, 1, 0.0,
+                                     MiB, scratch),
+               std::invalid_argument);
 }
 
 TEST(OffsetMinBound, IsTheKernelForWholePeriods) {

@@ -209,21 +209,6 @@ TEST(TieredOptimizer, BeatsCollapsedTwoTierOnTheModel) {
   EXPECT_LE(aware.model_cost, blind_cost + 1e-12);
 }
 
-TEST(TieredOptimizer, ParallelMatchesSerial) {
-  const auto p = three_tier_params();
-  const auto reqs = uniform_requests(1 * MiB, 32);
-  core::OptimizerOptions serial;
-  serial.step = 64 * KiB;
-  const auto a = core::optimize_region(p, reqs, 1.0 * MiB, serial);
-
-  ThreadPool pool(3);
-  core::OptimizerOptions parallel = serial;
-  parallel.pool = &pool;
-  const auto b = core::optimize_region(p, reqs, 1.0 * MiB, parallel);
-  EXPECT_EQ(a.stripes, b.stripes);
-  EXPECT_DOUBLE_EQ(a.model_cost, b.model_cost);
-}
-
 TEST(TieredOptimizer, CoalescedSearchIsBitIdenticalToBruteForce) {
   // The k-tier cost is periodic in the offset with period
   // sum(count_j * stripe_j); coalescing memoizes per class but sums in

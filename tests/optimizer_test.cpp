@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/common/rng.hpp"
-#include "src/common/thread_pool.hpp"
 #include "src/core/stripe_optimizer.hpp"
 #include "src/storage/profiles.hpp"
 
@@ -93,19 +92,6 @@ TEST(Optimizer, HomogeneousSearchNeverBeatsFullSearch) {
     EXPECT_LE(full.model_cost, homo.model_cost + 1e-12) << "req=" << req;
     EXPECT_EQ(homo.stripes[0], homo.stripes[1]);
   }
-}
-
-TEST(Optimizer, ParallelSearchMatchesSerial) {
-  const TieredCostParams p = calibrated_params();
-  const auto reqs = uniform_requests(512 * KiB, 40);
-  const auto serial = optimize_region(p, reqs, 512.0 * KiB);
-
-  ThreadPool pool(4);
-  OptimizerOptions opts;
-  opts.pool = &pool;
-  const auto parallel = optimize_region(p, reqs, 512.0 * KiB, opts);
-  EXPECT_EQ(serial.stripes, parallel.stripes);
-  EXPECT_DOUBLE_EQ(serial.model_cost, parallel.model_cost);
 }
 
 TEST(Optimizer, SamplingPreservesTheArgmin) {
@@ -360,25 +346,6 @@ TEST(Optimizer, CoalescedSearchIsBitIdenticalToBruteForce) {
   EXPECT_GT(got.cost_evals_saved, 0u);
   EXPECT_EQ(got.cost_evals + got.cost_evals_saved,
             (got.candidates_evaluated - got.candidates_pruned) * 300u);
-}
-
-TEST(Optimizer, CoalescedShardedSearchMatchesBruteForce) {
-  // Window floors computed sharded over a pool: the same winner, cost
-  // bits and counters as the serial search and the exhaustive scan.
-  const TieredCostParams p = calibrated_params();
-  const auto reqs = uniform_requests(512 * KiB, 64);
-  ThreadPool pool(4);
-  OptimizerOptions sharded;
-  sharded.pool = &pool;
-  const OracleBest want = exhaustive_scan(p, reqs, 512 * KiB);
-  const auto serial = optimize_region(p, reqs, 512.0 * KiB);
-  const auto got = optimize_region(p, reqs, 512.0 * KiB, sharded);
-  EXPECT_EQ(got.stripes, want.stripes);
-  EXPECT_EQ(got.model_cost, want.cost);
-  EXPECT_EQ(got.candidates_pruned, serial.candidates_pruned);
-  EXPECT_EQ(got.cost_evals, serial.cost_evals);
-  EXPECT_EQ(got.cost_evals + got.cost_evals_saved,
-            (got.candidates_evaluated - got.candidates_pruned) * 64u);
 }
 
 TEST(RegionCost, CoalescedScoreMatchesPlainLoop) {
@@ -723,6 +690,184 @@ TEST(SharedBoundTable, IorGridTightensOnlyWhereTheScanReaches) {
   expect_same_search(want, optimize_region(p, reqs, 1.0 * MiB, opts));
   EXPECT_GT(table.reads(), 0u);
   EXPECT_LT(table.reads(), 2 * 32897 / 4);
+}
+
+// ---------------------------------------------------------------------------
+// The scan never materializes the grid: it splits boxes of stripe vectors
+// down to single candidates.  Fully split, the boxes must hand over exactly
+// the flat grid of Algorithm 2, numbered in its order.
+// ---------------------------------------------------------------------------
+
+/// The flat grid, enumerated directly: for k = 2 the paper's pairs (a tier
+/// without servers takes only stripe 0), for any other k the non-decreasing
+/// vectors, or the equal-stripe vectors for the homogeneous search; each
+/// crossed with the member choices of tiers carrying device factors (last
+/// tier fastest) and filtered by the SServer share bound.
+std::vector<GridCandidate> flat_grid(const TieredCostParams& p, Bytes R,
+                                     Bytes step, bool homogeneous,
+                                     double share_bound = 1.0) {
+  const std::size_t k = p.tiers.size();
+  bool devices = false;
+  std::vector<std::vector<std::size_t>> choices(k);
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::vector<double>& f = p.tiers[j].device_factors;
+    devices = devices || !f.empty();
+    for (std::size_t i = 0; i < f.size(); ++i) {
+      if (i + 1 == f.size() || f[i + 1] != f[i]) choices[j].push_back(i + 1);
+    }
+    if (choices[j].empty()) choices[j].push_back(p.tiers[j].count);
+  }
+  std::vector<std::vector<Bytes>> vectors;
+  Stripes v(k, 0);
+  auto fill = [&](auto&& self, std::size_t j) -> void {
+    if (j == k) {
+      if (std::any_of(v.begin(), v.end(), [](Bytes s) { return s > 0; })) {
+        vectors.push_back(v);
+      }
+      return;
+    }
+    if (k == 2 && p.tiers[j].count == 0) {
+      v[j] = 0;
+      self(self, j + 1);
+      return;
+    }
+    const Bytes lo = j == 0 ? 0 : v[j - 1] + (k == 2 ? step : 0);
+    for (Bytes s = lo; s <= std::max(R, lo); s = s == 0 ? step : s + step) {
+      v[j] = s;
+      self(self, j + 1);
+    }
+  };
+  if (homogeneous) {
+    for (Bytes s = step; s <= R; s += step) vectors.push_back(Stripes(k, s));
+  } else {
+    fill(fill, 0);
+  }
+  std::vector<GridCandidate> out;
+  for (const Stripes& stripes : vectors) {
+    if (share_bound < 1.0) {
+      const double M = static_cast<double>(p.tiers[0].count);
+      const double N = static_cast<double>(p.tiers[1].count);
+      const double share = N * stripes[1] / (M * stripes[0] + N * stripes[1]);
+      if (!(share <= share_bound)) {
+        continue;
+      }
+    }
+    std::vector<std::vector<std::size_t>> members(1);
+    for (std::size_t j = 0; devices && j < k; ++j) {
+      std::vector<std::vector<std::size_t>> next;
+      for (const auto& prefix : members) {
+        for (std::size_t m : stripes[j] == 0 ? std::vector<std::size_t>{0}
+                                             : choices[j]) {
+          next.push_back(prefix);
+          next.back().push_back(m);
+        }
+      }
+      members = std::move(next);
+    }
+    for (const auto& m : members) out.push_back({out.size(), stripes, m});
+  }
+  return out;
+}
+
+void expect_grid(const TieredCostParams& p, double avg, OptimizerOptions opts,
+                 bool homogeneous, const std::vector<GridCandidate>& want) {
+  const std::vector<GridCandidate> got =
+      grid_candidates(p, avg, opts, homogeneous);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].index, i);
+    ASSERT_EQ(got[i].stripes, want[i].stripes) << "candidate " << i;
+    ASSERT_EQ(got[i].members, want[i].members) << "candidate " << i;
+  }
+  // The search counts the same grid.
+  const auto reqs = mixed_requests(40, 83);
+  const RegionStripes result =
+      homogeneous ? optimize_region_homogeneous(p, reqs, avg, opts)
+                  : optimize_region(p, reqs, avg, opts);
+  EXPECT_EQ(result.candidates_evaluated, want.size());
+}
+
+TEST(GridCandidates, PaperPairsInIndexOrder) {
+  OptimizerOptions opts;
+  opts.step = kOracleStep;
+  expect_grid(calibrated_params(), kOracleAvg, opts, false,
+              flat_grid(calibrated_params(), kOracleR, kOracleStep, false));
+  // A tier without servers takes only stripe 0, on either side.
+  for (const auto& p : {calibrated_params(0, 2), calibrated_params(6, 0)}) {
+    expect_grid(p, kOracleAvg, opts, false,
+                flat_grid(p, kOracleR, kOracleStep, false));
+  }
+}
+
+TEST(GridCandidates, ThreeTierMonotoneInIndexOrder) {
+  TieredCostParams p = calibrated_params();
+  p.tiers.insert(p.tiers.begin() + 1,
+                 TierSpec{2, storage::sata_ssd_profile(), {}});
+  OptimizerOptions opts;
+  opts.step = 32 * KiB;
+  expect_grid(p, kOracleAvg, opts, false,
+              flat_grid(p, 224 * KiB, 32 * KiB, false));
+}
+
+TEST(GridCandidates, HomogeneousStripesInIndexOrder) {
+  OptimizerOptions opts;
+  opts.step = kOracleStep;
+  expect_grid(calibrated_params(), kOracleAvg, opts, true,
+              flat_grid(calibrated_params(), kOracleR, kOracleStep, true));
+}
+
+TEST(GridCandidates, SserverShareFilterInIndexOrder) {
+  const TieredCostParams p = calibrated_params();
+  const auto all = flat_grid(p, kOracleR, kOracleStep, false);
+  double least = 1.0;
+  for (const GridCandidate& c : all) {
+    const double share =
+        2.0 * c.stripes[1] / (6.0 * c.stripes[0] + 2.0 * c.stripes[1]);
+    least = std::min(least, share);
+  }
+  OptimizerOptions opts;
+  opts.step = kOracleStep;
+  // A bound above the grid's least share filters; one below it keeps the
+  // least-share candidates.
+  for (const double bound : {0.4, least / 2}) {
+    opts.max_sserver_share = bound;
+    const auto want = flat_grid(p, kOracleR, kOracleStep, false,
+                                std::max(bound, least + 1e-12));
+    EXPECT_LT(want.size(), all.size());
+    expect_grid(p, kOracleAvg, opts, false, want);
+  }
+}
+
+TEST(GridCandidates, DeviceMemberChoicesInIndexOrder) {
+  TieredCostParams p = calibrated_params();
+  p.tiers[0].device_factors = {1.0, 1.0, 1.0, 1.0, 2.5, 2.5};  // choices {4, 6}
+  p.tiers[1].device_factors = {1.0, 3.0};                      // choices {1, 2}
+  OptimizerOptions opts;
+  opts.step = kOracleStep;
+  expect_grid(p, kOracleAvg, opts, false,
+              flat_grid(p, kOracleR, kOracleStep, false));
+  expect_grid(p, kOracleAvg, opts, true,
+              flat_grid(p, kOracleR, kOracleStep, true));
+}
+
+TEST(BoxScan, IorRegionComputesATenthOfTheFloors) {
+  // The ior-plan region: 64 ranks writing, then reading, 64 requests of
+  // 1 MiB each, on 6 + 2 servers.  Keying every candidate took 65,794
+  // window floors (32,897 candidates, two classes); the box scan keys only
+  // the candidates whose boxes reach the head of the scan.
+  const TieredCostParams p = calibrated_params();
+  std::vector<FileRequest> reqs;
+  for (const IoOp op : {IoOp::kWrite, IoOp::kRead}) {
+    for (Bytes rank = 0; rank < 64; ++rank) {
+      for (Bytes i = 0; i < 64; ++i) {
+        reqs.push_back(FileRequest{op, (rank * 64 + i) * MiB, 1 * MiB});
+      }
+    }
+  }
+  const RegionStripes got = optimize_region(p, reqs, 1.0 * MiB);
+  ASSERT_EQ(got.candidates_evaluated, 32897u);
+  EXPECT_GT(got.floors_computed, 0u);
+  EXPECT_LE(got.floors_computed * 10, 2u * got.candidates_evaluated);
 }
 
 TEST(RegionCost, ZeroPeriodThrows) {

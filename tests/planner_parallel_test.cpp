@@ -147,9 +147,6 @@ struct OptionPair {
 OptionPair option_pair(ThreadPool* pool) {
   OptionPair pair;
   pair.fast.pool = pool;
-  // Also hand the optimizer the pool: the planner must ignore it while
-  // regions are the parallel grain, so this must not perturb the plan.
-  pair.fast.optimizer.pool = pool;
   // Small regions so the synthetic traces divide and the parallel path has
   // real multi-region work (applied to both sides identically).
   pair.baseline.divider.fixed_region_size = 8 * MiB;
@@ -273,9 +270,8 @@ TEST(PlannerParallel, RepeatedParallelRunsAreStable) {
 }
 
 TEST(PlannerParallel, SingleRegionSearchCountersMatchAtEveryPoolWidth) {
-  // One region leaves the pool to the optimizer: candidate bounds are
-  // sharded over it while the scan stays serial, so the search counters,
-  // not just the plan, are the same at every width.
+  // One region gives the pool no second task: the search is serial, so the
+  // search counters, not just the plan, are the same at every width.
   const auto records = ior_trace();
   const TieredCostParams params = calibrated_params();
   const Plan want = analyze(records, params);
@@ -289,7 +285,6 @@ TEST(PlannerParallel, SingleRegionSearchCountersMatchAtEveryPoolWidth) {
     ThreadPool pool(width);
     PlannerOptions opts;
     opts.pool = &pool;
-    opts.optimizer.pool = &pool;
     const Plan got = analyze(records, params, opts);
     expect_identical(got, want);
     ASSERT_EQ(got.regions.size(), 1u);
@@ -390,7 +385,6 @@ TEST(PlannerGolden, ParallelCoalescingPathMatchesGoldenToo) {
   ThreadPool pool(4);
   PlannerOptions opts = golden_options();
   opts.pool = &pool;
-  opts.optimizer.pool = &pool;
   const Plan plan = analyze(ior_trace(), calibrated_params(), opts);
   expect_matches_golden(
       plan,
