@@ -73,7 +73,8 @@ std::vector<harness::SchemeResult> run() {
   for (const double spread : {1.0, 4.0}) {
     harness::ExperimentOptions opts = default_options();
     if (spread > 1.0) {
-      opts.cluster.hdd_factors.assign(opts.cluster.num_hservers, spread);
+      pfs::TierGroup& hservers = opts.cluster.tiers[0];
+      hservers.device_factors.assign(hservers.count, spread);
     }
     const auto scheme = harness::LayoutScheme::fixed(64 * KiB);
 
@@ -128,8 +129,8 @@ std::vector<harness::SchemeResult> run() {
   // bandwidth floor makes the reservation win the sweep.
   {
     harness::ExperimentOptions opts = default_options();
-    opts.cluster.num_sservers = 3;
-    opts.cluster.ssd_factors = {1.0, 4.0, 4.0};
+    opts.cluster.tiers[1].count = 3;
+    opts.cluster.tiers[1].device_factors = {1.0, 4.0, 4.0};
     workloads::ZipfConfig z = default_zipf();
     z.processes = 32;
     z.reads_per_process = paper_scale() ? 1024 : 256;

@@ -70,9 +70,9 @@ std::vector<harness::SchemeResult> run() {
   // device-aware planner get exercised.
   for (const double spread : {1.0, 2.0, 4.0}) {
     harness::ExperimentOptions opts = default_options();
-    opts.cluster.num_sservers = 4;
+    opts.cluster.tiers[1].count = 4;
     if (spread > 1.0) {
-      opts.cluster.ssd_factors = {1.0, 1.0, spread, spread};
+      opts.cluster.tiers[1].device_factors = {1.0, 1.0, spread, spread};
     }
     workloads::MultiRegionConfig mr;
     mr.processes = 8;

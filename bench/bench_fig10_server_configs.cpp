@@ -16,8 +16,8 @@ std::vector<harness::SchemeResult> run() {
   };
   for (Ratio ratio : {Ratio{7, 1}, Ratio{6, 2}, Ratio{2, 6}}) {
     harness::ExperimentOptions opts = default_options();
-    opts.cluster.num_hservers = ratio.h;
-    opts.cluster.num_sservers = ratio.s;
+    opts.cluster.tiers[0].count = ratio.h;
+    opts.cluster.tiers[1].count = ratio.s;
     harness::Experiment exp(opts);
     const auto bundle = harness::ior_bundle(default_ior());
 

@@ -58,11 +58,11 @@ int main(int argc, char** argv) {
   harness::Table per_server({"server", "type", "stored"});
   for (std::size_t i = 0; i < usage.per_server.size(); ++i) {
     per_server.add_row({std::to_string(i),
-                        i < cluster.num_hservers ? "HServer" : "SServer",
+                        i < cluster.tiers[0].count ? "HServer" : "SServer",
                         format_size(usage.per_server[i])});
   }
   per_server.print(std::cout);
-  const Bytes ssd_bytes = usage.sserver_bytes(cluster.num_hservers);
+  const Bytes ssd_bytes = usage.sserver_bytes(cluster.tiers[0].count);
   std::cout << "SServer total: " << format_size(ssd_bytes)
             << " (capacity budget: " << format_size(ssd_capacity) << ")\n\n";
 

@@ -75,7 +75,6 @@
 #pragma once
 
 #include <atomic>
-#include <bit>
 #include <compare>
 #include <cstdint>
 #include <map>
@@ -91,10 +90,10 @@
 namespace harl::core {
 
 /// Compute-once store of offset minima and window floors shared by many
-/// searches (see the file header).  Thread-safe: rows are created under a
-/// mutex and slots are atomics, so two searches may fill one slot
-/// concurrently — both compute the same pure function of the key and either
-/// store wins.
+/// searches (see the file header).  Thread-safe: rows are created under the
+/// table's mutex and filled under the row's, so two searches may fill one
+/// slot concurrently — both compute the same pure function of the key and
+/// the first store wins.
 class BoundTable {
  public:
   /// Everything that fixes a bound row: the candidate grid and its order
@@ -110,77 +109,63 @@ class BoundTable {
     auto operator<=>(const Key&) const = default;
   };
 
-  /// One key's slots: per grid candidate, its offset minimum and its window
-  /// floor.
+  /// One key's bounds, filled as searches compute them: per grid candidate
+  /// its offset minimum and its window floor, and per box its box floor.
   class Row {
    public:
     Row(std::size_t candidates, std::atomic<std::uint64_t>& filled)
-        : minima_(std::make_unique<std::atomic<std::uint64_t>[]>(candidates)),
-          floors_(std::make_unique<std::atomic<std::uint64_t>[]>(candidates)),
-          size_(candidates),
-          filled_(filled) {
-      for (std::size_t i = 0; i < candidates; ++i) {
-        minima_[i] = kEmpty;
-        floors_[i] = kEmpty;
-      }
-    }
+        : size_(candidates), filled_(filled) {}
     std::size_t size() const { return size_; }
 
     /// Candidate `cand`'s offset minimum: the stored value, or `compute()`
-    /// stored (counted in the table's filled()).
+    /// stored (a first store is counted in the table's filled()).
     template <typename Compute>
     double minimum(std::size_t cand, Compute&& compute) {
-      return fetch(minima_[cand], compute, true);
+      return fetch(minima_, cand, compute, true);
     }
     /// Candidate `cand`'s window floor, likewise (not counted).
     template <typename Compute>
     double floor(std::size_t cand, Compute&& compute) {
-      return fetch(floors_[cand], compute, false);
+      return fetch(floors_, cand, compute, false);
     }
     /// The box floor of the box at place `box` of the grid's split tree
-    /// (root 1, halves 2b and 2b + 1), likewise.
+    /// (root 1, halves 2b and 2b + 1), likewise (not counted).
     template <typename Compute>
     double box_floor(std::uint64_t box, Compute&& compute) {
+      return fetch(boxes_, box, compute, false);
+    }
+
+   private:
+    using Slots = std::unordered_map<std::uint64_t, double>;
+
+    /// `slots[key]`, computed outside the lock when absent: two searches
+    /// may compute one value concurrently, and the first store wins.
+    template <typename Compute>
+    double fetch(Slots& slots, std::uint64_t key, Compute& compute,
+                 bool count) {
       {
-        std::lock_guard lock(boxes_mutex_);
-        if (const auto it = boxes_.find(box); it != boxes_.end()) {
+        std::lock_guard lock(mutex_);
+        if (const auto it = slots.find(key); it != slots.end()) {
           return it->second;
         }
       }
       const double value = compute();
-      std::lock_guard lock(boxes_mutex_);
-      return boxes_.emplace(box, value).first->second;
+      std::lock_guard lock(mutex_);
+      const auto [it, inserted] = slots.emplace(key, value);
+      if (inserted && count) filled_.fetch_add(1, std::memory_order_relaxed);
+      return it->second;
     }
 
-   private:
-    /// A NaN payload no arithmetic produces.
-    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-
-    template <typename Compute>
-    double fetch(std::atomic<std::uint64_t>& slot, Compute& compute,
-                 bool count) {
-      std::uint64_t bits = slot.load(std::memory_order_relaxed);
-      if (bits != kEmpty) return std::bit_cast<double>(bits);
-      const double value = compute();
-      bits = kEmpty;
-      if (slot.compare_exchange_strong(bits,
-                                       std::bit_cast<std::uint64_t>(value),
-                                       std::memory_order_relaxed) &&
-          count) {
-        filled_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return value;
-    }
-
-    std::unique_ptr<std::atomic<std::uint64_t>[]> minima_;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> floors_;
-    std::mutex boxes_mutex_;
-    std::unordered_map<std::uint64_t, double> boxes_;
+    std::mutex mutex_;
+    Slots minima_;
+    Slots floors_;
+    Slots boxes_;
     std::size_t size_;
     std::atomic<std::uint64_t>& filled_;  ///< the table's fill count
   };
 
-  /// The row for `key`, created with `candidates` empty slots on first use.
+  /// The row for `key`, created empty on first use for a grid of
+  /// `candidates` candidates.
   /// Throws std::logic_error if the key's row has another size (two grids
   /// behind one key).
   Row& row(const Key& key, std::size_t candidates);

@@ -1,8 +1,6 @@
 #include "src/harness/calibration.hpp"
 
 #include <memory>
-#include <stdexcept>
-#include <string>
 
 #include "src/common/rng.hpp"
 #include "src/storage/hdd.hpp"
@@ -41,6 +39,17 @@ Seconds effective_unit_time(storage::StorageDevice& device, IoOp op,
          static_cast<double>(size);
 }
 
+/// A device of `group`'s kind (HDD or SSD) running `profile`.
+std::unique_ptr<storage::StorageDevice> make_device(
+    const pfs::TierGroup& group, const storage::TierProfile& profile,
+    std::uint64_t seed, const pfs::ClusterConfig& config) {
+  if (group.is_ssd) {
+    return std::make_unique<storage::SsdDevice>(profile, seed, config.ssd_gc);
+  }
+  return std::make_unique<storage::HddDevice>(profile, seed,
+                                              config.hdd_sequential_factor);
+}
+
 storage::TierProfile measured_profile(storage::StorageDevice& device,
                                       const CalibrationOptions& options) {
   storage::ProfilerOptions popts;
@@ -55,40 +64,21 @@ storage::TierProfile measured_profile(storage::StorageDevice& device,
   return fitted;
 }
 
-/// Validates and canonicalizes one tier's configured factor vector
-/// (mirroring ClusterConfig::effective_tiers() for the two-tier fields).
-std::vector<double> canonical_factors(std::vector<double> factors,
-                                      std::size_t count, const char* tier) {
-  if (!factors.empty() && factors.size() != count) {
-    throw std::invalid_argument(std::string(tier) + " has " +
-                                std::to_string(factors.size()) +
-                                " device factors for " +
-                                std::to_string(count) + " servers");
-  }
-  storage::canonicalize_device_factors(factors);
-  return factors;
-}
-
 /// Per-slot measured speed factors for one tier.  The paper benchmarks one
 /// server per *class*; with per-device aging each distinct factor value is
 /// its own class, so we probe one aged device per distinct factor and report
 /// its effective unit time relative to a fresh device of the same tier.
-std::vector<double> measured_device_factors(
-    const storage::TierProfile& profile, bool is_ssd,
-    const pfs::ClusterConfig& config, const std::vector<double>& configured,
-    const CalibrationOptions& options) {
+std::vector<double> measured_device_factors(const pfs::TierGroup& group,
+                                            const pfs::ClusterConfig& config,
+                                            const CalibrationOptions& options) {
+  const std::vector<double>& configured = group.device_factors;
   if (configured.empty() || options.device_blind) return {};
-  auto make_device = [&](const storage::TierProfile& p)
-      -> std::unique_ptr<storage::StorageDevice> {
-    if (is_ssd) {
-      return std::make_unique<storage::SsdDevice>(p, options.seed + 2,
-                                                  config.ssd_gc);
-    }
-    return std::make_unique<storage::HddDevice>(p, options.seed + 2,
-                                                config.hdd_sequential_factor);
+  const auto unit_time = [&](const storage::TierProfile& profile) {
+    return effective_unit_time(
+        *make_device(group, profile, options.seed + 2, config), IoOp::kRead,
+        options);
   };
-  const Seconds base_unit =
-      effective_unit_time(*make_device(profile), IoOp::kRead, options);
+  const Seconds base_unit = unit_time(group.profile);
   std::vector<double> out(configured.size(), 1.0);
   double prev_configured = 1.0;
   double prev_measured = 1.0;
@@ -98,10 +88,7 @@ std::vector<double> measured_device_factors(
       out[i] = prev_measured;
       continue;
     }
-    const Seconds aged_unit = effective_unit_time(
-        *make_device(storage::scaled_profile(profile, f)), IoOp::kRead,
-        options);
-    out[i] = aged_unit / base_unit;
+    out[i] = unit_time(storage::scaled_profile(group.profile, f)) / base_unit;
     prev_configured = f;
     prev_measured = out[i];
   }
@@ -113,20 +100,23 @@ std::vector<double> measured_device_factors(
 
 core::TieredCostParams calibrate(const pfs::ClusterConfig& config,
                                  const CalibrationOptions& options) {
-  storage::HddDevice hdd(config.hdd, options.seed,
-                         config.hdd_sequential_factor);
-  storage::SsdDevice ssd(config.ssd, options.seed + 1, config.ssd_gc);
-
+  const std::vector<pfs::TierGroup> groups = config.effective_tiers();
   core::TieredCostParams params;
-  params.tiers.resize(2);
-  core::TierSpec& hserver = params.tiers[0];
-  core::TierSpec& sserver = params.tiers[1];
-  hserver.count = config.num_hservers;
-  hserver.profile = measured_profile(hdd, options);
-  hserver.profile.name = "hserver";
-  sserver.count = config.num_sservers;
-  sserver.profile = measured_profile(ssd, options);
-  sserver.profile.name = "sserver";
+  params.tiers.reserve(groups.size());
+  // One probed device per group, as the paper benchmarks one server per
+  // class; group j's device is seeded seed + j.
+  for (std::size_t j = 0; j < groups.size(); ++j) {
+    const pfs::TierGroup& group = groups[j];
+    core::TierSpec& tier = params.tiers.emplace_back();
+    tier.count = group.count;
+    tier.profile = measured_profile(
+        *make_device(group, group.profile, options.seed + j, config), options);
+    tier.profile.name = group.name;
+    // Per-device aging (tentatively beyond the paper): one probe per
+    // distinct configured factor, aligned with the cluster's canonical slot
+    // order.
+    tier.device_factors = measured_device_factors(group, config, options);
+  }
   params.t = config.network.per_byte;
   // Paper-pure Eq. 1 (one t per byte of the maximal sub-request); the fixed
   // per-request message overhead is a constant that never changes argmins.
@@ -135,16 +125,6 @@ core::TieredCostParams calibrate(const pfs::ClusterConfig& config,
   // Measured per-stripe request-protocol cost of the PFS servers (probing
   // strided vs contiguous accesses isolates it exactly in this substrate).
   params.per_stripe_overhead = config.server_per_stripe_overhead;
-  // Per-device aging (tentatively beyond the paper): one probe per distinct
-  // configured factor, aligned with the cluster's canonical slot order.
-  hserver.device_factors = measured_device_factors(
-      config.hdd, false, config,
-      canonical_factors(config.hdd_factors, config.num_hservers, "hserver"),
-      options);
-  sserver.device_factors = measured_device_factors(
-      config.ssd, true, config,
-      canonical_factors(config.ssd_factors, config.num_sservers, "sserver"),
-      options);
   return params;
 }
 

@@ -3,12 +3,14 @@
 // The paper derives its model parameters by benchmarking one file server of
 // each class (startup and transfer times, repeated "thousands of times") and
 // one client/server pair for the network unit time.  This module does the
-// same against the simulated devices: it instantiates one HDD and one SSD
-// device from the cluster config, fits their OpProfiles with the storage
-// profiler, fits the network, and assembles the two-tier
-// core::TieredCostParams (tier 0 "hserver", tier 1 "sserver").  The network
-// terms use two hops plus two message latencies because the simulated data
-// path crosses the server NIC and the client NIC (store-and-forward).
+// same against the simulated devices: it instantiates one device per tier
+// group of ClusterConfig::tiers (a group without servers included, so tier
+// indices match the cluster's), fits its OpProfile with the storage
+// profiler, and assembles core::TieredCostParams with one tier per group,
+// named after it.  For the default fleet that is the paper's two tiers,
+// "hserver" and "sserver".  The network terms take the cluster's network
+// parameters: one hop per byte plus two message latencies, because the
+// simulated data path crosses the server NIC and the client NIC.
 #pragma once
 
 #include "src/core/tiered_cost_model.hpp"
@@ -27,8 +29,9 @@ struct CalibrationOptions {
   bool device_blind = false;
 };
 
-/// Cost-model parameters for the given cluster shape, measured by probing
-/// simulated devices: tier 0 = HServers, tier 1 = SServers.
+/// Cost-model parameters for the given cluster, measured by probing
+/// simulated devices: tier j is config.tiers[j], probed on a device seeded
+/// options.seed + j (aged probes use options.seed + 2).
 core::TieredCostParams calibrate(const pfs::ClusterConfig& config,
                                  const CalibrationOptions& options = {});
 

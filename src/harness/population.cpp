@@ -267,19 +267,20 @@ PopulationResult run_population(Experiment& experiment,
   // --- Phase A: per-file offline pipeline on private clusters -------------
   const PopulationPlans plans = plan_population(experiment, population, scheme);
 
-  // Replica placement: cost-model tiers for plan schemes on two-tier fleets,
-  // whole-cluster chained declustering otherwise.
-  const auto tier_groups = options.cluster.effective_tiers();
+  // Replica placement: cost-model tiers for plan schemes on fleets of two
+  // tiers that both have servers, whole-cluster chained declustering
+  // otherwise.
   std::vector<std::size_t> tier_counts;
-  std::size_t nservers = 0;
-  for (const auto& group : tier_groups) {
+  for (const auto& group : options.cluster.tiers) {
     tier_counts.push_back(group.count);
-    nservers += group.count;
   }
+  const std::size_t nservers = options.cluster.num_servers();
+  const bool two_tiers = tier_counts.size() == 2 && tier_counts[0] > 0 &&
+                         tier_counts[1] > 0;
   std::vector<std::unique_ptr<pfs::ReplicaMap>> replicas(nfiles);
   if (popts.replicate) {
     for (std::size_t i = 0; i < nfiles; ++i) {
-      if (plans.plans[i] && tier_groups.size() == 2) {
+      if (plans.plans[i] && two_tiers) {
         replicas[i] = std::make_unique<pfs::ReplicaMap>(pfs::ReplicaMap::tiered(
             tier_counts, mw::choose_replica_tiers(*plans.plans[i], params)));
       } else {

@@ -182,14 +182,7 @@ core::Plan load_validated_plan(const std::string& path,
     throw std::runtime_error(
         "plan artifact was produced under a different calibration: " + path);
   }
-  // Plans index tiers in the two-tier (M, N) view, a zero-count tier
-  // keeping its slot, unless `cluster.tiers` lists the groups.
-  std::vector<pfs::TierGroup> groups = cluster.effective_tiers();
-  if (cluster.tiers.empty()) {
-    std::vector<pfs::TierGroup> two_tier(2);
-    for (pfs::TierGroup& g : groups) two_tier[g.is_ssd ? 1 : 0] = std::move(g);
-    groups = std::move(two_tier);
-  }
+  const std::vector<pfs::TierGroup> groups = cluster.effective_tiers();
   std::vector<std::size_t> counts;
   for (const pfs::TierGroup& tier : groups) counts.push_back(tier.count);
   if (artifact.tier_counts != counts) {

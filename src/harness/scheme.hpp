@@ -99,9 +99,8 @@ std::shared_ptr<const pfs::Layout> build_layout(
 /// Plan artifact at `path` and accepts it only for the calibration and
 /// cluster it was computed for.  Its calibration fingerprint must equal
 /// params_fingerprint(params), its tier table the cluster's servers per
-/// tier (the two-tier (M, N) view, zero-count tiers included, unless
-/// `cluster.tiers` lists the groups), and its device-factor table, slot
-/// by slot in that same view, the cluster's fleet within a relative 1e-6.
+/// tier (cluster.tiers, zero-count tiers included), and its device-factor
+/// table, slot by slot, the cluster's fleet within a relative 1e-6.
 /// Throws std::runtime_error naming `path` and the failed check.
 core::Plan load_validated_plan(const std::string& path,
                                const pfs::ClusterConfig& cluster,

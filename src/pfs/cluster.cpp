@@ -8,19 +8,7 @@
 namespace harl::pfs {
 
 std::vector<TierGroup> ClusterConfig::effective_tiers() const {
-  std::vector<TierGroup> groups;
-  if (!tiers.empty()) {
-    groups = tiers;
-  } else {
-    if (num_hservers > 0) {
-      groups.push_back(
-          TierGroup{"hserver", num_hservers, hdd, false, hdd_factors});
-    }
-    if (num_sservers > 0) {
-      groups.push_back(
-          TierGroup{"sserver", num_sservers, ssd, true, ssd_factors});
-    }
-  }
+  std::vector<TierGroup> groups = tiers;
   for (auto& g : groups) {
     if (!g.device_factors.empty() && g.device_factors.size() != g.count) {
       throw std::invalid_argument("tier \"" + g.name + "\" has " +
@@ -42,7 +30,6 @@ std::vector<TierGroup> ClusterConfig::effective_tiers() const {
 }
 
 std::size_t ClusterConfig::num_servers() const {
-  if (tiers.empty()) return num_hservers + num_sservers;
   std::size_t total = 0;
   for (const TierGroup& g : tiers) total += g.count;
   return total;
@@ -114,7 +101,7 @@ Cluster::Cluster(sim::Simulator& sim, const ClusterConfig& config)
     } else {
       // Default: the first SSD server — the paper's long-tailed device class.
       for (std::size_t ti = 0; ti < tiers_.size(); ++ti) {
-        if (tiers_[ti].is_ssd) {
+        if (tiers_[ti].is_ssd && tiers_[ti].count > 0) {
           target = tier_begin_[ti];
           break;
         }

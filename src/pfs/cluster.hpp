@@ -1,15 +1,15 @@
 // Hybrid PFS cluster assembly.
 //
-// Mirrors the paper's testbed shape: M HServers (HDD-backed) followed by N
-// SServers (SSD-backed) behind one file system namespace, a metadata server,
-// and a set of compute nodes (client NICs) over a shared-parameter network.
-// Global server indices [0, M) are HServers and [M, M+N) are SServers — the
-// same convention the layouts and the cost model use.
-//
-// Beyond the paper, the cluster generalizes to any number of *tier groups*
-// (the paper's stated future work: "extend our cost model to accommodate
-// more than two server performance profiles"): set ClusterConfig::tiers to
-// an ordered list of groups and the two-tier fields are ignored.
+// The fleet is one ordered list of *tier groups*, ClusterConfig::tiers,
+// behind one file system namespace, a metadata server, and a set of compute
+// nodes (client NICs) over a shared-parameter network.  Global server
+// indices are contiguous per group, in group order — the same convention
+// the layouts and the cost model use.  The default list is the paper's
+// testbed: M = 6 HServers (HDD-backed) followed by N = 2 SServers
+// (SSD-backed), so indices [0, M) are HServers and [M, M+N) SServers.
+// Any number of groups may be listed (the paper's stated future work:
+// "extend our cost model to accommodate more than two server performance
+// profiles"), and a group may have no servers: it keeps its tier index.
 #pragma once
 
 #include <cstdint>
@@ -43,19 +43,11 @@ struct TierGroup {
 };
 
 struct ClusterConfig {
-  // --- two-tier convenience (the paper's shape); used when `tiers` empty --
-  std::size_t num_hservers = 6;  ///< paper default
-  std::size_t num_sservers = 2;  ///< paper default
-  storage::TierProfile hdd = storage::hdd_profile();
-  storage::TierProfile ssd = storage::pcie_ssd_profile();
-  /// Two-tier convenience device aging (see TierGroup::device_factors):
-  /// per-member speed factors for the H/S tiers.  Empty = homogeneous.
-  std::vector<double> hdd_factors;
-  std::vector<double> ssd_factors;
-
-  /// Generalized form: ordered tier groups (slowest first by convention).
-  /// When non-empty this overrides the two-tier fields above.
-  std::vector<TierGroup> tiers;
+  /// The fleet: ordered tier groups (slowest first by convention).  The
+  /// default is the paper's 6 HServers followed by 2 SServers.
+  std::vector<TierGroup> tiers = {
+      {"hserver", 6, storage::hdd_profile(), false, {}},
+      {"sserver", 2, storage::pcie_ssd_profile(), true, {}}};
 
   std::size_t num_clients = 8;   ///< compute nodes (paper: 8)
   net::NetworkParams network = net::gigabit_ethernet();
@@ -74,8 +66,8 @@ struct ClusterConfig {
   /// plane's canonical straggler (DESIGN.md §15).  Disabled while duration
   /// is 0; a positive duration needs a positive period (the Cluster
   /// constructor throws otherwise).  `server` < 0 targets the first SSD
-  /// server (first member of the first is_ssd tier; server 0 when there is
-  /// none).
+  /// server (first member of the first is_ssd tier with servers; server 0
+  /// when there is none).
   struct GcPause {
     Seconds period = 0.0;    ///< pause cycle length (sim seconds)
     Seconds duration = 0.0;  ///< inflated prefix of each cycle
@@ -93,14 +85,14 @@ struct ClusterConfig {
   std::int64_t fail_server = -1;
   Seconds fail_at = 0.0;
 
-  /// The tier-group view, synthesizing it from the two-tier fields when
-  /// `tiers` is empty.  Device factors are returned canonical (sorted
-  /// ascending, all-1.0 collapsed to empty); throws std::invalid_argument
-  /// when a non-empty factor vector's size disagrees with its tier count.
+  /// `tiers`, validated, with device factors canonical (sorted ascending,
+  /// all-1.0 collapsed to empty).  Throws std::invalid_argument when a
+  /// non-empty factor vector's size disagrees with its tier count or a
+  /// factor is not finite and > 0.
   std::vector<TierGroup> effective_tiers() const;
 
-  /// Servers over every tier: the sum of `tiers`' counts when it is set,
-  /// else num_hservers + num_sservers.  Equals Cluster::num_servers().
+  /// Servers over every tier: the sum of `tiers`' counts.  Equals
+  /// Cluster::num_servers().
   std::size_t num_servers() const;
 };
 
@@ -108,9 +100,9 @@ class Cluster {
  public:
   Cluster(sim::Simulator& sim, const ClusterConfig& config);
 
-  /// Servers in non-SSD groups (== the paper's M for two-tier clusters).
+  /// Servers in non-SSD groups (== the paper's M for the default fleet).
   std::size_t num_hservers() const { return num_hservers_; }
-  /// Servers in SSD groups (== the paper's N for two-tier clusters).
+  /// Servers in SSD groups (== the paper's N for the default fleet).
   std::size_t num_sservers() const { return num_sservers_; }
   std::size_t num_servers() const { return servers_.size(); }
   std::size_t num_clients() const { return clients_.size(); }

@@ -134,8 +134,8 @@ TEST(CacheTier, StatsReconcile) {
 
 pfs::ClusterConfig cache_cluster_config() {
   pfs::ClusterConfig cfg;
-  cfg.num_hservers = 2;
-  cfg.num_sservers = 2;
+  cfg.tiers[0].count = 2;
+  cfg.tiers[1].count = 2;
   cfg.num_clients = 2;
   return cfg;
 }
@@ -411,6 +411,24 @@ TEST(CacheHarness, BlindKeepsThePlannerUntouched) {
   // The cache ran (blind mode arms it regardless of the plan).
   ASSERT_TRUE(blinded.cache.has_value());
   EXPECT_GT(blinded.cache->tier.lookups, 0u);
+}
+
+TEST(CacheHarness, BlindCacheRunsOnAClusterWithoutHServers) {
+  // An SSD-only array with a read cache (the HACache setting): the empty
+  // HServer tier keeps tier index 0, so the cache's SSD tier is still 1.
+  harness::ExperimentOptions opts = cached_options(8 * MiB, true);
+  opts.cluster.tiers[0].count = 0;
+  opts.cluster.tiers[1].count = 2;
+  harness::Experiment blind(opts);
+  const auto result = blind.run(harness::zipf_bundle(small_zipf()),
+                                harness::LayoutScheme::fixed(64 * KiB));
+
+  EXPECT_EQ(result.layout_description, "2x64K");
+  ASSERT_TRUE(result.cache.has_value());
+  const storage::CacheTier::Stats& s = result.cache->tier;
+  EXPECT_GT(s.lookups, 0u);
+  EXPECT_EQ(s.lookups, s.hits + s.misses);
+  EXPECT_EQ(s.admissions, s.fills_completed + s.fills_discarded);
 }
 
 TEST(CacheHarness, AwareModeUsesThePlanReservation) {

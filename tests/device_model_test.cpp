@@ -313,26 +313,27 @@ TEST(DeviceOptimizer, TransferBoundRegionRestrictsToTheFreshPrefix) {
 
 TEST(DeviceCluster, EffectiveTiersCanonicalizeFactors) {
   pfs::ClusterConfig cfg;
-  cfg.num_hservers = 2;
-  cfg.num_sservers = 4;
-  cfg.ssd_factors = {2.0, 1.0, 1.0, 2.0};
+  cfg.tiers[0].count = 2;
+  cfg.tiers[1].count = 4;
+  cfg.tiers[1].device_factors = {2.0, 1.0, 1.0, 2.0};
   const auto tiers = cfg.effective_tiers();
   ASSERT_EQ(tiers.size(), 2u);
   EXPECT_TRUE(tiers[0].device_factors.empty());
   EXPECT_EQ(tiers[1].device_factors, (std::vector<double>{1.0, 1.0, 2.0, 2.0}));
 
-  cfg.ssd_factors = {1.0, 1.0, 1.0, 1.0};
+  cfg.tiers[1].device_factors = {1.0, 1.0, 1.0, 1.0};
   EXPECT_TRUE(cfg.effective_tiers()[1].device_factors.empty());
 
-  cfg.ssd_factors = {1.0, 2.0};  // size != count
+  cfg.tiers[1].device_factors = {1.0, 2.0};  // size != count
   EXPECT_THROW(cfg.effective_tiers(), std::invalid_argument);
 }
 
 TEST(DeviceCluster, ServersCarryTheirCanonicalSlotFactor) {
   pfs::ClusterConfig cfg;
-  cfg.num_hservers = 2;
-  cfg.num_sservers = 4;
-  cfg.ssd_factors = {2.0, 1.0, 1.0, 2.0};  // canonicalized to {1,1,2,2}
+  cfg.tiers[0].count = 2;
+  cfg.tiers[1].count = 4;
+  // Canonicalized to {1,1,2,2}.
+  cfg.tiers[1].device_factors = {2.0, 1.0, 1.0, 2.0};
   sim::Simulator sim;
   pfs::Cluster cluster(sim, cfg);
   ASSERT_EQ(cluster.num_servers(), 6u);
@@ -349,9 +350,9 @@ TEST(DeviceCluster, ServersCarryTheirCanonicalSlotFactor) {
 
 TEST(DeviceCalibration, MeasuredFactorsTrackTheConfiguredAging) {
   pfs::ClusterConfig cfg;
-  cfg.num_hservers = 2;
-  cfg.num_sservers = 2;
-  cfg.ssd_factors = {1.0, 2.0};
+  cfg.tiers[0].count = 2;
+  cfg.tiers[1].count = 2;
+  cfg.tiers[1].device_factors = {1.0, 2.0};
   harness::CalibrationOptions opts;
   opts.samples_per_size = 200;
   opts.beta_samples = 200;
@@ -367,9 +368,9 @@ TEST(DeviceCalibration, MeasuredFactorsTrackTheConfiguredAging) {
 
 TEST(DeviceCalibration, DeviceBlindLeavesFactorsEmpty) {
   pfs::ClusterConfig cfg;
-  cfg.num_hservers = 2;
-  cfg.num_sservers = 2;
-  cfg.ssd_factors = {1.0, 2.0};
+  cfg.tiers[0].count = 2;
+  cfg.tiers[1].count = 2;
+  cfg.tiers[1].device_factors = {1.0, 2.0};
   harness::CalibrationOptions opts;
   opts.samples_per_size = 100;
   opts.beta_samples = 100;
@@ -424,15 +425,15 @@ TEST(DevicePlan, InstallRejectsAMismatchedFleet) {
   core::save_plan(core::PlanArtifact::from_plan(plan), path);
 
   pfs::ClusterConfig cluster;
-  cluster.num_hservers = 2;
-  cluster.num_sservers = 2;
-  cluster.ssd_factors = {1.0, 2.0};
+  cluster.tiers[0].count = 2;
+  cluster.tiers[1].count = 2;
+  cluster.tiers[1].device_factors = {1.0, 2.0};
   const auto scheme = harness::LayoutScheme::from_plan_file(path);
   // Matching fleet: installs.
   EXPECT_NE(harness::build_layout(scheme, cluster, {}, params, {}), nullptr);
 
   // A differently aged fleet must be rejected, naming the device table.
-  cluster.ssd_factors = {1.0, 4.0};
+  cluster.tiers[1].device_factors = {1.0, 4.0};
   try {
     harness::build_layout(scheme, cluster, {}, params, {});
     FAIL() << "mismatched device table was accepted";
@@ -442,7 +443,7 @@ TEST(DevicePlan, InstallRejectsAMismatchedFleet) {
   }
 
   // So must a fresh fleet (the plan assumed aged devices)...
-  cluster.ssd_factors = {};
+  cluster.tiers[1].device_factors = {};
   EXPECT_THROW(harness::build_layout(scheme, cluster, {}, params, {}),
                std::runtime_error);
 
@@ -454,10 +455,10 @@ TEST(DevicePlan, InstallRejectsAMismatchedFleet) {
       ::testing::TempDir() + "/device_model_install_fresh.plan";
   core::save_plan(core::PlanArtifact::from_plan(fresh_plan), fresh_path);
   const auto fresh_scheme = harness::LayoutScheme::from_plan_file(fresh_path);
-  cluster.ssd_factors = {};
+  cluster.tiers[1].device_factors = {};
   EXPECT_NE(harness::build_layout(fresh_scheme, cluster, {}, fresh, {}),
             nullptr);
-  cluster.ssd_factors = {1.0, 2.0};
+  cluster.tiers[1].device_factors = {1.0, 2.0};
   EXPECT_THROW(harness::build_layout(fresh_scheme, cluster, {}, fresh, {}),
                std::runtime_error);
 }
@@ -475,8 +476,8 @@ harness::WorkloadBundle small_bundle() {
 
 harness::ExperimentOptions small_options() {
   harness::ExperimentOptions options;
-  options.cluster.num_hservers = 3;
-  options.cluster.num_sservers = 2;
+  options.cluster.tiers[0].count = 3;
+  options.cluster.tiers[1].count = 2;
   options.cluster.num_clients = 2;
   options.calibration.samples_per_size = 50;
   options.calibration.beta_samples = 50;
@@ -511,8 +512,8 @@ TEST(DeviceGolden, AllOnesFactorsAreByteIdenticalToNoFactors) {
   const auto want = plain.run_all(bundle, schemes);
 
   harness::ExperimentOptions ones = small_options();
-  ones.cluster.hdd_factors = {1.0, 1.0, 1.0};
-  ones.cluster.ssd_factors = {1.0, 1.0};
+  ones.cluster.tiers[0].device_factors = {1.0, 1.0, 1.0};
+  ones.cluster.tiers[1].device_factors = {1.0, 1.0};
   harness::Experiment aged(ones);
   const auto got = aged.run_all(bundle, schemes);
 

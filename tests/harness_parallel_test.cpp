@@ -28,8 +28,8 @@ WorkloadBundle small_bundle() {
 
 ExperimentOptions small_options(ThreadPool* pool) {
   ExperimentOptions options;
-  options.cluster.num_hservers = 3;
-  options.cluster.num_sservers = 1;
+  options.cluster.tiers[0].count = 3;
+  options.cluster.tiers[1].count = 1;
   options.cluster.num_clients = 2;
   options.calibration.samples_per_size = 50;
   options.calibration.beta_samples = 50;

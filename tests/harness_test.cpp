@@ -20,6 +20,18 @@
 namespace harl::harness {
 namespace {
 
+/// Six servers over three tiers of two: an HDD, a SATA SSD and an NVMe tier.
+pfs::ClusterConfig three_tier_cluster() {
+  pfs::ClusterConfig cluster;
+  cluster.tiers = {
+      pfs::TierGroup{"hdd", 2, storage::hdd_profile(), false, {}},
+      pfs::TierGroup{"sata", 2, storage::sata_ssd_profile(), true, {}},
+      pfs::TierGroup{"nvme", 2, storage::nvme_ssd_profile(), true, {}},
+  };
+  cluster.num_clients = 2;
+  return cluster;
+}
+
 TEST(Calibration, FitsEffectiveParameters) {
   pfs::ClusterConfig cfg;
   CalibrationOptions opts;
@@ -27,21 +39,22 @@ TEST(Calibration, FitsEffectiveParameters) {
   opts.beta_samples = 500;
   const core::TieredCostParams params = calibrate(cfg, opts);
 
-  EXPECT_EQ(params.tiers[0].count, cfg.num_hservers);
-  EXPECT_EQ(params.tiers[1].count, cfg.num_sservers);
+  EXPECT_EQ(params.tiers[0].count, cfg.tiers[0].count);
+  EXPECT_EQ(params.tiers[1].count, cfg.tiers[1].count);
   EXPECT_DOUBLE_EQ(params.t, cfg.network.per_byte);
   EXPECT_EQ(params.net_hops, 1);
 
   // Effective HDD rate includes positioning amortized over the reference
   // access size: strictly slower than the media rate.
   EXPECT_GT(params.tiers[0].profile.read.per_byte,
-            cfg.hdd.read.per_byte * 1.15);
+            cfg.tiers[0].profile.read.per_byte * 1.15);
   // Sequential-stream startup fit: far below the full positioning window.
   EXPECT_LT(params.tiers[0].profile.read.startup_max,
-            cfg.hdd.read.startup_max * 0.7);
+            cfg.tiers[0].profile.read.startup_max * 0.7);
   // SSD effective rate stays near its media rate (only its microsecond
   // startups amortize in, roughly doubling the 64 KiB unit time at most).
-  EXPECT_LT(params.tiers[1].profile.read.per_byte, cfg.ssd.read.per_byte * 2.0);
+  EXPECT_LT(params.tiers[1].profile.read.per_byte,
+            cfg.tiers[1].profile.read.per_byte * 2.0);
   // SSD writes remain slower than reads.
   EXPECT_GT(params.tiers[1].profile.write.per_byte,
             params.tiers[1].profile.read.per_byte);
@@ -51,8 +64,8 @@ TEST(Calibration, TieredParamsMirrorTwoTier) {
   // The calibration is the paper's two-tier view: tier 0 the HServers,
   // tier 1 the SServers, each named after its role.
   pfs::ClusterConfig cfg;
-  cfg.num_hservers = 5;
-  cfg.num_sservers = 3;
+  cfg.tiers[0].count = 5;
+  cfg.tiers[1].count = 3;
   CalibrationOptions opts;
   opts.samples_per_size = 200;
   opts.beta_samples = 200;
@@ -66,6 +79,38 @@ TEST(Calibration, TieredParamsMirrorTwoTier) {
   // is far above the SSD's.
   EXPECT_GT(params.tiers[0].profile.read.per_byte,
             params.tiers[1].profile.read.per_byte * 2.0);
+}
+
+TEST(Calibration, ProbesOneDevicePerTierGroup) {
+  // Three groups give three tiers, each named after its group; group j's
+  // device is seeded seed + j, so the HDD tier measures exactly what the
+  // default fleet's HServer tier does.
+  CalibrationOptions opts;
+  opts.samples_per_size = 200;
+  opts.beta_samples = 200;
+  const core::TieredCostParams params = calibrate(three_tier_cluster(), opts);
+  ASSERT_EQ(params.tiers.size(), 3u);
+  const char* names[] = {"hdd", "sata", "nvme"};
+  for (std::size_t j = 0; j < 3; ++j) {
+    EXPECT_EQ(params.tiers[j].count, 2u);
+    EXPECT_EQ(params.tiers[j].profile.name, names[j]);
+    EXPECT_TRUE(params.tiers[j].device_factors.empty());
+  }
+  const core::TieredCostParams fleet = calibrate(pfs::ClusterConfig{}, opts);
+  EXPECT_EQ(params.tiers[0].profile.read.per_byte,
+            fleet.tiers[0].profile.read.per_byte);
+  EXPECT_EQ(params.tiers[0].profile.write.startup_max,
+            fleet.tiers[0].profile.write.startup_max);
+  // SATA is slower per byte than NVMe.
+  EXPECT_GT(params.tiers[1].profile.read.per_byte,
+            params.tiers[2].profile.read.per_byte);
+
+  // The default fleet at the default options: the calibration every saved
+  // plan of a default harl_sim run carries.
+  std::ostringstream hex;
+  hex << std::hex
+      << core::params_fingerprint(calibrate(pfs::ClusterConfig{}));
+  EXPECT_EQ(hex.str(), "a7e3139b9147a041");
 }
 
 TEST(Scheme, LabelsMatchFigureLegends) {
@@ -484,12 +529,13 @@ TEST(Scheme, LoadedPlanRejectsStaleCalibration) {
 
 TEST(Scheme, LoadedPlanInstallsOnAClusterWithAnEmptyTier) {
   // A fleet with no HServers and one aged SServer: the plan keeps a slot
-  // for the empty tier, and the device-factor check must read the cluster
-  // in that same (M, N) view to accept the plan it computed itself.
+  // for the empty tier, as the cluster does, and the device-factor check
+  // must read the cluster's tiers slot by slot to accept the plan it
+  // computed itself.
   ExperimentOptions opts;
-  opts.cluster.num_hservers = 0;
-  opts.cluster.num_sservers = 2;
-  opts.cluster.ssd_factors = {1.0, 2.0};
+  opts.cluster.tiers[0].count = 0;
+  opts.cluster.tiers[1].count = 2;
+  opts.cluster.tiers[1].device_factors = {1.0, 2.0};
   opts.cluster.num_clients = 4;
   opts.calibration.samples_per_size = 200;
   opts.calibration.beta_samples = 200;
@@ -515,15 +561,11 @@ TEST(Scheme, LoadedPlanInstallsOnAClusterWithAnEmptyTier) {
 }
 
 TEST(Scheme, FixedAndRandomLayoutsSpanAKTierCluster) {
-  // Six servers over three tiers: the two-tier fields still say 6 + 2, but
-  // the fixed and random layouts must stripe over the six servers there are.
+  // Six servers over three tiers: the fixed and random layouts must stripe
+  // over the six servers there are, and HARL's plan must span the three
+  // tiers the calibration measured.
   ExperimentOptions opts;
-  opts.cluster.tiers = {
-      pfs::TierGroup{"hdd", 2, storage::hdd_profile(), false, {}},
-      pfs::TierGroup{"sata", 2, storage::sata_ssd_profile(), true, {}},
-      pfs::TierGroup{"nvme", 2, storage::nvme_ssd_profile(), true, {}},
-  };
-  opts.cluster.num_clients = 2;
+  opts.cluster = three_tier_cluster();
   opts.calibration.samples_per_size = 50;
   opts.calibration.beta_samples = 50;
 
@@ -535,14 +577,19 @@ TEST(Scheme, FixedAndRandomLayoutsSpanAKTierCluster) {
 
   Experiment exp(opts);
   const auto results = exp.run_all(
-      ior_bundle(ior),
-      {LayoutScheme::fixed(64 * KiB), LayoutScheme::random_stripes(1)});
-  ASSERT_EQ(results.size(), 2u);
+      ior_bundle(ior), {LayoutScheme::fixed(64 * KiB),
+                        LayoutScheme::random_stripes(1), LayoutScheme::harl()});
+  ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].layout_description, "6x64K");
+  ASSERT_TRUE(results[2].plan.has_value());
+  EXPECT_EQ(results[2].plan->tier_counts,
+            (std::vector<std::size_t>{2, 2, 2}));
   for (const SchemeResult& r : results) {
     SCOPED_TRACE(r.label);
     EXPECT_EQ(r.total.bytes, 2u * 4u * 4u * 512 * KiB);
     ASSERT_EQ(r.server_io_time.size(), 6u);
+    // Fixed and random stripes reach every server; HARL may skip a tier.
+    if (r.label == "HARL") continue;
     for (const Seconds io_time : r.server_io_time) EXPECT_GT(io_time, 0.0);
   }
 }
@@ -553,8 +600,8 @@ TEST(Scheme, FixedAndRandomLayoutsSpanAKTierCluster) {
 /// recorder, trace events and the telemetry plane with an SLO.
 ExperimentOptions reuse_options(ThreadPool* pool, bool observe) {
   ExperimentOptions options;
-  options.cluster.num_hservers = 3;
-  options.cluster.num_sservers = 1;
+  options.cluster.tiers[0].count = 3;
+  options.cluster.tiers[1].count = 1;
   options.cluster.num_clients = 2;
   options.calibration.samples_per_size = 50;
   options.calibration.beta_samples = 50;

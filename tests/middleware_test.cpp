@@ -13,8 +13,8 @@ namespace {
 
 pfs::ClusterConfig small_config() {
   pfs::ClusterConfig cfg;
-  cfg.num_hservers = 2;
-  cfg.num_sservers = 1;
+  cfg.tiers[0].count = 2;
+  cfg.tiers[1].count = 1;
   cfg.num_clients = 2;
   return cfg;
 }

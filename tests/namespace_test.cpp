@@ -226,8 +226,8 @@ TEST(MetadataServer, OpenStormQueuesThroughTheFifo) {
   obs::Recorder recorder(obs::Recorder::Options{});
   sim.set_observer(&recorder);
   pfs::ClusterConfig cfg;
-  cfg.num_hservers = 2;
-  cfg.num_sservers = 2;
+  cfg.tiers[0].count = 2;
+  cfg.tiers[1].count = 2;
   cfg.num_clients = 2;
   pfs::Cluster cluster(sim, cfg);
   const std::size_t tracks = recorder.resource_summaries().size();
@@ -252,8 +252,8 @@ TEST(MetadataServer, OpenStormQueuesThroughTheFifo) {
 
 pfs::ClusterConfig cache_cluster() {
   pfs::ClusterConfig cfg;
-  cfg.num_hservers = 2;
-  cfg.num_sservers = 2;
+  cfg.tiers[0].count = 2;
+  cfg.tiers[1].count = 2;
   cfg.num_clients = 2;
   return cfg;
 }
@@ -323,8 +323,8 @@ TEST(SharedCache, HotTenantEvictsColdUnderSlru) {
 
 harness::ExperimentOptions small_options() {
   harness::ExperimentOptions options;
-  options.cluster.num_hservers = 2;
-  options.cluster.num_sservers = 2;
+  options.cluster.tiers[0].count = 2;
+  options.cluster.tiers[1].count = 2;
   options.cluster.num_clients = 2;
   return options;
 }
@@ -454,9 +454,7 @@ TEST(Population, FailureStormServesDegradedReadsAndRebuilds) {
 
   harness::ExperimentOptions failing = small_options();
   failing.cluster.fail_server =
-      static_cast<std::int64_t>(failing.cluster.num_hservers +
-                                failing.cluster.num_sservers) -
-      1;
+      static_cast<std::int64_t>(failing.cluster.num_servers()) - 1;
   failing.cluster.fail_at = 0.001;
   failing.telemetry.interval = 0.01;
   failing.telemetry.slo = 1.0;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/common/rng.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/core/stripe_optimizer.hpp"
 #include "src/storage/profiles.hpp"
 
@@ -690,6 +691,47 @@ TEST(SharedBoundTable, IorGridTightensOnlyWhereTheScanReaches) {
   expect_same_search(want, optimize_region(p, reqs, 1.0 * MiB, opts));
   EXPECT_GT(table.reads(), 0u);
   EXPECT_LT(table.reads(), 2 * 32897 / 4);
+}
+
+TEST(SharedBoundTable, ConcurrentSearchesMatchSerial) {
+  // Eight searches, four regions on each of two grids (the paper's pairs,
+  // and the same pairs under an SServer share bound), fill one table from
+  // a pool of 4.  Each result must equal the table-less search bit for
+  // bit, and the table must hold what a serial run fills: which bounds a
+  // search reads does not depend on who stored them first.
+  const TieredCostParams p = calibrated_params();
+  std::vector<OptimizerOptions> grids(2);
+  for (OptimizerOptions& opts : grids) opts.step = kOracleStep;
+  grids[1].max_sserver_share = 0.5;
+  std::vector<std::vector<FileRequest>> regions;
+  for (std::uint64_t seed : {81, 83, 85, 87}) {
+    regions.push_back(mixed_requests(480, seed));
+  }
+  const std::size_t n = grids.size() * regions.size();
+  const auto run = [&](std::size_t i, BoundTable* table) {
+    OptimizerOptions opts = grids[i % grids.size()];
+    opts.bounds = table;
+    return optimize_region(p, regions[i / grids.size()], kOracleAvg, opts);
+  };
+
+  std::vector<RegionStripes> want;
+  BoundTable serial;
+  for (std::size_t i = 0; i < n; ++i) {
+    want.push_back(run(i, nullptr));
+    run(i, &serial);
+  }
+
+  BoundTable shared;
+  std::vector<RegionStripes> got(n);
+  ThreadPool pool(4);
+  pool.parallel_for(n, [&](std::size_t i) { got[i] = run(i, &shared); });
+  for (std::size_t i = 0; i < n; ++i) {
+    SCOPED_TRACE(i);
+    expect_same_search(want[i], got[i]);
+  }
+  EXPECT_GT(shared.filled(), 0u);
+  EXPECT_EQ(shared.filled(), serial.filled());
+  EXPECT_EQ(shared.reads(), serial.reads());
 }
 
 // ---------------------------------------------------------------------------

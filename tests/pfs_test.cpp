@@ -134,8 +134,8 @@ TEST(Mds, UnknownFileLooksUpNull) {
 
 ClusterConfig small_cluster_config() {
   ClusterConfig cfg;
-  cfg.num_hservers = 2;
-  cfg.num_sservers = 1;
+  cfg.tiers[0].count = 2;
+  cfg.tiers[1].count = 1;
   cfg.num_clients = 2;
   return cfg;
 }
@@ -178,8 +178,8 @@ TEST(Cluster, WiresServersAndClients) {
 TEST(Cluster, RejectsEmptyConfigs) {
   sim::Simulator sim;
   ClusterConfig none;
-  none.num_hservers = 0;
-  none.num_sservers = 0;
+  none.tiers[0].count = 0;
+  none.tiers[1].count = 0;
   EXPECT_THROW(Cluster(sim, none), std::invalid_argument);
   ClusterConfig no_clients = small_cluster_config();
   no_clients.num_clients = 0;
@@ -199,6 +199,27 @@ TEST(Cluster, RejectsGcPauseWithoutPeriod) {
   EXPECT_NO_THROW(Cluster(sim, cfg));
 }
 
+TEST(Cluster, DefaultGcPauseSkipsAnEmptySsdTier) {
+  // Without SServers the default pause target, the first SSD server, does
+  // not exist: the pause falls back to server 0, while the empty SSD tier
+  // keeps its slot.
+  sim::Simulator sim;
+  ClusterConfig cfg = small_cluster_config();
+  cfg.tiers[1].count = 0;
+  cfg.gc_pause.period = 1.0;
+  cfg.gc_pause.duration = 0.5;
+  cfg.gc_pause.factor = 100.0;
+  Cluster cluster(sim, cfg);
+  ASSERT_EQ(cluster.num_servers(), 2u);
+  EXPECT_EQ(cluster.num_tiers(), 2u);
+  auto layout = make_fixed_layout(cluster.num_servers(), 64 * KiB);
+  cluster.client(0).io(*layout, IoOp::kRead, 0, 128 * KiB, [] {});
+  sim.run();
+  // Each server serves one 64 KiB piece inside the pause; only server 0's
+  // is inflated.
+  EXPECT_GT(cluster.server(0).io_time(), 10.0 * cluster.server(1).io_time());
+}
+
 TEST(Cluster, RejectsNonPositiveOrNonFiniteDeviceFactors) {
   // A factor scales service time, so it must be a finite positive number; a
   // NaN would otherwise reach the canonicalizing sort.
@@ -206,14 +227,14 @@ TEST(Cluster, RejectsNonPositiveOrNonFiniteDeviceFactors) {
   for (const double bad : {std::nan(""), -2.0, 0.0,
                            std::numeric_limits<double>::infinity()}) {
     ClusterConfig cfg;
-    cfg.hdd_factors = {1.0, bad, 1.0, 1.0, 1.0, 1.0};
+    cfg.tiers[0].device_factors = {1.0, bad, 1.0, 1.0, 1.0, 1.0};
     EXPECT_THROW(Cluster(sim, cfg), std::invalid_argument) << bad;
-    cfg.hdd_factors.clear();
-    cfg.ssd_factors = {bad, 1.0};
+    cfg.tiers[0].device_factors.clear();
+    cfg.tiers[1].device_factors = {bad, 1.0};
     EXPECT_THROW(Cluster(sim, cfg), std::invalid_argument) << bad;
   }
   ClusterConfig cfg;
-  cfg.ssd_factors = {1.0, 4.0};
+  cfg.tiers[1].device_factors = {1.0, 4.0};
   EXPECT_NO_THROW(Cluster(sim, cfg));
 }
 

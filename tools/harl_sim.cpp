@@ -38,8 +38,8 @@ constexpr const char* kPopulationMode = "files>=1";
 void apply_aging(const std::vector<std::string>& clauses,
                  pfs::ClusterConfig& cluster) {
   if (clauses.empty()) return;
-  cluster.hdd_factors.clear();
-  cluster.ssd_factors.clear();
+  cluster.tiers[0].device_factors.clear();
+  cluster.tiers[1].device_factors.clear();
   for (const auto& clause : clauses) {
     const auto eq = clause.find('=');
     const std::string tier = clause.substr(0, eq);
@@ -47,8 +47,7 @@ void apply_aging(const std::vector<std::string>& clauses,
       throw std::invalid_argument(
           "clause must be hserver=f0:f1:... or sserver=...: " + clause);
     }
-    auto& factors = tier == "hserver" ? cluster.hdd_factors
-                                      : cluster.ssd_factors;
+    auto& factors = cluster.tiers[tier == "hserver" ? 0 : 1].device_factors;
     factors.clear();
     // FieldReader only splits here (every text() call has a field left),
     // so a bad factor stays the std::invalid_argument Options expects.
@@ -285,11 +284,11 @@ std::string usage() {
 void apply_device_config(const Options& opts, pfs::ClusterConfig& cluster) {
   const double spread = opts.get_double("device-spread");
   if (spread > 1.0) {
-    const std::size_t aged = cluster.num_sservers / 2;
-    cluster.ssd_factors.assign(cluster.num_sservers, 1.0);
-    for (std::size_t i = cluster.num_sservers - aged;
-         i < cluster.num_sservers; ++i) {
-      cluster.ssd_factors[i] = spread;
+    pfs::TierGroup& sservers = cluster.tiers[1];
+    sservers.device_factors.assign(sservers.count, 1.0);
+    for (std::size_t i = sservers.count - sservers.count / 2;
+         i < sservers.count; ++i) {
+      sservers.device_factors[i] = spread;
     }
   }
   apply_aging(opts.get_list("aging"), cluster);
@@ -706,9 +705,9 @@ int main(int argc, char** argv) {
     }
 
     harness::ExperimentOptions options;
-    options.cluster.num_hservers =
+    options.cluster.tiers[0].count =
         static_cast<std::size_t>(opts.get_int("hservers"));
-    options.cluster.num_sservers =
+    options.cluster.tiers[1].count =
         static_cast<std::size_t>(opts.get_int("sservers"));
     options.cluster.num_clients =
         static_cast<std::size_t>(opts.get_int("clients"));

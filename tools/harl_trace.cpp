@@ -208,8 +208,10 @@ int cmd_analyze(const std::string& in, const Options& options) {
   std::sort(records.begin(), records.end(), trace::ByOffset{});
 
   pfs::ClusterConfig cluster;
-  cluster.num_hservers = static_cast<std::size_t>(options.get_int("hservers"));
-  cluster.num_sservers = static_cast<std::size_t>(options.get_int("sservers"));
+  cluster.tiers[0].count =
+      static_cast<std::size_t>(options.get_int("hservers"));
+  cluster.tiers[1].count =
+      static_cast<std::size_t>(options.get_int("sservers"));
   const core::TieredCostParams params = harness::calibrate(cluster, {});
 
   core::PlannerOptions opts;
