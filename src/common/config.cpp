@@ -183,6 +183,17 @@ Options::Options(std::span<const OptionSpec> table,
   }
 }
 
+const std::string& Options::path(const std::string& arg) {
+  const auto eq = arg.find('=');
+  if (eq != std::string::npos && eq != 0 && arg.find('/') > eq) {
+    throw std::invalid_argument("'" + arg +
+                                "' is a key=value option where a path "
+                                "belongs (write ./" + arg +
+                                " for a file of that name)");
+  }
+  return arg;
+}
+
 bool Options::given(const std::string& key) const {
   return values_.get(key).has_value();
 }

@@ -109,6 +109,13 @@ class Options {
   Options(std::span<const OptionSpec> table,
           const std::vector<std::string>& args);
 
+  /// Returns a command's positional path argument unchanged.  Throws
+  /// std::invalid_argument naming it when it has the key=value form of an
+  /// option (a key with no '/' before the first '='), so a mistyped
+  /// `out=t.trace` is an error instead of a file of that name; "./a=b"
+  /// names such a file.
+  static const std::string& path(const std::string& arg);
+
   /// Rows holding a default for `mode` serve it instead of their fallback.
   void select_mode(std::string mode) { mode_ = std::move(mode); }
 

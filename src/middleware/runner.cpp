@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/common/interval.hpp"
@@ -14,12 +16,26 @@ namespace harl::mw {
 
 namespace detail {
 
+/// One compiled action of a rank program: 24 bytes with no heap block of
+/// its own.  A collective's extents live in RunState::extents.
+struct OpRecord {
+  union {
+    Bytes offset;       ///< kIo: request offset
+    std::size_t first;  ///< kCollectiveIo: first index in RunState::extents
+    Seconds compute;    ///< kCompute: duration
+  };
+  Bytes size;  ///< kIo: request size; kCollectiveIo: extent count
+  IoAction::Kind kind;
+  IoOp op;
+};
+static_assert(sizeof(OpRecord) == 24);
+
 /// Mutable execution state shared by all in-flight callbacks of one launch.
 /// The runner's layout (shared_ptr member) and world outlive the simulator
-/// drain; the programs are copied so a launch() caller's vector may die.
+/// drain; the programs are compiled at launch, so a launch() caller's vector
+/// may die.
 struct RunState {
   MpiWorld& world;
-  std::vector<RankProgram> programs;
   const pfs::Layout& layout;
   trace::TraceCollector* collector;
   Bytes cb_buffer_size;
@@ -28,7 +44,14 @@ struct RunState {
   const pfs::ReplicaMap* replicas;
   std::string file_name;
 
-  std::vector<std::size_t> pc;        // per-rank program counter
+  // The compiled programs: rank r's ops are ops[first[r] .. first[r + 1]),
+  // in program order.  Neither vector grows after construction, so record
+  // pointers stay valid for the whole launch.
+  std::vector<OpRecord> ops;
+  std::vector<std::size_t> first;
+  std::vector<Extent> extents;  // every collective's extents, in op order
+
+  std::vector<std::size_t> pc;        // per-rank index of its next op in ops
   std::vector<std::size_t> sync_seq;  // per-rank sync points passed
   std::vector<char> rank_done;        // per-rank completion latch
   std::size_t ranks_done = 0;
@@ -36,18 +59,17 @@ struct RunState {
 
   struct SyncPoint {
     std::size_t arrived = 0;
-    std::vector<const IoAction*> actions;  // indexed by rank
+    std::vector<const OpRecord*> ops;  // indexed by rank
   };
   std::map<std::size_t, SyncPoint> syncs;
 
   Bytes bytes_read = 0;
   Bytes bytes_written = 0;
 
-  RunState(MpiWorld& w, std::vector<RankProgram> p, const pfs::Layout& l,
-           trace::TraceCollector* c, const RunnerOptions& opts,
-           std::string name)
+  RunState(MpiWorld& w, const std::vector<RankProgram>& programs,
+           const pfs::Layout& l, trace::TraceCollector* c,
+           const RunnerOptions& opts, std::string name)
       : world(w),
-        programs(std::move(p)),
         layout(l),
         collector(c),
         cb_buffer_size(opts.collective.buffer_size),
@@ -55,9 +77,26 @@ struct RunState {
         file(opts.file),
         replicas(opts.replicas),
         file_name(std::move(name)),
-        pc(programs.size(), 0),
         sync_seq(programs.size(), 0),
-        rank_done(programs.size(), 0) {}
+        rank_done(programs.size(), 0) {
+    std::size_t nops = 0;
+    for (const auto& prog : programs) nops += prog.size();
+    ops.reserve(nops);  // one allocation of the final size
+    first.reserve(programs.size() + 1);
+    for (const auto& prog : programs) {
+      first.push_back(ops.size());
+      for (const auto& action : prog) ops.push_back(compile(action));
+    }
+    first.push_back(ops.size());
+    pc.assign(first.begin(), first.end() - 1);
+  }
+
+  std::size_t ranks() const { return pc.size(); }
+  bool finished(std::size_t rank) const { return pc[rank] >= first[rank + 1]; }
+
+  std::span<const Extent> extents_of(const OpRecord& rec) const {
+    return std::span(extents).subspan(rec.first, rec.size);
+  }
 
   sim::Simulator& sim() { return world.cluster().simulator(); }
 
@@ -74,12 +113,45 @@ struct RunState {
       collector->record(rank, fd, op, offset, size, t_start, sim().now());
     }
   }
+
+ private:
+  OpRecord compile(const IoAction& action) {
+    OpRecord rec{};
+    rec.kind = action.kind;
+    rec.op = action.op;
+    switch (action.kind) {
+      case IoAction::Kind::kIo:
+        // Only one extent would be issued, while program_volume() counts
+        // them all.
+        if (action.extents.size() != 1) {
+          throw std::invalid_argument(
+              "independent I/O action needs one extent, has " +
+              std::to_string(action.extents.size()));
+        }
+        rec.offset = action.extents.front().offset;
+        rec.size = action.extents.front().size;
+        break;
+      case IoAction::Kind::kCollectiveIo:
+        rec.first = extents.size();
+        rec.size = action.extents.size();
+        extents.insert(extents.end(), action.extents.begin(),
+                       action.extents.end());
+        break;
+      case IoAction::Kind::kCompute:
+        rec.compute = action.compute;
+        break;
+      case IoAction::Kind::kBarrier:
+        break;
+    }
+    return rec;
+  }
 };
 
 }  // namespace detail
 
 namespace {
 
+using detail::OpRecord;
 using detail::RunState;
 
 void step(const std::shared_ptr<RunState>& st, std::size_t rank);
@@ -114,13 +186,13 @@ void issue_aggregator_rounds(const std::shared_ptr<RunState>& st,
           st->file, st->replicas);
 }
 
-/// Two-phase collective I/O over the actions gathered at one sync point.
+/// Two-phase collective I/O over the ops gathered at one sync point.
 void run_collective(const std::shared_ptr<RunState>& st,
-                    const std::vector<const IoAction*>& actions) {
-  const std::size_t nranks = st->programs.size();
-  const IoOp op = actions.front()->op;
-  for (const auto* a : actions) {
-    if (a->op != op) {
+                    const std::vector<const OpRecord*>& ops) {
+  const std::size_t nranks = st->ranks();
+  const IoOp op = ops.front()->op;
+  for (const auto* rec : ops) {
+    if (rec->op != op) {
       throw std::logic_error("collective ops disagree on read/write");
     }
   }
@@ -129,8 +201,8 @@ void run_collective(const std::shared_ptr<RunState>& st,
   Bytes lo = ~static_cast<Bytes>(0);
   Bytes hi = 0;
   Bytes app_bytes = 0;
-  for (const auto* a : actions) {
-    for (const auto& e : a->extents) {
+  for (const auto* rec : ops) {
+    for (const auto& e : st->extents_of(*rec)) {
       if (e.size == 0) continue;
       lo = std::min(lo, e.offset);
       hi = std::max(hi, e.offset + e.size);
@@ -138,7 +210,7 @@ void run_collective(const std::shared_ptr<RunState>& st,
     }
   }
   auto release_all = [st] {
-    for (std::size_t r = 0; r < st->programs.size(); ++r) advance(st, r);
+    for (std::size_t r = 0; r < st->ranks(); ++r) advance(st, r);
   };
   if (app_bytes == 0) {
     st->sim().schedule_after(0.0, release_all);
@@ -170,7 +242,7 @@ void run_collective(const std::shared_ptr<RunState>& st,
   std::vector<std::vector<Bytes>> volume(nranks,
                                          std::vector<Bytes>(ranges.size(), 0));
   for (std::size_t r = 0; r < nranks; ++r) {
-    for (const auto& e : actions[r]->extents) {
+    for (const auto& e : st->extents_of(*ops[r])) {
       const ByteInterval ext = interval_of(e.offset, e.size);
       for (std::size_t a = 0; a < ranges.size(); ++a) {
         volume[r][a] +=
@@ -234,48 +306,47 @@ void run_collective(const std::shared_ptr<RunState>& st,
 
 void resolve_sync(const std::shared_ptr<RunState>& st, std::size_t seq) {
   auto node = st->syncs.extract(seq);
-  const auto& actions = node.mapped().actions;
+  const auto& ops = node.mapped().ops;
 
   const bool any_collective =
-      std::any_of(actions.begin(), actions.end(), [](const IoAction* a) {
-        return a->kind == IoAction::Kind::kCollectiveIo;
+      std::any_of(ops.begin(), ops.end(), [](const OpRecord* rec) {
+        return rec->kind == IoAction::Kind::kCollectiveIo;
       });
   if (!any_collective) {
     // Pure barrier: release everyone on the next event-loop turn.
     st->sim().schedule_after(0.0, [st] {
-      for (std::size_t r = 0; r < st->programs.size(); ++r) advance(st, r);
+      for (std::size_t r = 0; r < st->ranks(); ++r) advance(st, r);
     });
     return;
   }
-  for (const auto* a : actions) {
-    if (a->kind != IoAction::Kind::kCollectiveIo) {
+  for (const auto* rec : ops) {
+    if (rec->kind != IoAction::Kind::kCollectiveIo) {
       throw std::logic_error("sync point mixes barrier and collective I/O");
     }
   }
-  run_collective(st, actions);
+  run_collective(st, ops);
 }
 
 void step(const std::shared_ptr<RunState>& st, std::size_t rank) {
-  const RankProgram& prog = st->programs[rank];
-  if (st->pc[rank] >= prog.size()) {  // rank finished
+  if (st->finished(rank)) {
     if (!st->rank_done[rank]) {
       st->rank_done[rank] = 1;
-      if (++st->ranks_done == st->programs.size()) {
+      if (++st->ranks_done == st->ranks()) {
         st->completed_at = st->sim().now();
       }
     }
     return;
   }
-  const IoAction& action = prog[st->pc[rank]];
+  const OpRecord& rec = st->ops[st->pc[rank]];
 
-  switch (action.kind) {
+  switch (rec.kind) {
     case IoAction::Kind::kCompute:
-      st->sim().schedule_after(action.compute, [st, rank] { advance(st, rank); });
+      st->sim().schedule_after(rec.compute, [st, rank] { advance(st, rank); });
       return;
 
     case IoAction::Kind::kIo: {
-      const Extent e = action.extents.at(0);
-      const IoOp op = action.op;
+      const Extent e{rec.offset, rec.size};
+      const IoOp op = rec.op;
       st->account(op, e.size);
       const Seconds t0 = st->sim().now();
       auto issue = [st, rank, op, e, t0] {
@@ -305,9 +376,9 @@ void step(const std::shared_ptr<RunState>& st, std::size_t rank) {
     case IoAction::Kind::kCollectiveIo: {
       const std::size_t seq = st->sync_seq[rank]++;
       auto& sp = st->syncs[seq];
-      if (sp.actions.empty()) sp.actions.resize(st->programs.size(), nullptr);
-      sp.actions[rank] = &action;
-      if (++sp.arrived == st->programs.size()) resolve_sync(st, seq);
+      if (sp.ops.empty()) sp.ops.resize(st->ranks(), nullptr);
+      sp.ops[rank] = &rec;
+      if (++sp.arrived == st->ranks()) resolve_sync(st, seq);
       return;
     }
   }
@@ -345,7 +416,7 @@ ProgramRunner::Launch ProgramRunner::launch(
   // then all ranks start.
   const std::size_t nodes = world_.cluster().num_clients();
   auto open_join = std::make_shared<sim::JoinCounter>(nodes, [st] {
-    for (std::size_t r = 0; r < st->programs.size(); ++r) step(st, r);
+    for (std::size_t r = 0; r < st->ranks(); ++r) step(st, r);
   });
   for (std::size_t nodeidx = 0; nodeidx < nodes; ++nodeidx) {
     world_.cluster().mds().lookup(
@@ -360,9 +431,9 @@ RunResult ProgramRunner::finish(const Launch& launch) const {
   const auto& st = launch.state;
   if (!st) throw std::logic_error("finish() of an empty launch");
 
-  // The advance past the final action leaves pc == size for every rank.
-  for (std::size_t r = 0; r < st->programs.size(); ++r) {
-    if (st->pc[r] < st->programs[r].size()) {
+  // The advance past a rank's final op leaves its pc at its end.
+  for (std::size_t r = 0; r < st->ranks(); ++r) {
+    if (!st->finished(r)) {
       throw std::logic_error("rank deadlocked: mismatched sync points?");
     }
   }

@@ -107,9 +107,13 @@ class ProgramRunner {
     Seconds start = 0.0;
   };
 
-  /// Schedules the MPI_File_open fan-out and the rank programs (a copy is
-  /// taken; the caller's vector need not outlive the launch).  No simulated
-  /// time elapses until the caller runs the simulator.
+  /// Schedules the MPI_File_open fan-out and the rank programs.  The
+  /// programs are compiled into one flat array of fixed-size op records
+  /// (each rank's a contiguous slice; collective extents in one shared
+  /// pool), so the caller's vector need not outlive the launch.  No
+  /// simulated time elapses until the caller runs the simulator.  Throws
+  /// std::invalid_argument for an independent I/O action without exactly
+  /// one extent.
   Launch launch(const std::vector<RankProgram>& programs);
 
   /// Harvests the result of a drained launch.  Throws std::logic_error if

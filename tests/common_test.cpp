@@ -811,6 +811,17 @@ TEST(Options, RejectsATableWhoseDefaultBreaksItsOwnRow) {
   EXPECT_THROW(Options(broken, {}), std::invalid_argument);
 }
 
+TEST(Options, PathRejectsTheKeyValueFormOfAnOption) {
+  EXPECT_EQ(Options::path("t.trace"), "t.trace");
+  EXPECT_EQ(Options::path("./out=t.trace"), "./out=t.trace");
+  EXPECT_EQ(Options::path("dir/a=b.csv"), "dir/a=b.csv");
+  EXPECT_EQ(Options::path("=t.trace"), "=t.trace");
+  const std::string error =
+      invalid_argument_message([] { Options::path("out=t.trace"); });
+  EXPECT_EQ(error.rfind("'out=t.trace' is a key=value option", 0), 0u);
+  EXPECT_THROW(Options::path("out=dir/t.trace"), std::invalid_argument);
+}
+
 TEST(Options, HelpPrintsEveryRowWithItsDefaultsAndRange) {
   const std::string help = describe_options(kTestOptions);
   EXPECT_NE(help.find("  count        a count (4, big: 64; >= 1)\n"),

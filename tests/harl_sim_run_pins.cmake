@@ -1,5 +1,5 @@
-# CTest script: the outputs of the benchmark's planning lines are pinned by
-# SHA-256.
+# CTest script: the outputs of the benchmark's planning lines, and of the
+# runner's collective and independent paths, are pinned by SHA-256.
 #
 #   * "ior": the ior-plan line (a 64K baseline next to a HARL plan of one
 #     1 MiB-request region).  Its stdout and the Plan artifact it saves
@@ -8,6 +8,11 @@
 #   * "population": the population line (32 files of 3 rotating shapes over
 #     4 tenants, a third of them sequential-IOR twins); its stdout at
 #     threads=0.
+#   * "btio": a 16-rank BTIO run, the runner's collective path (barriers and
+#     two-phase collective writes with many extents per rank); its stdout at
+#     threads=0.
+#   * "ior_small": a 64-rank independent IOR run under two fixed layouts, the
+#     runner's independent path without a planner; its stdout at threads=0.
 #
 # The plan is saved under a relative name inside WORK_DIR, so the "saved
 # HARL plan ... to <file>" line of stdout does not depend on the build
@@ -28,6 +33,15 @@ set(pinned_ior_plan
 set(population_args files=32 tenants=4 schemes=64K,harl)
 set(pinned_population_stdout
   1b8d5a20023c04b05520446b7ade5cbc98493a75ade4f44e2c9a63e2916191a3)
+
+set(btio_args workload=btio procs=16 schemes=64K,harl)
+set(pinned_btio_stdout
+  d957e13319b8c631e39cb6f4351749e406318bc1c422307f0b453caf7b12dd6f)
+
+set(ior_small_args
+  workload=ior procs=64 file=1G request=256K requests=32 schemes=64K,256K)
+set(pinned_ior_small_stdout
+  3bccf5a17a4269929f4e05b3143dd68a0895e18adb8797743fb2e00266b59c48)
 
 function(run_harl_sim label)
   execute_process(
@@ -65,15 +79,17 @@ foreach(threads 0 4)
   endif()
 endforeach()
 
-run_harl_sim("population" ${population_args} threads=0)
-if(NOT out_hash STREQUAL pinned_population_stdout)
-  string(APPEND mismatches
-         "\n  population stdout: ${out_hash}"
-         " (pinned ${pinned_population_stdout})\n${run_out}")
-endif()
+foreach(line population btio ior_small)
+  run_harl_sim("${line}" ${${line}_args} threads=0)
+  if(NOT out_hash STREQUAL pinned_${line}_stdout)
+    string(APPEND mismatches
+           "\n  ${line} stdout: ${out_hash}"
+           " (pinned ${pinned_${line}_stdout})\n${run_out}")
+  endif()
+endforeach()
 
 if(mismatches)
   message(FATAL_ERROR "planning-line outputs changed:${mismatches}")
 endif()
 message(STATUS "run pins ok: ior stdout and plan at threads=0 and 4, "
-               "population stdout")
+               "population, btio and ior_small stdout")

@@ -1,7 +1,8 @@
 # CTest script: harl_trace must reject malformed trace and Plan artifact
-# files with one clear error.  Every run below must exit non-zero, and its
-# stderr must name what was wrong (the line and field of a text file, the
-# truncation or record of a binary one), never a bare library message
+# files, and positional paths that are mistyped options, with one clear
+# error.  Every run below must exit non-zero, and its stderr must name what
+# was wrong (the line and field of a text file, the truncation or record of
+# a binary one, the mistyped argument), never a bare library message
 # ("stoull") or an allocation failure ("bad_alloc").
 if(NOT DEFINED HARL_TRACE OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "pass -DHARL_TRACE=<binary> -DWORK_DIR=<dir>")
@@ -109,5 +110,31 @@ if(NOT plan_size EQUAL 56)
   message(FATAL_ERROR "regions.plan is ${plan_size} bytes, not 56")
 endif()
 expect_rejected(plan ${dir}/regions.plan "truncated plan artifact")
+
+# A positional path in the key=value form of an option is a mistyped option,
+# not a file name: the command must fail, name the argument, and write
+# nothing.
+set(good_trace ${dir}/good.csv)
+file(WRITE ${good_trace} "${header}${good}")
+foreach(entry IN ITEMS "gen;out=t.trace" "convert;${good_trace};out=t.bin")
+  list(GET entry -1 arg)
+  list(JOIN entry " " call)
+  execute_process(
+    COMMAND ${HARL_TRACE} ${entry}
+    WORKING_DIRECTORY ${dir}
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "harl_trace ${call} accepted ${arg}:\n${out}")
+  endif()
+  string(FIND "${err}" "'${arg}' is a key=value option" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "harl_trace ${call}: stderr lacks '${arg}':\n${err}")
+  endif()
+  if(EXISTS ${dir}/${arg})
+    message(FATAL_ERROR "harl_trace ${call} wrote a file named ${arg}")
+  endif()
+endforeach()
 
 message(STATUS "bad input rejected")

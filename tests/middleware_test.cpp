@@ -324,5 +324,98 @@ TEST(Runner, CollectiveBufferSplitsAggregatorRanges) {
   EXPECT_GE(sorted[1].t_start, sorted[0].t_end);
 }
 
+// Four ranks exercising every action kind: independent reads and writes,
+// compute, a barrier, and a two-phase collective write with two extents
+// per rank.
+std::vector<RankProgram> mixed_programs() {
+  std::vector<RankProgram> programs(4);
+  for (std::size_t r = 0; r < programs.size(); ++r) {
+    const Bytes base = r * 256 * KiB;
+    auto& p = programs[r];
+    p.push_back(IoAction::io(IoOp::kWrite, base, 64 * KiB));
+    p.push_back(IoAction::compute_for(0.001 * static_cast<double>(r + 1)));
+    p.push_back(IoAction::barrier());
+    p.push_back(IoAction::collective(
+        IoOp::kWrite, {Extent{1 * MiB + base, 32 * KiB},
+                       Extent{1 * MiB + base + 128 * KiB, 32 * KiB}}));
+    p.push_back(IoAction::io(IoOp::kRead, base, 64 * KiB));
+  }
+  return programs;
+}
+
+constexpr Bytes kMixedWritten = 4 * (64 + 64) * KiB;
+constexpr Bytes kMixedRead = 4 * 64 * KiB;
+
+TEST(Runner, LaunchedProgramsMayDieBeforeTheRun) {
+  sim::Simulator sim;
+  pfs::Cluster cluster(sim, small_config());
+  MpiWorld world(cluster, 4);
+  auto layout = pfs::make_fixed_layout(cluster.num_servers(), 64 * KiB);
+  ProgramRunner runner(world, "f", layout);
+
+  // The temporary programs die at the end of this statement; the ASan
+  // build flags any later read of them.
+  const auto launch = runner.launch(mixed_programs());
+  sim.run();
+  const RunResult result = runner.finish(launch);
+  EXPECT_EQ(result.bytes_written, kMixedWritten);
+  EXPECT_EQ(result.bytes_read, kMixedRead);
+  EXPECT_GT(result.makespan, 0.004);  // the slowest rank computes 4 ms
+}
+
+TEST(Runner, LaunchAndFinishMatchRun) {
+  struct Outcome {
+    RunResult result;
+    std::vector<trace::TraceRecord> records;
+  };
+  const auto execute = [](bool split) {
+    sim::Simulator sim;
+    pfs::Cluster cluster(sim, small_config());
+    MpiWorld world(cluster, 4);
+    auto layout = pfs::make_fixed_layout(cluster.num_servers(), 64 * KiB);
+    trace::TraceCollector collector;
+    ProgramRunner runner(world, "f", layout, &collector);
+    Outcome out;
+    if (split) {
+      const auto launch = runner.launch(mixed_programs());
+      sim.run();
+      out.result = runner.finish(launch);
+    } else {
+      out.result = runner.run(mixed_programs());
+    }
+    const auto records = collector.records();
+    out.records.assign(records.begin(), records.end());
+    return out;
+  };
+  const Outcome run = execute(false);
+  const Outcome split = execute(true);
+  EXPECT_EQ(run.result.bytes_written, kMixedWritten);
+  EXPECT_EQ(run.result.bytes_read, kMixedRead);
+  EXPECT_EQ(split.result.makespan, run.result.makespan);
+  EXPECT_EQ(split.result.completed_at, run.result.completed_at);
+  EXPECT_EQ(split.result.bytes_read, run.result.bytes_read);
+  EXPECT_EQ(split.result.bytes_written, run.result.bytes_written);
+  // 4 independent writes, 4 reads and the collective's aggregator rounds.
+  EXPECT_GT(run.records.size(), 8u);
+  EXPECT_EQ(split.records, run.records);
+}
+
+TEST(Runner, IndependentIoNeedsExactlyOneExtent) {
+  sim::Simulator sim;
+  pfs::Cluster cluster(sim, small_config());
+  MpiWorld world(cluster, 1);
+  auto layout = pfs::make_fixed_layout(cluster.num_servers(), 64 * KiB);
+  ProgramRunner runner(world, "f", layout);
+  // With two extents only the first would be issued, while
+  // program_volume() counts both.
+  IoAction two = IoAction::io(IoOp::kWrite, 0, 4 * KiB);
+  two.extents.push_back(Extent{1 * MiB, 4 * KiB});
+  EXPECT_THROW(runner.launch({RankProgram{two}}), std::invalid_argument);
+  IoAction none = IoAction::io(IoOp::kRead, 0, 4 * KiB);
+  none.extents.clear();
+  EXPECT_THROW(runner.launch({RankProgram{none}}), std::invalid_argument);
+  EXPECT_TRUE(sim.idle());  // nothing was scheduled
+}
+
 }  // namespace
 }  // namespace harl::mw

@@ -276,22 +276,23 @@ int main(int argc, char** argv) {
     const std::vector<std::string> args(argv + 1, argv + argc);
     if (args.size() >= 2) {
       const std::string& cmd = args[0];
+      auto path = [&](std::size_t i) { return Options::path(args[i]); };
       const std::vector<std::string> keys(args.begin() + 2, args.end());
-      if (cmd == "stats") return cmd_stats(args[1]);
+      if (cmd == "stats") return cmd_stats(path(1));
       if (cmd == "convert" && args.size() >= 3) {
-        return cmd_convert(args[1], args[2]);
+        return cmd_convert(path(1), path(2));
       }
       if (cmd == "regions") {
-        return cmd_regions(args[1], Options(kRegionsOptions, keys));
+        return cmd_regions(path(1), Options(kRegionsOptions, keys));
       }
       if (cmd == "divide") {
-        return cmd_divide(args[1], Options(kDivideOptions, keys));
+        return cmd_divide(path(1), Options(kDivideOptions, keys));
       }
-      if (cmd == "gen") return cmd_gen(args[1], Options(kGenOptions, keys));
+      if (cmd == "gen") return cmd_gen(path(1), Options(kGenOptions, keys));
       if (cmd == "analyze") {
-        return cmd_analyze(args[1], Options(kAnalyzeOptions, keys));
+        return cmd_analyze(path(1), Options(kAnalyzeOptions, keys));
       }
-      if (cmd == "plan") return cmd_plan(args[1]);
+      if (cmd == "plan") return cmd_plan(path(1));
     }
     std::cerr << usage();
     return 2;
